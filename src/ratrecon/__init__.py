@@ -1,6 +1,6 @@
 """Exact reconstruction of rational functions from point evaluations."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import RatreconError
 from .fields import (
@@ -25,10 +25,8 @@ from .ratfun import (
     RatFun1,
     RatFunN,
     degree_and_ord,
-    eval_ratfun,
     format_ratfun1,
     format_ratfunn,
-    normalize_ratfun,
     normalize_ratfun1,
     normalize_ratfunn,
 )

@@ -259,8 +259,8 @@ def _cmd_reconstruct(args) -> int:
             return v
 
         oracle = SliceOracle(oracle.arity, field, recording)
-    config = cfg.to_json() | {"threads": args.threads}
-    manifest = _manifest("reconstruct", field.descriptor(), seed, config, inputs)
+    manifest = _manifest("reconstruct", field.descriptor(), seed, cfg.to_json(),
+                         inputs)
     try:
         report = reconstruct(oracle, cfg)
     except VerificationFailed as e:
@@ -353,8 +353,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--validation-extra", type=int, default=4)
     pr.add_argument("--verify-trials", type=int, default=200)
     pr.add_argument("--height-bound", type=int, default=10)
-    pr.add_argument("--threads", type=int, default=1,
-                    help="worker cap; evaluation is serial for determinism")
     pr.add_argument("--record", default=None, help="write queried points to FILE")
     pr.add_argument("--timings", action="store_true",
                     help="include wall-clock timings (breaks byte-identical output)")

@@ -120,8 +120,7 @@ class _IncrementalRank:
         lead = next((c for c, v in enumerate(row) if v != 0), None)
         if lead is None:
             return False
-        inv = Fraction(1) / row[lead] if isinstance(row[lead], Fraction) \
-            else 1 / row[lead]
+        inv = 1 / row[lead]
         row = [v * inv for v in row]
         self.pivots[lead] = row
         return True

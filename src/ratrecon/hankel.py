@@ -3,7 +3,8 @@
 A series prefix a_0..a_N is declared rational only with a checkable witness:
 a rational function whose exact re-expansion reproduces the whole prefix.
 The converse direction never claims irrationality, only the absence of a
-witness within the scanned (l, m) bounds.
+witness within the scanned (l, m) bounds.  Witnesses are Pade approximants,
+computed by `ratfun.rational_reconstruct` modulo t^(n+m+1).
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from dataclasses import dataclass
 
 from .errors import NoSolution, PoleAtOrigin, PrefixTooShort
 from .fields import Field
-from .matrix import ExactMatrix, det_exact, nullspace
+from .matrix import ExactMatrix, det_exact
 from .poly import Poly1
-from .ratfun import RatFun1, format_poly1, format_ratfun1, normalize_ratfun1
+from .ratfun import RatFun1, format_poly1, format_ratfun1, rational_reconstruct
 
 
 @dataclass
@@ -98,33 +99,18 @@ def kronecker_scan(s: SeriesPrefix, l_max: int, m_max: int):
 
 
 def pade_reconstruct(s: SeriesPrefix, n_deg: int, m_deg: int) -> RatFun1:
-    """Solve exactly for Q (deg <= m_deg, Q(0) = 1) and P (deg <= n_deg) with
-    Q * s = P mod t^(n_deg+m_deg+1)."""
+    """The canonical P/Q with deg P <= n_deg, deg Q <= m_deg and Q(0) != 0
+    such that Q * s = P mod t^(n_deg+m_deg+1)."""
     if s.n_max < n_deg + m_deg + 1:
         raise PrefixTooShort(
             f"need prefix length >= {n_deg + m_deg + 2}, have {s.n_max + 1}")
     field = s.field
-    zero = field.zero
-    # unknowns q_0..q_m; rows force coefficients n_deg+1..n_deg+m_deg of Q*s to 0
-    rows = []
-    for k in range(n_deg + 1, n_deg + m_deg + 1):
-        rows.append([s.coeffs[k - j] if 0 <= k - j <= s.n_max else zero
-                     for j in range(m_deg + 1)])
-    basis = nullspace(rows, m_deg + 1, field)
-    sol = next((v for v in basis if v[0] != zero), None)
-    if sol is None:
+    window = n_deg + m_deg + 1
+    modulus = Poly1(field, [field.zero] * window + [field.one])
+    f = rational_reconstruct(modulus, Poly1(field, s.coeffs[:window]), n_deg, m_deg)
+    if f is None:
         raise NoSolution("no denominator with Q(0) != 0 fits the prefix window")
-    inv = field.inv(sol[0])
-    qcoeffs = [c * inv for c in sol]
-    den = Poly1(field, qcoeffs)
-    # P := Q*s truncated to degree n_deg
-    pcoeffs = []
-    for k in range(n_deg + 1):
-        acc = zero
-        for j in range(min(k, m_deg) + 1):
-            acc = acc + qcoeffs[j] * s.coeffs[k - j]
-        pcoeffs.append(acc)
-    return normalize_ratfun1(Poly1(field, pcoeffs), den)
+    return f
 
 
 def series_of_ratfun(f: RatFun1, n_terms: int) -> SeriesPrefix:

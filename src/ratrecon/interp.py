@@ -15,6 +15,10 @@ reconstruction determinants used by the multivariate engine.
 The sign relating their ratio to f(a) is fixed by the matrix layout:
     interp_sign(n, m) = -(-1)^((n+1)(m+1))
 frozen after calibration against known functions (see calibrate_sign).
+
+Coefficient fitting and black-box degree detection interpolate the samples
+in Newton form and recover the fraction by `ratfun.rational_reconstruct`
+(the extended Euclidean algorithm modulo prod(x - a_i)).
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import (
-    AmbiguousFit,
     BetaZero,
     BudgetExhausted,
     CalibrationFailure,
@@ -32,10 +35,10 @@ from .errors import (
     NoFit,
     SizeMismatch,
 )
-from .fields import Field, derive_rng, random_element
-from .matrix import ExactMatrix, det_exact, maximal_minors, nullspace
+from .fields import QQ, Field, FpElement, derive_rng, random_element
+from .matrix import ExactMatrix, det_exact, maximal_minors
 from .poly import Poly1
-from .ratfun import RatFun1, degree_and_ord, normalize_ratfun1
+from .ratfun import RatFun1, degree_and_ord, normalize_ratfun1, rational_reconstruct
 
 
 @dataclass(frozen=True)
@@ -176,7 +179,6 @@ class SignCalibration:
 def calibrate_sign(field: Field = None, grid_max: int = 4, seed: int = 1) -> SignCalibration:
     """Recompute the sign table empirically against randomly generated known
     functions and verify it matches the frozen closed form."""
-    from .fields import QQ
     field = field or QQ
     grid = {}
     for n in range(grid_max + 1):
@@ -234,47 +236,31 @@ def _random_poly_of_degree(field: Field, deg: int, rng) -> Poly1:
             return p
 
 
+def _add_point(modulus: Poly1, u: Poly1, a, v):
+    """Extend the interpolant u of the points at the roots of `modulus`
+    (Newton form) by the fresh point (a, v)."""
+    field = modulus.field
+    c = (v - u.eval(a)) / modulus.eval(a)
+    return modulus * Poly1(field, [-a, field.one]), u + modulus.scale(c)
+
+
 def fit_ratfun(samples: SampleSet1, n_deg: int, m_deg: int) -> RatFun1:
-    """Solve the homogeneous system f_i*Q(a_i) - P(a_i) = 0 over all samples
-    and return the unique canonical solution with Q nonvanishing at every
-    sample.  Requires at least one sample beyond the square system."""
+    """The canonical function with numerator degree <= n_deg and denominator
+    degree <= m_deg through all samples, its denominator nonvanishing at
+    every sample.  Requires at least one sample beyond n_deg + m_deg + 1,
+    which makes the fit unique."""
     if len(samples) < n_deg + m_deg + 2:
         raise SizeMismatch(
             f"need >= {n_deg + m_deg + 2} samples for degrees ({n_deg}, {m_deg})")
-    field = samples.points[0][0].field if hasattr(samples.points[0][0], "field") else None
-    from .fields import QQ
-    field = field or QQ
-    zero = field.zero
-    rows = []
-    for a, f in samples.points:
-        rows.append([-(a ** j) for j in range(n_deg + 1)]
-                    + [f * a ** j for j in range(m_deg + 1)])
-    basis = nullspace(rows, n_deg + m_deg + 2, field)
-    if not basis:
+    a0 = samples.points[0][0]
+    field = a0.field if isinstance(a0, FpElement) else QQ
+    modulus, u = Poly1(field, [field.one]), Poly1.zero(field)
+    for a, v in samples.points:
+        modulus, u = _add_point(modulus, u, a, v)
+    fit = rational_reconstruct(modulus, u, n_deg, m_deg)
+    if fit is None:
         raise NoFit("no rational function with these degree bounds fits the samples")
-    candidates = list(basis)
-    if len(basis) > 1:
-        acc = basis[0]
-        for v in basis[1:]:
-            acc = [x + y for x, y in zip(acc, v)]
-        candidates.append(acc)
-    seen = []
-    for v in candidates:
-        num = Poly1(field, v[:n_deg + 1])
-        den = Poly1(field, v[n_deg + 1:])
-        if den.is_zero():
-            continue
-        if any(den.eval(a) == zero for a, _ in samples.points):
-            continue
-        f = normalize_ratfun1(num, den)
-        if not any(f == g for g in seen):
-            seen.append(f)
-    if not seen:
-        raise NoFit("every candidate denominator vanishes at a sample; "
-                    "degree bounds are wrong")
-    if len(seen) > 1:
-        raise AmbiguousFit("distinct functions fit all samples; shrink bounds")
-    return seen[0]
+    return fit
 
 
 @dataclass
@@ -315,28 +301,33 @@ def _draw_defined(oracle: UnivariateOracle, field: Field, budget: SamplingBudget
 
 def detect_profile_with_fit(oracle: UnivariateOracle, field: Field,
                             budget: SamplingBudget, rng):
-    """Walk total degree 0, 1, ... and accept the first fit that survives
-    validation at fresh points; returns (profile, fit)."""
+    """Grow a sample pool one point at a time.  At pool size k the candidate
+    is the fit of minimal total degree through the pool; it is tried once
+    that degree is at most min(k - 2, max_degree), and accepted if it agrees
+    with `validation_extra` fresh points.  After a rejection the enlarged
+    pool is tried again before the next draw.  Candidates thus come in the
+    order (total degree, numerator degree) of a walk over all degree pairs,
+    each fitted with at least one sample to spare; returns (profile, fit)."""
+    cap = budget.max_degree
     taken: set = set()
-    pool: list = []
-
-    def ensure(k):
-        while len(pool) < k:
-            pool.append(_draw_defined(oracle, field, budget, rng, taken))
-
-    for total in range(budget.max_degree + 1):
-        for n_deg in range(total + 1):
-            m_deg = total - n_deg
-            ensure(n_deg + m_deg + 2)
-            try:
-                fit = fit_ratfun(SampleSet1(list(pool)), n_deg, m_deg)
-            except (NoFit, AmbiguousFit):
-                continue
+    modulus, u = Poly1(field, [field.one]), Poly1.zero(field)
+    # a pass either draws one point, which happens only while the pool is
+    # below cap + 2, or rejects a candidate at a strictly later degree pair
+    for _ in range((cap + 2) * (cap + 3)):
+        k = int(modulus.degree)
+        fit = rational_reconstruct(modulus, u)
+        prof = DegreeProfile.of(fit)
+        if prof.l <= min(k - 2, cap):
             fresh = [_draw_defined(oracle, field, budget, rng, taken)
                      for _ in range(budget.validation_extra)]
-            pool.extend(fresh)
             if all(fit.defined_at(a) and fit.eval(a) == v for a, v in fresh):
-                return DegreeProfile.of(fit), fit
+                return prof, fit
+        elif max(k - 1, 0) > cap:
+            break
+        else:
+            fresh = [_draw_defined(oracle, field, budget, rng, taken)]
+        for a, v in fresh:
+            modulus, u = _add_point(modulus, u, a, v)
     raise BudgetExhausted(
         f"no rational profile up to total degree {budget.max_degree}")
 

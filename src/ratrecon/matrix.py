@@ -1,4 +1,4 @@
-"""Exact matrices, determinants, nullspaces, Sylvester matrices, resultants.
+"""Exact matrices, determinants, Sylvester matrices, resultants.
 
 Determinants over field entries use fraction-free Bareiss elimination (with
 row pivoting; divisions stay exact).  Determinants over polynomial entries
@@ -167,48 +167,6 @@ def maximal_minors(rows, zero):
 
     full = tuple(range(cols))
     return [g(0, full[:j] + full[j + 1:]) for j in range(cols)]
-
-
-def rref(rows, field: Field):
-    """Reduced row echelon form (in place on a copy); returns (rows, pivots)."""
-    rows = [list(r) for r in rows]
-    zero = field.zero
-    pivots = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        if r == len(rows):
-            break
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != zero), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != zero:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
-
-
-def nullspace(rows, ncols: int, field: Field):
-    """Basis of the right nullspace of the matrix given by `rows`."""
-    if not rows:
-        return [[field.one if i == j else field.zero for i in range(ncols)]
-                for j in range(ncols)]
-    red, pivots = rref(rows, field)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [field.zero] * ncols
-        v[fc] = field.one
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
 
 
 def vandermonde_product(points):

@@ -170,10 +170,6 @@ class Poly1:
         return f"Poly1({self.coeffs!r})"
 
 
-def eval_poly(p: Poly1, a):
-    return p.eval(a)
-
-
 def gcd_poly1(a: Poly1, b: Poly1) -> Poly1:
     """Monic gcd.  Over Q the computation runs on integer-primitive images
     with integer content bookkeeping, which avoids the coefficient blowup of

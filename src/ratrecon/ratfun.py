@@ -6,6 +6,9 @@ the denominator's lex-leading coefficient positive; over F_p that leading
 coefficient is 1.  When multivariate gcd extraction cannot certify
 coprimality the pair is kept uncancelled and flagged; equality testing then
 falls back to cross-multiplication, which is always sound.
+
+`rational_reconstruct` is the one univariate reconstruction step: rational
+interpolation of samples and Pade approximation of series both run on it.
 """
 
 from __future__ import annotations
@@ -214,19 +217,56 @@ def _content_scale(num: PolyN, den: PolyN):
     return num.scale(inv), den.scale(inv)
 
 
-def eval_ratfun(f, point):
-    """Evaluate RatFun1 or RatFunN; raises UndefinedAt on denominator zero
-    (both parts vanishing is still UndefinedAt: no indeterminate forms)."""
-    if isinstance(f, RatFun1):
-        return f.eval(point)
-    return f.eval(point)
+def rational_reconstruct(modulus: Poly1, u: Poly1, n: int | None = None,
+                         m: int | None = None) -> RatFun1 | None:
+    """Canonical P/Q with P = Q*u mod `modulus` and Q coprime to the modulus,
+    by the extended Euclidean algorithm on (modulus, u mod modulus).
+
+    Every EEA row (r, t) has r = t*u mod modulus, and every solution with
+    deg P <= n, deg Q <= deg modulus - n - 1 is a polynomial multiple of the
+    first row with deg r <= n (von zur Gathen & Gerhard, Modern Computer
+    Algebra, Thm 5.16).  A row is itself a solution exactly when
+    gcd(r, t) = 1, which holds exactly when t is coprime to the modulus.
+
+    With bounds n and m (n + m < deg modulus) the answer is the unique
+    solution with deg P <= n and deg Q <= m, or None when there is none.
+    Without bounds it is the solution of minimal total degree
+    deg P + deg Q, ties going to the smaller deg P; that row follows the
+    quotient of largest degree (Monagan, "Maximal quotient rational
+    reconstruction", ISSAC 2004).  There always is one: the first row,
+    (u mod modulus)/1, qualifies.
+
+    With modulus prod(x - a_i) and u the interpolant of values v_i this is
+    rational interpolation through the points (a_i, v_i); with modulus t^N
+    and u a truncated series it is Pade approximation.
+    """
+    field = modulus.field
+    r0, r1 = modulus, u % modulus
+    t0, t1 = Poly1.zero(field), Poly1(field, [field.one])
+    rows = []
+    while True:
+        if n is not None and r1.degree <= n:
+            return _coprime_row(r1, t1) if t1.degree <= m else None
+        rows.append((max(r1.degree, 0) + t1.degree, r1.degree, r1, t1))
+        if r1.is_zero():
+            break
+        q, rem = r0.divmod(r1)
+        r0, r1, t0, t1 = r1, rem, t1, t0 - q * t1
+    for _, _, r, t in sorted(rows, key=lambda row: row[:2]):
+        f = _coprime_row(r, t)
+        if f is not None:
+            return f
 
 
-def normalize_ratfun(num, den):
-    """Dispatching normalizer for Poly1 or PolyN pairs."""
-    if isinstance(num, Poly1):
-        return normalize_ratfun1(num, den)
-    return normalize_ratfunn(num, den)
+def _coprime_row(r: Poly1, t: Poly1) -> RatFun1 | None:
+    """r/t in canonical form when gcd(r, t) = 1, else None."""
+    field = r.field
+    if r.is_zero():
+        return RatFun1(r, Poly1(field, [field.one])) if t.degree == 0 else None
+    if gcd_poly1(r, t).degree > 0:
+        return None
+    inv = field.inv(t.leading())
+    return RatFun1(r.scale(inv), t.scale(inv))
 
 
 # ---------------------------------------------------------------------------

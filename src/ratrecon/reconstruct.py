@@ -42,12 +42,10 @@ MAX_CLASSIFY_FAILURE_RATE = 0.20
 @dataclass
 class SliceOracle:
     """Partial black-box function on field^arity.  Undefined inputs are
-    reported as None, never raised.  `serial` declares that the callable must
-    not be invoked concurrently; the engine evaluates serially either way."""
+    reported as None, never raised.  The engine calls it serially."""
     arity: int
     field: Field
     fn: Callable[[tuple], Optional[object]]
-    serial: bool = False
 
     def eval(self, point: tuple):
         if len(point) != self.arity:
@@ -217,29 +215,24 @@ class ReconReport:
 
 
 def reconstruct(oracle: SliceOracle, cfg: ReconConfig) -> ReconReport:
-    """Full reconstruction with verification; see module docstring."""
+    """Full reconstruction with verification; see module docstring.  The
+    report carries the root node's verification tallies."""
     t0 = time.perf_counter()
     anchors_by_level: dict = {}
     info: dict = {"hist": Counter(), "failures": 0}
     timings: dict = {"classify": 0.0, "anchors": 0.0, "fit": 0.0,
                      "assemble": 0.0, "verify": 0.0}
-    result = _reconstruct_level(oracle, cfg, (), anchors_by_level, info, timings)
-    t1 = time.perf_counter()
-    rng = derive_rng(cfg.seed, "verify")
-    verification = verify_agreement(oracle, result, cfg.verify_trials, rng,
-                                    cfg.height_bound)
-    timings["verify"] += time.perf_counter() - t1
+    result, verification = _reconstruct_level(oracle, cfg, (), anchors_by_level,
+                                              info, timings)
     timings["total"] = time.perf_counter() - t0
-    trials, agreements, skips = verification
-    if agreements != trials - skips:
-        raise VerificationFailed("random verification point", trials - skips, agreements)
     levels = [anchors_by_level[k] for k in sorted(anchors_by_level)]
     return ReconReport(result, oracle.arity, oracle.field, dict(info["hist"]),
                        info["failures"], levels, verification, cfg, timings)
 
 
 def _reconstruct_level(oracle: SliceOracle, cfg: ReconConfig, path: tuple,
-                       anchors_by_level: dict, info: dict, timings: dict) -> RatFunN:
+                       anchors_by_level: dict, info: dict, timings: dict):
+    """(result, verification tallies) of the node at `path`."""
     field = oracle.field
     level = len(path)
     if oracle.arity == 1:
@@ -251,8 +244,7 @@ def _reconstruct_level(oracle: SliceOracle, cfg: ReconConfig, path: tuple,
         if level == 0:
             info["hist"][(prof.d, prof.e)] += 1
         result = fit.to_ratfunn(1)
-        _verify_node(oracle, result, cfg, path, timings)
-        return result
+        return result, _verify_node(oracle, result, cfg, path, timings)
 
     axis = oracle.arity - 1
     t0 = time.perf_counter()
@@ -273,16 +265,14 @@ def _reconstruct_level(oracle: SliceOracle, cfg: ReconConfig, path: tuple,
     parts = []
     for i, b in enumerate(anchors):
         sub = SliceOracle(oracle.arity - 1, field,
-                          lambda pt, _b=b: oracle.eval(tuple(pt) + (_b,)),
-                          serial=oracle.serial)
+                          lambda pt, _b=b: oracle.eval(tuple(pt) + (_b,)))
         parts.append(_reconstruct_level(sub, cfg, path + (i,),
-                                        anchors_by_level, info, timings))
+                                        anchors_by_level, info, timings)[0])
 
     t0 = time.perf_counter()
     result = _combine(parts, anchors, profile, field, oracle.arity)
     timings["assemble"] += time.perf_counter() - t0
-    _verify_node(oracle, result, cfg, path, timings)
-    return result
+    return result, _verify_node(oracle, result, cfg, path, timings)
 
 
 def _combine(parts, anchors, profile: DegreeProfile, field: Field,
@@ -293,8 +283,6 @@ def _combine(parts, anchors, profile: DegreeProfile, field: Field,
     multiplies the row in both matrices, so the quotient is unchanged."""
     dens = [h.den.pad_vars(nvars) for h in parts]
     nums = [h.num.pad_vars(nvars) for h in parts]
-    dens_again = [h.den.pad_vars(nvars) for h in parts]
-    assert dens == dens_again  # identical row factors for both determinants
     y = PolyN.var(field, nvars, nvars - 1)
     powers = [PolyN.const(field, nvars, field.one)]
     while len(powers) <= max(profile.n, profile.m):
@@ -316,3 +304,4 @@ def _verify_node(oracle: SliceOracle, result: RatFunN, cfg: ReconConfig,
     if agreements != trials - skips:
         raise VerificationFailed(
             f"recursion path {path}", trials - skips, agreements)
+    return trials, agreements, skips

@@ -264,8 +264,8 @@ def test_fit_examples():
 
 
 def test_fit_oversized_bounds_still_unique():
-    # bounds strictly oversized on both sides: nullspace dimension grows but
-    # every valid candidate normalizes to the same function
+    # bounds strictly oversized on both sides: the fit is still the one
+    # canonical function
     inv_x = normalize_ratfun1(qpoly(1), qpoly(0, 1))
     samples = SampleSet1([(q(v), Fraction(1, v)) for v in (1, 2, 4, 5, 8)])
     assert fit_ratfun(samples, 1, 2) == inv_x

@@ -17,7 +17,6 @@ from ratrecon.matrix import (
     ExactMatrix,
     det_exact,
     maximal_minors,
-    nullspace,
     resultant,
     sylvester_and_resultant,
     vandermonde_product,
@@ -25,7 +24,6 @@ from ratrecon.matrix import (
 from ratrecon.poly import NEG_INF, Poly1, PolyN, gcd_poly1, gcd_polyn
 from ratrecon.ratfun import (
     degree_and_ord,
-    eval_ratfun,
     format_poly1,
     format_ratfun1,
     format_ratfunn,
@@ -239,9 +237,9 @@ def test_vandermonde_product():
 
 def test_eval_ratfun_examples():
     inv_x = normalize_ratfun1(qpoly(1), qpoly(0, 1))
-    assert eval_ratfun(inv_x, q(3)) == q(1, 3)
+    assert inv_x.eval(q(3)) == q(1, 3)
     with pytest.raises(UndefinedAt):
-        eval_ratfun(inv_x, q(0))
+        inv_x.eval(q(0))
     f = normalize_ratfunn(
         PolyN(QQ, 2, {(1, 1): q(1), (0, 0): q(1)}),
         PolyN(QQ, 2, {(1, 0): q(1), (0, 1): q(-1)}))
@@ -365,17 +363,3 @@ def test_canonical_text_format():
     h = normalize_ratfun1(qpoly(2, 2), qpoly(3))
     assert format_ratfun1(h) == "(2*x1 + 2)/(3)"
     assert format_poly1(qpoly(-1, -1, 1), "t", ascending=True) == "-1 - t + t^2"
-
-
-def test_nullspace_solves_homogeneous_system():
-    rng = random.Random(18)
-    for _ in range(30):
-        rows = [[random_element(QQ, rng, 5) for _ in range(5)] for _ in range(3)]
-        basis = nullspace(rows, 5, QQ)
-        assert len(basis) >= 2
-        for v in basis:
-            for r in rows:
-                s = QQ.zero
-                for a, b in zip(r, v):
-                    s = s + a * b
-                assert s == QQ.zero

@@ -38,8 +38,8 @@ def q(n, d=1):
     return Fraction(n, d)
 
 
-def oracle_from_ratfunn(f: RatFunN, serial=False) -> SliceOracle:
-    return SliceOracle(f.nvars, f.field, lambda pt: f.eval_or_none(pt), serial)
+def oracle_from_ratfunn(f: RatFunN) -> SliceOracle:
+    return SliceOracle(f.nvars, f.field, lambda pt: f.eval_or_none(pt))
 
 
 def pn(field, nvars, terms):
@@ -291,3 +291,30 @@ def test_oracle_replay_identical_result():
     r2 = reconstruct(SliceOracle(2, FP101, replay), cfg)
     assert json.dumps(r1.to_json(), sort_keys=True) == \
         json.dumps(r2.to_json(), sort_keys=True)
+
+
+def test_root_verification_is_reported_not_repeated():
+    # The root node verifies on the stream derive_rng(seed, "verify"); the
+    # report carries those tallies.  A second pass on that stream repeats
+    # them exactly, so dropping it keeps the report and saves verify_trials
+    # oracle calls: 1246 calls before, with the repeated pass.
+    f = xy_over(FP101)
+    calls = []
+    oracle = SliceOracle(2, FP101, lambda pt: calls.append(pt) or f.eval_or_none(pt))
+    cfg = ReconConfig(seed=10)
+    report = reconstruct(oracle, cfg)
+    assert len(calls) == 1246 - cfg.verify_trials
+    assert report.to_json() == {
+        "result": "(x1*x2 + 1)/(x1 - x2)",
+        "coprime_certified": True,
+        "arity": 2,
+        "field": "fp:101",
+        "class_histogram": {"1,0": 20},
+        "classify_failures": 0,
+        "anchors": [["14", "44", "38"]],
+        "verification": {"trials": 200, "agreements": 197, "undefined_skips": 3},
+        "config": cfg.to_json(),
+    }
+    again = verify_agreement(oracle, report.result, cfg.verify_trials,
+                             derive_rng(cfg.seed, "verify"), cfg.height_bound)
+    assert again == report.verification
