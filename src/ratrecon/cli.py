@@ -126,7 +126,7 @@ def _cmd_hankel(args) -> int:
     obj = _load_json(raw, args.series)
     try:
         series = SeriesPrefix.from_json(obj)
-    except (KeyError, ValueError) as e:
+    except (KeyError, ValueError, TypeError, AttributeError) as e:
         raise InputError(f"bad series file: {e}") from e
     if args.field is not None:
         want = _parse_field(args.field)
@@ -242,6 +242,8 @@ def _oracle_from_args(args, field: Field):
 def _cmd_reconstruct(args) -> int:
     field = _parse_field(args.field)
     seed = _resolve_seed(args)
+    if args.arity > 1 and args.samples_per_class < 1:
+        raise InputError("--samples-per-class must be >= 1 for arity > 1")
     cfg = ReconConfig(samples_per_class=args.samples_per_class,
                       max_degree=args.max_degree,
                       validation_extra=args.validation_extra,

@@ -25,6 +25,10 @@ class ZeroPolynomial(RatreconError):
     """A resultant or Sylvester matrix was requested for the zero polynomial."""
 
 
+class InexactDivision(RatreconError, ArithmeticError):
+    """A division that must be exact left a remainder."""
+
+
 class NonSquareMatrix(RatreconError):
     """Determinant of a non-square matrix."""
 

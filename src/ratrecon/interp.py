@@ -1,16 +1,16 @@
 """Determinantal interpolation of univariate rational functions.
 
-The two bordered (l+2)x(l+2) determinants share their data rows up to a
-block swap, so both are recovered from one pass of maximal minors over the
-shared (l+1)x(l+2) data matrix:
+The two bordered (l+2)x(l+2) determinants share the (l+1)x(l+2) data
+matrix whose row i is [den_i*b_i^0..den_i*b_i^n, num_i*b_i^0..num_i*b_i^m],
+so one fraction-free elimination pass (`matrix.bordered_dets`) yields both,
+each with its border row last:
 
-    numerator-style   det = sum_{j<=n} (-1)^j y^j M_j
-    denominator-style det = (-1)^((n+1)m) sum_{j<=m} (-1)^j y^j M_{n+1+j}
+    numerator-style   det = (-1)^(n+m+1) det[data; y^0..y^n, 0..0]
+    denominator-style det = (-1)^(n*m)     det[data; 0..0, y^0..y^m]
 
-where row i of the data matrix is [den_i*b_i^0..den_i*b_i^n,
-num_i*b_i^0..num_i*b_i^m].  With den_i = 1 and num_i = f(a_i) these are the
-pointwise interpolation determinants; with polynomial entries they are the
-reconstruction determinants used by the multivariate engine.
+With den_i = 1 and num_i = f(a_i) these are the pointwise interpolation
+determinants; with polynomial entries they are the reconstruction
+determinants used by the multivariate engine.
 
 The sign relating their ratio to f(a) is fixed by the matrix layout:
     interp_sign(n, m) = -(-1)^((n+1)(m+1))
@@ -36,7 +36,7 @@ from .errors import (
     SizeMismatch,
 )
 from .fields import QQ, Field, FpElement, derive_rng, random_element
-from .matrix import ExactMatrix, det_exact, maximal_minors
+from .matrix import ExactMatrix, bordered_dets, det_exact
 from .poly import Poly1
 from .ratfun import RatFun1, degree_and_ord, normalize_ratfun1, rational_reconstruct
 
@@ -116,30 +116,26 @@ def delta_det(p: Poly1, q: Poly1, a, points):
 
 
 def paired_determinants(dens, nums, points, n: int, m: int, powers):
-    """Evaluate both bordered determinants from one minor pass.
+    """Evaluate both bordered determinants in one elimination pass.
 
     dens/nums: per-point denominator and numerator entries (field elements or
-    PolyN); powers: list of the l+1 powers y^0..y^l of the evaluation object
-    (only the first n+1 resp. m+1 are used).  Returns (numerator_det,
-    denominator_det) exactly as the bordered matrices define them.
+    PolyN); powers: the powers y^0, y^1, ... of the evaluation object, at
+    least max(n, m) + 1 of them (the border rows carry the first n+1 resp.
+    m+1).  Returns (numerator_det, denominator_det) exactly as the bordered
+    matrices define them.
     """
-    l = n + m
     rows = []
     for ai, den_i, num_i in zip(points, dens, nums):
         row = [den_i * ai ** j for j in range(n + 1)] \
             + [num_i * ai ** j for j in range(m + 1)]
         rows.append(row)
     zero = dens[0] - dens[0]
-    minors = maximal_minors(rows, zero)
-    num_det = zero
-    for j in range(n + 1):
-        term = powers[j] * minors[j]
-        num_det = num_det - term if j % 2 else num_det + term
-    den_det = zero
-    for j in range(m + 1):
-        term = powers[j] * minors[n + 1 + j]
-        den_det = den_det - term if j % 2 else den_det + term
-    if ((n + 1) * m) % 2:
+    num_border = powers[:n + 1] + [zero] * (m + 1)
+    den_border = [zero] * (n + 1) + powers[:m + 1]
+    num_det, den_det = bordered_dets(rows, [num_border, den_border])
+    if (n + m + 1) % 2:
+        num_det = -num_det
+    if (n * m) % 2:
         den_det = -den_det
     return num_det, den_det
 

@@ -1,16 +1,16 @@
 """Exact matrices, determinants, Sylvester matrices, resultants.
 
-Determinants over field entries use fraction-free Bareiss elimination (with
-row pivoting; divisions stay exact).  Determinants over polynomial entries
-use cofactor expansion anchored on the row with the most structural zeros,
-memoized over column subsets.
+Every determinant goes through one fraction-free Bareiss kernel,
+`bordered_dets`: an r x (r+1) block of shared data rows, eliminated once
+with column pivoting, completed by one or more border rows.  Its divisions
+are exact, so the same code runs on field elements and on PolyN entries.
 """
 
 from __future__ import annotations
 
 from .errors import NonSquareMatrix, ZeroPolynomial
 from .fields import Field
-from .poly import Poly1, PolyN
+from .poly import Poly1
 
 
 class ExactMatrix:
@@ -35,9 +35,6 @@ class ExactMatrix:
             raise ValueError("ragged rows")
         return cls(n, m, [x for r in rows for x in r])
 
-    def at(self, i: int, j: int):
-        return self.entries[i * self.cols + j]
-
     def row_list(self):
         return [self.entries[i * self.cols:(i + 1) * self.cols] for i in range(self.rows)]
 
@@ -51,122 +48,48 @@ class ExactMatrix:
 
 
 def det_exact(m: ExactMatrix, field: Field):
-    """Exact determinant; dispatches on entry kind."""
+    """Exact determinant: the bordered kernel with the last row as border."""
     if m.rows != m.cols:
         raise NonSquareMatrix(f"{m.rows}x{m.cols}")
     if m.rows == 0:
         return field.one
-    if isinstance(m.entries[0], PolyN):
-        return _det_cofactor(m.row_list(), PolyN.zero(m.entries[0].field, m.entries[0].nvars))
-    return _det_bareiss(m.row_list(), field)
+    rows = m.row_list()
+    return bordered_dets(rows[:-1], [rows[-1]])[0]
 
 
-def _det_bareiss(rows, field: Field):
-    n = len(rows)
-    zero, one = field.zero, field.one
-    sign = one
-    prev = one
-    for k in range(n - 1):
-        if rows[k][k] == zero:
-            for i in range(k + 1, n):
-                if rows[i][k] != zero:
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return zero
-        pivot = rows[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                rows[i][j] = (rows[i][j] * pivot - rows[i][k] * rows[k][j]) / prev
-            rows[i][k] = zero
+def bordered_dets(data, borders):
+    """det([data; b]) for each border row b, where data is r x (r+1).
+
+    One fraction-free Bareiss pass over the shared data rows, with column
+    pivoting (each swap flips the sign); every border row is eliminated
+    alongside as the last row of its own matrix.  Each division v / prev is
+    exact, so entries may be field elements or PolyN alike."""
+    data = [list(r) for r in data]
+    borders = [list(b) for b in borders]
+    r = len(data)
+    if any(len(row) != r + 1 for row in data + borders):
+        raise ValueError("need r x (r+1) data and borders of length r+1")
+    zero = borders[0][0] - borders[0][0]
+    negate = False
+    prev = None
+    for k in range(r):
+        pivot_row = data[k]
+        j = next((j for j in range(k, r + 1) if pivot_row[j] != zero), None)
+        if j is None:
+            # rows 0..k are dependent: every bordered determinant vanishes
+            return [zero for _ in borders]
+        if j != k:
+            for row in data[k:] + borders:
+                row[k], row[j] = row[j], row[k]
+            negate = not negate
+        pivot = pivot_row[k]
+        for row in data[k + 1:] + borders:
+            lead = row[k]
+            for c in range(k + 1, r + 1):
+                v = row[c] * pivot - lead * pivot_row[c]
+                row[c] = v if prev is None else v / prev
         prev = pivot
-    return sign * rows[n - 1][n - 1]
-
-
-def _det_cofactor(rows, zero):
-    # put the row with the most zeros first so the top expansion branches least
-    n = len(rows)
-    order = sorted(range(n), key=lambda i: -sum(1 for x in rows[i] if x == zero))
-    sign_flip = _perm_sign(order)
-    rows = [rows[i] for i in order]
-    memo = {}
-
-    def minor(i, cols):
-        if i == n:
-            return None  # unreachable for n >= 1
-        if len(cols) == 1:
-            return rows[i][cols[0]]
-        key = cols
-        got = memo.get((i, key))
-        if got is not None:
-            return got
-        acc = zero
-        neg = False
-        for idx, c in enumerate(cols):
-            v = rows[i][c]
-            if v == zero:
-                neg = not neg
-                continue
-            sub = minor(i + 1, cols[:idx] + cols[idx + 1:])
-            term = v * sub
-            acc = acc - term if neg else acc + term
-            neg = not neg
-        memo[(i, key)] = acc
-        return acc
-
-    d = minor(0, tuple(range(n)))
-    return -d if sign_flip < 0 else d
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def maximal_minors(rows, zero):
-    """All maximal minors of an r x (r+1) matrix: entry j is the determinant
-    with column j removed (remaining columns kept in order).  Shared by the
-    paired interpolation determinants so both expansions reuse one pass."""
-    r = len(rows)
-    cols = len(rows[0])
-    if cols != r + 1:
-        raise ValueError("need r x (r+1)")
-    if r == 0:
-        raise ValueError("empty matrix")
-    # G(i, T): det of rows i.. on column tuple T, expanded along row i
-    memo = {}
-
-    def g(i, T):
-        if len(T) == 1:
-            return rows[i][T[0]]
-        got = memo.get(T)
-        if got is not None:
-            return got
-        acc = zero
-        neg = False
-        for idx, c in enumerate(T):
-            v = rows[i][c]
-            if v != zero:
-                term = v * g(i + 1, T[:idx] + T[idx + 1:])
-                acc = acc - term if neg else acc + term
-            neg = not neg
-        memo[T] = acc
-        return acc
-
-    full = tuple(range(cols))
-    return [g(0, full[:j] + full[j + 1:]) for j in range(cols)]
+    return [-b[r] if negate else b[r] for b in borders]
 
 
 def vandermonde_product(points):

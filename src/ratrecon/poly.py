@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import FieldMismatch
+from .errors import FieldMismatch, InexactDivision
 from .fields import Field, QQ
 
 NEG_INF = float("-inf")
@@ -101,12 +101,6 @@ class Poly1:
     def scale(self, c) -> "Poly1":
         return Poly1(self.field, [a * c for a in self.coeffs])
 
-    def shift(self, k: int) -> "Poly1":
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        return Poly1(self.field, [self.field.zero] * k + self.coeffs)
-
     def __pow__(self, e: int):
         out = Poly1(self.field, [self.field.one])
         b = self
@@ -152,10 +146,6 @@ class Poly1:
         for c in reversed(self.coeffs):
             acc = acc * a + c
         return acc
-
-    def derivative(self) -> "Poly1":
-        return Poly1(self.field,
-                     [c * self.field.from_int(i) for i, c in enumerate(self.coeffs)][1:])
 
     def to_polyn(self, nvars: int, var: int = 0) -> "PolyN":
         terms = {}
@@ -213,7 +203,8 @@ def _gcd_q(a: Poly1, b: Poly1) -> Poly1:
             c = rem[i]
             if c:
                 f, r = divmod(c, fb[-1])
-                assert r == 0
+                if r:
+                    raise InexactDivision("pseudo-remainder step left a remainder")
                 for j in range(db + 1):
                     rem[i - db + j] -= f * fb[j]
         while rem and rem[-1] == 0:
@@ -416,6 +407,15 @@ class PolyN:
                     rem[t] = nv
         return PolyN(self.field, self.nvars, out)
 
+    def __truediv__(self, other):
+        """Exact quotient; raises InexactDivision when other does not divide."""
+        if not isinstance(other, PolyN):
+            return NotImplemented
+        q = self.divides_exactly(other)
+        if q is None:
+            raise InexactDivision("polynomial division is not exact")
+        return q
+
     def __repr__(self):
         return f"PolyN(nvars={self.nvars}, {self.terms!r})"
 
@@ -500,9 +500,7 @@ def gcd_polyn(f: PolyN, g: PolyN) -> PolyN:
         return gcd_polyn(fv, gv)
     cf, cg = _content_in(f, var), _content_in(g, var)
     cont = gcd_polyn(cf, cg)
-    pf = f.divides_exactly(cf)
-    pg = g.divides_exactly(cg)
-    assert pf is not None and pg is not None
+    pf, pg = f / cf, g / cg
     if _coprime_by_image(pf, pg, var):
         pp = one
     else:
@@ -531,9 +529,9 @@ def _primitive_prs_gcd(f: PolyN, g: PolyN, var: int) -> PolyN:
         r = _pseudo_rem(f, g, var)
         if r.is_zero():
             cr = _content_in(g, var)
-            return _canonical_gcd(g.divides_exactly(cr))
+            return _canonical_gcd(g / cr)
         cr = _content_in(r, var)
-        r = r.divides_exactly(cr)
+        r = r / cr
         f, g = g, r
 
 

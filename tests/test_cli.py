@@ -53,6 +53,15 @@ def test_hankel_malformed_json(tmp_path, capsys):
     assert "offset" in err
 
 
+def test_hankel_series_not_an_object(tmp_path, capsys):
+    f = tmp_path / "list.json"
+    f.write_text("[1, 2, 3]")
+    code, out, err = run_cli(capsys, "hankel", "--series", str(f))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error: bad series file")
+
+
 def test_hankel_field_mismatch(tmp_path, capsys):
     f = tmp_path / "fib.json"
     write_fib_series(f)
@@ -166,6 +175,14 @@ def test_reconstruct_budget_failure_exit(capsys):
     code, _, err = run_cli(capsys, "reconstruct", "--expr", "1/(x1-x1)",
                            "--arity", "2", "--field", "fp:1000003", "--seed", "5")
     assert code == 7
+
+
+def test_reconstruct_zero_samples_per_class(capsys):
+    code, out, err = run_cli(capsys, "reconstruct", "--expr", "x1*x2",
+                             "--arity", "2", "--samples-per-class", "0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error: --samples-per-class")
 
 
 def test_counterexample_small(tmp_path, capsys):

@@ -1,0 +1,321 @@
+"""Differential tests: the fraction-free bordered kernel against the
+expansions it replaced.
+
+The reference below is the earlier implementation, kept here and nowhere
+else: a memoized Laplace expansion giving every maximal minor of an
+r x (r+1) matrix (from which the paired determinants were assembled), and a
+memoized cofactor expansion for square determinants.  Every instance must
+give exactly the same value, over Q, small and large prime fields, and for
+PolyN entries over both.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from ratrecon.errors import InexactDivision
+from ratrecon.fields import QQ, PrimeField, random_element
+from ratrecon.interp import paired_determinants
+from ratrecon.matrix import ExactMatrix, bordered_dets, det_exact
+from ratrecon.poly import PolyN
+
+F7 = PrimeField(7)
+FP = PrimeField(1000003)
+FIELDS = (QQ, F7, FP)
+
+# ---------------------------------------------------------------------------
+# reference implementation (maximal minors, cofactor expansion)
+
+
+def ref_maximal_minors(rows, zero):
+    """Entry j is the determinant of the r x (r+1) matrix with column j
+    removed (remaining columns kept in order)."""
+    r = len(rows)
+    cols = len(rows[0])
+    if cols != r + 1:
+        raise ValueError("need r x (r+1)")
+    memo = {}
+
+    def g(i, T):
+        if len(T) == 1:
+            return rows[i][T[0]]
+        got = memo.get(T)
+        if got is not None:
+            return got
+        acc = zero
+        neg = False
+        for idx, c in enumerate(T):
+            v = rows[i][c]
+            if v != zero:
+                term = v * g(i + 1, T[:idx] + T[idx + 1:])
+                acc = acc - term if neg else acc + term
+            neg = not neg
+        memo[T] = acc
+        return acc
+
+    full = tuple(range(cols))
+    return [g(0, full[:j] + full[j + 1:]) for j in range(cols)]
+
+
+def ref_paired_determinants(dens, nums, points, n, m, powers):
+    rows = [[den_i * ai ** j for j in range(n + 1)]
+            + [num_i * ai ** j for j in range(m + 1)]
+            for ai, den_i, num_i in zip(points, dens, nums)]
+    zero = dens[0] - dens[0]
+    minors = ref_maximal_minors(rows, zero)
+    num_det = zero
+    for j in range(n + 1):
+        term = powers[j] * minors[j]
+        num_det = num_det - term if j % 2 else num_det + term
+    den_det = zero
+    for j in range(m + 1):
+        term = powers[j] * minors[n + 1 + j]
+        den_det = den_det - term if j % 2 else den_det + term
+    if ((n + 1) * m) % 2:
+        den_det = -den_det
+    return num_det, den_det
+
+
+def _perm_sign(perm):
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j, length = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def ref_det_cofactor(rows, zero):
+    """Cofactor expansion, most-zero row first, memoized over column subsets."""
+    n = len(rows)
+    order = sorted(range(n), key=lambda i: -sum(1 for x in rows[i] if x == zero))
+    sign_flip = _perm_sign(order)
+    rows = [rows[i] for i in order]
+    memo = {}
+
+    def minor(i, cols):
+        if len(cols) == 1:
+            return rows[i][cols[0]]
+        got = memo.get((i, cols))
+        if got is not None:
+            return got
+        acc = zero
+        neg = False
+        for idx, c in enumerate(cols):
+            v = rows[i][c]
+            if v == zero:
+                neg = not neg
+                continue
+            term = v * minor(i + 1, cols[:idx] + cols[idx + 1:])
+            acc = acc - term if neg else acc + term
+            neg = not neg
+        memo[(i, cols)] = acc
+        return acc
+
+    d = minor(0, tuple(range(n)))
+    return -d if sign_flip < 0 else d
+
+
+def brute_det(rows):
+    """Permutation-expansion determinant: the independent oracle."""
+    n = len(rows)
+    acc = None
+    for perm in itertools.permutations(range(n)):
+        term = rows[0][perm[0]]
+        for i in range(1, n):
+            term = term * rows[i][perm[i]]
+        term = term if _perm_sign(perm) > 0 else -term
+        acc = term if acc is None else acc + term
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# instance generators with forced degeneracies
+
+
+def _degenerate(rows, rng, zero, width):
+    """Apply one of: nothing, zero leading columns, a duplicated row, a row
+    that is a combination of two others."""
+    kind = rng.randrange(4)
+    r = len(rows)
+    if kind == 1:
+        for row in rows:
+            for c in range(rng.randint(1, max(1, width - 1))):
+                row[c] = zero
+    elif kind == 2 and r >= 2:
+        i, j = rng.sample(range(r), 2)
+        rows[j] = list(rows[i])
+    elif kind == 3 and r >= 3:
+        i, j, k = rng.sample(range(r), 3)
+        rows[k] = [a + b + b for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+def _square(field, rng, size):
+    rows = [[random_element(field, rng, 9) for _ in range(size)] for _ in range(size)]
+    return _degenerate(rows, rng, field.zero, size)
+
+
+def _paired_instance(field, rng):
+    """(dens, nums, points, n, m, powers) with zero dens, zero nums and
+    duplicate points mixed in."""
+    n, m = rng.randint(0, 4), rng.randint(0, 4)
+    l = n + m
+
+    def pick():
+        return random_element(field, rng, 9)
+
+    points = [pick() for _ in range(l + 1)]
+    dens = [pick() for _ in range(l + 1)]
+    nums = [pick() for _ in range(l + 1)]
+    kind = rng.randrange(4)
+    if kind == 1:
+        dens = [field.zero if rng.random() < 0.5 else d for d in dens]
+    elif kind == 2 and l >= 1:
+        points[1] = points[0]
+    elif kind == 3:
+        nums = [d * points[0] for d in dens]   # the constant function: rank drop
+    y = pick()
+    powers = [y ** j for j in range(max(n, m) + 1)]
+    return dens, nums, points, n, m, powers
+
+
+def _sparse_polyn(field, rng, nvars=2, terms=2, deg=2):
+    return PolyN(field, nvars, {tuple(rng.randint(0, deg) for _ in range(nvars)):
+                                random_element(field, rng, 5) for _ in range(terms)})
+
+
+# ---------------------------------------------------------------------------
+# differential checks
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7", "F1000003"])
+def test_paired_determinants_match_minors_reference(field):
+    rng = random.Random(f"paired/{field.descriptor()}")
+    for _ in range(120):
+        args = _paired_instance(field, rng)
+        assert paired_determinants(*args) == ref_paired_determinants(*args)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7", "F1000003"])
+def test_det_exact_matches_cofactor_reference(field):
+    rng = random.Random(f"det/{field.descriptor()}")
+    for _ in range(100):
+        rows = _square(field, rng, rng.randint(1, 6))
+        want = ref_det_cofactor([list(r) for r in rows], field.zero)
+        assert det_exact(ExactMatrix.from_rows(rows), field) == want
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7", "F1000003"])
+def test_bordered_dets_match_laplace_on_minors(field):
+    rng = random.Random(f"bordered/{field.descriptor()}")
+    for _ in range(60):
+        r = rng.randint(0, 5)
+        data = _degenerate([[random_element(field, rng, 9) for _ in range(r + 1)]
+                            for _ in range(r)], rng, field.zero, r + 1)
+        borders = [[random_element(field, rng, 9) for _ in range(r + 1)]
+                   for _ in range(rng.randint(1, 3))]
+        got = bordered_dets(data, borders)
+        if r == 0:
+            assert got == [b[0] for b in borders]
+            continue
+        minors = ref_maximal_minors(data, field.zero)
+        for b, d in zip(borders, got):
+            want = field.zero
+            for j in range(r + 1):
+                term = b[j] * minors[j]
+                want = want - term if (r + j) % 2 else want + term
+            assert d == want
+
+
+@pytest.mark.parametrize("field", (QQ, FP), ids=["Q", "F1000003"])
+def test_paired_determinants_polyn_match_minors_reference(field):
+    rng = random.Random(f"paired-polyn/{field.descriptor()}")
+    y = PolyN.var(field, 2, 1)
+    for _ in range(25):
+        n, m = rng.randint(0, 3), rng.randint(0, 3)
+        l = n + m
+        points = [random_element(field, rng, 9) for _ in range(l + 1)]
+        dens = [_sparse_polyn(field, rng) + PolyN.const(field, 2, field.one)
+                for _ in range(l + 1)]
+        nums = [_sparse_polyn(field, rng) for _ in range(l + 1)]
+        if rng.random() < 0.3 and l >= 1:
+            points[1] = points[0]
+        powers = [PolyN.const(field, 2, field.one)]
+        while len(powers) <= max(n, m):
+            powers.append(powers[-1] * y)
+        args = (dens, nums, points, n, m, powers)
+        assert paired_determinants(*args) == ref_paired_determinants(*args)
+
+
+@pytest.mark.parametrize("field", (QQ, FP), ids=["Q", "F1000003"])
+def test_det_exact_polyn_matches_cofactor_reference(field):
+    rng = random.Random(f"det-polyn/{field.descriptor()}")
+    zero = PolyN.zero(field, 2)
+    for _ in range(25):
+        size = rng.randint(1, 4)
+        rows = [[_sparse_polyn(field, rng, terms=rng.randint(0, 2)) for _ in range(size)]
+                for _ in range(size)]
+        rows = _degenerate(rows, rng, zero, size)
+        want = ref_det_cofactor([list(r) for r in rows], zero)
+        assert det_exact(ExactMatrix.from_rows(rows), field) == want
+
+
+def test_polyn_division_exact_or_raises():
+    x, y = PolyN.var(QQ, 2, 0), PolyN.var(QQ, 2, 1)
+    one = PolyN.const(QQ, 2, QQ.one)
+    f = (x + y) * (x - one)
+    assert f / (x - one) == x + y
+    with pytest.raises(ArithmeticError):
+        f / (x + one)
+    with pytest.raises(InexactDivision):
+        x / y
+
+
+# ---------------------------------------------------------------------------
+# checks carried over from the earlier determinant routes
+
+
+def test_det_bareiss_matches_cofactor_route():
+    # the kernel and the cofactor reference agree on random 4x4 matrices
+    rng = random.Random(19)
+    for _ in range(100):
+        rows = [[random_element(QQ, rng, 9) for _ in range(4)] for _ in range(4)]
+        bareiss = det_exact(ExactMatrix.from_rows(rows), QQ)
+        cofactor = ref_det_cofactor([list(r) for r in rows], QQ.zero)
+        assert bareiss == cofactor
+
+
+def test_det_cofactor_polyn_matches_brute_force():
+    rng = random.Random(10)
+    for _ in range(20):
+        rows = [[PolyN(QQ, 2, {(rng.randint(0, 2), rng.randint(0, 2)):
+                               random_element(QQ, rng, 5)})
+                 + PolyN.const(QQ, 2, random_element(QQ, rng, 5))
+                 for _ in range(3)] for _ in range(3)]
+        want = brute_det(rows)
+        assert ref_det_cofactor([list(r) for r in rows], PolyN.zero(QQ, 2)) == want
+        assert det_exact(ExactMatrix.from_rows(rows), QQ) == want
+
+
+def test_maximal_minors_match_cofactors():
+    rng = random.Random(11)
+    for _ in range(30):
+        r = rng.randint(1, 4)
+        rows = [[random_element(QQ, rng, 9) for _ in range(r + 1)] for _ in range(r)]
+        minors = ref_maximal_minors(rows, QQ.zero)
+        for j in range(r + 1):
+            sub = [[row[c] for c in range(r + 1) if c != j] for row in rows]
+            assert minors[j] == brute_det(sub)
+            # the same minor as a bordered determinant: unit border at column j
+            border = [QQ.one if c == j else QQ.zero for c in range(r + 1)]
+            sign = -1 if (r + j) % 2 else 1
+            assert bordered_dets(rows, [border])[0] == sign * minors[j]

@@ -16,7 +16,6 @@ from ratrecon.fields import QQ, PrimeField, random_element
 from ratrecon.matrix import (
     ExactMatrix,
     det_exact,
-    maximal_minors,
     resultant,
     sylvester_and_resultant,
     vandermonde_product,
@@ -139,39 +138,6 @@ def test_det_bareiss_matches_brute_force(field):
     for _ in range(100):
         rows = [[random_element(field, rng, 9) for _ in range(4)] for _ in range(4)]
         assert det_exact(ExactMatrix.from_rows(rows), field) == brute_det(rows)
-
-
-def test_det_bareiss_matches_cofactor_route():
-    # the two internal determinant routes agree on random 4x4 matrices
-    from ratrecon.matrix import _det_cofactor
-    rng = random.Random(19)
-    for _ in range(100):
-        rows = [[random_element(QQ, rng, 9) for _ in range(4)] for _ in range(4)]
-        bareiss = det_exact(ExactMatrix.from_rows(rows), QQ)
-        cofactor = _det_cofactor([list(r) for r in rows], QQ.zero)
-        assert bareiss == cofactor
-
-
-def test_det_cofactor_polyn_matches_brute_force():
-    rng = random.Random(10)
-    for _ in range(20):
-        rows = [[PolyN(QQ, 2, {(rng.randint(0, 2), rng.randint(0, 2)):
-                               random_element(QQ, rng, 5)})
-                 + PolyN.const(QQ, 2, random_element(QQ, rng, 5))
-                 for _ in range(3)] for _ in range(3)]
-        got = det_exact(ExactMatrix.from_rows(rows), QQ)
-        assert got == brute_det(rows)
-
-
-def test_maximal_minors_match_cofactors():
-    rng = random.Random(11)
-    for _ in range(30):
-        r = rng.randint(1, 4)
-        rows = [[random_element(QQ, rng, 9) for _ in range(r + 1)] for _ in range(r)]
-        minors = maximal_minors(rows, QQ.zero)
-        for j in range(r + 1):
-            sub = [[row[c] for c in range(r + 1) if c != j] for row in rows]
-            assert minors[j] == (brute_det(sub) if r > 0 else QQ.one)
 
 
 # ---------------------------------------------------------------------------
