@@ -126,7 +126,7 @@ def _cmd_hankel(args) -> int:
     obj = _load_json(raw, args.series)
     try:
         series = SeriesPrefix.from_json(obj)
-    except (KeyError, ValueError, TypeError, AttributeError) as e:
+    except (KeyError, ValueError, TypeError, AttributeError, ZeroDivisionError) as e:
         raise InputError(f"bad series file: {e}") from e
     if args.field is not None:
         want = _parse_field(args.field)
@@ -152,7 +152,7 @@ def _load_samples(path: str, field: Field):
         obj = _load_json(raw, path)
         try:
             pts = [(field.parse(a), field.parse(v)) for a, v in obj["samples"]]
-        except (KeyError, ValueError, TypeError) as e:
+        except (KeyError, ValueError, TypeError, ZeroDivisionError) as e:
             raise InputError(f"bad samples JSON: {e}") from e
         return SampleSet1(pts), raw
     pts = []
@@ -227,11 +227,15 @@ def _oracle_from_args(args, field: Field):
             raise InputError(
                 f"replay field {obj['field']} != --field {field.descriptor()}")
         table = {}
-        for entry in obj["samples"]:
+        for i, entry in enumerate(obj["samples"]):
             pt = tuple(field.parse(s) for s in entry["point"])
+            if len(pt) != args.arity:
+                raise InputError(
+                    f"replay sample {i}: point has {len(pt)} coordinates, "
+                    f"--arity is {args.arity}")
             v = entry["value"]
             table[pt] = None if v is None else field.parse(v)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise InputError(f"bad replay file: {e}") from e
     inputs["oracle_replay"] = {"path": args.oracle_replay, "sha256": _sha256(raw)}
     # points absent from the table are reported as domain holes
@@ -244,6 +248,12 @@ def _cmd_reconstruct(args) -> int:
     seed = _resolve_seed(args)
     if args.arity > 1 and args.samples_per_class < 1:
         raise InputError("--samples-per-class must be >= 1 for arity > 1")
+    for flag, value, low in (("--verify-trials", args.verify_trials, 1),
+                             ("--validation-extra", args.validation_extra, 1),
+                             ("--max-degree", args.max_degree, 0),
+                             ("--height-bound", args.height_bound, 1)):
+        if value < low:
+            raise InputError(f"{flag} must be >= {low}, got {value}")
     cfg = ReconConfig(samples_per_class=args.samples_per_class,
                       max_degree=args.max_degree,
                       validation_extra=args.validation_extra,

@@ -5,6 +5,14 @@ a rational function whose exact re-expansion reproduces the whole prefix.
 The converse direction never claims irrationality, only the absence of a
 witness within the scanned (l, m) bounds.  Witnesses are Pade approximants,
 computed by `ratfun.rational_reconstruct` modulo t^(n+m+1).
+
+Kronecker's criterion: for each m, l_min(m) is the smallest l from which
+every det H(n, m), l <= n <= N - 2m, vanishes.  It is found top-down: n runs
+downward from N - 2m and the scan stops at the first nonzero determinant, so
+a series whose det H(N - 2m, m) is nonzero costs one determinant for that m
+(a factorial-type refusal costs m_max + 1 in all).  The witness search
+interleaves with the scan: m ascends, l_min(m) is computed only when the
+search reaches m, and the search stops at the first witness.
 """
 
 from __future__ import annotations
@@ -77,25 +85,31 @@ def hankel_matrix(s: SeriesPrefix, n: int, m: int) -> ExactMatrix:
         [[s.coeffs[n + i + j] for j in range(m + 1)] for i in range(m + 1)])
 
 
-def kronecker_scan(s: SeriesPrefix, l_max: int, m_max: int):
-    """All (l, m) with l <= l_max, m <= m_max whose Hankel determinants
-    vanish for every n with l <= n <= N - 2m; ordered by m then l."""
+def _check_bounds(s: SeriesPrefix, l_max: int, m_max: int) -> None:
+    if l_max < 0 or m_max < 0:
+        raise ValueError(
+            f"scan bounds must be >= 0, got l_max={l_max}, m_max={m_max}")
     if s.n_max < l_max + 2 * m_max:
         raise PrefixTooShort(
             f"need prefix length >= {l_max + 2 * m_max + 1}, have {s.n_max + 1}")
+
+
+def _l_min(s: SeriesPrefix, m: int) -> int:
+    """Smallest l with det H(n, m) = 0 for every n with l <= n <= N - 2m:
+    scans n downward and stops at the first nonzero determinant."""
     zero = s.field.zero
-    out = []
-    for m in range(m_max + 1):
-        dets = [det_exact(hankel_matrix(s, n, m), s.field)
-                for n in range(s.n_max - 2 * m + 1)]
-        # smallest l with dets[l:] all zero
-        l_min = len(dets)
-        while l_min > 0 and dets[l_min - 1] == zero:
-            l_min -= 1
-        for l in range(l_min, l_max + 1):
-            out.append((l, m))
-    out.sort(key=lambda lm: (lm[1], lm[0]))
-    return out
+    for n in range(s.n_max - 2 * m, -1, -1):
+        if det_exact(hankel_matrix(s, n, m), s.field) != zero:
+            return n + 1
+    return 0
+
+
+def kronecker_scan(s: SeriesPrefix, l_max: int, m_max: int):
+    """All (l, m) with l <= l_max, m <= m_max whose Hankel determinants
+    vanish for every n with l <= n <= N - 2m; ordered by m then l."""
+    _check_bounds(s, l_max, m_max)
+    return [(l, m) for m in range(m_max + 1)
+            for l in range(_l_min(s, m), l_max + 1)]
 
 
 def pade_reconstruct(s: SeriesPrefix, n_deg: int, m_deg: int) -> RatFun1:
@@ -139,8 +153,16 @@ def _matches_prefix(f: RatFun1, s: SeriesPrefix) -> bool:
 
 def certify_rationality(s: SeriesPrefix, l_max: int, m_max: int) -> RationalityCertificate:
     """Scan Hankel candidates, attempt a witness per candidate, and accept the
-    first whose exact re-expansion matches the entire prefix."""
-    for (l, m) in kronecker_scan(s, l_max, m_max):
+    first whose exact re-expansion matches the entire prefix.
+
+    For each m only l = l_min(m) is attempted: a larger l tries a subset of
+    the same Pade windows, and an m is scanned only when the search reaches
+    it, so no determinant past the witness is computed."""
+    _check_bounds(s, l_max, m_max)
+    for m in range(m_max + 1):
+        l = _l_min(s, m)
+        if l > l_max:
+            continue
         for n_deg in range(max(l + m - 1, 0), l_max + m_max + 1):
             if s.n_max < n_deg + m + 1:
                 break

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from ratrecon.cli import main
 
 
@@ -62,6 +64,26 @@ def test_hankel_series_not_an_object(tmp_path, capsys):
     assert err.startswith("input error: bad series file")
 
 
+@pytest.mark.parametrize("field", ["q", "fp:101"])
+def test_hankel_zero_denominator_coefficient(tmp_path, capsys, field):
+    f = tmp_path / "div0.json"
+    f.write_text(json.dumps({"field": field, "coeffs": ["1", "1/0", "2"]}))
+    code, out, err = run_cli(capsys, "hankel", "--series", str(f))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error: bad series file")
+
+
+def test_hankel_negative_bounds(tmp_path, capsys):
+    f = tmp_path / "fib.json"
+    write_fib_series(f)
+    code, out, err = run_cli(capsys, "hankel", "--series", str(f),
+                             "--lmax", "-1", "--mmax", "-1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error: scan bounds must be >= 0")
+
+
 def test_hankel_field_mismatch(tmp_path, capsys):
     f = tmp_path / "fib.json"
     write_fib_series(f)
@@ -94,6 +116,16 @@ def test_interp_json_samples(tmp_path, capsys):
                            "--field", "q", "--n", "0", "--m", "1", "--at", "3")
     assert code == 0
     assert json.loads(out)["value"] == "1/3"
+
+
+def test_interp_json_samples_zero_denominator(tmp_path, capsys):
+    f = tmp_path / "div0.json"
+    f.write_text(json.dumps({"samples": [["1", "1"], ["2", "1/0"]]}))
+    code, out, err = run_cli(capsys, "interp", "--samples", str(f),
+                             "--field", "q", "--n", "0", "--m", "1", "--at", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error: bad samples JSON")
 
 
 def test_interp_beta_zero_exit(tmp_path, capsys):
@@ -183,6 +215,45 @@ def test_reconstruct_zero_samples_per_class(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("input error: --samples-per-class")
+
+
+def write_replay(path, points, field="q", arity=2):
+    path.write_text(json.dumps({
+        "arity": arity, "field": field,
+        "samples": [{"point": pt, "value": "1"} for pt in points]}))
+
+
+def test_reconstruct_replay_zero_denominator_point(tmp_path, capsys):
+    rec = tmp_path / "replay.json"
+    write_replay(rec, [["1", "2"], ["3", "1/0"]])
+    code, out, err = run_cli(capsys, "reconstruct", "--oracle-replay", str(rec),
+                             "--arity", "2", "--field", "q")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error: bad replay file")
+
+
+def test_reconstruct_replay_wrong_arity_point(tmp_path, capsys):
+    rec = tmp_path / "replay.json"
+    write_replay(rec, [["1", "2"], ["3", "4"], ["5"]])
+    code, out, err = run_cli(capsys, "reconstruct", "--oracle-replay", str(rec),
+                             "--arity", "2", "--field", "q")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error: replay sample 2: point has 1 coordinates")
+
+
+@pytest.mark.parametrize("flag,value", [("--verify-trials", "0"),
+                                        ("--validation-extra", "0"),
+                                        ("--validation-extra", "-1"),
+                                        ("--max-degree", "-1"),
+                                        ("--height-bound", "0")])
+def test_reconstruct_vacuous_flags(capsys, flag, value):
+    code, out, err = run_cli(capsys, "reconstruct", "--expr", "x1*x2",
+                             "--arity", "2", flag, value)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"input error: {flag} must be >= ")
 
 
 def test_counterexample_small(tmp_path, capsys):

@@ -1,11 +1,15 @@
+import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import ratrecon.hankel as hankel
 from ratrecon.errors import NoSolution, PoleAtOrigin, PrefixTooShort
 from ratrecon.fields import QQ, PrimeField, random_element
 from ratrecon.hankel import (
+    RationalityCertificate,
     SeriesPrefix,
     certify_rationality,
     hankel_matrix,
@@ -13,6 +17,7 @@ from ratrecon.hankel import (
     pade_reconstruct,
     series_of_ratfun,
 )
+from ratrecon.matrix import det_exact
 from ratrecon.poly import Poly1
 from ratrecon.ratfun import normalize_ratfun1
 
@@ -178,7 +183,6 @@ def test_certify_roundtrip_random(field):
 def test_kronecker_necessity():
     # for f with den(0) != 0 and deg den = m, H_n^m vanishes for
     # n >= deg num - m + 1
-    from ratrecon.matrix import det_exact
     rng = random.Random(23)
     done = 0
     while done < 50:
@@ -204,3 +208,103 @@ def test_certificate_json_shape():
     assert obj["witness_den_at0is1"] == "1 - t - t^2"
     s = SeriesPrefix.from_json(fib_prefix(6).to_json())
     assert s.coeffs == fib_prefix(6).coeffs
+
+
+def test_negative_bounds_rejected():
+    s = fib_prefix(20)
+    for l_max, m_max in ((-1, 2), (2, -1), (-1, -1)):
+        with pytest.raises(ValueError):
+            kronecker_scan(s, l_max, m_max)
+        with pytest.raises(ValueError):
+            certify_rationality(s, l_max, m_max)
+
+
+# -- reference: the eager scan that computes every determinant first --------
+
+
+def eager_kronecker_scan(s, l_max, m_max):
+    if s.n_max < l_max + 2 * m_max:
+        raise PrefixTooShort("too short")
+    zero = s.field.zero
+    out = []
+    for m in range(m_max + 1):
+        dets = [det_exact(hankel_matrix(s, n, m), s.field)
+                for n in range(s.n_max - 2 * m + 1)]
+        l_min = len(dets)
+        while l_min > 0 and dets[l_min - 1] == zero:
+            l_min -= 1
+        for l in range(l_min, l_max + 1):
+            out.append((l, m))
+    out.sort(key=lambda lm: (lm[1], lm[0]))
+    return out
+
+
+def eager_certify_rationality(s, l_max, m_max):
+    for (l, m) in eager_kronecker_scan(s, l_max, m_max):
+        for n_deg in range(max(l + m - 1, 0), l_max + m_max + 1):
+            if s.n_max < n_deg + m + 1:
+                break
+            try:
+                f = pade_reconstruct(s, n_deg, m)
+            except NoSolution:
+                continue
+            if hankel._matches_prefix(f, s):
+                return RationalityCertificate(
+                    "RationalWitness", l, m, f, len(s.coeffs))
+    return RationalityCertificate("NoWitnessUpTo", l_max, m_max, None, len(s.coeffs))
+
+
+def random_prefix(field, rng, n_terms):
+    kind = rng.choice(["zero", "poly", "shifted", "sparse", "random",
+                       "factorial", "rational", "rational"])
+    if kind == "zero":
+        return [field.zero] * n_terms
+    if kind == "sparse":
+        return [field.from_int(int(rng.random() < 0.2)) for _ in range(n_terms)]
+    if kind == "random":
+        return [random_element(field, rng, 9) for _ in range(n_terms)]
+    if kind == "factorial":
+        c, r = rng.randint(1, 9), rng.randint(1, 5)
+        return [field.from_int(c * r ** k * math.factorial(k)) for k in range(n_terms)]
+    num = [random_element(field, rng, 9) for _ in range(rng.randint(1, 5))]
+    if kind == "shifted":
+        num = [field.zero] * rng.randint(1, 4) + num
+    if kind in ("poly", "shifted"):
+        return (num + [field.zero] * n_terms)[:n_terms]
+    den = [field.one] + [random_element(field, rng, 9) for _ in range(rng.randint(0, 4))]
+    if rng.random() < 0.3:
+        num = [field.zero] * rng.randint(1, 3) + num
+    f = normalize_ratfun1(Poly1(field, num), Poly1(field, den))
+    return series_of_ratfun(f, n_terms - 1).coeffs
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(7),
+                                   PrimeField(1000003)])
+def test_scan_and_certificate_match_eager_reference(field):
+    rng = random.Random(f"hankel-diff/{field.descriptor()}")
+    for _ in range(130):
+        n_terms = rng.randint(1, 17)
+        s = SeriesPrefix(field, random_prefix(field, rng, n_terms))
+        m_max = rng.randint(0, (n_terms - 1) // 2)
+        l_max = rng.randint(0, n_terms - 1 - 2 * m_max)
+        assert kronecker_scan(s, l_max, m_max) == eager_kronecker_scan(s, l_max, m_max)
+        got = json.dumps(certify_rationality(s, l_max, m_max).to_json(), sort_keys=True)
+        want = json.dumps(eager_certify_rationality(s, l_max, m_max).to_json(),
+                          sort_keys=True)
+        assert got == want
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(1000003)])
+def test_refusal_computes_one_determinant_per_m(field, monkeypatch):
+    calls = []
+
+    def counting_det(mat, f):
+        calls.append(mat)
+        return det_exact(mat, f)
+
+    monkeypatch.setattr(hankel, "det_exact", counting_det)
+    s = SeriesPrefix(field, [field.from_int(3 * 2 ** k * math.factorial(k))
+                             for k in range(31)])
+    cert = certify_rationality(s, 8, 10)
+    assert cert.verdict == "NoWitnessUpTo"
+    assert len(calls) == 10 + 1
