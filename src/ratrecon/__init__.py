@@ -47,7 +47,6 @@ from .interp import (
     calibrate_sign,
     delta_det,
     delta_sign,
-    detect_profile,
     fit_ratfun,
     interp_point,
     interp_sign,

@@ -58,6 +58,13 @@ _EXIT_NO_FIT = 5
 _EXIT_VERIFICATION = 6
 _EXIT_BUDGET = 7
 
+# Upper bounds on the size flags: the largest accepted value of each runs
+# in seconds, not hours (see docs/formats.md).
+MAX_DEGREE_CAP = 24
+TABLE_N_CAP = 64
+DMAX_CAP = 8
+GRID_CAP = 32
+
 
 class InputError(Exception):
     pass
@@ -108,6 +115,13 @@ def _resolve_seed(args) -> int:
         except ValueError as e:
             raise InputError(f"RATRECON_SEED must be an integer, got {env!r}") from e
     return 0
+
+
+def _check_range(flag: str, value: int, low: int, high: int = None):
+    if value < low:
+        raise InputError(f"{flag} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise InputError(f"{flag} must be <= {high}, got {value}")
 
 
 def _parse_field(desc: str) -> Field:
@@ -248,12 +262,10 @@ def _cmd_reconstruct(args) -> int:
     seed = _resolve_seed(args)
     if args.arity > 1 and args.samples_per_class < 1:
         raise InputError("--samples-per-class must be >= 1 for arity > 1")
-    for flag, value, low in (("--verify-trials", args.verify_trials, 1),
-                             ("--validation-extra", args.validation_extra, 1),
-                             ("--max-degree", args.max_degree, 0),
-                             ("--height-bound", args.height_bound, 1)):
-        if value < low:
-            raise InputError(f"{flag} must be >= {low}, got {value}")
+    _check_range("--verify-trials", args.verify_trials, 1)
+    _check_range("--validation-extra", args.validation_extra, 1)
+    _check_range("--max-degree", args.max_degree, 0, MAX_DEGREE_CAP)
+    _check_range("--height-bound", args.height_bound, 1)
     cfg = ReconConfig(samples_per_class=args.samples_per_class,
                       max_degree=args.max_degree,
                       validation_extra=args.validation_extra,
@@ -296,8 +308,9 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    if args.n < 1:
-        raise InputError("--n must be >= 1")
+    _check_range("--n", args.n, 1, TABLE_N_CAP)
+    _check_range("--dmax", args.dmax, 0, DMAX_CAP)
+    _check_range("--grid", args.grid, 1, GRID_CAP)
     table = CounterexampleTable.build(args.n)
     csv_text = table.to_csv()
     cert = nonrationality_report(args.dmax, args.grid)

@@ -101,12 +101,15 @@ class EmptyHistogram(RatreconError):
 class VerificationFailed(RatreconError):
     """Reconstruction disagreed with the oracle at a defined point."""
 
-    def __init__(self, point, expected, got):
+    def __init__(self, point, expected, got, path=()):
         self.point = point
         self.expected = expected
         self.got = got
+        self.path = path
+        coords = ", ".join(str(c) for c in point)
         super().__init__(
-            f"reconstruction mismatch at {point!r}: oracle {expected!r}, result {got!r}")
+            f"reconstruction mismatch at recursion path {path}, point "
+            f"({coords}): oracle {expected}, result {got}")
 
 
 class ExprSyntaxError(RatreconError):
@@ -116,6 +119,13 @@ class ExprSyntaxError(RatreconError):
         self.offset = offset
         self.expected = tuple(sorted(expected))
         super().__init__(f"syntax error at offset {offset}: expected {', '.join(self.expected)}")
+
+
+class ExponentTooLarge(ExprSyntaxError):
+    """An exponent literal, or a folded exponent chain, exceeds the cap."""
+
+    def __init__(self, offset, cap):
+        super().__init__(offset, {f"an exponent of at most {cap}"})
 
 
 class UnknownVariable(RatreconError):

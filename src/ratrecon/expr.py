@@ -2,8 +2,10 @@
 
 Grammar (see docs/grammar.ebnf): precedence ^ > unary minus > * / > + -,
 with * / + - left-associative and ^ right-associative over literal
-nonnegative integer exponents.  Variables are x1..x<arity>.  Whitespace is
-insignificant.  Parse errors carry the byte offset and the expectation set.
+nonnegative integer exponents.  An exponent chain such as 2^3^2 is folded
+at parse time; every literal and folded value is capped at MAX_EXPONENT.
+Variables are x1..x<arity>.  Whitespace is insignificant.  Parse errors
+carry the byte offset and the expectation set.
 
 Division by zero during evaluation is a domain hole, not an error: eval
 returns None so the reconstruction pipeline can resample past poles.
@@ -13,10 +15,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ExprSyntaxError, NegativeExponent, UnknownVariable
+from .errors import (
+    ExponentTooLarge,
+    ExprSyntaxError,
+    NegativeExponent,
+    UnknownVariable,
+)
 from .fields import Field
 from .poly import PolyN
 from .ratfun import RatFunN, normalize_ratfunn
+
+
+MAX_EXPONENT = 1024
 
 
 @dataclass(frozen=True)
@@ -165,9 +175,11 @@ class _Parser:
             raise ExprSyntaxError(t[2], {"nonnegative integer literal"})
         self.take()
         e = int(t[1])
-        if self.peek()[0] == "^":
+        if e <= MAX_EXPONENT and self.peek()[0] == "^":
             self.take()
-            e = e ** self.exponent()
+            e = e ** self.exponent()   # both sides <= MAX_EXPONENT here
+        if e > MAX_EXPONENT:
+            raise ExponentTooLarge(t[2], MAX_EXPONENT)
         return e
 
     def atom(self) -> Expr:
@@ -366,6 +378,8 @@ def from_json_ast(obj: dict) -> Expr:
         exp = int(obj["exponent"])
         if exp < 0:
             raise NegativeExponent(0)
+        if exp > MAX_EXPONENT:
+            raise ExponentTooLarge(0, MAX_EXPONENT)
         return Pow(from_json_ast(obj["base"]), exp)
     ctor = {"add": Add, "sub": Sub, "mul": Mul, "div": Div}[node]
     return ctor(from_json_ast(obj["lhs"]), from_json_ast(obj["rhs"]))

@@ -265,7 +265,6 @@ class SamplingBudget:
     max_degree: int = 8
     validation_extra: int = 4
     height_bound: int = 10
-    shift: int = 0
     max_consecutive_undefined: int = 100
 
 
@@ -276,9 +275,8 @@ def _draw_defined(oracle: UnivariateOracle, field: Field, budget: SamplingBudget
                   rng, taken: set):
     """One (a, f(a)) pair with a fresh abscissa; resamples on Undefined."""
     misses = 0
-    shift = field.from_int(budget.shift)
     while True:
-        a = random_element(field, rng, budget.height_bound) + shift
+        a = random_element(field, rng, budget.height_bound)
         if a in taken:
             misses += 1
             if misses > budget.max_consecutive_undefined:
@@ -327,7 +325,3 @@ def detect_profile_with_fit(oracle: UnivariateOracle, field: Field,
     raise BudgetExhausted(
         f"no rational profile up to total degree {budget.max_degree}")
 
-
-def detect_profile(oracle: UnivariateOracle, field: Field,
-                   budget: SamplingBudget, rng) -> DegreeProfile:
-    return detect_profile_with_fit(oracle, field, budget, rng)[0]

@@ -6,6 +6,18 @@ oracle is widely defined, recursively reconstructs the function on each
 anchor hyperplane, and combines the results through the paired interpolation
 determinants.  Every reconstruction is verified against the oracle at random
 points; exact arithmetic means any disagreement at all is a failure.
+
+Every node on one recursion level peels the same variable, and off a
+Zariski-closed set of anchor values it has the same generic class.  So only
+the first node of a level classifies in full; its dominant class becomes the
+level's class.  A later node on that level detects the first slice of its
+own classification stream, and takes the level's class if that slice has it.
+Otherwise it classifies in full on the same stream, exactly as the first
+node did.  A slice cannot exceed its node's generic class, so a node whose
+hyperplane lowers the class never passes the check.  If a node that took
+the level's class still fails to combine (`ZeroDenominator`) or to verify,
+it discards its anchors and repeats itself with its own full
+classification.
 """
 
 from __future__ import annotations
@@ -21,7 +33,7 @@ from .errors import (
     TooManyFailures,
     VerificationFailed,
 )
-from .errors import BudgetExhausted, DomainTooSparse
+from .errors import BudgetExhausted, DomainTooSparse, ZeroDenominator
 from .fields import Field, derive_rng, random_element
 from .interp import (
     DegreeProfile,
@@ -99,9 +111,13 @@ class ClassifyResult:
     total: int
 
 
-def classify_slices(oracle: SliceOracle, axis: int, cfg: ReconConfig, rng) -> ClassifyResult:
+def classify_slices(oracle: SliceOracle, axis: int, cfg: ReconConfig, rng,
+                    expect: Optional[tuple] = None) -> ClassifyResult:
     """Profile `samples_per_class` random slices along `axis`; failed
-    detections are tallied separately and capped at 20%."""
+    detections are tallied separately and capped at 20%.  With `expect`, a
+    (d, e) class, stop after the first slice if it has that class (`total`
+    is then 1); otherwise go on along the same stream, to the same result
+    as without `expect`."""
     if oracle.arity < 2:
         raise ValueError("classification needs arity >= 2")
     hist: Counter = Counter()
@@ -117,6 +133,8 @@ def classify_slices(oracle: SliceOracle, axis: int, cfg: ReconConfig, rng) -> Cl
             hist[(prof.d, prof.e)] += 1
         except (BudgetExhausted, DomainTooSparse):
             failures += 1
+        if i == 0 and expect is not None and hist[expect] == 1:
+            return ClassifyResult(hist, 0, 1)
     if failures > MAX_CLASSIFY_FAILURE_RATE * cfg.samples_per_class:
         raise TooManyFailures(
             f"{failures}/{cfg.samples_per_class} slices failed profile detection; "
@@ -161,12 +179,24 @@ def choose_anchors(oracle: SliceOracle, axis: int, profile: DegreeProfile,
     return anchors
 
 
+class Agreement(tuple):
+    """(trials, agreements, undefined_skips) of a verification run; the
+    first disagreement, as (point, oracle value, result value), is in
+    `mismatch`, which is None when every defined point agreed."""
+
+    def __new__(cls, trials: int, agreements: int, skips: int, mismatch=None):
+        tally = super().__new__(cls, (trials, agreements, skips))
+        tally.mismatch = mismatch
+        return tally
+
+
 def verify_agreement(oracle: SliceOracle, g: RatFunN, trials: int, rng,
-                     height_bound: int = 10) -> tuple:
-    """(trials, agreements, undefined_skips) over random points; points where
-    either side is undefined are skipped, the rest compared exactly."""
+                     height_bound: int = 10) -> Agreement:
+    """Tallies over random points; points where either side is undefined
+    are skipped, the rest compared exactly."""
     agreements = 0
     skips = 0
+    mismatch = None
     for _ in range(trials):
         point = tuple(random_element(oracle.field, rng, height_bound)
                       for _ in range(oracle.arity))
@@ -176,7 +206,9 @@ def verify_agreement(oracle: SliceOracle, g: RatFunN, trials: int, rng,
             skips += 1
         elif want == got:
             agreements += 1
-    return trials, agreements, skips
+        elif mismatch is None:
+            mismatch = (point, want, got)
+    return Agreement(trials, agreements, skips, mismatch)
 
 
 @dataclass
@@ -219,7 +251,7 @@ def reconstruct(oracle: SliceOracle, cfg: ReconConfig) -> ReconReport:
     report carries the root node's verification tallies."""
     t0 = time.perf_counter()
     anchors_by_level: dict = {}
-    info: dict = {"hist": Counter(), "failures": 0}
+    info: dict = {"hist": Counter(), "failures": 0, "classes": {}}
     timings: dict = {"classify": 0.0, "anchors": 0.0, "fit": 0.0,
                      "assemble": 0.0, "verify": 0.0}
     result, verification = _reconstruct_level(oracle, cfg, (), anchors_by_level,
@@ -247,32 +279,46 @@ def _reconstruct_level(oracle: SliceOracle, cfg: ReconConfig, path: tuple,
         return result, _verify_node(oracle, result, cfg, path, timings)
 
     axis = oracle.arity - 1
-    t0 = time.perf_counter()
-    cls = classify_slices(oracle, axis, cfg, derive_rng(cfg.seed, "classify", *path))
-    timings["classify"] += time.perf_counter() - t0
-    if level == 0:
-        info["hist"].update(cls.histogram)
-        info["failures"] += cls.failures
-    d, e = dominant_class(cls.histogram)
-    profile = DegreeProfile.from_de(d, e)
+    expect = info["classes"].get(level)
+    while True:
+        t0 = time.perf_counter()
+        cls = classify_slices(oracle, axis, cfg,
+                              derive_rng(cfg.seed, "classify", *path), expect)
+        timings["classify"] += time.perf_counter() - t0
+        if level == 0:
+            info["hist"].update(cls.histogram)
+            info["failures"] += cls.failures
+        d, e = dominant_class(cls.histogram)
+        info["classes"].setdefault(level, (d, e))
+        profile = DegreeProfile.from_de(d, e)
 
-    t0 = time.perf_counter()
-    anchors = choose_anchors(oracle, axis, profile, cfg,
-                             derive_rng(cfg.seed, "anchors", *path))
-    timings["anchors"] += time.perf_counter() - t0
-    anchors_by_level.setdefault(level, []).extend(anchors)
+        t0 = time.perf_counter()
+        anchors = choose_anchors(oracle, axis, profile, cfg,
+                                 derive_rng(cfg.seed, "anchors", *path))
+        timings["anchors"] += time.perf_counter() - t0
+        marks = {k: len(v) for k, v in anchors_by_level.items()}
+        anchors_by_level.setdefault(level, []).extend(anchors)
 
-    parts = []
-    for i, b in enumerate(anchors):
-        sub = SliceOracle(oracle.arity - 1, field,
-                          lambda pt, _b=b: oracle.eval(tuple(pt) + (_b,)))
-        parts.append(_reconstruct_level(sub, cfg, path + (i,),
-                                        anchors_by_level, info, timings)[0])
+        parts = []
+        for i, b in enumerate(anchors):
+            sub = SliceOracle(oracle.arity - 1, field,
+                              lambda pt, _b=b: oracle.eval(tuple(pt) + (_b,)))
+            parts.append(_reconstruct_level(sub, cfg, path + (i,),
+                                            anchors_by_level, info, timings)[0])
 
-    t0 = time.perf_counter()
-    result = _combine(parts, anchors, profile, field, oracle.arity)
-    timings["assemble"] += time.perf_counter() - t0
-    return result, _verify_node(oracle, result, cfg, path, timings)
+        try:
+            t0 = time.perf_counter()
+            result = _combine(parts, anchors, profile, field, oracle.arity)
+            timings["assemble"] += time.perf_counter() - t0
+            return result, _verify_node(oracle, result, cfg, path, timings)
+        except (ZeroDenominator, VerificationFailed):
+            if cls.total == cfg.samples_per_class:
+                raise
+        # the level's class does not hold on this node's hyperplane: drop
+        # the anchors of this attempt and repeat with a full classification
+        expect = None
+        for k in list(anchors_by_level):
+            del anchors_by_level[k][marks.get(k, 0):]
 
 
 def _combine(parts, anchors, profile: DegreeProfile, field: Field,
@@ -298,10 +344,9 @@ def _verify_node(oracle: SliceOracle, result: RatFunN, cfg: ReconConfig,
                  path: tuple, timings: dict):
     t0 = time.perf_counter()
     rng = derive_rng(cfg.seed, "verify", *path)
-    trials, agreements, skips = verify_agreement(
-        oracle, result, cfg.verify_trials, rng, cfg.height_bound)
+    tally = verify_agreement(oracle, result, cfg.verify_trials, rng,
+                             cfg.height_bound)
     timings["verify"] += time.perf_counter() - t0
-    if agreements != trials - skips:
-        raise VerificationFailed(
-            f"recursion path {path}", trials - skips, agreements)
-    return trials, agreements, skips
+    if tally.mismatch is not None:
+        raise VerificationFailed(*tally.mismatch, path=path)
+    return tally

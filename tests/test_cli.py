@@ -202,6 +202,65 @@ def test_reconstruct_record_and_replay(tmp_path, capsys):
     assert r1 == r2
 
 
+def test_reconstruct_verification_failure_detail(tmp_path, capsys):
+    # Replay a recorded run with the last fresh defined point's value off by
+    # one: only the root's verification asks for it, so the run fails there.
+    rec = tmp_path / "replay.json"
+    args = ("--arity", "2", "--field", "fp:1000003", "--seed", "31")
+    code, _, _ = run_cli(capsys, "reconstruct", "--expr", "(x1*x2+1)/(x1-x2)",
+                         *args, "--record", str(rec))
+    assert code == 0
+    replay = json.loads(rec.read_text())
+    sample = [s for s in replay["samples"] if s["value"] is not None][-1]
+    value = int(sample["value"])
+    sample["value"] = str(value + 1)
+    rec.write_text(json.dumps(replay))
+    code, out, _ = run_cli(capsys, "reconstruct", "--oracle-replay", str(rec), *args)
+    assert code == 6
+    a, b = sample["point"]
+    assert json.loads(out)["error"] == {
+        "kind": "VerificationFailed",
+        "detail": f"reconstruction mismatch at recursion path (), point ({a}, {b}): "
+                  f"oracle {value + 1}, result {value}"}
+
+
+@pytest.mark.parametrize("command,flag,value,bound", [
+    ("reconstruct", "--max-degree", "25", "<= 24"),
+    ("counterexample", "--n", "65", "<= 64"),
+    ("counterexample", "--n", "0", ">= 1"),
+    ("counterexample", "--dmax", "9", "<= 8"),
+    ("counterexample", "--dmax", "-1", ">= 0"),
+    ("counterexample", "--grid", "33", "<= 32"),
+])
+def test_size_flag_bounds(capsys, command, flag, value, bound):
+    extra = ("--expr", "x1*x2", "--arity", "2") if command == "reconstruct" else ()
+    code, out, err = run_cli(capsys, command, *extra, flag, value)
+    assert code == 1
+    assert out == ""
+    assert err == f"input error: {flag} must be {bound}, got {value}\n"
+
+
+def test_size_flag_bounds_admit_their_limits(capsys):
+    code, out, _ = run_cli(capsys, "reconstruct", "--expr", "x1*x2", "--arity", "2",
+                           "--max-degree", "24")
+    assert code == 0
+    assert json.loads(out)["report"]["result"] == "(x1*x2)/(1)"
+    code, out, _ = run_cli(capsys, "counterexample", "--n", "2",
+                           "--dmax", "0", "--grid", "32")
+    assert code == 0
+    assert json.loads(out)["certificate"]["grid"] == 32
+
+
+@pytest.mark.parametrize("expr", ["x1^3^3^3^3", "x1^1025", "(x1+1)^2^11",
+                                  "x1^2^2^2^2^2"])
+def test_reconstruct_exponent_over_cap(capsys, expr):
+    code, out, err = run_cli(capsys, "reconstruct", "--expr", expr, "--arity", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error: syntax error at offset ")
+    assert err.rstrip().endswith("expected an exponent of at most 1024")
+
+
 def test_reconstruct_budget_failure_exit(capsys):
     # an oracle undefined everywhere: slice classification cannot succeed
     code, _, err = run_cli(capsys, "reconstruct", "--expr", "1/(x1-x1)",

@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 from ratrecon.errors import (
+    ExponentTooLarge,
     ExprSyntaxError,
     NegativeExponent,
     UnknownVariable,
     ZeroDenominator,
 )
 from ratrecon.expr import (
+    MAX_EXPONENT,
     Add,
     Div,
     IntLit,
@@ -62,6 +64,29 @@ def test_power_right_associative_literal_folding():
     assert parse("2^3^2", 1) == Pow(IntLit(2), 9)
     assert parse("x1^2^3", 1) == Pow(Var(0), 8)
     assert parse("(x1+1)^2", 1) == Pow(Add(Var(0), IntLit(1)), 2)
+
+
+def test_exponent_cap_at_parse_time():
+    # the chain is folded from the right; the first literal or folded value
+    # over the cap raises at its own offset, before any larger power is built
+    assert parse(f"x1^{MAX_EXPONENT}", 1) == Pow(Var(0), MAX_EXPONENT)
+    assert parse("x1^2^10", 1) == Pow(Var(0), 1024)
+    for text, offset in (("x1^3^3^3^3", 5), ("x1^1025", 3), ("x1^2^2^2^2^2", 5),
+                         ("x1^2^11", 3), ("x1^1^99999", 5)):
+        with pytest.raises(ExponentTooLarge) as exc:
+            parse(text, 1)
+        assert isinstance(exc.value, ExprSyntaxError)
+        assert exc.value.offset == offset
+
+
+def test_exponent_cap_in_json_ast():
+    base = {"node": "var", "index": 0}
+    assert from_json_ast({"node": "pow", "base": base, "exponent": MAX_EXPONENT}) \
+        == Pow(Var(0), MAX_EXPONENT)
+    with pytest.raises(ExponentTooLarge):
+        from_json_ast({"node": "pow", "base": base, "exponent": MAX_EXPONENT + 1})
+    with pytest.raises(ExponentTooLarge):
+        from_json_ast({"node": "pow", "base": base, "exponent": str(3 ** 3 ** 3)})
 
 
 def test_negative_exponent():

@@ -20,7 +20,6 @@ from ratrecon.interp import (
     calibrate_sign,
     delta_det,
     delta_sign,
-    detect_profile,
     detect_profile_with_fit,
     fit_ratfun,
     interp_point,
@@ -294,12 +293,13 @@ def test_fit_roundtrip_random():
 def test_detect_profile_examples():
     f = normalize_ratfun1(qpoly(1, 0, 1), qpoly(-1, 1))  # (x^2+1)/(x-1)
     rng = derive_rng(77, "detect")
-    prof = detect_profile(lambda a: f.eval(a) if f.defined_at(a) else None,
-                          QQ, SamplingBudget(), rng)
+    prof = detect_profile_with_fit(
+        lambda a: f.eval(a) if f.defined_at(a) else None,
+        QQ, SamplingBudget(), rng)[0]
     assert (prof.d, prof.e, prof.n, prof.m, prof.l) == (2, 1, 2, 1, 3)
 
     rng = derive_rng(78, "detect")
-    prof = detect_profile(lambda a: q(5), QQ, SamplingBudget(), rng)
+    prof = detect_profile_with_fit(lambda a: q(5), QQ, SamplingBudget(), rng)[0]
     assert (prof.d, prof.e, prof.n, prof.m, prof.l) == (0, 0, 0, 0, 0)
 
 
@@ -324,24 +324,13 @@ def test_detect_profile_budget_exhausted_on_factorial_table():
 
     rng = derive_rng(80, "detect")
     with pytest.raises(BudgetExhausted):
-        detect_profile(oracle, field, SamplingBudget(max_degree=8), rng)
-
-
-def test_detect_profile_shift_invariant():
-    f = normalize_ratfun1(qpoly(1, 0, 1), qpoly(-1, 1))
-
-    def oracle(a):
-        return f.eval(a) if f.defined_at(a) else None
-
-    p1 = detect_profile(oracle, QQ, SamplingBudget(shift=0), derive_rng(81, "s"))
-    p2 = detect_profile(oracle, QQ, SamplingBudget(shift=7), derive_rng(81, "s"))
-    assert (p1.d, p1.e) == (p2.d, p2.e)
+        detect_profile_with_fit(oracle, field, SamplingBudget(max_degree=8), rng)
 
 
 def test_detect_profile_domain_too_sparse():
     rng = derive_rng(82, "detect")
     with pytest.raises(DomainTooSparse):
-        detect_profile(lambda a: None, QQ, SamplingBudget(), rng)
+        detect_profile_with_fit(lambda a: None, QQ, SamplingBudget(), rng)
 
 
 def test_paired_determinants_polynomial_entries_match_scalar_specialization():

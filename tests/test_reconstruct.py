@@ -213,6 +213,39 @@ def test_reconstruct_verification_failure_on_unstable_oracle():
         reconstruct(SliceOracle(2, FP101, fn), ReconConfig(seed=46))
 
 
+def test_verify_agreement_reports_first_mismatch():
+    f = xy_over(QQ)
+    oracle = oracle_from_ratfunn(f)
+    assert verify_agreement(oracle, f, 50, derive_rng(12, "v")).mismatch is None
+    shifted = f + normalize_ratfunn(pn(QQ, 2, {(0, 0): 1}), pn(QQ, 2, {(0, 0): 1}))
+    tally = verify_agreement(oracle, shifted, 50, derive_rng(12, "v"))
+    point, want, got = tally.mismatch
+    assert want == f.eval(point) and got == want + 1
+
+
+def test_verification_failure_names_point_and_values():
+    # Corrupt the oracle at the last fresh point a clean run queries.  Only
+    # the root's verification, which runs last, asks for it, so the run
+    # fails there and the error carries that point and both values.
+    f = xy_over(FP)
+    queried = []
+    cfg = ReconConfig(seed=12)
+    reconstruct(SliceOracle(2, FP, lambda pt: queried.append(pt) or
+                            f.eval_or_none(pt)), cfg)
+    bad = [pt for pt in dict.fromkeys(queried) if f.eval_or_none(pt) is not None][-1]
+    truth = f.eval(bad)
+
+    def corrupted(pt):
+        return truth + 1 if pt == bad else f.eval_or_none(pt)
+
+    with pytest.raises(VerificationFailed) as info:
+        reconstruct(SliceOracle(2, FP, corrupted), cfg)
+    err = info.value
+    assert (err.path, err.point, err.expected, err.got) == ((), bad, truth + 1, truth)
+    assert str(err) == (f"reconstruction mismatch at recursion path (), point "
+                        f"({bad[0]}, {bad[1]}): oracle {truth + 1}, result {truth}")
+
+
 def rand_ratfunn(field, rng, nvars, maxdeg, height=9):
     def rand_pn():
         terms = {}
