@@ -187,6 +187,8 @@ def _load_samples(path: str, field: Field):
 
 
 def _cmd_interp(args) -> int:
+    _check_range("--n", args.n, 0)
+    _check_range("--m", args.m, 0)
     field = _parse_field(args.field)
     try:
         samples, raw = _load_samples(args.samples, field)
@@ -298,8 +300,7 @@ def _cmd_reconstruct(args) -> int:
                                for pt, v in record.items()]}
         with open(args.record, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)
-    _emit({"manifest": manifest,
-           "report": report.to_json(include_timings=args.timings)})
+    _emit({"manifest": manifest, "report": report.to_json()})
     return 0
 
 
@@ -379,8 +380,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--verify-trials", type=int, default=200)
     pr.add_argument("--height-bound", type=int, default=10)
     pr.add_argument("--record", default=None, help="write queried points to FILE")
-    pr.add_argument("--timings", action="store_true",
-                    help="include wall-clock timings (breaks byte-identical output)")
     pr.set_defaults(fn=_cmd_reconstruct)
 
     pc = sub.add_parser("counterexample",

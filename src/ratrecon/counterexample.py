@@ -114,16 +114,17 @@ class _IncrementalRank:
                 row = [a - f * b for a, b in zip(row, prow)]
         return row
 
-    def add(self, row) -> bool:
-        """Insert a reduced row; returns True if the rank grew."""
+    def add(self, row):
+        """Insert a reduced row; returns its pivot column, or None if the
+        row was dependent (the rank did not grow)."""
         row = self.reduce(row)
         lead = next((c for c, v in enumerate(row) if v != 0), None)
         if lead is None:
-            return False
+            return None
         inv = 1 / row[lead]
         row = [v * inv for v in row]
         self.pivots[lead] = row
-        return True
+        return lead
 
     @property
     def rank(self) -> int:
@@ -140,10 +141,9 @@ def _refute_polynomial(table: CounterexampleTable, d: int):
         for j in range(n):
             ai, aj = table.enumeration[i], table.enumeration[j]
             row = [ai ** p * aj ** q for (p, q) in monos] + [table.values[i][j]]
-            red = elim.reduce(row)
-            if all(v == 0 for v in red[:-1]) and red[-1] != 0:
+            # a pivot in the value column means the row is inconsistent
+            if elim.add(row) == len(monos):
                 return (i, j)
-            elim.add(row)
     return None
 
 

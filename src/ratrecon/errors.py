@@ -122,7 +122,8 @@ class ExprSyntaxError(RatreconError):
 
 
 class ExponentTooLarge(ExprSyntaxError):
-    """An exponent literal, or a folded exponent chain, exceeds the cap."""
+    """An exponent literal, a folded exponent chain, or the product of the
+    exponents along a chain of nested powers exceeds the cap."""
 
     def __init__(self, offset, cap):
         super().__init__(offset, {f"an exponent of at most {cap}"})

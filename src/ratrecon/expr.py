@@ -3,7 +3,9 @@
 Grammar (see docs/grammar.ebnf): precedence ^ > unary minus > * / > + -,
 with * / + - left-associative and ^ right-associative over literal
 nonnegative integer exponents.  An exponent chain such as 2^3^2 is folded
-at parse time; every literal and folded value is capped at MAX_EXPONENT.
+at parse time; every literal and folded value is capped at MAX_EXPONENT, and
+so is the product of the exponents along every chain of nested powers, as in
+(x1^4*x2)^8.
 Variables are x1..x<arity>.  Whitespace is insignificant.  Parse errors
 carry the byte offset and the expectation set.
 
@@ -164,7 +166,8 @@ class _Parser:
         base = self.atom()
         if self.peek()[0] == "^":
             self.take()
-            return Pow(base, self.exponent())
+            offset = self.peek()[2]
+            return _pow(base, self.exponent(), offset)
         return base
 
     def exponent(self) -> int:
@@ -201,6 +204,26 @@ class _Parser:
             self.expect(")")
             return e
         raise ExprSyntaxError(t[2], {"integer", "variable", "("})
+
+
+def _power_depth(e: Expr) -> int:
+    """Largest product of the exponents along a chain of nested powers in
+    `e`: the factor by which they raise a degree or the size of a value."""
+    if isinstance(e, Pow):
+        return e.exponent * _power_depth(e.base)
+    if isinstance(e, Neg):
+        return _power_depth(e.arg)
+    if isinstance(e, (IntLit, Var)):
+        return 1
+    return max(_power_depth(e.lhs), _power_depth(e.rhs))
+
+
+def _pow(base: Expr, exponent: int, offset: int) -> Pow:
+    """Pow(base, exponent); ExponentTooLarge (at `offset`) if a chain of
+    nested powers through it exceeds MAX_EXPONENT."""
+    if exponent * _power_depth(base) > MAX_EXPONENT:
+        raise ExponentTooLarge(offset, MAX_EXPONENT)
+    return Pow(base, exponent)
 
 
 def parse(src: str, arity: int) -> Expr:
@@ -380,6 +403,6 @@ def from_json_ast(obj: dict) -> Expr:
             raise NegativeExponent(0)
         if exp > MAX_EXPONENT:
             raise ExponentTooLarge(0, MAX_EXPONENT)
-        return Pow(from_json_ast(obj["base"]), exp)
+        return _pow(from_json_ast(obj["base"]), exp, 0)
     ctor = {"add": Add, "sub": Sub, "mul": Mul, "div": Div}[node]
     return ctor(from_json_ast(obj["lhs"]), from_json_ast(obj["rhs"]))

@@ -155,9 +155,6 @@ class Field:
     def one(self):
         return self.from_int(1)
 
-    def element_of(self, x) -> bool:
-        raise NotImplementedError
-
     def parse(self, s: str):
         raise NotImplementedError
 
@@ -181,9 +178,6 @@ class RationalField(Field):
 
     def from_int(self, k: int) -> Fraction:
         return Fraction(k)
-
-    def element_of(self, x) -> bool:
-        return isinstance(x, Fraction)
 
     def parse(self, s: str) -> Fraction:
         return Fraction(s.strip())
@@ -224,9 +218,6 @@ class PrimeField(Field):
     def from_int(self, k: int) -> FpElement:
         return FpElement(k, self)
 
-    def element_of(self, x) -> bool:
-        return isinstance(x, FpElement) and x.field.p == self.p
-
     def parse(self, s: str) -> FpElement:
         s = s.strip()
         if "/" in s:
@@ -256,13 +247,13 @@ class PrimeField(Field):
 QQ = RationalField()
 
 
-def field_from_string(desc: str, allow_small: bool = False) -> Field:
+def field_from_string(desc: str) -> Field:
     """Parse a field descriptor: "q" or "fp:<p>"."""
     desc = desc.strip().lower()
     if desc == "q":
         return QQ
     if desc.startswith("fp:"):
-        return PrimeField(int(desc[3:]), allow_small=allow_small)
+        return PrimeField(int(desc[3:]))
     raise ValueError(f"bad field descriptor {desc!r} (want 'q' or 'fp:<p>')")
 
 

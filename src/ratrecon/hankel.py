@@ -71,9 +71,9 @@ class RationalityCertificate:
             field = self.witness.field
             scale = field.inv(self.witness.den.eval(field.zero))
             out["witness_den_at0is1"] = format_poly1(
-                self.witness.den.scale(scale), "t", ascending=True)
+                self.witness.den.scale(scale), "t")
             out["witness_num_at0is1_den"] = format_poly1(
-                self.witness.num.scale(scale), "t", ascending=True)
+                self.witness.num.scale(scale), "t")
         return out
 
 

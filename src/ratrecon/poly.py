@@ -431,11 +431,8 @@ def _active_vars(f: PolyN, g: PolyN):
 
 
 def _gcd_univariate_image(f: PolyN, g: PolyN, var: int) -> PolyN:
-    a = Poly1(f.field, [f.coeffs_in(var).get(k, PolyN.zero(f.field, f.nvars)).constant_value()
-                        for k in range(int(f.degree_in(var)) + 1)])
-    b = Poly1(g.field, [g.coeffs_in(var).get(k, PolyN.zero(g.field, g.nvars)).constant_value()
-                        for k in range(int(g.degree_in(var)) + 1)])
-    return gcd_poly1(a, b).to_polyn(f.nvars, var)
+    """Gcd of two polynomials that involve only `var`."""
+    return gcd_poly1(f.to_poly1(var), g.to_poly1(var)).to_polyn(f.nvars, var)
 
 
 def _content_in(f: PolyN, var: int) -> PolyN:

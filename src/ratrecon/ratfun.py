@@ -310,27 +310,25 @@ def _coeff_str(field, c) -> str:
     return field.format(c)
 
 
-def format_poly1(p: Poly1, var_name: str = "x1", ascending: bool = False) -> str:
-    q = p.to_polyn(1, 0)
-    if ascending:
-        if p.is_zero():
-            return "0"
-        parts = []
-        for k, c in enumerate(p.coeffs):
-            if c == p.field.zero:
-                continue
-            cs = _coeff_str(p.field, c)
-            neg = cs.startswith("-")
-            if neg:
-                cs = cs[1:]
-            mono = f"{var_name}^{k}" if k > 1 else (var_name if k == 1 else "")
-            body = mono if (cs == "1" and mono) else (f"{cs}*{mono}" if mono else cs)
-            if not parts:
-                parts.append(f"-{body}" if neg else body)
-            else:
-                parts.append(f"- {body}" if neg else f"+ {body}")
-        return " ".join(parts)
-    return format_polyn(q, [var_name])
+def format_poly1(p: Poly1, var_name: str = "x1") -> str:
+    """Ascending-order text, as in "-1 - t + t^2"."""
+    if p.is_zero():
+        return "0"
+    parts = []
+    for k, c in enumerate(p.coeffs):
+        if c == p.field.zero:
+            continue
+        cs = _coeff_str(p.field, c)
+        neg = cs.startswith("-")
+        if neg:
+            cs = cs[1:]
+        mono = f"{var_name}^{k}" if k > 1 else (var_name if k == 1 else "")
+        body = mono if (cs == "1" and mono) else (f"{cs}*{mono}" if mono else cs)
+        if not parts:
+            parts.append(f"-{body}" if neg else body)
+        else:
+            parts.append(f"- {body}" if neg else f"+ {body}")
+    return " ".join(parts)
 
 
 def format_ratfunn(f: RatFunN, var_names=None) -> str:

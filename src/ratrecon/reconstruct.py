@@ -16,15 +16,18 @@ Otherwise it classifies in full on the same stream, exactly as the first
 node did.  A slice cannot exceed its node's generic class, so a node whose
 hyperplane lowers the class never passes the check.  If a node that took
 the level's class still fails to combine (`ZeroDenominator`) or to verify,
-it discards its anchors and repeats itself with its own full
-classification.
+it repeats itself with its own full classification.
+
+Each node returns a `NodeRecord`: its result, its verification tally, its
+own slice classes, and the anchors of its subtree per level, merged from its
+children in child order.  The level-class map is the only state the nodes
+share, so a repeated attempt leaves nothing behind.
 """
 
 from __future__ import annotations
 
-import time
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import (
@@ -221,11 +224,10 @@ class ReconReport:
     anchors: list              # per recursion level, in processing order
     verification: tuple        # (trials, agreements, undefined_skips)
     config: ReconConfig
-    timings: dict = dc_field(default_factory=dict)
 
-    def to_json(self, include_timings: bool = False) -> dict:
+    def to_json(self) -> dict:
         fmt = self.field.format
-        out = {
+        return {
             "result": format_ratfunn(self.result),
             "coprime_certified": self.result.coprime,
             "arity": self.arity,
@@ -241,84 +243,69 @@ class ReconReport:
             },
             "config": self.config.to_json(),
         }
-        if include_timings:
-            out["timings"] = {k: round(v, 6) for k, v in self.timings.items()}
-        return out
+
+
+@dataclass
+class NodeRecord:
+    """What one recursion node hands back to its parent."""
+    result: RatFunN
+    anchors: list              # anchors[k]: the subtree's anchors k levels down
+    verification: Agreement
+    histogram: Counter         # the node's own slice classes
+    failures: int
 
 
 def reconstruct(oracle: SliceOracle, cfg: ReconConfig) -> ReconReport:
     """Full reconstruction with verification; see module docstring.  The
-    report carries the root node's verification tallies."""
-    t0 = time.perf_counter()
-    anchors_by_level: dict = {}
-    info: dict = {"hist": Counter(), "failures": 0, "classes": {}}
-    timings: dict = {"classify": 0.0, "anchors": 0.0, "fit": 0.0,
-                     "assemble": 0.0, "verify": 0.0}
-    result, verification = _reconstruct_level(oracle, cfg, (), anchors_by_level,
-                                              info, timings)
-    timings["total"] = time.perf_counter() - t0
-    levels = [anchors_by_level[k] for k in sorted(anchors_by_level)]
-    return ReconReport(result, oracle.arity, oracle.field, dict(info["hist"]),
-                       info["failures"], levels, verification, cfg, timings)
+    report carries the root node's classes and verification tallies."""
+    root = _reconstruct_level(oracle, cfg, (), {})
+    return ReconReport(root.result, oracle.arity, oracle.field,
+                       dict(root.histogram), root.failures, root.anchors,
+                       root.verification, cfg)
 
 
 def _reconstruct_level(oracle: SliceOracle, cfg: ReconConfig, path: tuple,
-                       anchors_by_level: dict, info: dict, timings: dict):
-    """(result, verification tallies) of the node at `path`."""
+                       classes: dict) -> NodeRecord:
+    """The node at `path`.  `classes` maps each recursion level to the
+    class its first node found."""
     field = oracle.field
-    level = len(path)
     if oracle.arity == 1:
-        t0 = time.perf_counter()
         rng = derive_rng(cfg.seed, "fit", *path)
         prof, fit = detect_profile_with_fit(
             lambda a: oracle.eval((a,)), field, cfg.budget(), rng)
-        timings["fit"] += time.perf_counter() - t0
-        if level == 0:
-            info["hist"][(prof.d, prof.e)] += 1
         result = fit.to_ratfunn(1)
-        return result, _verify_node(oracle, result, cfg, path, timings)
+        return NodeRecord(result, [], _verify_node(oracle, result, cfg, path),
+                          Counter({(prof.d, prof.e): 1}), 0)
 
     axis = oracle.arity - 1
-    expect = info["classes"].get(level)
+    level = len(path)
+    expect = classes.get(level)
     while True:
-        t0 = time.perf_counter()
         cls = classify_slices(oracle, axis, cfg,
                               derive_rng(cfg.seed, "classify", *path), expect)
-        timings["classify"] += time.perf_counter() - t0
-        if level == 0:
-            info["hist"].update(cls.histogram)
-            info["failures"] += cls.failures
         d, e = dominant_class(cls.histogram)
-        info["classes"].setdefault(level, (d, e))
+        classes.setdefault(level, (d, e))
         profile = DegreeProfile.from_de(d, e)
-
-        t0 = time.perf_counter()
         anchors = choose_anchors(oracle, axis, profile, cfg,
                                  derive_rng(cfg.seed, "anchors", *path))
-        timings["anchors"] += time.perf_counter() - t0
-        marks = {k: len(v) for k, v in anchors_by_level.items()}
-        anchors_by_level.setdefault(level, []).extend(anchors)
-
-        parts = []
+        children = []
         for i, b in enumerate(anchors):
             sub = SliceOracle(oracle.arity - 1, field,
                               lambda pt, _b=b: oracle.eval(tuple(pt) + (_b,)))
-            parts.append(_reconstruct_level(sub, cfg, path + (i,),
-                                            anchors_by_level, info, timings)[0])
-
+            children.append(_reconstruct_level(sub, cfg, path + (i,), classes))
         try:
-            t0 = time.perf_counter()
-            result = _combine(parts, anchors, profile, field, oracle.arity)
-            timings["assemble"] += time.perf_counter() - t0
-            return result, _verify_node(oracle, result, cfg, path, timings)
+            result = _combine([c.result for c in children], anchors, profile,
+                              field, oracle.arity)
+            verification = _verify_node(oracle, result, cfg, path)
         except (ZeroDenominator, VerificationFailed):
             if cls.total == cfg.samples_per_class:
                 raise
-        # the level's class does not hold on this node's hyperplane: drop
-        # the anchors of this attempt and repeat with a full classification
-        expect = None
-        for k in list(anchors_by_level):
-            del anchors_by_level[k][marks.get(k, 0):]
+            # the level's class does not hold on this node's hyperplane
+            expect = None
+            continue
+        below = [sum(levels, []) for levels in zip(*(c.anchors for c in children))]
+        return NodeRecord(result, [anchors] + below, verification,
+                          cls.histogram, cls.failures)
 
 
 def _combine(parts, anchors, profile: DegreeProfile, field: Field,
@@ -341,12 +328,10 @@ def _combine(parts, anchors, profile: DegreeProfile, field: Field,
 
 
 def _verify_node(oracle: SliceOracle, result: RatFunN, cfg: ReconConfig,
-                 path: tuple, timings: dict):
-    t0 = time.perf_counter()
+                 path: tuple) -> Agreement:
     rng = derive_rng(cfg.seed, "verify", *path)
     tally = verify_agreement(oracle, result, cfg.verify_trials, rng,
                              cfg.height_bound)
-    timings["verify"] += time.perf_counter() - t0
     if tally.mismatch is not None:
         raise VerificationFailed(*tally.mismatch, path=path)
     return tally

@@ -1,9 +1,12 @@
+import argparse
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
+import ratrecon.cli as cli
 from ratrecon.cli import main
 
 
@@ -142,6 +145,19 @@ def test_interp_no_fit_exit(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "interp", "--samples", str(f),
                          "--field", "q", "--n", "1", "--m", "0", "--fit")
     assert code == 5
+
+
+@pytest.mark.parametrize("n,m", [("-1", "1"), ("1", "-1"), ("-2", "-3")])
+@pytest.mark.parametrize("mode", [("--fit",), ("--at", "3")])
+def test_interp_negative_degrees(tmp_path, capsys, n, m, mode):
+    f = tmp_path / "inv.csv"
+    f.write_text("1,1\n2,1/2\n4,1/4\n")
+    code, out, err = run_cli(capsys, "interp", "--samples", str(f),
+                             "--field", "q", "--n", n, "--m", m, *mode)
+    assert code == 1
+    assert out == ""
+    flag, value = ("--n", n) if n.startswith("-") else ("--m", m)
+    assert err == f"input error: {flag} must be >= 0, got {value}\n"
 
 
 def test_reconstruct_expr_roundtrip(capsys):
@@ -313,6 +329,48 @@ def test_reconstruct_vacuous_flags(capsys, flag, value):
     assert code == 1
     assert out == ""
     assert err.startswith(f"input error: {flag} must be >= ")
+
+
+# the options of `reconstruct` that name its input or its output file; every
+# other option must set the ReconConfig field of the same name
+RECONSTRUCT_IO = {"--expr", "--oracle-replay", "--arity", "--field", "--seed",
+                  "--record"}
+
+
+class ConfigSeen(Exception):
+    pass
+
+
+def test_reconstruct_options_set_config_fields(monkeypatch):
+    # a no-op flag or an output-only flag cannot come back unnoticed
+    def capture(oracle, cfg):
+        raise ConfigSeen(cfg)
+
+    def config(*extra):
+        with pytest.raises(ConfigSeen) as exc:
+            main(["reconstruct", "--expr", "x1*x2", "--arity", "2", *extra])
+        return exc.value.args[0]
+
+    monkeypatch.setattr(cli, "reconstruct", capture)
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    fields = {f.name for f in dataclasses.fields(cli.ReconConfig)}
+    default = config()
+    for action in sub.choices["reconstruct"]._actions:
+        flag = action.option_strings[-1]
+        if flag in RECONSTRUCT_IO or action.dest == "help":
+            continue
+        assert action.dest in fields, f"{flag} sets no ReconConfig field"
+        value = action.default + 1
+        assert config(flag, str(value)) == \
+            dataclasses.replace(default, **{action.dest: value}), flag
+
+
+def test_reconstruct_timings_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["reconstruct", "--expr", "x1*x2", "--arity", "2", "--timings"])
+    assert exc.value.code == 2
+    assert "--timings" in capsys.readouterr().err
 
 
 def test_counterexample_small(tmp_path, capsys):

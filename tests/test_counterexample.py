@@ -1,10 +1,12 @@
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from ratrecon.counterexample import (
     CounterexampleTable,
+    _refute_polynomial,
     f_counter,
     f_counter_literal,
     nonrationality_report,
@@ -94,3 +96,46 @@ def test_csv_export_shape():
     lines = t.to_csv().strip().split("\n")
     assert len(lines) == 4
     assert lines[1].startswith("0,")
+
+
+def rank(rows):
+    rows = [list(r) for r in rows]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((k for k in range(r, len(rows)) if rows[k][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for k in range(r + 1, len(rows)):
+            f = rows[k][c] / rows[r][c]
+            rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
+        r += 1
+    return r
+
+
+def reference_refute_polynomial(table, d):
+    """First row-major grid point at which the augmented system outranks
+    the coefficient matrix, by rank computations from scratch."""
+    monos = [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
+    rows = []
+    n = len(table.enumeration)
+    for i in range(n):
+        for j in range(n):
+            ai, aj = table.enumeration[i], table.enumeration[j]
+            rows.append([ai ** p * aj ** q for p, q in monos] + [table.values[i][j]])
+            if rank([r[:-1] for r in rows]) < rank(rows):
+                return (i, j)
+    return None
+
+
+def test_refute_polynomial_matches_rank_reference():
+    grid = 7
+    xs = [enumerate_countable(k) for k in range(grid)]
+    quadratic = SimpleNamespace(enumeration=xs, values=[
+        [3 * a * a - a * b + Fraction(1, 2) * b - 4 for b in xs] for a in xs])
+    for table in (CounterexampleTable.build(grid), quadratic):
+        for d in range(4):
+            assert _refute_polynomial(table, d) == \
+                reference_refute_polynomial(table, d), d
+    assert _refute_polynomial(quadratic, 1) is not None
+    assert _refute_polynomial(quadratic, 2) is None

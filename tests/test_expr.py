@@ -89,6 +89,31 @@ def test_exponent_cap_in_json_ast():
         from_json_ast({"node": "pow", "base": base, "exponent": str(3 ** 3 ** 3)})
 
 
+def test_nested_power_cap():
+    # the product of the exponents along each chain of nested powers is
+    # capped, whatever lies between them; these trees are only parsed
+    assert parse("(x1^2)^3", 1) == Pow(Pow(Var(0), 2), 3)
+    assert parse("x1^1000*x2^1000", 2) == Mul(Pow(Var(0), 1000), Pow(Var(1), 1000))
+    assert parse("((x1^32)^32)^1", 1) == Pow(Pow(Pow(Var(0), 32), 32), 1)
+    assert parse("(x1^1024)^0", 1) == Pow(Pow(Var(0), 1024), 0)
+    for text, offset in (("((x1^1024)^1024)^1024", 11), ("(x1^1024*x1)^1024", 13),
+                         ("(9^1024)^1024", 9), ("(-(x1^2)+x2)^513", 13),
+                         ("((x1^32)^32)^2", 13)):
+        with pytest.raises(ExponentTooLarge) as exc:
+            parse(text, 2)
+        assert exc.value.offset == offset, text
+
+
+def test_nested_power_cap_in_json_ast():
+    inner = {"node": "pow", "base": {"node": "var", "index": 0}, "exponent": 1024}
+    mul = {"node": "mul", "lhs": inner, "rhs": {"node": "int", "value": "9"}}
+    assert from_json_ast({"node": "pow", "base": mul, "exponent": 1}) \
+        == Pow(Mul(Pow(Var(0), 1024), IntLit(9)), 1)
+    for base in (inner, mul):
+        with pytest.raises(ExponentTooLarge):
+            from_json_ast({"node": "pow", "base": base, "exponent": 2})
+
+
 def test_negative_exponent():
     with pytest.raises(NegativeExponent) as exc:
         parse("x1^-2", 1)

@@ -198,9 +198,9 @@ def test_reused_class_that_fails_verification_is_redone(monkeypatch):
     oracle = expr_oracle(text, 3, FP)
     log = []
 
-    def spy(node, result, cfg_, path, timings):
+    def spy(node, result, cfg_, path):
         try:
-            tally = verify_node(node, result, cfg_, path, timings)
+            tally = verify_node(node, result, cfg_, path)
         except VerificationFailed:
             log.append((path, "failed"))
             raise

@@ -328,4 +328,4 @@ def test_canonical_text_format():
     # integer display form over Q
     h = normalize_ratfun1(qpoly(2, 2), qpoly(3))
     assert format_ratfun1(h) == "(2*x1 + 2)/(3)"
-    assert format_poly1(qpoly(-1, -1, 1), "t", ascending=True) == "-1 - t + t^2"
+    assert format_poly1(qpoly(-1, -1, 1), "t") == "-1 - t + t^2"
