@@ -291,7 +291,10 @@ def _cmd_reconstruct(args) -> int:
         report = reconstruct(oracle, cfg)
     except VerificationFailed as e:
         _emit({"manifest": manifest,
-               "error": {"kind": "VerificationFailed", "detail": str(e)}})
+               "error": {"kind": "VerificationFailed", "detail": str(e),
+                         "path": list(e.path),
+                         "point": [str(c) for c in e.point],
+                         "oracle": str(e.expected), "result": str(e.got)}})
         return _EXIT_VERIFICATION
     if record is not None:
         payload = {"arity": oracle.arity, "field": field.descriptor(),

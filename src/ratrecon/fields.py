@@ -212,7 +212,7 @@ class PrimeField(Field):
         if not is_probable_prime(p):
             raise ValueError(f"{p} is not prime")
         if p < 5 and not allow_small:
-            raise ValueError(f"p = {p} rejected (too few points); pass allow_small=True")
+            raise ValueError(f"p = {p} has too few points: p must be a prime >= 5")
         self.p = p
 
     def from_int(self, k: int) -> FpElement:

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 
 from .errors import FieldMismatch, InexactDivision
-from .fields import Field, QQ
+from .fields import Field, FpElement, PrimeField, QQ
 
 NEG_INF = float("-inf")
 
@@ -221,13 +221,14 @@ def _gcd_q(a: Poly1, b: Poly1) -> Poly1:
 class PolyN:
     """Sparse multivariate polynomial: exponent vector -> nonzero coefficient."""
 
-    __slots__ = ("field", "nvars", "terms")
+    __slots__ = ("field", "nvars", "terms", "_ints")
 
     def __init__(self, field: Field, nvars: int, terms):
         zero = field.zero
         self.field = field
         self.nvars = nvars
         self.terms = {tuple(e): c for e, c in dict(terms).items() if c != zero}
+        self._ints = None
         for e in self.terms:
             if len(e) != nvars:
                 raise ValueError("exponent vector length != nvars")
@@ -314,17 +315,27 @@ class PolyN:
             e >>= 1
         return out
 
+    def int_form(self):
+        """(L, [(integer coefficient, exponents)], degree in each variable),
+        computed once.  Over Q the coefficients are scaled by L, the lcm of
+        their denominators; over F_p they are residues and L is 1."""
+        if self._ints is None:
+            if isinstance(self.field, PrimeField):
+                lcm = 1
+                terms = [(_residue(c, self.field.p), e) for e, c in self.terms.items()]
+            else:
+                pairs = [(_ratio(c), e) for e, c in self.terms.items()]
+                lcm = math.lcm(*(d for (_, d), _ in pairs))
+                terms = [(n * (lcm // d), e) for (n, d), e in pairs]
+            degs = [max(k) for k in zip(*self.terms)] if self.terms else [0] * self.nvars
+            self._ints = (lcm, terms, degs)
+        return self._ints
+
     def eval(self, point):
-        if len(point) != self.nvars:
-            raise ValueError("point arity mismatch")
-        acc = self.field.zero
-        for e, c in self.terms.items():
-            t = c
-            for v, k in zip(point, e):
-                if k:
-                    t = t * v ** k
-            acc = acc + t
-        return acc
+        (v,), scale = eval_ints((self,), point)
+        if isinstance(self.field, PrimeField):
+            return FpElement(v, self.field)
+        return Fraction(v, self.int_form()[0] * scale)
 
     def substitute(self, var: int, value) -> "PolyN":
         """Replace one variable by a field constant; result keeps nvars with
@@ -418,6 +429,64 @@ class PolyN:
 
     def __repr__(self):
         return f"PolyN(nvars={self.nvars}, {self.terms!r})"
+
+
+def _residue(x, p: int) -> int:
+    if isinstance(x, FpElement):
+        if x.field.p == p:
+            return x.residue
+    elif isinstance(x, int):
+        return x % p
+    raise FieldMismatch(f"{x!r} is not an element of F_{p}")
+
+
+def _ratio(x):
+    if isinstance(x, (Fraction, int)):
+        return x.numerator, x.denominator
+    raise FieldMismatch(f"{x!r} is not a rational number")
+
+
+def eval_ints(polys, point):
+    """Evaluate PolyNs of one field and arity at `point` on plain integers.
+
+    Returns (values, scale).  Over F_p, values[j] is the residue of
+    polys[j](point) and scale is 1.  Over Q, with coordinates a_i/b_i and
+    D_i the largest degree in x_i among `polys`,
+    polys[j](point) = values[j] / (L_j * scale) with scale = prod b_i^D_i
+    and L_j from `polys[j].int_form()`.  Polynomials evaluated together
+    share the scale, so it cancels from their ratios."""
+    forms = []
+    for f in polys:
+        if f.nvars != len(point):
+            raise ValueError("point arity mismatch")
+        forms.append(f.int_form())
+    degs = [max(ds) for ds in zip(*(form[2] for form in forms))]
+    field = polys[0].field
+    tables = []     # tables[i][k]: the factor of x_i^k in every term
+    scale = 1
+    if isinstance(field, PrimeField):
+        p = field.p
+        for x, d in zip(point, degs):
+            r = _residue(x, p)
+            row = [1]
+            for _ in range(d):
+                row.append(row[-1] * r % p)
+            tables.append(row)
+    else:
+        p = None
+        for x, d in zip(point, degs):
+            a, b = _ratio(x)
+            apow, bpow = [1], [1]
+            for _ in range(d):
+                apow.append(apow[-1] * a)
+                bpow.append(bpow[-1] * b)
+            tables.append([u * v for u, v in zip(apow, reversed(bpow))])
+            scale *= bpow[-1]
+    values = []
+    for _, terms, _ in forms:
+        v = sum(c * math.prod(map(list.__getitem__, tables, e)) for c, e in terms)
+        values.append(v if p is None else v % p)
+    return values, scale
 
 
 def _active_vars(f: PolyN, g: PolyN):

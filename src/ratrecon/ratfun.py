@@ -17,8 +17,8 @@ import math
 from fractions import Fraction
 
 from .errors import UndefinedAt, ZeroDenominator, ZeroFunction
-from .fields import Field, QQ
-from .poly import Poly1, PolyN, gcd_poly1, gcd_polyn
+from .fields import Field, FpElement, QQ
+from .poly import Poly1, PolyN, eval_ints, gcd_poly1, gcd_polyn
 
 
 class RatFun1:
@@ -113,19 +113,24 @@ class RatFunN:
         return self.num.is_zero()
 
     def eval(self, point):
-        d = self.den.eval(point)
-        if d == self.field.zero:
+        v = self.eval_or_none(point)
+        if v is None:
             raise UndefinedAt(tuple(point))
-        return self.num.eval(point) / d
+        return v
 
     def eval_or_none(self, point):
-        d = self.den.eval(point)
-        if d == self.field.zero:
+        """The value at `point`, or None at a pole; see `eval_ints`."""
+        (n, d), _ = eval_ints((self.num, self.den), point)
+        if not d:
             return None
-        return self.num.eval(point) / d
+        field = self.field
+        if field == QQ:
+            # num and den share the power scale; only their L's remain
+            return Fraction(n * self.den.int_form()[0], d * self.num.int_form()[0])
+        return FpElement(n * pow(d, -1, field.p), field)
 
     def defined_at(self, point) -> bool:
-        return self.den.eval(point) != self.field.zero
+        return eval_ints((self.den,), point)[0][0] != 0
 
     def same_function(self, other: "RatFunN") -> bool:
         """Cross-multiplication equality: sound regardless of coprimality."""

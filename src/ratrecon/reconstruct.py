@@ -5,7 +5,8 @@ dominant (degree, order-at-infinity) class, picks anchor values where the
 oracle is widely defined, recursively reconstructs the function on each
 anchor hyperplane, and combines the results through the paired interpolation
 determinants.  Every reconstruction is verified against the oracle at random
-points; exact arithmetic means any disagreement at all is a failure.
+points; exact arithmetic means any disagreement at all is a failure, and so
+is a check in which no point was defined on both sides.
 
 Every node on one recursion level peels the same variable, and off a
 Zariski-closed set of anchor values it has the same generic class.  So only
@@ -90,6 +91,10 @@ class ReconConfig:
     verify_trials: int = 200
     height_bound: int = 10
     seed: int = 0
+
+    def __post_init__(self):
+        if self.verify_trials < 1:
+            raise ValueError(f"verify_trials must be >= 1, got {self.verify_trials}")
 
     def budget(self) -> SamplingBudget:
         return SamplingBudget(max_degree=self.max_degree,
@@ -196,15 +201,20 @@ class Agreement(tuple):
 def verify_agreement(oracle: SliceOracle, g: RatFunN, trials: int, rng,
                      height_bound: int = 10) -> Agreement:
     """Tallies over random points; points where either side is undefined
-    are skipped, the rest compared exactly."""
+    are skipped, the rest compared exactly.  A point drawn again is counted
+    again, from the values of its first draw: the oracle is a function, so
+    each distinct point is queried and evaluated once."""
     agreements = 0
     skips = 0
     mismatch = None
+    seen = {}
     for _ in range(trials):
         point = tuple(random_element(oracle.field, rng, height_bound)
                       for _ in range(oracle.arity))
-        want = oracle.eval(point)
-        got = g.eval_or_none(point)
+        pair = seen.get(point)
+        if pair is None:
+            pair = seen[point] = (oracle.eval(point), g.eval_or_none(point))
+        want, got = pair
         if want is None or got is None:
             skips += 1
         elif want == got:
@@ -334,4 +344,10 @@ def _verify_node(oracle: SliceOracle, result: RatFunN, cfg: ReconConfig,
                              cfg.height_bound)
     if tally.mismatch is not None:
         raise VerificationFailed(*tally.mismatch, path=path)
+    trials, agreements, skips = tally
+    if trials and not agreements:
+        raise DomainTooSparse(
+            f"verification at recursion path {path} found no point where "
+            f"both the oracle and the result are defined ({skips}/{trials} "
+            "undefined)")
     return tally

@@ -8,6 +8,9 @@ import pytest
 
 import ratrecon.cli as cli
 from ratrecon.cli import main
+from ratrecon.fields import PrimeField, derive_rng
+from ratrecon.interp import detect_profile_with_fit
+from ratrecon.reconstruct import ReconConfig
 
 
 def run_cli(capsys, *argv):
@@ -237,7 +240,72 @@ def test_reconstruct_verification_failure_detail(tmp_path, capsys):
     assert json.loads(out)["error"] == {
         "kind": "VerificationFailed",
         "detail": f"reconstruction mismatch at recursion path (), point ({a}, {b}): "
-                  f"oracle {value + 1}, result {value}"}
+                  f"oracle {value + 1}, result {value}",
+        "path": [],
+        "point": [a, b],
+        "oracle": str(value + 1),
+        "result": str(value)}
+
+
+def test_reconstruct_verification_failure_fields_name_inner_node(tmp_path, capsys):
+    # The last fresh point on the first anchor's hyperplane x2 = b is asked
+    # by the verification of the child node at path (0,), after its fit.
+    # With that value off by one, the child fails, in its own coordinates.
+    rec = tmp_path / "replay.json"
+    args = ("--arity", "2", "--field", "fp:1000003", "--seed", "31")
+    code, out, _ = run_cli(capsys, "reconstruct", "--expr", "(x1*x2+1)/(x1-x2)",
+                           *args, "--record", str(rec))
+    assert code == 0
+    anchor = json.loads(out)["report"]["anchors"][0][0]
+    replay = json.loads(rec.read_text())
+    sample = [s for s in replay["samples"]
+              if s["point"][1] == anchor and s["value"] is not None][-1]
+    sample["value"] = str(int(sample["value"]) + 1)
+    rec.write_text(json.dumps(replay))
+    code, out, _ = run_cli(capsys, "reconstruct", "--oracle-replay", str(rec), *args)
+    assert code == 6
+    err = json.loads(out)["error"]
+    assert err["kind"] == "VerificationFailed" and err["path"] == [0]
+    assert (err["point"], err["oracle"]) == (sample["point"][:1], sample["value"])
+    x1 = sample["point"][0]
+    assert int(err["oracle"]) == int(err["result"]) + 1
+    assert err["detail"] == (f"reconstruction mismatch at recursion path (0,), "
+                             f"point ({x1}): oracle {err['oracle']}, "
+                             f"result {err['result']}")
+
+
+def test_reconstruct_vacuous_verification_exit(tmp_path, capsys):
+    # Replay only the points the leaf's fit asks for: every verification
+    # point is then a hole, and a check that compared nothing is refused.
+    field = PrimeField(1000003)
+    cfg = ReconConfig(seed=13)
+    asked = {}
+
+    def recording(a):
+        asked[a] = field.one / a if a else None
+        return asked[a]
+
+    detect_profile_with_fit(recording, field, cfg.budget(), derive_rng(cfg.seed, "fit"))
+    rec = tmp_path / "replay.json"
+    rec.write_text(json.dumps({"arity": 1, "field": "fp:1000003", "samples": [
+        {"point": [str(a)], "value": None if v is None else str(v)}
+        for a, v in asked.items()]}))
+    code, out, err = run_cli(capsys, "reconstruct", "--oracle-replay", str(rec),
+                             "--arity", "1", "--field", "fp:1000003", "--seed", "13")
+    assert code == 7
+    assert out == ""
+    assert err.startswith("reconstruction budget failure: verification at "
+                          "recursion path () found no point")
+
+
+@pytest.mark.parametrize("p", ["2", "3"])
+def test_reconstruct_small_prime_field(capsys, p):
+    code, out, err = run_cli(capsys, "reconstruct", "--expr", "x1", "--arity", "1",
+                             "--field", f"fp:{p}")
+    assert code == 1
+    assert out == ""
+    assert err == f"input error: p = {p} has too few points: p must be a prime >= 5\n"
+    assert "allow_small" not in err
 
 
 @pytest.mark.parametrize("command,flag,value,bound", [

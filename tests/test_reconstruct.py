@@ -6,12 +6,13 @@ import pytest
 
 from ratrecon.errors import (
     AnchorSearchFailed,
+    DomainTooSparse,
     EmptyHistogram,
     TooManyFailures,
     VerificationFailed,
 )
 from ratrecon.fields import QQ, PrimeField, derive_rng, random_element
-from ratrecon.interp import DegreeProfile
+from ratrecon.interp import DegreeProfile, detect_profile_with_fit
 from ratrecon.poly import Poly1, PolyN
 from ratrecon.ratfun import (
     RatFunN,
@@ -20,6 +21,7 @@ from ratrecon.ratfun import (
     normalize_ratfunn,
 )
 from ratrecon.reconstruct import (
+    Agreement,
     ReconConfig,
     SliceOracle,
     choose_anchors,
@@ -330,13 +332,16 @@ def test_root_verification_is_reported_not_repeated():
     # The root node verifies on the stream derive_rng(seed, "verify"); the
     # report carries those tallies.  A second pass on that stream repeats
     # them exactly, so dropping it keeps the report and saves verify_trials
-    # oracle calls: 1246 calls before, with the repeated pass.
+    # oracle calls: 1246 calls before, with the repeated pass, and 1046
+    # without it.  Each verification run now asks the oracle once per
+    # distinct point, and the three arity-1 leaves over F_101 draw their 200
+    # points from 101 values, so 698 calls remain.
     f = xy_over(FP101)
     calls = []
     oracle = SliceOracle(2, FP101, lambda pt: calls.append(pt) or f.eval_or_none(pt))
     cfg = ReconConfig(seed=10)
     report = reconstruct(oracle, cfg)
-    assert len(calls) == 1246 - cfg.verify_trials
+    assert len(calls) == 698
     assert report.to_json() == {
         "result": "(x1*x2 + 1)/(x1 - x2)",
         "coprime_certified": True,
@@ -351,3 +356,76 @@ def test_root_verification_is_reported_not_repeated():
     again = verify_agreement(oracle, report.result, cfg.verify_trials,
                              derive_rng(cfg.seed, "verify"), cfg.height_bound)
     assert again == report.verification
+
+
+def parent_verify_agreement(oracle, g, trials, rng, height_bound):
+    # verify_agreement before the per-run memo: every draw asks both sides
+    agreements = skips = 0
+    mismatch = None
+    for _ in range(trials):
+        point = tuple(random_element(oracle.field, rng, height_bound)
+                      for _ in range(oracle.arity))
+        want = oracle.eval(point)
+        got = g.eval_or_none(point)
+        if want is None or got is None:
+            skips += 1
+        elif want == got:
+            agreements += 1
+        elif mismatch is None:
+            mismatch = (point, want, got)
+    return Agreement(trials, agreements, skips, mismatch)
+
+
+def test_verification_asks_once_per_distinct_point():
+    # Over Q at height 10 an arity-1 run draws its 200 points from the 127
+    # rationals of height <= 10, so most of them come back.  A repeated
+    # point is counted every time it is drawn but asked only once.
+    f = normalize_ratfun1(Poly1.from_ints(QQ, [1, 2]),
+                          Poly1.from_ints(QQ, [0, 1])).to_ratfunn(1)
+    rng = derive_rng(3, "v")
+    drawn = [(random_element(QQ, rng, 10),) for _ in range(200)]
+    repeated = [pt for pt in dict.fromkeys(drawn) if drawn.count(pt) > 1
+                and f.eval_or_none(pt) is not None]
+    assert len(set(drawn)) < 150 and repeated
+    bad = repeated[0]
+    for corrupt in (None, bad):
+        def fn(pt):
+            v = f.eval_or_none(pt)
+            return v + 1 if pt == corrupt else v
+
+        calls = []
+        counted = SliceOracle(1, QQ, lambda pt: calls.append(pt) or fn(pt))
+        tally = verify_agreement(counted, f, 200, derive_rng(3, "v"), 10)
+        assert calls == list(dict.fromkeys(drawn))
+        want = parent_verify_agreement(SliceOracle(1, QQ, fn), f, 200,
+                                       derive_rng(3, "v"), 10)
+        assert tally == want and tally.mismatch == want.mismatch
+        assert tally.mismatch == (None if corrupt is None
+                                  else (bad, f.eval(bad) + 1, f.eval(bad)))
+        skips = sum(f.eval_or_none(pt) is None for pt in drawn)
+        assert tally[2] == skips
+        if corrupt is not None:
+            assert tally[1] == 200 - skips - drawn.count(bad)
+
+
+def test_vacuous_verification_is_a_budget_failure():
+    # The leaf's fit sees the oracle only where the fit asks; every
+    # verification point is a hole, so not one point is compared.
+    f = normalize_ratfun1(Poly1.from_ints(FP, [1]), Poly1.from_ints(FP, [0, 1]))
+    cfg = ReconConfig(seed=8)
+    asked = {}
+
+    def recording(a):
+        asked[a] = f.eval(a) if f.defined_at(a) else None
+        return asked[a]
+
+    detect_profile_with_fit(recording, FP, cfg.budget(), derive_rng(cfg.seed, "fit"))
+    oracle = SliceOracle(1, FP, lambda pt: asked.get(pt[0]))
+    with pytest.raises(DomainTooSparse, match=r"recursion path \(\)"):
+        reconstruct(oracle, cfg)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_config_rejects_vacuous_verify_trials(trials):
+    with pytest.raises(ValueError, match="verify_trials must be >= 1"):
+        ReconConfig(verify_trials=trials)
