@@ -9,13 +9,19 @@ so is the product of the exponents along every chain of nested powers, as in
 Variables are x1..x<arity>.  Whitespace is insignificant.  Parse errors
 carry the byte offset and the expectation set.
 
-Division by zero during evaluation is a domain hole, not an error: eval
-returns None so the reconstruction pipeline can resample past poles.
+Division by zero during evaluation is a domain hole, not an error:
+eval_expr returns None so the reconstruction pipeline can resample past
+poles.  Otherwise it returns an element of the given field, whatever the
+coordinates' types; it walks the tree on plain integers (residues over F_p,
+reduced numerator/denominator pairs over Q) and builds one field element
+per point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
 
 from .errors import (
     ExponentTooLarge,
@@ -23,8 +29,8 @@ from .errors import (
     NegativeExponent,
     UnknownVariable,
 )
-from .fields import Field
-from .poly import PolyN
+from .fields import Field, FpElement, PrimeField
+from .poly import PolyN, _ratio, _residue
 from .ratfun import RatFunN, normalize_ratfunn
 
 
@@ -233,32 +239,123 @@ def parse(src: str, arity: int) -> Expr:
 
 
 def eval_expr(e: Expr, point: tuple, field: Field):
-    """Exact evaluation; None means the point is outside the domain."""
-    if isinstance(e, IntLit):
-        return field.from_int(e.value)
-    if isinstance(e, Var):
-        return point[e.index]
-    if isinstance(e, Neg):
-        v = eval_expr(e.arg, point, field)
-        return None if v is None else -v
-    if isinstance(e, Pow):
-        v = eval_expr(e.base, point, field)
-        return None if v is None else v ** e.exponent
-    a = eval_expr(e.lhs, point, field)
+    """Exact value of `e` at `point` as an element of `field`, or None when
+    the point is outside the expression's domain: some divisor in the tree
+    evaluates to zero there, even where the expanded function is defined
+    (x1/x1 and 0*(1/x1) at x1 = 0).
+
+    The tree is walked on plain integers, and one field element is built
+    per defined point.  Each coordinate must be an int or an element of
+    `field`, whether or not `e` uses it; anything else is FieldMismatch."""
+    if isinstance(field, PrimeField):
+        p = field.p
+        v = _eval_fp(e, [(_residue(x, p), 1) for x in point], p)
+        if v is None:
+            return None
+        n, d = v
+        return FpElement(n if d == 1 else n * pow(d, -1, p), field)
+    v = _eval_q(e, [_ratio(x) for x in point])
+    return None if v is None else Fraction(*v)
+
+
+def _eval_fp(e: Expr, xs: list, p: int):
+    """(num, den) residues mod p of `e` at residue pairs `xs`, with den a
+    product of nonzero residues; None if a divisor is zero."""
+    t = type(e)
+    if t is Var:
+        return xs[e.index]
+    if t is IntLit:
+        return e.value % p, 1
+    if t is Neg:
+        v = _eval_fp(e.arg, xs, p)
+        return None if v is None else (-v[0] % p, v[1])
+    if t is Pow:
+        v = _eval_fp(e.base, xs, p)
+        if v is None:
+            return None
+        n, d = v
+        k = e.exponent
+        return pow(n, k, p), (1 if d == 1 else pow(d, k, p))
+    a = _eval_fp(e.lhs, xs, p)
     if a is None:
         return None
-    b = eval_expr(e.rhs, point, field)
+    b = _eval_fp(e.rhs, xs, p)
     if b is None:
         return None
-    if isinstance(e, Add):
-        return a + b
-    if isinstance(e, Sub):
-        return a - b
-    if isinstance(e, Mul):
-        return a * b
-    if b == field.zero:
+    an, ad = a
+    bn, bd = b
+    if t is Mul:
+        return an * bn % p, ad * bd % p
+    if t is Add:
+        return (an * bd + bn * ad) % p, ad * bd % p
+    if t is Sub:
+        return (an * bd - bn * ad) % p, ad * bd % p
+    if bn == 0:
         return None
-    return a / b
+    return an * bd % p, ad * bn % p
+
+
+def _eval_q(e: Expr, xs: list):
+    """Reduced (num, den > 0) pair of `e` at the coordinate pairs `xs`;
+    None if a divisor is zero.  The gcd steps are those of Fraction's own
+    arithmetic, so every intermediate has the size it has as a Fraction."""
+    t = type(e)
+    if t is Var:
+        return xs[e.index]
+    if t is IntLit:
+        return e.value, 1
+    if t is Neg:
+        v = _eval_q(e.arg, xs)
+        return None if v is None else (-v[0], v[1])
+    if t is Pow:
+        v = _eval_q(e.base, xs)
+        if v is None:
+            return None
+        k = e.exponent
+        return v[0] ** k, v[1] ** k
+    a = _eval_q(e.lhs, xs)
+    if a is None:
+        return None
+    b = _eval_q(e.rhs, xs)
+    if b is None:
+        return None
+    na, da = a
+    nb, db = b
+    if t is Mul:
+        g = gcd(na, db)
+        if g > 1:
+            na //= g
+            db //= g
+        g = gcd(nb, da)
+        if g > 1:
+            nb //= g
+            da //= g
+        return na * nb, da * db
+    if t is Div:
+        if nb == 0:
+            return None
+        g = gcd(na, nb)
+        if g > 1:
+            na //= g
+            nb //= g
+        g = gcd(da, db)
+        if g > 1:
+            da //= g
+            db //= g
+        n, d = na * db, da * nb
+        return (-n, -d) if d < 0 else (n, d)
+    if t is Sub:
+        nb = -nb
+    # Knuth, TAOCP 4.5.1: cancel by g = gcd(da, db), then by gcd(sum, g)
+    g = gcd(da, db)
+    if g == 1:
+        return na * db + da * nb, da * db
+    s = da // g
+    n = na * (db // g) + nb * s
+    g2 = gcd(n, g)
+    if g2 == 1:
+        return n, s * db
+    return n // g2, s * (db // g2)
 
 
 def pretty(e: Expr) -> str:

@@ -129,7 +129,9 @@ class FpElement:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.residue, self.field.p))
+        # as the int in [0, p) it compares equal to; elements of different
+        # fields may collide, which costs a lookup, not a wrong answer
+        return hash(self.residue)
 
     def __bool__(self):
         return self.residue != 0

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from ratrecon.errors import (
     ExponentTooLarge,
     ExprSyntaxError,
+    FieldMismatch,
     NegativeExponent,
     UnknownVariable,
     ZeroDenominator,
@@ -20,6 +22,7 @@ from ratrecon.expr import (
     Pow,
     Sub,
     Var,
+    _eval_q,
     eval_expr,
     from_json_ast,
     parse,
@@ -27,7 +30,7 @@ from ratrecon.expr import (
     to_json_ast,
     to_ratfun,
 )
-from ratrecon.fields import QQ, PrimeField, random_element
+from ratrecon.fields import QQ, FpElement, PrimeField, random_element
 
 
 def q(n, d=1):
@@ -168,6 +171,152 @@ def rand_ast(rng, arity, depth):
         return Pow(rand_ast(rng, arity, depth - 1), rng.randint(0, 3))
     a, b = rand_ast(rng, arity, depth - 1), rand_ast(rng, arity, depth - 1)
     return rng.choice([Add, Sub, Mul, Div])(a, b)
+
+
+F101 = PrimeField(101)
+FBIG = PrimeField(1000003)
+
+
+def ref_eval_expr(e, point, field):
+    # eval_expr before the integer kernel: one field element per tree node
+    if isinstance(e, IntLit):
+        return field.from_int(e.value)
+    if isinstance(e, Var):
+        return point[e.index]
+    if isinstance(e, Neg):
+        v = ref_eval_expr(e.arg, point, field)
+        return None if v is None else -v
+    if isinstance(e, Pow):
+        v = ref_eval_expr(e.base, point, field)
+        return None if v is None else v ** e.exponent
+    a = ref_eval_expr(e.lhs, point, field)
+    if a is None:
+        return None
+    b = ref_eval_expr(e.rhs, point, field)
+    if b is None:
+        return None
+    if isinstance(e, Add):
+        return a + b
+    if isinstance(e, Sub):
+        return a - b
+    if isinstance(e, Mul):
+        return a * b
+    if b == field.zero:
+        return None
+    return a / b
+
+
+def assert_same(e, point, field):
+    got, want = eval_expr(e, point, field), ref_eval_expr(e, point, field)
+    assert type(got) is type(want) and got == want, (pretty(e), point, got, want)
+    return got
+
+
+@pytest.mark.parametrize("field", [QQ, F101, FBIG], ids=["Q", "F101", "F1000003"])
+def test_eval_matches_per_node_reference(field):
+    # low-height points make divisors vanish often, so the None cases are
+    # exercised along with the values
+    rng = random.Random(56)
+    undefined = 0
+    for _ in range(3000):
+        t = rand_ast(rng, 3, rng.randint(0, 5))
+        pt = tuple(field.from_int(rng.randint(-3, 3)) if field != QQ
+                   else Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                   for _ in range(3))
+        got = assert_same(t, pt, field)
+        undefined += got is None
+        if field == QQ and got is not None:
+            # the Q walk keeps its pairs reduced, so no intermediate outgrows
+            # the Fraction it stands for
+            n, d = _eval_q(t, [(x.numerator, x.denominator) for x in pt])
+            assert d > 0 and math.gcd(n, d) == 1
+    assert undefined > 60
+
+
+@pytest.mark.parametrize("field", [QQ, F101, FBIG], ids=["Q", "F101", "F1000003"])
+def test_eval_fixed_cases(field):
+    zero, two = field.zero, field.from_int(2)
+    # a zero divisor anywhere makes the whole expression undefined, even
+    # where the expanded function is defined
+    for text in ("x1/x1", "0*(1/x1)", "(1/x1)^0", "x2 + (x1 - x1)/x1"):
+        assert assert_same(parse(text, 2), (zero, two), field) is None
+    assert assert_same(parse("(x1/x1)*x2", 2), (two, two), field) == two
+    assert assert_same(parse("0^0", 1), (zero,), field) == field.one
+    assert assert_same(parse("(0*x1)^0", 1), (two,), field) == field.one
+    assert assert_same(parse("x1^0", 1), (zero,), field) == field.one
+    big = 10 ** 30 + 7                  # an integer literal above p
+    assert assert_same(IntLit(big), (zero,), field) == field.from_int(big)
+    assert assert_same(parse(f"{big}*x1 - x1/{big}", 1), (two,), field) is not None
+    if field == QQ:
+        pt = (q(-3, 4), q(-5, 2))
+        assert assert_same(parse("x1*x2 - x1/x2 + (-x2)^3", 2), pt, field) \
+            == q(-3, 4) * q(-5, 2) - q(-3, 4) / q(-5, 2) + q(5, 2) ** 3
+        assert assert_same(parse("x1/x2", 2), (q(3), q(-6)), field) == q(-1, 2)
+        assert assert_same(parse("x1 - x1", 1), (q(-7, 3),), field) == q(0)
+
+
+def test_eval_long_cancelling_chains():
+    # long products and sums that cancel, one of them raised to the cap
+    prod = "*".join(["(x1/x1)"] * 300)
+    chain = " + ".join(f"x1/x2 - {k}*x2/x1" for k in range(1, 41))
+    for field in (QQ, F101, FBIG):
+        pt = (field.from_int(3), field.from_int(-5)) if field != QQ else (q(3, 7), q(-5, 2))
+        assert assert_same(parse(prod, 1), pt[:1], field) == field.one
+        assert assert_same(parse(f"({chain})^1024", 2), pt, field) is not None
+        assert assert_same(parse(f"({chain})/({chain})", 2), pt, field) == field.one
+
+
+@pytest.mark.parametrize("field", [QQ, F101], ids=["Q", "F101"])
+def test_eval_returns_field_elements_only(field):
+    # plain int coordinates embed in every field; the result is always an
+    # element of `field`, even for a bare variable
+    got = eval_expr(parse("x1", 1), (3,), field)
+    assert type(got) is type(field.one) and got == field.from_int(3)
+    got = eval_expr(parse("x1*x2 - 1", 2), (-2, field.from_int(5)), field)
+    assert type(got) is type(field.one) and got == field.from_int(-11)
+
+
+def test_eval_foreign_coordinate_is_field_mismatch():
+    # every coordinate is checked, whether or not the expression uses it
+    for e in (parse("x1", 2), parse("x2 + 1", 2), parse("x1*x2", 2)):
+        with pytest.raises(FieldMismatch):
+            eval_expr(e, (F101.one, FBIG.one), F101)
+        with pytest.raises(FieldMismatch):
+            eval_expr(e, (q(1, 2), q(3)), F101)
+        with pytest.raises(FieldMismatch):
+            eval_expr(e, (q(1, 2), F101.one), QQ)
+    with pytest.raises(FieldMismatch):
+        eval_expr(parse("1", 1), (FBIG.one,), QQ)
+
+
+def _count_calls(monkeypatch, cls, name):
+    orig = cls.__dict__[name]
+    fn = orig.__func__ if isinstance(orig, staticmethod) else orig
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    wrapped = staticmethod(counting) if isinstance(orig, staticmethod) else counting
+    monkeypatch.setattr(cls, name, wrapped)
+    return calls
+
+
+def test_one_field_element_per_query(monkeypatch):
+    e = parse("(3*x1^2*x2 - 5*x2 + 7)/(x1*x2^2 + 2*x1 - 11)", 2)
+    fp_pt = (FBIG.from_int(123), FBIG.from_int(45678))
+    q_pt = (q(-7, 3), q(5, 11))
+    want_fp, want_q = ref_eval_expr(e, fp_pt, FBIG), ref_eval_expr(e, q_pt, QQ)
+    fp_calls = _count_calls(monkeypatch, FpElement, "__init__")
+    q_calls = _count_calls(monkeypatch, Fraction, "__new__")
+    assert eval_expr(e, fp_pt, FBIG) == want_fp
+    assert (len(fp_calls), len(q_calls)) == (1, 0)
+    assert eval_expr(e, q_pt, QQ) == want_q
+    assert (len(fp_calls), len(q_calls)) == (1, 1)
+    # the reference builds one per node, which the counters do see
+    ref_eval_expr(e, fp_pt, FBIG)
+    assert len(fp_calls) > 10
 
 
 def test_pretty_reparse_fixed_point():

@@ -53,6 +53,30 @@ def test_int_operands_embed():
     assert (1 / F7.from_int(3)).residue == 5
 
 
+def test_fp_hash_is_residue_hash():
+    # an element hashes like the int in [0, p) that it compares equal to
+    f = PrimeField(1000003)
+    for k in (0, 1, 6, 1000002, 10 ** 20, -5):
+        x = f.from_int(k)
+        assert hash(x) == hash(k % f.p) == hash(x.residue)
+        assert hash(x) == hash(f.from_int(k + 3 * f.p))
+    assert {3: "int"}[F7.from_int(10)] == "int"
+
+
+def test_fp_hash_keeps_fields_apart_in_dicts_and_sets():
+    # equal residues of different fields collide in hash but stay distinct keys
+    f11 = PrimeField(11)
+    d = {F7.from_int(3): "F7", f11.from_int(3): "F11"}
+    assert len(d) == 2
+    assert d[F7.from_int(10)] == "F7" and d[f11.from_int(14)] == "F11"
+    assert PrimeField(13).from_int(3) not in d
+    s = {F7.from_int(k) for k in range(20)} | {f11.from_int(k) for k in range(20)}
+    assert len(s) == 7 + 11
+    pts = {(F7.from_int(1), F7.from_int(2)): 1, (f11.from_int(1), f11.from_int(2)): 2}
+    assert pts[(F7.from_int(8), F7.from_int(9))] == 1
+    assert pts[(f11.from_int(12), f11.from_int(13))] == 2
+
+
 def test_small_prime_rejected_by_default():
     with pytest.raises(ValueError):
         PrimeField(3)

@@ -329,3 +329,61 @@ def test_canonical_text_format():
     h = normalize_ratfun1(qpoly(2, 2), qpoly(3))
     assert format_ratfun1(h) == "(2*x1 + 2)/(3)"
     assert format_poly1(qpoly(-1, -1, 1), "t") == "-1 - t + t^2"
+
+
+FBIG = PrimeField(1000003)
+
+
+def _to_sympy(p: PolyN, xs):
+    if p.field == QQ:
+        terms = {e: sp.Rational(c.numerator, c.denominator) for e, c in p.terms.items()}
+        return sp.Poly.from_dict(terms or {(0,) * p.nvars: 0}, *xs, domain=sp.QQ)
+    terms = {e: c.residue for e, c in p.terms.items()}
+    return sp.Poly.from_dict(terms or {(0,) * p.nvars: 0}, *xs, modulus=p.field.p)
+
+
+def _rand_sparse_polyn(field, rng, nvars, nterms, maxdeg):
+    while True:
+        terms = {tuple(rng.randint(0, maxdeg) for _ in range(nvars)):
+                 random_element(field, rng, 6) for _ in range(nterms)}
+        p = PolyN(field, nvars, terms)
+        if not p.is_zero():
+            return p
+
+
+def _sympy_inputs(field, seed, count):
+    # f = a*h, g = b*h with a random common factor h, in 2 or 3 variables
+    rng = random.Random(seed)
+    for _ in range(count):
+        nvars = rng.choice((2, 3))
+        a, b = (_rand_sparse_polyn(field, rng, nvars, rng.randint(1, 3), 2)
+                for _ in range(2))
+        h = _rand_sparse_polyn(field, rng, nvars, rng.randint(1, 2), 1)
+        yield nvars, a * h, b * h
+
+
+@pytest.mark.parametrize("field", [QQ, FBIG], ids=["Q", "F1000003"])
+def test_gcd_polyn_matches_sympy(field):
+    for nvars, f, g in _sympy_inputs(field, 18, 50):
+        xs = sp.symbols(f"x1:{nvars + 1}")
+        mine = gcd_polyn(f, g)
+        theirs = sp.gcd(_to_sympy(f, xs), _to_sympy(g, xs))
+        # equal up to a constant; ratrecon's form has lex-leading coefficient 1
+        assert _to_sympy(mine, xs).monic() == theirs.to_field().monic()
+        assert mine.lex_leading()[1] == field.one
+
+
+@pytest.mark.parametrize("field", [QQ, FBIG], ids=["Q", "F1000003"])
+def test_normalize_ratfunn_matches_sympy_cancel(field):
+    for nvars, f, g in _sympy_inputs(field, 19, 50):
+        xs = sp.symbols(f"x1:{nvars + 1}")
+        mine = normalize_ratfunn(f, g)
+        # Poly.cancel: sympy.cancel of a tuple of GF(p) Polys missed a common
+        # factor (x1 - 46 over F_101) on an input of this generator
+        _, num, den = _to_sympy(f, xs).cancel(_to_sympy(g, xs))
+        # both sides are coprime, so they agree up to one constant factor
+        assert mine.coprime
+        assert _to_sympy(mine.num, xs).monic() == num.to_field().monic()
+        assert _to_sympy(mine.den, xs).monic() == den.to_field().monic()
+        assert (_to_sympy(mine.num, xs) * _to_sympy(g, xs)
+                == _to_sympy(mine.den, xs) * _to_sympy(f, xs))
