@@ -1,6 +1,6 @@
 """Exact reconstruction of rational functions from point evaluations."""
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .errors import RatreconError
 from .fields import (
@@ -15,7 +15,6 @@ from .fields import (
 )
 from .poly import Poly1, PolyN, gcd_poly1, gcd_polyn
 from .matrix import (
-    ExactMatrix,
     det_exact,
     resultant,
     sylvester_and_resultant,

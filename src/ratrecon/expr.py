@@ -413,93 +413,3 @@ def to_ratfun(e: Expr, field: Field, arity: int) -> RatFunN:
     if isinstance(e, Mul):
         return a * b
     return a / b
-
-
-def _coeff_to_expr(field: Field, c):
-    """(positive coefficient expression, is_negative) for a field element."""
-    if hasattr(c, "residue"):
-        r = c.residue
-        p = c.field.p
-        if r > p // 2:
-            return IntLit(p - r), True
-        return IntLit(r), False
-    neg = c < 0
-    c = -c if neg else c
-    if c.denominator == 1:
-        return IntLit(c.numerator), neg
-    return Div(IntLit(c.numerator), IntLit(c.denominator)), neg
-
-
-def _polyn_to_expr(p: PolyN) -> Expr:
-    if p.is_zero():
-        return IntLit(0)
-    acc = None
-    for e in sorted(p.terms, reverse=True):
-        coeff, neg = _coeff_to_expr(p.field, p.terms[e])
-        factors = []
-        for i, k in enumerate(e):
-            if k == 1:
-                factors.append(Var(i))
-            elif k > 1:
-                factors.append(Pow(Var(i), k))
-        term = coeff
-        if factors:
-            term = factors[0]
-            for f in factors[1:]:
-                term = Mul(term, f)
-            if coeff != IntLit(1):
-                term = Mul(coeff, term)
-        if acc is None:
-            acc = Neg(term) if neg else term
-        else:
-            acc = Sub(acc, term) if neg else Add(acc, term)
-    return acc
-
-
-def ratfun_to_expr(f: RatFunN) -> Expr:
-    """Expression AST whose symbolic expansion is the same function."""
-    return Div(_polyn_to_expr(f.num), _polyn_to_expr(f.den))
-
-
-def ratfun_to_json_ast(f: RatFunN) -> dict:
-    return to_json_ast(ratfun_to_expr(f))
-
-
-def ratfun_from_json_ast(obj: dict, field: Field, arity: int) -> RatFunN:
-    return to_ratfun(from_json_ast(obj), field, arity)
-
-
-_TAGS = {IntLit: "int", Var: "var", Add: "add", Sub: "sub",
-         Mul: "mul", Div: "div", Neg: "neg", Pow: "pow"}
-
-
-def to_json_ast(e: Expr) -> dict:
-    if isinstance(e, IntLit):
-        return {"node": "int", "value": str(e.value)}
-    if isinstance(e, Var):
-        return {"node": "var", "index": e.index}
-    if isinstance(e, Neg):
-        return {"node": "neg", "arg": to_json_ast(e.arg)}
-    if isinstance(e, Pow):
-        return {"node": "pow", "base": to_json_ast(e.base), "exponent": e.exponent}
-    return {"node": _TAGS[type(e)],
-            "lhs": to_json_ast(e.lhs), "rhs": to_json_ast(e.rhs)}
-
-
-def from_json_ast(obj: dict) -> Expr:
-    node = obj["node"]
-    if node == "int":
-        return IntLit(int(obj["value"]))
-    if node == "var":
-        return Var(int(obj["index"]))
-    if node == "neg":
-        return Neg(from_json_ast(obj["arg"]))
-    if node == "pow":
-        exp = int(obj["exponent"])
-        if exp < 0:
-            raise NegativeExponent(0)
-        if exp > MAX_EXPONENT:
-            raise ExponentTooLarge(0, MAX_EXPONENT)
-        return _pow(from_json_ast(obj["base"]), exp, 0)
-    ctor = {"add": Add, "sub": Sub, "mul": Mul, "div": Div}[node]
-    return ctor(from_json_ast(obj["lhs"]), from_json_ast(obj["rhs"]))

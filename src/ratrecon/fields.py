@@ -144,18 +144,11 @@ class FpElement:
 
 
 class Field:
-    """Common surface of the two supported coefficient fields."""
+    """Common surface of the two supported coefficient fields.  Each field
+    has its `zero` and `one`, built once."""
 
     def from_int(self, k: int):
         raise NotImplementedError
-
-    @property
-    def zero(self):
-        return self.from_int(0)
-
-    @property
-    def one(self):
-        return self.from_int(1)
 
     def parse(self, s: str):
         raise NotImplementedError
@@ -177,6 +170,9 @@ class Field:
 
 class RationalField(Field):
     """The rational numbers; elements are fractions.Fraction."""
+
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def from_int(self, k: int) -> Fraction:
         return Fraction(k)
@@ -207,15 +203,17 @@ class RationalField(Field):
 
 
 class PrimeField(Field):
-    """F_p for prime p.  Rejects p < 5 unless allow_small is set: tiny fields
-    have too few points for degree detection to mean anything."""
+    """F_p for prime p >= 5: tiny fields have too few points for degree
+    detection to mean anything."""
 
-    def __init__(self, p: int, allow_small: bool = False):
+    def __init__(self, p: int):
         if not is_probable_prime(p):
             raise ValueError(f"{p} is not prime")
-        if p < 5 and not allow_small:
+        if p < 5:
             raise ValueError(f"p = {p} has too few points: p must be a prime >= 5")
         self.p = p
+        self.zero = FpElement(0, self)
+        self.one = FpElement(1, self)
 
     def from_int(self, k: int) -> FpElement:
         return FpElement(k, self)

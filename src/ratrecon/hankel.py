@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import NoSolution, PoleAtOrigin, PrefixTooShort
 from .fields import Field
-from .matrix import ExactMatrix, det_exact
+from .matrix import det_exact
 from .poly import Poly1
 from .ratfun import RatFun1, format_poly1, format_ratfun1, rational_reconstruct
 
@@ -77,12 +77,11 @@ class RationalityCertificate:
         return out
 
 
-def hankel_matrix(s: SeriesPrefix, n: int, m: int) -> ExactMatrix:
-    """(m+1)x(m+1) matrix with entry (i, j) = a_{n+i+j}."""
+def hankel_matrix(s: SeriesPrefix, n: int, m: int) -> list:
+    """The (m+1)x(m+1) rows with entry (i, j) = a_{n+i+j}."""
     if n + 2 * m > s.n_max:
         raise PrefixTooShort(f"need a_0..a_{n + 2 * m}, have a_0..a_{s.n_max}")
-    return ExactMatrix.from_rows(
-        [[s.coeffs[n + i + j] for j in range(m + 1)] for i in range(m + 1)])
+    return [[s.coeffs[n + i + j] for j in range(m + 1)] for i in range(m + 1)]
 
 
 def _check_bounds(s: SeriesPrefix, l_max: int, m_max: int) -> None:

@@ -36,7 +36,7 @@ from .errors import (
     SizeMismatch,
 )
 from .fields import QQ, Field, FpElement, derive_rng, random_element
-from .matrix import ExactMatrix, bordered_dets, det_exact
+from .matrix import bordered_dets, det_exact
 from .poly import Poly1
 from .ratfun import RatFun1, degree_and_ord, normalize_ratfun1, rational_reconstruct
 
@@ -112,7 +112,7 @@ def delta_det(p: Poly1, q: Poly1, a, points):
         pv, qv = p.eval(ai), q.eval(ai)
         rows.append([pv * ai ** j for j in range(m + 1)]
                     + [qv * ai ** j for j in range(n + 1)])
-    return det_exact(ExactMatrix.from_rows(rows), field)
+    return det_exact(rows, field)
 
 
 def paired_determinants(dens, nums, points, n: int, m: int, powers):

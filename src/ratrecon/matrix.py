@@ -1,4 +1,4 @@
-"""Exact matrices, determinants, Sylvester matrices, resultants.
+"""Exact determinants, Sylvester matrices, resultants.
 
 Every determinant goes through one fraction-free Bareiss kernel,
 `bordered_dets`: an r x (r+1) block of shared data rows, eliminated once
@@ -13,47 +13,14 @@ from .fields import Field
 from .poly import Poly1
 
 
-class ExactMatrix:
-    """Row-major exact matrix; entries are field elements or PolyN."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries):
-        entries = list(entries)
-        if rows * cols != len(entries):
-            raise ValueError("entry count != rows*cols")
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    @classmethod
-    def from_rows(cls, rows) -> "ExactMatrix":
-        rows = [list(r) for r in rows]
-        n = len(rows)
-        m = len(rows[0]) if rows else 0
-        if any(len(r) != m for r in rows):
-            raise ValueError("ragged rows")
-        return cls(n, m, [x for r in rows for x in r])
-
-    def row_list(self):
-        return [self.entries[i * self.cols:(i + 1) * self.cols] for i in range(self.rows)]
-
-    def __eq__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
-
-    def __repr__(self):
-        return f"ExactMatrix({self.rows}x{self.cols})"
-
-
-def det_exact(m: ExactMatrix, field: Field):
-    """Exact determinant: the bordered kernel with the last row as border."""
-    if m.rows != m.cols:
-        raise NonSquareMatrix(f"{m.rows}x{m.cols}")
-    if m.rows == 0:
+def det_exact(rows, field: Field):
+    """Exact determinant of a square list of rows (field elements or PolyN):
+    the bordered kernel with the last row as border."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise NonSquareMatrix(f"{n} rows, not all of length {n}")
+    if n == 0:
         return field.one
-    rows = m.row_list()
     return bordered_dets(rows[:-1], [rows[-1]])[0]
 
 
@@ -105,7 +72,7 @@ def vandermonde_product(points):
     return acc
 
 
-def sylvester_matrix(p: Poly1, q: Poly1) -> ExactMatrix:
+def sylvester_matrix(p: Poly1, q: Poly1) -> list:
     """Sylvester matrix, fixed convention: the first deg q rows carry shifted
     coefficients of p (highest power first), the next deg p rows carry shifted
     coefficients of q."""
@@ -123,12 +90,12 @@ def sylvester_matrix(p: Poly1, q: Poly1) -> ExactMatrix:
     for j in range(dp):
         for t, c in enumerate(qc):
             rows[dq + j][j + t] = c
-    return ExactMatrix.from_rows(rows) if size else ExactMatrix(0, 0, [])
+    return rows
 
 
 def sylvester_and_resultant(p: Poly1, q: Poly1):
-    m = sylvester_matrix(p, q)
-    return m, det_exact(m, p.field)
+    rows = sylvester_matrix(p, q)
+    return rows, det_exact(rows, p.field)
 
 
 def resultant(p: Poly1, q: Poly1):

@@ -12,7 +12,8 @@ Every node on one recursion level peels the same variable, and off a
 Zariski-closed set of anchor values it has the same generic class.  So only
 the first node of a level classifies in full; its dominant class becomes the
 level's class.  A later node on that level detects the first slice of its
-own classification stream, and takes the level's class if that slice has it.
+own classification stream that is not dead (see `classify_slices`), and
+takes the level's class if that slice has it.
 Otherwise it classifies in full on the same stream, exactly as the first
 node did.  A slice cannot exceed its node's generic class, so a node whose
 hyperplane lowers the class never passes the check.  If a node that took
@@ -121,26 +122,46 @@ class ClassifyResult:
 
 def classify_slices(oracle: SliceOracle, axis: int, cfg: ReconConfig, rng,
                     expect: Optional[tuple] = None) -> ClassifyResult:
-    """Profile `samples_per_class` random slices along `axis`; failed
-    detections are tallied separately and capped at 20%.  With `expect`, a
-    (d, e) class, stop after the first slice if it has that class (`total`
-    is then 1); otherwise go on along the same stream, to the same result
-    as without `expect`."""
+    """Profile `samples_per_class` random slices along `axis`.  A dead slice,
+    one whose detection finds too few defined points (`DomainTooSparse`),
+    lies in a hole of the domain: it is replaced by a slice with a fresh
+    fixed tuple from the same stream, and a tuple found dead is never
+    queried again.  At most `samples_per_class` redraws are made, and
+    drawing a known-dead tuple spends one; after that a dead slice is a
+    failure.  Every other failed detection is a failure at once.  Failures
+    are tallied separately and capped at 20%.  With `expect`, a (d, e)
+    class, stop after the first slice that is not dead if it has that class
+    (`total` is then 1); otherwise go on along the same stream, to the same
+    result as without `expect`."""
     if oracle.arity < 2:
         raise ValueError("classification needs arity >= 2")
     hist: Counter = Counter()
     failures = 0
+    dead: set = set()
+    redraws = cfg.samples_per_class
     budget = cfg.budget()
     for i in range(cfg.samples_per_class):
-        fixed = tuple(random_element(oracle.field, rng, cfg.height_bound)
-                      for _ in range(oracle.arity - 1))
-        sub = slice_oracle(oracle, axis, fixed)
-        sub_rng = derive_rng(rng.getrandbits(63), "classify-slice", axis, i)
-        try:
-            prof, _ = detect_profile_with_fit(sub, oracle.field, budget, sub_rng)
-            hist[(prof.d, prof.e)] += 1
-        except (BudgetExhausted, DomainTooSparse):
-            failures += 1
+        while True:
+            fixed = tuple(random_element(oracle.field, rng, cfg.height_bound)
+                          for _ in range(oracle.arity - 1))
+            sub_rng = derive_rng(rng.getrandbits(63), "classify-slice", axis, i)
+            if fixed not in dead:
+                try:
+                    prof, _ = detect_profile_with_fit(
+                        slice_oracle(oracle, axis, fixed), oracle.field,
+                        budget, sub_rng)
+                except BudgetExhausted:
+                    failures += 1
+                    break
+                except DomainTooSparse:
+                    dead.add(fixed)
+                else:
+                    hist[(prof.d, prof.e)] += 1
+                    break
+            if not redraws:
+                failures += 1
+                break
+            redraws -= 1
         if i == 0 and expect is not None and hist[expect] == 1:
             return ClassifyResult(hist, 0, 1)
     if failures > MAX_CLASSIFY_FAILURE_RATE * cfg.samples_per_class:

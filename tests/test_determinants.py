@@ -17,7 +17,7 @@ import pytest
 from ratrecon.errors import InexactDivision
 from ratrecon.fields import QQ, PrimeField, random_element
 from ratrecon.interp import paired_determinants
-from ratrecon.matrix import ExactMatrix, bordered_dets, det_exact
+from ratrecon.matrix import bordered_dets, det_exact
 from ratrecon.poly import PolyN
 
 F7 = PrimeField(7)
@@ -211,7 +211,7 @@ def test_det_exact_matches_cofactor_reference(field):
     for _ in range(100):
         rows = _square(field, rng, rng.randint(1, 6))
         want = ref_det_cofactor([list(r) for r in rows], field.zero)
-        assert det_exact(ExactMatrix.from_rows(rows), field) == want
+        assert det_exact(rows, field) == want
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7", "F1000003"])
@@ -266,7 +266,7 @@ def test_det_exact_polyn_matches_cofactor_reference(field):
                 for _ in range(size)]
         rows = _degenerate(rows, rng, zero, size)
         want = ref_det_cofactor([list(r) for r in rows], zero)
-        assert det_exact(ExactMatrix.from_rows(rows), field) == want
+        assert det_exact(rows, field) == want
 
 
 def test_polyn_division_exact_or_raises():
@@ -289,7 +289,7 @@ def test_det_bareiss_matches_cofactor_route():
     rng = random.Random(19)
     for _ in range(100):
         rows = [[random_element(QQ, rng, 9) for _ in range(4)] for _ in range(4)]
-        bareiss = det_exact(ExactMatrix.from_rows(rows), QQ)
+        bareiss = det_exact(rows, QQ)
         cofactor = ref_det_cofactor([list(r) for r in rows], QQ.zero)
         assert bareiss == cofactor
 
@@ -303,7 +303,7 @@ def test_det_cofactor_polyn_matches_brute_force():
                  for _ in range(3)] for _ in range(3)]
         want = brute_det(rows)
         assert ref_det_cofactor([list(r) for r in rows], PolyN.zero(QQ, 2)) == want
-        assert det_exact(ExactMatrix.from_rows(rows), QQ) == want
+        assert det_exact(rows, QQ) == want
 
 
 def test_maximal_minors_match_cofactors():

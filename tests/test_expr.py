@@ -24,10 +24,8 @@ from ratrecon.expr import (
     Var,
     _eval_q,
     eval_expr,
-    from_json_ast,
     parse,
     pretty,
-    to_json_ast,
     to_ratfun,
 )
 from ratrecon.fields import QQ, FpElement, PrimeField, random_element
@@ -82,16 +80,6 @@ def test_exponent_cap_at_parse_time():
         assert exc.value.offset == offset
 
 
-def test_exponent_cap_in_json_ast():
-    base = {"node": "var", "index": 0}
-    assert from_json_ast({"node": "pow", "base": base, "exponent": MAX_EXPONENT}) \
-        == Pow(Var(0), MAX_EXPONENT)
-    with pytest.raises(ExponentTooLarge):
-        from_json_ast({"node": "pow", "base": base, "exponent": MAX_EXPONENT + 1})
-    with pytest.raises(ExponentTooLarge):
-        from_json_ast({"node": "pow", "base": base, "exponent": str(3 ** 3 ** 3)})
-
-
 def test_nested_power_cap():
     # the product of the exponents along each chain of nested powers is
     # capped, whatever lies between them; these trees are only parsed
@@ -105,16 +93,6 @@ def test_nested_power_cap():
         with pytest.raises(ExponentTooLarge) as exc:
             parse(text, 2)
         assert exc.value.offset == offset, text
-
-
-def test_nested_power_cap_in_json_ast():
-    inner = {"node": "pow", "base": {"node": "var", "index": 0}, "exponent": 1024}
-    mul = {"node": "mul", "lhs": inner, "rhs": {"node": "int", "value": "9"}}
-    assert from_json_ast({"node": "pow", "base": mul, "exponent": 1}) \
-        == Pow(Mul(Pow(Var(0), 1024), IntLit(9)), 1)
-    for base in (inner, mul):
-        with pytest.raises(ExponentTooLarge):
-            from_json_ast({"node": "pow", "base": base, "exponent": 2})
 
 
 def test_negative_exponent():
@@ -351,33 +329,6 @@ def test_eval_matches_symbolic_expansion():
 def test_to_ratfun_zero_denominator():
     with pytest.raises(ZeroDenominator):
         to_ratfun(parse("1/(x1-x1)", 1), QQ, 1)
-
-
-def test_json_ast_roundtrip():
-    rng = random.Random(53)
-    for _ in range(100):
-        t = rand_ast(rng, 2, rng.randint(1, 4))
-        assert from_json_ast(to_json_ast(t)) == t
-
-
-def test_ratfun_json_ast_roundtrip():
-    from ratrecon.expr import ratfun_from_json_ast, ratfun_to_json_ast
-    from ratrecon.poly import PolyN
-    from ratrecon.ratfun import normalize_ratfunn
-
-    rng = random.Random(54)
-    for field in (QQ, PrimeField(1000003)):
-        for _ in range(20):
-            terms = {(rng.randint(0, 3), rng.randint(0, 3)):
-                     random_element(field, rng, 9) for _ in range(4)}
-            den_terms = {(rng.randint(0, 2), rng.randint(0, 2)):
-                         random_element(field, rng, 9) for _ in range(3)}
-            den = PolyN(field, 2, den_terms)
-            if den.is_zero():
-                continue
-            f = normalize_ratfunn(PolyN(field, 2, terms), den)
-            back = ratfun_from_json_ast(ratfun_to_json_ast(f), field, 2)
-            assert back.same_function(f)
 
 
 def test_canonical_text_parses_back():

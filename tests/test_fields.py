@@ -77,10 +77,21 @@ def test_fp_hash_keeps_fields_apart_in_dicts_and_sets():
     assert pts[(f11.from_int(12), f11.from_int(13))] == 2
 
 
+def test_zero_and_one_are_built_once():
+    assert QQ.zero is QQ.zero and QQ.one is QQ.one
+    assert type(QQ.zero) is Fraction and (QQ.zero, QQ.one) == (0, 1)
+    f = PrimeField(101)
+    assert f.one is f.one and f.zero is f.zero
+    assert (f.zero.residue, f.one.residue) == (0, 1)
+    assert f.zero.field is f and f.one.field is f
+    # each field has its own constants, equal to the same ints
+    g = PrimeField(101)
+    assert g.one is not f.one and g.one == f.one == 1
+
+
 def test_small_prime_rejected_by_default():
     with pytest.raises(ValueError):
         PrimeField(3)
-    assert PrimeField(3, allow_small=True).p == 3
     with pytest.raises(ValueError):
         PrimeField(9)
 

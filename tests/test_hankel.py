@@ -57,9 +57,9 @@ def brute_series(num, den, k):
 
 def test_hankel_matrix_examples():
     s = fib_prefix(6)
-    assert hankel_matrix(s, 0, 1).row_list() == [[1, 1], [1, 2]]
-    assert hankel_matrix(s, 1, 1).row_list() == [[1, 2], [2, 3]]
-    assert hankel_matrix(s, 0, 2).row_list() == [[1, 1, 2], [1, 2, 3], [2, 3, 5]]
+    assert hankel_matrix(s, 0, 1) == [[1, 1], [1, 2]]
+    assert hankel_matrix(s, 1, 1) == [[1, 2], [2, 3]]
+    assert hankel_matrix(s, 0, 2) == [[1, 1, 2], [1, 2, 3], [2, 3, 5]]
     with pytest.raises(PrefixTooShort):
         hankel_matrix(s, 3, 2)
 

@@ -26,7 +26,7 @@ from ratrecon.interp import (
     interp_sign,
     paired_determinants,
 )
-from ratrecon.matrix import ExactMatrix, det_exact, resultant, vandermonde_product
+from ratrecon.matrix import det_exact, resultant, vandermonde_product
 from ratrecon.poly import Poly1, gcd_poly1
 from ratrecon.ratfun import normalize_ratfun1
 
@@ -101,7 +101,7 @@ def test_delta_duplicate_points():
         delta_det(qpoly(1), qpoly(0, 1), q(3), [q(1), q(1)])
     # the underlying bordered matrix itself has determinant 0 (equal rows)
     rows = [[q(1), q(3), q(0)], [q(1), q(1), q(1)], [q(1), q(1), q(1)]]
-    assert det_exact(ExactMatrix.from_rows(rows), QQ) == 0
+    assert det_exact(rows, QQ) == 0
 
 
 @pytest.mark.parametrize("field", [QQ, FP])
@@ -156,8 +156,8 @@ def test_alpha_beta_matches_explicit_matrices():
                          + [fv * ai ** j for j in range(m + 1)])
             brows.append([fv * ai ** j for j in range(m + 1)]
                          + [ai ** j for j in range(n + 1)])
-        assert alpha == det_exact(ExactMatrix.from_rows(arows), QQ)
-        assert beta == det_exact(ExactMatrix.from_rows(brows), QQ)
+        assert alpha == det_exact(arows, QQ)
+        assert beta == det_exact(brows, QQ)
 
 
 def test_alpha_zero_when_all_values_zero():

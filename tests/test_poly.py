@@ -14,7 +14,6 @@ from ratrecon.errors import (
 )
 from ratrecon.fields import QQ, PrimeField, random_element
 from ratrecon.matrix import (
-    ExactMatrix,
     det_exact,
     resultant,
     sylvester_and_resultant,
@@ -117,19 +116,20 @@ def test_gcd_poly1_matches_sympy():
 
 def test_det_examples():
     f = QQ
-    ident = ExactMatrix.from_rows(
-        [[f.one if i == j else f.zero for j in range(3)] for i in range(3)])
+    ident = [[f.one if i == j else f.zero for j in range(3)] for i in range(3)]
     assert det_exact(ident, f) == 1
-    m = ExactMatrix.from_rows([[q(1), q(1)], [q(1), q(2)]])
+    m = [[q(1), q(1)], [q(1), q(2)]]
     assert det_exact(m, f) == 1
-    fib = ExactMatrix.from_rows(
-        [[q(1), q(1), q(2)], [q(1), q(2), q(3)], [q(2), q(3), q(5)]])
+    fib = [[q(1), q(1), q(2)], [q(1), q(2), q(3)], [q(2), q(3), q(5)]]
     assert det_exact(fib, f) == 0  # third row = sum of first two
+    assert det_exact([], f) is f.one
 
 
 def test_det_nonsquare():
     with pytest.raises(NonSquareMatrix):
-        det_exact(ExactMatrix(2, 3, [q(0)] * 6), QQ)
+        det_exact([[q(0)] * 3 for _ in range(2)], QQ)
+    with pytest.raises(NonSquareMatrix):
+        det_exact([[q(1), q(2)], [q(3)]], QQ)  # one short row
 
 
 @pytest.mark.parametrize("field", [QQ, FP])
@@ -137,7 +137,7 @@ def test_det_bareiss_matches_brute_force(field):
     rng = random.Random(9)
     for _ in range(100):
         rows = [[random_element(field, rng, 9) for _ in range(4)] for _ in range(4)]
-        assert det_exact(ExactMatrix.from_rows(rows), field) == brute_det(rows)
+        assert det_exact(rows, field) == brute_det(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +158,7 @@ def test_sylvester_layout_and_det_vs_sympy_matrix():
     # pin the convention: first deg Q rows carry P's coefficients
     p, quo = qpoly(-3, 1), qpoly(1, 0, 1)
     m, r = sylvester_and_resultant(p, quo)
-    assert m.row_list() == [
+    assert m == [
         [q(1), q(-3), q(0)],
         [q(0), q(1), q(-3)],
         [q(1), q(0), q(1)],

@@ -1,5 +1,7 @@
+import importlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,12 +13,14 @@ from ratrecon.errors import (
     TooManyFailures,
     VerificationFailed,
 )
+from ratrecon.expr import eval_expr, parse, to_ratfun
 from ratrecon.fields import QQ, PrimeField, derive_rng, random_element
 from ratrecon.interp import DegreeProfile, detect_profile_with_fit
 from ratrecon.poly import Poly1, PolyN
 from ratrecon.ratfun import (
     RatFunN,
     degree_and_ord,
+    format_ratfunn,
     normalize_ratfun1,
     normalize_ratfunn,
 )
@@ -31,6 +35,8 @@ from ratrecon.reconstruct import (
     slice_oracle,
     verify_agreement,
 )
+
+engine = importlib.import_module("ratrecon.reconstruct")
 
 FP101 = PrimeField(101)
 FP = PrimeField(1000003)
@@ -119,6 +125,103 @@ def test_classify_too_many_failures():
     with pytest.raises(TooManyFailures):
         classify_slices(oracle, 1, ReconConfig(samples_per_class=10, seed=8),
                         derive_rng(8, "t"))
+
+
+def dead_row_oracle(dead_x1, log):
+    """x1*x2 + 1 over F_101, except for a pole everywhere on x1 in
+    `dead_x1`, which holds 0; logs every query's x1."""
+    def fn(pt):
+        log.append(pt[0].residue)
+        if pt[0].residue in dead_x1:
+            return None
+        return pt[0] * pt[1] + 1
+    return SliceOracle(2, FP101, fn)
+
+
+def test_classify_redraws_dead_slices():
+    # 40 of the 101 values of x1 kill their slice; each dead slice is
+    # replaced, and a tuple found dead is queried in one detection only
+    dead = set(range(40))
+    log = []
+    cls = classify_slices(dead_row_oracle(dead, log), 1,
+                          ReconConfig(samples_per_class=20, seed=11),
+                          derive_rng(11, "t"))
+    assert cls.histogram == {(1, 1): 20} and cls.failures == 0
+    seen_dead = Counter(x for x in log if x in dead)
+    assert seen_dead and set(seen_dead.values()) == {101}
+
+
+def test_classify_dead_slices_beyond_redraws_are_failures():
+    # 90 of the 101 values are dead.  Replay the draws of the stream: a
+    # dead draw spends one of the 20 redraws (a known-dead one too, without
+    # a query); once they are spent, a dead draw is a failure
+    dead = set(range(90))
+    rng = derive_rng(12, "t")
+    found, redraws, failures = set(), 20, 0
+    for _ in range(20):
+        while True:
+            x1 = random_element(FP101, rng, 10).residue
+            rng.getrandbits(63)
+            if x1 not in dead:
+                break
+            found.add(x1)
+            if not redraws:
+                failures += 1
+                break
+            redraws -= 1
+    assert failures > 4
+
+    log = []
+    with pytest.raises(TooManyFailures, match=f"^{failures}/20 "):
+        classify_slices(dead_row_oracle(dead, log), 1,
+                        ReconConfig(samples_per_class=20, seed=12),
+                        derive_rng(12, "t"))
+    assert Counter(x for x in log if x in dead) == {x: 101 for x in found}
+
+
+def test_classify_expect_skips_dead_first_slice():
+    dead = set(range(90))
+    log = []
+    cls = classify_slices(dead_row_oracle(dead, log), 1,
+                          ReconConfig(samples_per_class=20, seed=13),
+                          derive_rng(13, "t"), expect=(1, 1))
+    assert log[0] in dead
+    assert (cls.histogram, cls.failures, cls.total) == ({(1, 1): 1}, 0, 1)
+
+
+def test_classify_budget_failure_is_not_redrawn(monkeypatch):
+    # a slice that is defined but not rational within the budget counts
+    # as a failure at once: exactly samples_per_class detections run
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return detect_profile_with_fit(*args)
+
+    monkeypatch.setattr(engine, "detect_profile_with_fit", counting)
+
+    def fn(pt):
+        x1, x2 = pt[0].residue, pt[1].residue
+        if x1 < 10:
+            return FP101.from_int(pow(3, x2 * x2 + x1, 101))  # no low-degree fit
+        return pt[0] * pt[1]
+
+    cfg = ReconConfig(samples_per_class=20, seed=14)
+    rng = derive_rng(14, "t")
+    cls = classify_slices(SliceOracle(2, FP101, fn), 1, cfg, rng)
+    assert len(calls) == 20
+    assert 0 < cls.failures == 20 - sum(cls.histogram.values())
+
+
+def test_recon_q_dead_slices_solve():
+    # 6 of the root's 20 classification slices draw x1 = 0, a pole of every
+    # point; they are holes in the domain, not evidence against rationality
+    text = "(36*x1*x2^2 - 216*x2^2 - 2016)/(112*x1^2*x2 - 84*x1*x2^2 + 567*x1)"
+    ast = parse(text, 2)
+    oracle = SliceOracle(2, QQ, lambda pt: eval_expr(ast, pt, QQ))
+    rep = reconstruct(oracle, ReconConfig(seed=877547917))
+    assert format_ratfunn(rep.result) == text
+    assert rep.result.same_function(to_ratfun(ast, QQ, 2))
 
 
 def test_dominant_class_examples():
