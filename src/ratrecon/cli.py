@@ -13,6 +13,7 @@ stdout.  Exit codes are a stable contract:
     6  VerificationFailed
     7  reconstruction budget failure (TooManyFailures, AnchorSearchFailed,
        BudgetExhausted, DomainTooSparse)
+    8  internal error: any other RatreconError, a broken library invariant
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .errors import (
     AnchorSearchFailed,
     BetaZero,
     BudgetExhausted,
+    DegenerateInput,
     DomainTooSparse,
     ExprSyntaxError,
     NegativeExponent,
@@ -57,6 +59,7 @@ _EXIT_BETA_ZERO = 4
 _EXIT_NO_FIT = 5
 _EXIT_VERIFICATION = 6
 _EXIT_BUDGET = 7
+_EXIT_INTERNAL = 8
 
 # Upper bounds on the size flags: the largest accepted value of each runs
 # in seconds, not hours (see docs/formats.md).
@@ -404,7 +407,8 @@ def main(argv=None) -> int:
         print(f"input error: {e}", file=sys.stderr)
         return _EXIT_INPUT
     except (PrefixTooShort, NoSolution, PoleAtOrigin, SizeMismatch,
-            ZeroDenominator, ValueError) as e:
+            ZeroDenominator, DegenerateInput, ExprSyntaxError, UnknownVariable,
+            NegativeExponent, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return _EXIT_INPUT
     except BetaZero as e:
@@ -413,10 +417,16 @@ def main(argv=None) -> int:
     except (NoFit, AmbiguousFit) as e:
         print(f"fit failed: {e}", file=sys.stderr)
         return _EXIT_NO_FIT
+    except VerificationFailed as e:
+        print(f"verification failed: {e}", file=sys.stderr)
+        return _EXIT_VERIFICATION
     except (TooManyFailures, AnchorSearchFailed, BudgetExhausted,
             DomainTooSparse) as e:
         print(f"reconstruction budget failure: {e}", file=sys.stderr)
         return _EXIT_BUDGET
+    except RatreconError as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return _EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -17,12 +17,16 @@ The sign relating their ratio to f(a) is fixed by the matrix layout:
 frozen after calibration against known functions (see calibrate_sign).
 
 Coefficient fitting and black-box degree detection interpolate the samples
-in Newton form and recover the fraction by `ratfun.rational_reconstruct`
-(the extended Euclidean algorithm modulo prod(x - a_i)).
+in Newton form and recover the fraction by `ratfun.reconstruct_ints`, the
+integer kernel of `rational_reconstruct` (the extended Euclidean algorithm
+modulo prod(x - a_i)).  The Newton pool stays on integers, residues over
+F_p and integer numerators over one denominator over Q, and candidates are
+checked by integer Horner; a `RatFun1` is built only for the fit returned.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -37,8 +41,14 @@ from .errors import (
 )
 from .fields import QQ, Field, FpElement, derive_rng, random_element
 from .matrix import bordered_dets, det_exact
-from .poly import Poly1
-from .ratfun import RatFun1, degree_and_ord, normalize_ratfun1, rational_reconstruct
+from .poly import Poly1, _ratio, _residue, _strip, field_prime
+from .ratfun import (
+    RatFun1,
+    degree_and_ord,
+    normalize_ratfun1,
+    ratfun1_from_row,
+    reconstruct_ints,
+)
 
 
 @dataclass(frozen=True)
@@ -232,12 +242,90 @@ def _random_poly_of_degree(field: Field, deg: int, rng) -> Poly1:
             return p
 
 
-def _add_point(modulus: Poly1, u: Poly1, a, v):
-    """Extend the interpolant u of the points at the roots of `modulus`
-    (Newton form) by the fresh point (a, v)."""
-    field = modulus.field
-    c = (v - u.eval(a)) / modulus.eval(a)
-    return modulus * Poly1(field, [-a, field.one]), u + modulus.scale(c)
+class _NewtonPool:
+    """The Newton interpolant of the samples so far, on integers: the
+    modulus prod(x - a_i) and the interpolant u with u(a_i) = v_i.
+
+    Over F_p both are residue lists.  Over Q, with a_i = n_i/d_i, the
+    modulus is prod(d_i*x - n_i) (a scalar multiple, which leaves the
+    Newton step c*M unchanged) and u is an integer list over the common
+    denominator `den`."""
+
+    def __init__(self, field: Field):
+        self.field = field
+        self.p = field_prime(field)
+        self.modulus, self.u, self.den = [1], [], 1
+
+    def add(self, a, v):
+        """Extend the interpolant by the fresh point (a, v)."""
+        p, mod, u = self.p, self.modulus, self.u
+        if p is not None:
+            a, v = _residue(a, p), _residue(v, p)
+            c = (v - _horner(u, a, p)) * pow(_horner(mod, a, p), -1, p) % p
+            u = u + [0] * (len(mod) - len(u))
+            self.u = _strip([(x + c * y) % p for x, y in zip(u, mod)])
+            self.modulus = [(x - a * y) % p for x, y in zip([0] + mod, mod + [0])]
+            return
+        (an, ad), (vn, vd), den = _ratio(a), _ratio(v), self.den
+        un, us = _horner_q(u, an, ad)       # u(a) = un/us
+        mn, ms = _horner_q(mod, an, ad)     # M(a) = mn/ms
+        # v - u(a)/den = w/(vd*us*den), so the step is
+        # u/den + (v - u(a)/den) * M/M(a) = (u*cd + w*ms*M) / (den*cd)
+        w = vn * den * us - un * vd
+        cd = vd * us * mn
+        u = u + [0] * (len(mod) - len(u))
+        new = [x * cd + w * ms * y for x, y in zip(u, mod)]
+        den *= cd
+        g = math.gcd(den, *new)
+        if den < 0:
+            g = -g
+        self.u, self.den = _strip([x // g for x in new]), den // g
+        self.modulus = [x * ad - an * y for x, y in zip([0] + mod, mod + [0])]
+
+    def reconstruct(self, n=None, m=None):
+        """`reconstruct_ints` on the pool."""
+        return reconstruct_ints(self.modulus, self.u, self.p, n, m)
+
+    def agrees(self, row, a, v) -> bool:
+        """Whether the function of the coprime `row` is defined at a with
+        value v: r(a) = v*den*t(a), as r and t have no common root."""
+        r, t = row
+        p = self.p
+        if p is not None:
+            a = _residue(a, p)
+            return (_horner(r, a, p) - _residue(v, p) * _horner(t, a, p)) % p == 0
+        (an, ad), (vn, vd) = _ratio(a), _ratio(v)
+        rn, rs = _horner_q(r, an, ad)       # r(a) = rn/rs
+        tn, ts = _horner_q(t, an, ad)
+        return rn * ts * vd == vn * self.den * tn * rs
+
+    def ratfun(self, row) -> RatFun1:
+        return ratfun1_from_row(self.field, *row, self.den)
+
+
+def _horner(cs: list, a: int, p: int) -> int:
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc * a + c) % p
+    return acc
+
+
+def _horner_q(cs: list, n: int, d: int):
+    """(N, S) with cs(n/d) = N/S, on integers."""
+    acc, scale = 0, 1
+    for c in reversed(cs):
+        acc = acc * n + c * scale
+        scale *= d
+    return acc * d, scale
+
+
+def _row_profile(row) -> DegreeProfile:
+    """DegreeProfile.of the function of an EEA row."""
+    r, t = row
+    if not r:
+        return DegreeProfile.from_de(0, 0)
+    dn, dd = len(r) - 1, len(t) - 1
+    return DegreeProfile.from_de(max(dn, dd), dn - dd)
 
 
 def fit_ratfun(samples: SampleSet1, n_deg: int, m_deg: int) -> RatFun1:
@@ -249,14 +337,13 @@ def fit_ratfun(samples: SampleSet1, n_deg: int, m_deg: int) -> RatFun1:
         raise SizeMismatch(
             f"need >= {n_deg + m_deg + 2} samples for degrees ({n_deg}, {m_deg})")
     a0 = samples.points[0][0]
-    field = a0.field if isinstance(a0, FpElement) else QQ
-    modulus, u = Poly1(field, [field.one]), Poly1.zero(field)
+    pool = _NewtonPool(a0.field if isinstance(a0, FpElement) else QQ)
     for a, v in samples.points:
-        modulus, u = _add_point(modulus, u, a, v)
-    fit = rational_reconstruct(modulus, u, n_deg, m_deg)
-    if fit is None:
+        pool.add(a, v)
+    row = pool.reconstruct(n_deg, m_deg)
+    if row is None:
         raise NoFit("no rational function with these degree bounds fits the samples")
-    return fit
+    return pool.ratfun(row)
 
 
 @dataclass
@@ -304,24 +391,24 @@ def detect_profile_with_fit(oracle: UnivariateOracle, field: Field,
     each fitted with at least one sample to spare; returns (profile, fit)."""
     cap = budget.max_degree
     taken: set = set()
-    modulus, u = Poly1(field, [field.one]), Poly1.zero(field)
+    pool = _NewtonPool(field)
     # a pass either draws one point, which happens only while the pool is
     # below cap + 2, or rejects a candidate at a strictly later degree pair
     for _ in range((cap + 2) * (cap + 3)):
-        k = int(modulus.degree)
-        fit = rational_reconstruct(modulus, u)
-        prof = DegreeProfile.of(fit)
+        k = len(pool.modulus) - 1
+        row = pool.reconstruct()
+        prof = _row_profile(row)
         if prof.l <= min(k - 2, cap):
             fresh = [_draw_defined(oracle, field, budget, rng, taken)
                      for _ in range(budget.validation_extra)]
-            if all(fit.defined_at(a) and fit.eval(a) == v for a, v in fresh):
-                return prof, fit
+            if all(pool.agrees(row, a, v) for a, v in fresh):
+                return prof, pool.ratfun(row)
         elif max(k - 1, 0) > cap:
             break
         else:
             fresh = [_draw_defined(oracle, field, budget, rng, taken)]
         for a, v in fresh:
-            modulus, u = _add_point(modulus, u, a, v)
+            pool.add(a, v)
     raise BudgetExhausted(
         f"no rational profile up to total degree {budget.max_degree}")
 

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 
 from .errors import FieldMismatch, InexactDivision
-from .fields import Field, FpElement, PrimeField, QQ
+from .fields import Field, FpElement, PrimeField
 
 NEG_INF = float("-inf")
 
@@ -43,10 +43,6 @@ class Poly1:
     def zero(cls, field: Field) -> "Poly1":
         return cls(field, [])
 
-    @classmethod
-    def x(cls, field: Field) -> "Poly1":
-        return cls(field, [field.zero, field.one])
-
     @property
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF
@@ -75,14 +71,6 @@ class Poly1:
         n = max(len(self.coeffs), len(other.coeffs))
         return Poly1(self.field, [self[i] + other[i] for i in range(n)])
 
-    def __sub__(self, other):
-        _same_field(self, other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly1(self.field, [self[i] - other[i] for i in range(n)])
-
-    def __neg__(self):
-        return Poly1(self.field, [-c for c in self.coeffs])
-
     def __mul__(self, other):
         if not isinstance(other, Poly1):
             return self.scale(other)
@@ -101,16 +89,6 @@ class Poly1:
     def scale(self, c) -> "Poly1":
         return Poly1(self.field, [a * c for a in self.coeffs])
 
-    def __pow__(self, e: int):
-        out = Poly1(self.field, [self.field.one])
-        b = self
-        while e:
-            if e & 1:
-                out = out * b
-            b = b * b
-            e >>= 1
-        return out
-
     def divmod(self, other: "Poly1"):
         _same_field(self, other)
         if other.is_zero():
@@ -128,17 +106,6 @@ class Poly1:
             for j, b in enumerate(other.coeffs):
                 rem[i - d + j] = rem[i - d + j] - f * b
         return Poly1(self.field, q), Poly1(self.field, rem)
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
-    def monic(self) -> "Poly1":
-        if self.is_zero():
-            return self
-        return self.scale(self.field.inv(self.leading()))
 
     def eval(self, a):
         """Horner evaluation."""
@@ -161,61 +128,111 @@ class Poly1:
 
 
 def gcd_poly1(a: Poly1, b: Poly1) -> Poly1:
-    """Monic gcd.  Over Q the computation runs on integer-primitive images
-    with integer content bookkeeping, which avoids the coefficient blowup of
-    naive fraction Euclid."""
+    """Monic gcd, computed by `gcd_ints` on the coefficient lists."""
     _same_field(a, b)
-    if a.is_zero():
-        return b.monic()
-    if b.is_zero():
-        return a.monic()
-    if a.field == QQ:
-        return _gcd_q(a, b)
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    p = field_prime(a.field)
+    g = gcd_ints(poly1_ints(a)[0], poly1_ints(b)[0], p)
+    return poly1_from_ints(a.field, g, g[-1] if g else 1)
 
 
-def _int_primitive(p: Poly1):
-    """Scale a Q-polynomial to integer coefficients with content 1."""
-    lcm = 1
-    for c in p.coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+# ---------------------------------------------------------------------------
+# univariate polynomials as integer coefficient lists
+#
+# Ascending powers, trailing zeros stripped, [] for zero.  `p` is the prime
+# of F_p, whose lists hold residues in [0, p), or None for Q, whose lists
+# stand for a rational polynomial up to a nonzero scalar (see poly1_ints).
 
 
-def _gcd_q(a: Poly1, b: Poly1) -> Poly1:
-    fa, fb = _int_primitive(a), _int_primitive(b)
-    if len(fa) < len(fb):
-        fa, fb = fb, fa
-    while fb:
-        # pseudo-remainder keeps everything in Z
-        da, db = len(fa) - 1, len(fb) - 1
-        lead = fb[-1]
-        rem = [c * lead ** (da - db + 1) for c in fa]
-        for i in range(da, db - 1, -1):
-            c = rem[i]
-            if c:
-                f, r = divmod(c, fb[-1])
-                if r:
-                    raise InexactDivision("pseudo-remainder step left a remainder")
-                for j in range(db + 1):
-                    rem[i - db + j] -= f * fb[j]
-        while rem and rem[-1] == 0:
-            rem.pop()
-        g = 0
-        for v in rem:
-            g = math.gcd(g, v)
-        if g > 1:
-            rem = [v // g for v in rem]
-        fa, fb = fb, rem
-    return Poly1(QQ, [Fraction(c) for c in fa]).monic()
+def field_prime(field: Field):
+    """p for F_p, None for Q: the `p` argument of the integer routines."""
+    return field.p if isinstance(field, PrimeField) else None
+
+
+def poly1_ints(f: Poly1):
+    """(coefficients, den) with f = coefficients / den: over F_p the residues
+    and 1, over Q the integer numerators over the lcm of the denominators."""
+    if isinstance(f.field, PrimeField):
+        return [c.residue for c in f.coeffs], 1
+    den = math.lcm(*(c.denominator for c in f.coeffs))
+    return [c.numerator * (den // c.denominator) for c in f.coeffs], den
+
+
+def poly1_from_ints(field: Field, coeffs, den=1) -> Poly1:
+    """The Poly1 coefficients / den; den is nonzero (mod p over F_p)."""
+    if isinstance(field, PrimeField):
+        p = field.p
+        inv = pow(den, -1, p)
+        return Poly1(field, [FpElement(c * inv, field) for c in coeffs])
+    return Poly1(field, [Fraction(c, den) for c in coeffs])
+
+
+def _strip(cs: list) -> list:
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def primitive_ints(cs: list) -> list:
+    """An integer list divided by the gcd of its entries."""
+    g = math.gcd(*cs)
+    return [c // g for c in cs] if g > 1 else cs
+
+
+def mul_ints(a: list, b: list, p) -> list:
+    """The product a*b."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out if p is None else [c % p for c in out]
+
+
+def divmod_ints(a: list, b: list, p):
+    """(s, q, r) with s*a = q*b + r and deg r < deg b, for b nonzero.  Over
+    F_p this is division with s = 1; over Q it is pseudo-division, with
+    s = lc(b)^(deg a - deg b + 1) and integer q and r."""
+    db = len(b) - 1
+    delta = len(a) - 1 - db
+    if delta < 0:
+        return 1, [], list(a)
+    lead = b[-1]
+    if p is None:
+        s = lead ** (delta + 1)
+        rem = [c * s for c in a]
+    else:
+        s = 1
+        inv = pow(lead, -1, p)
+        rem = list(a)
+    q = [0] * (delta + 1)
+    for k in range(delta, -1, -1):
+        c = rem[k + db]
+        if p is None:
+            f = c // lead   # exact: c is a multiple of lead^(k + 1)
+        else:
+            f = c * inv % p
+        if f:
+            q[k] = f
+            for j in range(db):
+                rem[k + j] -= f * b[j]
+    del rem[db:]
+    return s, q, _strip(rem if p is None else [c % p for c in rem])
+
+
+def gcd_ints(a: list, b: list, p) -> list:
+    """A gcd of a and b, a nonzero scalar multiple of the monic one ([] when
+    both are zero): Euclid on residues over F_p, the primitive
+    pseudo-remainder sequence over Q."""
+    if p is None:
+        a, b = primitive_ints(a), primitive_ints(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r = divmod_ints(a, b, p)[2]
+        a, b = b, primitive_ints(r) if p is None else r
+    return a
 
 
 class PolyN:

@@ -9,6 +9,10 @@ falls back to cross-multiplication, which is always sound.
 
 `rational_reconstruct` is the one univariate reconstruction step: rational
 interpolation of samples and Pade approximation of series both run on it.
+It converts its arguments to integer coefficient lists and runs the
+extended-Euclid kernel `reconstruct_ints`, one routine for F_p (residue
+rows) and Q (pseudo-remainder rows with their joint content divided out);
+field elements are built only for the row it returns.
 """
 
 from __future__ import annotations
@@ -18,7 +22,20 @@ from fractions import Fraction
 
 from .errors import UndefinedAt, ZeroDenominator, ZeroFunction
 from .fields import Field, FpElement, QQ
-from .poly import Poly1, PolyN, eval_ints, gcd_poly1, gcd_polyn
+from .poly import (
+    Poly1,
+    PolyN,
+    _same_field,
+    divmod_ints,
+    eval_ints,
+    field_prime,
+    gcd_ints,
+    gcd_poly1,
+    gcd_polyn,
+    mul_ints,
+    poly1_from_ints,
+    poly1_ints,
+)
 
 
 class RatFun1:
@@ -243,35 +260,74 @@ def rational_reconstruct(modulus: Poly1, u: Poly1, n: int | None = None,
 
     With modulus prod(x - a_i) and u the interpolant of values v_i this is
     rational interpolation through the points (a_i, v_i); with modulus t^N
-    and u a truncated series it is Pade approximation.
+    and u a truncated series it is Pade approximation.  The work is done by
+    `reconstruct_ints` on the integer coefficient lists.
     """
+    _same_field(modulus, u)
     field = modulus.field
-    r0, r1 = modulus, u % modulus
-    t0, t1 = Poly1.zero(field), Poly1(field, [field.one])
+    if modulus.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    p = field_prime(field)
+    mod = poly1_ints(modulus)[0]
+    ints, den = poly1_ints(u)
+    if len(ints) >= len(mod):
+        s, _, ints = divmod_ints(ints, mod, p)
+        den *= s
+    row = reconstruct_ints(mod, ints, p, n, m)
+    return None if row is None else ratfun1_from_row(field, *row, den)
+
+
+def reconstruct_ints(modulus: list, u: list, p, n: int | None = None,
+                     m: int | None = None):
+    """The extended-Euclid kernel of `rational_reconstruct` on integer
+    coefficient lists (see poly.py), deg u < deg modulus: the selected row
+    (r, t), or None.
+
+    Over F_p the rows are residue lists.  Over Q they come from the
+    pseudo-remainder sequence, s*r0 = q*r1 + r2 and t2 = s*t0 - q*t1, with
+    the joint integer content of (r2, t2) divided out; each row is then a
+    nonzero scalar multiple of the row over Q, so the degrees, the order by
+    (total degree, deg r), the bounds and the coprimality test all agree.
+    The function the row stands for is r/(den*t), where u/den is the
+    interpolant (see ratfun1_from_row)."""
+    r0, r1, t0, t1 = modulus, u, [], [1]
     rows = []
     while True:
-        if n is not None and r1.degree <= n:
-            return _coprime_row(r1, t1) if t1.degree <= m else None
-        rows.append((max(r1.degree, 0) + t1.degree, r1.degree, r1, t1))
-        if r1.is_zero():
+        dr = len(r1) - 1
+        if n is not None and dr <= n:
+            return (r1, t1) if len(t1) - 1 <= m and _coprime(r1, t1, p) else None
+        rows.append((max(dr, 0) + len(t1) - 1, dr, r1, t1))
+        if not r1:
             break
-        q, rem = r0.divmod(r1)
-        r0, r1, t0, t1 = r1, rem, t1, t0 - q * t1
+        s, q, r2 = divmod_ints(r0, r1, p)
+        t2 = [-c for c in mul_ints(q, t1, p)]   # deg q*t1 > deg t0
+        for i, c in enumerate(t0):
+            t2[i] += s * c
+        if p is None:
+            g = math.gcd(*r2, *t2)
+            if g > 1:
+                r2, t2 = [c // g for c in r2], [c // g for c in t2]
+        else:
+            t2 = [c % p for c in t2]
+        r0, r1, t0, t1 = r1, r2, t1, t2
     for _, _, r, t in sorted(rows, key=lambda row: row[:2]):
-        f = _coprime_row(r, t)
-        if f is not None:
-            return f
+        if _coprime(r, t, p):
+            return r, t
 
 
-def _coprime_row(r: Poly1, t: Poly1) -> RatFun1 | None:
-    """r/t in canonical form when gcd(r, t) = 1, else None."""
-    field = r.field
-    if r.is_zero():
-        return RatFun1(r, Poly1(field, [field.one])) if t.degree == 0 else None
-    if gcd_poly1(r, t).degree > 0:
-        return None
-    inv = field.inv(t.leading())
-    return RatFun1(r.scale(inv), t.scale(inv))
+def _coprime(r: list, t: list, p) -> bool:
+    """gcd(r, t) = 1; t is nonzero."""
+    if not r:
+        return len(t) == 1
+    return len(gcd_ints(r, t, p)) == 1
+
+
+def ratfun1_from_row(field: Field, r: list, t: list, den=1) -> RatFun1:
+    """The canonical r/(den*t) of a coprime row (r, t): both parts divided by
+    den*lc(t) and lc(t) respectively."""
+    lead = t[-1]
+    return RatFun1(poly1_from_ints(field, r, den * lead),
+                   poly1_from_ints(field, t, lead))
 
 
 # ---------------------------------------------------------------------------

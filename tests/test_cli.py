@@ -1,12 +1,15 @@
 import argparse
 import dataclasses
 import json
+import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 import ratrecon.cli as cli
+from ratrecon import errors
 from ratrecon.cli import main
 from ratrecon.fields import PrimeField, derive_rng
 from ratrecon.interp import detect_profile_with_fit
@@ -479,3 +482,66 @@ def test_console_entry_point_subprocess(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["certificate"]["verdict"] == "RationalWitness"
+
+
+# every library error a command lets through ends in a documented exit code
+EXIT_CODES = {
+    "RatreconError": 8, "FieldMismatch": 8, "ZeroDenominator": 1,
+    "ZeroFunction": 8, "ZeroPolynomial": 8, "InexactDivision": 8,
+    "NonSquareMatrix": 8, "UndefinedAt": 8, "PrefixTooShort": 1,
+    "PoleAtOrigin": 1, "NoSolution": 1, "SizeMismatch": 1,
+    "DegenerateInput": 1, "CalibrationFailure": 8, "BetaZero": 4, "NoFit": 5,
+    "AmbiguousFit": 5, "BudgetExhausted": 7, "DomainTooSparse": 7,
+    "TooManyFailures": 7, "AnchorSearchFailed": 7, "EmptyHistogram": 8,
+    "VerificationFailed": 6, "ExprSyntaxError": 1, "ExponentTooLarge": 1,
+    "UnknownVariable": 1, "NegativeExponent": 1,
+}
+ERROR_ARGS = {
+    "UndefinedAt": ((2,),),
+    "VerificationFailed": ((1, 2), 3, 4, (0,)),
+    "ExprSyntaxError": (5, {"an operand"}),
+    "ExponentTooLarge": (5, 1024),
+    "UnknownVariable": (3, "y1"),
+    "NegativeExponent": (4,),
+}
+
+
+def documented_exit_codes():
+    text = (pathlib.Path(__file__).parents[1] / "docs" / "formats.md").read_text()
+    table = text.split("## Exit codes")[1].split("\n## ")[0]
+    return {int(code) for code in re.findall(r"^\| (\d+) \|", table, re.M)}
+
+
+@pytest.mark.parametrize("command, target", [
+    ("hankel", "certify_rationality"),
+    ("interp", "fit_ratfun"),
+    ("reconstruct", "reconstruct"),
+    ("counterexample", "nonrationality_report"),
+])
+def test_every_library_error_has_a_documented_exit_code(tmp_path, capsys, monkeypatch,
+                                                        command, target):
+    series, samples = tmp_path / "fib.json", tmp_path / "samples.csv"
+    write_fib_series(series)
+    samples.write_text("0,1\n1,2\n2,3\n")
+    argv = {"hankel": ["--series", str(series)],
+            "interp": ["--samples", str(samples), "--n", "1", "--m", "0", "--fit"],
+            "reconstruct": ["--expr", "x1", "--arity", "1"],
+            "counterexample": ["--n", "2", "--dmax", "0", "--grid", "2"]}[command]
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.RatreconError)]
+    assert {c.__name__ for c in classes} == set(EXIT_CODES)
+    assert set(EXIT_CODES.values()) <= documented_exit_codes()
+    for cls in classes:
+        error = cls(*ERROR_ARGS.get(cls.__name__, ("detail",)))
+
+        def raising(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, target, raising)
+        code, out, err = run_cli(capsys, command, *argv)
+        assert code == EXIT_CODES[cls.__name__], cls.__name__
+        if command == "reconstruct" and cls is errors.VerificationFailed:
+            assert json.loads(out)["error"]["kind"] == "VerificationFailed"
+            continue
+        assert out == "" and len(err.splitlines()) == 1, cls.__name__
+        assert "Traceback" not in err

@@ -19,7 +19,16 @@ from ratrecon.matrix import (
     sylvester_and_resultant,
     vandermonde_product,
 )
-from ratrecon.poly import NEG_INF, Poly1, PolyN, gcd_poly1, gcd_polyn
+from ratrecon.poly import (
+    NEG_INF,
+    Poly1,
+    PolyN,
+    divmod_ints,
+    gcd_poly1,
+    gcd_polyn,
+    poly1_from_ints,
+    poly1_ints,
+)
 from ratrecon.ratfun import (
     degree_and_ord,
     format_poly1,
@@ -108,6 +117,41 @@ def test_gcd_poly1_matches_sympy():
         sg = sp.Poly(sg, x).monic()
         mine = sum(sp.Rational(v) * x ** i for i, v in enumerate(g.coeffs))
         assert sp.expand(mine - sg.as_expr()) == 0
+
+
+def test_divmod_ints_identity():
+    # s*a = q*b + r with deg r < deg b: s = 1 over F_p, lc(b)^(deg a - deg b + 1)
+    # over Q, where the lists are integer numerators
+    rng = random.Random(7)
+    for field in (QQ, FP, PrimeField(1000003)):
+        for _ in range(40):
+            a = rand_poly(field, rng, rng.randint(0, 6), 10 ** 6)
+            b = rand_poly(field, rng, rng.randint(0, 4), 10 ** 6)
+            (ai, ad), (bi, bd) = poly1_ints(a), poly1_ints(b)
+            s, quot, rem = divmod_ints(ai, bi, getattr(field, "p", None))
+            assert len(rem) < len(bi)
+            lhs = a.scale(field.from_int(s) * field.from_int(ad))
+            rhs = (poly1_from_ints(field, quot) * b.scale(field.from_int(bd))
+                   + poly1_from_ints(field, rem))
+            assert lhs == rhs
+            if field != QQ:
+                assert s == 1
+
+
+def test_gcd_poly1_over_fp_matches_euclid():
+    rng = random.Random(8)
+    for field in (FP, PrimeField(1000003)):
+        for _ in range(40):
+            c = rand_poly(field, rng, rng.randint(0, 3))
+            a = rand_poly(field, rng, rng.randint(0, 4)) * c
+            b = rand_poly(field, rng, rng.randint(0, 4)) * c
+            if rng.random() < 0.1:
+                b = Poly1.zero(field)
+            x, y = a, b
+            while not y.is_zero():
+                x, y = y, x.divmod(y)[1]
+            want = x.scale(field.inv(x.leading())) if not x.is_zero() else x
+            assert gcd_poly1(a, b) == want
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,28 @@
-"""Differential tests: the extended-Euclid reconstruction against the linear
-algebra it replaced.
+"""Differential tests for univariate rational reconstruction.
 
-The reference below is the earlier implementation, kept here and nowhere
-else: coefficient fitting through the nullspace of the cross-multiplied
-system, degree detection by walking every (n, m) with a fresh fit per pair,
-and Pade approximation through the nullspace of the Hankel-type window.
-Every instance must give the same function or the same refusal, and degree
-detection must query the oracle at exactly the same points.
+Two references are kept here and nowhere else.  The first is the linear
+algebra that extended Euclid replaced: coefficient fitting through the
+nullspace of the cross-multiplied system, degree detection by walking
+every (n, m) with a fresh fit per pair, and Pade approximation through the
+nullspace of the Hankel-type window.  The second is the extended Euclid on
+`Poly1` field elements, with its Newton pool, that the integer kernel
+replaced.  Every instance must give the same function or the same refusal,
+and degree detection must query the oracle at exactly the same points.
 """
 
 import random
+
+import pytest
 
 from ratrecon.errors import (
     AmbiguousFit,
     BudgetExhausted,
     DomainTooSparse,
+    FieldMismatch,
     NoFit,
     NoSolution,
 )
-from ratrecon.fields import QQ, PrimeField, random_element
+from ratrecon.fields import QQ, FpElement, PrimeField, random_element
 from ratrecon.hankel import SeriesPrefix, pade_reconstruct
 from ratrecon.interp import (
     DegreeProfile,
@@ -29,9 +33,10 @@ from ratrecon.interp import (
     fit_ratfun,
 )
 from ratrecon.poly import Poly1, gcd_poly1
-from ratrecon.ratfun import normalize_ratfun1, rational_reconstruct
+from ratrecon.ratfun import RatFun1, normalize_ratfun1, rational_reconstruct
 
 FP = PrimeField(1000003)
+F101 = PrimeField(101)
 FIELDS = (QQ, FP)
 
 # ---------------------------------------------------------------------------
@@ -135,6 +140,93 @@ def ref_pade(s, n_deg, m_deg):
 
 
 # ---------------------------------------------------------------------------
+# reference implementation (extended Euclid and Newton pool on Poly1)
+
+
+def eea_reconstruct(modulus, u, n=None, m=None, rejected=None):
+    """`ratfun.rational_reconstruct` on Poly1 rows.  Without bounds, rows
+    passed over for failing the coprimality test go to `rejected`."""
+    field = modulus.field
+    minus = -field.one
+    r0, r1 = modulus, u.divmod(modulus)[1]
+    t0, t1 = Poly1.zero(field), Poly1(field, [field.one])
+    rows = []
+    while True:
+        if n is not None and r1.degree <= n:
+            return eea_coprime_row(r1, t1) if t1.degree <= m else None
+        rows.append((max(r1.degree, 0) + t1.degree, r1.degree, r1, t1))
+        if r1.is_zero():
+            break
+        q, rem = r0.divmod(r1)
+        r0, r1, t0, t1 = r1, rem, t1, t0 + (q * t1).scale(minus)
+    for _, _, r, t in sorted(rows, key=lambda row: row[:2]):
+        f = eea_coprime_row(r, t)
+        if f is not None:
+            return f
+        if rejected is not None:
+            rejected.append((r, t))
+
+
+def eea_gcd(a, b):
+    while not b.is_zero():
+        a, b = b, a.divmod(b)[1]
+    return a
+
+
+def eea_coprime_row(r, t):
+    field = r.field
+    if r.is_zero():
+        return RatFun1(r, Poly1(field, [field.one])) if t.degree == 0 else None
+    if eea_gcd(r, t).degree > 0:
+        return None
+    inv = field.inv(t.leading())
+    return RatFun1(r.scale(inv), t.scale(inv))
+
+
+def eea_add_point(modulus, u, a, v):
+    """Extend the Newton interpolant u at the roots of `modulus` by (a, v)."""
+    field = modulus.field
+    c = (v - u.eval(a)) / modulus.eval(a)
+    return modulus * Poly1(field, [-a, field.one]), u + modulus.scale(c)
+
+
+def eea_pool(field, points):
+    modulus, u = Poly1(field, [field.one]), Poly1.zero(field)
+    for a, v in points:
+        modulus, u = eea_add_point(modulus, u, a, v)
+    return modulus, u
+
+
+def eea_fit(samples, n_deg, m_deg, field):
+    fit = eea_reconstruct(*eea_pool(field, samples.points), n_deg, m_deg)
+    if fit is None:
+        raise NoFit("no fit")
+    return fit
+
+
+def eea_detect(oracle, field, budget, rng):
+    cap = budget.max_degree
+    taken = set()
+    modulus, u = Poly1(field, [field.one]), Poly1.zero(field)
+    for _ in range((cap + 2) * (cap + 3)):
+        k = int(modulus.degree)
+        fit = eea_reconstruct(modulus, u)
+        prof = DegreeProfile.of(fit)
+        if prof.l <= min(k - 2, cap):
+            fresh = [_draw_defined(oracle, field, budget, rng, taken)
+                     for _ in range(budget.validation_extra)]
+            if all(fit.defined_at(a) and fit.eval(a) == v for a, v in fresh):
+                return prof, fit
+        elif max(k - 1, 0) > cap:
+            break
+        else:
+            fresh = [_draw_defined(oracle, field, budget, rng, taken)]
+        for a, v in fresh:
+            modulus, u = eea_add_point(modulus, u, a, v)
+    raise BudgetExhausted("no profile")
+
+
+# ---------------------------------------------------------------------------
 # random inputs
 
 
@@ -165,10 +257,10 @@ def outcome(fn, *args):
 
 
 def test_rational_reconstruct_examples():
-    x = Poly1.x(QQ)
+    x = Poly1.from_ints(QQ, [0, 1])
     one = Poly1(QQ, [QQ.one])
     # 1/(1 - t) mod t^3: the series 1 + t + t^2
-    modulus, series = x ** 3, Poly1.from_ints(QQ, [1, 1, 1])
+    modulus, series = Poly1.from_ints(QQ, [0, 0, 0, 1]), Poly1.from_ints(QQ, [1, 1, 1])
     f = rational_reconstruct(modulus, series, 1, 1)
     assert (f.num, f.den) == (Poly1.from_ints(QQ, [-1]), Poly1.from_ints(QQ, [-1, 1]))
     assert rational_reconstruct(modulus, series) == f
@@ -177,7 +269,11 @@ def test_rational_reconstruct_examples():
     assert rational_reconstruct(modulus, Poly1.zero(QQ)) == normalize_ratfun1(
         Poly1.zero(QQ), one)
     # t mod t^2 with deg P <= 0: only Q = t solves, which is not coprime to t^2
-    assert rational_reconstruct(x ** 2, x, 0, 1) is None
+    assert rational_reconstruct(Poly1.from_ints(QQ, [0, 0, 1]), x, 0, 1) is None
+    with pytest.raises(ZeroDivisionError):
+        rational_reconstruct(Poly1.zero(QQ), x)
+    with pytest.raises(FieldMismatch):
+        rational_reconstruct(modulus, Poly1.from_ints(FP, [1, 1]))
 
 
 def test_minimal_total_degree_ties_go_to_the_smaller_numerator():
@@ -299,3 +395,190 @@ def test_detect_matches_degree_walk_and_its_queries():
         outcomes.add(want if isinstance(want, str) else "fit")
     assert outcomes == {"fit", "BudgetExhausted", "DomainTooSparse"}
 
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the Poly1 extended Euclid
+
+KERNEL_FIELDS = (QQ, F101, FP)
+
+
+def distinct_points(field, rng, count, height):
+    pts = []
+    while len(pts) < count:
+        a = random_element(field, rng, height)
+        if a not in pts:
+            pts.append(a)
+    return pts
+
+
+def kernel_instance(field, rng, trial):
+    """(modulus, u) of one of five kinds: an interpolation modulus
+    prod(x - a_i) or a Pade modulus t^N; u zero, arbitrary, starting at
+    t^s, longer than the modulus, or the interpolant of a function with a
+    pole at one node, whose low rows share a factor with the modulus."""
+    height = 10 ** 6 if trial % 4 == 0 else 9
+    size = rng.randint(1, 9)
+    kind = rng.randrange(5)
+    pade = trial % 2 == 1 and kind != 4
+    if pade:
+        modulus = Poly1(field, [field.zero] * size + [field.one])
+    else:
+        pts = distinct_points(field, rng, size, height)
+        modulus = Poly1(field, [field.one])
+        for a in pts:
+            modulus = modulus * Poly1(field, [-a, field.one])
+    if kind == 0:
+        u = Poly1.zero(field)
+    elif kind == 1:
+        u = Poly1(field, [random_element(field, rng, height) for _ in range(size)])
+    elif kind == 2:
+        s = rng.randint(1, size)
+        u = Poly1(field, [field.zero] * s
+                  + [random_element(field, rng, height) for _ in range(size - s)])
+    elif kind == 3:
+        u = Poly1(field, [random_element(field, rng, height)
+                          for _ in range(size + rng.randint(1, 4))])
+    else:
+        f = rand_ratfun(field, rng, rng.randint(0, 3), rng.randint(0, 3))
+        values = [(a, f.eval(a) if f.defined_at(a) else field.zero) for a in pts]
+        pole = rng.randrange(size)
+        values[pole] = (pts[pole], random_element(field, rng, height))
+        modulus, u = eea_pool(field, values)
+    return modulus, u
+
+
+def test_kernel_matches_poly1_eea():
+    rng = random.Random(2027)
+    rejected = []
+    solved = set()
+    for trial in range(450):
+        field = KERNEL_FIELDS[trial % 3]
+        modulus, u = kernel_instance(field, rng, trial)
+        size = int(modulus.degree)
+        before = len(rejected)
+        want = eea_reconstruct(modulus, u, rejected=rejected)
+        assert want is not None
+        assert rational_reconstruct(modulus, u) == want, trial
+        solved.add((field, len(rejected) > before))
+        for n in range(size):
+            for m in {size - 1 - n, (size - 1 - n) // 2}:
+                want = eea_reconstruct(modulus, u, n, m)
+                assert rational_reconstruct(modulus, u, n, m) == want, (trial, n, m)
+    # every field meets the tie rule, and many rows fail coprimality
+    assert solved == {(f, r) for f in KERNEL_FIELDS for r in (False, True)}
+    assert len(rejected) > 50
+
+
+def test_kernel_large_rational_heights():
+    # Q samples and values of height up to 10^6 keep the rows exact
+    rng = random.Random(2028)
+    for _ in range(40):
+        pts = distinct_points(QQ, rng, rng.randint(2, 9), 10 ** 6)
+        values = [(a, random_element(QQ, rng, 10 ** 6)) for a in pts]
+        modulus, u = eea_pool(QQ, values)
+        assert rational_reconstruct(modulus, u) == eea_reconstruct(modulus, u)
+        f = rational_reconstruct(modulus, u)
+        assert all(f.defined_at(a) and f.eval(a) == v for a, v in values)
+
+
+def test_fit_matches_poly1_eea():
+    rng = random.Random(2029)
+    refusals = 0
+    for trial in range(300):
+        field = KERNEL_FIELDS[trial % 3]
+        height = 10 ** 6 if trial % 6 == 0 else 12
+        f = rand_ratfun(field, rng, rng.randint(-1, 4), rng.randint(0, 4))
+        n, m = rng.randint(0, 5), rng.randint(0, 5)
+        pts = []
+        while len(pts) < n + m + 2 + rng.randint(0, 2):
+            a = random_element(field, rng, height)
+            if a not in pts and f.defined_at(a):
+                pts.append(a)
+        vals = [f.eval(a) for a in pts]
+        if trial % 5 == 0:
+            vals[rng.randrange(len(vals))] += field.one
+        samples = SampleSet1(list(zip(pts, vals)))
+        want = outcome(eea_fit, samples, n, m, field)
+        assert outcome(fit_ratfun, samples, n, m) == want, (trial, n, m)
+        refusals += want == "NoFit"
+    assert 30 < refusals < 270
+
+
+def test_detect_matches_poly1_eea_and_its_queries():
+    rng = random.Random(2030)
+    budgets = [SamplingBudget(), SamplingBudget(max_degree=3),
+               SamplingBudget(height_bound=10 ** 6),
+               SamplingBudget(validation_extra=1, height_bound=4),
+               SamplingBudget(height_bound=2, max_consecutive_undefined=6)]
+    outcomes = set()
+    for trial in range(300):
+        field = KERNEL_FIELDS[trial % 3]
+        budget = budgets[trial % len(budgets)]
+        first = rand_ratfun(field, rng, rng.randint(-1, 4), rng.randint(0, 4))
+        then = first
+        if trial % 3 == 0:
+            then = rand_ratfun(field, rng, rng.randint(-1, 5), rng.randint(0, 5))
+        seed = rng.getrandbits(32)
+        switch = rng.randint(1, 12)
+        runs = []
+        for detect in (eea_detect, detect_profile_with_fit):
+            oracle = SwitchingOracle(first, then, switch)
+            got = outcome(detect, oracle, field, budget, random.Random(seed))
+            runs.append((got, oracle.queries))
+        (want, want_queries), (got, got_queries) = runs
+        assert got == want, trial
+        assert got_queries == want_queries, trial
+        outcomes.add((field, want if isinstance(want, str) else "fit"))
+    for field in KERNEL_FIELDS:
+        assert (field, "fit") in outcomes and (field, "BudgetExhausted") in outcomes
+    assert (QQ, "DomainTooSparse") in outcomes
+
+
+class CountingRandom(random.Random):
+    """Counts the draws of `random_element` over F_p: one randrange each."""
+
+    draws = 0
+
+    def randrange(self, *args, **kwargs):
+        self.draws += 1
+        return super().randrange(*args, **kwargs)
+
+
+def test_detection_builds_field_elements_only_for_its_answer(monkeypatch):
+    # the pool, the kernel and the validation run on residues: an F_p
+    # detection builds one element per drawn abscissa, one per oracle value
+    # and one per coefficient of the fit it returns, and no others
+    rng = random.Random(2031)
+    p = FP.p
+    for _ in range(5):
+        f = rand_ratfun(FP, rng, rng.randint(1, 4), rng.randint(1, 4))
+        num = [c.residue for c in f.num.coeffs]
+        den = [c.residue for c in f.den.coeffs]
+        values = []
+
+        def oracle(a):
+            x = a.residue
+            d = sum(c * pow(x, k, p) for k, c in enumerate(den)) % p
+            if not d:
+                return None
+            n = sum(c * pow(x, k, p) for k, c in enumerate(num))
+            values.append(FpElement(n * pow(d, -1, p), FP))
+            return values[-1]
+
+        built = []
+        init = FpElement.__init__
+
+        def counting_init(elem, residue, field):
+            built.append(residue)
+            init(elem, residue, field)
+
+        draws = CountingRandom(rng.getrandbits(32))
+        monkeypatch.setattr(FpElement, "__init__", counting_init)
+        try:
+            prof, fit = detect_profile_with_fit(oracle, FP, SamplingBudget(), draws)
+        finally:
+            monkeypatch.undo()
+        assert fit == f
+        coefficients = len(fit.num.coeffs) + len(fit.den.coeffs)
+        assert len(built) <= draws.draws + len(values) + coefficients
