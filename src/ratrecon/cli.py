@@ -26,7 +26,6 @@ import sys
 
 from . import __version__
 from .errors import (
-    AmbiguousFit,
     AnchorSearchFailed,
     BetaZero,
     BudgetExhausted,
@@ -414,7 +413,7 @@ def main(argv=None) -> int:
     except BetaZero as e:
         print(f"interpolation failed: {e}", file=sys.stderr)
         return _EXIT_BETA_ZERO
-    except (NoFit, AmbiguousFit) as e:
+    except NoFit as e:
         print(f"fit failed: {e}", file=sys.stderr)
         return _EXIT_NO_FIT
     except VerificationFailed as e:

@@ -43,21 +43,6 @@ def f_counter(n: int, m: int, n_cap: int | None = None) -> Fraction:
     return acc
 
 
-def f_counter_literal(n: int, m: int) -> Fraction:
-    """Same sum with the full upper limit n+m; the extra terms each
-    contain a factor (a_n - a_n) or (a_m - a_m) and vanish.  Kept as the
-    tested equivalence for the effective-sum form."""
-    an, am = _enum(n), _enum(m)
-    acc = Fraction(0)
-    for i in range(n + m + 1):
-        prod = Fraction(1)
-        for l in range(i + 1):
-            al = _enum(l)
-            prod *= (an - al) * (am - al)
-        acc += prod
-    return acc
-
-
 def slice_poly(m: int, cap: int | None = None) -> Poly1:
     """The univariate slice at a_m: sum_{i<m} prod_{l<=i} (x - a_l)(a_m - a_l)
     in expanded coefficient form; degree exactly m for m >= 1."""

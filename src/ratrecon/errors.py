@@ -74,10 +74,6 @@ class NoFit(RatreconError):
     """No rational function with the given degree bounds fits the samples."""
 
 
-class AmbiguousFit(RatreconError):
-    """More than one distinct function survived the fit; bounds oversized."""
-
-
 class BudgetExhausted(RatreconError):
     """Degree detection walked past the configured maximum total degree."""
 

@@ -9,8 +9,10 @@ each with its border row last:
     denominator-style det = (-1)^(n*m)     det[data; 0..0, y^0..y^m]
 
 With den_i = 1 and num_i = f(a_i) these are the pointwise interpolation
-determinants; with polynomial entries they are the reconstruction
-determinants used by the multivariate engine.
+determinants; with polynomial entries (packed integer polynomials, see
+`poly._Packed`) they are the reconstruction determinants used by the
+multivariate engine.  Both build their rows here, from per-row anchor
+powers, so over Q the engine can scale each row to integers.
 
 The sign relating their ratio to f(a) is fixed by the matrix layout:
     interp_sign(n, m) = -(-1)^((n+1)(m+1))
@@ -125,20 +127,21 @@ def delta_det(p: Poly1, q: Poly1, a, points):
     return det_exact(rows, field)
 
 
-def paired_determinants(dens, nums, points, n: int, m: int, powers):
+def paired_determinants(dens, nums, apowers, n: int, m: int, powers):
     """Evaluate both bordered determinants in one elimination pass.
 
-    dens/nums: per-point denominator and numerator entries (field elements or
-    PolyN); powers: the powers y^0, y^1, ... of the evaluation object, at
-    least max(n, m) + 1 of them (the border rows carry the first n+1 resp.
-    m+1).  Returns (numerator_det, denominator_det) exactly as the bordered
-    matrices define them.
+    dens/nums: per-row denominator and numerator entries; apowers: per row,
+    the powers a_i^0..a_i^max(n,m) of its point, or those powers times one
+    factor per row (each determinant is then multiplied by the product of
+    the factors); powers: the powers y^0, y^1, ... of the evaluation object,
+    at least max(n, m) + 1 of them (the border rows carry the first n+1
+    resp. m+1).  Entries are field elements or `poly._Packed`; an entry
+    times an element of its row's apowers must be an entry.  Returns
+    (numerator_det, denominator_det) exactly as the bordered matrices
+    define them.
     """
-    rows = []
-    for ai, den_i, num_i in zip(points, dens, nums):
-        row = [den_i * ai ** j for j in range(n + 1)] \
-            + [num_i * ai ** j for j in range(m + 1)]
-        rows.append(row)
+    rows = [[den_i * w for w in ap[:n + 1]] + [num_i * w for w in ap[:m + 1]]
+            for den_i, num_i, ap in zip(dens, nums, apowers)]
     zero = dens[0] - dens[0]
     num_border = powers[:n + 1] + [zero] * (m + 1)
     den_border = [zero] * (n + 1) + powers[:m + 1]
@@ -154,11 +157,12 @@ def alpha_beta(samples: SampleSet1, profile: DegreeProfile, a):
     """The two bordered interpolation determinants."""
     if len(samples) != profile.l + 1:
         raise SizeMismatch(f"need {profile.l + 1} samples, got {len(samples)}")
-    pts = [p for p, _ in samples.points]
+    top = max(profile.n, profile.m)
+    apowers = [[x ** j for j in range(top + 1)] for x, _ in samples.points]
     fvals = [v for _, v in samples.points]
     ones = [fvals[0] - fvals[0] + 1 for _ in fvals]
-    powers = [a ** j for j in range(max(profile.n, profile.m) + 1)]
-    return paired_determinants(ones, fvals, pts, profile.n, profile.m, powers)
+    powers = [a ** j for j in range(top + 1)]
+    return paired_determinants(ones, fvals, apowers, profile.n, profile.m, powers)
 
 
 def interp_point(samples: SampleSet1, profile: DegreeProfile, a):

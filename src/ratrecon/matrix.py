@@ -3,7 +3,9 @@
 Every determinant goes through one fraction-free Bareiss kernel,
 `bordered_dets`: an r x (r+1) block of shared data rows, eliminated once
 with column pivoting, completed by one or more border rows.  Its divisions
-are exact, so the same code runs on field elements and on PolyN entries.
+are exact, so the same code runs over any integral domain whose `/` is exact
+division: on field elements, and on the packed integer polynomials
+(`poly._Packed`) of the multivariate combine step.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from .poly import Poly1
 
 
 def det_exact(rows, field: Field):
-    """Exact determinant of a square list of rows (field elements or PolyN):
-    the bordered kernel with the last row as border."""
+    """Exact determinant of a square list of rows: the bordered kernel with
+    the last row as border."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise NonSquareMatrix(f"{n} rows, not all of length {n}")
@@ -30,7 +32,7 @@ def bordered_dets(data, borders):
     One fraction-free Bareiss pass over the shared data rows, with column
     pivoting (each swap flips the sign); every border row is eliminated
     alongside as the last row of its own matrix.  Each division v / prev is
-    exact, so entries may be field elements or PolyN alike."""
+    exact, so entries may come from any integral domain with exact `/`."""
     data = [list(r) for r in data]
     borders = [list(b) for b in borders]
     r = len(data)

@@ -4,6 +4,11 @@ Poly1 stores coefficients by ascending power with trailing zeros stripped;
 the zero polynomial has an empty list and degree NEG_INF.  PolyN maps
 exponent vectors to nonzero coefficients.  Both are immutable in practice:
 no operation mutates its arguments.
+
+The integer forms beside them carry the hot paths: univariate coefficient
+lists (the reconstruction and gcd kernels), `eval_ints` (evaluation), and
+`_Packed`, a multivariate polynomial on packed exponents and int
+coefficients, the entry type of the symbolic determinant.
 """
 
 from __future__ import annotations
@@ -375,15 +380,6 @@ class PolyN:
         e = max(self.terms)
         return e, self.terms[e]
 
-    def pad_vars(self, nvars: int) -> "PolyN":
-        """Reinterpret in a larger variable ring; new trailing slots get 0."""
-        if nvars < self.nvars:
-            raise ValueError("cannot shrink variable count")
-        if nvars == self.nvars:
-            return self
-        pad = (0,) * (nvars - self.nvars)
-        return PolyN(self.field, nvars, {e + pad: c for e, c in self.terms.items()})
-
     def coeffs_in(self, var: int) -> dict:
         """View as a polynomial in one variable: degree -> PolyN coefficient
         (exponent slot for var zeroed)."""
@@ -504,6 +500,130 @@ def eval_ints(polys, point):
         v = sum(c * math.prod(map(list.__getitem__, tables, e)) for c, e in terms)
         values.append(v if p is None else v % p)
     return values, scale
+
+
+# ---------------------------------------------------------------------------
+# multivariate polynomials with packed exponents
+#
+# An exponent vector e is packed into the one integer sum(e_i << (w*i)), so
+# a monomial product is an integer add and the integer order of packed
+# exponents is a lex order (Monagan & Pearce, CASC 2007).  The top bit of
+# each w-bit field is a guard that stays clear: an exponent difference that
+# borrows in any field sets that field's guard bit.
+
+
+class _PackedRing:
+    """The layout of packed polynomials in `nvars` variables over `field`,
+    wide enough for entries of degree <= `bound` in each variable and the
+    product of any two of them."""
+
+    __slots__ = ("field", "p", "nvars", "w", "guard", "cap")
+
+    def __init__(self, field: Field, nvars: int, bound: int):
+        self.field = field
+        self.p = field_prime(field)
+        self.nvars = nvars
+        # a quotient term is checked against cap = 2*bound; the remainder
+        # terms of its division step stay below 3*bound
+        self.w = w = (3 * bound).bit_length() + 1
+        self.guard = sum(1 << (w * i + w - 1) for i in range(nvars))
+        self.cap = sum(2 * bound << (w * i) for i in range(nvars))
+
+    def pack(self, f: PolyN, k: int = 1) -> "_Packed":
+        """The integer form of f (see `PolyN.int_form`) times k."""
+        w = self.w
+        return _Packed(self, {sum(x << (w * i) for i, x in enumerate(e)): c * k
+                              for c, e in f.int_form()[1]})
+
+    def monomial(self, var: int, k: int) -> "_Packed":
+        """x_var^k."""
+        return _Packed(self, {k << (self.w * var): 1})
+
+    def unpack(self, f: "_Packed") -> PolyN:
+        w, field = self.w, self.field
+        mask = (1 << w) - 1
+        make = Fraction if self.p is None else (lambda c: FpElement(c, field))
+        return PolyN(field, self.nvars,
+                     {tuple(e >> (w * i) & mask for i in range(self.nvars)): make(c)
+                      for e, c in f.terms.items()})
+
+
+class _Packed:
+    """A polynomial as a dict from packed exponent to nonzero int
+    coefficient: residues mod p over F_p, integers over Q (an element of
+    Z[x]).  It has what `matrix.bordered_dets` uses: `*` (also by an int),
+    `-`, unary `-`, exact `/` and equality."""
+
+    __slots__ = ("ring", "terms")
+
+    def __init__(self, ring: _PackedRing, terms: dict):
+        self.ring = ring
+        p = ring.p
+        if p is None:
+            self.terms = {e: c for e, c in terms.items() if c}
+        else:
+            self.terms = {e: r for e, c in terms.items() if (r := c % p)}
+
+    def __eq__(self, other):
+        if not isinstance(other, _Packed):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __neg__(self):
+        return _Packed(self.ring, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        out = dict(self.terms)
+        get = out.get
+        for e, c in other.terms.items():
+            out[e] = get(e, 0) - c
+        return _Packed(self.ring, out)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return _Packed(self.ring, {e: c * other for e, c in self.terms.items()})
+        out = {}
+        get = out.get
+        right = list(other.terms.items())
+        for e1, c1 in self.terms.items():
+            for e2, c2 in right:
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+        return _Packed(self.ring, out)
+
+    def __truediv__(self, other):
+        """Exact quotient, by the largest remaining term first; raises
+        InexactDivision when other does not divide self (in Z[x] over Q)."""
+        if not other.terms:
+            raise ZeroDivisionError("division by zero polynomial")
+        ring = self.ring
+        p, guard, cap = ring.p, ring.guard, ring.cap
+        lead = max(other.terms)
+        lc = other.terms[lead]
+        inv = None if p is None else pow(lc, -1, p)
+        rest = [(e, c) for e, c in other.terms.items() if e != lead]
+        rem = dict(self.terms)
+        get = rem.get
+        out = {}
+        while rem:
+            e = max(rem)
+            c = rem.pop(e)
+            if p is None:
+                f, r = divmod(c, lc)
+                if r:
+                    raise InexactDivision("polynomial division is not exact")
+            else:
+                f = c * inv % p
+            if not f:
+                continue
+            q = e - lead
+            if (q | (cap - q)) & guard:
+                raise InexactDivision("polynomial division is not exact")
+            out[q] = f
+            for e2, c2 in rest:
+                t = q + e2      # below e: popped keys never come back
+                rem[t] = get(t, 0) - f * c2
+        return _Packed(ring, out)
 
 
 def _active_vars(f: PolyN, g: PolyN):

@@ -4,9 +4,10 @@ The engine peels the last variable: it samples random slices to find the
 dominant (degree, order-at-infinity) class, picks anchor values where the
 oracle is widely defined, recursively reconstructs the function on each
 anchor hyperplane, and combines the results through the paired interpolation
-determinants.  Every reconstruction is verified against the oracle at random
-points; exact arithmetic means any disagreement at all is a failure, and so
-is a check in which no point was defined on both sides.
+determinants, taken on packed integer polynomials (see `_combine`).
+Every reconstruction is verified against the oracle at random points;
+exact arithmetic means any disagreement at all is a failure, and so is a
+check in which no point was defined on both sides.
 
 Every node on one recursion level peels the same variable, and off a
 Zariski-closed set of anchor values it has the same generic class.  So only
@@ -28,6 +29,7 @@ share, so a repeated attempt leaves nothing behind.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -47,7 +49,7 @@ from .interp import (
     interp_sign,
     paired_determinants,
 )
-from .poly import PolyN
+from .poly import _PackedRing, _ratio, _residue, field_prime
 from .ratfun import RatFunN, format_ratfunn, normalize_ratfunn
 
 ANCHOR_PROBE_BATCH = 20
@@ -343,19 +345,32 @@ def _combine(parts, anchors, profile: DegreeProfile, field: Field,
              nvars: int) -> RatFunN:
     """Assemble the paired determinants from the per-anchor reconstructions.
 
-    Each data row is cleared by that row's denominator; the same factor
-    multiplies the row in both matrices, so the quotient is unchanged."""
-    dens = [h.den.pad_vars(nvars) for h in parts]
-    nums = [h.num.pad_vars(nvars) for h in parts]
-    y = PolyN.var(field, nvars, nvars - 1)
-    powers = [PolyN.const(field, nvars, field.one)]
-    while len(powers) <= max(profile.n, profile.m):
-        powers.append(powers[-1] * y)
-    phi, psi = paired_determinants(dens, nums, anchors, profile.n, profile.m,
-                                   powers)
-    if interp_sign(profile.n, profile.m) < 0:
+    The determinants run on packed integer polynomials (`poly._Packed`),
+    and a `PolyN` is built only for the two results.  Over Q each data row
+    is made integral by a positive factor, the lcm of its denominators times
+    v^max(n, m) for its anchor u/v; both determinants share the product of
+    these factors, which normalization cancels.  The packing width comes
+    from a degree bound no minor exceeds: per variable, the sum over rows of
+    each row's largest degree."""
+    n, m = profile.n, profile.m
+    top = max(n, m)
+    p = field_prime(field)
+    row_degs = [[max(a, b) for a, b in zip(h.den.int_form()[2], h.num.int_form()[2])]
+                for h in parts]
+    ring = _PackedRing(field, nvars, max([top] + [sum(col) for col in zip(*row_degs)]))
+    dens, nums, apowers = [], [], []
+    for h, b in zip(parts, anchors):
+        lden, lnum = h.den.int_form()[0], h.num.int_form()[0]
+        lcm = math.lcm(lden, lnum)
+        dens.append(ring.pack(h.den, lcm // lden))
+        nums.append(ring.pack(h.num, lcm // lnum))
+        u, v = _ratio(b) if p is None else (_residue(b, p), 1)
+        apowers.append([u ** j * v ** (top - j) for j in range(top + 1)])
+    powers = [ring.monomial(nvars - 1, j) for j in range(top + 1)]
+    phi, psi = paired_determinants(dens, nums, apowers, n, m, powers)
+    if interp_sign(n, m) < 0:
         phi = -phi
-    return normalize_ratfunn(phi, psi)
+    return normalize_ratfunn(ring.unpack(phi), ring.unpack(psi))
 
 
 def _verify_node(oracle: SliceOracle, result: RatFunN, cfg: ReconConfig,

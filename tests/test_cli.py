@@ -491,7 +491,7 @@ EXIT_CODES = {
     "NonSquareMatrix": 8, "UndefinedAt": 8, "PrefixTooShort": 1,
     "PoleAtOrigin": 1, "NoSolution": 1, "SizeMismatch": 1,
     "DegenerateInput": 1, "CalibrationFailure": 8, "BetaZero": 4, "NoFit": 5,
-    "AmbiguousFit": 5, "BudgetExhausted": 7, "DomainTooSparse": 7,
+    "BudgetExhausted": 7, "DomainTooSparse": 7,
     "TooManyFailures": 7, "AnchorSearchFailed": 7, "EmptyHistogram": 8,
     "VerificationFailed": 6, "ExprSyntaxError": 1, "ExponentTooLarge": 1,
     "UnknownVariable": 1, "NegativeExponent": 1,

@@ -8,7 +8,6 @@ from ratrecon.counterexample import (
     CounterexampleTable,
     _refute_polynomial,
     f_counter,
-    f_counter_literal,
     nonrationality_report,
     slice_poly,
 )
@@ -30,6 +29,20 @@ def test_symmetry():
     for i in range(20):
         for j in range(20):
             assert t.values[i][j] == t.values[j][i]
+
+
+def f_counter_literal(n: int, m: int) -> Fraction:
+    """The sum with its full upper limit n+m; the extra terms each contain
+    a factor (a_n - a_n) or (a_m - a_m) and vanish."""
+    an, am = enumerate_countable(n), enumerate_countable(m)
+    acc = Fraction(0)
+    for i in range(n + m + 1):
+        prod = Fraction(1)
+        for l in range(i + 1):
+            al = enumerate_countable(l)
+            prod *= (an - al) * (am - al)
+        acc += prod
+    return acc
 
 
 def test_literal_sum_equivalence():

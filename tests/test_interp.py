@@ -353,11 +353,12 @@ def test_paired_determinants_polynomial_entries_match_scalar_specialization():
     powers = [PolyN.const(QQ, 2, QQ.one)]
     while len(powers) <= max(n, m):
         powers.append(powers[-1] * y)
-    phi, psi = paired_determinants(dens, nums, pts, n, m, powers)
+    apowers = [[a ** j for j in range(max(n, m) + 1)] for a in pts]
+    phi, psi = paired_determinants(dens, nums, apowers, n, m, powers)
     x0, y0 = random_element(QQ, rng, 9), random_element(QQ, rng, 9)
     dvals = [d.eval((x0, y0)) for d in dens]
     nvals = [v.eval((x0, y0)) for v in nums]
     spowers = [y0 ** j for j in range(max(n, m) + 1)]
-    a_s, b_s = paired_determinants(dvals, nvals, pts, n, m, spowers)
+    a_s, b_s = paired_determinants(dvals, nvals, apowers, n, m, spowers)
     assert phi.eval((x0, y0)) == a_s
     assert psi.eval((x0, y0)) == b_s

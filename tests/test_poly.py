@@ -69,12 +69,17 @@ def brute_det(rows):
 
 
 def rand_poly(field, rng, deg, height=9):
+    """Degree exactly deg; deg < 0 gives the zero polynomial."""
+    if deg < 0:
+        return Poly1.zero(field)
     while True:
-        cs = [random_element(field, rng, height) for _ in range(deg + 1)]
-        p = Poly1(field, cs)
-        if int(p.degree) == deg if p.coeffs else deg < 0:
-            if not p.is_zero() and int(p.degree) == deg:
-                return p
+        p = Poly1(field, [random_element(field, rng, height) for _ in range(deg + 1)])
+        if not p.is_zero() and p.degree == deg:
+            return p
+
+
+def test_rand_poly_of_negative_degree_is_zero():
+    assert rand_poly(QQ, random.Random(0), -1).is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ import random
 import pytest
 
 from ratrecon.errors import (
-    AmbiguousFit,
     BudgetExhausted,
     DomainTooSparse,
     FieldMismatch,
@@ -38,6 +37,10 @@ from ratrecon.ratfun import RatFun1, normalize_ratfun1, rational_reconstruct
 FP = PrimeField(1000003)
 F101 = PrimeField(101)
 FIELDS = (QQ, FP)
+
+
+class AmbiguousFit(Exception):
+    """The reference fit found more than one distinct function."""
 
 # ---------------------------------------------------------------------------
 # reference implementation (nullspace fit, degree walk, nullspace Pade)
