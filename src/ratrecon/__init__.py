@@ -43,7 +43,6 @@ from .interp import (
     SampleSet1,
     SamplingBudget,
     alpha_beta,
-    calibrate_sign,
     delta_det,
     delta_sign,
     fit_ratfun,

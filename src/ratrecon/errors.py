@@ -61,10 +61,6 @@ class DegenerateInput(RatreconError):
     """Interpolation nodes contain a duplicate."""
 
 
-class CalibrationFailure(RatreconError):
-    """Observed sign ratio was not +-1; indicates an implementation bug."""
-
-
 class BetaZero(RatreconError):
     """The denominator determinant vanished: wrong profile or a point off
     the underlying function's domain.  Callers treat this as "resample"."""
@@ -123,6 +119,14 @@ class ExponentTooLarge(ExprSyntaxError):
 
     def __init__(self, offset, cap):
         super().__init__(offset, {f"an exponent of at most {cap}"})
+
+
+class NestingTooDeep(ExprSyntaxError):
+    """Parentheses, unary minuses and exponent chains nest deeper than the
+    cap."""
+
+    def __init__(self, offset, cap):
+        super().__init__(offset, {f"a nesting depth of at most {cap}"})
 
 
 class UnknownVariable(RatreconError):

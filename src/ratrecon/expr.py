@@ -5,16 +5,25 @@ with * / + - left-associative and ^ right-associative over literal
 nonnegative integer exponents.  An exponent chain such as 2^3^2 is folded
 at parse time; every literal and folded value is capped at MAX_EXPONENT, and
 so is the product of the exponents along every chain of nested powers, as in
-(x1^4*x2)^8.
+(x1^4*x2)^8.  Parentheses, unary minuses and exponent chain links nest at
+most MAX_NESTING deep; a flat chain of terms may be of any length.
 Variables are x1..x<arity>.  Whitespace is insignificant.  Parse errors
 carry the byte offset and the expectation set.
 
 Division by zero during evaluation is a domain hole, not an error:
 eval_expr returns None so the reconstruction pipeline can resample past
 poles.  Otherwise it returns an element of the given field, whatever the
-coordinates' types; it walks the tree on plain integers (residues over F_p,
-reduced numerator/denominator pairs over Q) and builds one field element
-per point.
+coordinates' types, and builds one field element per point.
+
+An expression is a straight-line program (Kaltofen, JACM 1988).  eval_expr
+compiles each (tree, field) once, with an explicit stack, into Python
+source of one or two integer statements per node, and keeps the last
+program: a query then costs its arithmetic and no tree walk.  Over F_p the
+program works on residues, with a (num, den) pair only above a Div.  Over
+Q a division-free subtree is an integer over a power product of the
+coordinates' denominators fixed by its degrees, as in `poly.eval_ints`;
+above a Div it is a reduced (num, den) pair.  The source names every
+integer it uses; no input text goes into it.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from .errors import (
     ExponentTooLarge,
     ExprSyntaxError,
     NegativeExponent,
+    NestingTooDeep,
     UnknownVariable,
 )
 from .fields import Field, FpElement, PrimeField
@@ -35,6 +45,11 @@ from .ratfun import RatFunN, normalize_ratfunn
 
 
 MAX_EXPONENT = 1024
+# Parenthesised groups, unary minuses and exponent chain links open inside
+# one another at most this deep.  The parser recurses through each (five
+# frames per parenthesis), so this keeps it well inside Python's default
+# recursion limit of 1000.
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -124,6 +139,7 @@ class _Parser:
         self.tokens = _tokenize(src)
         self.pos = 0
         self.arity = arity
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -132,6 +148,12 @@ class _Parser:
         t = self.tokens[self.pos]
         self.pos += 1
         return t
+
+    def nest(self, offset: int):
+        """Enter one more level of nesting, opened at `offset`."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise NestingTooDeep(offset, MAX_NESTING)
 
     def expect(self, kind):
         t = self.peek()
@@ -164,8 +186,10 @@ class _Parser:
 
     def factor(self) -> Expr:
         if self.peek()[0] == "-":
-            self.take()
-            return Neg(self.factor())
+            self.nest(self.take()[2])
+            e = Neg(self.factor())
+            self.depth -= 1
+            return e
         return self.power()
 
     def power(self) -> Expr:
@@ -185,8 +209,9 @@ class _Parser:
         self.take()
         e = int(t[1])
         if e <= MAX_EXPONENT and self.peek()[0] == "^":
-            self.take()
+            self.nest(self.take()[2])
             e = e ** self.exponent()   # both sides <= MAX_EXPONENT here
+            self.depth -= 1
         if e > MAX_EXPONENT:
             raise ExponentTooLarge(t[2], MAX_EXPONENT)
         return e
@@ -205,23 +230,33 @@ class _Parser:
                     return Var(k - 1)
             raise UnknownVariable(t[2], name)
         if t[0] == "(":
-            self.take()
+            self.nest(self.take()[2])
             e = self.expr()
             self.expect(")")
+            self.depth -= 1
             return e
         raise ExprSyntaxError(t[2], {"integer", "variable", "("})
 
 
 def _power_depth(e: Expr) -> int:
     """Largest product of the exponents along a chain of nested powers in
-    `e`: the factor by which they raise a degree or the size of a value."""
-    if isinstance(e, Pow):
-        return e.exponent * _power_depth(e.base)
-    if isinstance(e, Neg):
-        return _power_depth(e.arg)
-    if isinstance(e, (IntLit, Var)):
-        return 1
-    return max(_power_depth(e.lhs), _power_depth(e.rhs))
+    `e`: the factor by which they raise a degree or the size of a value.
+    The walk keeps its own stack, so a long chain of sums cannot overflow
+    Python's."""
+    depth = 0
+    stack = [(e, 1)]
+    while stack:
+        node, k = stack.pop()
+        t = type(node)
+        if t is Pow:
+            stack.append((node.base, k * node.exponent))
+        elif t is Neg:
+            stack.append((node.arg, k))
+        elif t is IntLit or t is Var:
+            depth = max(depth, k)
+        else:
+            stack += ((node.lhs, k), (node.rhs, k))
+    return depth
 
 
 def _pow(base: Expr, exponent: int, offset: int) -> Pow:
@@ -244,118 +279,283 @@ def eval_expr(e: Expr, point: tuple, field: Field):
     evaluates to zero there, even where the expanded function is defined
     (x1/x1 and 0*(1/x1) at x1 = 0).
 
-    The tree is walked on plain integers, and one field element is built
-    per defined point.  Each coordinate must be an int or an element of
-    `field`, whether or not `e` uses it; anything else is FieldMismatch."""
+    Runs the straight-line program of (e, field), compiled on first use and
+    kept while the same tree and field (by identity) come back; one field
+    element is built per defined point.  Each coordinate must be an int or
+    an element of `field`, whether or not `e` uses it; anything else is
+    FieldMismatch."""
+    global _LAST
+    last = _LAST
+    if last[0] is not e or last[1] is not field:
+        last = _LAST = (e, field, _compile(e, field))
+    return last[2](point)
+
+
+# (tree, field, program) of the last eval_expr call, replaced as one tuple
+_LAST = (None, None, None)
+
+
+def _postorder(e: Expr) -> list:
+    """The nodes of `e`, each after its operands (lhs before rhs), found
+    with an explicit stack: a tree may be far deeper than Python's
+    recursion limit."""
+    out, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        t = type(node)
+        if t is Neg:
+            stack.append(node.arg)
+        elif t is Pow:
+            stack.append(node.base)
+        elif t is not IntLit and t is not Var:
+            stack += (node.lhs, node.rhs)
+    out.reverse()
+    return out
+
+
+class _Program:
+    """Source text and namespace of one straight-line program.  The source
+    holds only generated names and operators: every integer, literal or
+    exponent, is bound by name in the namespace."""
+
+    def __init__(self, names: dict):
+        self.names = names
+        self.lines = []
+        self.consts = {}
+        self.values = {}        # right-hand side -> the name it is bound to
+
+    def const(self, value: int) -> str:
+        name = self.consts.get(value)
+        if name is None:
+            name = self.consts[value] = f"k{len(self.consts)}"
+            self.names[name] = value
+        return name
+
+    def let(self, expr: str) -> str:
+        """A name bound to `expr`.  Every name is bound once, so an
+        expression met again reuses the name it was first bound to."""
+        name = self.values.get(expr)
+        if name is None:
+            name = self.values[expr] = f"t{len(self.values)}"
+            self.lines.append(f"{name} = {expr}")
+        return name
+
+    def build(self, prelude: list):
+        body = "\n    ".join(prelude + self.lines)
+        exec(f"def run(pt):\n    {body}\n", self.names)
+        return self.names["run"]
+
+
+def _compile(e: Expr, field: Field):
+    """The straight-line program of `e` over `field`: a function of the
+    point, with eval_expr's contract.  Each coordinate is converted once,
+    then every node of the tree is one or two lines of integer arithmetic."""
+    order = _postorder(e)
+    width = 1 + max((n.index for n in order if type(n) is Var), default=-1)
     if isinstance(field, PrimeField):
-        p = field.p
-        v = _eval_fp(e, [(_residue(x, p), 1) for x in point], p)
-        if v is None:
-            return None
-        n, d = v
-        return FpElement(n if d == 1 else n * pow(d, -1, p), field)
-    v = _eval_q(e, [_ratio(x) for x in point])
-    return None if v is None else Fraction(*v)
+        return _compile_fp(order, width, field)
+    return _compile_q(order, width)
 
 
-def _eval_fp(e: Expr, xs: list, p: int):
-    """(num, den) residues mod p of `e` at residue pairs `xs`, with den a
-    product of nonzero residues; None if a divisor is zero."""
-    t = type(e)
-    if t is Var:
-        return xs[e.index]
-    if t is IntLit:
-        return e.value % p, 1
-    if t is Neg:
-        v = _eval_fp(e.arg, xs, p)
-        return None if v is None else (-v[0] % p, v[1])
-    if t is Pow:
-        v = _eval_fp(e.base, xs, p)
-        if v is None:
-            return None
-        n, d = v
-        k = e.exponent
-        return pow(n, k, p), (1 if d == 1 else pow(d, k, p))
-    a = _eval_fp(e.lhs, xs, p)
-    if a is None:
-        return None
-    b = _eval_fp(e.rhs, xs, p)
-    if b is None:
-        return None
-    an, ad = a
-    bn, bd = b
+def _fit(pt: tuple, width: int, convert) -> tuple:
+    """The first `width` coordinates of a point of another length, after
+    `convert` has checked every one of them."""
+    for x in pt:
+        convert(x)
+    if len(pt) < width:
+        raise ValueError(f"point has {len(pt)} coordinates; the expression uses x{width}")
+    return pt[:width]
+
+
+def _unpack(prog: _Program, width: int) -> list:
+    """Prelude lines that bind x0.. to the coordinates, after checking
+    each of them with R if the point is not `width` long."""
+    w = prog.const(width)
+    lines = [f"if len(pt) != {w}: pt = FIT(pt, {w}, R)"]
+    return lines + ["".join(f"x{i}, " for i in range(width)) + "= pt"] if width else lines
+
+
+def _compile_fp(order: list, width: int, field: PrimeField):
+    """F_p: a value is a residue, or a (num, den) pair of them below a Div.
+    Products are reduced mod p at once; sums and negations are reduced by
+    the next product, so they grow only by the size of the tree."""
+    p = field.p
+    prog = _Program({"E": FpElement, "F": field, "P": p, "FIT": _fit,
+                     "R": lambda x: _residue(x, p)})
+    prelude = _unpack(prog, width) + [
+        f"x{i} = x{i}.residue if type(x{i}) is E and x{i}.field is F else R(x{i})"
+        for i in range(width)]
+    stack = []                  # (num, den or None) per pending operand
+    for node in order:
+        t = type(node)
+        if t is Var:
+            stack.append((f"x{node.index}", None))
+        elif t is IntLit:
+            stack.append((prog.const(node.value % p), None))
+        elif t is Neg:
+            n, d = stack.pop()
+            stack.append((prog.let(f"-{n}"), d))
+        elif t is Pow:
+            n, d = stack.pop()
+            k = prog.const(node.exponent)
+            stack.append((prog.let(f"pow({n}, {k}, P)"),
+                          d and prog.let(f"pow({d}, {k}, P)")))
+        else:
+            bn, bd = stack.pop()
+            an, ad = stack.pop()
+            if t is Div:
+                prog.lines.append(f"if not {bn} % P: return None")
+                stack.append((_times(prog, an, bd), _times(prog, ad, bn)))
+            elif t is Mul:
+                stack.append((prog.let(f"{an} * {bn} % P"), _times(prog, ad, bd)))
+            else:
+                op = " + " if t is Add else " - "
+                if ad is None and bd is None:
+                    stack.append((prog.let(f"{an}{op}{bn}"), None))
+                    continue
+                lhs = f"{an} * {bd}" if bd else an
+                rhs = f"{bn} * {ad}" if ad else bn
+                stack.append((prog.let(f"({lhs}{op}{rhs}) % P"), _times(prog, ad, bd)))
+    n, d = stack.pop()
+    prog.lines.append(f"return E({n} * pow({d}, -1, P), F)" if d else f"return E({n}, F)")
+    return prog.build(prelude)
+
+
+def _times(prog: _Program, a, b):
+    """The name of a*b mod p, where a missing factor (None) is 1."""
+    if a is None or b is None:
+        return a or b
+    return prog.let(f"{a} * {b} % P")
+
+
+def _compile_q(order: list, width: int):
+    """Q, with coordinates a_i/b_i.  A division-free subtree is an integer
+    N over the static power product B^D = prod b_i^D_i, D the subtree's
+    degree in each variable, so it costs no gcd.  A subtree with a Div is a
+    reduced pair (num, den > 0), kept reduced by the gcd steps of
+    Fraction's own arithmetic, so every intermediate has the size it has as
+    a Fraction; only the root's pair is left to the one Fraction built."""
+    prog = _Program({"Fr": Fraction, "FIT": _fit, "R": _ratio, "gcd": gcd})
+    prelude = _unpack(prog, width)
+    for i in range(width):
+        prelude += [f"if type(x{i}) is Fr: a{i} = x{i}.numerator; b{i} = x{i}.denominator",
+                    f"else: a{i}, b{i} = R(x{i})"]
+    powers = {}
+
+    def bpow(degs) -> list:
+        """Factors of B^degs, each power named once."""
+        out = []
+        for i, k in enumerate(degs):
+            if k == 1:
+                out.append(f"b{i}")
+            elif k:
+                name = powers.get((i, k))
+                if name is None:
+                    name = powers[(i, k)] = prog.let(f"b{i} ** {prog.const(k)}")
+                out.append(name)
+        return out
+
+    def scaled(n: str, degs) -> str:
+        """The name of n * B^degs."""
+        factors = bpow(degs)
+        return prog.let(" * ".join([n] + factors)) if factors else n
+
+    def pair(v) -> tuple:
+        """A value as a reduced pair."""
+        if v[0] == "p":
+            return v[1], v[2]
+        n, degs = v[1], v[2]
+        den = bpow(degs)
+        if not den:
+            return n, "1"
+        d = prog.let(" * ".join(den))
+        g = prog.let(f"gcd({n}, {d})")
+        return prog.let(f"{n} // {g}"), prog.let(f"{d} // {g}")
+
+    zero = (0,) * width
+    stack = []      # ("h", N, D) or ("p", num, den) per pending operand
+    root = order[-1]
+    for node in order:
+        t = type(node)
+        if t is Var:
+            degs = list(zero)
+            degs[node.index] = 1
+            stack.append(("h", f"a{node.index}", tuple(degs)))
+        elif t is IntLit:
+            stack.append(("h", prog.const(node.value), zero))
+        elif t is Neg:
+            kind, n, d = stack.pop()
+            stack.append((kind, prog.let(f"-{n}"), d))
+        elif t is Pow:
+            kind, n, d = stack.pop()
+            k = prog.const(node.exponent)
+            if kind == "h":
+                stack.append(("h", prog.let(f"{n} ** {k}"),
+                              tuple(node.exponent * x for x in d)))
+            else:
+                stack.append(("p", prog.let(f"{n} ** {k}"), prog.let(f"{d} ** {k}")))
+        else:
+            b = stack.pop()
+            a = stack.pop()
+            if a[0] == b[0] == "h" and t is not Div:
+                _, an, ad = a
+                _, bn, bd = b
+                if t is Mul:
+                    stack.append(("h", prog.let(f"{an} * {bn}"),
+                                  tuple(x + y for x, y in zip(ad, bd))))
+                    continue
+                degs = tuple(map(max, ad, bd))
+                lhs = " * ".join([an] + bpow([x - y for x, y in zip(degs, ad)]))
+                rhs = " * ".join([bn] + bpow([x - y for x, y in zip(degs, bd)]))
+                op = " + " if t is Add else " - "
+                stack.append(("h", prog.let(f"{lhs}{op}{rhs}"), degs))
+            elif a[0] == b[0] == "h":
+                # (Na / B^Da) / (Nb / B^Db): cancel B^min(Da, Db) statically
+                _, an, ad = a
+                _, bn, bd = b
+                prog.lines.append(f"if not {bn}: return None")
+                n = scaled(an, [max(0, y - x) for x, y in zip(ad, bd)])
+                d = scaled(bn, [max(0, x - y) for x, y in zip(ad, bd)])
+                if node is root:
+                    stack.append(("p", n, d))
+                    continue
+                g = prog.let(f"gcd({n}, {d}) if {d} > 0 else -gcd({n}, {d})")
+                stack.append(("p", prog.let(f"{n} // {g}"), prog.let(f"{d} // {g}")))
+            else:
+                stack.append(("p",) + _pair_op(prog, t, pair(a), pair(b)))
+    kind, n, d = stack.pop()
+    if kind == "h":
+        den = bpow(d)
+        prog.lines.append(f"return Fr({', '.join([n] + [' * '.join(den)] if den else [n])})")
+    else:
+        prog.lines.append(f"return Fr({n}, {d})")
+    return prog.build(prelude)
+
+
+def _pair_op(prog: _Program, t, a: tuple, b: tuple) -> tuple:
+    """Lines for the reduced pair a (op) b, op one of Add, Sub, Mul, Div."""
+    (na, da), (nb, db) = a, b
+    let = prog.let
     if t is Mul:
-        return an * bn % p, ad * bd % p
-    if t is Add:
-        return (an * bd + bn * ad) % p, ad * bd % p
-    if t is Sub:
-        return (an * bd - bn * ad) % p, ad * bd % p
-    if bn == 0:
-        return None
-    return an * bd % p, ad * bn % p
-
-
-def _eval_q(e: Expr, xs: list):
-    """Reduced (num, den > 0) pair of `e` at the coordinate pairs `xs`;
-    None if a divisor is zero.  The gcd steps are those of Fraction's own
-    arithmetic, so every intermediate has the size it has as a Fraction."""
-    t = type(e)
-    if t is Var:
-        return xs[e.index]
-    if t is IntLit:
-        return e.value, 1
-    if t is Neg:
-        v = _eval_q(e.arg, xs)
-        return None if v is None else (-v[0], v[1])
-    if t is Pow:
-        v = _eval_q(e.base, xs)
-        if v is None:
-            return None
-        k = e.exponent
-        return v[0] ** k, v[1] ** k
-    a = _eval_q(e.lhs, xs)
-    if a is None:
-        return None
-    b = _eval_q(e.rhs, xs)
-    if b is None:
-        return None
-    na, da = a
-    nb, db = b
-    if t is Mul:
-        g = gcd(na, db)
-        if g > 1:
-            na //= g
-            db //= g
-        g = gcd(nb, da)
-        if g > 1:
-            nb //= g
-            da //= g
-        return na * nb, da * db
+        g = let(f"gcd({na}, {db})")
+        h = let(f"gcd({nb}, {da})")
+        return (let(f"({na} // {g}) * ({nb} // {h})"),
+                let(f"({da} // {h}) * ({db} // {g})"))
     if t is Div:
-        if nb == 0:
-            return None
-        g = gcd(na, nb)
-        if g > 1:
-            na //= g
-            nb //= g
-        g = gcd(da, db)
-        if g > 1:
-            da //= g
-            db //= g
-        n, d = na * db, da * nb
-        return (-n, -d) if d < 0 else (n, d)
-    if t is Sub:
-        nb = -nb
+        # g takes the sign of nb, so the denominator comes out positive
+        prog.lines.append(f"if not {nb}: return None")
+        g = let(f"gcd({na}, {nb}) if {nb} > 0 else -gcd({na}, {nb})")
+        h = let(f"gcd({da}, {db})")
+        return (let(f"({na} // {g}) * ({db} // {h})"),
+                let(f"({da} // {h}) * ({nb} // {g})"))
     # Knuth, TAOCP 4.5.1: cancel by g = gcd(da, db), then by gcd(sum, g)
-    g = gcd(da, db)
-    if g == 1:
-        return na * db + da * nb, da * db
-    s = da // g
-    n = na * (db // g) + nb * s
-    g2 = gcd(n, g)
-    if g2 == 1:
-        return n, s * db
-    return n // g2, s * (db // g2)
+    op = " + " if t is Add else " - "
+    g = let(f"gcd({da}, {db})")
+    s = let(f"{da} // {g}")
+    n = let(f"{na} * ({db} // {g}){op}{nb} * {s}")
+    h = let(f"gcd({n}, {g})")
+    return let(f"{n} // {h}"), let(f"{s} * ({db} // {h})")
 
 
 def pretty(e: Expr) -> str:

@@ -16,7 +16,8 @@ powers, so over Q the engine can scale each row to integers.
 
 The sign relating their ratio to f(a) is fixed by the matrix layout:
     interp_sign(n, m) = -(-1)^((n+1)(m+1))
-frozen after calibration against known functions (see calibrate_sign).
+frozen after calibration against known functions (the test suite
+re-derives it: tests/sign_calibration.py).
 
 Coefficient fitting and black-box degree detection interpolate the samples
 in Newton form and recover the fraction by `ratfun.reconstruct_ints`, the
@@ -35,19 +36,17 @@ from typing import Callable, Optional
 from .errors import (
     BetaZero,
     BudgetExhausted,
-    CalibrationFailure,
     DegenerateInput,
     DomainTooSparse,
     NoFit,
     SizeMismatch,
 )
-from .fields import QQ, Field, FpElement, derive_rng, random_element
+from .fields import QQ, Field, FpElement, random_element
 from .matrix import bordered_dets, det_exact
 from .poly import Poly1, _ratio, _residue, _strip, field_prime
 from .ratfun import (
     RatFun1,
     degree_and_ord,
-    normalize_ratfun1,
     ratfun1_from_row,
     reconstruct_ints,
 )
@@ -175,75 +174,6 @@ def interp_point(samples: SampleSet1, profile: DegreeProfile, a):
                        "target off the function's domain); resample")
     v = alpha / beta
     return -v if interp_sign(profile.n, profile.m) < 0 else v
-
-
-@dataclass
-class SignCalibration:
-    grid: dict          # (n, m) -> observed sign
-    closed_form: Callable[[int, int], int]
-
-    def sign(self, n: int, m: int) -> int:
-        return self.closed_form(n, m)
-
-
-def calibrate_sign(field: Field = None, grid_max: int = 4, seed: int = 1) -> SignCalibration:
-    """Recompute the sign table empirically against randomly generated known
-    functions and verify it matches the frozen closed form."""
-    field = field or QQ
-    grid = {}
-    for n in range(grid_max + 1):
-        for m in range(grid_max + 1):
-            rng = derive_rng(seed, "calibrate", n, m)
-            grid[(n, m)] = _observe_sign(field, n, m, rng)
-            if grid[(n, m)] != interp_sign(n, m):
-                raise CalibrationFailure(
-                    f"observed sign {grid[(n, m)]} at (n={n}, m={m}) differs "
-                    f"from frozen closed form {interp_sign(n, m)}")
-    return SignCalibration(grid, interp_sign)
-
-
-def _observe_sign(field: Field, n: int, m: int, rng) -> int:
-    for _ in range(100):
-        p = _random_poly_of_degree(field, n, rng)
-        q = _random_poly_of_degree(field, m, rng)
-        from .poly import gcd_poly1
-        if int(gcd_poly1(p, q).degree) > 0:
-            continue
-        f = normalize_ratfun1(p, q)
-        prof = DegreeProfile.of(f)
-        if (prof.n, prof.m) != (n, m):
-            continue
-        pts = []
-        while len(pts) < prof.l + 1:
-            c = random_element(field, rng, 50)
-            if c not in pts and f.defined_at(c):
-                pts.append(c)
-        a = None
-        while a is None:
-            c = random_element(field, rng, 50)
-            if f.defined_at(c):
-                a = c
-        want = f.eval(a)
-        if want == field.zero:
-            continue
-        samples = SampleSet1([(c, f.eval(c)) for c in pts])
-        alpha, beta = alpha_beta(samples, prof, a)
-        if beta == field.zero or alpha == field.zero:
-            continue
-        ratio = want * beta / alpha
-        if ratio == field.one:
-            return 1
-        if ratio == -field.one:
-            return -1
-        raise CalibrationFailure(f"ratio {ratio!r} not a sign at (n={n}, m={m})")
-    raise CalibrationFailure(f"no usable instance at (n={n}, m={m})")
-
-
-def _random_poly_of_degree(field: Field, deg: int, rng) -> Poly1:
-    while True:
-        p = Poly1(field, [random_element(field, rng, 9) for _ in range(deg + 1)])
-        if not p.is_zero() and int(p.degree) == deg:
-            return p
 
 
 class _NewtonPool:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import FieldMismatch, InexactDivision
 from .fields import Field, FpElement, PrimeField
@@ -467,39 +468,87 @@ def eval_ints(polys, point):
     D_i the largest degree in x_i among `polys`,
     polys[j](point) = values[j] / (L_j * scale) with scale = prod b_i^D_i
     and L_j from `polys[j].int_form()`.  Polynomials evaluated together
-    share the scale, so it cancels from their ratios."""
-    forms = []
-    for f in polys:
-        if f.nvars != len(point):
-            raise ValueError("point arity mismatch")
-        forms.append(f.int_form())
+    share the scale, so it cancels from their ratios.  A caller that
+    evaluates the same polynomials at many points builds the evaluator
+    once with `ints_evaluator`."""
+    return ints_evaluator(polys)(point)
+
+
+def ints_evaluator(polys):
+    """The function point -> eval_ints(polys, point), with everything that
+    does not depend on the point worked out once: the integer forms, the
+    degrees D_i, and the place of every factor of every term.
+
+    Per point it fills one flat list: the integer coefficients of all the
+    terms, then for each variable x_i the factors of x_i^0..x_i^D_i
+    (residues over F_p; a_i^k * b_i^(D_i-k) over Q).  A term is the product
+    of its coefficient and one factor per variable, so each polynomial is
+    one C-level gather (`itemgetter`) of nvars+1 factors per term, grouped
+    and multiplied out without a Python-level loop over its terms."""
+    nvars = polys[0].nvars
+    if any(f.nvars != nvars for f in polys):
+        raise ValueError("polynomials of different arity")
+    forms = [f.int_form() for f in polys]
     degs = [max(ds) for ds in zip(*(form[2] for form in forms))]
     field = polys[0].field
-    tables = []     # tables[i][k]: the factor of x_i^k in every term
-    scale = 1
+    coeffs = []
+    offsets = []
+    at = sum(len(form[1]) for form in forms)
+    for d in degs:
+        offsets.append(at)
+        at += d + 1
+    gathers = []
+    for _, terms, _ in forms:
+        idx = []
+        for c, e in terms:
+            idx.append(len(coeffs))
+            coeffs.append(c)
+            idx += map(int.__add__, offsets, e)
+        # itemgetter of one index returns the bare item; the zero polynomial,
+        # or one term in no variables, is a slice of the coefficients instead
+        gathers.append(itemgetter(*idx) if len(idx) > 1 else
+                       itemgetter(slice(len(coeffs) - len(idx), len(coeffs))))
+    group = nvars + 1
+
     if isinstance(field, PrimeField):
         p = field.p
-        for x, d in zip(point, degs):
-            r = _residue(x, p)
-            row = [1]
-            for _ in range(d):
-                row.append(row[-1] * r % p)
-            tables.append(row)
-    else:
-        p = None
+
+        def run(point):
+            if len(point) != nvars:
+                raise ValueError("point arity mismatch")
+            flat = coeffs[:]
+            for x, d in zip(point, degs):
+                r = x.residue if type(x) is FpElement and x.field is field else _residue(x, p)
+                v = 1
+                flat.append(v)
+                for _ in range(d):
+                    v = v * r % p
+                    flat.append(v)
+            out = []
+            for g in gathers:
+                # the terms' factors, nvars + 1 at a time, multiplied out
+                out.append(sum(map(math.prod, zip(*[iter(g(flat))] * group))) % p)
+            return out, 1
+        return run
+
+    def run(point):
+        if len(point) != nvars:
+            raise ValueError("point arity mismatch")
+        flat = coeffs[:]
+        scale = 1
         for x, d in zip(point, degs):
             a, b = _ratio(x)
             apow, bpow = [1], [1]
             for _ in range(d):
                 apow.append(apow[-1] * a)
                 bpow.append(bpow[-1] * b)
-            tables.append([u * v for u, v in zip(apow, reversed(bpow))])
+            flat += map(int.__mul__, apow, reversed(bpow))
             scale *= bpow[-1]
-    values = []
-    for _, terms, _ in forms:
-        v = sum(c * math.prod(map(list.__getitem__, tables, e)) for c, e in terms)
-        values.append(v if p is None else v % p)
-    return values, scale
+        out = []
+        for g in gathers:
+            out.append(sum(map(math.prod, zip(*[iter(g(flat))] * group))))
+        return out, scale
+    return run
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .poly import (
     gcd_ints,
     gcd_poly1,
     gcd_polyn,
+    ints_evaluator,
     mul_ints,
     poly1_from_ints,
     poly1_ints,
@@ -111,12 +112,13 @@ class RatFunN:
     """Multivariate rational function; see module docstring for the canonical
     form.  `coprime` records whether gcd extraction certified the pair."""
 
-    __slots__ = ("num", "den", "coprime")
+    __slots__ = ("num", "den", "coprime", "_value")
 
     def __init__(self, num: PolyN, den: PolyN, coprime: bool):
         self.num = num
         self.den = den
         self.coprime = coprime
+        self._value = None
 
     @property
     def field(self) -> Field:
@@ -136,15 +138,29 @@ class RatFunN:
         return v
 
     def eval_or_none(self, point):
-        """The value at `point`, or None at a pole; see `eval_ints`."""
-        (n, d), _ = eval_ints((self.num, self.den), point)
-        if not d:
-            return None
+        """The value at `point`, or None at a pole; see `eval_ints`.  The
+        evaluator is built at the first call and kept."""
+        if self._value is None:
+            self._value = self._evaluator()
+        return self._value(point)
+
+    def _evaluator(self):
+        ev = ints_evaluator((self.num, self.den))
         field = self.field
         if field == QQ:
             # num and den share the power scale; only their L's remain
-            return Fraction(n * self.den.int_form()[0], d * self.num.int_form()[0])
-        return FpElement(n * pow(d, -1, field.p), field)
+            lnum, lden = self.num.int_form()[0], self.den.int_form()[0]
+
+            def value(point):
+                (n, d), _ = ev(point)
+                return Fraction(n * lden, d * lnum) if d else None
+            return value
+        p = field.p
+
+        def value(point):
+            (n, d), _ = ev(point)
+            return FpElement(n * pow(d, -1, p), field) if d else None
+        return value
 
     def defined_at(self, point) -> bool:
         return eval_ints((self.den,), point)[0][0] != 0

@@ -25,6 +25,11 @@ Each node returns a `NodeRecord`: its result, its verification tally, its
 own slice classes, and the anchors of its subtree per level, merged from its
 children in child order.  The level-class map is the only state the nodes
 share, so a repeated attempt leaves nothing behind.
+
+A node's oracle holds the user's function and the anchors fixed above it,
+so a query at any depth is one `SliceOracle.eval` call into the user's
+function.  Verification draws its points as before and evaluates the
+candidate through the evaluator the candidate builds at its first point.
 """
 
 from __future__ import annotations
@@ -61,15 +66,24 @@ MAX_CLASSIFY_FAILURE_RATE = 0.20
 @dataclass
 class SliceOracle:
     """Partial black-box function on field^arity.  Undefined inputs are
-    reported as None, never raised.  The engine calls it serially."""
+    reported as None, never raised.  The engine calls it serially.
+
+    `_suffix` is internal: the anchors that fix the trailing coordinates of
+    `fn`'s points, so a restriction to an anchor hyperplane (`_restrict`)
+    calls the user's function directly, however deep the recursion."""
     arity: int
     field: Field
     fn: Callable[[tuple], Optional[object]]
+    _suffix: tuple = ()
 
     def eval(self, point: tuple):
         if len(point) != self.arity:
             raise ValueError(f"point arity {len(point)} != oracle arity {self.arity}")
-        return self.fn(tuple(point))
+        return self.fn(tuple(point) + self._suffix)
+
+    def _restrict(self, b) -> "SliceOracle":
+        """The oracle on the hyperplane where the last coordinate is `b`."""
+        return SliceOracle(self.arity - 1, self.field, self.fn, (b,) + self._suffix)
 
 
 def slice_oracle(oracle: SliceOracle, axis: int, fixed: tuple):
@@ -78,10 +92,11 @@ def slice_oracle(oracle: SliceOracle, axis: int, fixed: tuple):
         raise ValueError("axis out of range")
     if len(fixed) != oracle.arity - 1:
         raise ValueError("fixed tuple must have arity-1 coordinates")
-    pre, post = tuple(fixed[:axis]), tuple(fixed[axis:])
+    pre, post = tuple(fixed[:axis]), tuple(fixed[axis:]) + oracle._suffix
+    query = oracle.fn
 
     def fn(a):
-        return oracle.eval(pre + (a,) + post)
+        return query(pre + (a,) + post)
 
     return fn
 
@@ -231,12 +246,14 @@ def verify_agreement(oracle: SliceOracle, g: RatFunN, trials: int, rng,
     skips = 0
     mismatch = None
     seen = {}
+    draw = oracle.field.random_element      # fields.random_element, unwrapped
+    coords = range(oracle.arity)
+    query, value = oracle.eval, g.eval_or_none
     for _ in range(trials):
-        point = tuple(random_element(oracle.field, rng, height_bound)
-                      for _ in range(oracle.arity))
+        point = tuple([draw(rng, height_bound) for _ in coords])
         pair = seen.get(point)
         if pair is None:
-            pair = seen[point] = (oracle.eval(point), g.eval_or_none(point))
+            pair = seen[point] = (query(point), value(point))
         want, got = pair
         if want is None or got is None:
             skips += 1
@@ -305,7 +322,7 @@ def _reconstruct_level(oracle: SliceOracle, cfg: ReconConfig, path: tuple,
     if oracle.arity == 1:
         rng = derive_rng(cfg.seed, "fit", *path)
         prof, fit = detect_profile_with_fit(
-            lambda a: oracle.eval((a,)), field, cfg.budget(), rng)
+            slice_oracle(oracle, 0, ()), field, cfg.budget(), rng)
         result = fit.to_ratfunn(1)
         return NodeRecord(result, [], _verify_node(oracle, result, cfg, path),
                           Counter({(prof.d, prof.e): 1}), 0)
@@ -321,11 +338,8 @@ def _reconstruct_level(oracle: SliceOracle, cfg: ReconConfig, path: tuple,
         profile = DegreeProfile.from_de(d, e)
         anchors = choose_anchors(oracle, axis, profile, cfg,
                                  derive_rng(cfg.seed, "anchors", *path))
-        children = []
-        for i, b in enumerate(anchors):
-            sub = SliceOracle(oracle.arity - 1, field,
-                              lambda pt, _b=b: oracle.eval(tuple(pt) + (_b,)))
-            children.append(_reconstruct_level(sub, cfg, path + (i,), classes))
+        children = [_reconstruct_level(oracle._restrict(b), cfg, path + (i,), classes)
+                    for i, b in enumerate(anchors)]
         try:
             result = _combine([c.result for c in children], anchors, profile,
                               field, oracle.arity)

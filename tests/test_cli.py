@@ -348,6 +348,37 @@ def test_reconstruct_exponent_over_cap(capsys, expr):
     assert err.rstrip().endswith("expected an exponent of at most 1024")
 
 
+LONG_SUM = "+".join(["x1"] * 1500)
+
+
+@pytest.mark.parametrize("expr, result", [
+    (LONG_SUM, "(1500*x1)/(1)"),
+    (f"({LONG_SUM})^2", "(2250000*x1^2)/(1)"),
+])
+def test_reconstruct_long_flat_expressions(capsys, expr, result):
+    # a sum far longer than Python's recursion limit is a flat chain: it
+    # parses, compiles and reconstructs, raised to a power or not
+    code, out, err = run_cli(capsys, "reconstruct", "--expr", expr, "--arity", "1",
+                             "--field", "q")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["report"]["result"] == result
+
+
+@pytest.mark.parametrize("expr, offset", [
+    ("(" * 600 + "x1" + ")" * 600, 100),
+    ("-" * 1500 + "x1", 100),
+    ("x1" + "^1" * 1500, 204),
+])
+def test_reconstruct_nesting_over_cap(capsys, expr, offset):
+    # deep nesting is an input error at the first level past the cap, not
+    # a RecursionError traceback
+    code, out, err = run_cli(capsys, "reconstruct", f"--expr={expr}", "--arity", "1")
+    assert code == 1
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.rstrip() == (f"input error: syntax error at offset {offset}: "
+                            "expected a nesting depth of at most 100")
+
+
 def test_reconstruct_budget_failure_exit(capsys):
     # an oracle undefined everywhere: slice classification cannot succeed
     code, _, err = run_cli(capsys, "reconstruct", "--expr", "1/(x1-x1)",
@@ -490,17 +521,18 @@ EXIT_CODES = {
     "ZeroFunction": 8, "ZeroPolynomial": 8, "InexactDivision": 8,
     "NonSquareMatrix": 8, "UndefinedAt": 8, "PrefixTooShort": 1,
     "PoleAtOrigin": 1, "NoSolution": 1, "SizeMismatch": 1,
-    "DegenerateInput": 1, "CalibrationFailure": 8, "BetaZero": 4, "NoFit": 5,
+    "DegenerateInput": 1, "BetaZero": 4, "NoFit": 5,
     "BudgetExhausted": 7, "DomainTooSparse": 7,
     "TooManyFailures": 7, "AnchorSearchFailed": 7, "EmptyHistogram": 8,
     "VerificationFailed": 6, "ExprSyntaxError": 1, "ExponentTooLarge": 1,
-    "UnknownVariable": 1, "NegativeExponent": 1,
+    "UnknownVariable": 1, "NegativeExponent": 1, "NestingTooDeep": 1,
 }
 ERROR_ARGS = {
     "UndefinedAt": ((2,),),
     "VerificationFailed": ((1, 2), 3, 4, (0,)),
     "ExprSyntaxError": (5, {"an operand"}),
     "ExponentTooLarge": (5, 1024),
+    "NestingTooDeep": (5, 100),
     "UnknownVariable": (3, "y1"),
     "NegativeExponent": (4,),
 }

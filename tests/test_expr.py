@@ -1,6 +1,10 @@
+import io
 import math
 import random
+import re
+import tokenize
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -9,11 +13,14 @@ from ratrecon.errors import (
     ExprSyntaxError,
     FieldMismatch,
     NegativeExponent,
+    NestingTooDeep,
     UnknownVariable,
     ZeroDenominator,
 )
+from ratrecon import expr
 from ratrecon.expr import (
     MAX_EXPONENT,
+    MAX_NESTING,
     Add,
     Div,
     IntLit,
@@ -22,7 +29,6 @@ from ratrecon.expr import (
     Pow,
     Sub,
     Var,
-    _eval_q,
     eval_expr,
     parse,
     pretty,
@@ -184,6 +190,70 @@ def ref_eval_expr(e, point, field):
     return a / b
 
 
+def ref_eval_q(e, xs: list):
+    # the Q tree walk before the compiled program: the reduced (num, den > 0)
+    # pair of `e` at the coordinate pairs `xs`, None if a divisor is zero.
+    # The gcd steps are those of Fraction's own arithmetic, so every
+    # intermediate has the size it has as a Fraction.
+    t = type(e)
+    if t is Var:
+        return xs[e.index]
+    if t is IntLit:
+        return e.value, 1
+    if t is Neg:
+        v = ref_eval_q(e.arg, xs)
+        return None if v is None else (-v[0], v[1])
+    if t is Pow:
+        v = ref_eval_q(e.base, xs)
+        if v is None:
+            return None
+        k = e.exponent
+        return v[0] ** k, v[1] ** k
+    a = ref_eval_q(e.lhs, xs)
+    if a is None:
+        return None
+    b = ref_eval_q(e.rhs, xs)
+    if b is None:
+        return None
+    na, da = a
+    nb, db = b
+    if t is Mul:
+        g = gcd(na, db)
+        if g > 1:
+            na //= g
+            db //= g
+        g = gcd(nb, da)
+        if g > 1:
+            nb //= g
+            da //= g
+        return na * nb, da * db
+    if t is Div:
+        if nb == 0:
+            return None
+        g = gcd(na, nb)
+        if g > 1:
+            na //= g
+            nb //= g
+        g = gcd(da, db)
+        if g > 1:
+            da //= g
+            db //= g
+        n, d = na * db, da * nb
+        return (-n, -d) if d < 0 else (n, d)
+    if t is Sub:
+        nb = -nb
+    # Knuth, TAOCP 4.5.1: cancel by g = gcd(da, db), then by gcd(sum, g)
+    g = gcd(da, db)
+    if g == 1:
+        return na * db + da * nb, da * db
+    s = da // g
+    n = na * (db // g) + nb * s
+    g2 = gcd(n, g)
+    if g2 == 1:
+        return n, s * db
+    return n // g2, s * (db // g2)
+
+
 def assert_same(e, point, field):
     got, want = eval_expr(e, point, field), ref_eval_expr(e, point, field)
     assert type(got) is type(want) and got == want, (pretty(e), point, got, want)
@@ -206,7 +276,7 @@ def test_eval_matches_per_node_reference(field):
         if field == QQ and got is not None:
             # the Q walk keeps its pairs reduced, so no intermediate outgrows
             # the Fraction it stands for
-            n, d = _eval_q(t, [(x.numerator, x.denominator) for x in pt])
+            n, d = ref_eval_q(t, [(x.numerator, x.denominator) for x in pt])
             assert d > 0 and math.gcd(n, d) == 1
     assert undefined > 60
 
@@ -295,6 +365,131 @@ def test_one_field_element_per_query(monkeypatch):
     # the reference builds one per node, which the counters do see
     ref_eval_expr(e, fp_pt, FBIG)
     assert len(fp_calls) > 10
+
+
+@pytest.mark.parametrize("field", [QQ, F101, FBIG], ids=["Q", "F101", "F1000003"])
+def test_eval_division_inside_other_nodes(field):
+    # a Div under Pow, Neg and Sub, zero divisors in branches that do not
+    # change the value, and literals above p, at points with zero and
+    # equal coordinates
+    big = 10 ** 30 + 7
+    texts = ["(x1/x2)^3", "-(x1/x2)", "--(x2/x1)^2", "x1 - x2/x1",
+             "(x2 - 1/x1)^2 - -(3/x2)", "x1/x2 - x2/x1 - (x1 - x2)/(x1 + x2)",
+             "((x1 - x2)/(x1 + 2))^0 - x2", "0*(1/x1)", "(1/x1)^0",
+             "x2 + 0*(1/(x1 - x2))", "(x2/x1)^0*x2 - x1/x2/x1",
+             f"{big}*x1 + {FBIG.p}*x2 - 101", f"(x1 - {big})/({big}*x2 + 1)",
+             f"x1/{FBIG.p} + x2/101"]
+    coords = [field.from_int(k) for k in (0, 1, -2, 3)]
+    if field == QQ:
+        coords += [q(-3, 4), q(5, 2)]
+    for text in texts:
+        e = parse(text, 2)
+        for a in coords:
+            for b in coords:
+                assert_same(e, (a, b), field)
+
+
+def test_program_compiled_once_per_tree_and_field(monkeypatch):
+    compiled = []
+    compile_ = expr._compile
+
+    def counting(e, field):
+        compiled.append((e, field))
+        return compile_(e, field)
+
+    monkeypatch.setattr(expr, "_compile", counting)
+    e = parse("(x1*x2 + 3)/(x1 - x2)", 2)
+    pts = [(FBIG.from_int(a), FBIG.from_int(b)) for a, b in ((2, 5), (7, 1), (3, 3))]
+    for pt in pts * 2:
+        assert_same(e, pt, FBIG)
+    assert compiled == [(e, FBIG)]
+    # the memo holds one entry: alternating trees, or one tree under two
+    # fields, recompile at each switch and still give the right values
+    f = parse("x1^2 - 1/x2", 2)
+    for pt in pts:
+        assert_same(e, pt, FBIG)
+        assert_same(f, pt, FBIG)
+    assert len(compiled) == 2 * len(pts)       # e was still the memo's entry
+    for a, b in ((2, 5), (7, 1), (4, 0)):
+        assert_same(f, (F101.from_int(a), F101.from_int(b)), F101)
+        assert_same(f, (q(a), q(b)), QQ)
+        assert_same(f, (FBIG.from_int(a), FBIG.from_int(b)), FBIG)
+
+
+def test_generated_source_holds_no_input_text(monkeypatch):
+    sources = []
+    build = expr._Program.build
+
+    def capture(prog, prelude):
+        sources.append("\n".join(prelude + prog.lines))
+        return build(prog, prelude)
+
+    monkeypatch.setattr(expr._Program, "build", capture)
+    text = "(987654321*x1^7 - x2/x1)^3 + 555/(x2 - 4444)"
+    for field in (QQ, F101, FBIG):
+        eval_expr(parse(text, 2), (2, 3), field)
+    assert len(sources) == 3
+    fixed = {"if", "else", "return", "not", "is", "and", "None", "type", "len", "pow", "gcd",
+             "pt", "E", "F", "P", "R", "FIT", "Fr", "residue", "field", "numerator",
+             "denominator"}
+    for src in sources:
+        for tok in tokenize.generate_tokens(io.StringIO(src + "\n").readline):
+            if tok.type == tokenize.NAME:
+                assert tok.string in fixed or re.fullmatch(r"[tkxab]\d+", tok.string), tok
+            elif tok.type == tokenize.NUMBER:
+                # pow(d, -1, P), a unit denominator, a sign test
+                assert tok.string in ("0", "1"), tok
+
+
+def test_eval_point_length():
+    # coordinates past the ones the tree uses are checked, then ignored
+    assert eval_expr(parse("x1", 3), (2, 5, 7), F101) == F101.from_int(2)
+    assert eval_expr(parse("7", 2), (q(1, 2), 3), QQ) == q(7)
+    with pytest.raises(FieldMismatch):
+        eval_expr(parse("x1", 3), (2, 5, q(1, 2)), F101)
+    with pytest.raises(ValueError):
+        eval_expr(parse("x1 + x3", 3), (2, 5), F101)
+
+
+def test_eval_deep_flat_chains():
+    # chains far longer than Python's recursion limit compile and evaluate
+    n = 1500
+    pt = {QQ: (q(-3, 7), q(5, 2)), F101: (F101.from_int(3), F101.from_int(5)),
+          FBIG: (FBIG.from_int(3), FBIG.from_int(5))}
+    for field, (a, b) in pt.items():
+        assert eval_expr(parse("+".join(["x1"] * n), 1), (a,), field) == a * n
+        assert eval_expr(parse("-".join(["x1"] * n), 1), (a,), field) == a * (2 - n)
+        assert eval_expr(parse("*".join(["x1"] * n), 1), (a,), field) == a ** n
+        assert eval_expr(parse(" + ".join(["x1/x2"] * n), 2), (a, b), field) == a / b * n
+        assert eval_expr(parse("/".join(["x1"] * n), 1), (a,), field) == a ** (2 - n)
+        assert eval_expr(parse(f"({'+'.join(['x1'] * n)})^2", 1), (a,), field) == (a * n) ** 2
+
+
+def test_nesting_cap():
+    # parentheses, unary minuses and exponent chain links share one depth
+    # count; the first level past the cap is an error at its own offset
+    cap = MAX_NESTING
+    assert parse("(" * cap + "x1" + ")" * cap, 1) == Var(0)
+    assert parse("-" * cap + "x1", 1) == Neg(parse("-" * (cap - 1) + "x1", 1))
+    assert parse("x1" + "^1" * (cap + 1), 1) == Pow(Var(0), 1)
+    assert parse("-(" * (cap // 2) + "x1" + ")" * (cap // 2), 1) is not None
+    for text, offset in (("(" * (cap + 1) + "x1" + ")" * (cap + 1), cap),
+                         ("-" * (cap + 1) + "x1", cap),
+                         ("x1" + "^1" * (cap + 2), 2 * cap + 4),
+                         ("-(" * (cap // 2) + "-x1" + ")" * (cap // 2), cap),
+                         ("(" * 600 + "x1" + ")" * 600, cap)):
+        with pytest.raises(NestingTooDeep) as exc:
+            parse(text, 1)
+        assert isinstance(exc.value, ExprSyntaxError)
+        assert exc.value.offset == offset
+
+
+def test_power_cap_on_long_chains():
+    # the nested-power product is taken without recursing along the chain
+    chain = "+".join(["x1"] * 1500)
+    assert parse(f"({chain})^1024", 1).exponent == 1024
+    with pytest.raises(ExponentTooLarge):
+        parse(f"(({chain})^2)^513", 1)
 
 
 def test_pretty_reparse_fixed_point():

@@ -17,7 +17,6 @@ from ratrecon.interp import (
     SampleSet1,
     SamplingBudget,
     alpha_beta,
-    calibrate_sign,
     delta_det,
     delta_sign,
     detect_profile_with_fit,
@@ -29,6 +28,8 @@ from ratrecon.interp import (
 from ratrecon.matrix import det_exact, resultant, vandermonde_product
 from ratrecon.poly import Poly1, gcd_poly1
 from ratrecon.ratfun import normalize_ratfun1
+
+from sign_calibration import calibrate_sign
 
 FP = PrimeField(1000003)
 

@@ -1,6 +1,7 @@
 import importlib
 import json
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -37,6 +38,7 @@ from ratrecon.reconstruct import (
 )
 
 engine = importlib.import_module("ratrecon.reconstruct")
+ratfun = importlib.import_module("ratrecon.ratfun")
 
 FP101 = PrimeField(101)
 FP = PrimeField(1000003)
@@ -526,6 +528,65 @@ def test_vacuous_verification_is_a_budget_failure():
     oracle = SliceOracle(1, FP, lambda pt: asked.get(pt[0]))
     with pytest.raises(DomainTooSparse, match=r"recursion path \(\)"):
         reconstruct(oracle, cfg)
+
+
+@pytest.mark.parametrize("field", [FP, QQ])
+def test_verification_builds_the_candidate_evaluator_once(monkeypatch, field):
+    # the candidate's integer forms, degrees and term layout are worked out
+    # at its first point, not at every one of the 200
+    f = rand_ratfunn(field, random.Random(61), 3, 2)
+    f.eval_or_none((1, 2, 3))       # the oracle's own evaluator, built now
+    built = []
+    build = ratfun.ints_evaluator
+    monkeypatch.setattr(ratfun, "ints_evaluator",
+                        lambda polys: built.append(polys) or build(polys))
+    g = RatFunN(f.num, f.den, f.coprime)            # a fresh candidate
+    tally = verify_agreement(oracle_from_ratfunn(f), g, 200, derive_rng(5, "v"))
+    assert tally.mismatch is None and tally[0] == 200 and tally[1] > 150
+    assert built == [(g.num, g.den)]
+
+
+def eval_frames() -> int:
+    """The number of SliceOracle.eval frames on the caller's stack."""
+    frame, n = sys._getframe(1), 0
+    while frame is not None:
+        n += frame.f_code is SliceOracle.eval.__code__
+        frame = frame.f_back
+    return n
+
+
+def test_deep_node_queries_the_user_function_in_one_frame(monkeypatch):
+    # a verification at recursion depth 2 reaches the user's function through
+    # one SliceOracle.eval frame, whatever the depth, and asks it once per
+    # distinct point
+    f = rand_ratfunn(FP, random.Random(48), 3, 2)
+    runs = []           # per verification run: (node arity, [(point, frames)])
+    active = []
+
+    def fn(pt):
+        if active:
+            runs[-1][1].append((pt, eval_frames()))
+        return f.eval_or_none(pt)
+
+    verify = engine.verify_agreement
+
+    def spy(oracle, g, trials, rng, height_bound=10):
+        runs.append((oracle.arity, []))
+        active.append(1)
+        try:
+            return verify(oracle, g, trials, rng, height_bound)
+        finally:
+            active.pop()
+
+    monkeypatch.setattr(engine, "verify_agreement", spy)
+    report = reconstruct(SliceOracle(3, FP, fn), ReconConfig(seed=200))
+    assert report.result.same_function(f)
+    deep = [calls for arity, calls in runs if arity == 1]
+    assert deep and all(calls for calls in deep)
+    for calls in deep:
+        points = [pt for pt, _ in calls]
+        assert len(points) == len(set(points))
+        assert all(len(pt) == 3 and frames == 1 for pt, frames in calls)
 
 
 @pytest.mark.parametrize("trials", [0, -1])
