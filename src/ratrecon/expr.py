@@ -560,56 +560,57 @@ def _pair_op(prog: _Program, t, a: tuple, b: tuple) -> tuple:
 
 def pretty(e: Expr) -> str:
     """Minimal-parenthesis form that reparses to the identical tree."""
-    if isinstance(e, IntLit):
-        return str(e.value)
-    if isinstance(e, Var):
-        return f"x{e.index + 1}"
-    if isinstance(e, Neg):
-        inner = pretty(e.arg)
-        if isinstance(e.arg, (IntLit, Var, Pow)):
-            return f"-{inner}"
-        return f"-({inner})"
-    if isinstance(e, Pow):
-        base = pretty(e.base)
-        if not isinstance(e.base, (IntLit, Var)):
-            base = f"({base})"
-        return f"{base}^{e.exponent}"
-    if isinstance(e, (Add, Sub)):
-        op = " + " if isinstance(e, Add) else " - "
-        lhs = pretty(e.lhs)
-        rhs = pretty(e.rhs)
-        if isinstance(e.rhs, (Add, Sub)):
-            rhs = f"({rhs})"
-        return f"{lhs}{op}{rhs}"
-    op = "*" if isinstance(e, Mul) else "/"
-    lhs = pretty(e.lhs)
-    if isinstance(e.lhs, (Add, Sub)):
-        lhs = f"({lhs})"
-    rhs = pretty(e.rhs)
-    if isinstance(e.rhs, (Add, Sub, Mul, Div)):
-        rhs = f"({rhs})"
-    return f"{lhs}{op}{rhs}"
+    done = []
+    for node in _postorder(e):
+        t = type(node)
+        if t is IntLit:
+            done.append(str(node.value))
+        elif t is Var:
+            done.append(f"x{node.index + 1}")
+        elif t is Neg:
+            inner = done.pop()
+            bare = isinstance(node.arg, (IntLit, Var, Pow))
+            done.append(f"-{inner}" if bare else f"-({inner})")
+        elif t is Pow:
+            base = done.pop()
+            if not isinstance(node.base, (IntLit, Var)):
+                base = f"({base})"
+            done.append(f"{base}^{node.exponent}")
+        else:
+            rhs, lhs = done.pop(), done.pop()
+            if t is Add or t is Sub:
+                op = " + " if t is Add else " - "
+                wrap_lhs, wrap_rhs = (), (Add, Sub)
+            else:
+                op = "*" if t is Mul else "/"
+                wrap_lhs, wrap_rhs = (Add, Sub), (Add, Sub, Mul, Div)
+            if isinstance(node.lhs, wrap_lhs):
+                lhs = f"({lhs})"
+            if isinstance(node.rhs, wrap_rhs):
+                rhs = f"({rhs})"
+            done.append(f"{lhs}{op}{rhs}")
+    return done[0]
 
 
 def to_ratfun(e: Expr, field: Field, arity: int) -> RatFunN:
     """Symbolic expansion into a canonical rational function.  Raises
     ZeroDenominator if some subexpression divides by the zero function."""
     one = PolyN.const(field, arity, field.one)
-    if isinstance(e, IntLit):
-        return normalize_ratfunn(PolyN.const(field, arity, field.from_int(e.value)), one)
-    if isinstance(e, Var):
-        return normalize_ratfunn(PolyN.var(field, arity, e.index), one)
-    if isinstance(e, Neg):
-        return -to_ratfun(e.arg, field, arity)
-    if isinstance(e, Pow):
-        b = to_ratfun(e.base, field, arity)
-        return normalize_ratfunn(b.num ** e.exponent, b.den ** e.exponent)
-    a = to_ratfun(e.lhs, field, arity)
-    b = to_ratfun(e.rhs, field, arity)
-    if isinstance(e, Add):
-        return a + b
-    if isinstance(e, Sub):
-        return a - b
-    if isinstance(e, Mul):
-        return a * b
-    return a / b
+    done = []
+    for node in _postorder(e):
+        t = type(node)
+        if t is IntLit:
+            done.append(normalize_ratfunn(
+                PolyN.const(field, arity, field.from_int(node.value)), one))
+        elif t is Var:
+            done.append(normalize_ratfunn(PolyN.var(field, arity, node.index), one))
+        elif t is Neg:
+            done.append(-done.pop())
+        elif t is Pow:
+            b = done.pop()
+            done.append(normalize_ratfunn(b.num ** node.exponent, b.den ** node.exponent))
+        else:
+            b, a = done.pop(), done.pop()
+            done.append(a + b if t is Add else a - b if t is Sub
+                        else a * b if t is Mul else a / b)
+    return done[0]

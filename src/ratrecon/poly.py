@@ -8,17 +8,20 @@ no operation mutates its arguments.
 The integer forms beside them carry the hot paths: univariate coefficient
 lists (the reconstruction and gcd kernels), `eval_ints` (evaluation), and
 `_Packed`, a multivariate polynomial on packed exponents and int
-coefficients, the entry type of the symbolic determinant.
+coefficients, on which every multivariate exact division and gcd runs:
+the symbolic determinant, `PolyN` division and the cancellation of
+`ratfun.normalize_ratfunn`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import itemgetter
+from functools import reduce
+from operator import itemgetter, or_
 
 from .errors import FieldMismatch, InexactDivision
-from .fields import Field, FpElement, PrimeField
+from .fields import Field, FpElement, PrimeField, derive_rng
 
 NEG_INF = float("-inf")
 
@@ -276,9 +279,6 @@ class PolyN:
     def is_constant(self) -> bool:
         return all(all(v == 0 for v in e) for e in self.terms)
 
-    def constant_value(self):
-        return self.terms.get((0,) * self.nvars, self.field.zero)
-
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=NEG_INF)
 
@@ -323,11 +323,6 @@ class PolyN:
     def scale(self, c) -> "PolyN":
         return PolyN(self.field, self.nvars, {e: v * c for e, v in self.terms.items()})
 
-    def mul_monomial(self, exp, c) -> "PolyN":
-        return PolyN(self.field, self.nvars,
-                     {tuple(a + b for a, b in zip(e, exp)): v * c
-                      for e, v in self.terms.items()})
-
     def __pow__(self, e: int):
         out = PolyN.const(self.field, self.nvars, self.field.one)
         b = self
@@ -360,20 +355,6 @@ class PolyN:
             return FpElement(v, self.field)
         return Fraction(v, self.int_form()[0] * scale)
 
-    def substitute(self, var: int, value) -> "PolyN":
-        """Replace one variable by a field constant; result keeps nvars with
-        exponent 0 in that slot."""
-        zero = self.field.zero
-        out = {}
-        for e, c in self.terms.items():
-            k = e[var]
-            ne = list(e)
-            ne[var] = 0
-            v = c * value ** k if k else c
-            ne = tuple(ne)
-            out[ne] = out.get(ne, zero) + v
-        return PolyN(self.field, self.nvars, out)
-
     def lex_leading(self):
         """(exponent, coefficient) of the lex-largest term."""
         if not self.terms:
@@ -381,65 +362,21 @@ class PolyN:
         e = max(self.terms)
         return e, self.terms[e]
 
-    def coeffs_in(self, var: int) -> dict:
-        """View as a polynomial in one variable: degree -> PolyN coefficient
-        (exponent slot for var zeroed)."""
-        buckets: dict[int, dict] = {}
-        for e, c in self.terms.items():
-            k = e[var]
-            ne = list(e)
-            ne[var] = 0
-            buckets.setdefault(k, {})[tuple(ne)] = c
-        return {k: PolyN(self.field, self.nvars, t) for k, t in buckets.items()}
-
-    def to_poly1(self, var: int = 0) -> Poly1:
-        """Collapse to univariate; every other variable must be absent."""
-        coeffs = [self.field.zero] * (int(self.degree_in(var)) + 1 if self.terms else 0)
-        for e, c in self.terms.items():
-            if any(k != 0 for i, k in enumerate(e) if i != var):
-                raise ValueError("polynomial involves other variables")
-            coeffs[e[var]] = c
-        return Poly1(self.field, coeffs)
-
-    def divides_exactly(self, divisor: "PolyN"):
-        """Return self / divisor when the division is exact, else None."""
-        _same_field(self, divisor)
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
-            return PolyN.zero(self.field, self.nvars)
-        if divisor.is_constant():
-            return self.scale(self.field.inv(divisor.constant_value()))
-        rem = dict(self.terms)
-        de, dc = divisor.lex_leading()
-        dc_inv = self.field.inv(dc)
-        zero = self.field.zero
-        out = {}
-        while rem:
-            e = max(rem)
-            c = rem[e]
-            ne = tuple(a - b for a, b in zip(e, de))
-            if any(v < 0 for v in ne):
-                return None
-            f = c * dc_inv
-            out[ne] = f
-            for e2, c2 in divisor.terms.items():
-                t = tuple(a + b for a, b in zip(ne, e2))
-                nv = rem.get(t, zero) - f * c2
-                if nv == zero:
-                    rem.pop(t, None)
-                else:
-                    rem[t] = nv
-        return PolyN(self.field, self.nvars, out)
-
     def __truediv__(self, other):
-        """Exact quotient; raises InexactDivision when other does not divide."""
+        """Exact quotient; raises InexactDivision when other does not divide.
+        Runs as `_Packed` division, over Q by the divisor made primitive,
+        which then divides in Z[x] too (Gauss's lemma)."""
         if not isinstance(other, PolyN):
             return NotImplemented
-        q = self.divides_exactly(other)
-        if q is None:
-            raise InexactDivision("polynomial division is not exact")
-        return q
+        _same_field(self, other)
+        ring = _ring_for(self, other)
+        a, b = ring.pack(self), ring.pack(other)
+        if ring.p is not None:
+            return ring.unpack(a / b)
+        k = math.gcd(*b.terms.values()) or 1
+        q = a / _Packed(ring, {e: c // k for e, c in b.terms.items()})
+        # self = a / L_self and other = k*b' / L_other
+        return ring.unpack(q * other.int_form()[0], self.int_form()[0] * k)
 
     def __repr__(self):
         return f"PolyN(nvars={self.nvars}, {self.terms!r})"
@@ -554,11 +491,15 @@ def ints_evaluator(polys):
 # ---------------------------------------------------------------------------
 # multivariate polynomials with packed exponents
 #
-# An exponent vector e is packed into the one integer sum(e_i << (w*i)), so
-# a monomial product is an integer add and the integer order of packed
-# exponents is a lex order (Monagan & Pearce, CASC 2007).  The top bit of
-# each w-bit field is a guard that stays clear: an exponent difference that
-# borrows in any field sets that field's guard bit.
+# An exponent vector e is packed into the one integer sum(e_i << w*(n-1-i)),
+# x1 in the most significant field, so a monomial product is an integer add
+# and the integer order of packed exponents is PolyN's lex order (Monagan &
+# Pearce, CASC 2007).  A ring keeps every exponent below 2^k in a field of
+# w = k + 2 bits: the sum of two exponents fits in k + 1 bits, and a
+# quotient exponent that borrows sets the top bit of its field.  A product
+# with an exponent of 2^k or more outgrows the ring and raises
+# OverflowError; such a quotient exponent cannot divide a polynomial of the
+# ring and raises InexactDivision.
 
 
 class _PackedRing:
@@ -566,35 +507,55 @@ class _PackedRing:
     wide enough for entries of degree <= `bound` in each variable and the
     product of any two of them."""
 
-    __slots__ = ("field", "p", "nvars", "w", "guard", "cap")
+    __slots__ = ("field", "p", "nvars", "w", "shifts", "over")
 
     def __init__(self, field: Field, nvars: int, bound: int):
         self.field = field
         self.p = field_prime(field)
         self.nvars = nvars
-        # a quotient term is checked against cap = 2*bound; the remainder
-        # terms of its division step stay below 3*bound
-        self.w = w = (3 * bound).bit_length() + 1
-        self.guard = sum(1 << (w * i + w - 1) for i in range(nvars))
-        self.cap = sum(2 * bound << (w * i) for i in range(nvars))
+        k = (2 * bound).bit_length()
+        self.w = w = k + 2
+        self.shifts = [w * (nvars - 1 - i) for i in range(nvars)]
+        self.over = sum(((1 << w) - (1 << k)) << s for s in self.shifts)
 
     def pack(self, f: PolyN, k: int = 1) -> "_Packed":
         """The integer form of f (see `PolyN.int_form`) times k."""
-        w = self.w
-        return _Packed(self, {sum(x << (w * i) for i, x in enumerate(e)): c * k
+        shifts = self.shifts
+        return _Packed(self, {sum(map(int.__lshift__, e, shifts)): c * k
                               for c, e in f.int_form()[1]})
+
+    def repack(self, f: "_Packed") -> "_Packed":
+        """f, a polynomial of another ring in the same variables, in this one."""
+        mask = (1 << f.ring.w) - 1
+        pairs = list(zip(f.ring.shifts, self.shifts))
+        return _Packed(self, {sum((e >> s & mask) << t for s, t in pairs): c
+                              for e, c in f.terms.items()})
 
     def monomial(self, var: int, k: int) -> "_Packed":
         """x_var^k."""
-        return _Packed(self, {k << (self.w * var): 1})
+        return _Packed(self, {k << self.shifts[var]: 1})
 
-    def unpack(self, f: "_Packed") -> PolyN:
-        w, field = self.w, self.field
-        mask = (1 << w) - 1
-        make = Fraction if self.p is None else (lambda c: FpElement(c, field))
-        return PolyN(field, self.nvars,
-                     {tuple(e >> (w * i) & mask for i in range(self.nvars)): make(c)
-                      for e, c in f.terms.items()})
+    def unpack(self, f: "_Packed", den: int = 1) -> PolyN:
+        """The PolyN f / den; den is nonzero (mod p over F_p)."""
+        field, shifts = self.field, self.shifts
+        mask = (1 << self.w) - 1
+        if self.p is None:
+            def make(c):
+                return Fraction(c, den)
+        else:
+            inv = pow(den, -1, self.p)
+
+            def make(c):
+                return FpElement(c * inv, field)
+        return PolyN(field, self.nvars, {tuple(e >> s & mask for s in shifts): make(c)
+                                         for e, c in f.terms.items()})
+
+
+def _ring_for(*polys: PolyN) -> _PackedRing:
+    """The ring of PolyNs of one field and arity, sized by their degrees."""
+    f = polys[0]
+    return _PackedRing(f.field, f.nvars,
+                       max((d for g in polys for d in g.int_form()[2]), default=0))
 
 
 class _Packed:
@@ -638,6 +599,8 @@ class _Packed:
             for e2, c2 in right:
                 e = e1 + e2
                 out[e] = get(e, 0) + c1 * c2
+        if reduce(or_, out, 0) & self.ring.over:
+            raise OverflowError("a product exponent outgrows the packed ring")
         return _Packed(self.ring, out)
 
     def __truediv__(self, other):
@@ -646,7 +609,7 @@ class _Packed:
         if not other.terms:
             raise ZeroDivisionError("division by zero polynomial")
         ring = self.ring
-        p, guard, cap = ring.p, ring.guard, ring.cap
+        p, over = ring.p, ring.over
         lead = max(other.terms)
         lc = other.terms[lead]
         inv = None if p is None else pow(lc, -1, p)
@@ -666,7 +629,7 @@ class _Packed:
             if not f:
                 continue
             q = e - lead
-            if (q | (cap - q)) & guard:
+            if q & over:
                 raise InexactDivision("polynomial division is not exact")
             out[q] = f
             for e2, c2 in rest:
@@ -675,126 +638,171 @@ class _Packed:
         return _Packed(ring, out)
 
 
-def _active_vars(f: PolyN, g: PolyN):
-    seen = set()
-    for p in (f, g):
-        for e in p.terms:
-            for i, k in enumerate(e):
-                if k:
-                    seen.add(i)
-    return sorted(seen)
+# ---------------------------------------------------------------------------
+# the multivariate gcd, on packed polynomials
+#
+# Recursive content and the primitive pseudo-remainder sequence in the last
+# variable present (Brown, "On Euclid's algorithm and the computation of
+# polynomial greatest common divisors", JACM 1971), with a coprime
+# certificate from univariate images.  In that variable a polynomial is the
+# list of its coefficients (`_coeffs`), constant term first.  Every gcd
+# comes in `_normal` form; over Q that form is primitive, so by Gauss's
+# lemma each division by it is exact in Z[x].
 
-
-def _gcd_univariate_image(f: PolyN, g: PolyN, var: int) -> PolyN:
-    """Gcd of two polynomials that involve only `var`."""
-    return gcd_poly1(f.to_poly1(var), g.to_poly1(var)).to_polyn(f.nvars, var)
-
-
-def _content_in(f: PolyN, var: int) -> PolyN:
-    """Gcd of the coefficients of f viewed in `var` (a PolyN without var)."""
-    cs = list(f.coeffs_in(var).values())
-    g = cs[0]
-    for c in cs[1:]:
-        if g.is_constant() and not g.is_zero():
-            break
-        g = gcd_polyn(g, c)
-    return g
-
-
-def _coprime_by_image(f: PolyN, g: PolyN, var: int) -> bool:
-    """Sound certificate: specialize every variable except `var` at points
-    where both leading coefficients in `var` survive; coprime univariate
-    images then force gcd degree 0 in `var`."""
-    others = [i for i in _active_vars(f, g) if i != var]
-    fl = f.coeffs_in(var)[int(f.degree_in(var))]
-    gl = g.coeffs_in(var)[int(g.degree_in(var))]
-    from .fields import derive_rng, random_element
-    for attempt in range(8):
-        rng = derive_rng(0xC09, var, attempt, f.total_degree(), g.total_degree())
-        point = {i: random_element(f.field, rng, 1000) for i in others}
-        fi, gi, fli, gli = f, g, fl, gl
-        for i, v in point.items():
-            fi, gi = fi.substitute(i, v), gi.substitute(i, v)
-            fli, gli = fli.substitute(i, v), gli.substitute(i, v)
-        if fli.is_zero() or gli.is_zero():
-            continue
-        img = _gcd_univariate_image(fi, gi, var)
-        if int(img.degree_in(var)) == 0:
-            return True
-        return False
-    return False
+_ONE = {0: 1}
 
 
 def gcd_polyn(f: PolyN, g: PolyN) -> PolyN:
-    """Multivariate gcd by recursive content / primitive-part computation
-    (primitive PRS in the highest active variable), with a fast evaluation
-    certificate for the coprime case.  Result is canonical: constant gcds
-    come back as 1."""
+    """The gcd with lex-leading coefficient 1 (zero when f and g are),
+    computed by `_packed_gcd` on their packed integer forms."""
     _same_field(f, g)
-    one = PolyN.const(f.field, f.nvars, f.field.one)
-    if f.is_zero() and g.is_zero():
-        return PolyN.zero(f.field, f.nvars)
-    if f.is_zero():
-        return _canonical_gcd(g)
-    if g.is_zero():
-        return _canonical_gcd(f)
-    if f.is_constant() or g.is_constant():
-        return one
-    av = _active_vars(f, g)
-    if len(av) == 1:
-        v = av[0]
-        return _gcd_univariate_image(f, g, v)
-    var = av[-1]
-    if int(f.degree_in(var)) == 0 or int(g.degree_in(var)) == 0:
-        # var absent from one side: gcd divides that side's content picture
-        fv = f if int(f.degree_in(var)) == 0 else _content_in(f, var)
-        gv = g if int(g.degree_in(var)) == 0 else _content_in(g, var)
-        return gcd_polyn(fv, gv)
-    cf, cg = _content_in(f, var), _content_in(g, var)
-    cont = gcd_polyn(cf, cg)
-    pf, pg = f / cf, g / cg
-    if _coprime_by_image(pf, pg, var):
-        pp = one
-    else:
-        pp = _primitive_prs_gcd(pf, pg, var)
-    return _canonical_gcd(cont * pp)
+    ring = _ring_for(f, g)
+    h = _packed_gcd(ring.pack(f), ring.pack(g))
+    return ring.unpack(h, h.terms[max(h.terms)] if h.terms else 1)
 
 
-def _canonical_gcd(h: PolyN) -> PolyN:
-    if h.is_zero():
-        return h
-    if h.is_constant():
-        return PolyN.const(h.field, h.nvars, h.field.one)
-    _, lc = h.lex_leading()
-    return h.scale(h.field.inv(lc))
+def _packed_gcd(f: _Packed, g: _Packed) -> _Packed:
+    """The gcd of f and g in `_normal` form, zero when both are zero.  The
+    degrees of a pseudo-remainder sequence can outgrow the ring of f and g;
+    the gcd is then taken in wider rings until it fits, and it comes back
+    in the ring of f and g, which holds it because it divides both."""
+    try:
+        return _gcd(f, g)
+    except OverflowError:
+        ring = f.ring
+        wide = _PackedRing(ring.field, ring.nvars, 1 << 2 * ring.w)
+        return ring.repack(_packed_gcd(wide.repack(f), wide.repack(g)))
 
 
-def _primitive_prs_gcd(f: PolyN, g: PolyN, var: int) -> PolyN:
-    """Primitive pseudo-remainder sequence in `var`; inputs primitive."""
-    if int(f.degree_in(var)) < int(g.degree_in(var)):
+def _normal(f: _Packed) -> _Packed:
+    """f scaled to lex-leading coefficient 1 over F_p; over Q divided by its
+    integer content, with a positive lex-leading coefficient."""
+    lc = f.terms[max(f.terms)]
+    p = f.ring.p
+    if p is not None:
+        return f if lc == 1 else f * pow(lc, -1, p)
+    k = math.gcd(*f.terms.values())
+    if lc < 0:
+        k = -k
+    return f if k == 1 else _Packed(f.ring, {e: c // k for e, c in f.terms.items()})
+
+
+def _gcd(f: _Packed, g: _Packed) -> _Packed:
+    """`_packed_gcd` within the ring of f and g."""
+    if not f.terms or not g.terms:
+        h = f if f.terms else g
+        return _normal(h) if h.terms else h
+    ring = f.ring
+    bits_f, bits_g = reduce(or_, f.terms), reduce(or_, g.terms)
+    if not bits_f or not bits_g:
+        return _Packed(ring, _ONE)
+    mask = (1 << ring.w) - 1
+    active = [s for s in ring.shifts if (bits_f | bits_g) >> s & mask]
+    s = active[-1]
+    fs, gs = _coeffs(f, s), _coeffs(g, s)
+    if len(fs) == 1 or len(gs) == 1:
+        # absent from one side, the variable divides out of the gcd
+        return _gcd(_content(fs), _content(gs))
+    if len(active) == 1:
+        h = gcd_ints([c.terms.get(0, 0) for c in fs], [c.terms.get(0, 0) for c in gs],
+                     ring.p)
+        return _normal(_Packed(ring, {k << s: c for k, c in enumerate(h)}))
+    cf, fs = _primitive(fs)
+    cg, gs = _primitive(gs)
+    cont = _gcd(cf, cg)
+    if _coprime_by_image(fs, gs, active[:-1]):
+        return cont
+    h = _prs(fs, gs)
+    return _normal(_Packed(ring, {e + (k << s): c for k, x in enumerate(h)
+                                  for e, c in x.terms.items()}) * cont)
+
+
+def _coeffs(f: _Packed, s: int) -> list:
+    """The coefficients of the nonzero f in the variable at bit offset s."""
+    ring = f.ring
+    mask = (1 << ring.w) - 1
+    parts = {}
+    for e, c in f.terms.items():
+        k = e >> s & mask
+        parts.setdefault(k, {})[e - (k << s)] = c
+    return [_Packed(ring, parts.get(k, {})) for k in range(max(parts) + 1)]
+
+
+def _content(cs: list) -> _Packed:
+    """The gcd of the polynomials cs, not all zero, in `_normal` form."""
+    h = None
+    for c in sorted((c for c in cs if c.terms), key=lambda c: len(c.terms)):
+        h = _normal(c) if h is None else _gcd(h, c)
+        if h.terms == _ONE:
+            break
+    return h
+
+
+def _primitive(cs: list):
+    """(content, cs divided by it); over Q the quotients are also divided
+    by their joint integer content."""
+    h = _content(cs)
+    if h.terms != _ONE:
+        cs = [c / h for c in cs]
+    if h.ring.p is None:
+        k = math.gcd(*(v for c in cs for v in c.terms.values()))
+        if k > 1:
+            cs = [_Packed(h.ring, {e: v // k for e, v in c.terms.items()}) for c in cs]
+    return h, cs
+
+
+def _coprime_by_image(fs: list, gs: list, others: list) -> bool:
+    """Whether the primitive fs and gs are certified coprime: at a point for
+    the variables at the bit offsets `others` where both leading
+    coefficients survive, their univariate images have gcd 1.  A common
+    factor of positive degree would divide both images."""
+    ring = fs[0].ring
+    p, mask = ring.p, (1 << ring.w) - 1
+
+    def image(cs, point):
+        out = []
+        for f in cs:
+            acc = 0
+            for e, c in f.terms.items():
+                for s, a in point:
+                    if k := e >> s & mask:
+                        c *= pow(a, k, p)
+                acc += c
+            out.append(acc if p is None else acc % p)
+        return out
+
+    for attempt in range(8):
+        rng = derive_rng(0xC09, attempt, len(fs), len(gs))
+        point = [(s, rng.randrange(p) if p else rng.randint(-1000, 1000)) for s in others]
+        fi, gi = image(fs, point), image(gs, point)
+        if fi[-1] and gi[-1]:
+            return len(gcd_ints(fi, gi, p)) == 1
+    return False
+
+
+def _prs(f: list, g: list) -> list:
+    """The gcd of the primitive f and g of positive degree, up to a scalar,
+    by the primitive pseudo-remainder sequence."""
+    if len(f) < len(g):
         f, g = g, f
     while True:
-        if g.is_zero():
-            return _canonical_gcd(f)
-        if int(g.degree_in(var)) == 0:
-            return PolyN.const(f.field, f.nvars, f.field.one)
-        r = _pseudo_rem(f, g, var)
-        if r.is_zero():
-            cr = _content_in(g, var)
-            return _canonical_gcd(g / cr)
-        cr = _content_in(r, var)
-        r = r / cr
-        f, g = g, r
+        r = _prem(f, g)
+        if not r:
+            return g
+        if len(r) == 1:
+            return [_Packed(g[0].ring, _ONE)]
+        f, g = g, _primitive(r)[1]
 
 
-def _pseudo_rem(f: PolyN, g: PolyN, var: int) -> PolyN:
-    dg = int(g.degree_in(var))
-    glead = g.coeffs_in(var)[dg]
-    r = f
-    while not r.is_zero() and int(r.degree_in(var)) >= dg:
-        dr = int(r.degree_in(var))
-        rl = r.coeffs_in(var)[dr]
-        shift = [0] * f.nvars
-        shift[var] = dr - dg
-        r = r * glead - g.mul_monomial(tuple(shift), f.field.one) * rl
+def _prem(f: list, g: list) -> list:
+    """lc(g)^j * f mod g for some j >= 0, with len(f) >= len(g) >= 2."""
+    r = list(f)
+    dg, lg, tail = len(g) - 1, g[-1], g[:-1]
+    while len(r) > dg:
+        c = r.pop()
+        r = [x * lg for x in r]
+        for j, y in enumerate(tail, len(r) - dg):
+            r[j] = r[j] - c * y
+        while r and not r[-1].terms:
+            r.pop()
     return r

@@ -1,11 +1,10 @@
 """Canonical rational functions, univariate and multivariate.
 
-RatFun1 keeps num/den coprime with a monic denominator.  RatFunN is
-content-normalized: over Q both parts are integer with joint content 1 and
-the denominator's lex-leading coefficient positive; over F_p that leading
-coefficient is 1.  When multivariate gcd extraction cannot certify
-coprimality the pair is kept uncancelled and flagged; equality testing then
-falls back to cross-multiplication, which is always sound.
+RatFun1 keeps num/den coprime with a monic denominator.  RatFunN keeps
+them coprime and content-normalized: over Q both parts are integer with
+joint content 1 and the denominator's lex-leading coefficient positive;
+over F_p that leading coefficient is 1.  `normalize_ratfunn` cancels the
+gcd and scales on packed integer polynomials (`poly._Packed`).
 
 `rational_reconstruct` is the one univariate reconstruction step: rational
 interpolation of samples and Pade approximation of series both run on it.
@@ -22,9 +21,11 @@ from fractions import Fraction
 
 from .errors import UndefinedAt, ZeroDenominator, ZeroFunction
 from .fields import Field, FpElement, QQ
-from .poly import (
+from .poly import (  # gcd_polyn: bench/selftest.py looks it up here
     Poly1,
     PolyN,
+    _packed_gcd,
+    _ring_for,
     _same_field,
     divmod_ints,
     eval_ints,
@@ -110,7 +111,7 @@ def degree_and_ord(f: RatFun1):
 
 class RatFunN:
     """Multivariate rational function; see module docstring for the canonical
-    form.  `coprime` records whether gcd extraction certified the pair."""
+    form.  `coprime` is True on every pair `normalize_ratfunn` returns."""
 
     __slots__ = ("num", "den", "coprime", "_value")
 
@@ -202,57 +203,30 @@ class RatFunN:
     def __neg__(self):
         return RatFunN(-self.num, self.den, self.coprime)
 
-    def slice_last(self, prefix) -> RatFun1:
-        """Substitute the leading nvars-1 coordinates; returns the univariate
-        function of the last variable, or raises ZeroDenominator if the
-        denominator collapses to zero there."""
-        num, den = self.num, self.den
-        for i, v in enumerate(prefix):
-            num = num.substitute(i, v)
-            den = den.substitute(i, v)
-        return normalize_ratfun1(num.to_poly1(self.nvars - 1),
-                                 den.to_poly1(self.nvars - 1))
-
 
 def normalize_ratfunn(num: PolyN, den: PolyN) -> RatFunN:
-    """Cancel common factors as far as gcd extraction certifies, then scale
-    to the canonical content form."""
+    """Cancel the gcd and scale to the canonical content form.  Both parts
+    are packed once, over Q scaled by the lcm of their denominators, and
+    the work runs on integers; a PolyN is built only for the two results."""
+    _same_field(num, den)
     if den.is_zero():
         raise ZeroDenominator("denominator is the zero polynomial")
     field = num.field
-    nvars = num.nvars
     if num.is_zero():
-        return RatFunN(PolyN.zero(field, nvars),
-                       PolyN.const(field, nvars, field.one), True)
-    g = gcd_polyn(num, den)
-    coprime = True
-    if not g.is_constant():
-        n2, d2 = num.divides_exactly(g), den.divides_exactly(g)
-        if n2 is not None and d2 is not None:
-            num, den = n2, d2
-        else:
-            coprime = False
-    num, den = _content_scale(num, den)
-    return RatFunN(num, den, coprime)
-
-
-def _content_scale(num: PolyN, den: PolyN):
-    field = num.field
+        return RatFunN(PolyN.zero(field, num.nvars),
+                       PolyN.const(field, num.nvars, field.one), True)
+    ring = _ring_for(num, den)
+    lnum, lden = num.int_form()[0], den.int_form()[0]
+    lcm = math.lcm(lnum, lden)
+    n, d = ring.pack(num, lcm // lnum), ring.pack(den, lcm // lden)
+    g = _packed_gcd(n, d)
+    if g.terms != {0: 1}:
+        n, d = n / g, d / g
+    scale = d.terms[max(d.terms)]
     if field == QQ:
-        lcm = 1
-        for c in list(num.terms.values()) + list(den.terms.values()):
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-        g = 0
-        for c in list(num.terms.values()) + list(den.terms.values()):
-            g = math.gcd(g, int(c * lcm))
-        scale = Fraction(lcm, g if g else 1)
-        _, lead = den.lex_leading()
-        if lead * scale < 0:
-            scale = -scale
-        return num.scale(scale), den.scale(scale)
-    _, lead = den.lex_leading()
-    inv = field.inv(lead)
-    return num.scale(inv), den.scale(inv)
+        k = math.gcd(*n.terms.values(), *d.terms.values())
+        scale = k if scale > 0 else -k
+    return RatFunN(ring.unpack(n, scale), ring.unpack(d, scale), True)
 
 
 def rational_reconstruct(modulus: Poly1, u: Poly1, n: int | None = None,
@@ -409,10 +383,7 @@ def format_poly1(p: Poly1, var_name: str = "x1") -> str:
 
 
 def format_ratfunn(f: RatFunN, var_names=None) -> str:
-    num, den = f.num, f.den
-    if f.field == QQ:
-        num, den = _content_scale(num, den)  # integer display form
-    return f"({format_polyn(num, var_names)})/({format_polyn(den, var_names)})"
+    return f"({format_polyn(f.num, var_names)})/({format_polyn(f.den, var_names)})"
 
 
 def format_ratfun1(f: RatFun1, var_name: str = "x1") -> str:

@@ -35,6 +35,7 @@ from ratrecon.expr import (
     to_ratfun,
 )
 from ratrecon.fields import QQ, FpElement, PrimeField, random_element
+from ratrecon.ratfun import format_ratfunn
 
 
 def q(n, d=1):
@@ -501,6 +502,17 @@ def test_pretty_reparse_fixed_point():
         assert pretty(parse(s, 3)) == s
 
 
+def test_pretty_and_to_ratfun_walk_a_long_chain_without_recursion():
+    # a left-nested chain of 1500 additions, deeper than the recursion
+    # limit; strings are compared because the trees' own == recurses
+    text = " + ".join(["x1"] * 1500)
+    tree = parse(text, 1)
+    assert pretty(tree) == text
+    assert format_ratfunn(to_ratfun(tree, QQ, 1)) == "(1500*x1)/(1)"
+    assert pretty(parse("-(x1 - x2)*(x1/x2)^3 - (1 + x2)", 2)) == \
+        "-(x1 - x2)*(x1/x2)^3 - (1 + x2)"
+
+
 def test_eval_matches_symbolic_expansion():
     rng = random.Random(52)
     field = PrimeField(1000003)
@@ -527,7 +539,6 @@ def test_to_ratfun_zero_denominator():
 
 
 def test_canonical_text_parses_back():
-    from ratrecon.ratfun import format_ratfunn
     from ratrecon.poly import PolyN
     from ratrecon.ratfun import normalize_ratfunn
 

@@ -170,8 +170,8 @@ def test_packed_arithmetic_matches_polyn(field):
 
 
 def test_packed_division_refuses_a_borrowing_exponent():
-    # x0^2*x1 / x1^2 borrows in the top field (x1), x1^2 / x0 in the
-    # bottom one (x0), whose guard bit the borrow sets
+    # x0^2*x1 / x1^2 borrows in the bottom field (x1), whose top bit the
+    # borrow sets, x1^2 / x0 in the top one (x0)
     for field in FIELDS:
         ring = _PackedRing(field, 2, 4)
         f = ring.pack(PolyN(field, 2, {(2, 1): field.one, (0, 0): field.one}))
@@ -212,7 +212,7 @@ def test_combine_builds_polyn_only_for_its_result(field, monkeypatch):
              for _ in range(profile.l + 1)]
     anchors = [field.from_int(k) for k in range(2, profile.l + 3)]
     mul = _count_calls(monkeypatch, PolyN, "__mul__")
-    div = _count_calls(monkeypatch, PolyN, "divides_exactly")
+    div = _count_calls(monkeypatch, PolyN, "__truediv__")
     init = _count_calls(monkeypatch, PolyN, "__init__")
     at_normalize = []
 
@@ -224,3 +224,22 @@ def test_combine_builds_polyn_only_for_its_result(field, monkeypatch):
     result = engine._combine(parts, anchors, profile, field, 3)
     assert at_normalize == [(0, 0, 2)]
     assert not result.is_zero()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F101", "F1000003"])
+def test_normalize_builds_polyn_only_for_its_result(field, monkeypatch):
+    # a common factor in all three variables and a content in x1, x2:
+    # the gcd, both divisions and the scaling run on the packed form
+    rng = random.Random(f"normalize-guard/{field.descriptor()}")
+    h = _poly(field, rng, 3, 3) + PolyN.var(field, 3, 2)
+    c = _poly(field, rng, 2, 2) + PolyN.const(field, 2, field.one)
+    c = pad(c, 3)
+    num = c * h * (_poly(field, rng, 3, 3) + PolyN.const(field, 3, field.one))
+    den = c * h * (_poly(field, rng, 3, 2) + PolyN.var(field, 3, 0))
+    mul = _count_calls(monkeypatch, PolyN, "__mul__")
+    init = _count_calls(monkeypatch, PolyN, "__init__")
+    f = normalize_ratfunn(num, den)
+    assert (len(mul), len(init)) == (0, 2)
+    monkeypatch.undo()
+    assert f.same_function(RatFunN(num, den, False))
+    assert f.den.total_degree() < den.total_degree()

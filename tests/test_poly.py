@@ -1,4 +1,6 @@
+import importlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +8,7 @@ import pytest
 import sympy as sp
 
 from ratrecon.errors import (
+    InexactDivision,
     NonSquareMatrix,
     UndefinedAt,
     ZeroDenominator,
@@ -333,6 +336,14 @@ def test_polyn_arith_matches_sympy():
         assert sp.Rational(a.eval(pt)) == expected
 
 
+def divides(d, f):
+    try:
+        f / d
+    except InexactDivision:
+        return False
+    return True
+
+
 @pytest.mark.parametrize("field", [QQ, FP])
 def test_gcd_polyn_recovers_common_factor(field):
     rng = random.Random(17)
@@ -348,10 +359,10 @@ def test_gcd_polyn_recovers_common_factor(field):
         a, b, h = rand_pn(2), rand_pn(2), rand_pn(1)
         g = gcd_polyn(a * h, b * h)
         # h divides the gcd; quotient of the products by g is exact
-        assert (a * h).divides_exactly(g) is not None
-        assert (b * h).divides_exactly(g) is not None
+        assert divides(g, a * h)
+        assert divides(g, b * h)
         gh = gcd_polyn(g, h)
-        assert (h.divides_exactly(gh) is not None) or gcd_polyn(a, b).is_constant() is False
+        assert divides(gh, h) or gcd_polyn(a, b).is_constant() is False
 
 
 def test_ratfunn_cross_multiplication_equality():
@@ -436,3 +447,118 @@ def test_normalize_ratfunn_matches_sympy_cancel(field):
         assert _to_sympy(mine.den, xs).monic() == den.to_field().monic()
         assert (_to_sympy(mine.num, xs) * _to_sympy(g, xs)
                 == _to_sympy(mine.den, xs) * _to_sympy(f, xs))
+
+
+# ---------------------------------------------------------------------------
+# the packed gcd against sympy, over Q and two prime fields at arity 1-4
+
+poly_mod = importlib.import_module("ratrecon.poly")
+ratfun_mod = importlib.import_module("ratrecon.ratfun")
+CROSS_FIELDS = (QQ, FP, FBIG)
+
+
+def _pn(field, nvars, terms):
+    return PolyN(field, nvars, {e: field.from_int(c) for e, c in terms.items()})
+
+
+def _last_var_free(field, rng, nvars):
+    """A nonconstant polynomial in x1..x(nvars-1) only."""
+    while True:
+        p = _rand_sparse_polyn(field, rng, nvars - 1, rng.randint(1, 3), 2)
+        if not p.is_constant():
+            return PolyN(field, nvars, {e + (0,): c for e, c in p.terms.items()})
+
+
+def _cross_cases(field):
+    """(f, g) pairs: forced common factors, content-only gcds shaped like
+    `_combine`'s, zero and constant parts, a variable absent from one side
+    and a negative lex-leading coefficient."""
+    rng = random.Random(f"cross/{field.descriptor()}")
+    for nvars in (1, 2, 3, 4):
+        for _ in range(8):
+            a, b = (_rand_sparse_polyn(field, rng, nvars, rng.randint(1, 3), 2)
+                    for _ in range(2))
+            h = _rand_sparse_polyn(field, rng, nvars, rng.randint(1, 3), 1)
+            yield a * h, b * h
+    for nvars in (2, 3, 4):
+        for _ in range(4):
+            # C(x') * P and C(x') * Q, P and Q in all the variables
+            c = _last_var_free(field, rng, nvars)
+            p, q = (_rand_sparse_polyn(field, rng, nvars, 3, 2)
+                    + PolyN.var(field, nvars, nvars - 1) for _ in range(2))
+            yield c * p, c * q
+    zero = PolyN.zero(field, 3)
+    f = _rand_sparse_polyn(field, rng, 3, 3, 2)
+    yield zero, f
+    yield f, PolyN.const(field, 3, field.from_int(7))
+    yield PolyN.const(field, 3, field.from_int(-4)), PolyN.const(field, 3, field.from_int(6))
+    x1, x2, x3 = (PolyN.var(field, 3, i) for i in range(3))
+    one = PolyN.const(field, 3, field.one)
+    yield (x1 + x2) * (x1 - one), (x1 + x2) * (x3 + one) * x3     # x3 absent from f
+    yield (x2 * x2 - one), (x2 + one) * (x1 + x3)                  # x1, x3 absent from f
+    # negative lex-leading coefficients on both sides
+    yield (-(x1 * x3) + x2) * (one - x1), (x2 - x1 * x3) * (x2 + x3).scale(field.from_int(-3))
+
+
+def _is_canonical(f):
+    den_lead = f.den.terms[max(f.den.terms)]
+    if f.field != QQ:
+        return den_lead == f.field.one
+    coeffs = list(f.num.terms.values()) + list(f.den.terms.values())
+    return (all(c.denominator == 1 for c in coeffs) and den_lead > 0
+            and math.gcd(*(c.numerator for c in coeffs)) == 1)
+
+
+@pytest.mark.parametrize("field", CROSS_FIELDS, ids=["Q", "F101", "F1000003"])
+def test_packed_gcd_and_normalize_match_sympy(field, monkeypatch):
+    prs = []
+    real_prs = poly_mod._prs
+    monkeypatch.setattr(poly_mod, "_prs", lambda f, g: prs.append(1) or real_prs(f, g))
+    for f, g in _cross_cases(field):
+        xs = sp.symbols(f"x1:{f.nvars + 1}")
+        mine = gcd_polyn(f, g)
+        theirs = sp.gcd(_to_sympy(f, xs), _to_sympy(g, xs))
+        if theirs.is_zero:
+            assert mine.is_zero()
+        else:
+            assert _to_sympy(mine, xs).monic() == theirs.to_field().monic()
+            assert mine.lex_leading()[1] == field.one
+        if g.is_zero():
+            continue
+        got = normalize_ratfunn(f, g)
+        _, num, den = _to_sympy(f, xs).cancel(_to_sympy(g, xs))
+        assert _is_canonical(got)
+        if f.is_zero():
+            assert got.num.is_zero() and got.den == PolyN.const(field, f.nvars, field.one)
+            continue
+        assert _to_sympy(got.num, xs).monic() == num.to_field().monic()
+        assert _to_sympy(got.den, xs).monic() == den.to_field().monic()
+        assert (_to_sympy(got.num, xs) * _to_sympy(g, xs)
+                == _to_sympy(got.den, xs) * _to_sympy(f, xs))
+    assert prs, "no case reached the pseudo-remainder sequence"
+
+
+@pytest.mark.parametrize("field", CROSS_FIELDS, ids=["Q", "F101", "F1000003"])
+def test_packed_gcd_widens_when_the_prs_outgrows_the_inputs(field, monkeypatch):
+    # the common factor x1*x2 + 1 leaves cofactors whose leading
+    # coefficients in x2 involve x1: the pseudo-remainders' degrees in x1
+    # pass the ring sized for the inputs, and the gcd is retaken wider
+    h = _pn(field, 2, {(1, 1): 1, (0, 0): 1})
+    a = _pn(field, 2, {(2, 2): 1, (0, 1): 2, (1, 0): 3})
+    b = _pn(field, 2, {(1, 2): 5, (2, 1): 1, (0, 0): 1})
+    widths = []
+    real = poly_mod._packed_gcd
+
+    def spy(f, g):
+        widths.append(f.ring.w)
+        return real(f, g)
+
+    monkeypatch.setattr(poly_mod, "_packed_gcd", spy)
+    monkeypatch.setattr(ratfun_mod, "_packed_gcd", spy)
+    assert gcd_polyn(a * h, b * h) == h
+    assert len(widths) == 2 and widths[1] > widths[0]
+    del widths[:]
+    got = normalize_ratfunn(a * h, b * h)
+    assert len(widths) == 2 and widths[1] > widths[0]
+    want = normalize_ratfunn(a, b)
+    assert (got.num, got.den) == (want.num, want.den)

@@ -1,0 +1,59 @@
+"""One digest line per benchmark instance, to compare two commits' answers.
+
+    python3 tools/report_digest.py > digest.txt
+
+Solves every instance that `bench/run.py` meets at seeds 1 and 2 (the
+count that `BENCHMARK.json`'s run_seconds gives each workload) with this
+checkout's `src`, and prints per instance: workload, seed, index, the
+sha256 of the answer (the report JSON of `reconstruct`, the certificate
+JSON of `hankel`, the value and fitted function of `interp`, or the error),
+whether the benchmark's exact check accepts it, and the oracle calls.
+Run it in two checkouts and `diff` the outputs: identical output means the
+same answers and the same oracle query counts.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
+
+import workloads  # noqa: E402
+
+SEEDS = (1, 2)
+
+
+def answer_text(inst, answer) -> str:
+    if isinstance(answer, Exception):
+        return f"error {type(answer).__name__}: {answer}"
+    if inst.kind == "reconstruct":
+        return json.dumps(answer.to_json(), sort_keys=True)
+    return inst.render(answer)
+
+
+def main() -> int:
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        seconds = json.load(f)["run_seconds"]
+    for name in workloads.WORKLOADS:
+        count = workloads.instance_count(name, seconds)
+        for seed in SEEDS:
+            for i in range(count):
+                inst = workloads.instance(name, seed, i)
+                inst.prepare()
+                try:
+                    answer = inst.solve()
+                except Exception as exc:  # a refusal or error is an answer too
+                    answer = exc
+                ok = not isinstance(answer, Exception) and inst.check(answer)
+                digest = hashlib.sha256(answer_text(inst, answer).encode()).hexdigest()
+                print(f"{name} {seed} {i} {digest} {'ok' if ok else 'FAIL'} "
+                      f"{inst.oracle.calls}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
