@@ -34,7 +34,6 @@ from .hankel import (
     SeriesPrefix,
     certify_rationality,
     hankel_matrix,
-    kronecker_scan,
     pade_reconstruct,
     series_of_ratfun,
 )

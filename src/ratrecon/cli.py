@@ -63,6 +63,7 @@ _EXIT_INTERNAL = 8
 # Upper bounds on the size flags: the largest accepted value of each runs
 # in seconds, not hours (see docs/formats.md).
 MAX_DEGREE_CAP = 24
+ARITY_CAP = 64
 TABLE_N_CAP = 64
 DMAX_CAP = 8
 GRID_CAP = 32
@@ -262,6 +263,7 @@ def _oracle_from_args(args, field: Field):
 
 
 def _cmd_reconstruct(args) -> int:
+    _check_range("--arity", args.arity, 1, ARITY_CAP)
     field = _parse_field(args.field)
     seed = _resolve_seed(args)
     if args.arity > 1 and args.samples_per_class < 1:

@@ -71,7 +71,8 @@ class NoFit(RatreconError):
 
 
 class BudgetExhausted(RatreconError):
-    """Degree detection walked past the configured maximum total degree."""
+    """Degree detection walked past the configured maximum total degree, or
+    a reconstruction's recursion tree outgrew `reconstruct.MAX_LEAVES`."""
 
 
 class DomainTooSparse(RatreconError):

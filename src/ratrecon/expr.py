@@ -21,7 +21,7 @@ source of one or two integer statements per node, and keeps the last
 program: a query then costs its arithmetic and no tree walk.  Over F_p the
 program works on residues, with a (num, den) pair only above a Div.  Over
 Q a division-free subtree is an integer over a power product of the
-coordinates' denominators fixed by its degrees, as in `poly.eval_ints`;
+coordinates' denominators fixed by its degrees, as in `poly.ints_evaluator`;
 above a Div it is a reduced (num, den) pair.  The source names every
 integer it uses; no input text goes into it.
 """

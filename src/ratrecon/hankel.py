@@ -103,14 +103,6 @@ def _l_min(s: SeriesPrefix, m: int) -> int:
     return 0
 
 
-def kronecker_scan(s: SeriesPrefix, l_max: int, m_max: int):
-    """All (l, m) with l <= l_max, m <= m_max whose Hankel determinants
-    vanish for every n with l <= n <= N - 2m; ordered by m then l."""
-    _check_bounds(s, l_max, m_max)
-    return [(l, m) for m in range(m_max + 1)
-            for l in range(_l_min(s, m), l_max + 1)]
-
-
 def pade_reconstruct(s: SeriesPrefix, n_deg: int, m_deg: int) -> RatFun1:
     """The canonical P/Q with deg P <= n_deg, deg Q <= m_deg and Q(0) != 0
     such that Q * s = P mod t^(n_deg+m_deg+1)."""

@@ -5,12 +5,12 @@ the zero polynomial has an empty list and degree NEG_INF.  PolyN maps
 exponent vectors to nonzero coefficients.  Both are immutable in practice:
 no operation mutates its arguments.
 
-The integer forms beside them carry the hot paths: univariate coefficient
-lists (the reconstruction and gcd kernels), `eval_ints` (evaluation), and
-`_Packed`, a multivariate polynomial on packed exponents and int
-coefficients, on which every multivariate exact division and gcd runs:
-the symbolic determinant, `PolyN` division and the cancellation of
-`ratfun.normalize_ratfunn`.
+The integer forms beside them carry the arithmetic: univariate coefficient
+lists (the reconstruction and gcd kernels), `ints_evaluator` (evaluation),
+and `_Packed`, a multivariate polynomial on packed exponents and int
+coefficients, the one multivariate arithmetic that multiplies, divides and
+cancels: `PolyN` `*` and `/`, the symbolic determinant and the
+cancellation of `ratfun.normalize_ratfunn` all run on it.
 """
 
 from __future__ import annotations
@@ -309,16 +309,15 @@ class PolyN:
         return PolyN(self.field, self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
+        """The product on the packed form; a non-PolyN `other` is a scalar."""
         if not isinstance(other, PolyN):
             return self.scale(other)
         _same_field(self, other)
-        zero = self.field.zero
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, zero) + c1 * c2
-        return PolyN(self.field, self.nvars, out)
+        if other.nvars != self.nvars:
+            raise ValueError("polynomials of different arity")
+        ring = _ring_for(self, other)
+        return ring.unpack(ring.pack(self) * ring.pack(other),
+                           self.int_form()[0] * other.int_form()[0])
 
     def scale(self, c) -> "PolyN":
         return PolyN(self.field, self.nvars, {e: v * c for e, v in self.terms.items()})
@@ -350,7 +349,7 @@ class PolyN:
         return self._ints
 
     def eval(self, point):
-        (v,), scale = eval_ints((self,), point)
+        (v,), scale = ints_evaluator((self,))(point)
         if isinstance(self.field, PrimeField):
             return FpElement(v, self.field)
         return Fraction(v, self.int_form()[0] * scale)
@@ -397,24 +396,18 @@ def _ratio(x):
     raise FieldMismatch(f"{x!r} is not a rational number")
 
 
-def eval_ints(polys, point):
-    """Evaluate PolyNs of one field and arity at `point` on plain integers.
+def ints_evaluator(polys):
+    """The function that evaluates PolyNs of one field and arity at a point
+    on plain integers, with everything that does not depend on the point
+    worked out once: the integer forms, the degrees D_i, and the place of
+    every factor of every term.
 
-    Returns (values, scale).  Over F_p, values[j] is the residue of
-    polys[j](point) and scale is 1.  Over Q, with coordinates a_i/b_i and
-    D_i the largest degree in x_i among `polys`,
+    At a point it returns (values, scale).  Over F_p, values[j] is the
+    residue of polys[j](point) and scale is 1.  Over Q, with coordinates
+    a_i/b_i and D_i the largest degree in x_i among `polys`,
     polys[j](point) = values[j] / (L_j * scale) with scale = prod b_i^D_i
     and L_j from `polys[j].int_form()`.  Polynomials evaluated together
-    share the scale, so it cancels from their ratios.  A caller that
-    evaluates the same polynomials at many points builds the evaluator
-    once with `ints_evaluator`."""
-    return ints_evaluator(polys)(point)
-
-
-def ints_evaluator(polys):
-    """The function point -> eval_ints(polys, point), with everything that
-    does not depend on the point worked out once: the integer forms, the
-    degrees D_i, and the place of every factor of every term.
+    share the scale, so it cancels from their ratios.
 
     Per point it fills one flat list: the integer coefficients of all the
     terms, then for each variable x_i the factors of x_i^0..x_i^D_i
@@ -547,7 +540,7 @@ class _PackedRing:
 
             def make(c):
                 return FpElement(c * inv, field)
-        return PolyN(field, self.nvars, {tuple(e >> s & mask for s in shifts): make(c)
+        return PolyN(field, self.nvars, {tuple([e >> s & mask for s in shifts]): make(c)
                                          for e, c in f.terms.items()})
 
 

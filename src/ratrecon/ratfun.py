@@ -1,10 +1,11 @@
 """Canonical rational functions, univariate and multivariate.
 
-RatFun1 keeps num/den coprime with a monic denominator.  RatFunN keeps
-them coprime and content-normalized: over Q both parts are integer with
-joint content 1 and the denominator's lex-leading coefficient positive;
-over F_p that leading coefficient is 1.  `normalize_ratfunn` cancels the
-gcd and scales on packed integer polynomials (`poly._Packed`).
+RatFun1 keeps num/den coprime with a monic denominator.  A RatFunN from
+`normalize_ratfunn` is coprime and content-normalized: over Q both parts
+are integer with joint content 1 and the denominator's lex-leading
+coefficient positive; over F_p that leading coefficient is 1.
+`normalize_ratfunn` cancels the gcd and scales on packed integer
+polynomials (`poly._Packed`).
 
 `rational_reconstruct` is the one univariate reconstruction step: rational
 interpolation of samples and Pade approximation of series both run on it.
@@ -28,7 +29,6 @@ from .poly import (  # gcd_polyn: bench/selftest.py looks it up here
     _ring_for,
     _same_field,
     divmod_ints,
-    eval_ints,
     field_prime,
     gcd_ints,
     gcd_poly1,
@@ -110,15 +110,15 @@ def degree_and_ord(f: RatFun1):
 
 
 class RatFunN:
-    """Multivariate rational function; see module docstring for the canonical
-    form.  `coprime` is True on every pair `normalize_ratfunn` returns."""
+    """Multivariate rational function num/den.  `normalize_ratfunn` returns
+    it in the canonical form of the module docstring; the constructor
+    takes the parts as they are."""
 
-    __slots__ = ("num", "den", "coprime", "_value")
+    __slots__ = ("num", "den", "_value")
 
-    def __init__(self, num: PolyN, den: PolyN, coprime: bool):
+    def __init__(self, num: PolyN, den: PolyN):
         self.num = num
         self.den = den
-        self.coprime = coprime
         self._value = None
 
     @property
@@ -139,7 +139,7 @@ class RatFunN:
         return v
 
     def eval_or_none(self, point):
-        """The value at `point`, or None at a pole; see `eval_ints`.  The
+        """The value at `point`, or None at a pole; see `ints_evaluator`.  The
         evaluator is built at the first call and kept."""
         if self._value is None:
             self._value = self._evaluator()
@@ -164,13 +164,13 @@ class RatFunN:
         return value
 
     def defined_at(self, point) -> bool:
-        return eval_ints((self.den,), point)[0][0] != 0
+        return ints_evaluator((self.den,))(point)[0][0] != 0
 
     def same_function(self, other: "RatFunN") -> bool:
-        """Cross-multiplication equality: sound regardless of coprimality."""
-        if self.coprime and other.coprime:
-            if self.num == other.num and self.den == other.den:
-                return True
+        """Equal parts, or else cross-multiplication equality: sound for
+        any pair, canonical or not."""
+        if self.num == other.num and self.den == other.den:
+            return True
         return self.num * other.den == other.num * self.den
 
     def __eq__(self, other):
@@ -201,7 +201,7 @@ class RatFunN:
         return normalize_ratfunn(self.num * other.den, self.den * other.num)
 
     def __neg__(self):
-        return RatFunN(-self.num, self.den, self.coprime)
+        return RatFunN(-self.num, self.den)
 
 
 def normalize_ratfunn(num: PolyN, den: PolyN) -> RatFunN:
@@ -214,7 +214,7 @@ def normalize_ratfunn(num: PolyN, den: PolyN) -> RatFunN:
     field = num.field
     if num.is_zero():
         return RatFunN(PolyN.zero(field, num.nvars),
-                       PolyN.const(field, num.nvars, field.one), True)
+                       PolyN.const(field, num.nvars, field.one))
     ring = _ring_for(num, den)
     lnum, lden = num.int_form()[0], den.int_form()[0]
     lcm = math.lcm(lnum, lden)
@@ -226,7 +226,7 @@ def normalize_ratfunn(num: PolyN, den: PolyN) -> RatFunN:
     if field == QQ:
         k = math.gcd(*n.terms.values(), *d.terms.values())
         scale = k if scale > 0 else -k
-    return RatFunN(ring.unpack(n, scale), ring.unpack(d, scale), True)
+    return RatFunN(ring.unpack(n, scale), ring.unpack(d, scale))
 
 
 def rational_reconstruct(modulus: Poly1, u: Poly1, n: int | None = None,

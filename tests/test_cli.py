@@ -5,6 +5,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -336,6 +337,40 @@ def test_size_flag_bounds_admit_their_limits(capsys):
                            "--dmax", "0", "--grid", "32")
     assert code == 0
     assert json.loads(out)["certificate"]["grid"] == 32
+
+
+def product_of_vars(k):
+    return "*".join(f"x{i}" for i in range(1, k + 1))
+
+
+@pytest.mark.parametrize("value,bound", [("65", "<= 64"), ("600", "<= 64"),
+                                         ("0", ">= 1")])
+def test_reconstruct_arity_bounds(capsys, value, bound):
+    # --arity 600 used to recurse 599 levels deep into a RecursionError
+    code, out, err = run_cli(capsys, "reconstruct", "--expr", "x1", "--arity", value)
+    assert code == 1
+    assert out == ""
+    assert err == f"input error: --arity must be {bound}, got {value}\n"
+
+
+def test_reconstruct_refuses_a_tree_of_more_than_1024_leaves(capsys):
+    # slice degree 1 in each of x2..x12: 2^11 leaves, refused at the first
+    # node of the deepest level instead of solving for seconds per leaf
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "reconstruct", "--expr", product_of_vars(12),
+                             "--arity", "12")
+    assert time.perf_counter() - start < 10
+    assert code == 7
+    assert out == ""
+    assert err == ("reconstruction budget failure: the recursion tree would have "
+                   "at least 2048 leaves, more than 1024\n")
+
+
+def test_reconstruct_admits_a_tree_of_512_leaves(capsys):
+    code, out, _ = run_cli(capsys, "reconstruct", "--expr", product_of_vars(10),
+                           "--arity", "10")
+    assert code == 0
+    assert json.loads(out)["report"]["result"] == f"({product_of_vars(10)})/(1)"
 
 
 @pytest.mark.parametrize("expr", ["x1^3^3^3^3", "x1^1025", "(x1+1)^2^11",

@@ -13,7 +13,6 @@ from ratrecon.hankel import (
     SeriesPrefix,
     certify_rationality,
     hankel_matrix,
-    kronecker_scan,
     pade_reconstruct,
     series_of_ratfun,
 )
@@ -41,6 +40,15 @@ def squares_prefix(n):
     # sum of t^(i*i): coefficient 1 at perfect squares
     import math
     return qs(*[1 if math.isqrt(i) ** 2 == i else 0 for i in range(n + 1)])
+
+
+def kronecker_scan(s, l_max, m_max):
+    """All (l, m) with l <= l_max, m <= m_max whose Hankel determinants
+    vanish for every n with l <= n <= N - 2m, ordered by m then l: the
+    bounds check and the per-m scan that `certify_rationality` runs."""
+    hankel._check_bounds(s, l_max, m_max)
+    return [(l, m) for m in range(m_max + 1)
+            for l in range(hankel._l_min(s, m), l_max + 1)]
 
 
 def brute_series(num, den, k):

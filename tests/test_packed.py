@@ -85,7 +85,7 @@ def _child(field, rng, nvars, zero_num=False):
         den = PolyN.const(field, nvars, field.one)
     num = (PolyN.zero(field, nvars) if zero_num
            else _poly(field, rng, nvars, rng.randint(1, 2), deg))
-    return RatFunN(num, den, True)
+    return RatFunN(num, den)
 
 
 def _anchor(field, rng, big):
@@ -116,7 +116,7 @@ def _instance(field, rng, kind):
         vanish = True
     elif kind == "prefix" and rows >= 2:
         for i in (0, 1):
-            parts[i] = RatFunN(PolyN.zero(field, nvars - 1), parts[i].den, True)
+            parts[i] = RatFunN(PolyN.zero(field, nvars - 1), parts[i].den)
         vanish = True
     return parts, anchors, profile, nvars, vanish
 
@@ -138,7 +138,7 @@ def test_packed_combine_matches_polyn_reference(field, kind, monkeypatch):
         assert got == tuple(f.scale(row_factors(parts, anchors, profile)) for f in want)
         if not want[1].is_zero():
             a, b = normalize_ratfunn(*got), normalize_ratfunn(*want)
-            assert (a.num, a.den, a.coprime) == (b.num, b.den, b.coprime)
+            assert (a.num, a.den) == (b.num, b.den)
 
 
 def row_factors(parts, anchors, profile):
@@ -241,5 +241,5 @@ def test_normalize_builds_polyn_only_for_its_result(field, monkeypatch):
     f = normalize_ratfunn(num, den)
     assert (len(mul), len(init)) == (0, 2)
     monkeypatch.undo()
-    assert f.same_function(RatFunN(num, den, False))
+    assert f.same_function(RatFunN(num, den))
     assert f.den.total_degree() < den.total_degree()

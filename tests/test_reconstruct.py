@@ -557,7 +557,7 @@ def test_verification_builds_the_candidate_evaluator_once(monkeypatch, field):
     build = ratfun.ints_evaluator
     monkeypatch.setattr(ratfun, "ints_evaluator",
                         lambda polys: built.append(polys) or build(polys))
-    g = RatFunN(f.num, f.den, f.coprime)            # a fresh candidate
+    g = RatFunN(f.num, f.den)            # a fresh candidate
     tally = verify_agreement(oracle_from_ratfunn(f), g, 200, derive_rng(5, "v"))
     assert tally.mismatch is None and tally[0] == 200 and tally[1] > 150
     assert built == [(g.num, g.den)]
