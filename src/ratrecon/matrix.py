@@ -2,10 +2,14 @@
 
 Every determinant goes through one fraction-free Bareiss kernel,
 `bordered_dets`: an r x (r+1) block of shared data rows, eliminated once
-with column pivoting, completed by one or more border rows.  Its divisions
-are exact, so the same code runs over any integral domain whose `/` is exact
-division: on field elements, and on the packed integer polynomials
-(`poly._Packed`) of the multivariate combine step.
+with column pivoting, completed by one or more border rows.  The block may
+come from a taller system: rows that depend on the rows before them are
+dropped, so with unit rows as borders the kernel returns a vector spanning
+the nullspace of a rank-r system (the scale system of the multivariate
+combine).  Its divisions are exact, so the same code runs over any integral
+domain whose `/` is exact division: on field elements, on plain integers
+(with `//`), and on the packed integer polynomials (`poly._Packed`) of the
+combine's fallback.
 """
 
 from __future__ import annotations
@@ -27,38 +31,57 @@ def det_exact(rows, field: Field):
 
 
 def bordered_dets(data, borders):
-    """det([data; b]) for each border row b, where data is r x (r+1).
+    """det([D; b]) for each border row b of length r+1, where D is the first
+    r rows of `data` (rows of length r+1) that are linearly independent.
 
-    One fraction-free Bareiss pass over the shared data rows, with column
-    pivoting (each swap flips the sign); every border row is eliminated
-    alongside as the last row of its own matrix.  Each division v / prev is
-    exact, so entries may come from any integral domain with exact `/`."""
-    data = [list(r) for r in data]
+    One fraction-free Bareiss pass with column pivoting (each swap flips the
+    sign).  The data rows are eliminated one at a time, in order, against
+    the pivot rows before them: a row that eliminates to zero is a
+    combination of those rows and is dropped, and no row after the r-th
+    pivot is read, so `data` may be a generator.  With fewer than r
+    independent rows every determinant vanishes.  A square block, exactly
+    r rows, is the plain bordered determinant.  Every border row is
+    eliminated as the last row of its own matrix.  Each division v / prev
+    is exact, so entries may come from any integral domain with exact `/`,
+    or be plain ints, which divide exactly with `//`."""
     borders = [list(b) for b in borders]
-    r = len(data)
-    if any(len(row) != r + 1 for row in data + borders):
-        raise ValueError("need r x (r+1) data and borders of length r+1")
+    r = len(borders[0]) - 1
+    if any(len(b) != r + 1 for b in borders):
+        raise ValueError("borders of different lengths")
     zero = borders[0][0] - borders[0][0]
-    negate = False
-    prev = None
-    for k in range(r):
-        pivot_row = data[k]
-        j = next((j for j in range(k, r + 1) if pivot_row[j] != zero), None)
-        if j is None:
-            # rows 0..k are dependent: every bordered determinant vanishes
-            return [zero for _ in borders]
-        if j != k:
-            for row in data[k:] + borders:
+    ints = isinstance(zero, int)
+    pivots = []                 # per step k: (column swapped into k, pivot row)
+
+    def eliminate(row):
+        prev = None
+        for k, (j, pivot_row) in enumerate(pivots):
+            if j != k:
                 row[k], row[j] = row[j], row[k]
-            negate = not negate
-        pivot = pivot_row[k]
-        for row in data[k + 1:] + borders:
-            lead = row[k]
+            pivot, lead = pivot_row[k], row[k]
             for c in range(k + 1, r + 1):
                 v = row[c] * pivot - lead * pivot_row[c]
-                row[c] = v if prev is None else v / prev
-        prev = pivot
-    return [-b[r] if negate else b[r] for b in borders]
+                row[c] = v if prev is None else (v // prev if ints else v / prev)
+            prev = pivot
+        return row
+
+    negate = False
+    rows = iter(data)
+    while len(pivots) < r:
+        row = next(rows, None)
+        if row is None:
+            return [zero for _ in borders]
+        if len(row) != r + 1:
+            raise ValueError("need data rows of the borders' length r+1")
+        k = len(pivots)
+        row = eliminate(list(row))
+        j = next((j for j in range(k, r + 1) if row[j] != zero), None)
+        if j is None:
+            continue
+        if j != k:
+            row[k], row[j] = row[j], row[k]
+            negate = not negate
+        pivots.append((j, row))
+    return [-b[r] if negate else b[r] for b in map(eliminate, borders)]
 
 
 def vandermonde_product(points):

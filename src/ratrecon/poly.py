@@ -9,8 +9,8 @@ The integer forms beside them carry the arithmetic: univariate coefficient
 lists (the reconstruction and gcd kernels), `ints_evaluator` (evaluation),
 and `_Packed`, a multivariate polynomial on packed exponents and int
 coefficients, the one multivariate arithmetic that multiplies, divides and
-cancels: `PolyN` `*` and `/`, the symbolic determinant and the
-cancellation of `ratfun.normalize_ratfunn` all run on it.
+cancels: `PolyN` `*` and `/`, the symbolic determinant of the combine's
+fallback and the cancellation of `ratfun.normalize_ratfunn` all run on it.
 """
 
 from __future__ import annotations

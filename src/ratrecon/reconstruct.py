@@ -3,8 +3,9 @@
 The engine peels the last variable: it samples random slices to find the
 dominant (degree, order-at-infinity) class, picks anchor values where the
 oracle is widely defined, recursively reconstructs the function on each
-anchor hyperplane, and combines the results through the paired interpolation
-determinants, taken on packed integer polynomials (see `_combine`).
+anchor hyperplane, and combines the results by solving for one scale factor
+per child: a scalar kernel and coefficient-wise interpolation on integers,
+with no symbolic determinant and no gcd (see `_combine`).
 Every reconstruction is verified against the oracle at random points;
 exact arithmetic means any disagreement at all is a failure, and so is a
 check in which no point was defined on both sides.
@@ -37,6 +38,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import (
@@ -46,7 +48,7 @@ from .errors import (
     VerificationFailed,
 )
 from .errors import BudgetExhausted, DomainTooSparse, ZeroDenominator
-from .fields import Field, derive_rng, random_element
+from .fields import Field, FpElement, derive_rng, random_element
 from .interp import (
     DegreeProfile,
     SamplingBudget,
@@ -54,7 +56,8 @@ from .interp import (
     interp_sign,
     paired_determinants,
 )
-from .poly import _PackedRing, _ratio, _residue, field_prime
+from .matrix import bordered_dets
+from .poly import PolyN, _PackedRing, _ratio, _residue, field_prime, mul_ints
 from .ratfun import RatFunN, format_ratfunn, normalize_ratfunn
 
 ANCHOR_PROBE_BATCH = 20
@@ -282,7 +285,7 @@ class ReconReport:
         fmt = self.field.format
         return {
             "result": format_ratfunn(self.result),
-            "coprime_certified": True,      # normalize_ratfunn cancels the gcd
+            "coprime_certified": True,      # _combine's result is coprime
             "arity": self.arity,
             "field": self.field.descriptor(),
             "class_histogram": {f"{d},{e}": c for (d, e), c in
@@ -365,13 +368,130 @@ def _reconstruct_level(oracle: SliceOracle, cfg: ReconConfig, path: tuple,
 
 def _combine(parts, anchors, profile: DegreeProfile, field: Field,
              nvars: int) -> RatFunN:
-    """Assemble the paired determinants from the per-anchor reconstructions.
+    """Assemble the node's function from its per-anchor reconstructions by
+    the scaling-factor system of de Kleine, Monagan & Wittkopf (ISSAC 2005).
+
+    Write the node's function as P/Q, coprime, of degrees n and m in the
+    peeled variable y.  Where P(x', b_i) and Q(x', b_i) are coprime, the
+    canonical child N_i/D_i at anchor b_i is that pair divided by a nonzero
+    constant, so the unknowns are l+1 scalars: with
+    L_i(y) = prod_{j != i} (y - b_j), P is sum_i s_i N_i L_i and Q is
+    sum_i s_i D_i L_i for some s.  The system asks of s that every
+    x'-coefficient of these sums has degree <= n in y, resp. <= m:
+    sum_i s_i b_i^k N_{i,alpha} = 0 for k < m and each x'-monomial alpha of
+    the numerators, and the same over D_{i,alpha} for k < n.  (With
+    s_i = t_i w_i, w_i = 1/prod_{j != i}(b_i - b_j), t_i is the constant
+    of child i.)  Its kernel is taken with `matrix.bordered_dets` and unit
+    borders, the sums are interpolated and the result scaled to the
+    canonical form of `normalize_ratfunn`.  All of it runs on integers:
+    residues over F_p; over Q each child over the lcm of its two parts'
+    denominators and each anchor u/v with powers u^k v^(max(n,m)-1-k),
+    which scales each column by a constant.
+
+    No gcd is needed: the children are coprime, and then a one-dimensional
+    kernel with every s_i nonzero gives a coprime result.  Let g divide
+    both sums.  At y = b_i the sums are s_i L_i(b_i) (N_i, D_i), so
+    g(x', b_i) divides a coprime pair times a nonzero constant: it is a
+    nonzero constant c_i.  The part of g that depends on x' has degree
+    <= l in y and vanishes at l+1 anchors, so g lies in K[y].  With the
+    sums divided by g and multiplied by any h in K[y] of degree <= deg g,
+    both sums keep their degree bounds and take the values h(b_i)/c_i
+    times those at s, so s_i h(b_i)/c_i solves the system too; h = 1 and
+    h = y give two independent solutions unless deg g = 0.  Nor can the
+    determinant path of `_combine_by_dets` have a kernel of two dimensions
+    over K(x') then, so both paths return the same canonical function.
+
+    Duplicate anchors, a kernel of another dimension (a child where P and Q
+    share a factor, or a class that does not hold on the node), a zero s_i
+    or a sum above its degree take `_combine_by_dets`, which raises
+    `ZeroDenominator` where its denominator determinant vanishes."""
+    n, m, l = profile.n, profile.m, profile.l
+    p = field_prime(field)
+    ratios = [_ratio(b) if p is None else (_residue(b, p), 1) for b in anchors]
+    if len(set(ratios)) < len(ratios):
+        return _combine_by_dets(parts, anchors, profile, field, nvars)
+    nums, dens = [], []
+    for h in parts:
+        lden, dterms, _ = h.den.int_form()
+        lnum, nterms, _ = h.num.int_form()
+        lcm = math.lcm(lden, lnum)
+        nums.append({e: c * (lcm // lnum) for c, e in nterms})
+        dens.append({e: c * (lcm // lden) for c, e in dterms})
+    top = max(n, m)
+    # b^k times v^(top-1), an integer over Q
+    bpowers = [[u ** k * v ** (top - 1 - k) for k in range(top)] for u, v in ratios]
+    make = int if p is None else (lambda c: FpElement(c, field))
+
+    def equations():
+        for fs, below in ((nums, m), (dens, n)):
+            for alpha in dict.fromkeys(e for f in fs for e in f):
+                cs = [f.get(alpha, 0) for f in fs]
+                for k in range(below):
+                    yield [make(bp[k] * c) for bp, c in zip(bpowers, cs)]
+
+    one, zero = make(1), make(0)
+    scales = bordered_dets(equations(), [[one if i == j else zero for i in range(l + 1)]
+                                         for j in range(l + 1)])
+    if zero in scales:
+        return _combine_by_dets(parts, anchors, profile, field, nvars)
+    # basis_i times child i's integer parts is s_i L_i (N_i, D_i) up to one
+    # common factor; over Q, v_j y - u_j stands for y - b_j
+    basis = []
+    for i, s in enumerate(scales):
+        f = [s * ratios[i][1] ** top] if p is None else [s.residue]
+        for j, (u, v) in enumerate(ratios):
+            if j != i:
+                f = mul_ints(f, [-u, v], p)
+        basis.append(f)
+    num, den = _interpolate(nums, basis, n, p), _interpolate(dens, basis, m, p)
+    if num is None or den is None:
+        return _combine_by_dets(parts, anchors, profile, field, nvars)
+    lead = den[max(den)]
+    if p is None:
+        g = math.gcd(*num.values(), *den.values())
+        g = g if lead > 0 else -g
+
+        def coeff(c):
+            return Fraction(c // g)
+    else:
+        inv = pow(lead, -1, p)
+
+        def coeff(c):
+            return FpElement(c * inv, field)
+    return RatFunN(*(PolyN(field, nvars, {e: coeff(c) for e, c in f.items()})
+                     for f in (num, den)))
+
+
+def _interpolate(fs, basis, bound: int, p):
+    """{alpha + (k,): c} for sum_i f_i basis_i, or None if a coefficient has
+    a term above y^bound."""
+    out = {}
+    for alpha in dict.fromkeys(e for f in fs for e in f):
+        acc = [0] * len(basis[0])
+        for f, b in zip(fs, basis):
+            c = f.get(alpha)
+            if c:
+                for k, x in enumerate(b):
+                    acc[k] += c * x
+        if p is not None:
+            acc = [c % p for c in acc]
+        if any(acc[bound + 1:]):
+            return None
+        out.update(((*alpha, k), c) for k, c in enumerate(acc) if c)
+    return out
+
+
+def _combine_by_dets(parts, anchors, profile: DegreeProfile, field: Field,
+                     nvars: int) -> RatFunN:
+    """The fallback of `_combine`: the paired interpolation determinants
+    over K[x'], normalized.
 
     The determinants run on packed integer polynomials (`poly._Packed`),
     and a `PolyN` is built only for the two results.  Over Q each data row
     is made integral by a positive factor, the lcm of its denominators times
     v^max(n, m) for its anchor u/v; both determinants share the product of
-    these factors, which normalization cancels.  The packing width comes
+    these factors, which normalization cancels, together with the factor
+    of x' alone that the determinants carry.  The packing width comes
     from a degree bound no minor exceeds: per variable, the sum over rows of
     each row's largest degree."""
     n, m = profile.n, profile.m

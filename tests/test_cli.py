@@ -550,6 +550,43 @@ def test_console_entry_point_subprocess(tmp_path):
     assert json.loads(proc.stdout)["certificate"]["verdict"] == "RationalWitness"
 
 
+# A dense function over Q, arity 4, degree 2 per variable, 24/27 terms.  A
+# combine by symbolic determinants over Q[x1, x2, x3] needs a multivariate
+# gcd here to cancel their extraneous factor, and that gcd runs for
+# minutes; the scale system needs none.  Regenerate: with random.Random(7),
+# for the numerator and then the denominator, keep each exponent of
+# itertools.product(range(3), repeat=4) if rng.random() < 0.3, with
+# coefficient Fraction(rng.randint(-9, 9), rng.randint(1, 9)) redrawn while
+# zero; the text is format_ratfunn(normalize_ratfunn(num, den)).
+DENSE_Q_ARITY4 = (
+    "(-2880*x1^2*x2^2*x3*x4 + 7560*x1^2*x2*x3*x4 + 5040*x1^2*x2*x4 + "
+    "5880*x1^2*x2 - 1680*x1^2*x3^2 - 1800*x1^2*x4 + 720*x1*x2^2*x3^2*x4 - "
+    "5040*x1*x2^2*x4^2 + 3528*x1*x2*x3^2*x4^2 - 3360*x1*x2*x3 - "
+    "840*x1*x3^2*x4^2 + 8820*x1*x3^2 - 2520*x1*x3*x4 + 2520*x1*x3 + "
+    "5040*x2^2*x3*x4^2 - 5670*x2^2*x4^2 - 3360*x2*x3^2 + 5040*x2*x3*x4 - "
+    "3240*x2*x3 - 11340*x3^2*x4^2 - 2880*x3^2*x4 + 2520*x3*x4^2 - 22680*x3 + "
+    "10080*x4)/(1400*x1^2*x2^2*x3*x4^2 - 630*x1^2*x2*x3^2*x4^2 + "
+    "1512*x1^2*x2*x4^2 + 1890*x1^2*x2*x4 + 1680*x1^2*x3^2*x4^2 - "
+    "6720*x1^2*x3^2*x4 - 4200*x1^2*x4^2 + 12600*x1^2*x4 - 1260*x1*x2^2*x3 - "
+    "1890*x1*x2^2*x4 - 2520*x1*x2*x3^2*x4^2 + 3780*x1*x2*x4^2 - 630*x1*x3^2 + "
+    "4536*x1*x3*x4 - 2205*x1*x4^2 + 1890*x2^2*x3^2*x4^2 - 2240*x2^2*x3^2 + "
+    "3528*x2^2*x4^2 - 20160*x2^2 - 2940*x2*x3^2*x4^2 - 504*x2*x3*x4 - "
+    "1890*x2*x4 + 420*x3^2*x4 + 1080*x3^2 - 7560*x4^2 - 2520*x4 + 945)"
+)
+
+
+def test_dense_arity4_q_reconstruct_finishes_quickly():
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "ratrecon.cli", "reconstruct", "--arity", "4",
+         "--field", "q", "--seed", "1", "--expr", DENSE_Q_ARITY4],
+        capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 10
+    assert json.loads(proc.stdout)["report"]["result"] == DENSE_Q_ARITY4
+
+
 # every library error a command lets through ends in a documented exit code
 EXIT_CODES = {
     "RatreconError": 8, "FieldMismatch": 8, "ZeroDenominator": 1,

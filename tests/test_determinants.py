@@ -242,6 +242,114 @@ def test_bordered_dets_match_laplace_on_minors(field):
             assert d == want
 
 
+class _Integers:
+    """Z as a field of the instance generators: `bordered_dets` runs on plain
+    ints with exact `//`."""
+    zero, one = 0, 1
+
+    @staticmethod
+    def descriptor():
+        return "z"
+
+
+def _entry(field, rng):
+    if field is _Integers:
+        return rng.randint(-9, 9)
+    return random_element(field, rng, 9)
+
+
+def _laplace_bordered(data, borders, zero):
+    """det([data; b]) for each border b by the Laplace reference."""
+    r = len(data)
+    if r == 0:
+        return [b[0] for b in borders]
+    minors = ref_maximal_minors(data, zero)
+    out = []
+    for b in borders:
+        want = zero
+        for j in range(r + 1):
+            term = b[j] * minors[j]
+            want = want - term if (r + j) % 2 else want + term
+        out.append(want)
+    return out
+
+
+def _tall_instance(field, rng):
+    """(data, borders, kept): a data block of more than r rows in which rows
+    that are combinations of the rows kept before them (zero rows,
+    duplicates, sums) are mixed in; `kept` are the rows the kernel keeps,
+    r of them (then any rows may follow) or fewer (rank-deficient)."""
+    zero = field.zero
+    r = rng.randint(1, 5)
+    while True:
+        base = [[_entry(field, rng) for _ in range(r + 1)] for _ in range(r)]
+        if any(x != zero for x in ref_maximal_minors(base, zero)):
+            break
+    rank = r if rng.random() < 0.6 else rng.randint(0, r - 1)
+    data, kept = [], []
+    for row in base[:rank]:
+        while kept and rng.random() < 0.5:
+            coeffs = [rng.choice((0, 0, 1, -1, 2, 3)) for _ in kept]
+            data.append([sum((c * k[col] for c, k in zip(coeffs, kept)), zero)
+                         for col in range(r + 1)])
+        data.append(row)
+        kept.append(row)
+    for _ in range(rng.randint(1, 4) if rank == r else r + rng.randint(1, 3) - len(data)):
+        if rank == r:
+            data.append([_entry(field, rng) for _ in range(r + 1)])
+        else:
+            coeffs = [rng.choice((0, 1, -2)) for _ in kept]
+            data.append([sum((c * k[col] for c, k in zip(coeffs, kept)), zero)
+                         for col in range(r + 1)])
+    borders = [[_entry(field, rng) for _ in range(r + 1)] for _ in range(rng.randint(1, 3))]
+    return data, borders, kept
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(101), FP, _Integers),
+                         ids=["Q", "F101", "F1000003", "Z"])
+def test_bordered_dets_on_a_tall_block_match_laplace_on_kept_rows(field):
+    rng = random.Random(f"tall/{field.descriptor()}")
+    for _ in range(80):
+        data, borders, kept = _tall_instance(field, rng)
+        assert len(data) > len(borders[0]) - 1
+        got = bordered_dets(iter(data), borders)
+        if len(kept) < len(borders[0]) - 1:
+            assert got == [field.zero] * len(borders)
+        else:
+            assert got == _laplace_bordered(kept, borders, field.zero)
+        # a square block of the kept rows gives the same determinants
+        if len(kept) == len(borders[0]) - 1:
+            assert bordered_dets(kept, borders) == got
+
+
+@pytest.mark.parametrize("field", (QQ, FP, _Integers), ids=["Q", "F1000003", "Z"])
+def test_bordered_dets_unit_borders_span_the_nullspace(field):
+    # unit borders give the cofactor vector: a kernel vector of every data
+    # row, the dropped ones included, nonzero when r rows are kept
+    rng = random.Random(f"unit/{field.descriptor()}")
+    for _ in range(40):
+        data, borders, kept = _tall_instance(field, rng)
+        r = len(borders[0]) - 1
+        if len(kept) < r:
+            continue
+        data = data[:data.index(kept[-1]) + 1]
+        units = [[field.one if i == j else field.zero for i in range(r + 1)]
+                 for j in range(r + 1)]
+        v = bordered_dets(data, units)
+        assert any(x != field.zero for x in v)
+        for row in data:
+            assert sum((a * b for a, b in zip(row, v)), field.zero) == field.zero
+
+
+def test_bordered_dets_over_integers_divide_exactly():
+    # large entries: float division would lose digits
+    rng = random.Random("big-ints")
+    for _ in range(20):
+        size = rng.randint(2, 6)
+        rows = [[rng.randint(-10 ** 30, 10 ** 30) for _ in range(size)] for _ in range(size)]
+        assert bordered_dets(rows[:-1], [rows[-1]]) == [brute_det(rows)]
+
+
 @pytest.mark.parametrize("field", (QQ, FP), ids=["Q", "F1000003"])
 def test_paired_determinants_polyn_match_minors_reference(field):
     rng = random.Random(f"paired-polyn/{field.descriptor()}")

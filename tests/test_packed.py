@@ -1,6 +1,7 @@
-"""The symbolic determinant of `_combine` on packed integer polynomials.
+"""The symbolic determinant of `_combine_by_dets`, the fallback of
+`_combine`, on packed integer polynomials.
 
-The reference is the generic kernel on `PolyN` entries: `_combine` as it
+The reference is the generic kernel on `PolyN` entries: the combine as it
 was, the paired determinants of the children's `PolyN` parts with field
 anchor powers and a `PolyN` ladder of y powers.  Over F_p the packed path
 must give the same polynomials; over Q its data rows carry positive
@@ -34,7 +35,7 @@ def pad(f, nvars):
 
 
 def ref_combine_dets(parts, anchors, profile, field, nvars):
-    """(phi, psi) of `_combine` before normalization, on PolyN entries."""
+    """(phi, psi) of `_combine_by_dets` before normalization, on PolyN entries."""
     n, m = profile.n, profile.m
     top = max(n, m)
     dens = [pad(h.den, nvars) for h in parts]
@@ -51,7 +52,7 @@ def ref_combine_dets(parts, anchors, profile, field, nvars):
 
 
 def packed_combine_dets(parts, anchors, profile, field, nvars, monkeypatch):
-    """(phi, psi) as `_combine` hands them to normalization."""
+    """(phi, psi) as `_combine_by_dets` hands them to normalization."""
     seen = []
 
     def capture(num, den):
@@ -60,7 +61,7 @@ def packed_combine_dets(parts, anchors, profile, field, nvars, monkeypatch):
 
     monkeypatch.setattr(engine, "normalize_ratfunn", capture)
     try:
-        engine._combine(parts, anchors, profile, field, nvars)
+        engine._combine_by_dets(parts, anchors, profile, field, nvars)
     except ZeroDenominator:
         pass
     monkeypatch.undo()
