@@ -18,12 +18,16 @@ coordinates' types, and builds one field element per point.
 An expression is a straight-line program (Kaltofen, JACM 1988).  eval_expr
 compiles each (tree, field) once, with an explicit stack, into Python
 source of one or two integer statements per node, and keeps the last
-program: a query then costs its arithmetic and no tree walk.  Over F_p the
-program works on residues, with a (num, den) pair only above a Div.  Over
-Q a division-free subtree is an integer over a power product of the
-coordinates' denominators fixed by its degrees, as in `poly.ints_evaluator`;
-above a Div it is a reduced (num, den) pair.  The source names every
-integer it uses; no input text goes into it.
+program: a query then costs its arithmetic and no tree walk.  A candidate
+`ratfun.RatFunN` runs on the same compiler, with a program of its own.  Over
+F_p the program works on residues, with a (num, den) pair only above a Div.
+Over Q a division-free subtree is an integer over a power product of the
+coordinates' denominators fixed by its degrees; above a Div it is a
+reduced (num, den) pair.  The source names every integer it uses; no input
+text goes into it.
+
+Trees compare and hash by structure, over the same explicit-stack walk, so
+a tree of any depth or length can be compared.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from .errors import (
 )
 from .fields import Field, FpElement, PrimeField
 from .poly import PolyN, _ratio, _residue
-from .ratfun import RatFunN, normalize_ratfunn
 
 
 MAX_EXPONENT = 1024
@@ -52,47 +55,59 @@ MAX_EXPONENT = 1024
 MAX_NESTING = 100
 
 
-@dataclass(frozen=True)
-class IntLit:
+class _Node:
+    """Structural == and hash, by the flat form of `_signature`."""
+
+    def __eq__(self, other):
+        if not isinstance(other, _Node):
+            return NotImplemented
+        return self is other or _signature(self) == _signature(other)
+
+    def __hash__(self):
+        return hash(_signature(self))
+
+
+@dataclass(frozen=True, eq=False)
+class IntLit(_Node):
     value: int
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False)
+class Var(_Node):
     index: int
 
 
-@dataclass(frozen=True)
-class Add:
+@dataclass(frozen=True, eq=False)
+class Add(_Node):
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True)
-class Sub:
+@dataclass(frozen=True, eq=False)
+class Sub(_Node):
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True)
-class Mul:
+@dataclass(frozen=True, eq=False)
+class Mul(_Node):
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True)
-class Div:
+@dataclass(frozen=True, eq=False)
+class Div(_Node):
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True)
-class Neg:
+@dataclass(frozen=True, eq=False)
+class Neg(_Node):
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class Pow:
+@dataclass(frozen=True, eq=False)
+class Pow(_Node):
     base: "Expr"
     exponent: int
 
@@ -314,6 +329,23 @@ def _postorder(e: Expr) -> list:
     return out
 
 
+def _signature(e: Expr) -> tuple:
+    """`e` as one flat tuple: each node's type, and its value, index or
+    exponent, in postorder.  Every type takes a fixed number of operands,
+    so equal tuples mean structurally equal trees."""
+    out = []
+    for node in _postorder(e):
+        t = type(node)
+        out.append(t)
+        if t is IntLit:
+            out.append(node.value)
+        elif t is Var:
+            out.append(node.index)
+        elif t is Pow:
+            out.append(node.exponent)
+    return tuple(out)
+
+
 class _Program:
     """Source text and namespace of one straight-line program.  The source
     holds only generated names and operators: every integer, literal or
@@ -347,15 +379,22 @@ class _Program:
         return self.names["run"]
 
 
-def _compile(e: Expr, field: Field):
+def _compile(e: Expr, field: Field, width: int | None = None):
     """The straight-line program of `e` over `field`: a function of the
-    point, with eval_expr's contract.  Each coordinate is converted once,
-    then every node of the tree is one or two lines of integer arithmetic."""
+    point.  Each coordinate is converted once, then every node of the tree
+    is one or two lines of integer arithmetic.
+
+    Without `width` the program has eval_expr's contract: a point may be
+    longer than the largest variable of `e`.  With it, a point of any other
+    length than `width` is ValueError, as a candidate `RatFunN` in `width`
+    variables requires."""
     order = _postorder(e)
-    width = 1 + max((n.index for n in order if type(n) is Var), default=-1)
+    fit = _refuse
+    if width is None:
+        fit, width = _fit, 1 + max((n.index for n in order if type(n) is Var), default=-1)
     if isinstance(field, PrimeField):
-        return _compile_fp(order, width, field)
-    return _compile_q(order, width)
+        return _compile_fp(order, width, fit, field)
+    return _compile_q(order, width, fit)
 
 
 def _fit(pt: tuple, width: int, convert) -> tuple:
@@ -368,22 +407,27 @@ def _fit(pt: tuple, width: int, convert) -> tuple:
     return pt[:width]
 
 
-def _unpack(prog: _Program, width: int) -> list:
-    """Prelude lines that bind x0.. to the coordinates, after checking
-    each of them with R if the point is not `width` long."""
+def _refuse(pt: tuple, width: int, convert):
+    """A point of another length than the exact `width`."""
+    raise ValueError(f"point has {len(pt)} coordinates; expected {width}")
+
+
+def _unpack(prog: _Program, width: int, fit) -> list:
+    """Prelude lines that bind x0.. to the coordinates, after passing a
+    point that is not `width` long to `fit`."""
+    prog.names["FIT"] = fit
     w = prog.const(width)
     lines = [f"if len(pt) != {w}: pt = FIT(pt, {w}, R)"]
     return lines + ["".join(f"x{i}, " for i in range(width)) + "= pt"] if width else lines
 
 
-def _compile_fp(order: list, width: int, field: PrimeField):
+def _compile_fp(order: list, width: int, fit, field: PrimeField):
     """F_p: a value is a residue, or a (num, den) pair of them below a Div.
     Products are reduced mod p at once; sums and negations are reduced by
     the next product, so they grow only by the size of the tree."""
     p = field.p
-    prog = _Program({"E": FpElement, "F": field, "P": p, "FIT": _fit,
-                     "R": lambda x: _residue(x, p)})
-    prelude = _unpack(prog, width) + [
+    prog = _Program({"E": FpElement, "F": field, "P": p, "R": lambda x: _residue(x, p)})
+    prelude = _unpack(prog, width, fit) + [
         f"x{i} = x{i}.residue if type(x{i}) is E and x{i}.field is F else R(x{i})"
         for i in range(width)]
     stack = []                  # (num, den or None) per pending operand
@@ -429,15 +473,15 @@ def _times(prog: _Program, a, b):
     return prog.let(f"{a} * {b} % P")
 
 
-def _compile_q(order: list, width: int):
+def _compile_q(order: list, width: int, fit):
     """Q, with coordinates a_i/b_i.  A division-free subtree is an integer
     N over the static power product B^D = prod b_i^D_i, D the subtree's
     degree in each variable, so it costs no gcd.  A subtree with a Div is a
     reduced pair (num, den > 0), kept reduced by the gcd steps of
     Fraction's own arithmetic, so every intermediate has the size it has as
     a Fraction; only the root's pair is left to the one Fraction built."""
-    prog = _Program({"Fr": Fraction, "FIT": _fit, "R": _ratio, "gcd": gcd})
-    prelude = _unpack(prog, width)
+    prog = _Program({"Fr": Fraction, "R": _ratio, "gcd": gcd})
+    prelude = _unpack(prog, width, fit)
     for i in range(width):
         prelude += [f"if type(x{i}) is Fr: a{i} = x{i}.numerator; b{i} = x{i}.denominator",
                     f"else: a{i}, b{i} = R(x{i})"]
@@ -592,9 +636,11 @@ def pretty(e: Expr) -> str:
     return done[0]
 
 
-def to_ratfun(e: Expr, field: Field, arity: int) -> RatFunN:
+def to_ratfun(e: Expr, field: Field, arity: int) -> "RatFunN":
     """Symbolic expansion into a canonical rational function.  Raises
     ZeroDenominator if some subexpression divides by the zero function."""
+    from .ratfun import normalize_ratfunn   # ratfun imports this module
+
     one = PolyN.const(field, arity, field.one)
     done = []
     for node in _postorder(e):

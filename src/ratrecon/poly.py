@@ -6,11 +6,13 @@ exponent vectors to nonzero coefficients.  Both are immutable in practice:
 no operation mutates its arguments.
 
 The integer forms beside them carry the arithmetic: univariate coefficient
-lists (the reconstruction and gcd kernels), `ints_evaluator` (evaluation),
-and `_Packed`, a multivariate polynomial on packed exponents and int
-coefficients, the one multivariate arithmetic that multiplies, divides and
-cancels: `PolyN` `*` and `/`, the symbolic determinant of the combine's
-fallback and the cancellation of `ratfun.normalize_ratfunn` all run on it.
+lists (the reconstruction and gcd kernels), and `_Packed`, a multivariate
+polynomial on packed exponents and int coefficients, the one multivariate
+arithmetic that multiplies, divides and cancels: `PolyN` `*` and `/`, the
+symbolic determinant of the combine's fallback and the cancellation of
+`ratfun.normalize_ratfunn` all run on it.  A PolyN is evaluated only as
+part of a `ratfun.RatFunN`, whose program `expr._compile` builds from
+`PolyN.int_form`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
-from operator import itemgetter, or_
+from operator import or_
 
 from .errors import FieldMismatch, InexactDivision
 from .fields import Field, FpElement, PrimeField, derive_rng
@@ -348,12 +350,6 @@ class PolyN:
             self._ints = (lcm, terms, degs)
         return self._ints
 
-    def eval(self, point):
-        (v,), scale = ints_evaluator((self,))(point)
-        if isinstance(self.field, PrimeField):
-            return FpElement(v, self.field)
-        return Fraction(v, self.int_form()[0] * scale)
-
     def lex_leading(self):
         """(exponent, coefficient) of the lex-largest term."""
         if not self.terms:
@@ -394,91 +390,6 @@ def _ratio(x):
     if isinstance(x, (Fraction, int)):
         return x.numerator, x.denominator
     raise FieldMismatch(f"{x!r} is not a rational number")
-
-
-def ints_evaluator(polys):
-    """The function that evaluates PolyNs of one field and arity at a point
-    on plain integers, with everything that does not depend on the point
-    worked out once: the integer forms, the degrees D_i, and the place of
-    every factor of every term.
-
-    At a point it returns (values, scale).  Over F_p, values[j] is the
-    residue of polys[j](point) and scale is 1.  Over Q, with coordinates
-    a_i/b_i and D_i the largest degree in x_i among `polys`,
-    polys[j](point) = values[j] / (L_j * scale) with scale = prod b_i^D_i
-    and L_j from `polys[j].int_form()`.  Polynomials evaluated together
-    share the scale, so it cancels from their ratios.
-
-    Per point it fills one flat list: the integer coefficients of all the
-    terms, then for each variable x_i the factors of x_i^0..x_i^D_i
-    (residues over F_p; a_i^k * b_i^(D_i-k) over Q).  A term is the product
-    of its coefficient and one factor per variable, so each polynomial is
-    one C-level gather (`itemgetter`) of nvars+1 factors per term, grouped
-    and multiplied out without a Python-level loop over its terms."""
-    nvars = polys[0].nvars
-    if any(f.nvars != nvars for f in polys):
-        raise ValueError("polynomials of different arity")
-    forms = [f.int_form() for f in polys]
-    degs = [max(ds) for ds in zip(*(form[2] for form in forms))]
-    field = polys[0].field
-    coeffs = []
-    offsets = []
-    at = sum(len(form[1]) for form in forms)
-    for d in degs:
-        offsets.append(at)
-        at += d + 1
-    gathers = []
-    for _, terms, _ in forms:
-        idx = []
-        for c, e in terms:
-            idx.append(len(coeffs))
-            coeffs.append(c)
-            idx += map(int.__add__, offsets, e)
-        # itemgetter of one index returns the bare item; the zero polynomial,
-        # or one term in no variables, is a slice of the coefficients instead
-        gathers.append(itemgetter(*idx) if len(idx) > 1 else
-                       itemgetter(slice(len(coeffs) - len(idx), len(coeffs))))
-    group = nvars + 1
-
-    if isinstance(field, PrimeField):
-        p = field.p
-
-        def run(point):
-            if len(point) != nvars:
-                raise ValueError("point arity mismatch")
-            flat = coeffs[:]
-            for x, d in zip(point, degs):
-                r = x.residue if type(x) is FpElement and x.field is field else _residue(x, p)
-                v = 1
-                flat.append(v)
-                for _ in range(d):
-                    v = v * r % p
-                    flat.append(v)
-            out = []
-            for g in gathers:
-                # the terms' factors, nvars + 1 at a time, multiplied out
-                out.append(sum(map(math.prod, zip(*[iter(g(flat))] * group))) % p)
-            return out, 1
-        return run
-
-    def run(point):
-        if len(point) != nvars:
-            raise ValueError("point arity mismatch")
-        flat = coeffs[:]
-        scale = 1
-        for x, d in zip(point, degs):
-            a, b = _ratio(x)
-            apow, bpow = [1], [1]
-            for _ in range(d):
-                apow.append(apow[-1] * a)
-                bpow.append(bpow[-1] * b)
-            flat += map(int.__mul__, apow, reversed(bpow))
-            scale *= bpow[-1]
-        out = []
-        for g in gathers:
-            out.append(sum(map(math.prod, zip(*[iter(g(flat))] * group))))
-        return out, scale
-    return run
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,10 @@ field elements are built only for the row it returns.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import UndefinedAt, ZeroDenominator, ZeroFunction
-from .fields import Field, FpElement, QQ
+from .expr import Add, Div, IntLit, Mul, Pow, Var, _compile
+from .fields import Field, QQ
 from .poly import (  # gcd_polyn: bench/selftest.py looks it up here
     Poly1,
     PolyN,
@@ -33,7 +33,6 @@ from .poly import (  # gcd_polyn: bench/selftest.py looks it up here
     gcd_ints,
     gcd_poly1,
     gcd_polyn,
-    ints_evaluator,
     mul_ints,
     poly1_from_ints,
     poly1_ints,
@@ -139,32 +138,19 @@ class RatFunN:
         return v
 
     def eval_or_none(self, point):
-        """The value at `point`, or None at a pole; see `ints_evaluator`.  The
-        evaluator is built at the first call and kept."""
+        """The value at `point`, an element of the field, or None at a pole.
+        The point must have `nvars` coordinates, each an int or an element
+        of the field (else ValueError or FieldMismatch).  Runs the
+        straight-line program of `expr._compile`, built at the first call
+        and kept."""
         if self._value is None:
-            self._value = self._evaluator()
+            lnum, lden = self.num.int_form()[0], self.den.int_form()[0]
+            tree = Div(_int_tree(self.num, lden), _int_tree(self.den, lnum))
+            self._value = _compile(tree, self.field, self.nvars)
         return self._value(point)
 
-    def _evaluator(self):
-        ev = ints_evaluator((self.num, self.den))
-        field = self.field
-        if field == QQ:
-            # num and den share the power scale; only their L's remain
-            lnum, lden = self.num.int_form()[0], self.den.int_form()[0]
-
-            def value(point):
-                (n, d), _ = ev(point)
-                return Fraction(n * lden, d * lnum) if d else None
-            return value
-        p = field.p
-
-        def value(point):
-            (n, d), _ = ev(point)
-            return FpElement(n * pow(d, -1, p), field) if d else None
-        return value
-
     def defined_at(self, point) -> bool:
-        return ints_evaluator((self.den,))(point)[0][0] != 0
+        return self.eval_or_none(point) is not None
 
     def same_function(self, other: "RatFunN") -> bool:
         """Equal parts, or else cross-multiplication equality: sound for
@@ -202,6 +188,21 @@ class RatFunN:
 
     def __neg__(self):
         return RatFunN(-self.num, self.den)
+
+
+def _int_tree(f: PolyN, scale: int):
+    """The expression sum(c * scale * x^e) over the integer form of `f`,
+    which is L*f over Q and f over F_p."""
+    total = None
+    for c, e in f.int_form()[1]:
+        term = None if c * scale == 1 else IntLit(c * scale)
+        for i, k in enumerate(e):
+            if k:
+                x = Var(i) if k == 1 else Pow(Var(i), k)
+                term = x if term is None else Mul(term, x)
+        term = term or IntLit(1)
+        total = term if total is None else Add(total, term)
+    return total or IntLit(0)
 
 
 def normalize_ratfunn(num: PolyN, den: PolyN) -> RatFunN:

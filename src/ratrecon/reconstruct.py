@@ -29,8 +29,9 @@ share, so a repeated attempt leaves nothing behind.
 
 A node's oracle holds the user's function and the anchors fixed above it,
 so a query at any depth is one `SliceOracle.eval` call into the user's
-function.  Verification draws its points as before and evaluates the
-candidate through the evaluator the candidate builds at its first point.
+function.  Verification evaluates the candidate on the straight-line
+program that the candidate compiles at its first point (`RatFunN.eval_or_none`),
+with the compiler that runs an expression oracle.
 """
 
 from __future__ import annotations

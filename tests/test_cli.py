@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import pathlib
 import re
@@ -649,3 +650,41 @@ def test_every_library_error_has_a_documented_exit_code(tmp_path, capsys, monkey
             continue
         assert out == "" and len(err.splitlines()) == 1, cls.__name__
         assert "Traceback" not in err
+
+
+# sha256 of stdout for small inputs of each command, recorded with version
+# 0.4.0: the "byte-identical stdout for a given version and seed" contract,
+# checked across commits.  A version bump changes the manifest and re-records
+# every value.
+STDOUT_DIGESTS = {
+    "reconstruct-q-2": ("reconstruct", "--expr", "(x1*x2+1)/(x1-x2)", "--arity", "2",
+                        "--field", "q", "--seed", "3"),
+    "reconstruct-q-3": ("reconstruct", "--expr", "(x1^2 - x2*x3/2)/(x3 + 2*x1 + 1)",
+                        "--arity", "3", "--field", "q", "--seed", "4"),
+    "reconstruct-fp-2": ("reconstruct", "--expr", "(x1^2*x2 + 3)/(x1 - 2*x2 + 5)",
+                         "--arity", "2", "--field", "fp:1000003", "--seed", "5"),
+    "reconstruct-fp-3": ("reconstruct", "--expr", "(x1*x2*x3 + x2^2)/(x1 + x3^2 - 7)",
+                         "--arity", "3", "--field", "fp:1000003", "--seed", "6"),
+    "hankel": ("hankel", "--series", "fib.json", "--lmax", "5", "--mmax", "5"),
+    "interp-fit": ("interp", "--samples", "sq.csv", "--field", "q", "--n", "2",
+                   "--m", "1", "--fit"),
+}
+STDOUT_SHA256 = {
+    "hankel": "231ea6e3df0690f804a1165e0b8c2089cc7f8b06cb267dc83e41adfc99662436",
+    "interp-fit": "aa506941aad08ab84a09a8799f09a582c6b768049d33f60352a1a205f12d3f40",
+    "reconstruct-fp-2": "12bf75b082b317f4f7f8b404a6f40bfef59f3a520223e4dea01b20d6076fc0ca",
+    "reconstruct-fp-3": "21545a01e4cbff92bfb73d6700fdf10b84bcf6aaf8f4ef0939dd28517f065454",
+    "reconstruct-q-2": "e772d0fc7845d7834f6a37e0c1dfd8860ea857ff45bc690a572fd6b7b703ee2f",
+    "reconstruct-q-3": "2c667c295e38e521d3ef78ffa9f3ede58d1aa7bee6725693c8e29e7cad514d96",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_DIGESTS))
+def test_stdout_bytes_are_stable(tmp_path, capsys, monkeypatch, name):
+    # relative paths: the manifest records each input's path as given
+    monkeypatch.chdir(tmp_path)
+    write_fib_series(tmp_path / "fib.json")
+    (tmp_path / "sq.csv").write_text("1,2\n2,5/2\n3,10/3\n4,17/4\n5,26/5\n6,37/6\n")
+    code, out, _ = run_cli(capsys, *STDOUT_DIGESTS[name])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[name]

@@ -1,11 +1,13 @@
-"""Differential tests of the integer evaluation kernel (`poly.ints_evaluator`)
-against the per-term field-element evaluation it replaced."""
+"""Differential tests of candidate evaluation (`RatFunN.eval_or_none`, a
+straight-line program of the `expr` compiler) against per-term field-element
+evaluation, and its contract at every arity from 0 to 5."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from ratrecon import ratfun
 from ratrecon.errors import FieldMismatch, UndefinedAt
 from ratrecon.fields import QQ, FpElement, PrimeField, random_element
 from ratrecon.poly import PolyN
@@ -17,7 +19,7 @@ FIELDS = [QQ, F101, FBIG]
 
 
 def ref_polyn_eval(f: PolyN, point):
-    # PolyN.eval before the kernel: one field operation per factor
+    # one field operation per factor
     if len(point) != f.nvars:
         raise ValueError("point arity mismatch")
     acc = f.field.zero
@@ -31,7 +33,6 @@ def ref_polyn_eval(f: PolyN, point):
 
 
 def ref_eval_or_none(g: RatFunN, point):
-    # RatFunN.eval_or_none before the kernel
     d = ref_polyn_eval(g.den, point)
     if d == g.field.zero:
         return None
@@ -65,8 +66,13 @@ def same(a, b):
     return type(a) is type(b) and a == b
 
 
+def polynomial(f: PolyN) -> RatFunN:
+    """f/1, which evaluates a polynomial through the candidate's program"""
+    return RatFunN(f, PolyN.const(f.field, f.nvars, f.field.one))
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=str)
-@pytest.mark.parametrize("nvars", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("nvars", [0, 1, 2, 3, 4, 5])
 def test_polyn_eval_matches_per_term_loop(field, nvars):
     rng = random.Random(f"polyn/{field!r}/{nvars}")
     polys = [PolyN.zero(field, nvars),
@@ -76,7 +82,7 @@ def test_polyn_eval_matches_per_term_loop(field, nvars):
     for f in polys:
         for _ in range(5):
             pt = tuple(coordinate(field, rng) for _ in range(nvars))
-            assert same(f.eval(pt), ref_polyn_eval(f, pt)), (f, pt)
+            assert same(polynomial(f).eval(pt), ref_polyn_eval(f, pt)), (f, pt)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -154,26 +160,59 @@ def test_foreign_coordinate_is_field_mismatch(field, foreign):
     pt = (field.from_int(2), foreign)
     with pytest.raises(FieldMismatch):
         ref_polyn_eval(f, pt)
-    for evaluate in (f.eval, g.eval, g.eval_or_none, g.defined_at):
+    for evaluate in (polynomial(f).eval, g.eval, g.eval_or_none, g.defined_at):
         with pytest.raises(FieldMismatch):
             evaluate(pt)
-    # the kernel converts every coordinate, used by a term or not
+    # the program converts every coordinate, used by a term or not
     with pytest.raises(FieldMismatch):
-        x1.eval(pt)
+        polynomial(x1).eval(pt)
 
 
 def test_point_arity_mismatch():
     f = PolyN.var(F101, 2, 0)
     with pytest.raises(ValueError):
-        f.eval((F101.one,))
+        polynomial(f).eval_or_none((F101.one,))
     with pytest.raises(ValueError):
-        RatFunN(f, PolyN.const(F101, 2, F101.one)).eval_or_none((1, 2, 3))
+        polynomial(f).eval_or_none((1, 2, 3))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("nvars", [0, 1, 2, 3, 4, 5])
+def test_candidate_contract(monkeypatch, field, nvars, request):
+    # wrong lengths, foreign coordinates and poles, on one program per instance
+    built = []
+    compile_ = ratfun._compile
+    monkeypatch.setattr(ratfun, "_compile",
+                        lambda e, fld, width: built.append(width) or compile_(e, fld, width))
+    rng = random.Random(request.node.name)
+    foreign = F101.from_int(3) if field != F101 else FBIG.from_int(3)
+    xs = [PolyN.var(field, nvars, i) for i in range(nvars)]
+    one = PolyN.const(field, nvars, field.one)
+    # a pole where x1 = x2 (x1 = 0 in one variable; everywhere in none)
+    den = (xs[0] - xs[1] if nvars > 1 else xs[0]) if nvars else PolyN.zero(field, 0)
+    num = rand_polyn(field, rng, nvars) + one
+    g = RatFunN(num, den)
+    for _ in range(20):
+        pt = tuple(coordinate(field, rng) for _ in range(nvars))
+        want = ref_eval_or_none(g, pt)
+        assert g.eval_or_none(pt) is None if want is None else same(g.eval_or_none(pt), want)
+        if nvars:
+            with pytest.raises(ValueError):
+                g.eval_or_none(pt[:-1])
+        with pytest.raises(ValueError):
+            g.eval_or_none(pt + (1,))
+        for i in range(nvars):
+            with pytest.raises(FieldMismatch):
+                g.eval_or_none(pt[:i] + (foreign,) + pt[i + 1:])
+    pole = (field.zero,) * nvars
+    assert g.eval_or_none(pole) is None and not g.defined_at(pole)
+    assert built == [nvars]
 
 
 def test_result_types():
-    assert type(PolyN.zero(QQ, 2).eval((1, 2))) is Fraction
-    assert type(PolyN.zero(F101, 2).eval((1, 2))) is FpElement
+    assert type(polynomial(PolyN.zero(QQ, 2)).eval((1, 2))) is Fraction
+    assert type(polynomial(PolyN.zero(F101, 2)).eval((1, 2))) is FpElement
     x = PolyN.var(QQ, 1, 0)
-    assert x.eval((Fraction(7, 3),)) == Fraction(7, 3)
+    assert polynomial(x).eval((Fraction(7, 3),)) == Fraction(7, 3)
     assert RatFunN(x, x * x + PolyN.const(QQ, 1, Fraction(1, 2))).eval(
         (Fraction(1, 3),)) == Fraction(1, 3) / (Fraction(1, 9) + Fraction(1, 2))

@@ -442,6 +442,23 @@ def test_generated_source_holds_no_input_text(monkeypatch):
                 assert tok.string in ("0", "1"), tok
 
 
+def test_compiled_programs_hold_no_input_integers():
+    # a candidate's coefficients and exponents, like an expression's literals,
+    # are bound in the namespace, never constants of the compiled code
+    big, k = 10 ** 59 + 7, 1000
+    tree = parse(f"({big}*x1^{k} + x2)/(x2 - {big})", 2)
+    for field in (QQ, F101, FBIG):
+        cand = to_ratfun(tree, field, 2)
+        cand.eval_or_none((2, 3))
+        programs = [cand._value, expr._compile(tree, field)]
+        if field == QQ:
+            assert big in cand.num.terms.values()
+        for run in programs:
+            consts = run.__code__.co_consts
+            for n in (big, k, big % FBIG.p, big % F101.p):
+                assert n in (0, 1) or n not in consts, (field, n)
+
+
 def test_eval_point_length():
     # coordinates past the ones the tree uses are checked, then ignored
     assert eval_expr(parse("x1", 3), (2, 5, 7), F101) == F101.from_int(2)
@@ -491,6 +508,22 @@ def test_power_cap_on_long_chains():
     assert parse(f"({chain})^1024", 1).exponent == 1024
     with pytest.raises(ExponentTooLarge):
         parse(f"(({chain})^2)^513", 1)
+
+
+def test_trees_compare_and_hash_without_recursion():
+    # a chain far longer than Python's recursion limit, and the deepest
+    # nest the parser admits
+    chain = "+".join(["x1"] * 1500)
+    nest = "(" * MAX_NESTING + "x1 + 2" + ")" * MAX_NESTING
+    for text in (chain, nest):
+        a, b = parse(text, 1), parse(text, 1)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+    assert parse(chain, 1) != parse(chain[:-2] + "2", 1)
+    assert parse(chain, 1) != parse(chain.replace("+", "-", 1), 1)
+    assert parse("x1^2", 1) != parse("x1^3", 1) and parse("x1", 2) != parse("x2", 2)
+    assert parse("x1 + 2", 1) != parse("x1 + 2", 1).lhs and Var(0) != IntLit(0)
+    assert Var(0) != 0 and Var(0) == Var(0)
 
 
 def test_pretty_reparse_fixed_point():

@@ -33,6 +33,7 @@ from ratrecon.poly import (
     poly1_ints,
 )
 from ratrecon.ratfun import (
+    RatFunN,
     degree_and_ord,
     format_poly1,
     format_ratfun1,
@@ -333,7 +334,7 @@ def test_polyn_arith_matches_sympy():
         assert sp.expand(to_sp(a + b) - (to_sp(a) + to_sp(b))) == 0
         pt = tuple(random_element(QQ, rng, 5) for _ in range(3))
         expected = to_sp(a).subs(dict(zip(xs, map(sp.Rational, pt))))
-        assert sp.Rational(a.eval(pt)) == expected
+        assert sp.Rational(RatFunN(a, PolyN.const(QQ, 3, 1)).eval(pt)) == expected
 
 
 def divides(d, f):

@@ -549,18 +549,18 @@ def test_vacuous_verification_is_a_budget_failure():
 
 @pytest.mark.parametrize("field", [FP, QQ])
 def test_verification_builds_the_candidate_evaluator_once(monkeypatch, field):
-    # the candidate's integer forms, degrees and term layout are worked out
-    # at its first point, not at every one of the 200
+    # the candidate's program is compiled at its first point, not at every
+    # one of the 200
     f = rand_ratfunn(field, random.Random(61), 3, 2)
-    f.eval_or_none((1, 2, 3))       # the oracle's own evaluator, built now
+    f.eval_or_none((1, 2, 3))       # the oracle's own program, built now
     built = []
-    build = ratfun.ints_evaluator
-    monkeypatch.setattr(ratfun, "ints_evaluator",
-                        lambda polys: built.append(polys) or build(polys))
+    compile_ = ratfun._compile
+    monkeypatch.setattr(ratfun, "_compile",
+                        lambda e, fld, width: built.append((fld, width)) or compile_(e, fld, width))
     g = RatFunN(f.num, f.den)            # a fresh candidate
     tally = verify_agreement(oracle_from_ratfunn(f), g, 200, derive_rng(5, "v"))
     assert tally.mismatch is None and tally[0] == 200 and tally[1] > 150
-    assert built == [(g.num, g.den)]
+    assert built == [(field, 3)]
 
 
 def eval_frames() -> int:
