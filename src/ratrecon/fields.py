@@ -9,11 +9,23 @@ through the canonical ring map and are always accepted.
 All randomness flows through explicitly seeded ``random.Random`` streams;
 ``derive_rng`` builds independent child streams from (seed, path) so parallel
 tasks stay reproducible.
+
+Each field draws its sample points with one sampler (`Field._sampler`),
+made for one run from its stream and height bound.  A draw reads the stream
+through ``getrandbits`` by the rejection rule of ``random.Random.randrange``,
+so it takes the same bits and gives the same value as ``randint`` and
+``randrange`` would: over Q a numerator ``randint(-h, h)`` then a
+denominator ``randint(1, h)``, over F_p one ``randrange(p)``.  It returns
+the value's integer id (equal ids iff equal values, within one sampler)
+with the element, which the sampler builds once per distinct value of its
+run, so callers key sets and memos by the ids and never hash an element.
+`random_element` is one draw of a fresh sampler.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -156,7 +168,9 @@ class Field:
     def format(self, x) -> str:
         raise NotImplementedError
 
-    def random_element(self, rng: random.Random, height_bound: int):
+    def _sampler(self, rng: random.Random, height_bound: int):
+        """The draw function of one run on `rng` (see the module docstring):
+        each call returns (id, element)."""
         raise NotImplementedError
 
     def descriptor(self) -> str:
@@ -183,11 +197,35 @@ class RationalField(Field):
     def format(self, x: Fraction) -> str:
         return str(x)
 
-    def random_element(self, rng: random.Random, height_bound: int) -> Fraction:
-        if height_bound < 1:
+    def _sampler(self, rng: random.Random, height_bound: int):
+        """Uniform numerator in [-h, h] and denominator in [1, h], then
+        reduced; the id of num/den in lowest terms is num * (h + 1) + den.
+        The cache maps each id to (id, Fraction)."""
+        h = height_bound
+        if h < 1:
             raise ValueError("height_bound must be >= 1")
-        return Fraction(rng.randint(-height_bound, height_bound),
-                        rng.randint(1, height_bound))
+        bits, gcd = rng.getrandbits, math.gcd
+        nums, dens = 2 * h + 1, h
+        nk, dk = nums.bit_length(), dens.bit_length()
+        cache = {}
+
+        def draw():
+            n = bits(nk)
+            while n >= nums:
+                n = bits(nk)
+            d = bits(dk)
+            while d >= dens:
+                d = bits(dk)
+            n -= h
+            d += 1
+            g = gcd(n, d)
+            key = n // g * (h + 1) + d // g
+            hit = cache.get(key)
+            if hit is None:
+                hit = cache[key] = (key, Fraction(n, d))
+            return hit
+
+        return draw
 
     def descriptor(self) -> str:
         return "q"
@@ -228,8 +266,22 @@ class PrimeField(Field):
     def format(self, x: FpElement) -> str:
         return str(x.residue)
 
-    def random_element(self, rng: random.Random, height_bound: int = 0) -> FpElement:
-        return FpElement(rng.randrange(self.p), self)
+    def _sampler(self, rng: random.Random, height_bound: int):
+        """A uniform residue, which is its own id; the height is unused."""
+        p, bits = self.p, rng.getrandbits
+        k = p.bit_length()
+        cache = {}
+
+        def draw():
+            r = bits(k)
+            while r >= p:
+                r = bits(k)
+            hit = cache.get(r)
+            if hit is None:
+                hit = cache[r] = (r, FpElement(r, self))
+            return hit
+
+        return draw
 
     def descriptor(self) -> str:
         return f"fp:{self.p}"
@@ -259,8 +311,17 @@ def field_from_string(desc: str) -> Field:
 
 def random_element(field: Field, rng: random.Random, height_bound: int):
     """Draw one element; over Q uniform numerator/denominator in the height
-    box (then reduced), over F_p a uniform residue."""
-    return field.random_element(rng, height_bound)
+    box (then reduced), over F_p a uniform residue.  It takes the same bits
+    of `rng` as one draw of `field`'s sampler."""
+    return field._sampler(rng, height_bound)()[1]
+
+
+def _draw_point(draw, n: int):
+    """(ids, point): n coordinates, in order, from the sampler `draw`."""
+    if not n:
+        return (), ()
+    ids, point = zip(*[draw() for _ in range(n)])
+    return ids, point
 
 
 def derive_rng(seed: int, *path) -> random.Random:

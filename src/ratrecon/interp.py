@@ -41,7 +41,7 @@ from .errors import (
     NoFit,
     SizeMismatch,
 )
-from .fields import QQ, Field, FpElement, random_element
+from .fields import QQ, Field, FpElement
 from .matrix import bordered_dets, det_exact
 from .poly import Poly1, _ratio, _residue, _strip, field_prime
 from .ratfun import (
@@ -292,13 +292,15 @@ class SamplingBudget:
 UnivariateOracle = Callable[[object], Optional[object]]
 
 
-def _draw_defined(oracle: UnivariateOracle, field: Field, budget: SamplingBudget,
-                  rng, taken: set):
-    """One (a, f(a)) pair with a fresh abscissa; resamples on Undefined."""
+def _draw_defined(oracle: UnivariateOracle, draw, budget: SamplingBudget,
+                  taken: set):
+    """One (a, f(a)) pair with a fresh abscissa; resamples on Undefined.
+    `draw` is the run's sampler (`Field._sampler`), and `taken` holds the
+    ids of the abscissae returned so far."""
     misses = 0
     while True:
-        a = random_element(field, rng, budget.height_bound)
-        if a in taken:
+        key, a = draw()
+        if key in taken:
             misses += 1
             if misses > budget.max_consecutive_undefined:
                 raise DomainTooSparse("cannot find a fresh sample point")
@@ -310,7 +312,7 @@ def _draw_defined(oracle: UnivariateOracle, field: Field, budget: SamplingBudget
                 raise DomainTooSparse(
                     f"{misses} consecutive undefined oracle responses")
             continue
-        taken.add(a)
+        taken.add(key)
         return a, v
 
 
@@ -324,6 +326,7 @@ def detect_profile_with_fit(oracle: UnivariateOracle, field: Field,
     order (total degree, numerator degree) of a walk over all degree pairs,
     each fitted with at least one sample to spare; returns (profile, fit)."""
     cap = budget.max_degree
+    draw = field._sampler(rng, budget.height_bound)
     taken: set = set()
     pool = _NewtonPool(field)
     # a pass either draws one point, which happens only while the pool is
@@ -333,14 +336,14 @@ def detect_profile_with_fit(oracle: UnivariateOracle, field: Field,
         row = pool.reconstruct()
         prof = _row_profile(row)
         if prof.l <= min(k - 2, cap):
-            fresh = [_draw_defined(oracle, field, budget, rng, taken)
+            fresh = [_draw_defined(oracle, draw, budget, taken)
                      for _ in range(budget.validation_extra)]
             if all(pool.agrees(row, a, v) for a, v in fresh):
                 return prof, pool.ratfun(row)
         elif max(k - 1, 0) > cap:
             break
         else:
-            fresh = [_draw_defined(oracle, field, budget, rng, taken)]
+            fresh = [_draw_defined(oracle, draw, budget, taken)]
         for a, v in fresh:
             pool.add(a, v)
     raise BudgetExhausted(

@@ -49,7 +49,7 @@ from .errors import (
     VerificationFailed,
 )
 from .errors import BudgetExhausted, DomainTooSparse, ZeroDenominator
-from .fields import Field, FpElement, derive_rng, random_element
+from .fields import Field, FpElement, _draw_point, derive_rng
 from .interp import (
     DegreeProfile,
     SamplingBudget,
@@ -120,6 +120,8 @@ class ReconConfig:
     def __post_init__(self):
         if self.verify_trials < 1:
             raise ValueError(f"verify_trials must be >= 1, got {self.verify_trials}")
+        if self.height_bound < 1:
+            raise ValueError(f"height_bound must be >= 1, got {self.height_bound}")
 
     def budget(self) -> SamplingBudget:
         return SamplingBudget(max_degree=self.max_degree,
@@ -161,15 +163,15 @@ def classify_slices(oracle: SliceOracle, axis: int, cfg: ReconConfig, rng,
         raise ValueError("classification needs arity >= 2")
     hist: Counter = Counter()
     failures = 0
-    dead: set = set()
+    dead: set = set()           # the ids of the dead fixed tuples
     redraws = cfg.samples_per_class
     budget = cfg.budget()
+    draw = oracle.field._sampler(rng, cfg.height_bound)
     for i in range(cfg.samples_per_class):
         while True:
-            fixed = tuple(random_element(oracle.field, rng, cfg.height_bound)
-                          for _ in range(oracle.arity - 1))
+            ids, fixed = _draw_point(draw, oracle.arity - 1)
             sub_rng = derive_rng(rng.getrandbits(63), "classify-slice", axis, i)
-            if fixed not in dead:
+            if ids not in dead:
                 try:
                     prof, _ = detect_profile_with_fit(
                         slice_oracle(oracle, axis, fixed), oracle.field,
@@ -178,7 +180,7 @@ def classify_slices(oracle: SliceOracle, axis: int, cfg: ReconConfig, rng,
                     failures += 1
                     break
                 except DomainTooSparse:
-                    dead.add(fixed)
+                    dead.add(ids)
                 else:
                     hist[(prof.d, prof.e)] += 1
                     break
@@ -208,22 +210,24 @@ def choose_anchors(oracle: SliceOracle, axis: int, profile: DegreeProfile,
     """l+1 distinct values along `axis` at which the oracle is defined for at
     least 95% of a fresh random batch of fixed-tuples."""
     anchors: list = []
+    taken: set = set()          # the anchors' ids
     need = profile.l + 1
     min_defined = ANCHOR_MIN_DEFINED * ANCHOR_PROBE_BATCH
+    draw = oracle.field._sampler(rng, cfg.height_bound)
     while len(anchors) < need:
         for _ in range(MAX_ANCHOR_ATTEMPTS):
-            b = random_element(oracle.field, rng, cfg.height_bound)
-            if b in anchors:
+            key, b = draw()
+            if key in taken:
                 continue
             defined = 0
             for _ in range(ANCHOR_PROBE_BATCH):
-                fixed = tuple(random_element(oracle.field, rng, cfg.height_bound)
-                              for _ in range(oracle.arity - 1))
+                _, fixed = _draw_point(draw, oracle.arity - 1)
                 point = fixed[:axis] + (b,) + fixed[axis:]
                 if oracle.eval(point) is not None:
                     defined += 1
             if defined >= min_defined:
                 anchors.append(b)
+                taken.add(key)
                 break
         else:
             raise AnchorSearchFailed(
@@ -248,19 +252,22 @@ def verify_agreement(oracle: SliceOracle, g: RatFunN, trials: int, rng,
     """Tallies over random points; points where either side is undefined
     are skipped, the rest compared exactly.  A point drawn again is counted
     again, from the values of its first draw: the oracle is a function, so
-    each distinct point is queried and evaluated once."""
+    each distinct point is queried and evaluated once.  The points are
+    those of `fields.random_element` on `rng`; the memo is keyed by the
+    tuple of the coordinates' ids from the field's sampler, which are
+    equal exactly when the points are."""
     agreements = 0
     skips = 0
     mismatch = None
     seen = {}
-    draw = oracle.field.random_element      # fields.random_element, unwrapped
-    coords = range(oracle.arity)
+    draw = oracle.field._sampler(rng, height_bound)
+    arity = oracle.arity
     query, value = oracle.eval, g.eval_or_none
     for _ in range(trials):
-        point = tuple([draw(rng, height_bound) for _ in coords])
-        pair = seen.get(point)
+        ids, point = _draw_point(draw, arity)
+        pair = seen.get(ids)
         if pair is None:
-            pair = seen[point] = (query(point), value(point))
+            pair = seen[ids] = (query(point), value(point))
         want, got = pair
         if want is None or got is None:
             skips += 1

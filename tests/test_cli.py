@@ -668,7 +668,18 @@ STDOUT_DIGESTS = {
     "hankel": ("hankel", "--series", "fib.json", "--lmax", "5", "--mmax", "5"),
     "interp-fit": ("interp", "--samples", "sq.csv", "--field", "q", "--n", "2",
                    "--m", "1", "--fit"),
+    # heights and a small field the benchmark never runs; with --record the
+    # file lists the queried points in query order
+    "reconstruct-q-h1": ("reconstruct", "--expr", "(x1*x2 + 1)/(x1 - x2)", "--arity", "2",
+                         "--field", "q", "--seed", "7", "--height-bound", "1"),
+    "reconstruct-q-h1000": ("reconstruct", "--expr", "(x1^2 - 3*x2)/(x1*x2 + 2)",
+                            "--arity", "2", "--field", "q", "--seed", "8",
+                            "--height-bound", "1000"),
+    "reconstruct-fp101": ("reconstruct", "--expr", "(x1^2 + 3*x2)/(x1 - x2 + 4)",
+                          "--arity", "2", "--field", "fp:101", "--seed", "9"),
 }
+for _name in ("reconstruct-q-h1", "reconstruct-q-h1000", "reconstruct-fp101"):
+    STDOUT_DIGESTS[f"{_name}-record"] = STDOUT_DIGESTS[_name] + ("--record", "record.json")
 STDOUT_SHA256 = {
     "hankel": "231ea6e3df0690f804a1165e0b8c2089cc7f8b06cb267dc83e41adfc99662436",
     "interp-fit": "aa506941aad08ab84a09a8799f09a582c6b768049d33f60352a1a205f12d3f40",
@@ -676,7 +687,26 @@ STDOUT_SHA256 = {
     "reconstruct-fp-3": "21545a01e4cbff92bfb73d6700fdf10b84bcf6aaf8f4ef0939dd28517f065454",
     "reconstruct-q-2": "e772d0fc7845d7834f6a37e0c1dfd8860ea857ff45bc690a572fd6b7b703ee2f",
     "reconstruct-q-3": "2c667c295e38e521d3ef78ffa9f3ede58d1aa7bee6725693c8e29e7cad514d96",
+    "reconstruct-q-h1": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "reconstruct-q-h1-record":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "reconstruct-q-h1000": "7f8b9b0e55088ca6f9d993af36de3bb6a4e4fe49fa8d2c7214bf4cf7a9b86100",
+    "reconstruct-q-h1000-record":
+        "7f8b9b0e55088ca6f9d993af36de3bb6a4e4fe49fa8d2c7214bf4cf7a9b86100",
+    "reconstruct-fp101": "975e98240bbb403c6d86a8ba773beb6ea24abf2ea1bad0b3436d486c1caf8135",
+    "reconstruct-fp101-record":
+        "975e98240bbb403c6d86a8ba773beb6ea24abf2ea1bad0b3436d486c1caf8135",
 }
+# the --record files; at height 1 Q offers three values, too few for any
+# slice, so the run refuses (exit 7) and writes no file
+RECORD_SHA256 = {
+    "reconstruct-q-h1-record": None,
+    "reconstruct-q-h1000-record":
+        "f1b8c4355e13cb488bd0c0b42996d3f91c9579909c080108a46a7fdbcb2a1bbd",
+    "reconstruct-fp101-record":
+        "99c154d7527e2c3a0f222a4df5e64ded589ab729bfd6dbc574501361950e013f",
+}
+EXIT_CODE = {"reconstruct-q-h1": 7, "reconstruct-q-h1-record": 7}
 
 
 @pytest.mark.parametrize("name", sorted(STDOUT_DIGESTS))
@@ -686,5 +716,9 @@ def test_stdout_bytes_are_stable(tmp_path, capsys, monkeypatch, name):
     write_fib_series(tmp_path / "fib.json")
     (tmp_path / "sq.csv").write_text("1,2\n2,5/2\n3,10/3\n4,17/4\n5,26/5\n6,37/6\n")
     code, out, _ = run_cli(capsys, *STDOUT_DIGESTS[name])
-    assert code == 0
+    assert code == EXIT_CODE.get(name, 0)
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[name]
+    if name in RECORD_SHA256:
+        record = tmp_path / "record.json"
+        digest = hashlib.sha256(record.read_bytes()).hexdigest() if record.exists() else None
+        assert digest == RECORD_SHA256[name]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ratrecon.errors import FieldMismatch
 from ratrecon.fields import (
     QQ,
+    FpElement,
     PrimeField,
     derive_rng,
     enumerate_countable,
@@ -111,10 +112,36 @@ def test_parse_format_roundtrip():
     assert F7.parse("2/3") == F7.from_int(2) / F7.from_int(3)
 
 
-def test_random_element_deterministic():
-    a = [random_element(QQ, random.Random(42), 10) for _ in range(20)]
-    b = [random_element(QQ, random.Random(42), 10) for _ in range(20)]
-    assert a == b
+@pytest.mark.parametrize("field, height", [
+    (QQ, 1), (QQ, 2), (QQ, 10), (QQ, 1000), (QQ, 10 ** 6),
+    (PrimeField(5), 0), (PrimeField(101), 10), (PrimeField(1000003), -3),
+], ids=["q-1", "q-2", "q-10", "q-1000", "q-1000000", "fp5", "fp101", "fp1000003"])
+def test_random_element_deterministic(field, height):
+    # random_element and a run's sampler take the bits of randint (Q) or
+    # randrange (F_p) on a twin stream and give the same value, with other
+    # reads of the stream in between; a sampler's ids are equal exactly
+    # when the values are (over Q, 2/4 and 1/2 too), and it builds each
+    # value once.  Any height is accepted over F_p, none below 1 over Q.
+    for seed in range(5):
+        twin, one, run = (random.Random(seed) for _ in range(3))
+        draw = field._sampler(run, height)
+        seen = {}
+        for i in range(10 ** 4):
+            if field == QQ:
+                want = Fraction(twin.randint(-height, height), twin.randint(1, height))
+            else:
+                want = FpElement(twin.randrange(field.p), field)
+            key, got = draw()
+            assert random_element(field, one, height) == want and got == want
+            first = seen.setdefault(want, (key, got))
+            assert first[0] == key and first[1] is got
+            if i % 7 == 3:
+                assert one.getrandbits(63) == run.getrandbits(63) == twin.getrandbits(63)
+        assert len({key for key, _ in seen.values()}) == len(seen)
+        assert one.random() == run.random() == twin.random()
+    if field == QQ:
+        with pytest.raises(ValueError, match="height_bound must be >= 1"):
+            random_element(field, random.Random(0), 0)
 
 
 def test_random_element_fp_range():

@@ -27,7 +27,6 @@ from ratrecon.interp import (
     DegreeProfile,
     SampleSet1,
     SamplingBudget,
-    _draw_defined,
     detect_profile_with_fit,
     fit_ratfun,
 )
@@ -107,17 +106,38 @@ def ref_fit(samples, n_deg, m_deg, field):
     return seen[0]
 
 
+def ref_draw_defined(oracle, field, budget, rng, taken):
+    # interp._draw_defined before the sampler: `taken` holds the abscissae
+    misses = 0
+    while True:
+        a = random_element(field, rng, budget.height_bound)
+        if a in taken:
+            misses += 1
+            if misses > budget.max_consecutive_undefined:
+                raise DomainTooSparse("cannot find a fresh sample point")
+            continue
+        v = oracle(a)
+        if v is None:
+            misses += 1
+            if misses > budget.max_consecutive_undefined:
+                raise DomainTooSparse(
+                    f"{misses} consecutive undefined oracle responses")
+            continue
+        taken.add(a)
+        return a, v
+
+
 def ref_detect(oracle, field, budget, rng):
     taken, pool = set(), []
     for total in range(budget.max_degree + 1):
         for n_deg in range(total + 1):
             while len(pool) < total + 2:
-                pool.append(_draw_defined(oracle, field, budget, rng, taken))
+                pool.append(ref_draw_defined(oracle, field, budget, rng, taken))
             try:
                 fit = ref_fit(SampleSet1(list(pool)), n_deg, total - n_deg, field)
             except NoFit:
                 continue
-            fresh = [_draw_defined(oracle, field, budget, rng, taken)
+            fresh = [ref_draw_defined(oracle, field, budget, rng, taken)
                      for _ in range(budget.validation_extra)]
             pool.extend(fresh)
             if all(fit.defined_at(a) and fit.eval(a) == v for a, v in fresh):
@@ -216,14 +236,14 @@ def eea_detect(oracle, field, budget, rng):
         fit = eea_reconstruct(modulus, u)
         prof = DegreeProfile.of(fit)
         if prof.l <= min(k - 2, cap):
-            fresh = [_draw_defined(oracle, field, budget, rng, taken)
+            fresh = [ref_draw_defined(oracle, field, budget, rng, taken)
                      for _ in range(budget.validation_extra)]
             if all(fit.defined_at(a) and fit.eval(a) == v for a, v in fresh):
                 return prof, fit
         elif max(k - 1, 0) > cap:
             break
         else:
-            fresh = [_draw_defined(oracle, field, budget, rng, taken)]
+            fresh = [ref_draw_defined(oracle, field, budget, rng, taken)]
         for a, v in fresh:
             modulus, u = eea_add_point(modulus, u, a, v)
     raise BudgetExhausted("no profile")
@@ -376,7 +396,8 @@ def test_detect_matches_degree_walk_and_its_queries():
     budgets = [SamplingBudget(), SamplingBudget(max_degree=3),
                SamplingBudget(validation_extra=1, height_bound=4),
                SamplingBudget(validation_extra=0, max_degree=5),
-               SamplingBudget(height_bound=2, max_consecutive_undefined=6)]
+               SamplingBudget(height_bound=2, max_consecutive_undefined=6),
+               SamplingBudget(height_bound=1), SamplingBudget(height_bound=1000)]
     outcomes = set()
     for trial in range(300):
         field = FIELDS[trial % 2]
@@ -513,7 +534,8 @@ def test_detect_matches_poly1_eea_and_its_queries():
     budgets = [SamplingBudget(), SamplingBudget(max_degree=3),
                SamplingBudget(height_bound=10 ** 6),
                SamplingBudget(validation_extra=1, height_bound=4),
-               SamplingBudget(height_bound=2, max_consecutive_undefined=6)]
+               SamplingBudget(height_bound=2, max_consecutive_undefined=6),
+               SamplingBudget(height_bound=1), SamplingBudget(height_bound=1000)]
     outcomes = set()
     for trial in range(300):
         field = KERNEL_FIELDS[trial % 3]
@@ -536,16 +558,6 @@ def test_detect_matches_poly1_eea_and_its_queries():
     for field in KERNEL_FIELDS:
         assert (field, "fit") in outcomes and (field, "BudgetExhausted") in outcomes
     assert (QQ, "DomainTooSparse") in outcomes
-
-
-class CountingRandom(random.Random):
-    """Counts the draws of `random_element` over F_p: one randrange each."""
-
-    draws = 0
-
-    def randrange(self, *args, **kwargs):
-        self.draws += 1
-        return super().randrange(*args, **kwargs)
 
 
 def test_detection_builds_field_elements_only_for_its_answer(monkeypatch):
@@ -576,12 +588,20 @@ def test_detection_builds_field_elements_only_for_its_answer(monkeypatch):
             built.append(residue)
             init(elem, residue, field)
 
-        draws = CountingRandom(rng.getrandbits(32))
+        draws = []
+        sampler = PrimeField._sampler
+
+        def counting_sampler(field, stream, height_bound):
+            draw = sampler(field, stream, height_bound)
+            return lambda: draws.append(1) or draw()
+
+        monkeypatch.setattr(PrimeField, "_sampler", counting_sampler)
         monkeypatch.setattr(FpElement, "__init__", counting_init)
         try:
-            prof, fit = detect_profile_with_fit(oracle, FP, SamplingBudget(), draws)
+            prof, fit = detect_profile_with_fit(oracle, FP, SamplingBudget(),
+                                                random.Random(rng.getrandbits(32)))
         finally:
             monkeypatch.undo()
         assert fit == f
         coefficients = len(fit.num.coeffs) + len(fit.den.coeffs)
-        assert len(built) <= draws.draws + len(values) + coefficients
+        assert len(built) <= len(draws) + len(values) + coefficients

@@ -498,36 +498,78 @@ def parent_verify_agreement(oracle, g, trials, rng, height_bound):
     return Agreement(trials, agreements, skips, mismatch)
 
 
-def test_verification_asks_once_per_distinct_point():
-    # Over Q at height 10 an arity-1 run draws its 200 points from the 127
-    # rationals of height <= 10, so most of them come back.  A repeated
-    # point is counted every time it is drawn but asked only once.
-    f = normalize_ratfun1(Poly1.from_ints(QQ, [1, 2]),
-                          Poly1.from_ints(QQ, [0, 1])).to_ratfunn(1)
+def memo_verify_agreement(oracle, g, trials, rng, height_bound):
+    # verify_agreement before the sampler: the memo keyed by the points
+    agreements = 0
+    skips = 0
+    mismatch = None
+    seen = {}
+    draw = random_element
+    coords = range(oracle.arity)
+    query, value = oracle.eval, g.eval_or_none
+    for _ in range(trials):
+        point = tuple([draw(oracle.field, rng, height_bound) for _ in coords])
+        pair = seen.get(point)
+        if pair is None:
+            pair = seen[point] = (query(point), value(point))
+        want, got = pair
+        if want is None or got is None:
+            skips += 1
+        elif want == got:
+            agreements += 1
+        elif mismatch is None:
+            mismatch = (point, want, got)
+    return Agreement(trials, agreements, skips, mismatch)
+
+
+def verify_target(field, arity):
+    """(1 + 2*x1 + x1*x2 + ... + x(n-1)*xn) / (x1 - x2 - ... - xn): poles on
+    a hyperplane."""
+    xs = [f"x{k}" for k in range(1, arity + 1)]
+    num = "+".join(["1", "2*x1"] + [f"{a}*{b}" for a, b in zip(xs, xs[1:])])
+    return to_ratfun(parse(f"({num})/({'-'.join(xs)})", arity), field, arity)
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
+@pytest.mark.parametrize("field, height", [(QQ, 1), (QQ, 10), (QQ, 1000), (FP101, 10),
+                                           (FP, 10)],
+                         ids=["q-1", "q-10", "q-1000", "fp101", "fp1000003"])
+def test_verification_asks_once_per_distinct_point(field, height, arity):
+    # A repeated point is counted every time it is drawn but asked only
+    # once (at arity 1 with at most 127 values, 200 draws must repeat).
+    # The run asks the same points in the same order, and gives the same
+    # tally and mismatch, as the memo keyed by the points and as a run
+    # without a memo: on the function with its poles, with one more
+    # hyperplane of holes, and with its most drawn defined point corrupted.
+    f = verify_target(field, arity)
     rng = derive_rng(3, "v")
-    drawn = [(random_element(QQ, rng, 10),) for _ in range(200)]
-    repeated = [pt for pt in dict.fromkeys(drawn) if drawn.count(pt) > 1
-                and f.eval_or_none(pt) is not None]
-    assert len(set(drawn)) < 150 and repeated
-    bad = repeated[0]
-    for corrupt in (None, bad):
+    drawn = [tuple(random_element(field, rng, height) for _ in range(arity))
+             for _ in range(200)]
+    defined = [pt for pt in dict.fromkeys(drawn) if f.eval_or_none(pt) is not None]
+    bad = max(defined, key=drawn.count)
+    hole = drawn[0][0]
+    for corrupt, holes in ((None, ()), (None, (hole,)), (bad, ())):
         def fn(pt):
+            if pt[0] in holes:
+                return None
             v = f.eval_or_none(pt)
             return v + 1 if pt == corrupt else v
 
-        calls = []
-        counted = SliceOracle(1, QQ, lambda pt: calls.append(pt) or fn(pt))
-        tally = verify_agreement(counted, f, 200, derive_rng(3, "v"), 10)
-        assert calls == list(dict.fromkeys(drawn))
-        want = parent_verify_agreement(SliceOracle(1, QQ, fn), f, 200,
-                                       derive_rng(3, "v"), 10)
-        assert tally == want and tally.mismatch == want.mismatch
-        assert tally.mismatch == (None if corrupt is None
-                                  else (bad, f.eval(bad) + 1, f.eval(bad)))
-        skips = sum(f.eval_or_none(pt) is None for pt in drawn)
-        assert tally[2] == skips
-        if corrupt is not None:
-            assert tally[1] == 200 - skips - drawn.count(bad)
+        runs = []
+        for verify in (verify_agreement, memo_verify_agreement, parent_verify_agreement):
+            calls = []
+            counted = SliceOracle(arity, field, lambda pt: calls.append(pt) or fn(pt))
+            runs.append((verify(counted, f, 200, derive_rng(3, "v"), height), calls))
+        (tally, calls), (memo, memo_calls), (want, _) = runs
+        assert calls == memo_calls == list(dict.fromkeys(drawn))
+        assert tally == memo == want and tally.mismatch == memo.mismatch == want.mismatch
+        undefined = [pt for pt in drawn if fn(pt) is None or f.eval_or_none(pt) is None]
+        assert tally[2] == len(undefined)
+        if corrupt is None:
+            assert tally.mismatch is None and tally[1] == 200 - len(undefined)
+        else:
+            assert tally.mismatch == (bad, f.eval(bad) + 1, f.eval(bad))
+            assert tally[1] == 200 - len(undefined) - drawn.count(bad)
 
 
 def test_vacuous_verification_is_a_budget_failure():
@@ -606,7 +648,11 @@ def test_deep_node_queries_the_user_function_in_one_frame(monkeypatch):
         assert all(len(pt) == 3 and frames == 1 for pt, frames in calls)
 
 
-@pytest.mark.parametrize("trials", [0, -1])
-def test_config_rejects_vacuous_verify_trials(trials):
-    with pytest.raises(ValueError, match="verify_trials must be >= 1"):
-        ReconConfig(verify_trials=trials)
+@pytest.mark.parametrize("setting", [{"verify_trials": 0}, {"verify_trials": -1},
+                                     {"height_bound": 0}],
+                         ids=["0", "-1", "height_bound-0"])
+def test_config_rejects_vacuous_verify_trials(setting):
+    # a height below 1 leaves Q no points and made F_p runs ignore it
+    (name, value), = setting.items()
+    with pytest.raises(ValueError, match=f"{name} must be >= 1, got {value}"):
+        ReconConfig(**setting)
