@@ -1,6 +1,6 @@
 """Exact reconstruction of rational functions from point evaluations."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .errors import RatreconError
 from .fields import (
@@ -54,7 +54,6 @@ from .reconstruct import (
     SliceOracle,
     choose_anchors,
     classify_slices,
-    dominant_class,
     reconstruct,
     slice_oracle,
     verify_agreement,

@@ -278,6 +278,10 @@ def _cmd_reconstruct(args) -> int:
                       verify_trials=args.verify_trials,
                       height_bound=args.height_bound,
                       seed=seed)
+    try:
+        cfg.check_field(field)
+    except ValueError as e:
+        raise InputError(str(e)) from e
     oracle, inputs = _oracle_from_args(args, field)
     record = {} if args.record else None
     if record is not None:

@@ -25,6 +25,7 @@ run, so callers key sets and memos by the ids and never hash an element.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -314,6 +315,19 @@ def random_element(field: Field, rng: random.Random, height_bound: int):
     box (then reduced), over F_p a uniform residue.  It takes the same bits
     of `rng` as one draw of `field`'s sampler."""
     return field._sampler(rng, height_bound)()[1]
+
+
+def height_box_sizes(max_height: int) -> list:
+    """[s_1, ..., s_max_height]: s_h is how many distinct values the Q
+    sampler draws at height bound h, 0 and +-n/d in lowest terms with
+    1 <= n, d <= h, which is 4 * (phi(1) + ... + phi(h)) - 1 with Euler's
+    phi.  As phi >= 1, s_h >= 4h - 1."""
+    phi = list(range(max_height + 1))
+    for k in range(2, max_height + 1):
+        if phi[k] == k:         # k is prime
+            for j in range(k, max_height + 1, k):
+                phi[j] -= phi[j] // k
+    return [4 * total - 1 for total in itertools.accumulate(phi[1:])]
 
 
 def _draw_point(draw, n: int):

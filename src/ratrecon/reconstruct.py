@@ -1,7 +1,7 @@
 """Multivariate reconstruction from a slice-rational black box.
 
 The engine peels the last variable: it samples random slices to find the
-dominant (degree, order-at-infinity) class, picks anchor values where the
+generic (degree, order-at-infinity) class, picks anchor values where the
 oracle is widely defined, recursively reconstructs the function on each
 anchor hyperplane, and combines the results by solving for one scale factor
 per child: a scalar kernel and coefficient-wise interpolation on integers,
@@ -10,22 +10,26 @@ Every reconstruction is verified against the oracle at random points;
 exact arithmetic means any disagreement at all is a failure, and so is a
 check in which no point was defined on both sides.
 
-Every node on one recursion level peels the same variable, and off a
-Zariski-closed set of anchor values it has the same generic class.  So only
-the first node of a level classifies in full; its dominant class becomes the
-level's class.  A later node on that level detects the first slice of its
-own classification stream that is not dead (see `classify_slices`), and
-takes the level's class if that slice has it.
-Otherwise it classifies in full on the same stream, exactly as the first
-node did.  A slice cannot exceed its node's generic class, so a node whose
-hyperplane lowers the class never passes the check.  If a node that took
-the level's class still fails to combine (`ZeroDenominator`) or to verify,
-it repeats itself with its own full classification.
+A slice's (n, m) can only fall below its node's generic class, and only on
+a Zariski-closed set, so the generic class is the componentwise maximum
+over the slices.  `classify_slices` stops once a few slices in a row leave
+that maximum unchanged, unless a slice failed.  Every node on one recursion
+level peels the same variable, and off a Zariski-closed set of anchor
+values it has the same generic class.  So the first node of a level sets
+the level's class, and a later node detects the first slice of its own
+classification stream that is not dead and takes the level's class if that
+slice has it; otherwise it classifies on the same stream, exactly as the
+first node did.  A class that is too low shows at the node itself: its
+combine fails (`ZeroDenominator`) or its verification does.  Such a node,
+unless it drew every slice, then classifies all `samples_per_class` slices
+of its stream and repeats itself with their maximum (a first node updates
+the level's class); if that is the class that failed, the original error
+stands.
 
 Each node returns a `NodeRecord`: its result, its verification tally, its
 own slice classes, and the anchors of its subtree per level, merged from its
 children in child order.  The level-class map is the only state the nodes
-share, so a repeated attempt leaves nothing behind.
+share.
 
 A node's oracle holds the user's function and the anchors fixed above it,
 so a query at any depth is one `SliceOracle.eval` call into the user's
@@ -49,7 +53,7 @@ from .errors import (
     VerificationFailed,
 )
 from .errors import BudgetExhausted, DomainTooSparse, ZeroDenominator
-from .fields import Field, FpElement, _draw_point, derive_rng
+from .fields import Field, FpElement, _draw_point, derive_rng, height_box_sizes
 from .interp import (
     DegreeProfile,
     SamplingBudget,
@@ -65,6 +69,9 @@ ANCHOR_PROBE_BATCH = 20
 ANCHOR_MIN_DEFINED = 0.95
 MAX_ANCHOR_ATTEMPTS = 100
 MAX_CLASSIFY_FAILURE_RATE = 0.20
+# A node's classification stops once this many detected slices in a row
+# leave the maximal class unchanged.
+STABLE_SLICES = 2
 # The recursion tree has prod(l_k + 1) leaves over its levels k; a larger
 # tree is refused as soon as a level's class shows it (BudgetExhausted).
 MAX_LEAVES = 1024
@@ -123,6 +130,25 @@ class ReconConfig:
         if self.height_bound < 1:
             raise ValueError(f"height_bound must be >= 1, got {self.height_bound}")
 
+    def check_field(self, field: Field) -> None:
+        """Refuse a Q height box with fewer distinct values than a constant's
+        detection needs: a pool of 2 and `validation_extra` fresh points."""
+        need = self.validation_extra + 2
+        h = self.height_bound
+        if field_prime(field) is not None:
+            return
+        # the box at height k holds at least 4k - 1 values, so the least
+        # sufficient height is at most (need + 4) // 4
+        sizes = height_box_sizes((need + 4) // 4)
+        least = 1 + next(k for k, size in enumerate(sizes) if size >= need)
+        if h >= least:
+            return
+        raise ValueError(
+            f"height bound {h} gives {sizes[h - 1]} values over Q, fewer "
+            f"than the {need} that even a constant's detection needs at "
+            f"validation_extra {self.validation_extra}; use a height bound "
+            f"of at least {least}")
+
     def budget(self) -> SamplingBudget:
         return SamplingBudget(max_degree=self.max_degree,
                               validation_extra=self.validation_extra,
@@ -143,22 +169,41 @@ class ReconConfig:
 class ClassifyResult:
     histogram: Counter
     failures: int
-    total: int
+    total: int                 # the slices drawn: histogram plus failures
+    de: tuple                  # the node's (d, e): see `maximal_class`
+    redrawn: int               # draws of a dead slice that were redrawn
+
+
+def maximal_class(hist) -> tuple:
+    """The (d, e) of the componentwise maximum of the slices' (n, m)."""
+    if not hist:
+        raise EmptyHistogram("no classified slices")
+    n = max(DegreeProfile.from_de(*de).n for de in hist)
+    m = max(DegreeProfile.from_de(*de).m for de in hist)
+    return max(n, m), n - m
 
 
 def classify_slices(oracle: SliceOracle, axis: int, cfg: ReconConfig, rng,
-                    expect: Optional[tuple] = None) -> ClassifyResult:
-    """Profile `samples_per_class` random slices along `axis`.  A dead slice,
-    one whose detection finds too few defined points (`DomainTooSparse`),
-    lies in a hole of the domain: it is replaced by a slice with a fresh
-    fixed tuple from the same stream, and a tuple found dead is never
-    queried again.  At most `samples_per_class` redraws are made, and
-    drawing a known-dead tuple spends one; after that a dead slice is a
-    failure.  Every other failed detection is a failure at once.  Failures
-    are tallied separately and capped at 20%.  With `expect`, a (d, e)
-    class, stop after the first slice that is not dead if it has that class
-    (`total` is then 1); otherwise go on along the same stream, to the same
-    result as without `expect`."""
+                    expect: Optional[tuple] = None,
+                    full: bool = False) -> ClassifyResult:
+    """Profile random slices along `axis`, at most `samples_per_class`.  A
+    slice cannot exceed its node's generic class, so the node's class is
+    the componentwise maximum of the slices' (n, m) (`maximal_class`), and
+    the run stops once `STABLE_SLICES` detected slices in a row have left
+    that maximum unchanged.  With `full`, or once a slice has failed, it
+    draws all `samples_per_class`, so a refusal stays what a full
+    classification would give.
+
+    A dead slice, one whose detection finds too few defined points
+    (`DomainTooSparse`), lies in a hole of the domain: it is replaced by a
+    slice with a fresh fixed tuple from the same stream, and a tuple found
+    dead is never queried again.  At most `samples_per_class` redraws are
+    made, and drawing a known-dead tuple spends one; after that a dead
+    slice is a failure.  Every other failed detection is a failure at once.
+    More than 20% of `samples_per_class` failures refuse.  With
+    `expect`, a (d, e) class, stop after the first slice that is not dead
+    if it has that class (`total` is then 1); otherwise go on along the
+    same stream, to the same result as without `expect`."""
     if oracle.arity < 2:
         raise ValueError("classification needs arity >= 2")
     hist: Counter = Counter()
@@ -167,7 +212,11 @@ def classify_slices(oracle: SliceOracle, axis: int, cfg: ReconConfig, rng,
     redraws = cfg.samples_per_class
     budget = cfg.budget()
     draw = oracle.field._sampler(rng, cfg.height_bound)
-    for i in range(cfg.samples_per_class):
+    top = None                  # the maximal class so far
+    unchanged = 0               # detected slices in a row that left it so
+    i = 0
+    while i < cfg.samples_per_class and (full or failures
+                                         or unchanged < STABLE_SLICES):
         while True:
             ids, fixed = _draw_point(draw, oracle.arity - 1)
             sub_rng = derive_rng(rng.getrandbits(63), "classify-slice", axis, i)
@@ -183,26 +232,24 @@ def classify_slices(oracle: SliceOracle, axis: int, cfg: ReconConfig, rng,
                     dead.add(ids)
                 else:
                     hist[(prof.d, prof.e)] += 1
+                    grown = maximal_class(hist)
+                    unchanged = unchanged + 1 if grown == top else 0
+                    top = grown
                     break
             if not redraws:
                 failures += 1
                 break
             redraws -= 1
         if i == 0 and expect is not None and hist[expect] == 1:
-            return ClassifyResult(hist, 0, 1)
+            return ClassifyResult(hist, 0, 1, expect,
+                                  cfg.samples_per_class - redraws)
+        i += 1
     if failures > MAX_CLASSIFY_FAILURE_RATE * cfg.samples_per_class:
         raise TooManyFailures(
             f"{failures}/{cfg.samples_per_class} slices failed profile detection; "
             "oracle is likely not slice-rational within the budget")
-    return ClassifyResult(hist, failures, cfg.samples_per_class)
-
-
-def dominant_class(hist) -> tuple:
-    """Most frequent (d, e); ties break to smaller d, then smaller |e|,
-    then e >= 0 first."""
-    if not hist:
-        raise EmptyHistogram("no classified slices")
-    return min(hist, key=lambda de: (-hist[de], de[0], abs(de[1]), de[1] < 0))
+    return ClassifyResult(hist, failures, i, maximal_class(hist),
+                          cfg.samples_per_class - redraws)
 
 
 def choose_anchors(oracle: SliceOracle, axis: int, profile: DegreeProfile,
@@ -322,6 +369,7 @@ class NodeRecord:
 def reconstruct(oracle: SliceOracle, cfg: ReconConfig) -> ReconReport:
     """Full reconstruction with verification; see module docstring.  The
     report carries the root node's classes and verification tallies."""
+    cfg.check_field(oracle.field)
     root = _reconstruct_level(oracle, cfg, (), {})
     return ReconReport(root.result, oracle.arity, oracle.field,
                        dict(root.histogram), root.failures, root.anchors,
@@ -343,18 +391,22 @@ def _reconstruct_level(oracle: SliceOracle, cfg: ReconConfig, path: tuple,
 
     axis = oracle.arity - 1
     level = len(path)
-    expect = classes.get(level)
+    first = level not in classes        # this node sets the level's class
+
+    def classify(expect=None, full=False):
+        return classify_slices(oracle, axis, cfg,
+                               derive_rng(cfg.seed, "classify", *path), expect, full)
+
+    cls = classify(None if first else classes[level])
     while True:
-        cls = classify_slices(oracle, axis, cfg,
-                              derive_rng(cfg.seed, "classify", *path), expect)
-        d, e = dominant_class(cls.histogram)
-        classes.setdefault(level, (d, e))
+        if first:
+            classes[level] = cls.de
         leaves = math.prod(DegreeProfile.from_de(*de).l + 1 for de in classes.values())
         if leaves > MAX_LEAVES:
             raise BudgetExhausted(
                 f"the recursion tree would have at least {leaves} leaves, "
                 f"more than {MAX_LEAVES}")
-        profile = DegreeProfile.from_de(d, e)
+        profile = DegreeProfile.from_de(*cls.de)
         anchors = choose_anchors(oracle, axis, profile, cfg,
                                  derive_rng(cfg.seed, "anchors", *path))
         children = [_reconstruct_level(oracle._restrict(b), cfg, path + (i,), classes)
@@ -363,11 +415,23 @@ def _reconstruct_level(oracle: SliceOracle, cfg: ReconConfig, path: tuple,
             result = _combine([c.result for c in children], anchors, profile,
                               field, oracle.arity)
             verification = _verify_node(oracle, result, cfg, path)
-        except (ZeroDenominator, VerificationFailed):
+        except (ZeroDenominator, VerificationFailed) as failure:
             if cls.total == cfg.samples_per_class:
                 raise
-            # the level's class does not hold on this node's hyperplane
-            expect = None
+            # the class may be too low on this node's hyperplane: repeat
+            # with all the slices of its stream, unless they agree.  If they
+            # refuse, the refusal stands when the node's own slices met a
+            # hole already; otherwise the holes lie only beyond the slices
+            # drawn, as in a replayed record, and the original error stands
+            try:
+                repeat = classify(full=True)
+            except TooManyFailures:
+                if cls.redrawn:
+                    raise
+                raise failure from None
+            if repeat.de == cls.de:
+                raise
+            cls = repeat
             continue
         below = [sum(levels, []) for levels in zip(*(c.anchors for c in children))]
         return NodeRecord(result, [anchors] + below, verification,

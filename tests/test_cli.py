@@ -252,6 +252,21 @@ def test_reconstruct_verification_failure_detail(tmp_path, capsys):
         "result": str(value)}
 
 
+@pytest.mark.parametrize("seed,failed", [("1", 12), ("5", 10)])
+def test_reconstruct_refusal_on_a_sparse_domain_is_kept(capsys, seed, failed):
+    # In the 7-value box of height 2, x3 = 1/2 is a pole and half the
+    # root's slices are dead.  The root's first slices give a class too low,
+    # its verification fails, and the full classification's refusal stands:
+    # exit 7 with the refusal that classifying all 20 slices first gives.
+    code, out, err = run_cli(capsys, "reconstruct", "--expr",
+                             "(-x1*x2 + 6*x1)/(2*x3 - 1)", "--arity", "3",
+                             "--field", "q", "--height-bound", "2", "--seed", seed)
+    assert code == 7
+    assert err == (f"reconstruction budget failure: {failed}/20 slices failed "
+                   "profile detection; oracle is likely not slice-rational "
+                   "within the budget\n")
+
+
 def test_reconstruct_verification_failure_fields_name_inner_node(tmp_path, capsys):
     # The last fresh point on the first anchor's hyperplane x2 = b is asked
     # by the verification of the child node at path (0,), after its fit.
@@ -428,6 +443,37 @@ def test_reconstruct_zero_samples_per_class(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("input error: --samples-per-class")
+
+
+@pytest.mark.parametrize("height,extra,least", [("1", "4", 2), ("2", "10", 3),
+                                                 ("10", "200", 13)])
+def test_reconstruct_refuses_a_q_height_box_too_small(monkeypatch, capsys,
+                                                      height, extra, least):
+    # before any query: the expression is never evaluated
+    monkeypatch.setattr(cli, "eval_expr", lambda *a: pytest.fail("oracle queried"))
+    code, out, err = run_cli(capsys, "reconstruct", "--expr", "x1*x2", "--arity", "2",
+                             "--field", "q", "--height-bound", height,
+                             "--validation-extra", extra)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"input error: height bound {height} gives ")
+    assert err.endswith(f"use a height bound of at least {least}\n")
+    assert "Traceback" not in err
+
+
+def test_reconstruct_replays_a_record_written_by_0_4_0(capsys):
+    # written by version 0.4.0, which classified all 20 slices at every
+    # node: the early stop asks for a prefix of them, so the replay needs no
+    # point the file lacks and gives 0.4.0's answer
+    record = pathlib.Path(__file__).parent / "data" / "record-0.4.0-fp101.json"
+    code, out, _ = run_cli(capsys, "reconstruct", "--oracle-replay", str(record),
+                           "--arity", "2", "--field", "fp:101", "--seed", "9")
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["result"] == "(x1^2 + 3*x2)/(x1 - x2 + 4)"
+    assert report["anchors"] == [["40", "30", "87"]]
+    assert report["verification"] == {"trials": 200, "agreements": 197,
+                                      "undefined_skips": 3}
 
 
 def write_replay(path, points, field="q", arity=2):
@@ -653,7 +699,7 @@ def test_every_library_error_has_a_documented_exit_code(tmp_path, capsys, monkey
 
 
 # sha256 of stdout for small inputs of each command, recorded with version
-# 0.4.0: the "byte-identical stdout for a given version and seed" contract,
+# 0.5.0: the "byte-identical stdout for a given version and seed" contract,
 # checked across commits.  A version bump changes the manifest and re-records
 # every value.
 STDOUT_DIGESTS = {
@@ -672,41 +718,51 @@ STDOUT_DIGESTS = {
     # file lists the queried points in query order
     "reconstruct-q-h1": ("reconstruct", "--expr", "(x1*x2 + 1)/(x1 - x2)", "--arity", "2",
                          "--field", "q", "--seed", "7", "--height-bound", "1"),
+    "reconstruct-q-h3": ("reconstruct", "--expr", "(x1*x2 + 1)/(x1 - x2)", "--arity", "2",
+                         "--field", "q", "--seed", "7", "--height-bound", "3"),
     "reconstruct-q-h1000": ("reconstruct", "--expr", "(x1^2 - 3*x2)/(x1*x2 + 2)",
                             "--arity", "2", "--field", "q", "--seed", "8",
                             "--height-bound", "1000"),
     "reconstruct-fp101": ("reconstruct", "--expr", "(x1^2 + 3*x2)/(x1 - x2 + 4)",
                           "--arity", "2", "--field", "fp:101", "--seed", "9"),
 }
-for _name in ("reconstruct-q-h1", "reconstruct-q-h1000", "reconstruct-fp101"):
+for _name in ("reconstruct-q-h1", "reconstruct-q-h3", "reconstruct-q-h1000",
+              "reconstruct-fp101"):
     STDOUT_DIGESTS[f"{_name}-record"] = STDOUT_DIGESTS[_name] + ("--record", "record.json")
 STDOUT_SHA256 = {
-    "hankel": "231ea6e3df0690f804a1165e0b8c2089cc7f8b06cb267dc83e41adfc99662436",
-    "interp-fit": "aa506941aad08ab84a09a8799f09a582c6b768049d33f60352a1a205f12d3f40",
-    "reconstruct-fp-2": "12bf75b082b317f4f7f8b404a6f40bfef59f3a520223e4dea01b20d6076fc0ca",
-    "reconstruct-fp-3": "21545a01e4cbff92bfb73d6700fdf10b84bcf6aaf8f4ef0939dd28517f065454",
-    "reconstruct-q-2": "e772d0fc7845d7834f6a37e0c1dfd8860ea857ff45bc690a572fd6b7b703ee2f",
-    "reconstruct-q-3": "2c667c295e38e521d3ef78ffa9f3ede58d1aa7bee6725693c8e29e7cad514d96",
+    "hankel": "2e72ff3e72627ae0701f47ec1db7fa5e73bbfd8cd9dbd0d6f2e27dd46f5b3980",
+    "interp-fit": "659fcdb45fba990d1e5fdb3949ff2fe1e7ca1ce185adb3b37da7debf7f21d7cb",
+    "reconstruct-fp-2": "4a8d5007b3c6e22398127aac2307bb87429b9ee39dff0226021be138f35a3ba7",
+    "reconstruct-fp-3": "79e329e9b19ecba93e3ea879ff1fc3da342f11ad57c757b84cabd750218566f7",
+    "reconstruct-q-2": "6b4aac1771fcc01821a138c0481d41a12db1b6d34ed8f700433cee04295b4aa4",
+    "reconstruct-q-3": "88589dc2e96898bdbbf02cdb11ea72f46568dce29286464024ce24a08ed3f6f1",
     "reconstruct-q-h1": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "reconstruct-q-h1-record":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "reconstruct-q-h1000": "7f8b9b0e55088ca6f9d993af36de3bb6a4e4fe49fa8d2c7214bf4cf7a9b86100",
+    "reconstruct-q-h3": "003bb104d65aed5f34e692e6a86170ee099463e5e4daa3a125d694c4bd35b965",
+    "reconstruct-q-h3-record":
+        "003bb104d65aed5f34e692e6a86170ee099463e5e4daa3a125d694c4bd35b965",
+    "reconstruct-q-h1000": "dd6433d98cf134f3bc6f7e73976112dc553736090cc21dcfac540a0843540664",
     "reconstruct-q-h1000-record":
-        "7f8b9b0e55088ca6f9d993af36de3bb6a4e4fe49fa8d2c7214bf4cf7a9b86100",
-    "reconstruct-fp101": "975e98240bbb403c6d86a8ba773beb6ea24abf2ea1bad0b3436d486c1caf8135",
+        "dd6433d98cf134f3bc6f7e73976112dc553736090cc21dcfac540a0843540664",
+    "reconstruct-fp101": "a32e18c40cf709134208f9fc5c1b0ddeee4c7fa0254e473b6c2887f50136e0e6",
     "reconstruct-fp101-record":
-        "975e98240bbb403c6d86a8ba773beb6ea24abf2ea1bad0b3436d486c1caf8135",
+        "a32e18c40cf709134208f9fc5c1b0ddeee4c7fa0254e473b6c2887f50136e0e6",
 }
-# the --record files; at height 1 Q offers three values, too few for any
-# slice, so the run refuses (exit 7) and writes no file
+# the --record files; at height 1 Q offers three values, fewer than even a
+# constant's detection needs, so the run is refused before any query (exit
+# 1) and writes no file; height 3 is the lowest at which this function
+# reconstructs
 RECORD_SHA256 = {
     "reconstruct-q-h1-record": None,
+    "reconstruct-q-h3-record":
+        "a7993cb524c1d34e49f40149cb7b2cced403ca5aa51b08d224ef8ed59d08414e",
     "reconstruct-q-h1000-record":
-        "f1b8c4355e13cb488bd0c0b42996d3f91c9579909c080108a46a7fdbcb2a1bbd",
+        "cfc2b7b80318ebb2aa58aa81260df70f882e08151cfdf9e890d543396f48f271",
     "reconstruct-fp101-record":
-        "99c154d7527e2c3a0f222a4df5e64ded589ab729bfd6dbc574501361950e013f",
+        "9ee7317a81a6d8d55b3819cd96bbb32c74dd619d8f3c1dda7f3a791254596e64",
 }
-EXIT_CODE = {"reconstruct-q-h1": 7, "reconstruct-q-h1-record": 7}
+EXIT_CODE = {"reconstruct-q-h1": 1, "reconstruct-q-h1-record": 1}
 
 
 @pytest.mark.parametrize("name", sorted(STDOUT_DIGESTS))

@@ -13,6 +13,7 @@ from ratrecon.fields import (
     derive_rng,
     enumerate_countable,
     field_from_string,
+    height_box_sizes,
     is_probable_prime,
     random_element,
 )
@@ -208,3 +209,11 @@ def test_miller_rabin_small():
     primes = {2, 3, 5, 7, 11, 13, 1000003}
     for n in list(primes) + [1, 4, 9, 1000001, 561, 2 ** 31 - 1]:
         assert is_probable_prime(n) == (n in primes or n == 2 ** 31 - 1)
+
+
+def test_height_box_sizes_count_the_sampler_values():
+    sizes = height_box_sizes(15)
+    for h in range(1, 16):
+        box = {Fraction(n, d) for n in range(-h, h + 1) for d in range(1, h + 1)}
+        assert sizes[h - 1] == len(box)
+    assert (sizes[0], sizes[1], sizes[9]) == (3, 7, 127)

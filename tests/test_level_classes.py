@@ -1,8 +1,12 @@
-"""The per-level slice class: only the first node of a recursion level
-classifies in full, a later node checks one slice against the level's class.
+"""The per-level slice class and the maximal class: the first node of a
+recursion level classifies until the componentwise maximum stops growing, a
+later node checks one slice against the level's class.
 
-`reference_reconstruct` is a test-only copy of the engine that classifies in
-full at every node; the engine must produce the same report JSON."""
+`reference_reconstruct` is a test-only copy of the engine as it was before
+both: every inner node detects all `samples_per_class` slices and takes the
+most frequent class (`vote_classify`, `dominant_class`).  The engine must
+give the same result, anchors and verification, and its root histogram
+must be that of the reference's first `total` slices."""
 
 import importlib
 import json
@@ -11,20 +15,29 @@ from collections import Counter
 
 import pytest
 
-from ratrecon.errors import RatreconError, VerificationFailed, ZeroDenominator
+from ratrecon.errors import (
+    BudgetExhausted,
+    DomainTooSparse,
+    EmptyHistogram,
+    RatreconError,
+    TooManyFailures,
+    VerificationFailed,
+    ZeroDenominator,
+)
 from ratrecon.expr import eval_expr, parse, to_ratfun
-from ratrecon.fields import QQ, PrimeField, derive_rng, random_element
+from ratrecon.fields import QQ, PrimeField, _draw_point, derive_rng, random_element
 from ratrecon.interp import DegreeProfile, detect_profile_with_fit
 from ratrecon.poly import PolyN
 from ratrecon.ratfun import format_ratfunn, normalize_ratfunn
 from ratrecon.reconstruct import (
+    MAX_CLASSIFY_FAILURE_RATE,
     ReconConfig,
     ReconReport,
     SliceOracle,
     choose_anchors,
     classify_slices,
-    dominant_class,
     reconstruct,
+    slice_oracle,
     verify_agreement,
 )
 
@@ -32,14 +45,65 @@ engine = importlib.import_module("ratrecon.reconstruct")
 
 FP101 = PrimeField(101)
 FP = PrimeField(1000003)
+CLASSIFICATION = ("class_histogram", "classify_failures")
+
+
+def dominant_class(hist) -> tuple:
+    """Most frequent (d, e); ties break to smaller d, then smaller |e|,
+    then e >= 0 first."""
+    if not hist:
+        raise EmptyHistogram("no classified slices")
+    return min(hist, key=lambda de: (-hist[de], de[0], abs(de[1]), de[1] < 0))
+
+
+def test_dominant_class_examples():
+    assert dominant_class({(1, 0): 18, (0, 0): 2}) == (1, 0)
+    assert dominant_class({(2, 1): 10, (1, 0): 10}) == (1, 0)
+    assert dominant_class({(1, 1): 5, (1, -1): 5}) == (1, 1)
+    with pytest.raises(EmptyHistogram):
+        dominant_class({})
+
+
+def vote_classify(oracle: SliceOracle, axis: int, cfg: ReconConfig, rng) -> list:
+    """All `samples_per_class` slices of the stream, in order: each slice's
+    (d, e), or None for a failed one; dead slices are redrawn as the engine
+    redraws them."""
+    slices = []
+    dead: set = set()
+    redraws = cfg.samples_per_class
+    draw = oracle.field._sampler(rng, cfg.height_bound)
+    for i in range(cfg.samples_per_class):
+        while True:
+            ids, fixed = _draw_point(draw, oracle.arity - 1)
+            sub_rng = derive_rng(rng.getrandbits(63), "classify-slice", axis, i)
+            if ids not in dead:
+                try:
+                    prof, _ = detect_profile_with_fit(
+                        slice_oracle(oracle, axis, fixed), oracle.field,
+                        cfg.budget(), sub_rng)
+                except BudgetExhausted:
+                    slices.append(None)
+                    break
+                except DomainTooSparse:
+                    dead.add(ids)
+                else:
+                    slices.append((prof.d, prof.e))
+                    break
+            if not redraws:
+                slices.append(None)
+                break
+            redraws -= 1
+    if slices.count(None) > MAX_CLASSIFY_FAILURE_RATE * cfg.samples_per_class:
+        raise TooManyFailures("too many failed slices")
+    return slices
 
 
 def reference_reconstruct(oracle: SliceOracle, cfg: ReconConfig) -> ReconReport:
-    """The engine as it was before the per-level class: every inner node
-    runs the full `classify_slices` on its own stream."""
+    """The engine as it was before the per-level class and the maximal
+    class: every inner node votes over all the slices of its own stream.
+    The report's `root_slices` lists the root's slices in order."""
     anchors_by_level: dict = {}
-    hist: Counter = Counter()
-    failures = []
+    root_slices = []
 
     def verify(node, result, path):
         tally = verify_agreement(node, result, cfg.verify_trials,
@@ -57,16 +121,15 @@ def reference_reconstruct(oracle: SliceOracle, cfg: ReconConfig) -> ReconReport:
                 lambda a: node.eval((a,)), field, cfg.budget(),
                 derive_rng(cfg.seed, "fit", *path))
             if not path:
-                hist[(prof.d, prof.e)] += 1
+                root_slices.append((prof.d, prof.e))
             result = fit.to_ratfunn(1)
             return result, verify(node, result, path)
         axis = node.arity - 1
-        cls = classify_slices(node, axis, cfg,
-                              derive_rng(cfg.seed, "classify", *path))
+        slices = vote_classify(node, axis, cfg, derive_rng(cfg.seed, "classify", *path))
         if not path:
-            hist.update(cls.histogram)
-            failures.append(cls.failures)
-        profile = DegreeProfile.from_de(*dominant_class(cls.histogram))
+            root_slices.extend(slices)
+        hist = Counter(de for de in slices if de is not None)
+        profile = DegreeProfile.from_de(*dominant_class(hist))
         anchors = choose_anchors(node, axis, profile, cfg,
                                  derive_rng(cfg.seed, "anchors", *path))
         anchors_by_level.setdefault(len(path), []).extend(anchors)
@@ -80,15 +143,35 @@ def reference_reconstruct(oracle: SliceOracle, cfg: ReconConfig) -> ReconReport:
 
     result, verification = level(oracle, ())
     levels = [anchors_by_level[k] for k in sorted(anchors_by_level)]
-    return ReconReport(result, oracle.arity, oracle.field, dict(hist),
-                       sum(failures), levels, verification, cfg)
+    hist = Counter(de for de in root_slices if de is not None)
+    report = ReconReport(result, oracle.arity, oracle.field, dict(hist),
+                         root_slices.count(None), levels, verification, cfg)
+    report.root_slices = root_slices
+    return report
+
+
+def answer(report: ReconReport) -> str:
+    """The report JSON without the classification fields."""
+    return json.dumps({k: v for k, v in report.to_json().items()
+                       if k not in CLASSIFICATION}, sort_keys=True)
 
 
 def outcome(run, oracle, cfg) -> str:
     try:
-        return json.dumps(run(oracle, cfg).to_json(), sort_keys=True)
+        return answer(run(oracle, cfg))
     except RatreconError as e:
         return f"{type(e).__name__}: {e}"
+
+
+def assert_matches_reference(report: ReconReport, oracle, cfg):
+    """The same answer as the reference, and the root's histogram and
+    failures are those of the reference's first `total` root slices."""
+    ref = reference_reconstruct(oracle, cfg)
+    assert answer(report) == answer(ref)
+    total = sum(report.class_histogram.values()) + report.failures
+    prefix = ref.root_slices[:total]
+    assert report.class_histogram == Counter(de for de in prefix if de is not None)
+    assert report.failures == prefix.count(None)
 
 
 def expr_oracle(text, arity, field):
@@ -101,8 +184,8 @@ def classify_log(monkeypatch):
     """(expect, total) of every classify_slices call made by the engine."""
     log = []
 
-    def spy(oracle, axis, cfg, rng, expect=None):
-        cls = classify_slices(oracle, axis, cfg, rng, expect)
+    def spy(oracle, axis, cfg, rng, expect=None, full=False):
+        cls = classify_slices(oracle, axis, cfg, rng, expect, full)
         log.append((expect, cls.total))
         return cls
 
@@ -136,11 +219,37 @@ def test_level_class_matches_per_node_classification(field):
             outcome(reference_reconstruct, oracle, cfg), format_ratfunn(f)
 
 
+def rand_multilinear(field, rng, nvars):
+    """A polynomial of degree <= 1 per variable, 1-4 terms.  Over Q at
+    height 2, seven values, nothing of higher slice degree can be detected,
+    and a denominator would put poles inside the box."""
+    terms = {tuple(rng.randint(0, 1) for _ in range(nvars)): random_element(field, rng, 9)
+             for _ in range(rng.randint(1, 4))}
+    one = PolyN(field, nvars, {(0,) * nvars: field.one})
+    return normalize_ratfunn(PolyN(field, nvars, terms), one)
+
+
+@pytest.mark.parametrize("arity", [2, 3, 4])
+@pytest.mark.parametrize("field,height", [(QQ, 2), (QQ, 10), (QQ, 1000), (FP101, 10),
+                                          (FP, 10)],
+                         ids=["q-h2", "q-h10", "q-h1000", "fp101", "fp1000003"])
+def test_maximal_class_matches_the_vote(field, height, arity):
+    rng = random.Random(f"vote/{field.descriptor()}/{height}/{arity}")
+    for _ in range(3):
+        f = (rand_multilinear if height == 2 else rand_sparse)(field, rng, arity)
+        oracle = SliceOracle(arity, field, f.eval_or_none)
+        cfg = ReconConfig(seed=rng.getrandbits(32), height_bound=height)
+        report = reconstruct(oracle, cfg)
+        assert report.result.same_function(f), format_ratfunn(f)
+        assert_matches_reference(report, oracle, cfg)
+
+
 def test_sibling_on_zero_hyperplane_classifies_in_full(classify_log):
     # The root's second anchor is x3 = 0, where the function vanishes: that
     # sibling's first slice is the zero class, not the level's (2, -1), so
-    # it classifies in full.  Taking the level's class there makes the
-    # combine divide by the zero determinant.
+    # it classifies along its stream until the class stops growing, three
+    # slices.  Taking the level's class there makes the combine divide by
+    # the zero determinant.
     text = "(4*x1^2*x3 - 4*x1*x2*x3 + x1*x3)/(x1*x2 + 36*x2*x3^2 - 12)"
     oracle = expr_oracle(text, 3, QQ)
     cfg = ReconConfig(seed=2542212399)
@@ -150,9 +259,98 @@ def test_sibling_on_zero_hyperplane_classifies_in_full(classify_log):
     # siblings 1 (x3 = 0) and 2, 3 of the first level, in that order
     checks = [(expect, total) for expect, total in classify_log if expect]
     assert len({expect for expect, _ in checks}) == 1
-    assert [total for _, total in checks] == [cfg.samples_per_class, 1, 1]
-    assert json.dumps(report.to_json(), sort_keys=True) == \
-        outcome(reference_reconstruct, oracle, cfg)
+    assert [total for _, total in checks] == [3, 1, 1]
+    assert_matches_reference(report, oracle, cfg)
+
+
+def test_class_settled_too_low_repeats_in_full(monkeypatch):
+    # Over F_7 the slices of x1*x2 + 1 along x2 have class (1, 1), except on
+    # x1 = 0, where the slice is the constant 1.  At seed 728 the root's
+    # first three slices all lie on x1 = 0, so the stop rule settles on
+    # (0, 0); the root's one-anchor result fails its verification, and the
+    # root classifies all 20 slices of its stream, finds (1, 1) and repeats
+    # once.
+    F7 = PrimeField(7)
+    text = "x1*x2 + 1"
+    oracle = expr_oracle(text, 2, F7)
+    cfg = ReconConfig(seed=728)
+    log, failed = [], []
+
+    def classify(oracle, axis, cfg, rng, expect=None, full=False):
+        cls = classify_slices(oracle, axis, cfg, rng, expect, full)
+        log.append((full, cls.de, cls.total, dict(cls.histogram)))
+        return cls
+
+    def verify(node, result, cfg_, path):
+        try:
+            return verify_node(node, result, cfg_, path)
+        except VerificationFailed:
+            failed.append(path)
+            raise
+
+    verify_node = engine._verify_node
+    monkeypatch.setattr(engine, "classify_slices", classify)
+    monkeypatch.setattr(engine, "_verify_node", verify)
+    report = reconstruct(oracle, cfg)
+    assert log[0] == (False, (0, 0), 3, {(0, 0): 3})
+    assert log[1][:3] == (True, (1, 1), cfg.samples_per_class)
+    assert len(log) == 2 and failed == [()]
+    assert report.class_histogram == log[1][3]
+    assert report.result.same_function(to_ratfun(parse(text, 2), F7, 2))
+    monkeypatch.setattr(engine, "_verify_node", verify_node)
+    assert_matches_reference(report, oracle, cfg)
+
+
+def test_first_node_that_repeats_sets_the_level_class_again(classify_log):
+    # x1*x2 + x3 + 1 over F_7: on the root's first anchor hyperplane the
+    # slices along x2 have class (1, 1), except on x1 = 0.  At seed 394
+    # that node's first three slices lie on x1 = 0, so it settles on
+    # (0, 0), fails its verification and repeats with (1, 1), which becomes
+    # the level's class: its sibling takes it after one slice.
+    F7 = PrimeField(7)
+    text = "x1*x2 + x3 + 1"
+    oracle = expr_oracle(text, 3, F7)
+    cfg = ReconConfig(seed=394)
+    report = reconstruct(oracle, cfg)
+    assert report.result.same_function(to_ratfun(parse(text, 3), F7, 3))
+    assert [total for _, total in classify_log] == [3, 3, 20, 1]
+    assert classify_log[3] == ((1, 1), 1)
+    assert_matches_reference(report, oracle, cfg)
+
+
+def test_failure_the_full_class_confirms_is_raised_at_once(monkeypatch):
+    # Corrupt the last fresh point of a clean run, which only the root's
+    # verification asks for.  The root's early class (1, 0) fails there;
+    # all 20 slices give (1, 0) too, so the root re-raises that error
+    # without a second attempt.
+    text = "(x1*x2 + 1)/(x1 - x2)"
+    truth = to_ratfun(parse(text, 2), FP, 2)
+    queried = []
+    cfg = ReconConfig(seed=12)
+    reconstruct(SliceOracle(2, FP, lambda pt: queried.append(pt) or
+                            truth.eval_or_none(pt)), cfg)
+    bad = [pt for pt in dict.fromkeys(queried) if truth.eval_or_none(pt) is not None][-1]
+    checked, classes = [], []
+
+    def verify(node, result, cfg_, path):
+        checked.append(path)
+        return verify_node(node, result, cfg_, path)
+
+    def classify(oracle, axis, cfg_, rng, expect=None, full=False):
+        cls = classify_slices(oracle, axis, cfg_, rng, expect, full)
+        classes.append((full, cls.de))
+        return cls
+
+    verify_node = engine._verify_node
+    monkeypatch.setattr(engine, "_verify_node", verify)
+    monkeypatch.setattr(engine, "classify_slices", classify)
+    oracle = SliceOracle(2, FP, lambda pt: truth.eval(pt) + 1 if pt == bad
+                         else truth.eval_or_none(pt))
+    with pytest.raises(VerificationFailed) as info:
+        reconstruct(oracle, cfg)
+    assert (info.value.path, info.value.point) == ((), bad)
+    assert classes == [(False, (1, 0)), (True, (1, 0))]
+    assert checked.count(()) == 1
 
 
 def root_anchors(text, arity, field, cfg):
@@ -162,8 +360,9 @@ def root_anchors(text, arity, field, cfg):
 def test_first_node_on_degenerate_hyperplane(classify_log):
     # Shift the function so that the first root anchor b0 is where its
     # x2-degree drops: the level's class is then (0, 0), every sibling's
-    # check fails, and each sibling classifies in full.  The root's anchors
-    # do not depend on the shift, since the oracle is defined everywhere.
+    # check fails, and each sibling classifies along its stream until the
+    # class stops growing, three slices.  The root's anchors do not depend
+    # on the shift, since the oracle is defined everywhere.
     cfg = ReconConfig(seed=7)
     b0 = root_anchors("x3*x1*x2 + x3^2 + x1", 3, FP, cfg)[0]
     text = f"(x3 - {b0})*x1*x2 + x3^2 + x1"
@@ -173,11 +372,9 @@ def test_first_node_on_degenerate_hyperplane(classify_log):
     assert report.anchors[0][0] == b0
     truth = to_ratfun(parse(text, 3), FP, 3)
     assert format_ratfunn(report.result) == format_ratfunn(truth)
-    assert [(e, t) for e, t in classify_log if e] == \
-        [((0, 0), cfg.samples_per_class)] * 2
+    assert [(e, t) for e, t in classify_log if e] == [((0, 0), 3)] * 2
     assert len(report.anchors[1]) == 1 + 2 + 2
-    assert json.dumps(report.to_json(), sort_keys=True) == \
-        outcome(reference_reconstruct, oracle, cfg)
+    assert_matches_reference(report, oracle, cfg)
 
 
 def first_slice_value(cfg, field, path):
@@ -189,8 +386,8 @@ def first_slice_value(cfg, field, path):
 def test_reused_class_that_fails_verification_is_redone(monkeypatch):
     # First node degenerate as above, and sibling 1's first slice, at
     # x1 = c, drops to the same class (0, 0): the check passes, the node
-    # under-fits and fails its own verification, then repeats itself with a
-    # full classification and succeeds.
+    # under-fits and fails its own verification, then repeats itself with
+    # the maximal class of all its slices and succeeds.
     cfg = ReconConfig(seed=11)
     c = first_slice_value(cfg, FP, (1,))
     b0 = root_anchors(f"1 + x3*(x1 - {c})*x2", 3, FP, cfg)[0]
@@ -215,21 +412,27 @@ def test_reused_class_that_fails_verification_is_redone(monkeypatch):
     truth = to_ratfun(parse(text, 3), FP, 3)
     assert format_ratfunn(report.result) == format_ratfunn(truth)
     monkeypatch.setattr(engine, "_verify_node", verify_node)
-    assert json.dumps(report.to_json(), sort_keys=True) == \
-        outcome(reference_reconstruct, oracle, cfg)
+    assert_matches_reference(report, oracle, cfg)
 
 
 def test_reused_class_that_fails_to_combine_is_redone(monkeypatch):
-    # (x3 - b1)/(x1 + x2) vanishes on the second root anchor x3 = b1, but
-    # the oracle answers 1/(x2 + c) on the line x1 = c there, which is
-    # where sibling 1's first slice lies.  That slice has the level's class
-    # (1, -1), so the node takes it; its anchor parts are all zero, and the
-    # combine raises ZeroDenominator.  The node then classifies in full,
-    # finds the zero class and returns 0, as the per-node engine does.
+    # f = ((x3 - b0)(x2 - a0)(x2 - a1) + x3 - b1)/(x1 + x2) is (b0 - b1)/(x1 + x2)
+    # on the first root anchor x3 = b0, so the level's class is (1, -1),
+    # and s = (b1 - b0)(x2 - a0)(x2 - a1)/(x1 + x2), of class (2, 1), on the
+    # second, x3 = b1.  There the oracle answers 1/(x2 + c) on the line
+    # x1 = c, where sibling 1's first slice lies.  That slice has the
+    # level's class, so the node takes it and picks a0 and a1 as anchors,
+    # where s vanishes: its anchor parts are all zero, and the combine
+    # raises ZeroDenominator.  The node then classifies all its slices,
+    # finds (2, 1), and repeats on four anchors, the first two a0 and a1.
     cfg = ReconConfig(seed=5)
     c = first_slice_value(cfg, FP, (1,))
-    b1 = root_anchors("x3/(x1 + x2)", 3, FP, cfg)[1]
-    truth = to_ratfun(parse(f"(x3 - {b1})/(x1 + x2)", 3), FP, 3)
+    b0, b1 = root_anchors("x1 + x2 + x3", 3, FP, cfg)
+    a0, a1 = choose_anchors(SliceOracle(2, FP, lambda pt: FP.one), 1,
+                            DegreeProfile.from_de(1, -1), cfg,
+                            derive_rng(cfg.seed, "anchors", 1))
+    text = f"((x3 - {b0})*(x2 - {a0})*(x2 - {a1}) + x3 - {b1})/(x1 + x2)"
+    truth = to_ratfun(parse(text, 3), FP, 3)
 
     def fn(pt):
         x1, x2, x3 = pt
@@ -250,9 +453,56 @@ def test_reused_class_that_fails_to_combine_is_redone(monkeypatch):
     combine = engine._combine
     monkeypatch.setattr(engine, "_combine", spy)
     report = reconstruct(oracle, cfg)
-    assert report.anchors[0][1] == b1
+    assert report.anchors[0] == [b0, b1]
     assert raised == [1]
+    # node (0,) has two anchors, node (1,) four
+    assert len(report.anchors[1]) == 6 and report.anchors[1][2:4] == [a0, a1]
     assert format_ratfunn(report.result) == format_ratfunn(truth)
     monkeypatch.setattr(engine, "_combine", combine)
-    assert json.dumps(report.to_json(), sort_keys=True) == \
-        outcome(reference_reconstruct, oracle, cfg)
+    assert_matches_reference(report, oracle, cfg)
+
+
+def test_slice_above_the_generic_class_is_refused(monkeypatch):
+    # (x3 - b1)/(x1 + x2) vanishes on the second root anchor x3 = b1, but
+    # the oracle answers 1/(x2 + c) on the line x1 = c there, where sibling
+    # 1's first slice lies: a slice above the node's generic class (0, 0)
+    # that no rational function has.  The node takes the level's class
+    # (1, -1) from that slice, and its combine raises ZeroDenominator.  All
+    # its 20 slices give the maximal class (1, -1) too, so the node raises
+    # that error after the one full classification.  (The 20-slice vote
+    # found the zero class and returned 0.)
+    cfg = ReconConfig(seed=5)
+    c = first_slice_value(cfg, FP, (1,))
+    b1 = root_anchors("x3/(x1 + x2)", 3, FP, cfg)[1]
+    truth = to_ratfun(parse(f"(x3 - {b1})/(x1 + x2)", 3), FP, 3)
+
+    def fn(pt):
+        x1, x2, x3 = pt
+        if x1 == c and x3 == b1:
+            return None if x2 + c == FP.zero else FP.one / (x2 + c)
+        return truth.eval_or_none(pt)
+
+    raised, classes = [], []
+
+    def spy(*args):
+        try:
+            return combine(*args)
+        except ZeroDenominator:
+            raised.append(args[2].l)
+            raise
+
+    def classify(oracle, axis, cfg_, rng, expect=None, full=False):
+        cls = classify_slices(oracle, axis, cfg_, rng, expect, full)
+        classes.append((oracle.arity, expect, full, cls.de, cls.total))
+        return cls
+
+    combine = engine._combine
+    monkeypatch.setattr(engine, "_combine", spy)
+    monkeypatch.setattr(engine, "classify_slices", classify)
+    with pytest.raises(ZeroDenominator):
+        reconstruct(SliceOracle(3, FP, fn), cfg)
+    assert raised == [1]
+    # root, node (0,), node (1,) on the level's class, its full repeat
+    assert [(arity, full, de, total) for arity, _, full, de, total in classes] == [
+        (3, False, (1, 1), 3), (2, False, (1, -1), 3), (2, False, (1, -1), 1),
+        (2, True, (1, -1), 20)]

@@ -9,6 +9,7 @@ import pytest
 
 from ratrecon.errors import (
     AnchorSearchFailed,
+    BudgetExhausted,
     DomainTooSparse,
     EmptyHistogram,
     TooManyFailures,
@@ -31,7 +32,7 @@ from ratrecon.reconstruct import (
     SliceOracle,
     choose_anchors,
     classify_slices,
-    dominant_class,
+    maximal_class,
     reconstruct,
     slice_oracle,
     verify_agreement,
@@ -95,21 +96,25 @@ def test_slice_constant():
 
 def test_classify_slices_xy():
     # generic slices are (1, 0); draws hitting x = 0 degenerate to -1/y,
-    # which is exactly what the plurality class is there to absorb
+    # whose (n, m) = (0, 1) lies below the maximum
     oracle = oracle_from_ratfunn(xy_over(QQ))
-    cls = classify_slices(oracle, 1, ReconConfig(samples_per_class=20, seed=5),
-                          derive_rng(5, "t"))
-    assert cls.histogram[(1, 0)] >= 15
-    assert dominant_class(cls.histogram) == (1, 0)
+    cfg = ReconConfig(samples_per_class=20, seed=5)
+    cls = classify_slices(oracle, 1, cfg, derive_rng(5, "t"))
+    assert cls.de == maximal_class(cls.histogram) == (1, 0)
     assert cls.failures == 0
+    assert 3 <= cls.total == sum(cls.histogram.values()) < 20
+    full = classify_slices(oracle, 1, cfg, derive_rng(5, "t"), full=True)
+    assert full.histogram[(1, 0)] >= 15 and full.total == 20
+    assert full.de == (1, 0) and full.failures == 0
 
 
 def test_classify_slices_cube():
     oracle = oracle_from_ratfunn(cube_example(QQ))
-    cls = classify_slices(oracle, 1, ReconConfig(samples_per_class=12, seed=6),
-                          derive_rng(6, "t"))
-    assert dominant_class(cls.histogram) == (3, 3)
-    assert cls.histogram[(3, 3)] >= 9
+    cfg = ReconConfig(samples_per_class=12, seed=6)
+    cls = classify_slices(oracle, 1, cfg, derive_rng(6, "t"))
+    assert cls.de == (3, 3) and cls.total < 12
+    full = classify_slices(oracle, 1, cfg, derive_rng(6, "t"), full=True)
+    assert full.de == (3, 3) and full.histogram[(3, 3)] >= 9
 
 
 def test_classify_slices_pole_heavy():
@@ -147,7 +152,7 @@ def test_classify_redraws_dead_slices():
     log = []
     cls = classify_slices(dead_row_oracle(dead, log), 1,
                           ReconConfig(samples_per_class=20, seed=11),
-                          derive_rng(11, "t"))
+                          derive_rng(11, "t"), full=True)
     assert cls.histogram == {(1, 1): 20} and cls.failures == 0
     seen_dead = Counter(x for x in log if x in dead)
     assert seen_dead and set(seen_dead.values()) == {101}
@@ -177,7 +182,7 @@ def test_classify_dead_slices_beyond_redraws_are_failures():
     with pytest.raises(TooManyFailures, match=f"^{failures}/20 "):
         classify_slices(dead_row_oracle(dead, log), 1,
                         ReconConfig(samples_per_class=20, seed=12),
-                        derive_rng(12, "t"))
+                        derive_rng(12, "t"), full=True)
     assert Counter(x for x in log if x in dead) == {x: 101 for x in found}
 
 
@@ -201,18 +206,44 @@ def test_classify_budget_failure_is_not_redrawn(monkeypatch):
         return detect_profile_with_fit(*args)
 
     monkeypatch.setattr(engine, "detect_profile_with_fit", counting)
+    cfg = ReconConfig(samples_per_class=20, seed=14)
+    rng = derive_rng(14, "t")
+    cls = classify_slices(budget_failing_oracle(), 1, cfg, rng, full=True)
+    assert len(calls) == 20
+    assert 0 < cls.failures == 20 - sum(cls.histogram.values())
 
+
+def budget_failing_oracle():
+    """x1*x2 over F_101, except that the slices on x1 < 10 have no
+    low-degree fit."""
     def fn(pt):
         x1, x2 = pt[0].residue, pt[1].residue
         if x1 < 10:
-            return FP101.from_int(pow(3, x2 * x2 + x1, 101))  # no low-degree fit
+            return FP101.from_int(pow(3, x2 * x2 + x1, 101))
         return pt[0] * pt[1]
+    return SliceOracle(2, FP101, fn)
 
-    cfg = ReconConfig(samples_per_class=20, seed=14)
-    rng = derive_rng(14, "t")
-    cls = classify_slices(SliceOracle(2, FP101, fn), 1, cfg, rng)
-    assert len(calls) == 20
-    assert 0 < cls.failures == 20 - sum(cls.histogram.values())
+
+def test_a_failed_slice_makes_the_classification_full(monkeypatch):
+    # at seed 23 the second slice fails: the run then draws all 20 slices,
+    # as a full classification does, and refuses or not exactly as it would
+    outcomes = []
+
+    def logging(*args):
+        try:
+            found = detect_profile_with_fit(*args)
+        except BudgetExhausted:
+            outcomes.append("failed")
+            raise
+        outcomes.append("classified")
+        return found
+
+    monkeypatch.setattr(engine, "detect_profile_with_fit", logging)
+    oracle, cfg = budget_failing_oracle(), ReconConfig(samples_per_class=20, seed=23)
+    cls = classify_slices(oracle, 1, cfg, derive_rng(23, "t"))
+    assert outcomes[:2] == ["classified", "failed"] and len(outcomes) == 20
+    assert (cls.failures, cls.total, cls.de) == (outcomes.count("failed"), 20, (1, 1))
+    assert cls == classify_slices(oracle, 1, cfg, derive_rng(23, "t"), full=True)
 
 
 def test_recon_q_dead_slices_solve():
@@ -226,12 +257,32 @@ def test_recon_q_dead_slices_solve():
     assert rep.result.same_function(to_ratfun(ast, QQ, 2))
 
 
-def test_dominant_class_examples():
-    assert dominant_class({(1, 0): 18, (0, 0): 2}) == (1, 0)
-    assert dominant_class({(2, 1): 10, (1, 0): 10}) == (1, 0)
-    assert dominant_class({(1, 1): 5, (1, -1): 5}) == (1, 1)
+def test_maximal_class_examples():
+    # (d, e) -> (n, m): (1, 0) -> (1, 1), (0, 0) -> (0, 0), (2, 1) -> (2, 1),
+    # (1, 1) -> (1, 0), (1, -1) -> (0, 1)
+    assert maximal_class({(1, 0): 18, (0, 0): 2}) == (1, 0)
+    assert maximal_class({(2, 1): 10, (1, 0): 10}) == (2, 1)
+    assert maximal_class({(1, 1): 5, (1, -1): 5}) == (1, 0)
+    assert maximal_class({(1, -1): 1}) == (1, -1)
     with pytest.raises(EmptyHistogram):
-        dominant_class({})
+        maximal_class({})
+
+
+def test_reconstruct_refuses_a_q_height_box_too_small():
+    # three values at height 1, six needed (a pool of 2 plus 4 fresh points)
+    calls = []
+    oracle = SliceOracle(2, QQ, lambda pt: calls.append(pt) or q(1))
+    with pytest.raises(ValueError, match=r"^height bound 1 gives 3 values over Q, "
+                       r"fewer than the 6 .* at least 2$"):
+        reconstruct(oracle, ReconConfig(height_bound=1))
+    assert calls == []
+    # F_p ignores the height; Q at height 2 has seven values
+    reconstruct(SliceOracle(2, FP101, lambda pt: FP101.one), ReconConfig(height_bound=1))
+    reconstruct(oracle, ReconConfig(height_bound=2))
+    # the count stops at the least sufficient height, whatever the bound
+    ReconConfig(height_bound=10 ** 12).check_field(QQ)
+    with pytest.raises(ValueError, match=r"gives 15 values .* at least 4$"):
+        ReconConfig(height_bound=3, validation_extra=20).check_field(QQ)
 
 
 def test_choose_anchors():
@@ -268,14 +319,14 @@ def test_verify_agreement_counts():
 
 def test_reconstruct_xy_over_fp101():
     # F_101 has sqrt(-1), so two x values give genuinely constant slices;
-    # plurality still lands on (1, 0) and the roundtrip is exact
+    # the maximal class is still (1, 0) and the roundtrip is exact
     f = xy_over(FP101)
     report = reconstruct(oracle_from_ratfunn(f), ReconConfig(seed=42))
     assert report.result.same_function(f)
     trials, agreements, skips = report.verification
     assert agreements == trials - skips
-    assert dominant_class(report.class_histogram) == (1, 0)
-    assert report.class_histogram[(1, 0)] >= 15
+    assert maximal_class(report.class_histogram) == (1, 0)
+    assert report.class_histogram[(1, 0)] >= 3
 
 
 def test_reconstruct_polynomial_example():
@@ -423,7 +474,7 @@ def slice_last(f: RatFunN, prefix):
 def test_reconstructed_slice_has_dominant_profile():
     f = xy_over(FP)
     report = reconstruct(oracle_from_ratfunn(f), ReconConfig(seed=315))
-    (d, e) = dominant_class(report.class_histogram)
+    (d, e) = maximal_class(report.class_histogram)
     rng = derive_rng(316, "slice")
     g1 = slice_last(report.result, [random_element(FP, rng, 10)])
     assert degree_and_ord(g1) == (d, e)
@@ -457,19 +508,20 @@ def test_root_verification_is_reported_not_repeated():
     # oracle calls: 1246 calls before, with the repeated pass, and 1046
     # without it.  Each verification run now asks the oracle once per
     # distinct point, and the three arity-1 leaves over F_101 draw their 200
-    # points from 101 values, so 698 calls remain.
+    # points from 101 values, so 698 calls remained.  The root's
+    # classification now stops after three slices instead of 20: 561 calls.
     f = xy_over(FP101)
     calls = []
     oracle = SliceOracle(2, FP101, lambda pt: calls.append(pt) or f.eval_or_none(pt))
     cfg = ReconConfig(seed=10)
     report = reconstruct(oracle, cfg)
-    assert len(calls) == 698
+    assert len(calls) == 561
     assert report.to_json() == {
         "result": "(x1*x2 + 1)/(x1 - x2)",
         "coprime_certified": True,
         "arity": 2,
         "field": "fp:101",
-        "class_histogram": {"1,0": 20},
+        "class_histogram": {"1,0": 3},
         "classify_failures": 0,
         "anchors": [["14", "44", "38"]],
         "verification": {"trials": 200, "agreements": 197, "undefined_skips": 3},

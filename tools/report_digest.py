@@ -7,9 +7,12 @@ count that `BENCHMARK.json`'s run_seconds gives each workload) with this
 checkout's `src`, and prints per instance: workload, seed, index, the
 sha256 of the answer (the report JSON of `reconstruct`, the certificate
 JSON of `hankel`, the value and fitted function of `interp`, or the error),
-whether the benchmark's exact check accepts it, and the oracle calls.
+for `reconstruct` also the sha256 of the report without `class_histogram`
+and `classify_failures`, whether the benchmark's exact check accepts it,
+and the oracle calls.
 Run it in two checkouts and `diff` the outputs: identical output means the
-same answers and the same oracle query counts.
+same answers and the same oracle query counts.  The second digest of a
+`reconstruct` line stays put when only the classification fields move.
 """
 
 from __future__ import annotations
@@ -27,12 +30,20 @@ import workloads  # noqa: E402
 SEEDS = (1, 2)
 
 
-def answer_text(inst, answer) -> str:
+CLASSIFICATION = ("class_histogram", "classify_failures")
+
+
+def answer_texts(inst, answer) -> list:
+    """The answer's text, and for `reconstruct` that of the report without
+    the classification fields."""
     if isinstance(answer, Exception):
-        return f"error {type(answer).__name__}: {answer}"
+        text = f"error {type(answer).__name__}: {answer}"
+        return [text, text] if inst.kind == "reconstruct" else [text]
     if inst.kind == "reconstruct":
-        return json.dumps(answer.to_json(), sort_keys=True)
-    return inst.render(answer)
+        report = answer.to_json()
+        rest = {k: v for k, v in report.items() if k not in CLASSIFICATION}
+        return [json.dumps(report, sort_keys=True), json.dumps(rest, sort_keys=True)]
+    return [inst.render(answer)]
 
 
 def main() -> int:
@@ -49,8 +60,9 @@ def main() -> int:
                 except Exception as exc:  # a refusal or error is an answer too
                     answer = exc
                 ok = not isinstance(answer, Exception) and inst.check(answer)
-                digest = hashlib.sha256(answer_text(inst, answer).encode()).hexdigest()
-                print(f"{name} {seed} {i} {digest} {'ok' if ok else 'FAIL'} "
+                digests = " ".join(hashlib.sha256(t.encode()).hexdigest()
+                                   for t in answer_texts(inst, answer))
+                print(f"{name} {seed} {i} {digests} {'ok' if ok else 'FAIL'} "
                       f"{inst.oracle.calls}", flush=True)
     return 0
 
