@@ -50,7 +50,14 @@ from .fields import Field, field_from_string
 from .hankel import SeriesPrefix, certify_rationality
 from .interp import DegreeProfile, SampleSet1, fit_ratfun, interp_point
 from .ratfun import format_ratfun1
-from .reconstruct import ReconConfig, SliceOracle, reconstruct
+from .reconstruct import (
+    SAMPLES_PER_CLASS_CAP,
+    VALIDATION_EXTRA_CAP,
+    VERIFY_TRIALS_CAP,
+    ReconConfig,
+    SliceOracle,
+    reconstruct,
+)
 
 _EXIT_INPUT = 1
 _EXIT_NO_WITNESS = 3
@@ -120,8 +127,8 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _check_range(flag: str, value: int, low: int, high: int = None):
-    if value < low:
+def _check_range(flag: str, value: int, low: int | None, high: int = None):
+    if low is not None and value < low:
         raise InputError(f"{flag} must be >= {low}, got {value}")
     if high is not None and value > high:
         raise InputError(f"{flag} must be <= {high}, got {value}")
@@ -268,8 +275,10 @@ def _cmd_reconstruct(args) -> int:
     seed = _resolve_seed(args)
     if args.arity > 1 and args.samples_per_class < 1:
         raise InputError("--samples-per-class must be >= 1 for arity > 1")
-    _check_range("--verify-trials", args.verify_trials, 1)
-    _check_range("--validation-extra", args.validation_extra, 1)
+    _check_range("--samples-per-class", args.samples_per_class, None,
+                 SAMPLES_PER_CLASS_CAP)
+    _check_range("--verify-trials", args.verify_trials, 1, VERIFY_TRIALS_CAP)
+    _check_range("--validation-extra", args.validation_extra, 1, VALIDATION_EXTRA_CAP)
     _check_range("--max-degree", args.max_degree, 0, MAX_DEGREE_CAP)
     _check_range("--height-bound", args.height_bound, 1)
     cfg = ReconConfig(samples_per_class=args.samples_per_class,

@@ -318,16 +318,20 @@ def random_element(field: Field, rng: random.Random, height_bound: int):
 
 
 def height_box_sizes(max_height: int) -> list:
-    """[s_1, ..., s_max_height]: s_h is how many distinct values the Q
-    sampler draws at height bound h, 0 and +-n/d in lowest terms with
-    1 <= n, d <= h, which is 4 * (phi(1) + ... + phi(h)) - 1 with Euler's
-    phi.  As phi >= 1, s_h >= 4h - 1."""
-    phi = list(range(max_height + 1))
-    for k in range(2, max_height + 1):
-        if phi[k] == k:         # k is prime
-            for j in range(k, max_height + 1, k):
-                phi[j] -= phi[j] // k
-    return [4 * total - 1 for total in itertools.accumulate(phi[1:])]
+    """[s_1, ..., s_max_height] of `iter_height_box_sizes`."""
+    return list(itertools.islice(iter_height_box_sizes(), max_height))
+
+
+def iter_height_box_sizes():
+    """s_1, s_2, ...: s_h is how many distinct values the Q sampler draws at
+    height bound h, 0 and +-n/d in lowest terms with 1 <= n, d <= h, which
+    is 4 * (phi(1) + ... + phi(h)) - 1 with Euler's phi.  As phi >= 1,
+    s_h >= 4h - 1.  Each size is counted from the one before, so taking the
+    first k costs no memory that grows with k."""
+    total = 0
+    for k in itertools.count(1):
+        total += sum(math.gcd(j, k) == 1 for j in range(1, k + 1))
+        yield 4 * total - 1
 
 
 def _draw_point(draw, n: int):

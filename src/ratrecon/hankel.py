@@ -7,12 +7,21 @@ witness within the scanned (l, m) bounds.  Witnesses are Pade approximants,
 computed by `ratfun.rational_reconstruct` modulo t^(n+m+1).
 
 Kronecker's criterion: for each m, l_min(m) is the smallest l from which
-every det H(n, m), l <= n <= N - 2m, vanishes.  It is found top-down: n runs
-downward from N - 2m and the scan stops at the first nonzero determinant, so
-a series whose det H(N - 2m, m) is nonzero costs one determinant for that m
-(a factorial-type refusal costs m_max + 1 in all).  The witness search
-interleaves with the scan: m ascends, l_min(m) is computed only when the
-search reaches m, and the search stops at the first witness.
+every det H(n, m), l <= n <= N - 2m, vanishes.  Most of those zeros need no
+determinant.  Each row (r, t) of the extended Euclidean algorithm on
+(t^(N+1), s) (`ratfun.eea_rows`) has t*s = r mod t^(N+1), so for
+m >= deg t and n + m > deg r the columns m - k of H(n, m), weighted by t_k,
+sum to zero: det H(n, m) = 0.  That is the block structure of the Pade table
+(Gragg, SIAM Review 1972).  One pass over the rows with deg t <= m_max gives,
+for each m, the least n from which every determinant is proven zero; the
+scan runs n downward from just below it and stops at the first nonzero
+determinant.  Those determinants are taken on integer rows, the prefix
+scaled by the lcm of its denominators over Q and the residues over F_p
+(Bareiss over Z, reduced mod p).  A factorial-type refusal still costs
+one determinant per m; the zeros above a rational series' witness cost
+none.  The witness search interleaves with the scan: m ascends, l_min(m)
+is computed only when the search reaches m, and the search stops at the
+first witness.
 """
 
 from __future__ import annotations
@@ -22,8 +31,14 @@ from dataclasses import dataclass
 from .errors import NoSolution, PoleAtOrigin, PrefixTooShort
 from .fields import Field
 from .matrix import det_exact
-from .poly import Poly1
-from .ratfun import RatFun1, format_poly1, format_ratfun1, rational_reconstruct
+from .poly import Poly1, field_prime, poly1_ints
+from .ratfun import (
+    RatFun1,
+    eea_rows,
+    format_poly1,
+    format_ratfun1,
+    rational_reconstruct,
+)
 
 
 @dataclass
@@ -93,12 +108,33 @@ def _check_bounds(s: SeriesPrefix, l_max: int, m_max: int) -> None:
             f"need prefix length >= {l_max + 2 * m_max + 1}, have {s.n_max + 1}")
 
 
-def _l_min(s: SeriesPrefix, m: int) -> int:
+def _zero_tails(s: SeriesPrefix, m_max: int):
+    """(ints, p, tails): the prefix as integers (residues over F_p, p None
+    over Q), and for m = 0..m_max the least n from which every det H(n, m)
+    is proven zero by an extended-Euclid row (N - 2m + 1 when none is)."""
+    n_max = s.n_max
+    p = field_prime(s.field)
+    ints = poly1_ints(Poly1(s.field, s.coeffs))[0]
+    tails = [n_max - 2 * m + 1 for m in range(m_max + 1)]
+    prev = n_max + 1                    # deg t^(N+1)
+    for r, t in eea_rows([0] * (n_max + 1) + [1], ints, p):
+        dr, dt = len(r) - 1, len(t) - 1
+        for m in range(dt, m_max + 1):
+            tails[m] = min(tails[m], max(dr - m + 1, 0))
+        if dt + prev - dr > m_max:      # deg t of the next row
+            break
+        prev = dr
+    return ints + [0] * (n_max + 1 - len(ints)), p, tails
+
+
+def _l_min(s: SeriesPrefix, m: int, zero_tails=None) -> int:
     """Smallest l with det H(n, m) = 0 for every n with l <= n <= N - 2m:
-    scans n downward and stops at the first nonzero determinant."""
-    zero = s.field.zero
-    for n in range(s.n_max - 2 * m, -1, -1):
-        if det_exact(hankel_matrix(s, n, m), s.field) != zero:
+    scans n downward from below the proven zeros (`_zero_tails(s, m_max)`
+    for some m_max >= m) and stops at the first nonzero determinant."""
+    ints, p, tails = zero_tails or _zero_tails(s, m)
+    for n in range(tails[m] - 1, -1, -1):
+        d = det_exact([ints[n + i:n + i + m + 1] for i in range(m + 1)], s.field)
+        if d if p is None else d % p:
             return n + 1
     return 0
 
@@ -150,8 +186,9 @@ def certify_rationality(s: SeriesPrefix, l_max: int, m_max: int) -> RationalityC
     the same Pade windows, and an m is scanned only when the search reaches
     it, so no determinant past the witness is computed."""
     _check_bounds(s, l_max, m_max)
+    zero_tails = _zero_tails(s, m_max)
     for m in range(m_max + 1):
-        l = _l_min(s, m)
+        l = _l_min(s, m, zero_tails)
         if l > l_max:
             continue
         for n_deg in range(max(l + m - 1, 0), l_max + m_max + 1):

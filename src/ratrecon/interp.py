@@ -12,7 +12,11 @@ With den_i = 1 and num_i = f(a_i) these are the pointwise interpolation
 determinants; with polynomial entries (packed integer polynomials, see
 `poly._Packed`) they are the reconstruction determinants used by the
 multivariate engine.  Both build their rows here, from per-row anchor
-powers, so over Q the engine can scale each row to integers.
+powers, so each caller can scale its rows to integers.  `alpha_beta` does:
+residues over F_p, and over Q each row times the denominators of its
+point and value, so Bareiss runs on plain integers with `//` and the two
+determinants are mapped back exactly (mod p, or divided by the product of
+the scales).
 
 The sign relating their ratio to f(a) is fixed by the matrix layout:
     interp_sign(n, m) = -(-1)^((n+1)(m+1))
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import (
@@ -134,8 +139,8 @@ def paired_determinants(dens, nums, apowers, n: int, m: int, powers):
     factor per row (each determinant is then multiplied by the product of
     the factors); powers: the powers y^0, y^1, ... of the evaluation object,
     at least max(n, m) + 1 of them (the border rows carry the first n+1
-    resp. m+1).  Entries are field elements or `poly._Packed`; an entry
-    times an element of its row's apowers must be an entry.  Returns
+    resp. m+1).  Entries are ints, field elements or `poly._Packed`; an
+    entry times an element of its row's apowers must be an entry.  Returns
     (numerator_det, denominator_det) exactly as the bordered matrices
     define them.
     """
@@ -153,15 +158,46 @@ def paired_determinants(dens, nums, apowers, n: int, m: int, powers):
 
 
 def alpha_beta(samples: SampleSet1, profile: DegreeProfile, a):
-    """The two bordered interpolation determinants."""
+    """The two bordered interpolation determinants, taken on integer rows.
+    Over F_p the entries are residues and the determinants are reduced mod
+    p.  Over Q, with x = xn/xd, v = vn/vd and a = an/ad, each data row is
+    scaled by xd^top*vd and both borders by ad^top (top = max(n, m)), and
+    the determinants are divided by the product of the scales."""
     if len(samples) != profile.l + 1:
         raise SizeMismatch(f"need {profile.l + 1} samples, got {len(samples)}")
-    top = max(profile.n, profile.m)
-    apowers = [[x ** j for j in range(top + 1)] for x, _ in samples.points]
-    fvals = [v for _, v in samples.points]
-    ones = [fvals[0] - fvals[0] + 1 for _ in fvals]
-    powers = [a ** j for j in range(top + 1)]
-    return paired_determinants(ones, fvals, apowers, profile.n, profile.m, powers)
+    n, m = profile.n, profile.m
+    top = max(n, m)
+    x0 = samples.points[0][0]
+    if isinstance(x0, FpElement):
+        field = x0.field
+        p = field.p
+
+        def powers(x):
+            x = _residue(x, p)
+            return [pow(x, j, p) for j in range(top + 1)]
+
+        nums = [_residue(v, p) for _, v in samples.points]
+        apowers = [powers(x) for x, _ in samples.points]
+        alpha, beta = paired_determinants([1] * len(nums), nums, apowers, n, m,
+                                          powers(a))
+        return field.from_int(alpha), field.from_int(beta)
+
+    def powers(x):                      # xd^top * (x^0..x^top)
+        xn, xd = _ratio(x)
+        return [xn ** j * xd ** (top - j) for j in range(top + 1)], xd ** top
+
+    dens, nums, apowers, scale = [], [], [], 1
+    for x, v in samples.points:
+        vn, vd = _ratio(v)
+        row, xscale = powers(x)
+        dens.append(vd)
+        nums.append(vn)
+        apowers.append(row)
+        scale *= xscale * vd
+    border, ascale = powers(a)
+    alpha, beta = paired_determinants(dens, nums, apowers, n, m, border)
+    scale *= ascale
+    return Fraction(alpha, scale), Fraction(beta, scale)
 
 
 def interp_point(samples: SampleSet1, profile: DegreeProfile, a):

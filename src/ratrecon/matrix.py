@@ -7,9 +7,11 @@ come from a taller system: rows that depend on the rows before them are
 dropped, so with unit rows as borders the kernel returns a vector spanning
 the nullspace of a rank-r system (the scale system of the multivariate
 combine).  Its divisions are exact, so the same code runs over any integral
-domain whose `/` is exact division: on field elements, on plain integers
-(with `//`), and on the packed integer polynomials (`poly._Packed`) of the
-combine's fallback.
+domain whose `/` is exact division: on plain integers (with `//`), on field
+elements, and on the packed integer polynomials (`poly._Packed`) of the
+combine's fallback.  The Hankel scan (`hankel._l_min`) and pointwise
+interpolation (`interp.alpha_beta`) pass integer rows: Q rows scaled to
+integers, F_p rows as residues, the result reduced mod p.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from .poly import Poly1
 
 def det_exact(rows, field: Field):
     """Exact determinant of a square list of rows: the bordered kernel with
-    the last row as border."""
+    the last row as border.  Rows of ints give an int; `field` only names
+    the determinant of the empty matrix."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise NonSquareMatrix(f"{n} rows, not all of length {n}")

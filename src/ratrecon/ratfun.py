@@ -272,24 +272,35 @@ def reconstruct_ints(modulus: list, u: list, p, n: int | None = None,
                      m: int | None = None):
     """The extended-Euclid kernel of `rational_reconstruct` on integer
     coefficient lists (see poly.py), deg u < deg modulus: the selected row
-    (r, t), or None.
+    (r, t) of `eea_rows`, or None.  The function the row stands for is
+    r/(den*t), where u/den is the interpolant (see ratfun1_from_row)."""
+    rows = []
+    for r, t in eea_rows(modulus, u, p):
+        dr = len(r) - 1
+        if n is not None and dr <= n:
+            return (r, t) if len(t) - 1 <= m and _coprime(r, t, p) else None
+        rows.append((max(dr, 0) + len(t) - 1, dr, r, t))
+    for _, _, r, t in sorted(rows, key=lambda row: row[:2]):
+        if _coprime(r, t, p):
+            return r, t
+
+
+def eea_rows(modulus: list, u: list, p):
+    """The rows (r, t) of the extended Euclidean algorithm on (modulus, u),
+    u stripped and deg u < deg modulus, from (u, 1) down to the row whose r
+    is the zero list [].  Each has t nonzero and r = t*u mod modulus, deg r
+    falling and deg t rising from row to row.
 
     Over F_p the rows are residue lists.  Over Q they come from the
     pseudo-remainder sequence, s*r0 = q*r1 + r2 and t2 = s*t0 - q*t1, with
     the joint integer content of (r2, t2) divided out; each row is then a
     nonzero scalar multiple of the row over Q, so the degrees, the order by
-    (total degree, deg r), the bounds and the coprimality test all agree.
-    The function the row stands for is r/(den*t), where u/den is the
-    interpolant (see ratfun1_from_row)."""
+    (total degree, deg r), the bounds and the coprimality test all agree."""
     r0, r1, t0, t1 = modulus, u, [], [1]
-    rows = []
     while True:
-        dr = len(r1) - 1
-        if n is not None and dr <= n:
-            return (r1, t1) if len(t1) - 1 <= m and _coprime(r1, t1, p) else None
-        rows.append((max(dr, 0) + len(t1) - 1, dr, r1, t1))
+        yield r1, t1
         if not r1:
-            break
+            return
         s, q, r2 = divmod_ints(r0, r1, p)
         t2 = [-c for c in mul_ints(q, t1, p)]   # deg q*t1 > deg t0
         for i, c in enumerate(t0):
@@ -301,9 +312,6 @@ def reconstruct_ints(modulus: list, u: list, p, n: int | None = None,
         else:
             t2 = [c % p for c in t2]
         r0, r1, t0, t1 = r1, r2, t1, t2
-    for _, _, r, t in sorted(rows, key=lambda row: row[:2]):
-        if _coprime(r, t, p):
-            return r, t
 
 
 def _coprime(r: list, t: list, p) -> bool:

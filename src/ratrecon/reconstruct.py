@@ -53,7 +53,7 @@ from .errors import (
     VerificationFailed,
 )
 from .errors import BudgetExhausted, DomainTooSparse, ZeroDenominator
-from .fields import Field, FpElement, _draw_point, derive_rng, height_box_sizes
+from .fields import Field, FpElement, _draw_point, derive_rng, iter_height_box_sizes
 from .interp import (
     DegreeProfile,
     SamplingBudget,
@@ -115,6 +115,14 @@ def slice_oracle(oracle: SliceOracle, axis: int, fixed: tuple):
     return fn
 
 
+# Upper bounds on the budget fields of ReconConfig, far above the defaults
+# and every value the tests use; a run's cost grows linearly in each (see
+# docs/formats.md).
+SAMPLES_PER_CLASS_CAP = 1000
+VALIDATION_EXTRA_CAP = 1000
+VERIFY_TRIALS_CAP = 10_000
+
+
 @dataclass
 class ReconConfig:
     samples_per_class: int = 20
@@ -129,6 +137,12 @@ class ReconConfig:
             raise ValueError(f"verify_trials must be >= 1, got {self.verify_trials}")
         if self.height_bound < 1:
             raise ValueError(f"height_bound must be >= 1, got {self.height_bound}")
+        for name, cap in (("samples_per_class", SAMPLES_PER_CLASS_CAP),
+                          ("validation_extra", VALIDATION_EXTRA_CAP),
+                          ("verify_trials", VERIFY_TRIALS_CAP)):
+            if getattr(self, name) > cap:
+                raise ValueError(
+                    f"{name} must be <= {cap}, got {getattr(self, name)}")
 
     def check_field(self, field: Field) -> None:
         """Refuse a Q height box with fewer distinct values than a constant's
@@ -137,14 +151,17 @@ class ReconConfig:
         h = self.height_bound
         if field_prime(field) is not None:
             return
-        # the box at height k holds at least 4k - 1 values, so the least
-        # sufficient height is at most (need + 4) // 4
-        sizes = height_box_sizes((need + 4) // 4)
-        least = 1 + next(k for k, size in enumerate(sizes) if size >= need)
+        # count the boxes up to the least sufficient height, keeping only
+        # the size at h
+        for least, size in enumerate(iter_height_box_sizes(), 1):
+            if least == h:
+                at_h = size
+            if size >= need:
+                break
         if h >= least:
             return
         raise ValueError(
-            f"height bound {h} gives {sizes[h - 1]} values over Q, fewer "
+            f"height bound {h} gives {at_h} values over Q, fewer "
             f"than the {need} that even a constant's detection needs at "
             f"validation_extra {self.validation_extra}; use a height bound "
             f"of at least {least}")

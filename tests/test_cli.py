@@ -3,7 +3,9 @@ import dataclasses
 import hashlib
 import json
 import pathlib
+import random
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -595,6 +597,41 @@ def test_console_entry_point_subprocess(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["certificate"]["verdict"] == "RationalWitness"
+
+
+def test_hankel_wide_bounds_refuse_within_the_timeout(tmp_path):
+    # 201 random integer coefficients: no Hankel determinant vanishes, so no
+    # zero is proven and every m up to 90 costs one determinant of its size
+    rng = random.Random(13)
+    f = tmp_path / "wide.json"
+    f.write_text(json.dumps({"field": "q",
+                             "coeffs": [str(rng.randint(-9, 9)) for _ in range(201)]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ratrecon.cli", "hankel", "--series", str(f),
+         "--lmax", "20", "--mmax", "90"],
+        capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 3, proc.stderr
+    cert = json.loads(proc.stdout)["certificate"]
+    assert (cert["verdict"], cert["l"], cert["m"]) == ("NoWitnessUpTo", 20, 90)
+
+
+def _limit_address_space():
+    # 1 GiB: the flags below once asked for lists of several GB
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("flag,cap", [("--validation-extra", "1000"),
+                                      ("--verify-trials", "10000"),
+                                      ("--samples-per-class", "1000")])
+def test_reconstruct_budget_flags_are_capped(flag, cap):
+    proc = subprocess.run(
+        [sys.executable, "-m", "ratrecon.cli", "reconstruct", "--expr", "x1",
+         "--arity", "1", "--field", "q", flag, "1000000000"],
+        capture_output=True, text=True, timeout=30,
+        preexec_fn=_limit_address_space)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"input error: {flag} must be <= {cap}, got 1000000000\n"
 
 
 # A dense function over Q, arity 4, degree 2 per variable, 24/27 terms.  A

@@ -17,8 +17,8 @@ from ratrecon.hankel import (
     series_of_ratfun,
 )
 from ratrecon.matrix import det_exact
-from ratrecon.poly import Poly1
-from ratrecon.ratfun import normalize_ratfun1
+from ratrecon.poly import Poly1, _strip
+from ratrecon.ratfun import eea_rows, normalize_ratfun1
 
 
 def q(n, d=1):
@@ -316,3 +316,94 @@ def test_refusal_computes_one_determinant_per_m(field, monkeypatch):
     cert = certify_rationality(s, 8, 10)
     assert cert.verdict == "NoWitnessUpTo"
     assert len(calls) == 10 + 1
+
+
+# -- reference: the plain top-down scan that `_l_min` shortcuts --------------
+
+
+def reference_l_min(s, m):
+    """Smallest l with det H(n, m) = 0 for l <= n <= N - 2m: every
+    determinant from n = N - 2m downward, on the field elements, until the
+    first nonzero one."""
+    for n in range(s.n_max - 2 * m, -1, -1):
+        if det_exact(hankel_matrix(s, n, m), s.field) != s.field.zero:
+            return n + 1
+    return 0
+
+
+def nonnormal_prefix(field, rng, kind, n_terms):
+    """A prefix whose Pade table has blocks: runs of zero coefficients, the
+    zero series, terminating (polynomial) series, rational series with
+    leading zeros or repeated denominator factors, or factorial refusals."""
+    if kind == "zero":
+        return [field.zero] * n_terms
+    if kind == "zero_runs":
+        out = []
+        while len(out) < n_terms:
+            run = rng.randint(1, 5)
+            out += ([field.zero] * run if rng.random() < 0.5 else
+                    [random_element(field, rng, 9) for _ in range(run)])
+        return out[:n_terms]
+    if kind == "factorial":
+        c, r = rng.randint(1, 9), rng.randint(1, 5)
+        return [field.from_int(c * r ** k * math.factorial(k)) for k in range(n_terms)]
+    num = [field.zero] * rng.randint(0, 4) + \
+        [random_element(field, rng, 9) for _ in range(rng.randint(1, 5))]
+    if kind == "poly":
+        return (num + [field.zero] * n_terms)[:n_terms]
+    # kind == "rational": a power of (1 - c t^k) in the denominator
+    c, k, e = random_element(field, rng, 9), rng.randint(1, 3), rng.randint(1, 3)
+    factor = Poly1(field, [field.one] + [field.zero] * (k - 1) + [-c])
+    den = Poly1(field, [field.one])
+    for _ in range(e):
+        den = den * factor
+    f = normalize_ratfun1(Poly1(field, num), den)
+    return series_of_ratfun(f, n_terms - 1).coeffs
+
+
+NONNORMAL_KINDS = ("zero", "zero_runs", "factorial", "poly", "rational")
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101), PrimeField(1000003)])
+def test_l_min_matches_the_top_down_reference(field):
+    rng = random.Random(f"l-min/{field.descriptor()}")
+    rows_seen = {"r = 0": 0, "t(0) = 0": 0}
+    for case in range(200):
+        kind = NONNORMAL_KINDS[case % len(NONNORMAL_KINDS)]
+        n_terms = rng.randint(1, 26)
+        s = SeriesPrefix(field, nonnormal_prefix(field, rng, kind, n_terms))
+        m_top = s.n_max // 2
+        zero_tails = hankel._zero_tails(s, m_top)
+        ints, p, _ = zero_tails
+        for r, t in eea_rows([0] * n_terms + [1], _strip(list(ints)), p):
+            rows_seen["r = 0"] += not r
+            rows_seen["t(0) = 0"] += t[0] == 0
+        for m in range(m_top + 1):
+            want = reference_l_min(s, m)
+            assert hankel._l_min(s, m) == want, (kind, s.coeffs, m)
+            assert hankel._l_min(s, m, zero_tails) == want, (kind, s.coeffs, m)
+    # the inputs reach both kinds of non-normal row
+    assert all(rows_seen.values()), rows_seen
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(1000003)])
+def test_witness_at_m0_computes_one_determinant_per_smaller_m(field, monkeypatch):
+    # P/Q with deg P = 3 and deg Q = 10: for m < 10 the first determinant of
+    # the scan is nonzero, and from m = 10 on an extended-Euclid row proves
+    # every determinant zero, so none is computed
+    calls = []
+
+    def counting_det(mat, f):
+        det = det_exact(mat, f)
+        calls.append((len(mat) - 1, det))
+        return det
+
+    num = Poly1.from_ints(field, [2, -1, 3, 5])
+    den = Poly1.from_ints(field, [1, 4, -2, 0, 1, 3, -1, 2, 0, 1, 7])
+    f = normalize_ratfun1(num, den)
+    s = series_of_ratfun(f, 8 + 2 * 12 + 4)
+    monkeypatch.setattr(hankel, "det_exact", counting_det)
+    cert = certify_rationality(s, 8, 12)
+    assert (cert.verdict, cert.l, cert.m, cert.witness) == ("RationalWitness", 0, 10, f)
+    assert [m for m, _ in calls] == list(range(10))
+    assert all(det for _, det in calls)

@@ -161,6 +161,57 @@ def test_alpha_beta_matches_explicit_matrices():
         assert beta == det_exact(brows, QQ)
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(101), FP])
+def test_integer_rows_match_field_element_matrices(field):
+    # alpha_beta scales rows to integers (residues over F_p); both values
+    # must equal the determinants of the bordered field-element matrices,
+    # and interp_point their signed ratio, or BetaZero where beta vanishes
+    rng = random.Random(f"integer-rows/{field.descriptor()}")
+    for case in range(60):
+        n, m = rng.randint(0, 4), rng.randint(0, 4)
+        c = random_element(field, rng, 9)
+        pts = []
+        while len(pts) < n + m + 1:
+            v = random_element(field, rng, 30)
+            if v not in pts and v != c:
+                pts.append(v)
+        # every fourth case samples 1/(x - c) and targets its pole c
+        pole = case % 4 == 0 and m >= 1
+        fvals = [field.one / (x - c) if pole else random_element(field, rng, 9)
+                 for x in pts]
+        a = c if pole else random_element(field, rng, 9)
+        samples = SampleSet1(list(zip(pts, fvals)))
+        prof = DegreeProfile(max(n, m), n - m, n, m, n + m)
+        arows = [[a ** j for j in range(n + 1)] + [field.zero] * (m + 1)]
+        brows = [[a ** j for j in range(m + 1)] + [field.zero] * (n + 1)]
+        for x, v in zip(pts, fvals):
+            arows.append([x ** j for j in range(n + 1)] + [v * x ** j for j in range(m + 1)])
+            brows.append([v * x ** j for j in range(m + 1)] + [x ** j for j in range(n + 1)])
+        alpha, beta = alpha_beta(samples, prof, a)
+        assert (alpha, beta) == (det_exact(arows, field), det_exact(brows, field))
+        if beta == field.zero:
+            with pytest.raises(BetaZero):
+                interp_point(samples, prof, a)
+        else:
+            want = alpha / beta
+            assert interp_point(samples, prof, a) == (want if interp_sign(n, m) > 0 else -want)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101), FP])
+def test_interp_point_beta_zero_at_a_pole_of_the_samples(field):
+    # f = 3/(2x - 1), sampled at 1 and 2 with profile (0, 1): beta vanishes
+    # at the pole 1/2
+    half = field.one / field.from_int(2)
+    samples = SampleSet1([(field.from_int(k), field.from_int(3) / field.from_int(2 * k - 1))
+                          for k in (1, 2)])
+    prof = DegreeProfile.from_de(1, -1)
+    _, beta = alpha_beta(samples, prof, half)
+    assert beta == field.zero
+    with pytest.raises(BetaZero):
+        interp_point(samples, prof, half)
+    assert interp_point(samples, prof, field.from_int(3)) == field.from_int(3) / field.from_int(5)
+
+
 def test_alpha_zero_when_all_values_zero():
     samples = SampleSet1([(q(1), q(0)), (q(2), q(0))])
     alpha, _ = alpha_beta(samples, DegreeProfile.from_de(1, -1), q(3))

@@ -16,7 +16,7 @@ from ratrecon.errors import (
     VerificationFailed,
 )
 from ratrecon.expr import eval_expr, parse, to_ratfun
-from ratrecon.fields import QQ, PrimeField, derive_rng, random_element
+from ratrecon.fields import QQ, PrimeField, derive_rng, height_box_sizes, random_element
 from ratrecon.interp import DegreeProfile, detect_profile_with_fit
 from ratrecon.poly import Poly1, PolyN
 from ratrecon.ratfun import (
@@ -27,6 +27,9 @@ from ratrecon.ratfun import (
     normalize_ratfunn,
 )
 from ratrecon.reconstruct import (
+    SAMPLES_PER_CLASS_CAP,
+    VALIDATION_EXTRA_CAP,
+    VERIFY_TRIALS_CAP,
     Agreement,
     ReconConfig,
     SliceOracle,
@@ -708,3 +711,20 @@ def test_config_rejects_vacuous_verify_trials(setting):
     (name, value), = setting.items()
     with pytest.raises(ValueError, match=f"{name} must be >= 1, got {value}"):
         ReconConfig(**setting)
+
+
+@pytest.mark.parametrize("name,cap", [("samples_per_class", SAMPLES_PER_CLASS_CAP),
+                                      ("validation_extra", VALIDATION_EXTRA_CAP),
+                                      ("verify_trials", VERIFY_TRIALS_CAP)])
+def test_config_rejects_budgets_past_their_caps(name, cap):
+    ReconConfig(**{name: cap})
+    with pytest.raises(ValueError, match=f"^{name} must be <= {cap}, got {cap + 1}$"):
+        ReconConfig(**{name: cap + 1})
+
+
+def test_check_field_at_the_validation_cap_names_the_least_height():
+    need = VALIDATION_EXTRA_CAP + 2
+    least = 1 + next(h for h, size in enumerate(height_box_sizes(need)) if size >= need)
+    ReconConfig(validation_extra=VALIDATION_EXTRA_CAP, height_bound=least).check_field(QQ)
+    with pytest.raises(ValueError, match=f"use a height bound of at least {least}$"):
+        ReconConfig(validation_extra=VALIDATION_EXTRA_CAP).check_field(QQ)
