@@ -24,7 +24,8 @@ F_p the program works on residues, with a (num, den) pair only above a Div.
 Over Q a division-free subtree is an integer over a power product of the
 coordinates' denominators fixed by its degrees; above a Div it is a
 reduced (num, den) pair.  The source names every integer it uses; no input
-text goes into it.
+text goes into it.  So programs of one shape, such as the candidates of one
+support, share their source, and its compiled code is cached by the text.
 
 Trees compare and hash by structure, over the same explicit-stack walk, so
 a tree of any depth or length can be compared.
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .errors import (
@@ -53,6 +55,8 @@ MAX_EXPONENT = 1024
 # frames per parenthesis), so this keeps it well inside Python's default
 # recursion limit of 1000.
 MAX_NESTING = 100
+# Compiled programs kept, by source text.
+PROGRAM_CACHE_SIZE = 256
 
 
 class _Node:
@@ -375,8 +379,15 @@ class _Program:
 
     def build(self, prelude: list):
         body = "\n    ".join(prelude + self.lines)
-        exec(f"def run(pt):\n    {body}\n", self.names)
+        exec(_code(f"def run(pt):\n    {body}\n"), self.names)
         return self.names["run"]
+
+
+@lru_cache(maxsize=PROGRAM_CACHE_SIZE)
+def _code(source: str):
+    """The compiled code of a program's source.  Running it binds `run` in
+    the namespace it is given, so each program keeps its own constants."""
+    return compile(source, "<program>", "exec")
 
 
 def _compile(e: Expr, field: Field, width: int | None = None):

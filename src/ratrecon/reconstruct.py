@@ -26,10 +26,21 @@ of its stream and repeats itself with their maximum (a first node updates
 the level's class); if that is the class that failed, the original error
 stands.
 
+Only the first child of a node recurses.  Each later child of arity 2 or
+more is the same function on another anchor hyperplane, and off a
+Zariski-closed set of anchors it has the support of the first child's
+result, so it is first solved on that support (`_solve_on_support`, Zippel's
+sparse interpolation carried over to rational functions as in FireFly,
+Klappert & Lange, CPC 2020) and verified at its own path like any node.  A
+sibling whose solve or verification fails is reconstructed in full, the
+node it would have been without the solve.  The tree of prod(l_k + 1)
+nodes becomes a chain: the first child at each level recurses, its
+siblings are solved, and only the fallbacks recurse further.
+
 Each node returns a `NodeRecord`: its result, its verification tally, its
-own slice classes, and the anchors of its subtree per level, merged from its
-children in child order.  The level-class map is the only state the nodes
-share.
+own slice classes, the anchors of its subtree per level, merged from the
+children that recursed in child order, and its subtree's node counts.  The
+level-class map is the only state the nodes share.
 
 A node's oracle holds the user's function and the anchors fixed above it,
 so a query at any depth is one `SliceOracle.eval` call into the user's
@@ -44,6 +55,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
+from operator import mul
 from typing import Callable, Optional
 
 from .errors import (
@@ -75,6 +88,9 @@ STABLE_SLICES = 2
 # The recursion tree has prod(l_k + 1) leaves over its levels k; a larger
 # tree is refused as soon as a level's class shows it (BudgetExhausted).
 MAX_LEAVES = 1024
+# A sparse solve draws at most this many points per row it needs, the
+# template's unknowns plus the check rows, and falls back when they run out.
+SPARSE_DRAWS_PER_ROW = 2
 
 
 @dataclass
@@ -352,6 +368,7 @@ class ReconReport:
     anchors: list              # per recursion level, in processing order
     verification: tuple        # (trials, agreements, undefined_skips)
     config: ReconConfig
+    nodes: Counter             # see NodeRecord
 
     def to_json(self) -> dict:
         fmt = self.field.format
@@ -364,6 +381,7 @@ class ReconReport:
                                 sorted(self.class_histogram.items())},
             "classify_failures": self.failures,
             "anchors": [[fmt(b) for b in level] for level in self.anchors],
+            "nodes": {k: self.nodes[k] for k in NODE_KINDS},
             "verification": {
                 "trials": self.verification[0],
                 "agreements": self.verification[1],
@@ -371,6 +389,13 @@ class ReconReport:
             },
             "config": self.config.to_json(),
         }
+
+
+# The node counts of a subtree: "recursed" nodes ran `_reconstruct_level`
+# (inner nodes and leaf fits), "sparse" ones were solved on their first
+# sibling's support, so the two sum to the nodes of the tree; "fallbacks"
+# counts the recursed siblings whose sparse solve or its check failed.
+NODE_KINDS = ("recursed", "sparse", "fallbacks")
 
 
 @dataclass
@@ -381,6 +406,7 @@ class NodeRecord:
     verification: Agreement
     histogram: Counter         # the node's own slice classes
     failures: int
+    nodes: Counter             # the subtree's counts of NODE_KINDS
 
 
 def reconstruct(oracle: SliceOracle, cfg: ReconConfig) -> ReconReport:
@@ -390,7 +416,7 @@ def reconstruct(oracle: SliceOracle, cfg: ReconConfig) -> ReconReport:
     root = _reconstruct_level(oracle, cfg, (), {})
     return ReconReport(root.result, oracle.arity, oracle.field,
                        dict(root.histogram), root.failures, root.anchors,
-                       root.verification, cfg)
+                       root.verification, cfg, root.nodes)
 
 
 def _reconstruct_level(oracle: SliceOracle, cfg: ReconConfig, path: tuple,
@@ -404,7 +430,7 @@ def _reconstruct_level(oracle: SliceOracle, cfg: ReconConfig, path: tuple,
             slice_oracle(oracle, 0, ()), field, cfg.budget(), rng)
         result = fit.to_ratfunn(1)
         return NodeRecord(result, [], _verify_node(oracle, result, cfg, path),
-                          Counter({(prof.d, prof.e): 1}), 0)
+                          Counter({(prof.d, prof.e): 1}), 0, Counter(recursed=1))
 
     axis = oracle.arity - 1
     level = len(path)
@@ -426,8 +452,11 @@ def _reconstruct_level(oracle: SliceOracle, cfg: ReconConfig, path: tuple,
         profile = DegreeProfile.from_de(*cls.de)
         anchors = choose_anchors(oracle, axis, profile, cfg,
                                  derive_rng(cfg.seed, "anchors", *path))
-        children = [_reconstruct_level(oracle._restrict(b), cfg, path + (i,), classes)
-                    for i, b in enumerate(anchors)]
+        first_child = _reconstruct_level(oracle._restrict(anchors[0]), cfg,
+                                         path + (0,), classes)
+        children = [first_child] + [
+            _sibling(oracle._restrict(b), first_child.result, cfg, path + (i,), classes)
+            for i, b in enumerate(anchors[1:], 1)]
         try:
             result = _combine([c.result for c in children], anchors, profile,
                               field, oracle.arity)
@@ -450,9 +479,93 @@ def _reconstruct_level(oracle: SliceOracle, cfg: ReconConfig, path: tuple,
                 raise
             cls = repeat
             continue
-        below = [sum(levels, []) for levels in zip(*(c.anchors for c in children))]
+        below = [sum(levels, []) for levels in
+                 zip_longest(*(c.anchors for c in children), fillvalue=[])]
         return NodeRecord(result, [anchors] + below, verification,
-                          cls.histogram, cls.failures)
+                          cls.histogram, cls.failures,
+                          sum((c.nodes for c in children), Counter(recursed=1)))
+
+
+def _sibling(oracle: SliceOracle, template: RatFunN, cfg: ReconConfig,
+             path: tuple, classes: dict) -> NodeRecord:
+    """A later child at `path`: solved on the support of its first sibling's
+    result `template` and verified as every node is, or, when either fails,
+    the node `_reconstruct_level` builds.  A leaf is always fitted."""
+    if oracle.arity == 1:
+        return _reconstruct_level(oracle, cfg, path, classes)
+    result = _solve_on_support(oracle, template, cfg, path)
+    if result is not None:
+        try:
+            verification = _verify_node(oracle, result, cfg, path)
+        except (VerificationFailed, DomainTooSparse):
+            pass
+        else:
+            return NodeRecord(result, [], verification, Counter(), 0,
+                              Counter(sparse=1))
+    node = _reconstruct_level(oracle, cfg, path, classes)
+    node.nodes["fallbacks"] += 1
+    return node
+
+
+def _solve_on_support(oracle: SliceOracle, template: RatFunN, cfg: ReconConfig,
+                      path: tuple) -> Optional[RatFunN]:
+    """The canonical N/D whose parts have the supports of `template`'s, or
+    None.  The unknowns are the T + 1 coefficients of the two parts; each
+    point x where the oracle is defined gives the row N(x) - f(x) D(x) = 0.
+    The points come from the `sparse` stream of `path`, at most
+    `SPARSE_DRAWS_PER_ROW` per row needed.  `matrix.bordered_dets` with
+    unit borders takes the kernel of the first T independent rows, and
+    `validation_extra` further rows check it.  The rows are integers:
+    residues over F_p, the result reduced mod p; over Q each point's row
+    times its denominators, f's and the coordinates' to the largest power
+    of the template.
+
+    None when the draws run out, the kernel found is zero (the system is
+    singular, or its rows are dependent mod p), its denominator is zero, or
+    a check row fails: the sibling then recurses in full."""
+    field = oracle.field
+    p = field_prime(field)
+    columns = [e for part in (template.num, template.den) for _, e in part.int_form()[1]]
+    split = len(template.num.terms)     # the numerator's columns come first
+    tops = [max(col) for col in zip(*columns)]
+    draw = field._sampler(derive_rng(cfg.seed, "sparse", *path), cfg.height_bound)
+
+    def rows():
+        for _ in range(SPARSE_DRAWS_PER_ROW * (len(columns) - 1 + cfg.validation_extra)):
+            _, point = _draw_point(draw, oracle.arity)
+            value = oracle.eval(point)
+            if value is None:
+                continue
+            if p is None:
+                a, b = _ratio(value)
+                powers = [[u ** k * v ** (top - k) for k in range(top + 1)]
+                          for (u, v), top in zip(map(_ratio, point), tops)]
+            else:
+                a, b = _residue(value, p), 1
+                powers = [[pow(x, k, p) for k in range(top + 1)]
+                          for x, top in zip((_residue(c, p) for c in point), tops)]
+            monomials = [math.prod(pw[k] for pw, k in zip(powers, e)) for e in columns]
+            row = [b * x for x in monomials[:split]] + [-a * x for x in monomials[split:]]
+            yield row if p is None else [x % p for x in row]
+
+    stream = rows()
+    units = [[int(i == j) for i in range(len(columns))] for j in range(len(columns))]
+    coeffs = bordered_dets(stream, units)
+    if p is not None:
+        coeffs = [c % p for c in coeffs]
+    if not any(coeffs[split:]):
+        return None
+    for _ in range(cfg.validation_extra):
+        row = next(stream, None)
+        if row is None:
+            return None
+        residual = sum(map(mul, row, coeffs))
+        if residual % p if p is not None else residual:
+            return None
+    num, den = (PolyN(field, oracle.arity, {e: field.from_int(c) for e, c in zip(es, cs)})
+                for es, cs in ((columns[:split], coeffs[:split]),
+                               (columns[split:], coeffs[split:])))
+    return normalize_ratfunn(num, den)
 
 
 def _combine(parts, anchors, profile: DegreeProfile, field: Field,

@@ -478,6 +478,23 @@ def test_reconstruct_replays_a_record_written_by_0_4_0(capsys):
                                       "undefined_skips": 3}
 
 
+def test_reconstruct_replays_a_record_written_by_0_5_0(capsys):
+    # written by version 0.5.0, in which every node recursed: 0.6.0 draws
+    # each sibling's sparse points on a stream 0.5.0 never drew, which the
+    # file lacks, so every sparse solve runs out of defined points, each
+    # sibling recurses as in 0.5.0, and the replay gives 0.5.0's answer
+    record = pathlib.Path(__file__).parent / "data" / "record-0.5.0-fp101-arity3.json"
+    code, out, _ = run_cli(capsys, "reconstruct", "--oracle-replay", str(record),
+                           "--arity", "3", "--field", "fp:101", "--seed", "9")
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["result"] == "(x1*x2 + 3*x3)/(x1 - x2 + 4)"
+    assert report["anchors"] == [["56", "13"], ["84", "34", "28", "97", "13", "57"]]
+    assert report["verification"] == {"trials": 200, "agreements": 195,
+                                      "undefined_skips": 5}
+    assert report["nodes"] == {"recursed": 9, "sparse": 0, "fallbacks": 1}
+
+
 def write_replay(path, points, field="q", arity=2):
     path.write_text(json.dumps({
         "arity": arity, "field": field,
@@ -736,7 +753,7 @@ def test_every_library_error_has_a_documented_exit_code(tmp_path, capsys, monkey
 
 
 # sha256 of stdout for small inputs of each command, recorded with version
-# 0.5.0: the "byte-identical stdout for a given version and seed" contract,
+# 0.6.0: the "byte-identical stdout for a given version and seed" contract,
 # checked across commits.  A version bump changes the manifest and re-records
 # every value.
 STDOUT_DIGESTS = {
@@ -767,24 +784,24 @@ for _name in ("reconstruct-q-h1", "reconstruct-q-h3", "reconstruct-q-h1000",
               "reconstruct-fp101"):
     STDOUT_DIGESTS[f"{_name}-record"] = STDOUT_DIGESTS[_name] + ("--record", "record.json")
 STDOUT_SHA256 = {
-    "hankel": "2e72ff3e72627ae0701f47ec1db7fa5e73bbfd8cd9dbd0d6f2e27dd46f5b3980",
-    "interp-fit": "659fcdb45fba990d1e5fdb3949ff2fe1e7ca1ce185adb3b37da7debf7f21d7cb",
-    "reconstruct-fp-2": "4a8d5007b3c6e22398127aac2307bb87429b9ee39dff0226021be138f35a3ba7",
-    "reconstruct-fp-3": "79e329e9b19ecba93e3ea879ff1fc3da342f11ad57c757b84cabd750218566f7",
-    "reconstruct-q-2": "6b4aac1771fcc01821a138c0481d41a12db1b6d34ed8f700433cee04295b4aa4",
-    "reconstruct-q-3": "88589dc2e96898bdbbf02cdb11ea72f46568dce29286464024ce24a08ed3f6f1",
+    "hankel": "a06e552b8732239a51221a68861713b76ad6b34e1bf1bf835352f04bf267fc08",
+    "interp-fit": "0ecdc94c6714aedcfecb35f02d8738a7912df83c236140604873e4070123a7d8",
+    "reconstruct-fp-2": "ceb24ea6290ec1275a27f551525ad5d739dbe9351374723c311b1b4ff7a94910",
+    "reconstruct-fp-3": "2c13a75f8a9ccd1a8d2946366b009d02646c7e491f2f508550f9384ab0229f0f",
+    "reconstruct-q-2": "4a8556f479d816eadaf75dab57ac1a6f7f12cb9cd7f831e1473f56512f41997e",
+    "reconstruct-q-3": "b62c655d67bc8de875e80496fb73d6892604e8da1f230577e0297ecf358d08a8",
     "reconstruct-q-h1": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "reconstruct-q-h1-record":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "reconstruct-q-h3": "003bb104d65aed5f34e692e6a86170ee099463e5e4daa3a125d694c4bd35b965",
+    "reconstruct-q-h3": "eca4dbb7d54e6e2a68433559fcd48245436b552b2459f9cedbcfdf9e30b357e5",
     "reconstruct-q-h3-record":
-        "003bb104d65aed5f34e692e6a86170ee099463e5e4daa3a125d694c4bd35b965",
-    "reconstruct-q-h1000": "dd6433d98cf134f3bc6f7e73976112dc553736090cc21dcfac540a0843540664",
+        "eca4dbb7d54e6e2a68433559fcd48245436b552b2459f9cedbcfdf9e30b357e5",
+    "reconstruct-q-h1000": "6b05646d6fe44f06403576d29fc99dbd3af07fe5c0b63a8d9971fcab98253705",
     "reconstruct-q-h1000-record":
-        "dd6433d98cf134f3bc6f7e73976112dc553736090cc21dcfac540a0843540664",
-    "reconstruct-fp101": "a32e18c40cf709134208f9fc5c1b0ddeee4c7fa0254e473b6c2887f50136e0e6",
+        "6b05646d6fe44f06403576d29fc99dbd3af07fe5c0b63a8d9971fcab98253705",
+    "reconstruct-fp101": "4e2d701465d4b3c0cbd412c3f7244c63262c5d162c19a6104a3bc2d89ae9f8ed",
     "reconstruct-fp101-record":
-        "a32e18c40cf709134208f9fc5c1b0ddeee4c7fa0254e473b6c2887f50136e0e6",
+        "4e2d701465d4b3c0cbd412c3f7244c63262c5d162c19a6104a3bc2d89ae9f8ed",
 }
 # the --record files; at height 1 Q offers three values, fewer than even a
 # constant's detection needs, so the run is refused before any query (exit

@@ -459,6 +459,26 @@ def test_compiled_programs_hold_no_input_integers():
                 assert n in (0, 1) or n not in consts, (field, n)
 
 
+def test_programs_of_one_shape_compile_once():
+    # candidates of one support emit one source: its code is compiled once,
+    # and each program still evaluates with its own coefficients.  (Equal
+    # integers share a name, so the coefficients here differ from each
+    # other and from the point's width 2.)
+    shapes = ((3, 5, 7), (13, 9, 4), (11, 6, 8))
+    for field in (QQ, F101, FBIG):
+        expr._code.cache_clear()
+        cands = [to_ratfun(parse(f"({a}*x1*x2 + {b})/(x1 - {c})", 2), field, 2)
+                 for a, b, c in shapes]
+        values = [cand.eval_or_none((q(2), q(3)) if field == QQ else
+                                    (field.from_int(2), field.from_int(3)))
+                  for cand in cands]
+        info = expr._code.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert values == [field.from_int(a * 6 + b) / field.from_int(2 - c)
+                          for a, b, c in shapes]
+    assert expr._code.cache_info().maxsize == expr.PROGRAM_CACHE_SIZE
+
+
 def test_eval_point_length():
     # coordinates past the ones the tree uses are checked, then ignored
     assert eval_expr(parse("x1", 3), (2, 5, 7), F101) == F101.from_int(2)

@@ -4,9 +4,13 @@ later node checks one slice against the level's class.
 
 `reference_reconstruct` is a test-only copy of the engine as it was before
 both: every inner node detects all `samples_per_class` slices and takes the
-most frequent class (`vote_classify`, `dominant_class`).  The engine must
-give the same result, anchors and verification, and its root histogram
-must be that of the reference's first `total` slices."""
+most frequent class (`vote_classify`, `dominant_class`), and every node
+recurses.  With every sparse sibling solve made to fall back (`full_tree`)
+the engine builds that tree and must give the same result, anchors and
+verification, and its root histogram must be that of the reference's first
+`total` slices.  With the solves (the chain) it must give the same result,
+verification and root anchors, and each node that recursed must have the
+anchors of the reference's node at its path."""
 
 import importlib
 import json
@@ -101,8 +105,13 @@ def vote_classify(oracle: SliceOracle, axis: int, cfg: ReconConfig, rng) -> list
 def reference_reconstruct(oracle: SliceOracle, cfg: ReconConfig) -> ReconReport:
     """The engine as it was before the per-level class and the maximal
     class: every inner node votes over all the slices of its own stream.
-    The report's `root_slices` lists the root's slices in order."""
+    The report's `root_slices` lists the root's slices in order, and its
+    `anchors_by_path` maps each inner node's path to its anchors.  Its node
+    counts are the engine's when every sparse solve falls back: every node
+    recursed, and so did every later child of arity 2 or more."""
     anchors_by_level: dict = {}
+    anchors_by_path: dict = {}
+    nodes = Counter()
     root_slices = []
 
     def verify(node, result, path):
@@ -116,6 +125,9 @@ def reference_reconstruct(oracle: SliceOracle, cfg: ReconConfig) -> ReconReport:
 
     def level(node, path):
         field = node.field
+        nodes["recursed"] += 1
+        if path and path[-1] and node.arity > 1:
+            nodes["fallbacks"] += 1
         if node.arity == 1:
             prof, fit = detect_profile_with_fit(
                 lambda a: node.eval((a,)), field, cfg.budget(),
@@ -133,6 +145,7 @@ def reference_reconstruct(oracle: SliceOracle, cfg: ReconConfig) -> ReconReport:
         anchors = choose_anchors(node, axis, profile, cfg,
                                  derive_rng(cfg.seed, "anchors", *path))
         anchors_by_level.setdefault(len(path), []).extend(anchors)
+        anchors_by_path[path] = anchors
         parts = []
         for i, b in enumerate(anchors):
             sub = SliceOracle(node.arity - 1, field,
@@ -145,8 +158,9 @@ def reference_reconstruct(oracle: SliceOracle, cfg: ReconConfig) -> ReconReport:
     levels = [anchors_by_level[k] for k in sorted(anchors_by_level)]
     hist = Counter(de for de in root_slices if de is not None)
     report = ReconReport(result, oracle.arity, oracle.field, dict(hist),
-                         root_slices.count(None), levels, verification, cfg)
+                         root_slices.count(None), levels, verification, cfg, nodes)
     report.root_slices = root_slices
+    report.anchors_by_path = anchors_by_path
     return report
 
 
@@ -193,6 +207,81 @@ def classify_log(monkeypatch):
     return log
 
 
+@pytest.fixture
+def full_tree(monkeypatch):
+    """Every sparse sibling solve falls back, so every node recurses: the
+    tree of the engine before the chain."""
+    monkeypatch.setattr(engine, "_solve_on_support", lambda *args: None)
+
+
+@pytest.fixture
+def recursed(monkeypatch):
+    """Filled while the engine runs: the path of each node that ran
+    `_reconstruct_level` in the final tree, mapped to its anchors (a leaf's
+    are []).  A node that runs again, in its parent's repeat, first drops
+    what its earlier run left at and below its path; `final_tree` then keeps
+    the paths that the final anchors reach from the root."""
+    found = {}
+    reconstruct_level, solve = engine._reconstruct_level, engine._solve_on_support
+
+    def drop(path):
+        for q in [q for q in found if q[:len(path)] == path]:
+            del found[q]
+
+    def level_spy(oracle, cfg, path, classes):
+        drop(path)
+        node = reconstruct_level(oracle, cfg, path, classes)
+        found[path] = node.anchors[0] if node.anchors else []
+        return node
+
+    def solve_spy(oracle, template, cfg, path):
+        drop(path)
+        return solve(oracle, template, cfg, path)
+
+    monkeypatch.setattr(engine, "_reconstruct_level", level_spy)
+    monkeypatch.setattr(engine, "_solve_on_support", solve_spy)
+    return found
+
+
+def final_tree(found) -> dict:
+    """The recursed nodes of the final tree, from the `recursed` fixture."""
+    tree, todo = {}, [()]
+    while todo:
+        path = todo.pop()
+        if path in found:
+            tree[path] = found[path]
+            todo.extend(path + (i,) for i in range(len(found[path])))
+    return dict(sorted(tree.items()))
+
+
+def assert_chain_matches_reference(report: ReconReport, oracle, cfg, found):
+    """The chain gives the reference's result, verification and root
+    anchors, and the root's histogram and failures are those of the
+    reference's first `total` root slices; every node that recursed has the
+    anchors of the reference's node at its path, and the report's deeper
+    levels list them in child order.  The node counts sum to the nodes of
+    the tree."""
+    ref = reference_reconstruct(oracle, cfg)
+    chain, full = report.to_json(), ref.to_json()
+    for key in ("result", "verification"):
+        assert chain[key] == full[key], key
+    assert chain["anchors"][0] == full["anchors"][0]
+    total = sum(report.class_histogram.values()) + report.failures
+    prefix = ref.root_slices[:total]
+    assert report.class_histogram == Counter(de for de in prefix if de is not None)
+    assert report.failures == prefix.count(None)
+    tree = final_tree(found)
+    inner = {path: anchors for path, anchors in tree.items() if anchors}
+    assert inner == {path: ref.anchors_by_path[path] for path in inner}
+    levels = [sum((a for path, a in inner.items() if len(path) == k), [])
+              for k in range(oracle.arity - 1)]
+    assert report.anchors == levels
+    nodes = 1 + sum(len(anchors) for anchors in tree.values())
+    fallbacks = sum(1 for path in tree if path and path[-1] and len(path) < oracle.arity - 1)
+    assert chain["nodes"] == {"recursed": len(tree), "sparse": nodes - len(tree),
+                              "fallbacks": fallbacks}
+
+
 def rand_sparse(field, rng, nvars):
     """A sparse function, 1-3 terms per part, degree <= 2 per variable;
     terms often share a variable, so some anchor hyperplanes degenerate."""
@@ -209,7 +298,7 @@ def rand_sparse(field, rng, nvars):
 
 
 @pytest.mark.parametrize("field", [QQ, FP101, FP])
-def test_level_class_matches_per_node_classification(field):
+def test_level_class_matches_per_node_classification(field, full_tree):
     rng = random.Random(f"level-class/{field.descriptor()}")
     for k, nvars in enumerate((3, 3, 4)):
         f = rand_sparse(field, rng, nvars)
@@ -217,6 +306,19 @@ def test_level_class_matches_per_node_classification(field):
         cfg = ReconConfig(seed=rng.getrandbits(32))
         assert outcome(reconstruct, oracle, cfg) == \
             outcome(reference_reconstruct, oracle, cfg), format_ratfunn(f)
+
+
+@pytest.mark.parametrize("field", [QQ, FP101, FP])
+def test_level_class_matches_per_node_classification_chain(field, recursed):
+    rng = random.Random(f"level-class/{field.descriptor()}")
+    for k, nvars in enumerate((3, 3, 4)):
+        f = rand_sparse(field, rng, nvars)
+        oracle = SliceOracle(nvars, field, f.eval_or_none)
+        cfg = ReconConfig(seed=rng.getrandbits(32))
+        recursed.clear()
+        report = reconstruct(oracle, cfg)
+        assert report.result.same_function(f), format_ratfunn(f)
+        assert_chain_matches_reference(report, oracle, cfg, recursed)
 
 
 def rand_multilinear(field, rng, nvars):
@@ -233,7 +335,7 @@ def rand_multilinear(field, rng, nvars):
 @pytest.mark.parametrize("field,height", [(QQ, 2), (QQ, 10), (QQ, 1000), (FP101, 10),
                                           (FP, 10)],
                          ids=["q-h2", "q-h10", "q-h1000", "fp101", "fp1000003"])
-def test_maximal_class_matches_the_vote(field, height, arity):
+def test_maximal_class_matches_the_vote(field, height, arity, full_tree):
     rng = random.Random(f"vote/{field.descriptor()}/{height}/{arity}")
     for _ in range(3):
         f = (rand_multilinear if height == 2 else rand_sparse)(field, rng, arity)
@@ -244,7 +346,23 @@ def test_maximal_class_matches_the_vote(field, height, arity):
         assert_matches_reference(report, oracle, cfg)
 
 
-def test_sibling_on_zero_hyperplane_classifies_in_full(classify_log):
+@pytest.mark.parametrize("arity", [3, 4])
+@pytest.mark.parametrize("field,height", [(QQ, 2), (QQ, 10), (QQ, 1000), (FP101, 10),
+                                          (FP, 10)],
+                         ids=["q-h2", "q-h10", "q-h1000", "fp101", "fp1000003"])
+def test_maximal_class_matches_the_vote_chain(field, height, arity, recursed):
+    rng = random.Random(f"vote/{field.descriptor()}/{height}/{arity}")
+    for _ in range(3):
+        f = (rand_multilinear if height == 2 else rand_sparse)(field, rng, arity)
+        oracle = SliceOracle(arity, field, f.eval_or_none)
+        cfg = ReconConfig(seed=rng.getrandbits(32), height_bound=height)
+        recursed.clear()
+        report = reconstruct(oracle, cfg)
+        assert report.result.same_function(f), format_ratfunn(f)
+        assert_chain_matches_reference(report, oracle, cfg, recursed)
+
+
+def test_sibling_on_zero_hyperplane_classifies_in_full(classify_log, full_tree):
     # The root's second anchor is x3 = 0, where the function vanishes: that
     # sibling's first slice is the zero class, not the level's (2, -1), so
     # it classifies along its stream until the class stops growing, three
@@ -261,6 +379,23 @@ def test_sibling_on_zero_hyperplane_classifies_in_full(classify_log):
     assert len({expect for expect, _ in checks}) == 1
     assert [total for _, total in checks] == [3, 1, 1]
     assert_matches_reference(report, oracle, cfg)
+
+
+def test_sibling_on_zero_hyperplane_classifies_in_full_chain(classify_log, recursed):
+    # The same run with sparse siblings.  On x3 = 0 the function is zero,
+    # so every denominator on the first sibling's support solves the
+    # system: it is singular, and that sibling recurses and classifies as
+    # above.  Siblings 2 and 3 are solved on the support and classify nothing.
+    text = "(4*x1^2*x3 - 4*x1*x2*x3 + x1*x3)/(x1*x2 + 36*x2*x3^2 - 12)"
+    oracle = expr_oracle(text, 3, QQ)
+    cfg = ReconConfig(seed=2542212399)
+    report = reconstruct(oracle, cfg)
+    assert report.to_json()["anchors"][0][:2] == ["1", "0"]
+    assert format_ratfunn(report.result) == text
+    assert [total for expect, total in classify_log if expect] == [3]
+    assert report.to_json()["nodes"]["fallbacks"] == 1
+    assert (1,) in final_tree(recursed)
+    assert_chain_matches_reference(report, oracle, cfg, recursed)
 
 
 def test_class_settled_too_low_repeats_in_full(monkeypatch):
@@ -301,7 +436,7 @@ def test_class_settled_too_low_repeats_in_full(monkeypatch):
     assert_matches_reference(report, oracle, cfg)
 
 
-def test_first_node_that_repeats_sets_the_level_class_again(classify_log):
+def test_first_node_that_repeats_sets_the_level_class_again(classify_log, full_tree):
     # x1*x2 + x3 + 1 over F_7: on the root's first anchor hyperplane the
     # slices along x2 have class (1, 1), except on x1 = 0.  At seed 394
     # that node's first three slices lie on x1 = 0, so it settles on
@@ -316,6 +451,22 @@ def test_first_node_that_repeats_sets_the_level_class_again(classify_log):
     assert [total for _, total in classify_log] == [3, 3, 20, 1]
     assert classify_log[3] == ((1, 1), 1)
     assert_matches_reference(report, oracle, cfg)
+
+
+def test_first_node_that_repeats_sets_the_level_class_again_chain(classify_log,
+                                                                  recursed):
+    # The same run with sparse siblings: the first node repeats as above,
+    # and its sibling is solved on the support of the repeated node's
+    # result, x1*x2 + c, without classifying.
+    F7 = PrimeField(7)
+    text = "x1*x2 + x3 + 1"
+    oracle = expr_oracle(text, 3, F7)
+    cfg = ReconConfig(seed=394)
+    report = reconstruct(oracle, cfg)
+    assert report.result.same_function(to_ratfun(parse(text, 3), F7, 3))
+    assert [total for _, total in classify_log] == [3, 3, 20]
+    assert report.to_json()["nodes"] == {"recursed": 4, "sparse": 1, "fallbacks": 0}
+    assert_chain_matches_reference(report, oracle, cfg, recursed)
 
 
 def test_failure_the_full_class_confirms_is_raised_at_once(monkeypatch):

@@ -527,6 +527,7 @@ def test_root_verification_is_reported_not_repeated():
         "class_histogram": {"1,0": 3},
         "classify_failures": 0,
         "anchors": [["14", "44", "38"]],
+        "nodes": {"recursed": 4, "sparse": 0, "fallbacks": 0},
         "verification": {"trials": 200, "agreements": 197, "undefined_skips": 3},
         "config": cfg.to_json(),
     }

@@ -8,11 +8,14 @@ checkout's `src`, and prints per instance: workload, seed, index, the
 sha256 of the answer (the report JSON of `reconstruct`, the certificate
 JSON of `hankel`, the value and fitted function of `interp`, or the error),
 for `reconstruct` also the sha256 of the report without `class_histogram`
-and `classify_failures`, whether the benchmark's exact check accepts it,
+and `classify_failures` and that of the report without `nodes` and with
+only the root's anchors, whether the benchmark's exact check accepts it,
 and the oracle calls.
 Run it in two checkouts and `diff` the outputs: identical output means the
 same answers and the same oracle query counts.  The second digest of a
-`reconstruct` line stays put when only the classification fields move.
+`reconstruct` line stays put when only the classification fields move, the
+third when only the node counts and the anchors below the root do, as
+when siblings are solved on their first sibling's support.
 """
 
 from __future__ import annotations
@@ -34,15 +37,18 @@ CLASSIFICATION = ("class_histogram", "classify_failures")
 
 
 def answer_texts(inst, answer) -> list:
-    """The answer's text, and for `reconstruct` that of the report without
-    the classification fields."""
+    """The answer's text, and for `reconstruct` those of the report without
+    the classification fields and of the report without the node counts
+    and the anchors below the root."""
     if isinstance(answer, Exception):
         text = f"error {type(answer).__name__}: {answer}"
-        return [text, text] if inst.kind == "reconstruct" else [text]
+        return [text] * 3 if inst.kind == "reconstruct" else [text]
     if inst.kind == "reconstruct":
         report = answer.to_json()
         rest = {k: v for k, v in report.items() if k not in CLASSIFICATION}
-        return [json.dumps(report, sort_keys=True), json.dumps(rest, sort_keys=True)]
+        root = {k: v for k, v in report.items() if k != "nodes"}
+        root["anchors"] = root["anchors"][:1]
+        return [json.dumps(d, sort_keys=True) for d in (report, rest, root)]
     return [inst.render(answer)]
 
 
