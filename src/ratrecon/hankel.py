@@ -15,22 +15,29 @@ sum to zero: det H(n, m) = 0.  That is the block structure of the Pade table
 (Gragg, SIAM Review 1972).  One pass over the rows with deg t <= m_max gives,
 for each m, the least n from which every determinant is proven zero; the
 scan runs n downward from just below it and stops at the first nonzero
-determinant.  Those determinants are taken on integer rows, the prefix
-scaled by the lcm of its denominators over Q and the residues over F_p
-(Bareiss over Z, reduced mod p).  A factorial-type refusal still costs
-one determinant per m; the zeros above a rational series' witness cost
-none.  The witness search interleaves with the scan: m ascends, l_min(m)
-is computed only when the search reaches m, and the search stops at the
-first witness.
+determinant.  Those determinants are taken on integer rows: over F_p on
+the residues, mod p; over Q on the prefix scaled by the lcm of its
+denominators, first modulo the word prime `WORD_PRIME`.  A nonzero
+residue proves the determinant nonzero; a zero residue is settled by the
+exact determinant, so a zero is only ever proven exactly.  A
+factorial-type refusal still costs one determinant per m, now a modular
+one; the zeros above a rational series' witness cost none.  The witness
+search interleaves with the scan: m ascends, l_min(m) is computed only
+when the search reaches m, and the search stops at the first witness.
+
+A witness P/Q is checked on the same integer prefix: Q(0) != 0 and
+Q*s = P mod t^(N+1), coefficient by coefficient, which holds exactly when
+the re-expansion of P/Q reproduces a_0..a_N.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import NoSolution, PoleAtOrigin, PrefixTooShort
 from .fields import Field
-from .matrix import det_exact
+from .matrix import bordered_dets
 from .poly import Poly1, field_prime, poly1_ints
 from .ratfun import (
     RatFun1,
@@ -108,13 +115,21 @@ def _check_bounds(s: SeriesPrefix, l_max: int, m_max: int) -> None:
             f"need prefix length >= {l_max + 2 * m_max + 1}, have {s.n_max + 1}")
 
 
+# Over Q a Hankel determinant is first taken modulo this prime: a nonzero
+# residue proves it nonzero, and only a zero residue costs the exact one.
+# Below 2^30 each residue is one digit of a CPython int, which keeps the
+# elimination's products small.
+WORD_PRIME = 2 ** 30 - 35
+
+
 def _zero_tails(s: SeriesPrefix, m_max: int):
-    """(ints, p, tails): the prefix as integers (residues over F_p, p None
-    over Q), and for m = 0..m_max the least n from which every det H(n, m)
-    is proven zero by an extended-Euclid row (N - 2m + 1 when none is)."""
+    """(ints, den, p, tails): the prefix as integers over `den` (residues
+    and 1 over F_p, p None over Q), and for m = 0..m_max the least n from
+    which every det H(n, m) is proven zero by an extended-Euclid row
+    (N - 2m + 1 when none is)."""
     n_max = s.n_max
     p = field_prime(s.field)
-    ints = poly1_ints(Poly1(s.field, s.coeffs))[0]
+    ints, den = poly1_ints(Poly1(s.field, s.coeffs))
     tails = [n_max - 2 * m + 1 for m in range(m_max + 1)]
     prev = n_max + 1                    # deg t^(N+1)
     for r, t in eea_rows([0] * (n_max + 1) + [1], ints, p):
@@ -124,17 +139,20 @@ def _zero_tails(s: SeriesPrefix, m_max: int):
         if dt + prev - dr > m_max:      # deg t of the next row
             break
         prev = dr
-    return ints + [0] * (n_max + 1 - len(ints)), p, tails
+    return ints + [0] * (n_max + 1 - len(ints)), den, p, tails
 
 
 def _l_min(s: SeriesPrefix, m: int, zero_tails=None) -> int:
     """Smallest l with det H(n, m) = 0 for every n with l <= n <= N - 2m:
     scans n downward from below the proven zeros (`_zero_tails(s, m_max)`
-    for some m_max >= m) and stops at the first nonzero determinant."""
-    ints, p, tails = zero_tails or _zero_tails(s, m)
+    for some m_max >= m) and stops at the first nonzero determinant.  Over
+    F_p the determinants are taken mod p; over Q first mod `WORD_PRIME`,
+    and exactly only when that residue is zero."""
+    ints, _, p, tails = zero_tails or _zero_tails(s, m)
     for n in range(tails[m] - 1, -1, -1):
-        d = det_exact([ints[n + i:n + i + m + 1] for i in range(m + 1)], s.field)
-        if d if p is None else d % p:
+        rows = [ints[n + i:n + i + m + 1] for i in range(m + 1)]
+        if (bordered_dets(rows[:m], rows[m:], p or WORD_PRIME)[0]
+                or p is None and bordered_dets(rows[:m], rows[m:])[0]):
             return n + 1
     return 0
 
@@ -170,12 +188,25 @@ def series_of_ratfun(f: RatFun1, n_terms: int) -> SeriesPrefix:
     return SeriesPrefix(field, out)
 
 
-def _matches_prefix(f: RatFun1, s: SeriesPrefix) -> bool:
-    try:
-        exp = series_of_ratfun(f, s.n_max)
-    except PoleAtOrigin:
+def _matches_prefix(f: RatFun1, s: SeriesPrefix, zero_tails=None) -> bool:
+    """Whether the re-expansion of f = P/Q is the whole prefix: Q(0) != 0
+    and Q*s = P mod t^(N+1), checked coefficient by coefficient on the
+    integer prefix of `_zero_tails`.  With s = ints/den, P = pn/pd and
+    Q = qn/qd that is pd * (qn*ints)_k = den * qd * pn_k for k <= N, mod p
+    over F_p."""
+    ints, den, p, _ = zero_tails or _zero_tails(s, 0)
+    pn, pd = poly1_ints(f.num)
+    qn, qd = poly1_ints(f.den)
+    if not qn[0]:
         return False
-    return exp.coeffs == s.coeffs
+    scale = den * qd
+    rev = ints[::-1]                    # rev[N - k + j] = ints[k - j]
+    for k in range(s.n_max + 1):
+        lhs = pd * sum(map(mul, qn, rev[s.n_max - k:s.n_max - k + len(qn)]))
+        rhs = scale * pn[k] if k < len(pn) else 0
+        if (lhs - rhs) % p if p else lhs != rhs:
+            return False
+    return True
 
 
 def certify_rationality(s: SeriesPrefix, l_max: int, m_max: int) -> RationalityCertificate:
@@ -198,7 +229,7 @@ def certify_rationality(s: SeriesPrefix, l_max: int, m_max: int) -> RationalityC
                 f = pade_reconstruct(s, n_deg, m)
             except NoSolution:
                 continue
-            if _matches_prefix(f, s):
+            if _matches_prefix(f, s, zero_tails):
                 return RationalityCertificate(
                     "RationalWitness", l, m, f, len(s.coeffs))
     return RationalityCertificate("NoWitnessUpTo", l_max, m_max, None, len(s.coeffs))

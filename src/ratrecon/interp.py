@@ -13,10 +13,10 @@ determinants; with polynomial entries (packed integer polynomials, see
 `poly._Packed`) they are the reconstruction determinants used by the
 multivariate engine.  Both build their rows here, from per-row anchor
 powers, so each caller can scale its rows to integers.  `alpha_beta` does:
-residues over F_p, and over Q each row times the denominators of its
-point and value, so Bareiss runs on plain integers with `//` and the two
-determinants are mapped back exactly (mod p, or divided by the product of
-the scales).
+over F_p residues, eliminated mod p; over Q each row times the
+denominators of its point and value, so Bareiss runs on plain integers
+with `//` and the two determinants are divided by the product of the
+scales.
 
 The sign relating their ratio to f(a) is fixed by the matrix layout:
     interp_sign(n, m) = -(-1)^((n+1)(m+1))
@@ -131,7 +131,7 @@ def delta_det(p: Poly1, q: Poly1, a, points):
     return det_exact(rows, field)
 
 
-def paired_determinants(dens, nums, apowers, n: int, m: int, powers):
+def paired_determinants(dens, nums, apowers, n: int, m: int, powers, modulus=None):
     """Evaluate both bordered determinants in one elimination pass.
 
     dens/nums: per-row denominator and numerator entries; apowers: per row,
@@ -142,14 +142,14 @@ def paired_determinants(dens, nums, apowers, n: int, m: int, powers):
     resp. m+1).  Entries are ints, field elements or `poly._Packed`; an
     entry times an element of its row's apowers must be an entry.  Returns
     (numerator_det, denominator_det) exactly as the bordered matrices
-    define them.
+    define them; with a prime `modulus` (int entries) both are taken mod it.
     """
     rows = [[den_i * w for w in ap[:n + 1]] + [num_i * w for w in ap[:m + 1]]
             for den_i, num_i, ap in zip(dens, nums, apowers)]
     zero = dens[0] - dens[0]
     num_border = powers[:n + 1] + [zero] * (m + 1)
     den_border = [zero] * (n + 1) + powers[:m + 1]
-    num_det, den_det = bordered_dets(rows, [num_border, den_border])
+    num_det, den_det = bordered_dets(rows, [num_border, den_border], modulus)
     if (n + m + 1) % 2:
         num_det = -num_det
     if (n * m) % 2:
@@ -159,10 +159,10 @@ def paired_determinants(dens, nums, apowers, n: int, m: int, powers):
 
 def alpha_beta(samples: SampleSet1, profile: DegreeProfile, a):
     """The two bordered interpolation determinants, taken on integer rows.
-    Over F_p the entries are residues and the determinants are reduced mod
-    p.  Over Q, with x = xn/xd, v = vn/vd and a = an/ad, each data row is
-    scaled by xd^top*vd and both borders by ad^top (top = max(n, m)), and
-    the determinants are divided by the product of the scales."""
+    Over F_p the entries are residues, eliminated mod p.  Over Q, with
+    x = xn/xd, v = vn/vd and a = an/ad, each data row is scaled by
+    xd^top*vd and both borders by ad^top (top = max(n, m)), and the
+    determinants are divided by the product of the scales."""
     if len(samples) != profile.l + 1:
         raise SizeMismatch(f"need {profile.l + 1} samples, got {len(samples)}")
     n, m = profile.n, profile.m
@@ -179,7 +179,7 @@ def alpha_beta(samples: SampleSet1, profile: DegreeProfile, a):
         nums = [_residue(v, p) for _, v in samples.points]
         apowers = [powers(x) for x, _ in samples.points]
         alpha, beta = paired_determinants([1] * len(nums), nums, apowers, n, m,
-                                          powers(a))
+                                          powers(a), p)
         return field.from_int(alpha), field.from_int(beta)
 
     def powers(x):                      # xd^top * (x^0..x^top)

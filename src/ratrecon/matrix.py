@@ -8,10 +8,19 @@ dropped, so with unit rows as borders the kernel returns a vector spanning
 the nullspace of a rank-r system (the scale system of the multivariate
 combine).  Its divisions are exact, so the same code runs over any integral
 domain whose `/` is exact division: on plain integers (with `//`), on field
-elements, and on the packed integer polynomials (`poly._Packed`) of the
-combine's fallback.  The Hankel scan (`hankel._l_min`) and pointwise
-interpolation (`interp.alpha_beta`) pass integer rows: Q rows scaled to
-integers, F_p rows as residues, the result reduced mod p.
+elements (resultants, `delta_det`), and on the packed integer polynomials
+(`poly._Packed`) of the combine's fallback.
+
+With a prime modulus the same loop runs on integer rows mod p: each pivot
+row is divided by its pivot, one inverse per pivot, and the product of the
+pivots restores the determinant.  Every F_p caller passes residues and p:
+the Hankel scan (`hankel._l_min`), pointwise interpolation
+(`interp.alpha_beta`), the combine's scale system and the sparse sibling
+solve (`reconstruct`).  Over Q the Hankel scan first takes each
+determinant modulo a word-size prime, since a nonzero residue proves it
+nonzero, and computes it exactly only when the residue is zero; pointwise
+interpolation over Q needs the exact values and scales its rows to
+integers.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ def det_exact(rows, field: Field):
     return bordered_dets(rows[:-1], [rows[-1]])[0]
 
 
-def bordered_dets(data, borders):
+def bordered_dets(data, borders, modulus=None):
     """det([D; b]) for each border row b of length r+1, where D is the first
     r rows of `data` (rows of length r+1) that are linearly independent.
 
@@ -46,7 +55,14 @@ def bordered_dets(data, borders):
     r rows, is the plain bordered determinant.  Every border row is
     eliminated as the last row of its own matrix.  Each division v / prev
     is exact, so entries may come from any integral domain with exact `/`,
-    or be plain ints, which divide exactly with `//`."""
+    or be plain ints, which divide exactly with `//`.
+
+    With a prime `modulus` the rows are ints and the pass runs on their
+    residues, over F_modulus: each pivot row is divided by its pivot, one
+    inverse per pivot, so a step is x - lead * y, and each determinant is
+    the product of the pivots times its border's last entry, a residue in
+    [0, modulus).  Independence is then independence mod the prime, and a
+    nonzero residue proves the integer determinant nonzero."""
     borders = [list(b) for b in borders]
     r = len(borders[0]) - 1
     if any(len(b) != r + 1 for b in borders):
@@ -54,6 +70,7 @@ def bordered_dets(data, borders):
     zero = borders[0][0] - borders[0][0]
     ints = isinstance(zero, int)
     pivots = []                 # per step k: (column swapped into k, pivot row)
+    scale = 1                   # mod p: the product of the pivots
 
     def eliminate(row):
         prev = None
@@ -61,11 +78,19 @@ def bordered_dets(data, borders):
             if j != k:
                 row[k], row[j] = row[j], row[k]
             pivot, lead = pivot_row[k], row[k]
+            if modulus:
+                if lead:
+                    for c in range(k + 1, r + 1):
+                        row[c] = (row[c] - lead * pivot_row[c]) % modulus
+                continue
             for c in range(k + 1, r + 1):
                 v = row[c] * pivot - lead * pivot_row[c]
                 row[c] = v if prev is None else (v // prev if ints else v / prev)
             prev = pivot
         return row
+
+    def start(row):
+        return [x % modulus for x in row] if modulus else list(row)
 
     negate = False
     rows = iter(data)
@@ -76,15 +101,20 @@ def bordered_dets(data, borders):
         if len(row) != r + 1:
             raise ValueError("need data rows of the borders' length r+1")
         k = len(pivots)
-        row = eliminate(list(row))
+        row = eliminate(start(row))
         j = next((j for j in range(k, r + 1) if row[j] != zero), None)
         if j is None:
             continue
         if j != k:
             row[k], row[j] = row[j], row[k]
             negate = not negate
+        if modulus:
+            scale = scale * row[k] % modulus
+            inv = pow(row[k], -1, modulus)
+            row[k + 1:] = [x * inv % modulus for x in row[k + 1:]]
         pivots.append((j, row))
-    return [-b[r] if negate else b[r] for b in map(eliminate, borders)]
+    dets = [-b[r] if negate else b[r] for b in map(eliminate, map(start, borders))]
+    return [d * scale % modulus for d in dets] if modulus else dets
 
 
 def vandermonde_product(points):

@@ -549,7 +549,10 @@ class _Packed:
 # variable present (Brown, "On Euclid's algorithm and the computation of
 # polynomial greatest common divisors", JACM 1971), with a coprime
 # certificate from univariate images.  In that variable a polynomial is the
-# list of its coefficients (`_coeffs`), constant term first.  Every gcd
+# list of its coefficients (`_coeffs`), constant term first.  Each level
+# first divides both inputs by their monomial contents and multiplies the
+# gcd by the smaller of the two: a shared monomial makes every univariate
+# image non-coprime, and the sequence swells on it.  Every gcd
 # comes in `_normal` form; over Q that form is primitive, so by Gauss's
 # lemma each division by it is exact in Z[x].
 
@@ -601,6 +604,14 @@ def _gcd(f: _Packed, g: _Packed) -> _Packed:
     if not bits_f or not bits_g:
         return _Packed(ring, _ONE)
     mask = (1 << ring.w) - 1
+    # the monomial contents, componentwise minimum exponents
+    low_f, low_g = (sum(min(e >> s & mask for e in x.terms) << s for s in ring.shifts)
+                    for x in (f, g))
+    if low_f or low_g:
+        low = sum(min(low_f >> s & mask, low_g >> s & mask) << s for s in ring.shifts)
+        h = _gcd(_Packed(ring, {e - low_f: c for e, c in f.terms.items()}),
+                 _Packed(ring, {e - low_g: c for e, c in g.terms.items()}))
+        return _Packed(ring, {e + low: c for e, c in h.terms.items()})
     active = [s for s in ring.shifts if (bits_f | bits_g) >> s & mask]
     s = active[-1]
     fs, gs = _coeffs(f, s), _coeffs(g, s)

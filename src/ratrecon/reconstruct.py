@@ -516,13 +516,13 @@ def _solve_on_support(oracle: SliceOracle, template: RatFunN, cfg: ReconConfig,
     `SPARSE_DRAWS_PER_ROW` per row needed.  `matrix.bordered_dets` with
     unit borders takes the kernel of the first T independent rows, and
     `validation_extra` further rows check it.  The rows are integers:
-    residues over F_p, the result reduced mod p; over Q each point's row
-    times its denominators, f's and the coordinates' to the largest power
-    of the template.
+    over F_p eliminated mod p, so a row dependent mod p is dropped like any
+    dependent row; over Q each point's row times its denominators, f's and
+    the coordinates' to the largest power of the template.
 
     None when the draws run out, the kernel found is zero (the system is
-    singular, or its rows are dependent mod p), its denominator is zero, or
-    a check row fails: the sibling then recurses in full."""
+    singular), its denominator is zero, or a check row fails: the sibling
+    then recurses in full."""
     field = oracle.field
     p = field_prime(field)
     columns = [e for part in (template.num, template.den) for _, e in part.int_form()[1]]
@@ -546,13 +546,11 @@ def _solve_on_support(oracle: SliceOracle, template: RatFunN, cfg: ReconConfig,
                           for x, top in zip((_residue(c, p) for c in point), tops)]
             monomials = [math.prod(pw[k] for pw, k in zip(powers, e)) for e in columns]
             row = [b * x for x in monomials[:split]] + [-a * x for x in monomials[split:]]
-            yield row if p is None else [x % p for x in row]
+            yield row
 
     stream = rows()
     units = [[int(i == j) for i in range(len(columns))] for j in range(len(columns))]
-    coeffs = bordered_dets(stream, units)
-    if p is not None:
-        coeffs = [c % p for c in coeffs]
+    coeffs = bordered_dets(stream, units, p)
     if not any(coeffs[split:]):
         return None
     for _ in range(cfg.validation_extra):
@@ -586,9 +584,9 @@ def _combine(parts, anchors, profile: DegreeProfile, field: Field,
     of child i.)  Its kernel is taken with `matrix.bordered_dets` and unit
     borders, the sums are interpolated and the result scaled to the
     canonical form of `normalize_ratfunn`.  All of it runs on integers:
-    residues over F_p; over Q each child over the lcm of its two parts'
-    denominators and each anchor u/v with powers u^k v^(max(n,m)-1-k),
-    which scales each column by a constant.
+    over F_p the kernel is taken mod p; over Q each child over the lcm of
+    its two parts' denominators and each anchor u/v with powers
+    u^k v^(max(n,m)-1-k), which scales each column by a constant.
 
     No gcd is needed: the children are coprime, and then a one-dimensional
     kernel with every s_i nonzero gives a coprime result.  Let g divide
@@ -622,25 +620,23 @@ def _combine(parts, anchors, profile: DegreeProfile, field: Field,
     top = max(n, m)
     # b^k times v^(top-1), an integer over Q
     bpowers = [[u ** k * v ** (top - 1 - k) for k in range(top)] for u, v in ratios]
-    make = int if p is None else (lambda c: FpElement(c, field))
 
     def equations():
         for fs, below in ((nums, m), (dens, n)):
             for alpha in dict.fromkeys(e for f in fs for e in f):
                 cs = [f.get(alpha, 0) for f in fs]
                 for k in range(below):
-                    yield [make(bp[k] * c) for bp, c in zip(bpowers, cs)]
+                    yield [bp[k] * c for bp, c in zip(bpowers, cs)]
 
-    one, zero = make(1), make(0)
-    scales = bordered_dets(equations(), [[one if i == j else zero for i in range(l + 1)]
-                                         for j in range(l + 1)])
-    if zero in scales:
+    scales = bordered_dets(equations(), [[int(i == j) for i in range(l + 1)]
+                                         for j in range(l + 1)], p)
+    if 0 in scales:
         return _combine_by_dets(parts, anchors, profile, field, nvars)
     # basis_i times child i's integer parts is s_i L_i (N_i, D_i) up to one
     # common factor; over Q, v_j y - u_j stands for y - b_j
     basis = []
     for i, s in enumerate(scales):
-        f = [s * ratios[i][1] ** top] if p is None else [s.residue]
+        f = [s * ratios[i][1] ** top] if p is None else [s]
         for j, (u, v) in enumerate(ratios):
             if j != i:
                 f = mul_ints(f, [-u, v], p)

@@ -632,6 +632,22 @@ def test_hankel_wide_bounds_refuse_within_the_timeout(tmp_path):
     assert (cert["verdict"], cert["l"], cert["m"]) == ("NoWitnessUpTo", 20, 90)
 
 
+def test_hankel_wide_bounds_on_fractions_refuse_within_the_timeout(tmp_path):
+    # 201 random fractions: scaled to integers the entries carry the lcm of
+    # the denominators, and each determinant's zero test runs mod a word prime
+    rng = random.Random(14)
+    f = tmp_path / "wide_fractions.json"
+    f.write_text(json.dumps({"field": "q", "coeffs": [
+        f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}" for _ in range(201)]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ratrecon.cli", "hankel", "--series", str(f),
+         "--lmax", "20", "--mmax", "90"],
+        capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 3, proc.stderr
+    cert = json.loads(proc.stdout)["certificate"]
+    assert (cert["verdict"], cert["l"], cert["m"]) == ("NoWitnessUpTo", 20, 90)
+
+
 def _limit_address_space():
     # 1 GiB: the flags below once asked for lists of several GB
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))

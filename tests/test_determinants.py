@@ -433,3 +433,105 @@ def test_maximal_minors_match_cofactors():
             border = [QQ.one if c == j else QQ.zero for c in range(r + 1)]
             sign = -1 if (r + j) % 2 else 1
             assert bordered_dets(rows, [border])[0] == sign * minors[j]
+
+
+# ---------------------------------------------------------------------------
+# the modular path: integer rows eliminated mod p against the exact kernels
+
+
+def _over_field(field, rows):
+    return [[field.from_int(x) for x in row] for row in rows]
+
+
+def _exact_mod_p(field, data, borders):
+    """The exact kernel over F_p (FpElement entries, exact `/`), as residues:
+    it keeps the same rows as an elimination mod p."""
+    return [d.residue for d in bordered_dets(_over_field(field, data),
+                                             _over_field(field, borders))]
+
+
+def _independent_mod_p(kept, p):
+    """Whether the r x (r+1) integer block has rank r mod p."""
+    return any(x % p for x in ref_maximal_minors(kept, 0))
+
+
+MOD_FIELDS = (PrimeField(101), FP)
+
+
+@pytest.mark.parametrize("field", MOD_FIELDS, ids=["F101", "F1000003"])
+def test_modular_bordered_dets_on_square_matrices(field):
+    # unreduced integer entries, some large; the residue of the exact integer
+    # determinant, and the same value as the exact kernel over F_p
+    p = field.p
+    rng = random.Random(f"mod-square/{p}")
+    for _ in range(100):
+        size = rng.randint(1, 6)
+        bound = rng.choice((9, p, 10 ** 12))
+        rows = _degenerate([[rng.randint(-bound, bound) for _ in range(size)]
+                            for _ in range(size)], rng, 0, size)
+        got = bordered_dets(rows[:-1], [rows[-1]], p)
+        assert got == [brute_det(rows) % p]
+        assert got == _exact_mod_p(field, rows[:-1], [rows[-1]])
+
+
+@pytest.mark.parametrize("field", MOD_FIELDS, ids=["F101", "F1000003"])
+def test_modular_bordered_dets_on_singular_mod_p_matrices(field):
+    # a multiple of p added to one entry of a row copied from another: the
+    # integer determinant is p times a cofactor, nonzero, and its residue 0
+    p = field.p
+    rng = random.Random(f"mod-singular/{p}")
+    seen = 0
+    for _ in range(60):
+        size = rng.randint(2, 6)
+        rows = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
+        i, j = rng.sample(range(size), 2)
+        rows[j] = list(rows[i])
+        rows[j][rng.randrange(size)] += p * rng.choice((1, -1, 2))
+        exact = brute_det(rows)
+        seen += exact != 0
+        assert exact % p == 0
+        assert bordered_dets(rows[:-1], [rows[-1]], p) == [0]
+        assert bordered_dets(rows[:-1], [rows[-1]]) == [exact]
+    assert seen > 30
+
+
+@pytest.mark.parametrize("field", MOD_FIELDS, ids=["F101", "F1000003"])
+def test_modular_bordered_dets_on_tall_blocks(field):
+    # rows that depend on earlier ones are dropped mod p as over Z; where the
+    # kept rows stay independent mod p the residues are the exact integer
+    # kernel's, reduced
+    p = field.p
+    rng = random.Random(f"mod-tall/{p}")
+    compared = 0
+    for _ in range(80):
+        data, borders, kept = _tall_instance(_Integers, rng)
+        r = len(borders[0]) - 1
+        got = bordered_dets(iter(data), borders, p)
+        assert got == _exact_mod_p(field, data, borders)
+        if len(kept) == r and _independent_mod_p(kept, p):
+            assert got == [d % p for d in bordered_dets(data, borders)]
+            compared += 1
+        if len(kept) < r:
+            assert got == [0] * len(borders)
+    assert compared > 30
+
+
+@pytest.mark.parametrize("field", MOD_FIELDS, ids=["F101", "F1000003"])
+def test_modular_bordered_dets_unit_borders_span_the_nullspace(field):
+    p = field.p
+    rng = random.Random(f"mod-unit/{p}")
+    for _ in range(40):
+        data, borders, kept = _tall_instance(_Integers, rng)
+        r = len(borders[0]) - 1
+        if len(kept) < r:
+            continue
+        data = data[:data.index(kept[-1]) + 1]
+        units = [[int(i == j) for i in range(r + 1)] for j in range(r + 1)]
+        v = bordered_dets(data, units, p)
+        assert v == _exact_mod_p(field, data, units)
+        assert all(0 <= x < p for x in v)
+        for row in data:
+            assert sum(a * b for a, b in zip(row, v)) % p == 0
+        if _independent_mod_p(kept, p):
+            assert any(v)
+            assert v == [x % p for x in bordered_dets(data, units)]

@@ -16,9 +16,9 @@ from ratrecon.hankel import (
     pade_reconstruct,
     series_of_ratfun,
 )
-from ratrecon.matrix import det_exact
+from ratrecon.matrix import bordered_dets, det_exact
 from ratrecon.poly import Poly1, _strip
-from ratrecon.ratfun import eea_rows, normalize_ratfun1
+from ratrecon.ratfun import RatFun1, eea_rows, normalize_ratfun1
 
 
 def q(n, d=1):
@@ -306,11 +306,11 @@ def test_scan_and_certificate_match_eager_reference(field):
 def test_refusal_computes_one_determinant_per_m(field, monkeypatch):
     calls = []
 
-    def counting_det(mat, f):
-        calls.append(mat)
-        return det_exact(mat, f)
+    def counting_dets(data, borders, modulus=None):
+        calls.append(data)
+        return bordered_dets(data, borders, modulus)
 
-    monkeypatch.setattr(hankel, "det_exact", counting_det)
+    monkeypatch.setattr(hankel, "bordered_dets", counting_dets)
     s = SeriesPrefix(field, [field.from_int(3 * 2 ** k * math.factorial(k))
                              for k in range(31)])
     cert = certify_rationality(s, 8, 10)
@@ -374,7 +374,7 @@ def test_l_min_matches_the_top_down_reference(field):
         s = SeriesPrefix(field, nonnormal_prefix(field, rng, kind, n_terms))
         m_top = s.n_max // 2
         zero_tails = hankel._zero_tails(s, m_top)
-        ints, p, _ = zero_tails
+        ints, _, p, _ = zero_tails
         for r, t in eea_rows([0] * n_terms + [1], _strip(list(ints)), p):
             rows_seen["r = 0"] += not r
             rows_seen["t(0) = 0"] += t[0] == 0
@@ -393,17 +393,90 @@ def test_witness_at_m0_computes_one_determinant_per_smaller_m(field, monkeypatch
     # every determinant zero, so none is computed
     calls = []
 
-    def counting_det(mat, f):
-        det = det_exact(mat, f)
-        calls.append((len(mat) - 1, det))
-        return det
+    def counting_dets(data, borders, modulus=None):
+        dets = bordered_dets(data, borders, modulus)
+        calls.append((len(data), dets[0]))
+        return dets
 
     num = Poly1.from_ints(field, [2, -1, 3, 5])
     den = Poly1.from_ints(field, [1, 4, -2, 0, 1, 3, -1, 2, 0, 1, 7])
     f = normalize_ratfun1(num, den)
     s = series_of_ratfun(f, 8 + 2 * 12 + 4)
-    monkeypatch.setattr(hankel, "det_exact", counting_det)
+    monkeypatch.setattr(hankel, "bordered_dets", counting_dets)
     cert = certify_rationality(s, 8, 12)
     assert (cert.verdict, cert.l, cert.m, cert.witness) == ("RationalWitness", 0, 10, f)
     assert [m for m, _ in calls] == list(range(10))
     assert all(det for _, det in calls)
+
+
+P = hankel.WORD_PRIME
+
+
+@pytest.mark.parametrize("coeffs,m,det", [
+    ((1, 2, 3, 4, P), 0, P),            # H(4, 0) = (P)
+    ((1, 2, 1, 1, P + 1), 1, P),        # H(2, 1) = [[1, 1], [1, P + 1]]
+    ((1, 2, 1, 0, 2 * P), 1, 2 * P),    # H(2, 1) = [[1, 0], [0, 2P]]
+])
+def test_q_zero_residue_takes_the_exact_determinant(coeffs, m, det, monkeypatch):
+    # the first scanned determinant is a nonzero multiple of the word prime:
+    # its residue is 0, so only the exact determinant may decide, and it does
+    calls = []
+
+    def counting_dets(data, borders, modulus=None):
+        dets = bordered_dets(data, borders, modulus)
+        calls.append((modulus, dets[0]))
+        return dets
+
+    s = qs(*coeffs)
+    monkeypatch.setattr(hankel, "bordered_dets", counting_dets)
+    got = hankel._l_min(s, m)
+    assert calls == [(P, 0), (None, det)]
+    monkeypatch.undo()
+    assert got == reference_l_min(s, m) == s.n_max - 2 * m + 1
+    for l_max, m_max in ((0, 0), (4, 0), (2, 1), (0, 2)):
+        got = json.dumps(certify_rationality(s, l_max, m_max).to_json(), sort_keys=True)
+        want = json.dumps(eager_certify_rationality(s, l_max, m_max).to_json(),
+                          sort_keys=True)
+        assert got == want
+
+
+def reference_matches_prefix(f, s):
+    """The witness check before it ran on integers: the exact re-expansion of
+    f on the field elements equals the whole prefix."""
+    try:
+        return series_of_ratfun(f, s.n_max).coeffs == s.coeffs
+    except PoleAtOrigin:
+        return False
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(1000003)])
+def test_matches_prefix_is_the_re_expansion_check(field):
+    # pairs P/Q, not always coprime and Q(0) sometimes 0, against prefixes
+    # that are their series, that series with one coefficient moved, or
+    # unrelated; P/Q and t*P/(t*Q) have the same series but only the first
+    # has Q(0) != 0
+    rng = random.Random(f"matches/{field.descriptor()}")
+    t = Poly1(field, [field.zero, field.one])
+    seen = {True: 0, False: 0}
+    for case in range(150):
+        num = Poly1(field, [random_element(field, rng, 9) for _ in range(rng.randint(0, 5))])
+        den = Poly1(field, [random_element(field, rng, 9) for _ in range(rng.randint(1, 5))])
+        if den.is_zero():
+            continue
+        n_terms = rng.randint(1, 20)
+        q0 = den.eval(field.zero) != field.zero
+        if q0 and case % 3:
+            coeffs = series_of_ratfun(RatFun1(num, den), n_terms - 1).coeffs
+            if case % 3 == 2:
+                k = rng.randrange(n_terms)
+                coeffs[k] = coeffs[k] + field.one
+        else:
+            coeffs = [random_element(field, rng, 9) for _ in range(n_terms)]
+        s = SeriesPrefix(field, coeffs)
+        for f in (RatFun1(num, den), RatFun1(num * t, den * t)):
+            want = reference_matches_prefix(f, s)
+            assert hankel._matches_prefix(f, s) == want, (num, den, coeffs)
+            zero_tails = hankel._zero_tails(s, s.n_max // 2)
+            assert hankel._matches_prefix(f, s, zero_tails) == want
+            seen[want] += 1
+    assert min(seen.values()) > 30, seen

@@ -2,6 +2,8 @@ import importlib
 import itertools
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -562,6 +564,59 @@ def test_packed_gcd_widens_when_the_prs_outgrows_the_inputs(field, monkeypatch):
     assert len(widths) == 2 and widths[1] > widths[0]
     want = normalize_ratfunn(a, b)
     assert (got.num, got.den) == (want.num, want.den)
+
+
+def _monomial(field, nvars, rng, deg):
+    return _pn(field, nvars, {tuple(rng.randint(0, deg) for _ in range(nvars)): 1})
+
+
+@pytest.mark.parametrize("field", CROSS_FIELDS, ids=["Q", "F101", "F1000003"])
+def test_gcd_with_planted_monomial_factors_matches_sympy(field):
+    # f = a*h*u and g = b*h*v: h shared, u and v monomials that share their
+    # componentwise minimum; the gcd divides both monomial contents out first
+    rng = random.Random(f"monomial/{field.descriptor()}")
+    for _ in range(30):
+        nvars = rng.choice((2, 3, 4))
+        a, b = (_rand_sparse_polyn(field, rng, nvars, rng.randint(1, 3), 3)
+                for _ in range(2))
+        h = _rand_sparse_polyn(field, rng, nvars, rng.randint(1, 2), 2)
+        f = a * h * _monomial(field, nvars, rng, 4)
+        g = b * h * _monomial(field, nvars, rng, 4)
+        xs = sp.symbols(f"x1:{nvars + 1}")
+        mine = gcd_polyn(f, g)
+        theirs = sp.gcd(_to_sympy(f, xs), _to_sympy(g, xs))
+        assert _to_sympy(mine, xs).monic() == theirs.to_field().monic()
+        assert mine.lex_leading()[1] == field.one
+        got = normalize_ratfunn(f, g)
+        assert _is_canonical(got)
+        assert (_to_sympy(got.num, xs) * _to_sympy(g, xs)
+                == _to_sympy(got.den, xs) * _to_sympy(f, xs))
+
+
+# three terms a side over F_1000003 whose gcd is the monomial x1*x2*x3: the
+# primitive PRS on them ran for about a minute before the monomial contents
+# were divided out first
+MONOMIAL_GCD_SCRIPT = """
+from ratrecon.fields import PrimeField
+from ratrecon.poly import PolyN, gcd_polyn
+from ratrecon.ratfun import normalize_ratfunn
+F = PrimeField(1000003)
+def pn(terms):
+    return PolyN(F, 3, {e: F.from_int(c) for e, c in terms.items()})
+num = pn({(2, 8, 1): 734860, (8, 5, 3): 489882, (6, 7, 8): 644172})
+den = pn({(8, 1, 4): 466175, (2, 6, 8): 389631, (1, 8, 3): 793369})
+assert gcd_polyn(num, den) == pn({(1, 1, 1): 1})
+f = normalize_ratfunn(num, den)
+assert f.num * den == f.den * num
+print("ok")
+"""
+
+
+def test_gcd_of_a_shared_monomial_finishes_quickly():
+    proc = subprocess.run([sys.executable, "-c", MONOMIAL_GCD_SCRIPT],
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
 
 
 # ---------------------------------------------------------------------------

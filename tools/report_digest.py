@@ -11,6 +11,9 @@ for `reconstruct` also the sha256 of the report without `class_histogram`
 and `classify_failures` and that of the report without `nodes` and with
 only the root's anchors, whether the benchmark's exact check accepts it,
 and the oracle calls.
+After the instances come two lines for the `hankel` command on the wide
+inputs of `tests/test_cli.py` (201 random integers, resp. fractions, with
+--lmax 20 --mmax 90): the sha256 of its stdout and its exit code.
 Run it in two checkouts and `diff` the outputs: identical output means the
 same answers and the same oracle query counts.  The second digest of a
 `reconstruct` line stays put when only the classification fields move, the
@@ -23,7 +26,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
+import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
@@ -52,6 +58,28 @@ def answer_texts(inst, answer) -> list:
     return [inst.render(answer)]
 
 
+# the 201-term inputs of the wide-bound `hankel` tests in tests/test_cli.py
+WIDE_SERIES = {
+    "ints": (13, lambda rng: str(rng.randint(-9, 9))),
+    "fractions": (14, lambda rng: f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}"),
+}
+
+
+def wide_hankel_lines():
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (seed, coeff) in WIDE_SERIES.items():
+            rng = random.Random(seed)
+            path = f"{name}.json"       # relative: stdout names the path
+            with open(os.path.join(tmp, path), "w") as f:
+                json.dump({"field": "q", "coeffs": [coeff(rng) for _ in range(201)]}, f)
+            proc = subprocess.run(
+                [sys.executable, "-m", "ratrecon.cli", "hankel", "--series", path,
+                 "--lmax", "20", "--mmax", "90"], capture_output=True, cwd=tmp, env=env)
+            yield (f"hankel_wide {name} {hashlib.sha256(proc.stdout).hexdigest()} "
+                   f"exit {proc.returncode}")
+
+
 def main() -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         seconds = json.load(f)["run_seconds"]
@@ -70,6 +98,8 @@ def main() -> int:
                                    for t in answer_texts(inst, answer))
                 print(f"{name} {seed} {i} {digests} {'ok' if ok else 'FAIL'} "
                       f"{inst.oracle.calls}", flush=True)
+    for line in wide_hankel_lines():
+        print(line, flush=True)
     return 0
 
 
