@@ -13,17 +13,12 @@ check in which no point was defined on both sides.
 A slice's (n, m) can only fall below its node's generic class, and only on
 a Zariski-closed set, so the generic class is the componentwise maximum
 over the slices.  `classify_slices` stops once a few slices in a row leave
-that maximum unchanged, unless a slice failed.  Every node on one recursion
-level peels the same variable, and off a Zariski-closed set of anchor
-values it has the same generic class.  So the first node of a level sets
-the level's class, and a later node detects the first slice of its own
-classification stream that is not dead and takes the level's class if that
-slice has it; otherwise it classifies on the same stream, exactly as the
-first node did.  A class that is too low shows at the node itself: its
-combine fails (`ZeroDenominator`) or its verification does.  Such a node,
-unless it drew every slice, then classifies all `samples_per_class` slices
-of its stream and repeats itself with their maximum (a first node updates
-the level's class); if that is the class that failed, the original error
+that maximum unchanged, unless a slice failed.  Every node that recurses
+classifies the slices of its own restriction this way.  A class that is
+too low shows at the node itself: its combine fails (`ZeroDenominator`) or
+its verification does.  Such a node, unless it drew every slice, then
+classifies all `samples_per_class` slices of its stream and repeats itself
+with their maximum; if that is the class that failed, the original error
 stands.
 
 Only the first child of a node recurses.  Each later child of arity 2 or
@@ -39,8 +34,8 @@ siblings are solved, and only the fallbacks recurse further.
 
 Each node returns a `NodeRecord`: its result, its verification tally, its
 own slice classes, the anchors of its subtree per level, merged from the
-children that recursed in child order, and its subtree's node counts.  The
-level-class map is the only state the nodes share.
+children that recursed in child order, and its subtree's node counts.
+Nodes share no state.
 
 A node's oracle holds the user's function and the anchors fixed above it,
 so a query at any depth is one `SliceOracle.eval` call into the user's
@@ -85,8 +80,8 @@ MAX_CLASSIFY_FAILURE_RATE = 0.20
 # A node's classification stops once this many detected slices in a row
 # leave the maximal class unchanged.
 STABLE_SLICES = 2
-# The recursion tree has prod(l_k + 1) leaves over its levels k; a larger
-# tree is refused as soon as a level's class shows it (BudgetExhausted).
+# The recursion tree has prod(l_k + 1) leaves over its levels k; a node
+# whose class and its ancestors' show a larger one raises BudgetExhausted.
 MAX_LEAVES = 1024
 # A sparse solve draws at most this many points per row it needs, the
 # template's unknowns plus the check rows, and falls back when they run out.
@@ -217,7 +212,6 @@ def maximal_class(hist) -> tuple:
 
 
 def classify_slices(oracle: SliceOracle, axis: int, cfg: ReconConfig, rng,
-                    expect: Optional[tuple] = None,
                     full: bool = False) -> ClassifyResult:
     """Profile random slices along `axis`, at most `samples_per_class`.  A
     slice cannot exceed its node's generic class, so the node's class is
@@ -233,10 +227,7 @@ def classify_slices(oracle: SliceOracle, axis: int, cfg: ReconConfig, rng,
     dead is never queried again.  At most `samples_per_class` redraws are
     made, and drawing a known-dead tuple spends one; after that a dead
     slice is a failure.  Every other failed detection is a failure at once.
-    More than 20% of `samples_per_class` failures refuse.  With
-    `expect`, a (d, e) class, stop after the first slice that is not dead
-    if it has that class (`total` is then 1); otherwise go on along the
-    same stream, to the same result as without `expect`."""
+    More than 20% of `samples_per_class` failures refuse."""
     if oracle.arity < 2:
         raise ValueError("classification needs arity >= 2")
     hist: Counter = Counter()
@@ -273,9 +264,6 @@ def classify_slices(oracle: SliceOracle, axis: int, cfg: ReconConfig, rng,
                 failures += 1
                 break
             redraws -= 1
-        if i == 0 and expect is not None and hist[expect] == 1:
-            return ClassifyResult(hist, 0, 1, expect,
-                                  cfg.samples_per_class - redraws)
         i += 1
     if failures > MAX_CLASSIFY_FAILURE_RATE * cfg.samples_per_class:
         raise TooManyFailures(
@@ -413,16 +401,16 @@ def reconstruct(oracle: SliceOracle, cfg: ReconConfig) -> ReconReport:
     """Full reconstruction with verification; see module docstring.  The
     report carries the root node's classes and verification tallies."""
     cfg.check_field(oracle.field)
-    root = _reconstruct_level(oracle, cfg, (), {})
+    root = _reconstruct_level(oracle, cfg, (), 1)
     return ReconReport(root.result, oracle.arity, oracle.field,
                        dict(root.histogram), root.failures, root.anchors,
                        root.verification, cfg, root.nodes)
 
 
 def _reconstruct_level(oracle: SliceOracle, cfg: ReconConfig, path: tuple,
-                       classes: dict) -> NodeRecord:
-    """The node at `path`.  `classes` maps each recursion level to the
-    class its first node found."""
+                       leaves: int) -> NodeRecord:
+    """The node at `path`.  `leaves` is the product of l + 1 over the
+    classes of its ancestors."""
     field = oracle.field
     if oracle.arity == 1:
         rng = derive_rng(cfg.seed, "fit", *path)
@@ -433,29 +421,25 @@ def _reconstruct_level(oracle: SliceOracle, cfg: ReconConfig, path: tuple,
                           Counter({(prof.d, prof.e): 1}), 0, Counter(recursed=1))
 
     axis = oracle.arity - 1
-    level = len(path)
-    first = level not in classes        # this node sets the level's class
 
-    def classify(expect=None, full=False):
+    def classify(full=False):
         return classify_slices(oracle, axis, cfg,
-                               derive_rng(cfg.seed, "classify", *path), expect, full)
+                               derive_rng(cfg.seed, "classify", *path), full)
 
-    cls = classify(None if first else classes[level])
+    cls = classify()
     while True:
-        if first:
-            classes[level] = cls.de
-        leaves = math.prod(DegreeProfile.from_de(*de).l + 1 for de in classes.values())
-        if leaves > MAX_LEAVES:
-            raise BudgetExhausted(
-                f"the recursion tree would have at least {leaves} leaves, "
-                f"more than {MAX_LEAVES}")
         profile = DegreeProfile.from_de(*cls.de)
+        tree = leaves * (profile.l + 1)
+        if tree > MAX_LEAVES:
+            raise BudgetExhausted(
+                f"the recursion tree would have at least {tree} leaves, "
+                f"more than {MAX_LEAVES}")
         anchors = choose_anchors(oracle, axis, profile, cfg,
                                  derive_rng(cfg.seed, "anchors", *path))
         first_child = _reconstruct_level(oracle._restrict(anchors[0]), cfg,
-                                         path + (0,), classes)
+                                         path + (0,), tree)
         children = [first_child] + [
-            _sibling(oracle._restrict(b), first_child.result, cfg, path + (i,), classes)
+            _sibling(oracle._restrict(b), first_child.result, cfg, path + (i,), tree)
             for i, b in enumerate(anchors[1:], 1)]
         try:
             result = _combine([c.result for c in children], anchors, profile,
@@ -487,12 +471,12 @@ def _reconstruct_level(oracle: SliceOracle, cfg: ReconConfig, path: tuple,
 
 
 def _sibling(oracle: SliceOracle, template: RatFunN, cfg: ReconConfig,
-             path: tuple, classes: dict) -> NodeRecord:
+             path: tuple, leaves: int) -> NodeRecord:
     """A later child at `path`: solved on the support of its first sibling's
     result `template` and verified as every node is, or, when either fails,
     the node `_reconstruct_level` builds.  A leaf is always fitted."""
     if oracle.arity == 1:
-        return _reconstruct_level(oracle, cfg, path, classes)
+        return _reconstruct_level(oracle, cfg, path, leaves)
     result = _solve_on_support(oracle, template, cfg, path)
     if result is not None:
         try:
@@ -502,7 +486,7 @@ def _sibling(oracle: SliceOracle, template: RatFunN, cfg: ReconConfig,
         else:
             return NodeRecord(result, [], verification, Counter(), 0,
                               Counter(sparse=1))
-    node = _reconstruct_level(oracle, cfg, path, classes)
+    node = _reconstruct_level(oracle, cfg, path, leaves)
     node.nodes["fallbacks"] += 1
     return node
 

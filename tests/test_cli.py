@@ -495,6 +495,29 @@ def test_reconstruct_replays_a_record_written_by_0_5_0(capsys):
     assert report["nodes"] == {"recursed": 9, "sparse": 0, "fallbacks": 1}
 
 
+def test_reconstruct_replays_a_record_written_by_0_6_0(tmp_path, capsys):
+    # written by version 0.6.0 from the input of the 0.5.0 file: its one
+    # later sibling of arity 2 is solved on its first sibling's support and
+    # none falls back, so every node that classifies is the first of its
+    # level, as in 0.6.0.  The replay gives 0.6.0's answer, and a run of
+    # the expression asks for exactly the recorded points.
+    record = pathlib.Path(__file__).parent / "data" / "record-0.6.0-fp101-arity3.json"
+    args = ("--arity", "3", "--field", "fp:101", "--seed", "9")
+    code, out, _ = run_cli(capsys, "reconstruct", "--oracle-replay", str(record), *args)
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["result"] == "(x1*x2 + 3*x3)/(x1 - x2 + 4)"
+    assert report["anchors"] == [["56", "13"], ["84", "34", "28"]]
+    assert report["verification"] == {"trials": 200, "agreements": 195,
+                                      "undefined_skips": 5}
+    assert report["nodes"] == {"recursed": 5, "sparse": 1, "fallbacks": 0}
+    again = tmp_path / "record.json"
+    code, _, _ = run_cli(capsys, "reconstruct", "--expr", "(x1*x2 + 3*x3)/(x1 - x2 + 4)",
+                         *args, "--record", str(again))
+    assert code == 0
+    assert json.loads(again.read_text()) == json.loads(record.read_text())
+
+
 def write_replay(path, points, field="q", arity=2):
     path.write_text(json.dumps({
         "arity": arity, "field": field,
@@ -769,7 +792,7 @@ def test_every_library_error_has_a_documented_exit_code(tmp_path, capsys, monkey
 
 
 # sha256 of stdout for small inputs of each command, recorded with version
-# 0.6.0: the "byte-identical stdout for a given version and seed" contract,
+# 0.7.0: the "byte-identical stdout for a given version and seed" contract,
 # checked across commits.  A version bump changes the manifest and re-records
 # every value.
 STDOUT_DIGESTS = {
@@ -800,24 +823,24 @@ for _name in ("reconstruct-q-h1", "reconstruct-q-h3", "reconstruct-q-h1000",
               "reconstruct-fp101"):
     STDOUT_DIGESTS[f"{_name}-record"] = STDOUT_DIGESTS[_name] + ("--record", "record.json")
 STDOUT_SHA256 = {
-    "hankel": "a06e552b8732239a51221a68861713b76ad6b34e1bf1bf835352f04bf267fc08",
-    "interp-fit": "0ecdc94c6714aedcfecb35f02d8738a7912df83c236140604873e4070123a7d8",
-    "reconstruct-fp-2": "ceb24ea6290ec1275a27f551525ad5d739dbe9351374723c311b1b4ff7a94910",
-    "reconstruct-fp-3": "2c13a75f8a9ccd1a8d2946366b009d02646c7e491f2f508550f9384ab0229f0f",
-    "reconstruct-q-2": "4a8556f479d816eadaf75dab57ac1a6f7f12cb9cd7f831e1473f56512f41997e",
-    "reconstruct-q-3": "b62c655d67bc8de875e80496fb73d6892604e8da1f230577e0297ecf358d08a8",
+    "hankel": "03a8ffd1364cdd4a0ffde2c8169cfb0226bf453eca970966479e0cde89ceda00",
+    "interp-fit": "d4a8535bfb2232ce8634d1d7ff47eaa9a2eba7985d4db7bc1d24ca6de1f7785d",
+    "reconstruct-fp-2": "18a491c89c2118a11cd018b535b881f0ac3fb82cff9635e06fecf5589a862558",
+    "reconstruct-fp-3": "672b302b300fd8fc6b0caaeb8ccdb5af43d0657f05bde9c9d337374b77f62e9d",
+    "reconstruct-q-2": "6c139ca95692e27430ea1fd36e29a97282969fc7aaf96e229f08dccc3917be75",
+    "reconstruct-q-3": "02916363e3cb6d6d5928f0e330581ff5cfc4859a21cd4cc919fcb9c9ae134a5f",
     "reconstruct-q-h1": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "reconstruct-q-h1-record":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "reconstruct-q-h3": "eca4dbb7d54e6e2a68433559fcd48245436b552b2459f9cedbcfdf9e30b357e5",
+    "reconstruct-q-h3": "c3d47ed79c43d2f9162bba2521d4b921598a49cd63b913a66e7107a07f3d83c2",
     "reconstruct-q-h3-record":
-        "eca4dbb7d54e6e2a68433559fcd48245436b552b2459f9cedbcfdf9e30b357e5",
-    "reconstruct-q-h1000": "6b05646d6fe44f06403576d29fc99dbd3af07fe5c0b63a8d9971fcab98253705",
+        "c3d47ed79c43d2f9162bba2521d4b921598a49cd63b913a66e7107a07f3d83c2",
+    "reconstruct-q-h1000": "5280412bf19c8670bf80a3d150dc326ace0b9930c0fe64f82fc6f630b0cedc91",
     "reconstruct-q-h1000-record":
-        "6b05646d6fe44f06403576d29fc99dbd3af07fe5c0b63a8d9971fcab98253705",
-    "reconstruct-fp101": "4e2d701465d4b3c0cbd412c3f7244c63262c5d162c19a6104a3bc2d89ae9f8ed",
+        "5280412bf19c8670bf80a3d150dc326ace0b9930c0fe64f82fc6f630b0cedc91",
+    "reconstruct-fp101": "8f48cd4ca66cecfa8635fc4b7b032c51728658b7c6777bcb6191a58858a0d8ed",
     "reconstruct-fp101-record":
-        "4e2d701465d4b3c0cbd412c3f7244c63262c5d162c19a6104a3bc2d89ae9f8ed",
+        "8f48cd4ca66cecfa8635fc4b7b032c51728658b7c6777bcb6191a58858a0d8ed",
 }
 # the --record files; at height 1 Q offers three values, fewer than even a
 # constant's detection needs, so the run is refused before any query (exit

@@ -189,16 +189,6 @@ def test_classify_dead_slices_beyond_redraws_are_failures():
     assert Counter(x for x in log if x in dead) == {x: 101 for x in found}
 
 
-def test_classify_expect_skips_dead_first_slice():
-    dead = set(range(90))
-    log = []
-    cls = classify_slices(dead_row_oracle(dead, log), 1,
-                          ReconConfig(samples_per_class=20, seed=13),
-                          derive_rng(13, "t"), expect=(1, 1))
-    assert log[0] in dead
-    assert (cls.histogram, cls.failures, cls.total) == ({(1, 1): 1}, 0, 1)
-
-
 def test_classify_budget_failure_is_not_redrawn(monkeypatch):
     # a slice that is defined but not rational within the budget counts
     # as a failure at once: exactly samples_per_class detections run

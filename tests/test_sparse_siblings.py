@@ -45,10 +45,10 @@ def full_recursion(oracle, cfg, monkeypatch):
         found = {}
         level = engine._reconstruct_level
 
-        def spy(oracle, cfg, path, classes):
+        def spy(oracle, cfg, path, leaves):
             for q in [q for q in found if q[:len(path)] == path]:
                 del found[q]
-            node = level(oracle, cfg, path, classes)
+            node = level(oracle, cfg, path, leaves)
             found[path] = node.anchors[0] if node.anchors else []
             return node
 
@@ -251,13 +251,13 @@ def test_every_returned_node_passed_its_own_verification(monkeypatch):
         assert (trials, height_bound) == (cfg.verify_trials, cfg.height_bound)
         return agreement(oracle, g, trials, rng_, height_bound)
 
-    def level_spy(oracle, cfg_, path, classes):
-        node = level(oracle, cfg_, path, classes)
+    def level_spy(oracle, cfg_, path, leaves):
+        node = level(oracle, cfg_, path, leaves)
         returned.append((path, node))
         return node
 
-    def sibling_spy(oracle, template, cfg_, path, classes):
-        node = sibling(oracle, template, cfg_, path, classes)
+    def sibling_spy(oracle, template, cfg_, path, leaves):
+        node = sibling(oracle, template, cfg_, path, leaves)
         returned.append((path, node))
         return node
 
