@@ -9,10 +9,9 @@ each with its border row last:
     denominator-style det = (-1)^(n*m)     det[data; 0..0, y^0..y^m]
 
 With den_i = 1 and num_i = f(a_i) these are the pointwise interpolation
-determinants; with polynomial entries (packed integer polynomials, see
-`poly._Packed`) they are the reconstruction determinants used by the
-multivariate engine.  Both build their rows here, from per-row anchor
-powers, so each caller can scale its rows to integers.  `alpha_beta` does:
+determinants; with `PolyN` entries, the reconstruction determinants of a
+multivariate function over K[x'].  The rows are built here, from per-row
+anchor powers, so each caller can scale its rows to integers.  `alpha_beta` does:
 over F_p residues, eliminated mod p; over Q each row times the
 denominators of its point and value, so Bareiss runs on plain integers
 with `//` and the two determinants are divided by the product of the
@@ -139,7 +138,7 @@ def paired_determinants(dens, nums, apowers, n: int, m: int, powers, modulus=Non
     factor per row (each determinant is then multiplied by the product of
     the factors); powers: the powers y^0, y^1, ... of the evaluation object,
     at least max(n, m) + 1 of them (the border rows carry the first n+1
-    resp. m+1).  Entries are ints, field elements or `poly._Packed`; an
+    resp. m+1).  Entries are ints, field elements or `PolyN`s; an
     entry times an element of its row's apowers must be an entry.  Returns
     (numerator_det, denominator_det) exactly as the bordered matrices
     define them; with a prime `modulus` (int entries) both are taken mod it.

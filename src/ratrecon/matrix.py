@@ -7,9 +7,8 @@ come from a taller system: rows that depend on the rows before them are
 dropped, so with unit rows as borders the kernel returns a vector spanning
 the nullspace of a rank-r system (the scale system of the multivariate
 combine).  Its divisions are exact, so the same code runs over any integral
-domain whose `/` is exact division: on plain integers (with `//`), on field
-elements (resultants, `delta_det`), and on the packed integer polynomials
-(`poly._Packed`) of the combine's fallback.
+domain whose `/` is exact division: on plain integers (with `//`) and on
+field elements (resultants, `delta_det`).
 
 With a prime modulus the same loop runs on integer rows mod p: each pivot
 row is divided by its pivot, one inverse per pivot, and the product of the

@@ -8,9 +8,8 @@ no operation mutates its arguments.
 The integer forms beside them carry the arithmetic: univariate coefficient
 lists (the reconstruction and gcd kernels), and `_Packed`, a multivariate
 polynomial on packed exponents and int coefficients, the one multivariate
-arithmetic that multiplies, divides and cancels: `PolyN` `*` and `/`, the
-symbolic determinant of the combine's fallback and the cancellation of
-`ratfun.normalize_ratfunn` all run on it.  A PolyN is evaluated only as
+arithmetic that multiplies, divides and cancels: `PolyN` `*` and `/` and
+the cancellation of `ratfun.normalize_ratfunn` run on it.  A PolyN is evaluated only as
 part of a `ratfun.RatFunN`, whose program `expr._compile` builds from
 `PolyN.int_form`.
 """
@@ -435,10 +434,6 @@ class _PackedRing:
         return _Packed(self, {sum((e >> s & mask) << t for s, t in pairs): c
                               for e, c in f.terms.items()})
 
-    def monomial(self, var: int, k: int) -> "_Packed":
-        """x_var^k."""
-        return _Packed(self, {k << self.shifts[var]: 1})
-
     def unpack(self, f: "_Packed", den: int = 1) -> PolyN:
         """The PolyN f / den; den is nonzero (mod p over F_p)."""
         field, shifts = self.field, self.shifts
@@ -465,8 +460,8 @@ def _ring_for(*polys: PolyN) -> _PackedRing:
 class _Packed:
     """A polynomial as a dict from packed exponent to nonzero int
     coefficient: residues mod p over F_p, integers over Q (an element of
-    Z[x]).  It has what `matrix.bordered_dets` uses: `*` (also by an int),
-    `-`, unary `-`, exact `/` and equality."""
+    Z[x]).  It has what `PolyN` arithmetic and the gcd use: `*` (also by an
+    int), `-` and exact `/`."""
 
     __slots__ = ("ring", "terms")
 
@@ -477,14 +472,6 @@ class _Packed:
             self.terms = {e: c for e, c in terms.items() if c}
         else:
             self.terms = {e: r for e, c in terms.items() if (r := c % p)}
-
-    def __eq__(self, other):
-        if not isinstance(other, _Packed):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __neg__(self):
-        return _Packed(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         out = dict(self.terms)

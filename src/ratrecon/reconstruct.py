@@ -5,7 +5,11 @@ generic (degree, order-at-infinity) class, picks anchor values where the
 oracle is widely defined, recursively reconstructs the function on each
 anchor hyperplane, and combines the results by solving for one scale factor
 per child: a scalar kernel and coefficient-wise interpolation on integers,
-with no symbolic determinant and no gcd (see `_combine`).
+with no symbolic determinant and no gcd (see `_combine`).  An anchor on
+whose hyperplane the numerator and denominator share a factor breaks that
+system; the node then draws one more anchor from the same stream and
+combines the new child with each l of the others, and once more if none
+combine (the unlucky-point retry of Kaltofen & Trager, JSC 1990).
 Every reconstruction is verified against the oracle at random points;
 exact arithmetic means any disagreement at all is a failure, and so is a
 check in which no point was defined on both sides.
@@ -50,7 +54,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import combinations, islice, zip_longest
 from operator import mul
 from typing import Callable, Optional
 
@@ -62,15 +66,9 @@ from .errors import (
 )
 from .errors import BudgetExhausted, DomainTooSparse, ZeroDenominator
 from .fields import Field, FpElement, _draw_point, derive_rng, iter_height_box_sizes
-from .interp import (
-    DegreeProfile,
-    SamplingBudget,
-    detect_profile_with_fit,
-    interp_sign,
-    paired_determinants,
-)
+from .interp import DegreeProfile, SamplingBudget, detect_profile_with_fit
 from .matrix import bordered_dets
-from .poly import PolyN, _PackedRing, _ratio, _residue, field_prime, mul_ints
+from .poly import PolyN, _ratio, _residue, field_prime, mul_ints
 from .ratfun import RatFunN, format_ratfunn, normalize_ratfunn
 
 ANCHOR_PROBE_BATCH = 20
@@ -83,6 +81,9 @@ STABLE_SLICES = 2
 # The recursion tree has prod(l_k + 1) leaves over its levels k; a node
 # whose class and its ancestors' show a larger one raises BudgetExhausted.
 MAX_LEAVES = 1024
+# A node whose l+1 children do not combine draws up to this many more
+# anchors, one at a time (the unlucky-point retry, see `_reconstruct_level`).
+MAX_UNLUCKY_ANCHORS = 2
 # A sparse solve draws at most this many points per row it needs, the
 # template's unknowns plus the check rows, and falls back when they run out.
 SPARSE_DRAWS_PER_ROW = 2
@@ -273,16 +274,15 @@ def classify_slices(oracle: SliceOracle, axis: int, cfg: ReconConfig, rng,
                           cfg.samples_per_class - redraws)
 
 
-def choose_anchors(oracle: SliceOracle, axis: int, profile: DegreeProfile,
-                   cfg: ReconConfig, rng) -> list:
-    """l+1 distinct values along `axis` at which the oracle is defined for at
-    least 95% of a fresh random batch of fixed-tuples."""
-    anchors: list = []
+def choose_anchors(oracle: SliceOracle, axis: int, cfg: ReconConfig, rng):
+    """Distinct values along `axis`, in the order drawn, at each of which the
+    oracle is defined for at least 95% of a fresh random batch of
+    fixed-tuples.  A generator on one stream: a node takes the first l+1,
+    and more only to replace unlucky ones (see `_reconstruct_level`)."""
     taken: set = set()          # the anchors' ids
-    need = profile.l + 1
     min_defined = ANCHOR_MIN_DEFINED * ANCHOR_PROBE_BATCH
     draw = oracle.field._sampler(rng, cfg.height_bound)
-    while len(anchors) < need:
+    while True:
         for _ in range(MAX_ANCHOR_ATTEMPTS):
             key, b = draw()
             if key in taken:
@@ -294,14 +294,13 @@ def choose_anchors(oracle: SliceOracle, axis: int, profile: DegreeProfile,
                 if oracle.eval(point) is not None:
                     defined += 1
             if defined >= min_defined:
-                anchors.append(b)
                 taken.add(key)
+                yield b
                 break
         else:
             raise AnchorSearchFailed(
                 f"no usable anchor after {MAX_ANCHOR_ATTEMPTS} attempts "
-                f"(found {len(anchors)}/{need})")
-    return anchors
+                f"(found {len(taken)})")
 
 
 class Agreement(tuple):
@@ -434,16 +433,32 @@ def _reconstruct_level(oracle: SliceOracle, cfg: ReconConfig, path: tuple,
             raise BudgetExhausted(
                 f"the recursion tree would have at least {tree} leaves, "
                 f"more than {MAX_LEAVES}")
-        anchors = choose_anchors(oracle, axis, profile, cfg,
-                                 derive_rng(cfg.seed, "anchors", *path))
+        stream = choose_anchors(oracle, axis, cfg, derive_rng(cfg.seed, "anchors", *path))
+        anchors = list(islice(stream, profile.l + 1))
         first_child = _reconstruct_level(oracle._restrict(anchors[0]), cfg,
                                          path + (0,), tree)
         children = [first_child] + [
             _sibling(oracle._restrict(b), first_child.result, cfg, path + (i,), tree)
             for i, b in enumerate(anchors[1:], 1)]
+        result = _combine([c.result for c in children], anchors, profile,
+                          field, oracle.arity)
+        while result is None and len(anchors) <= profile.l + MAX_UNLUCKY_ANCHORS:
+            # an unlucky anchor: draw one more, and combine its child with
+            # each l of the others
+            new = len(anchors)
+            anchors.append(next(stream))
+            children.append(_sibling(oracle._restrict(anchors[new]), first_child.result,
+                                     cfg, path + (new,), tree))
+            for out in combinations(range(new), new - profile.l):
+                keep = [j for j in range(new + 1) if j not in out]
+                result = _combine([children[j].result for j in keep],
+                                  [anchors[j] for j in keep], profile, field, oracle.arity)
+                if result is not None:
+                    break
         try:
-            result = _combine([c.result for c in children], anchors, profile,
-                              field, oracle.arity)
+            if result is None:
+                raise ZeroDenominator(f"no {profile.l + 1} of the {len(anchors)} "
+                                      f"children at recursion path {path} combine")
             verification = _verify_node(oracle, result, cfg, path)
         except (ZeroDenominator, VerificationFailed) as failure:
             if cls.total == cfg.samples_per_class:
@@ -551,7 +566,7 @@ def _solve_on_support(oracle: SliceOracle, template: RatFunN, cfg: ReconConfig,
 
 
 def _combine(parts, anchors, profile: DegreeProfile, field: Field,
-             nvars: int) -> RatFunN:
+             nvars: int) -> Optional[RatFunN]:
     """Assemble the node's function from its per-anchor reconstructions by
     the scaling-factor system of de Kleine, Monagan & Wittkopf (ISSAC 2005).
 
@@ -572,28 +587,26 @@ def _combine(parts, anchors, profile: DegreeProfile, field: Field,
     its two parts' denominators and each anchor u/v with powers
     u^k v^(max(n,m)-1-k), which scales each column by a constant.
 
-    No gcd is needed: the children are coprime, and then a one-dimensional
-    kernel with every s_i nonzero gives a coprime result.  Let g divide
-    both sums.  At y = b_i the sums are s_i L_i(b_i) (N_i, D_i), so
-    g(x', b_i) divides a coprime pair times a nonzero constant: it is a
+    No gcd is needed: the canonical children are coprime, and then a
+    one-dimensional kernel with every s_i nonzero gives a coprime result.
+    Let g divide both sums.  At y = b_i the sums are s_i L_i(b_i) (N_i, D_i),
+    so g(x', b_i) divides a coprime pair times a nonzero constant: it is a
     nonzero constant c_i.  The part of g that depends on x' has degree
     <= l in y and vanishes at l+1 anchors, so g lies in K[y].  With the
     sums divided by g and multiplied by any h in K[y] of degree <= deg g,
     both sums keep their degree bounds and take the values h(b_i)/c_i
     times those at s, so s_i h(b_i)/c_i solves the system too; h = 1 and
-    h = y give two independent solutions unless deg g = 0.  Nor can the
-    determinant path of `_combine_by_dets` have a kernel of two dimensions
-    over K(x') then, so both paths return the same canonical function.
+    h = y give two independent solutions unless deg g = 0.
 
-    Duplicate anchors, a kernel of another dimension (a child where P and Q
-    share a factor, or a class that does not hold on the node), a zero s_i
-    or a sum above its degree take `_combine_by_dets`, which raises
-    `ZeroDenominator` where its denominator determinant vanishes."""
+    At an unlucky anchor, where P(x', b_i) and Q(x', b_i) share a factor,
+    the child is that pair divided by the factor, so no solution has
+    s_i != 0.  Such a kernel, a kernel of another dimension (or a class
+    that does not hold on the node), a sum above its degree and a zero
+    denominator (duplicate anchors) give None, and the node draws one more
+    anchor (`_reconstruct_level`)."""
     n, m, l = profile.n, profile.m, profile.l
     p = field_prime(field)
     ratios = [_ratio(b) if p is None else (_residue(b, p), 1) for b in anchors]
-    if len(set(ratios)) < len(ratios):
-        return _combine_by_dets(parts, anchors, profile, field, nvars)
     nums, dens = [], []
     for h in parts:
         lden, dterms, _ = h.den.int_form()
@@ -615,7 +628,7 @@ def _combine(parts, anchors, profile: DegreeProfile, field: Field,
     scales = bordered_dets(equations(), [[int(i == j) for i in range(l + 1)]
                                          for j in range(l + 1)], p)
     if 0 in scales:
-        return _combine_by_dets(parts, anchors, profile, field, nvars)
+        return None
     # basis_i times child i's integer parts is s_i L_i (N_i, D_i) up to one
     # common factor; over Q, v_j y - u_j stands for y - b_j
     basis = []
@@ -626,8 +639,8 @@ def _combine(parts, anchors, profile: DegreeProfile, field: Field,
                 f = mul_ints(f, [-u, v], p)
         basis.append(f)
     num, den = _interpolate(nums, basis, n, p), _interpolate(dens, basis, m, p)
-    if num is None or den is None:
-        return _combine_by_dets(parts, anchors, profile, field, nvars)
+    if num is None or not den:
+        return None
     lead = den[max(den)]
     if p is None:
         g = math.gcd(*num.values(), *den.values())
@@ -661,40 +674,6 @@ def _interpolate(fs, basis, bound: int, p):
             return None
         out.update(((*alpha, k), c) for k, c in enumerate(acc) if c)
     return out
-
-
-def _combine_by_dets(parts, anchors, profile: DegreeProfile, field: Field,
-                     nvars: int) -> RatFunN:
-    """The fallback of `_combine`: the paired interpolation determinants
-    over K[x'], normalized.
-
-    The determinants run on packed integer polynomials (`poly._Packed`),
-    and a `PolyN` is built only for the two results.  Over Q each data row
-    is made integral by a positive factor, the lcm of its denominators times
-    v^max(n, m) for its anchor u/v; both determinants share the product of
-    these factors, which normalization cancels, together with the factor
-    of x' alone that the determinants carry.  The packing width comes
-    from a degree bound no minor exceeds: per variable, the sum over rows of
-    each row's largest degree."""
-    n, m = profile.n, profile.m
-    top = max(n, m)
-    p = field_prime(field)
-    row_degs = [[max(a, b) for a, b in zip(h.den.int_form()[2], h.num.int_form()[2])]
-                for h in parts]
-    ring = _PackedRing(field, nvars, max([top] + [sum(col) for col in zip(*row_degs)]))
-    dens, nums, apowers = [], [], []
-    for h, b in zip(parts, anchors):
-        lden, lnum = h.den.int_form()[0], h.num.int_form()[0]
-        lcm = math.lcm(lden, lnum)
-        dens.append(ring.pack(h.den, lcm // lden))
-        nums.append(ring.pack(h.num, lcm // lnum))
-        u, v = _ratio(b) if p is None else (_residue(b, p), 1)
-        apowers.append([u ** j * v ** (top - j) for j in range(top + 1)])
-    powers = [ring.monomial(nvars - 1, j) for j in range(top + 1)]
-    phi, psi = paired_determinants(dens, nums, apowers, n, m, powers)
-    if interp_sign(n, m) < 0:
-        phi = -phi
-    return normalize_ratfunn(ring.unpack(phi), ring.unpack(psi))
 
 
 def _verify_node(oracle: SliceOracle, result: RatFunN, cfg: ReconConfig,

@@ -518,6 +518,28 @@ def test_reconstruct_replays_a_record_written_by_0_6_0(tmp_path, capsys):
     assert json.loads(again.read_text()) == json.loads(record.read_text())
 
 
+def test_reconstruct_replays_a_record_written_by_0_7_0(tmp_path, capsys):
+    # written by version 0.7.0; no node of the run took the combine's
+    # fallback, which 0.8.0 replaces by drawing one more anchor, so the
+    # replay gives 0.7.0's answer, and a run of the expression asks for
+    # exactly the recorded points
+    record = pathlib.Path(__file__).parent / "data" / "record-0.7.0-fp101-arity3.json"
+    args = ("--arity", "3", "--field", "fp:101", "--seed", "9")
+    code, out, _ = run_cli(capsys, "reconstruct", "--oracle-replay", str(record), *args)
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["result"] == "(x1*x2*x3 + 2)/(x1 + x2^2 - x3)"
+    assert report["anchors"] == [["40", "56", "13"], ["84", "34", "28", "99"]]
+    assert report["verification"] == {"trials": 200, "agreements": 198,
+                                      "undefined_skips": 2}
+    assert report["nodes"] == {"recursed": 6, "sparse": 2, "fallbacks": 0}
+    again = tmp_path / "record.json"
+    code, _, _ = run_cli(capsys, "reconstruct", "--expr", "(x1*x2*x3 + 2)/(x1 + x2^2 - x3)",
+                         *args, "--record", str(again))
+    assert code == 0
+    assert json.loads(again.read_text()) == json.loads(record.read_text())
+
+
 def write_replay(path, points, field="q", arity=2):
     path.write_text(json.dumps({
         "arity": arity, "field": field,
@@ -823,24 +845,24 @@ for _name in ("reconstruct-q-h1", "reconstruct-q-h3", "reconstruct-q-h1000",
               "reconstruct-fp101"):
     STDOUT_DIGESTS[f"{_name}-record"] = STDOUT_DIGESTS[_name] + ("--record", "record.json")
 STDOUT_SHA256 = {
-    "hankel": "03a8ffd1364cdd4a0ffde2c8169cfb0226bf453eca970966479e0cde89ceda00",
-    "interp-fit": "d4a8535bfb2232ce8634d1d7ff47eaa9a2eba7985d4db7bc1d24ca6de1f7785d",
-    "reconstruct-fp-2": "18a491c89c2118a11cd018b535b881f0ac3fb82cff9635e06fecf5589a862558",
-    "reconstruct-fp-3": "672b302b300fd8fc6b0caaeb8ccdb5af43d0657f05bde9c9d337374b77f62e9d",
-    "reconstruct-q-2": "6c139ca95692e27430ea1fd36e29a97282969fc7aaf96e229f08dccc3917be75",
-    "reconstruct-q-3": "02916363e3cb6d6d5928f0e330581ff5cfc4859a21cd4cc919fcb9c9ae134a5f",
+    "hankel": "502e3a215cbd14c5dd91550a042b566f2c7629d946f0e32809dbb8949ad48462",
+    "interp-fit": "e521acb0f450d7a08b6726c083122f3f851a75a2d2a371fc7f2e067a6301fc49",
+    "reconstruct-fp-2": "824ab88f1a212f7dc679cf1bbd9ef4ccbfb56d4dc79f406c6192e01da41676e7",
+    "reconstruct-fp-3": "476effe6ffed0aeac85c7912d9d5226ac684ef408639ad84571e7e31200f355e",
+    "reconstruct-q-2": "6eded916ddc5407a80c76f88c2a88ee72dcb31e20014804b1ea7c8088aa8ca8d",
+    "reconstruct-q-3": "45ab7770412148ab7bd2064f4a6b8dd39cc2a27046c087c946e1231afa43f7de",
     "reconstruct-q-h1": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "reconstruct-q-h1-record":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "reconstruct-q-h3": "c3d47ed79c43d2f9162bba2521d4b921598a49cd63b913a66e7107a07f3d83c2",
+    "reconstruct-q-h3": "ecb54e22d069dcaf89ca1eb26ac33a541b043a1715982f65573448dc4651b0a0",
     "reconstruct-q-h3-record":
-        "c3d47ed79c43d2f9162bba2521d4b921598a49cd63b913a66e7107a07f3d83c2",
-    "reconstruct-q-h1000": "5280412bf19c8670bf80a3d150dc326ace0b9930c0fe64f82fc6f630b0cedc91",
+        "ecb54e22d069dcaf89ca1eb26ac33a541b043a1715982f65573448dc4651b0a0",
+    "reconstruct-q-h1000": "960dfde489c069f119a931ccfa305616ce03d896a3b312551bc8c58da2ffd10b",
     "reconstruct-q-h1000-record":
-        "5280412bf19c8670bf80a3d150dc326ace0b9930c0fe64f82fc6f630b0cedc91",
-    "reconstruct-fp101": "8f48cd4ca66cecfa8635fc4b7b032c51728658b7c6777bcb6191a58858a0d8ed",
+        "960dfde489c069f119a931ccfa305616ce03d896a3b312551bc8c58da2ffd10b",
+    "reconstruct-fp101": "ff0df8440cc27fb6a7ac2efd75a7adb4cd28e845a40f35881c21a1005491ed29",
     "reconstruct-fp101-record":
-        "8f48cd4ca66cecfa8635fc4b7b032c51728658b7c6777bcb6191a58858a0d8ed",
+        "ff0df8440cc27fb6a7ac2efd75a7adb4cd28e845a40f35881c21a1005491ed29",
 }
 # the --record files; at height 1 Q offers three values, fewer than even a
 # constant's detection needs, so the run is refused before any query (exit

@@ -1,11 +1,13 @@
-"""The combine step: the scale system of `_combine` against the determinant
-path `_combine_by_dets` (paired determinants over K[x'], normalized).
+"""The combine step: the scale system of `_combine` against a reference,
+the paired determinants over K[x'] on `PolyN` entries, normalized.
 
 Each instance is a canonical P/Q in 2 to 4 variables, of degrees n and m in
 the last one, and its canonical restrictions to l+1 anchor hyperplanes.
 Where every restriction is coprime, the scale system must return the same
-canonical P/Q as the determinant path, without a gcd or a normalization;
-an anchor where P and Q share a factor must take the determinant path.
+canonical P/Q as the reference, without a gcd or a normalization.  At an
+anchor where P and Q share a factor it must return None, and the l+1
+children without that anchor, one more drawn in its place, must combine
+to P/Q.
 """
 
 import importlib
@@ -14,11 +16,11 @@ from fractions import Fraction
 
 import pytest
 
-from ratrecon.errors import ZeroDenominator
 from ratrecon.fields import QQ, PrimeField, random_element
-from ratrecon.interp import DegreeProfile
+from ratrecon.interp import DegreeProfile, interp_sign, paired_determinants
 from ratrecon.poly import PolyN, gcd_polyn
 from ratrecon.ratfun import RatFunN, normalize_ratfunn
+from test_packed import pad
 
 engine = importlib.import_module("ratrecon.reconstruct")
 ratfun = importlib.import_module("ratrecon.ratfun")
@@ -56,6 +58,24 @@ def restrict(f, b):
     for e, c in f.terms.items():
         out[e[:-1]] = out.get(e[:-1], f.field.zero) + c * b ** e[-1]
     return PolyN(f.field, f.nvars - 1, out)
+
+
+def ref_combine_dets(parts, anchors, profile, field, nvars):
+    """The node's function from its children by the paired interpolation
+    determinants over K[x'], on `PolyN` entries, normalized."""
+    n, m = profile.n, profile.m
+    top = max(n, m)
+    dens = [pad(h.den, nvars) for h in parts]
+    nums = [pad(h.num, nvars) for h in parts]
+    y = PolyN.var(field, nvars, nvars - 1)
+    powers = [PolyN.const(field, nvars, field.one)]
+    while len(powers) <= top:
+        powers.append(powers[-1] * y)
+    apowers = [[b ** j for j in range(top + 1)] for b in anchors]
+    phi, psi = paired_determinants(dens, nums, apowers, n, m, powers)
+    if interp_sign(n, m) < 0:
+        phi = -phi
+    return normalize_ratfunn(phi, psi)
 
 
 def _anchors(field, rng, count):
@@ -100,12 +120,12 @@ def instance(field, rng, nvars, shared_at_zero=False):
 
 
 class Spies:
-    """Call counts of the fallback, normalization, both bindings of the
-    multivariate gcd and PolyN construction, while installed."""
+    """Call counts of normalization, both bindings of the multivariate gcd
+    and PolyN construction, while installed."""
 
     def __init__(self, monkeypatch):
         self.calls = {}
-        for module, name in ((engine, "_combine_by_dets"), (engine, "normalize_ratfunn"),
+        for module, name in ((engine, "normalize_ratfunn"),
                              (ratfun, "_packed_gcd"), (poly, "_packed_gcd")):
             self._spy(monkeypatch, module, name, f"{module.__name__}.{name}")
         init = PolyN.__init__
@@ -135,61 +155,65 @@ def test_scale_system_matches_determinant_path_on_coprime_images(field, nvars, m
     for _ in range(5):
         truth, parts, anchors, profile = instance(field, rng, nvars)
         args = (parts, anchors, profile, field, nvars)
-        want = engine._combine_by_dets(*args)
+        want = ref_combine_dets(*args)
         spies = Spies(monkeypatch)
         got = engine._combine(*args)
         calls = spies.calls
         monkeypatch.undo()
-        # no fallback, no normalization, no gcd; PolyNs only for the result
-        assert calls == {"ratrecon.reconstruct._combine_by_dets": 0,
-                         "ratrecon.reconstruct.normalize_ratfunn": 0,
+        # no normalization, no gcd; PolyNs only for the result
+        assert calls == {"ratrecon.reconstruct.normalize_ratfunn": 0,
                          "ratrecon.ratfun._packed_gcd": 0,
                          "ratrecon.poly._packed_gcd": 0, "PolyN": 2}
         assert (got.num, got.den) == (want.num, want.den)
         assert (got.num, got.den) == (truth.num, truth.den)
 
 
+def extra_child(truth, anchors, field, rng):
+    """One more anchor and the canonical restriction there, coprime."""
+    while True:
+        b = _anchors(field, rng, 1)[0]
+        p, q = restrict(truth.num, b), restrict(truth.den, b)
+        if b not in anchors and not q.is_zero() and gcd_polyn(p, q).is_constant():
+            return b, normalize_ratfunn(p, q)
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
 @pytest.mark.parametrize("nvars", (2, 3, 4))
-def test_anchor_zero_with_a_shared_factor_takes_the_determinant_path(field, nvars,
-                                                                     monkeypatch):
+def test_anchor_zero_with_a_shared_factor_is_left_out(field, nvars):
     rng = random.Random(f"scale-zero/{field.descriptor()}/{nvars}")
     for _ in range(3):
         truth, parts, anchors, profile = instance(field, rng, nvars, True)
         args = (parts, anchors, profile, field, nvars)
-        want = engine._combine_by_dets(*args)
-        spies = Spies(monkeypatch)
-        got = engine._combine(*args)
-        fallbacks = spies.calls["ratrecon.reconstruct._combine_by_dets"]
-        monkeypatch.undo()
-        assert fallbacks == 1
-        assert (got.num, got.den) == (want.num, want.den) == (truth.num, truth.den)
+        want = ref_combine_dets(*args)
+        assert (want.num, want.den) == (truth.num, truth.den)
+        assert engine._combine(*args) is None
+        b, child = extra_child(truth, anchors, field, rng)
+        k = anchors.index(field.zero)
+        got = engine._combine(parts[:k] + parts[k + 1:] + [child],
+                              anchors[:k] + anchors[k + 1:] + [b], profile, field, nvars)
+        assert (got.num, got.den) == (truth.num, truth.den)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
 @pytest.mark.parametrize("l", (1, 2, 3))
-def test_duplicate_anchors_fall_back_and_raise_zero_denominator(field, l):
+def test_duplicate_anchors_do_not_combine(field, l):
     rng = random.Random(f"scale-dup/{field.descriptor()}/{l}")
     truth, parts, anchors, profile = instance(field, rng, 3)
     while profile.l != l:
         truth, parts, anchors, profile = instance(field, rng, 3)
     anchors[1], parts[1] = anchors[0], parts[0]
-    with pytest.raises(ZeroDenominator):
-        engine._combine(parts, anchors, profile, field, 3)
+    assert engine._combine(parts, anchors, profile, field, 3) is None
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
-def test_all_zero_children(field, monkeypatch):
-    # with m >= 1 the kernel is (m+1)-dimensional: the fallback raises
-    # ZeroDenominator as before; with m = 0 the scale system returns 0
+def test_all_zero_children(field):
+    # with m >= 1 the kernel is (m+1)-dimensional and nothing combines;
+    # with m = 0 the scale system returns 0
     zero = RatFunN(PolyN.zero(field, 2), PolyN.const(field, 2, field.one))
     profile = DegreeProfile.from_de(2, -1)
     anchors = [field.from_int(k) for k in range(2, profile.l + 3)]
-    with pytest.raises(ZeroDenominator):
-        engine._combine([zero] * (profile.l + 1), anchors, profile, field, 3)
+    assert engine._combine([zero] * (profile.l + 1), anchors, profile, field, 3) is None
     profile = DegreeProfile.from_de(2, 2)
-    spies = Spies(monkeypatch)
     got = engine._combine([zero] * (profile.l + 1), anchors[:profile.l + 1], profile,
                           field, 3)
-    assert spies.calls["ratrecon.reconstruct._combine_by_dets"] == 0
     assert got.num.is_zero() and got.den == PolyN.const(field, 3, field.one)

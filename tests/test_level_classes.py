@@ -4,7 +4,8 @@ until their componentwise maximum stops growing.
 `reference_reconstruct` is a test-only copy of the engine as it was before
 the maximal class and the chain: every inner node detects all
 `samples_per_class` slices and takes the most frequent class
-(`vote_classify`, `dominant_class`), and every node recurses.  With every
+(`vote_classify`, `dominant_class`), and every node recurses; it combines
+with the engine's `_combine` and its unlucky-anchor retry.  With every
 sparse sibling solve made to fall back (`full_tree`) the engine builds that
 tree and must give the same result, anchors and verification, and its root
 histogram must be that of the reference's first `total` slices.  With the
@@ -17,6 +18,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations, islice
 
 import pytest
 
@@ -36,6 +38,7 @@ from ratrecon.poly import PolyN
 from ratrecon.ratfun import format_ratfunn, normalize_ratfunn
 from ratrecon.reconstruct import (
     MAX_CLASSIFY_FAILURE_RATE,
+    MAX_UNLUCKY_ANCHORS,
     STABLE_SLICES,
     ReconConfig,
     ReconReport,
@@ -144,16 +147,31 @@ def reference_reconstruct(oracle: SliceOracle, cfg: ReconConfig) -> ReconReport:
             root_slices.extend(slices)
         hist = Counter(de for de in slices if de is not None)
         profile = DegreeProfile.from_de(*dominant_class(hist))
-        anchors = choose_anchors(node, axis, profile, cfg,
-                                 derive_rng(cfg.seed, "anchors", *path))
+        stream = choose_anchors(node, axis, cfg, derive_rng(cfg.seed, "anchors", *path))
+        anchors = list(islice(stream, profile.l + 1))
+
+        def child(i):
+            sub = SliceOracle(node.arity - 1, field,
+                              lambda pt, _b=anchors[i]: node.eval(tuple(pt) + (_b,)))
+            return level(sub, path + (i,))[0]
+
+        parts = [child(i) for i in range(len(anchors))]
+        result = engine._combine(parts, anchors, profile, field, node.arity)
+        # the unlucky-anchor retry: one more anchor at a time, then every
+        # l+1 of the children
+        while result is None:
+            if len(anchors) > profile.l + MAX_UNLUCKY_ANCHORS:
+                raise ZeroDenominator(f"nothing combines at {path}")
+            anchors.append(next(stream))
+            parts.append(child(len(anchors) - 1))
+            for keep in combinations(range(len(anchors)), profile.l + 1):
+                result = engine._combine([parts[j] for j in keep],
+                                         [anchors[j] for j in keep],
+                                         profile, field, node.arity)
+                if result is not None:
+                    break
         anchors_by_level.setdefault(len(path), []).extend(anchors)
         anchors_by_path[path] = anchors
-        parts = []
-        for i, b in enumerate(anchors):
-            sub = SliceOracle(node.arity - 1, field,
-                              lambda pt, _b=b: node.eval(tuple(pt) + (_b,)))
-            parts.append(level(sub, path + (i,))[0])
-        result = engine._combine(parts, anchors, profile, field, node.arity)
         return result, verify(node, result, path)
 
     result, verification = level(oracle, ())
@@ -370,17 +388,20 @@ def test_sibling_on_zero_hyperplane_classifies_in_full(classify_log, full_tree):
     # slice of that sibling is the zero class, and it classifies along its
     # stream until the class stops growing, three slices, as siblings 2 and
     # 3 do at their own class.  Taking the first node's class there would
-    # make the combine divide by the zero determinant.
+    # make the combine divide by the zero determinant.  The zero child does
+    # not combine with the others, so the root draws a fifth anchor, whose
+    # child 4 classifies like siblings 2 and 3, and combines without x3 = 0.
     text = "(4*x1^2*x3 - 4*x1*x2*x3 + x1*x3)/(x1*x2 + 36*x2*x3^2 - 12)"
     oracle = expr_oracle(text, 3, QQ)
     cfg = ReconConfig(seed=2542212399)
     report = reconstruct(oracle, cfg)
     assert report.to_json()["anchors"][0][:2] == ["1", "0"]
+    assert len(report.anchors[0]) == 5
     assert format_ratfunn(report.result) == text
-    # the root, node (0,), then siblings 1 (x3 = 0), 2 and 3, in that order
+    # the root, node (0,), then siblings 1 (x3 = 0), 2, 3 and 4, in that order
     assert classify_log == [(3, False, (2, -1), 4), (2, False, (1, 0), 4),
                             (2, False, (0, 0), 3), (2, False, (1, 0), 3),
-                            (2, False, (1, 0), 3)]
+                            (2, False, (1, 0), 3), (2, False, (1, 0), 3)]
     assert_matches_reference(report, oracle, cfg)
 
 
@@ -388,12 +409,14 @@ def test_sibling_on_zero_hyperplane_classifies_in_full_chain(classify_log, recur
     # The same run with sparse siblings.  On x3 = 0 the function is zero,
     # so every denominator on the first sibling's support solves the
     # system: it is singular, and that sibling recurses and classifies as
-    # above.  Siblings 2 and 3 are solved on the support and classify nothing.
+    # above.  Siblings 2 and 3, and the fifth anchor's child 4, are solved
+    # on the support and classify nothing.
     text = "(4*x1^2*x3 - 4*x1*x2*x3 + x1*x3)/(x1*x2 + 36*x2*x3^2 - 12)"
     oracle = expr_oracle(text, 3, QQ)
     cfg = ReconConfig(seed=2542212399)
     report = reconstruct(oracle, cfg)
     assert report.to_json()["anchors"][0][:2] == ["1", "0"]
+    assert len(report.anchors[0]) == 5
     assert format_ratfunn(report.result) == text
     assert classify_log == [(3, False, (2, -1), 4), (2, False, (1, 0), 4),
                             (2, False, (0, 0), 3)]
@@ -635,16 +658,16 @@ def test_sibling_whose_first_slice_is_low_combines_at_once(monkeypatch, classify
     # (2, 1), on the second, x3 = b1.  There the oracle answers 1/(x2 + c)
     # on the line x1 = c, where sibling 1's first slice lies.  That slice
     # has the first node's class; a node that took it would pick a0 and
-    # a1 as anchors, where s vanishes, and its combine would raise
-    # ZeroDenominator.  The sibling classifies its own slices instead: the
-    # next three give (2, 1), which it takes at once, and it combines on
-    # four anchors, the first two a0 and a1.
+    # a1 as anchors, where s vanishes, and its combine would fail.  The
+    # sibling classifies its own slices instead: the next three give
+    # (2, 1), which it takes at once.  Its first two anchors are a0 and a1
+    # again, where its children are zero and do not combine: it draws two
+    # more anchors and combines the four children that are not zero.
     cfg = ReconConfig(seed=5)
     c = first_slice_value(cfg, FP, (1,))
     b0, b1 = root_anchors("x1 + x2 + x3", 3, FP, cfg)
-    a0, a1 = choose_anchors(SliceOracle(2, FP, lambda pt: FP.one), 1,
-                            DegreeProfile.from_de(1, -1), cfg,
-                            derive_rng(cfg.seed, "anchors", 1))
+    a0, a1 = islice(choose_anchors(SliceOracle(2, FP, lambda pt: FP.one), 1, cfg,
+                                   derive_rng(cfg.seed, "anchors", 1)), 2)
     text = f"((x3 - {b0})*(x2 - {a0})*(x2 - {a1}) + x3 - {b1})/(x1 + x2)"
     truth = to_ratfun(parse(text, 3), FP, 3)
 
@@ -655,26 +678,27 @@ def test_sibling_whose_first_slice_is_low_combines_at_once(monkeypatch, classify
         return truth.eval_or_none(pt)
 
     oracle = SliceOracle(3, FP, fn)
-    raised = []
+    failed = []
 
     def spy(*args):
-        try:
-            return combine(*args)
-        except ZeroDenominator:
-            raised.append(args[2].l)
-            raise
+        result = combine(*args)
+        if result is None:
+            failed.append((args[2].l, len(args[1])))
+        return result
 
     combine = engine._combine
     monkeypatch.setattr(engine, "_combine", spy)
     classify_log.clear()
     report = reconstruct(oracle, cfg)
     assert report.anchors[0] == [b0, b1]
-    assert raised == []
+    # node (1,): its four children, then each three of the first four with
+    # the fifth
+    assert failed == [(3, 4)] * 5
     # the root, node (0,), node (1,)
     assert classify_log == [(3, False, (1, 1), 3), (2, False, (1, -1), 3),
                             (2, False, (2, 1), 4)]
-    # node (0,) has two anchors, node (1,) four
-    assert len(report.anchors[1]) == 6 and report.anchors[1][2:4] == [a0, a1]
+    # node (0,) has two anchors, node (1,) six
+    assert len(report.anchors[1]) == 8 and report.anchors[1][2:4] == [a0, a1]
     assert format_ratfunn(report.result) == format_ratfunn(truth)
     monkeypatch.setattr(engine, "_combine", combine)
     assert_matches_reference(report, oracle, cfg)
@@ -686,10 +710,11 @@ def test_slice_above_the_generic_class_is_refused(monkeypatch, classify_log):
     # 1's first slice lies: a slice above the node's generic class (0, 0)
     # that no rational function has.  The node's next two slices are the
     # zero class, so it settles on the maximal class (1, -1) after three
-    # slices, and its combine raises ZeroDenominator.  All its 20 slices
-    # give the maximal class (1, -1) too, so the node raises that error
-    # after the one full classification.  (The 20-slice vote found the
-    # zero class and returned 0.)
+    # slices, and its two children do not combine.  Nor do any two of the
+    # four with two more anchors, so the node raises ZeroDenominator.  All
+    # its 20 slices give the maximal class (1, -1) too, so the node raises
+    # that error after the one full classification.  (The 20-slice vote
+    # found the zero class and returned 0.)
     cfg = ReconConfig(seed=5)
     c = first_slice_value(cfg, FP, (1,))
     b1 = root_anchors("x3/(x1 + x2)", 3, FP, cfg)[1]
@@ -701,21 +726,22 @@ def test_slice_above_the_generic_class_is_refused(monkeypatch, classify_log):
             return None if x2 + c == FP.zero else FP.one / (x2 + c)
         return truth.eval_or_none(pt)
 
-    raised = []
+    failed = []
 
     def spy(*args):
-        try:
-            return combine(*args)
-        except ZeroDenominator:
-            raised.append(args[2].l)
-            raise
+        result = combine(*args)
+        if result is None:
+            failed.append((args[2].l, len(args[1])))
+        return result
 
     combine = engine._combine
     monkeypatch.setattr(engine, "_combine", spy)
     classify_log.clear()
     with pytest.raises(ZeroDenominator):
         reconstruct(SliceOracle(3, FP, fn), cfg)
-    assert raised == [1]
+    # node (1,): its two children, then the third anchor's child with each
+    # of them, then the fourth's with each of the three
+    assert failed == [(1, 2)] * 6
     # root, node (0,), node (1,), its full repeat
     assert classify_log == [(3, False, (1, 1), 3), (2, False, (1, -1), 3),
                             (2, False, (1, -1), 3), (2, True, (1, -1), 20)]

@@ -1,9 +1,11 @@
 import importlib
 import json
+import pathlib
 import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -17,7 +19,7 @@ from ratrecon.errors import (
 )
 from ratrecon.expr import eval_expr, parse, to_ratfun
 from ratrecon.fields import QQ, PrimeField, derive_rng, height_box_sizes, random_element
-from ratrecon.interp import DegreeProfile, detect_profile_with_fit
+from ratrecon.interp import detect_profile_with_fit
 from ratrecon.poly import Poly1, PolyN
 from ratrecon.ratfun import (
     RatFunN,
@@ -279,24 +281,27 @@ def test_reconstruct_refuses_a_q_height_box_too_small():
 
 
 def test_choose_anchors():
+    # distinct anchors on one stream: a node that takes one more after its
+    # l+1 gets the anchor a longer take would have given
     oracle = oracle_from_ratfunn(xy_over(QQ))
-    prof = DegreeProfile.from_de(1, 0)
-    anchors = choose_anchors(oracle, 1, prof, ReconConfig(seed=9), derive_rng(9, "a"))
-    assert len(anchors) == len(set(anchors)) == prof.l + 1 == 3
+    cfg = ReconConfig(seed=9)
+    anchors = list(islice(choose_anchors(oracle, 1, cfg, derive_rng(9, "a")), 3))
+    assert len(anchors) == len(set(anchors)) == 3
+    longer = list(islice(choose_anchors(oracle, 1, cfg, derive_rng(9, "a")), 4))
+    assert longer[:3] == anchors and longer[3] not in anchors
 
 
 def test_choose_anchors_single():
     oracle = SliceOracle(2, QQ, lambda pt: q(5))
-    anchors = choose_anchors(oracle, 1, DegreeProfile.from_de(0, 0),
-                             ReconConfig(seed=10), derive_rng(10, "a"))
-    assert len(anchors) == 1
+    stream = choose_anchors(oracle, 1, ReconConfig(seed=10), derive_rng(10, "a"))
+    assert next(stream) is not None
 
 
 def test_choose_anchors_failure():
     oracle = SliceOracle(2, QQ, lambda pt: None)
-    with pytest.raises(AnchorSearchFailed):
-        choose_anchors(oracle, 1, DegreeProfile.from_de(0, 0),
-                       ReconConfig(seed=11), derive_rng(11, "a"))
+    stream = choose_anchors(oracle, 1, ReconConfig(seed=11), derive_rng(11, "a"))
+    with pytest.raises(AnchorSearchFailed, match=r"after 100 attempts \(found 0\)"):
+        next(stream)
 
 
 def test_verify_agreement_counts():
@@ -719,3 +724,75 @@ def test_check_field_at_the_validation_cap_names_the_least_height():
     ReconConfig(validation_extra=VALIDATION_EXTRA_CAP, height_bound=least).check_field(QQ)
     with pytest.raises(ValueError, match=f"use a height bound of at least {least}$"):
         ReconConfig(validation_extra=VALIDATION_EXTRA_CAP).check_field(QQ)
+
+
+# P/Q with P(x', b) = x1^2 + 1 and Q(x', b) = (x1^2 + 1)*(x2^2 + 1) on
+# x3 = b: coprime, but not on that hyperplane, where the child is
+# 1/(x2^2 + 1); over Q no factor vanishes there, so b passes the probe
+SHARED_AT_B = "((x3 - ({b}))*x2 + x1^2 + 1)/((x3 - ({b}))*x1 + (x1^2 + 1)*(x2^2 + 1))"
+
+
+def unlucky_root_anchor(field, cfg):
+    """(text, b): SHARED_AT_B at b, the second root anchor of a run with
+    `cfg` on SHARED_AT_B at 1.  The probe rarely tells the two texts apart,
+    so b is a root anchor of the run on the text too (the test checks)."""
+    ast = parse(SHARED_AT_B.format(b=field.one), 3)
+    oracle = SliceOracle(3, field, lambda pt: eval_expr(ast, pt, field))
+    b = list(islice(choose_anchors(oracle, 2, cfg, derive_rng(cfg.seed, "anchors")), 2))[1]
+    return SHARED_AT_B.format(b=b), b
+
+
+@pytest.mark.parametrize("field", [FP101, QQ], ids=["fp101", "q"])
+def test_unlucky_root_anchor_is_replaced(field, monkeypatch):
+    # The root's child on x3 = b does not combine with the other two: the
+    # root draws a fourth anchor and combines the three other children.
+    cfg = ReconConfig(seed=21)
+    text, b = unlucky_root_anchor(field, cfg)
+    truth = to_ratfun(parse(text, 3), field, 3)
+    failed = []
+    combine = engine._combine
+
+    def spy(parts, anchors, *args):
+        result = combine(parts, anchors, *args)
+        if result is None:
+            failed.append(b in anchors)
+        return result
+
+    monkeypatch.setattr(engine, "_combine", spy)
+    report = reconstruct(SliceOracle(3, field, truth.eval_or_none), cfg)
+    assert format_ratfunn(report.result) == format_ratfunn(truth)
+    assert len(report.anchors[0]) == 4 and b in report.anchors[0][:3]
+    assert failed and all(failed)
+
+
+def test_no_determinant_or_packing_from_reconstruct(monkeypatch):
+    # Over one cycle of each recon workload of the benchmark (seed 1, from
+    # instance 21, where recon_q's cycle holds #26, whose root retries), no
+    # function of `reconstruct` calls the packed determinants or packs.
+    bench = str(pathlib.Path(__file__).resolve().parents[1] / "bench")
+    monkeypatch.syspath_prepend(bench)
+    workloads = importlib.import_module("workloads")
+    interp, poly = (importlib.import_module(f"ratrecon.{m}") for m in ("interp", "poly"))
+    callers = Counter()
+
+    def spy(fn):
+        def called(*args, **kwargs):
+            callers[sys._getframe(1).f_globals["__name__"]] += 1
+            return fn(*args, **kwargs)
+        return called
+
+    monkeypatch.setattr(interp, "paired_determinants", spy(interp.paired_determinants))
+    monkeypatch.setattr(poly._PackedRing, "pack", spy(poly._PackedRing.pack))
+    retries = []
+    combine = engine._combine
+    monkeypatch.setattr(engine, "_combine",
+                        lambda *args: retries.append(1) if (r := combine(*args)) is None else r)
+    for name in ("recon_sparse_fp", "recon_dense_fp", "recon_q"):
+        for i in range(21, 21 + len(workloads.WORKLOADS[name].cycle)):
+            inst = workloads.instance(name, 1, i)
+            inst.prepare()
+            assert inst.check(inst.solve()), (name, i)
+    assert retries
+    assert callers["ratrecon.ratfun"] > 0
+    assert callers["ratrecon.reconstruct"] == 0
+    assert not hasattr(engine, "paired_determinants") and not hasattr(engine, "_PackedRing")

@@ -124,14 +124,18 @@ def outcomes(monkeypatch):
 def test_sibling_on_vanishing_hyperplane_is_singular(outcomes, recursed, monkeypatch):
     # On the root's second anchor x3 = 0 the numerator vanishes: the zero
     # function fits the first sibling's support with every denominator on
-    # it, so the system is singular and the sibling recurses.
+    # it, so the system is singular and the sibling recurses.  The zero
+    # child does not combine, so the root draws a fifth anchor, whose child
+    # (4,) is solved on the support.
     text = "(4*x1^2*x3 - 4*x1*x2*x3 + x1*x3)/(x1*x2 + 36*x2*x3^2 - 12)"
     oracle = expr_oracle(text, 3, QQ)
     cfg = ReconConfig(seed=2542212399)
     report = reconstruct(oracle, cfg)
     assert format_ratfunn(report.result) == text
     assert outcomes == [((1,), "none"), ((2,), "solved"), ((2,), "verified"),
-                        ((3,), "solved"), ((3,), "verified")]
+                        ((3,), "solved"), ((3,), "verified"),
+                        ((4,), "solved"), ((4,), "verified")]
+    assert len(report.anchors[0]) == 5
     assert_chain_matches_full(report, final_tree(recursed), oracle, cfg, monkeypatch)
 
 

@@ -8,9 +8,10 @@ checkout's `src`, and prints per instance: workload, seed, index, the
 sha256 of the answer (the report JSON of `reconstruct`, the certificate
 JSON of `hankel`, the value and fitted function of `interp`, or the error),
 for `reconstruct` also the sha256 of the report without `class_histogram`
-and `classify_failures` and that of the report without `nodes` and with
-only the root's anchors, whether the benchmark's exact check accepts it,
-and the oracle calls.
+and `classify_failures`, that of the report without `nodes` and with
+only the root's anchors, and that of the report with only `result` and
+`verification`, whether the benchmark's exact check accepts it, and the
+oracle calls.
 After the instances come two lines for the `hankel` command on the wide
 inputs of `tests/test_cli.py` (201 random integers, resp. fractions, with
 --lmax 20 --mmax 90): the sha256 of its stdout and its exit code.
@@ -18,7 +19,9 @@ Run it in two checkouts and `diff` the outputs: identical output means the
 same answers and the same oracle query counts.  The second digest of a
 `reconstruct` line stays put when only the classification fields move, the
 third when only the node counts and the anchors below the root do, as
-when siblings are solved on their first sibling's support.
+when siblings are solved on their first sibling's support, and the fourth
+holds the answer alone, which stays put when the anchors move, as when a
+node draws one more anchor.
 """
 
 from __future__ import annotations
@@ -40,21 +43,23 @@ SEEDS = (1, 2)
 
 
 CLASSIFICATION = ("class_histogram", "classify_failures")
+ANSWER = ("result", "verification")
 
 
 def answer_texts(inst, answer) -> list:
     """The answer's text, and for `reconstruct` those of the report without
-    the classification fields and of the report without the node counts
-    and the anchors below the root."""
+    the classification fields, of the report without the node counts and
+    the anchors below the root, and of its result and verification."""
     if isinstance(answer, Exception):
         text = f"error {type(answer).__name__}: {answer}"
-        return [text] * 3 if inst.kind == "reconstruct" else [text]
+        return [text] * 4 if inst.kind == "reconstruct" else [text]
     if inst.kind == "reconstruct":
         report = answer.to_json()
         rest = {k: v for k, v in report.items() if k not in CLASSIFICATION}
         root = {k: v for k, v in report.items() if k != "nodes"}
         root["anchors"] = root["anchors"][:1]
-        return [json.dumps(d, sort_keys=True) for d in (report, rest, root)]
+        result = {k: report[k] for k in ANSWER}
+        return [json.dumps(d, sort_keys=True) for d in (report, rest, root, result)]
     return [inst.render(answer)]
 
 
