@@ -19,7 +19,9 @@ An expression is a straight-line program (Kaltofen, JACM 1988).  eval_expr
 compiles each (tree, field) once, with an explicit stack, into Python
 source of one or two integer statements per node, and keeps the last
 program: a query then costs its arithmetic and no tree walk.  A candidate
-`ratfun.RatFunN` runs on the same compiler, with a program of its own.  Over
+`ratfun.RatFunN` runs on the same compiler, with a program of its own that
+loops over a list of points and gives each one's value as an integer pair
+(num, den), building no field element.  Over
 F_p the program works on residues, with a (num, den) pair only above a Div.
 Over Q a division-free subtree is an integer over a power product of the
 coordinates' denominators fixed by its degrees; above a Div it is a
@@ -353,10 +355,15 @@ def _signature(e: Expr) -> tuple:
 class _Program:
     """Source text and namespace of one straight-line program.  The source
     holds only generated names and operators: every integer, literal or
-    exponent, is bound by name in the namespace."""
+    exponent, is bound by name in the namespace.
 
-    def __init__(self, names: dict):
+    A program runs on one point and returns its value, or, when `batch`,
+    runs on a list of points and returns the list of their (num, den)
+    pairs (see `_compile`)."""
+
+    def __init__(self, names: dict, batch: bool):
         self.names = names
+        self.batch = batch
         self.lines = []
         self.consts = {}
         self.values = {}        # right-hand side -> the name it is bound to
@@ -377,9 +384,26 @@ class _Program:
             self.lines.append(f"{name} = {expr}")
         return name
 
+    def pole(self, test: str):
+        """A line that ends the point's evaluation at a pole when `test`
+        holds."""
+        self.lines.append(f"if {test}: put(None); continue" if self.batch
+                          else f"if {test}: return None")
+
+    def finish(self, num: str, den, value: str):
+        """The last line: the point's pair (num, den), a missing den being 1,
+        or else its value, the expression `value`."""
+        self.lines.append(f"put(({num}, {den or 1}))" if self.batch else f"return {value}")
+
     def build(self, prelude: list):
-        body = "\n    ".join(prelude + self.lines)
-        exec(_code(f"def run(pt):\n    {body}\n"), self.names)
+        if self.batch:
+            body = "\n        ".join(prelude + self.lines)
+            source = ("def run(pts):\n    out = []\n    put = out.append\n"
+                      f"    for pt in pts:\n        {body}\n    return out\n")
+        else:
+            body = "\n    ".join(prelude + self.lines)
+            source = f"def run(pt):\n    {body}\n"
+        exec(_code(source), self.names)
         return self.names["run"]
 
 
@@ -391,21 +415,25 @@ def _code(source: str):
 
 
 def _compile(e: Expr, field: Field, width: int | None = None):
-    """The straight-line program of `e` over `field`: a function of the
-    point.  Each coordinate is converted once, then every node of the tree
-    is one or two lines of integer arithmetic.
+    """The straight-line program of `e` over `field`.  Each coordinate is
+    converted once, then every node of the tree is one or two lines of
+    integer arithmetic.
 
-    Without `width` the program has eval_expr's contract: a point may be
-    longer than the largest variable of `e`.  With it, a point of any other
-    length than `width` is ValueError, as a candidate `RatFunN` in `width`
-    variables requires."""
+    Without `width` the program has eval_expr's contract: a function of one
+    point, which may be longer than the largest variable of `e`, giving its
+    value or None.  With it the program is a candidate `RatFunN`'s in
+    `width` variables: a function of a list of points, each of exactly
+    `width` coordinates (else ValueError), giving for each one the integers
+    (num, den) whose quotient is its value, den nonzero (mod p over F_p),
+    or None at a pole; the loop over the points is part of the program."""
     order = _postorder(e)
-    fit = _refuse
+    batch, fit = True, _refuse
     if width is None:
-        fit, width = _fit, 1 + max((n.index for n in order if type(n) is Var), default=-1)
+        batch, fit = False, _fit
+        width = 1 + max((n.index for n in order if type(n) is Var), default=-1)
     if isinstance(field, PrimeField):
-        return _compile_fp(order, width, fit, field)
-    return _compile_q(order, width, fit)
+        return _compile_fp(order, width, fit, field, batch)
+    return _compile_q(order, width, fit, batch)
 
 
 def _fit(pt: tuple, width: int, convert) -> tuple:
@@ -432,12 +460,13 @@ def _unpack(prog: _Program, width: int, fit) -> list:
     return lines + ["".join(f"x{i}, " for i in range(width)) + "= pt"] if width else lines
 
 
-def _compile_fp(order: list, width: int, fit, field: PrimeField):
+def _compile_fp(order: list, width: int, fit, field: PrimeField, batch: bool):
     """F_p: a value is a residue, or a (num, den) pair of them below a Div.
     Products are reduced mod p at once; sums and negations are reduced by
     the next product, so they grow only by the size of the tree."""
     p = field.p
-    prog = _Program({"E": FpElement, "F": field, "P": p, "R": lambda x: _residue(x, p)})
+    prog = _Program({"E": FpElement, "F": field, "P": p, "R": lambda x: _residue(x, p)},
+                    batch)
     prelude = _unpack(prog, width, fit) + [
         f"x{i} = x{i}.residue if type(x{i}) is E and x{i}.field is F else R(x{i})"
         for i in range(width)]
@@ -460,7 +489,7 @@ def _compile_fp(order: list, width: int, fit, field: PrimeField):
             bn, bd = stack.pop()
             an, ad = stack.pop()
             if t is Div:
-                prog.lines.append(f"if not {bn} % P: return None")
+                prog.pole(f"not {bn} % P")
                 stack.append((_times(prog, an, bd), _times(prog, ad, bn)))
             elif t is Mul:
                 stack.append((prog.let(f"{an} * {bn} % P"), _times(prog, ad, bd)))
@@ -473,7 +502,7 @@ def _compile_fp(order: list, width: int, fit, field: PrimeField):
                 rhs = f"{bn} * {ad}" if ad else bn
                 stack.append((prog.let(f"({lhs}{op}{rhs}) % P"), _times(prog, ad, bd)))
     n, d = stack.pop()
-    prog.lines.append(f"return E({n} * pow({d}, -1, P), F)" if d else f"return E({n}, F)")
+    prog.finish(n, d, f"E({n} * pow({d}, -1, P), F)" if d else f"E({n}, F)")
     return prog.build(prelude)
 
 
@@ -484,14 +513,14 @@ def _times(prog: _Program, a, b):
     return prog.let(f"{a} * {b} % P")
 
 
-def _compile_q(order: list, width: int, fit):
+def _compile_q(order: list, width: int, fit, batch: bool):
     """Q, with coordinates a_i/b_i.  A division-free subtree is an integer
     N over the static power product B^D = prod b_i^D_i, D the subtree's
     degree in each variable, so it costs no gcd.  A subtree with a Div is a
     reduced pair (num, den > 0), kept reduced by the gcd steps of
     Fraction's own arithmetic, so every intermediate has the size it has as
     a Fraction; only the root's pair is left to the one Fraction built."""
-    prog = _Program({"Fr": Fraction, "R": _ratio, "gcd": gcd})
+    prog = _Program({"Fr": Fraction, "R": _ratio, "gcd": gcd}, batch)
     prelude = _unpack(prog, width, fit)
     for i in range(width):
         prelude += [f"if type(x{i}) is Fr: a{i} = x{i}.numerator; b{i} = x{i}.denominator",
@@ -569,7 +598,7 @@ def _compile_q(order: list, width: int, fit):
                 # (Na / B^Da) / (Nb / B^Db): cancel B^min(Da, Db) statically
                 _, an, ad = a
                 _, bn, bd = b
-                prog.lines.append(f"if not {bn}: return None")
+                prog.pole(f"not {bn}")
                 n = scaled(an, [max(0, y - x) for x, y in zip(ad, bd)])
                 d = scaled(bn, [max(0, x - y) for x, y in zip(ad, bd)])
                 if node is root:
@@ -581,10 +610,8 @@ def _compile_q(order: list, width: int, fit):
                 stack.append(("p",) + _pair_op(prog, t, pair(a), pair(b)))
     kind, n, d = stack.pop()
     if kind == "h":
-        den = bpow(d)
-        prog.lines.append(f"return Fr({', '.join([n] + [' * '.join(den)] if den else [n])})")
-    else:
-        prog.lines.append(f"return Fr({n}, {d})")
+        d = " * ".join(bpow(d)) or None
+    prog.finish(n, d, f"Fr({n}, {d})" if d else f"Fr({n})")
     return prog.build(prelude)
 
 
@@ -599,7 +626,7 @@ def _pair_op(prog: _Program, t, a: tuple, b: tuple) -> tuple:
                 let(f"({da} // {h}) * ({db} // {g})"))
     if t is Div:
         # g takes the sign of nb, so the denominator comes out positive
-        prog.lines.append(f"if not {nb}: return None")
+        prog.pole(f"not {nb}")
         g = let(f"gcd({na}, {nb}) if {nb} > 0 else -gcd({na}, {nb})")
         h = let(f"gcd({da}, {db})")
         return (let(f"({na} // {g}) * ({db} // {h})"),

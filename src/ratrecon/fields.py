@@ -19,7 +19,8 @@ denominator ``randint(1, h)``, over F_p one ``randrange(p)``.  It returns
 the value's integer id (equal ids iff equal values, within one sampler)
 with the element, which the sampler builds once per distinct value of its
 run, so callers key sets and memos by the ids and never hash an element.
-`random_element` is one draw of a fresh sampler.
+`draw(k)` makes k draws in one call, the list of what k calls of `draw()`
+would return.  `random_element` is one draw of a fresh sampler.
 """
 
 from __future__ import annotations
@@ -171,7 +172,8 @@ class Field:
 
     def _sampler(self, rng: random.Random, height_bound: int):
         """The draw function of one run on `rng` (see the module docstring):
-        each call returns (id, element)."""
+        `draw()` returns (id, element), and `draw(k)` the list of k of them,
+        drawn in one loop."""
         raise NotImplementedError
 
     def descriptor(self) -> str:
@@ -210,21 +212,24 @@ class RationalField(Field):
         nk, dk = nums.bit_length(), dens.bit_length()
         cache = {}
 
-        def draw():
-            n = bits(nk)
-            while n >= nums:
+        def draw(count=None):
+            out = []
+            for _ in range(1 if count is None else count):
                 n = bits(nk)
-            d = bits(dk)
-            while d >= dens:
+                while n >= nums:
+                    n = bits(nk)
                 d = bits(dk)
-            n -= h
-            d += 1
-            g = gcd(n, d)
-            key = n // g * (h + 1) + d // g
-            hit = cache.get(key)
-            if hit is None:
-                hit = cache[key] = (key, Fraction(n, d))
-            return hit
+                while d >= dens:
+                    d = bits(dk)
+                n -= h
+                d += 1
+                g = gcd(n, d)
+                key = n // g * (h + 1) + d // g
+                hit = cache.get(key)
+                if hit is None:
+                    hit = cache[key] = (key, Fraction(n, d))
+                out.append(hit)
+            return out[0] if count is None else out
 
         return draw
 
@@ -273,14 +278,17 @@ class PrimeField(Field):
         k = p.bit_length()
         cache = {}
 
-        def draw():
-            r = bits(k)
-            while r >= p:
+        def draw(count=None):
+            out = []
+            for _ in range(1 if count is None else count):
                 r = bits(k)
-            hit = cache.get(r)
-            if hit is None:
-                hit = cache[r] = (r, FpElement(r, self))
-            return hit
+                while r >= p:
+                    r = bits(k)
+                hit = cache.get(r)
+                if hit is None:
+                    hit = cache[r] = (r, FpElement(r, self))
+                out.append(hit)
+            return out[0] if count is None else out
 
         return draw
 
@@ -338,7 +346,7 @@ def _draw_point(draw, n: int):
     """(ids, point): n coordinates, in order, from the sampler `draw`."""
     if not n:
         return (), ()
-    ids, point = zip(*[draw() for _ in range(n)])
+    ids, point = zip(*draw(n))
     return ids, point
 
 

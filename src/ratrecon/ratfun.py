@@ -18,10 +18,11 @@ field elements are built only for the row it returns.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .errors import UndefinedAt, ZeroDenominator, ZeroFunction
 from .expr import Add, Div, IntLit, Mul, Pow, Var, _compile
-from .fields import Field, QQ
+from .fields import Field, FpElement, QQ
 from .poly import (  # gcd_polyn: bench/selftest.py looks it up here
     Poly1,
     PolyN,
@@ -113,12 +114,12 @@ class RatFunN:
     it in the canonical form of the module docstring; the constructor
     takes the parts as they are."""
 
-    __slots__ = ("num", "den", "_value")
+    __slots__ = ("num", "den", "_program")
 
     def __init__(self, num: PolyN, den: PolyN):
         self.num = num
         self.den = den
-        self._value = None
+        self._program = None
 
     @property
     def field(self) -> Field:
@@ -140,17 +141,24 @@ class RatFunN:
     def eval_or_none(self, point):
         """The value at `point`, an element of the field, or None at a pole.
         The point must have `nvars` coordinates, each an int or an element
-        of the field (else ValueError or FieldMismatch).  Runs the
-        straight-line program of `expr._compile`, built at the first call
-        and kept."""
-        if self._value is None:
+        of the field (else ValueError or FieldMismatch)."""
+        pair = self.eval_pairs((point,))[0]
+        if pair is None:
+            return None
+        n, d = pair
+        p = field_prime(self.field)
+        return Fraction(n, d) if p is None else FpElement(n * pow(d, -1, p), self.field)
+
+    def eval_pairs(self, points) -> list:
+        """For each point of `points`, as in `eval_or_none`, the integers
+        (n, d) whose quotient is its value, d nonzero (mod p over F_p), or
+        None at a pole; no field element is built.  Runs the straight-line
+        program of `expr._compile`, built at the first call and kept."""
+        if self._program is None:
             lnum, lden = self.num.int_form()[0], self.den.int_form()[0]
             tree = Div(_int_tree(self.num, lden), _int_tree(self.den, lnum))
-            self._value = _compile(tree, self.field, self.nvars)
-        return self._value(point)
-
-    def defined_at(self, point) -> bool:
-        return self.eval_or_none(point) is not None
+            self._program = _compile(tree, self.field, self.nvars)
+        return self._program(points)
 
     def same_function(self, other: "RatFunN") -> bool:
         """Equal parts, or else cross-multiplication equality: sound for

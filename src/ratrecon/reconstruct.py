@@ -43,9 +43,11 @@ Nodes share no state.
 
 A node's oracle holds the user's function and the anchors fixed above it,
 so a query at any depth is one `SliceOracle.eval` call into the user's
-function.  Verification evaluates the candidate on the straight-line
-program that the candidate compiles at its first point (`RatFunN.eval_or_none`),
-with the compiler that runs an expression oracle.
+function.  Verification draws all of a node's points at once, asks the
+oracle once per distinct point, and checks N(x) = f(x) D(x) on integers:
+the candidate's (N(x), D(x)) come from one run of the straight-line
+program it compiles at its first use (`RatFunN.eval_pairs`), with the
+compiler that runs an expression oracle, looping over the points.
 """
 
 from __future__ import annotations
@@ -316,32 +318,53 @@ class Agreement(tuple):
 
 def verify_agreement(oracle: SliceOracle, g: RatFunN, trials: int, rng,
                      height_bound: int = 10) -> Agreement:
-    """Tallies over random points; points where either side is undefined
-    are skipped, the rest compared exactly.  A point drawn again is counted
-    again, from the values of its first draw: the oracle is a function, so
-    each distinct point is queried and evaluated once.  The points are
-    those of `fields.random_element` on `rng`; the memo is keyed by the
-    tuple of the coordinates' ids from the field's sampler, which are
-    equal exactly when the points are."""
-    agreements = 0
-    skips = 0
+    """Tallies over `trials` random points of the oracle's arity, at least 1
+    as at every node; points where either side is undefined are skipped,
+    the rest compared exactly.  The points are those of
+    `fields.random_element` on `rng`, drawn in one call of the field's
+    sampler.  A point drawn again is counted again, from the values of its
+    first draw: the oracle is a function, so each distinct point is queried
+    once, in the order of first draws, and the candidate is evaluated once
+    per distinct point, in one run of its program.  Points are keyed by the
+    tuples of the coordinates' sampler ids, which are equal exactly when
+    the points are.
+
+    The candidate's value at x is the integer pair (N, D) of
+    `RatFunN.eval_pairs`, and an oracle value w agrees when N = w*D: mod p
+    over F_p, and over Q as N*den(w) = num(w)*D.  A value that is neither
+    an int nor a Fraction over Q, nor an element of the oracle's field over
+    F_p, is compared with the candidate's value by ==."""
+    field, arity = oracle.field, oracle.arity
+    hits = field._sampler(rng, height_bound)(arity * trials)
+    if not hits:
+        return Agreement(trials, 0, 0)
+    ids, coords = zip(*hits)
+    keys = list(zip(*[iter(ids)] * arity))
+    counts = Counter(keys)                  # in the order of first draws
+    points = dict(zip(keys, zip(*[iter(coords)] * arity)))
+    wants = [oracle.eval(point) for point in points.values()]
+    pairs = g.eval_pairs(points.values())
+    p = field_prime(field)
+    agreements = skips = 0
     mismatch = None
-    seen = {}
-    draw = oracle.field._sampler(rng, height_bound)
-    arity = oracle.arity
-    query, value = oracle.eval, g.eval_or_none
-    for _ in range(trials):
-        ids, point = _draw_point(draw, arity)
-        pair = seen.get(ids)
-        if pair is None:
-            pair = seen[ids] = (query(point), value(point))
-        want, got = pair
-        if want is None or got is None:
-            skips += 1
-        elif want == got:
-            agreements += 1
+    for k, point, want, pair in zip(counts.values(), points.values(), wants, pairs):
+        if want is None or pair is None:
+            skips += k
+            continue
+        n, d = pair
+        t = type(want)
+        if t is int:
+            agree = n == want * d if p is None else (n - want * d) % p == 0
+        elif p is None and t is Fraction:
+            agree = n * want.denominator == want.numerator * d
+        elif t is FpElement and want.field is field:
+            agree = (n - want.residue * d) % p == 0
+        else:
+            agree = want == g.eval_or_none(point)
+        if agree:
+            agreements += k
         elif mismatch is None:
-            mismatch = (point, want, got)
+            mismatch = (point, want, g.eval_or_none(point))
     return Agreement(trials, agreements, skips, mismatch)
 
 

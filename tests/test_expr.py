@@ -450,7 +450,7 @@ def test_compiled_programs_hold_no_input_integers():
     for field in (QQ, F101, FBIG):
         cand = to_ratfun(tree, field, 2)
         cand.eval_or_none((2, 3))
-        programs = [cand._value, expr._compile(tree, field)]
+        programs = [cand._program, expr._compile(tree, field)]
         if field == QQ:
             assert big in cand.num.terms.values()
         for run in programs:

@@ -145,6 +145,32 @@ def test_random_element_deterministic(field, height):
             random_element(field, random.Random(0), 0)
 
 
+@pytest.mark.parametrize("field, height", [
+    (PrimeField(5), 10), (PrimeField(101), 10), (PrimeField(1000003), 10),
+    (PrimeField(2 ** 61 - 1), 10), (QQ, 1), (QQ, 10), (QQ, 1000),
+], ids=["fp5", "fp101", "fp1000003", "fp2^61-1", "q-1", "q-10", "q-1000"])
+def test_bulk_draw_is_single_draws(field, height):
+    # draw(k) gives exactly the k pairs that k calls of draw() give on a twin
+    # stream, reads the stream as far, and shares the run's id cache with
+    # the single draws: each value is the one element built for it.  A
+    # residue mod 2^61 - 1 takes more than one 32-bit word per read.
+    for seed in range(3):
+        bulk_rng, single_rng = random.Random(seed), random.Random(seed)
+        bulk, single = field._sampler(bulk_rng, height), field._sampler(single_rng, height)
+        seen = {}
+        for k in (0, 1, 7, 200, 1, 0, 333):
+            got = bulk(k)
+            want = [single() for _ in range(k)]
+            assert type(got) is list and got == want
+            assert [type(x) for _, x in got] == [type(x) for _, x in want]
+            one = bulk()
+            assert one == single()
+            for key, x in got + [one]:
+                assert seen.setdefault(key, x) is x
+            assert bulk_rng.getrandbits(64) == single_rng.getrandbits(64)
+        assert len(seen) > 1
+
+
 def test_random_element_fp_range():
     rng = random.Random(1)
     for _ in range(200):

@@ -623,6 +623,99 @@ def test_verification_asks_once_per_distinct_point(field, height, arity):
             assert tally[1] == 200 - len(undefined) - drawn.count(bad)
 
 
+def per_point_verify_agreement(oracle, g, trials, rng, height_bound):
+    # verify_agreement before the batch: per trial one point of single
+    # draws and a memo lookup, and for a new point one query and one
+    # candidate value as a field element, compared by ==
+    agreements = 0
+    skips = 0
+    mismatch = None
+    seen = {}
+    draw = oracle.field._sampler(rng, height_bound)
+    arity = oracle.arity
+    query, value = oracle.eval, g.eval_or_none
+    for _ in range(trials):
+        ids, point = zip(*[draw() for _ in range(arity)])
+        pair = seen.get(ids)
+        if pair is None:
+            pair = seen[ids] = (query(point), value(point))
+        want, got = pair
+        if want is None or got is None:
+            skips += 1
+        elif want == got:
+            agreements += 1
+        elif mismatch is None:
+            mismatch = (point, want, got)
+    return Agreement(trials, agreements, skips, mismatch)
+
+
+def answer_kinds(field, drawn, bad):
+    """name -> how the oracle answers at a point pt where the function's
+    value is v: exactly, with holes on the hyperplane of the first point's
+    x1, as plain ints where the value is one (over F_p every residue,
+    alternately as a negative representative), as an element of a foreign
+    field (over Q a float), as an element of an equal field object, and
+    with a planted wrong value at `bad`, as an element or an int."""
+    p = getattr(field, "p", None)
+
+    def as_int(v):
+        if p:
+            return v.residue - p if v.residue % 2 else v.residue
+        return v.numerator if v.denominator == 1 else v
+
+    if p:
+        foreign, twin = FP101 if field is FP else FP, PrimeField(p)
+        other = {"foreign": lambda v, pt: foreign.from_int(v.residue),
+                 "twin": lambda v, pt: twin.from_int(v.residue)}
+    else:
+        other = {"float": lambda v, pt: float(v)}
+    hole = drawn[0][0] if drawn else None
+    return {"exact": lambda v, pt: v,
+            "holes": lambda v, pt: None if pt[0] == hole else v,
+            "ints": lambda v, pt: as_int(v),
+            **other,
+            "wrong": lambda v, pt: v + 1 if pt == bad else v,
+            "wrong-int": lambda v, pt: as_int(v + 1 if pt == bad else v)}
+
+
+@pytest.mark.parametrize("trials", [0, 1, 200])
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
+@pytest.mark.parametrize("field, height", [(QQ, 1), (QQ, 10), (QQ, 1000), (FP101, 10),
+                                           (FP, 10)],
+                         ids=["q-1", "q-10", "q-1000", "fp101", "fp1000003"])
+def test_batch_verification_matches_the_per_point_loop(field, height, arity, trials):
+    # The batch (one bulk draw, one query per distinct point, N = f*D on
+    # integers) against the per-point loop it replaced: the same tally, the
+    # same mismatch triple and the same queries in the same order, for
+    # every way the oracle answers.  F_101 repeats points at every arity.
+    f = verify_target(field, arity)
+    rng = derive_rng(4, "v", arity)
+    drawn = [tuple(random_element(field, rng, height) for _ in range(arity))
+             for _ in range(trials)]
+    defined = [pt for pt in dict.fromkeys(drawn) if f.eval_or_none(pt) is not None]
+    bad = max(defined, key=drawn.count) if defined else None
+    for name, answer in answer_kinds(field, drawn, bad).items():
+        def fn(pt):
+            v = f.eval_or_none(pt)
+            return None if v is None else answer(v, pt)
+
+        runs = []
+        for verify in (verify_agreement, per_point_verify_agreement):
+            calls = []
+            oracle = SliceOracle(arity, field, lambda pt: calls.append(pt) or fn(pt))
+            runs.append((verify(oracle, f, trials, derive_rng(4, "v", arity), height), calls))
+        (tally, calls), (want, want_calls) = runs
+        assert calls == want_calls == list(dict.fromkeys(drawn)), name
+        assert tally == want and type(tally) is Agreement, name
+        assert tally.mismatch == want.mismatch, name
+        if want.mismatch is not None:
+            assert [type(x) for x in tally.mismatch] == [type(x) for x in want.mismatch]
+        if name == "exact" and defined:
+            assert tally.mismatch is None and tally[1] == trials - tally[2] > 0
+        if name.startswith("wrong") and bad is not None:
+            assert tally.mismatch[0] == bad and tally.mismatch[2] == f.eval(bad)
+
+
 def test_vacuous_verification_is_a_budget_failure():
     # The leaf's fit sees the oracle only where the fit asks; every
     # verification point is a hole, so not one point is compared.
