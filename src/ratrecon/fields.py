@@ -17,10 +17,14 @@ so it takes the same bits and gives the same value as ``randint`` and
 ``randrange`` would: over Q a numerator ``randint(-h, h)`` then a
 denominator ``randint(1, h)``, over F_p one ``randrange(p)``.  It returns
 the value's integer id (equal ids iff equal values, within one sampler)
-with the element, which the sampler builds once per distinct value of its
-run, so callers key sets and memos by the ids and never hash an element.
-`draw(k)` makes k draws in one call, the list of what k calls of `draw()`
-would return.  `random_element` is one draw of a fresh sampler.
+with the element, so callers key sets and memos by the ids and never hash
+an element.  Each element is built once per distinct value: in a box of at
+most `SHARED_BOX` values (Q at heights h <= 28, whose box has s_h values,
+and F_p with p <= SHARED_BOX) once per field object and height, in one
+table that the field keeps and every sampler of that height shares; in a
+larger box once per run, in the sampler's own cache.  `draw(k)` makes k
+draws in one call, the list of what k calls of `draw()` would return.
+`random_element` is one draw of a fresh sampler.
 """
 
 from __future__ import annotations
@@ -34,6 +38,10 @@ from fractions import Fraction
 from .errors import FieldMismatch
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# A box of at most this many values has one (id, element) table per field
+# and height, shared by all its samplers.
+SHARED_BOX = 1024
 
 
 def is_probable_prime(n: int) -> bool:
@@ -191,6 +199,10 @@ class RationalField(Field):
     zero = Fraction(0)
     one = Fraction(1)
 
+    def __init__(self):
+        # height -> the table its samplers share, or None where s_h > SHARED_BOX
+        self._tables = {}
+
     def from_int(self, k: int) -> Fraction:
         return Fraction(k)
 
@@ -203,14 +215,21 @@ class RationalField(Field):
     def _sampler(self, rng: random.Random, height_bound: int):
         """Uniform numerator in [-h, h] and denominator in [1, h], then
         reduced; the id of num/den in lowest terms is num * (h + 1) + den.
-        The cache maps each id to (id, Fraction)."""
+        The cache maps each id to (id, Fraction): the field's table for h
+        when the box has at most SHARED_BOX values (h <= 28), else one for
+        this run."""
         h = height_bound
         if h < 1:
             raise ValueError("height_bound must be >= 1")
         bits, gcd = rng.getrandbits, math.gcd
         nums, dens = 2 * h + 1, h
         nk, dk = nums.bit_length(), dens.bit_length()
-        cache = {}
+        if h not in self._tables and 4 * h - 1 <= SHARED_BOX:   # s_h >= 4h - 1
+            small = height_box_sizes(h)[-1] <= SHARED_BOX
+            self._tables[h] = {} if small else None
+        cache = self._tables.get(h)
+        if cache is None:
+            cache = {}
 
         def draw(count=None):
             out = []
@@ -258,6 +277,7 @@ class PrimeField(Field):
         self.p = p
         self.zero = FpElement(0, self)
         self.one = FpElement(1, self)
+        self._table = {} if p <= SHARED_BOX else None
 
     def from_int(self, k: int) -> FpElement:
         return FpElement(k, self)
@@ -273,10 +293,12 @@ class PrimeField(Field):
         return str(x.residue)
 
     def _sampler(self, rng: random.Random, height_bound: int):
-        """A uniform residue, which is its own id; the height is unused."""
+        """A uniform residue, which is its own id; the height is unused.
+        The cache maps each id to (id, FpElement): the field's table when
+        p <= SHARED_BOX, else one for this run."""
         p, bits = self.p, rng.getrandbits
         k = p.bit_length()
-        cache = {}
+        cache = {} if self._table is None else self._table
 
         def draw(count=None):
             out = []

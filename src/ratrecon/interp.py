@@ -28,6 +28,8 @@ integer kernel of `rational_reconstruct` (the extended Euclidean algorithm
 modulo prod(x - a_i)).  The Newton pool stays on integers, residues over
 F_p and integer numerators over one denominator over Q, and candidates are
 checked by integer Horner; a `RatFun1` is built only for the fit returned.
+While the pool is too small for any row to be tried, detection runs only
+the remainder sequence (`reconstruct_ints`' `limit`), not the cofactors.
 """
 
 from __future__ import annotations
@@ -251,9 +253,9 @@ class _NewtonPool:
         self.u, self.den = _strip([x // g for x in new]), den // g
         self.modulus = [x * ad - an * y for x, y in zip([0] + mod, mod + [0])]
 
-    def reconstruct(self, n=None, m=None):
+    def reconstruct(self, n=None, m=None, limit=None):
         """`reconstruct_ints` on the pool."""
-        return reconstruct_ints(self.modulus, self.u, self.p, n, m)
+        return reconstruct_ints(self.modulus, self.u, self.p, n, m, limit)
 
     def agrees(self, row, a, v) -> bool:
         """Whether the function of the coprime `row` is defined at a with
@@ -359,7 +361,10 @@ def detect_profile_with_fit(oracle: UnivariateOracle, field: Field,
     with `validation_extra` fresh points.  After a rejection the enlarged
     pool is tried again before the next draw.  Candidates thus come in the
     order (total degree, numerator degree) of a walk over all degree pairs,
-    each fitted with at least one sample to spare; returns (profile, fit)."""
+    each fitted with at least one sample to spare; returns (profile, fit).
+    The bound is passed to `reconstruct_ints` as its `limit`, so a pass
+    with no candidate within it runs the remainders alone and builds no
+    cofactor."""
     cap = budget.max_degree
     draw = field._sampler(rng, budget.height_bound)
     taken: set = set()
@@ -368,13 +373,12 @@ def detect_profile_with_fit(oracle: UnivariateOracle, field: Field,
     # below cap + 2, or rejects a candidate at a strictly later degree pair
     for _ in range((cap + 2) * (cap + 3)):
         k = len(pool.modulus) - 1
-        row = pool.reconstruct()
-        prof = _row_profile(row)
-        if prof.l <= min(k - 2, cap):
+        row = pool.reconstruct(limit=min(k - 2, cap))
+        if row is not None:
             fresh = [_draw_defined(oracle, draw, budget, taken)
                      for _ in range(budget.validation_extra)]
             if all(pool.agrees(row, a, v) for a, v in fresh):
-                return prof, pool.ratfun(row)
+                return _row_profile(row), pool.ratfun(row)
         elif max(k - 1, 0) > cap:
             break
         else:

@@ -231,18 +231,31 @@ def divmod_ints(a: list, b: list, p):
     return s, q, _strip(rem if p is None else [c % p for c in rem])
 
 
-def gcd_ints(a: list, b: list, p) -> list:
-    """A gcd of a and b, a nonzero scalar multiple of the monic one ([] when
-    both are zero): Euclid on residues over F_p, the primitive
-    pseudo-remainder sequence over Q."""
+def remainders_ints(a: list, b: list, p):
+    """The remainder sequence of Euclid on (a, b), deg a >= deg b: a, b and
+    each remainder in turn, ending with the first zero list [].  Over F_p
+    the entries are residue lists; over Q it is the primitive
+    pseudo-remainder sequence, each entry a nonzero scalar multiple of the
+    remainder over Q, so the degrees are those of Euclid over Q."""
     if p is None:
         a, b = primitive_ints(a), primitive_ints(b)
-    if len(a) < len(b):
-        a, b = b, a
+    yield a
     while b:
+        yield b
         r = divmod_ints(a, b, p)[2]
         a, b = b, primitive_ints(r) if p is None else r
-    return a
+    yield b
+
+
+def gcd_ints(a: list, b: list, p) -> list:
+    """A gcd of a and b, a nonzero scalar multiple of the monic one ([] when
+    both are zero): the last nonzero entry of `remainders_ints`."""
+    if len(a) < len(b):
+        a, b = b, a
+    g = []
+    for r in remainders_ints(a, b, p):
+        g = r or g
+    return g
 
 
 class PolyN:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ratrecon.errors import FieldMismatch
 from ratrecon.fields import (
     QQ,
+    SHARED_BOX,
     FpElement,
     PrimeField,
     derive_rng,
@@ -243,3 +244,47 @@ def test_height_box_sizes_count_the_sampler_values():
         box = {Fraction(n, d) for n in range(-h, h + 1) for d in range(1, h + 1)}
         assert sizes[h - 1] == len(box)
     assert (sizes[0], sizes[1], sizes[9]) == (3, 7, 127)
+
+
+@pytest.mark.parametrize("field, height", [(QQ, 10), (QQ, 1), (PrimeField(101), 7)])
+def test_small_box_table_is_shared_by_the_samplers(field, height):
+    # every sampler of a field and height draws from one table when the box
+    # has at most SHARED_BOX values: equal ids give the very same element
+    firsts = {}
+    for seed in range(4):
+        for key, x in field._sampler(random.Random(seed), height)(300):
+            assert firsts.setdefault(key, x) is x
+    assert len(firsts) > 1
+
+
+def test_q_tables_hold_at_most_their_box():
+    sizes = height_box_sizes(29)
+    assert sizes[27] <= SHARED_BOX < sizes[28]
+    rng = random.Random(11)
+    for h in range(1, 29):
+        QQ._sampler(rng, h)(4000)
+        assert 0 < len(QQ._tables[h]) <= sizes[h - 1]
+    QQ._sampler(rng, 29)(100)
+    assert QQ._tables[29] is None
+    assert sum(len(t) for t in QQ._tables.values() if t) <= sum(sizes[:28])
+
+
+def test_large_boxes_leave_no_shared_table():
+    # F_1000003 and Q at height 10^6 keep a cache per run, which dies with it
+    fp = PrimeField(1000003)
+    draw = fp._sampler(random.Random(1), 10)
+    draw(500)
+    assert fp._table is None
+    QQ._sampler(random.Random(2), 10 ** 6)(500)
+    assert QQ._tables.get(10 ** 6) is None
+
+
+def test_equal_prime_fields_do_not_share_elements():
+    # each PrimeField object keeps its own table, so the elements it draws
+    # are its own (verification tells a value of its field by `.field is`)
+    a, b = PrimeField(101), PrimeField(101)
+    xs = a._sampler(random.Random(3), 10)(200)
+    ys = b._sampler(random.Random(3), 10)(200)
+    assert [k for k, _ in xs] == [k for k, _ in ys]
+    assert all(x.field is a and y.field is b and x is not y
+               for (_, x), (_, y) in zip(xs, ys))

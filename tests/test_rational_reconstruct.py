@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from ratrecon import interp, ratfun
 from ratrecon.errors import (
     BudgetExhausted,
     DomainTooSparse,
@@ -31,7 +32,14 @@ from ratrecon.interp import (
     fit_ratfun,
 )
 from ratrecon.poly import Poly1, gcd_poly1
-from ratrecon.ratfun import RatFun1, normalize_ratfun1, rational_reconstruct
+from ratrecon.ratfun import (
+    RatFun1,
+    _coprime,
+    eea_rows,
+    normalize_ratfun1,
+    rational_reconstruct,
+    reconstruct_ints,
+)
 
 FP = PrimeField(1000003)
 F101 = PrimeField(101)
@@ -605,3 +613,97 @@ def test_detection_builds_field_elements_only_for_its_answer(monkeypatch):
         assert fit == f
         coefficients = len(fit.num.coeffs) + len(fit.den.coeffs)
         assert len(built) <= len(draws) + len(values) + coefficients
+
+
+# ---------------------------------------------------------------------------
+# the kernel's `limit` against the unbounded selection
+
+LIMIT_CASES = ((PrimeField(5), 10), (F101, 10), (FP, 10),
+               (QQ, 1), (QQ, 10), (QQ, 1000))
+
+
+def limit_pool(field, height, rng, kind):
+    """A Newton pool (`interp._NewtonPool`) through up to 9 distinct
+    abscissae of the height box, with the values of the zero function (kind
+    0), a nonzero constant (1), a polynomial (2) or a fraction of low degree
+    (3, and 4 with one value moved, whose low rows then share a factor with
+    the modulus); a value at a pole is drawn at random."""
+    box = field.p if field != QQ else 4 * height - 1    # at most s_h
+    pts = distinct_points(field, rng, min(rng.randint(1, 9), box), height)
+    if kind == 0:
+        f = rand_ratfun(field, rng, -1, 0)
+    elif kind == 1:
+        f = rand_ratfun(field, rng, 0, 0)
+    elif kind == 2:
+        f = rand_ratfun(field, rng, rng.randint(1, 3), 0)
+    else:
+        f = rand_ratfun(field, rng, rng.randint(0, 2), rng.randint(1, 2))
+    vals = [f.eval(a) if f.defined_at(a) else random_element(field, rng, height)
+            for a in pts]
+    if kind == 4:
+        vals[rng.randrange(len(vals))] += field.one
+    pool = interp._NewtonPool(field)
+    for a, v in zip(pts, vals):
+        pool.add(a, v)
+    return pool
+
+
+def test_limit_matches_the_unbounded_selection():
+    # with `limit` the kernel returns the unbounded selection's row when its
+    # total degree is within the limit and None otherwise, for every limit
+    # from -1 to the pool size
+    rng = random.Random(2032)
+    seen = set()
+    for trial in range(600):
+        field, height = LIMIT_CASES[trial % len(LIMIT_CASES)]
+        pool = limit_pool(field, height, rng, trial // len(LIMIT_CASES) % 5)
+        mod, u, p = pool.modulus, pool.u, pool.p
+        k = len(mod) - 1
+        want = reconstruct_ints(mod, u, p)
+        total = max(len(want[0]) - 1, 0) + len(want[1]) - 1
+        for limit in range(-1, k + 1):
+            got = reconstruct_ints(mod, u, p, limit=limit)
+            assert got == (want if total <= limit else None), (trial, limit)
+        # coverage: a quotient of degree >= 2 below the first row, a
+        # non-coprime row passed over, and zero and constant interpolants
+        rows = list(eea_rows(mod, u, p))
+        drops = [len(r0) - len(r1) for (r0, _), (r1, _) in zip(rows, rows[1:]) if r1]
+        first = min(rows, key=lambda row: (max(len(row[0]) - 1, 0) + len(row[1]) - 1,
+                                           len(row[0]) - 1))
+        seen.add((field, "jump") if any(d >= 2 for d in drops) else None)
+        seen.add((field, "passed over") if not _coprime(*first, p) else None)
+        seen.add((field, "zero" if not u else "constant" if len(u) == 1 else "fit"))
+    for field, _ in LIMIT_CASES:
+        assert {(field, c) for c in ("jump", "passed over", "zero", "constant")} <= seen
+
+
+def test_detection_builds_no_cofactor_while_no_row_is_within_reach(monkeypatch):
+    # a pass of detection asks the kernel for a row within min(k - 2,
+    # max_degree); `eea_rows`, which builds the cofactors, runs exactly in
+    # the passes where some row is within that limit
+    rng = random.Random(2033)
+    calls = []
+
+    def spy_rows(modulus, u, p):
+        calls.append(1)
+        return eea_rows(modulus, u, p)
+
+    passes = []
+
+    def spy_kernel(modulus, u, p, n=None, m=None, limit=None):
+        totals = [max(len(r) - 1, 0) + len(t) - 1 for r, t in eea_rows(modulus, u, p)]
+        before = len(calls)
+        row = reconstruct_ints(modulus, u, p, n, m, limit)
+        passes.append((min(totals) <= limit, len(calls) - before))
+        return row
+
+    monkeypatch.setattr(ratfun, "eea_rows", spy_rows)
+    monkeypatch.setattr(interp, "reconstruct_ints", spy_kernel)
+    for trial in range(30):
+        field = KERNEL_FIELDS[trial % 3]
+        f = rand_ratfun(field, rng, rng.randint(-1, 4), rng.randint(0, 4))
+        oracle = SwitchingOracle(f, f, 0)
+        detect_profile_with_fit(oracle, field, SamplingBudget(), random.Random(trial))
+    assert all(built == within for within, built in passes)
+    growth = sum(not within for within, _ in passes)
+    assert growth > 2 * (len(passes) - growth) > 0
