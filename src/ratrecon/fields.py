@@ -18,11 +18,11 @@ so it takes the same bits and gives the same value as ``randint`` and
 denominator ``randint(1, h)``, over F_p one ``randrange(p)``.  It returns
 the value's integer id (equal ids iff equal values, within one sampler)
 with the element, so callers key sets and memos by the ids and never hash
-an element.  Each element is built once per distinct value: in a box of at
-most `SHARED_BOX` values (Q at heights h <= 28, whose box has s_h values,
-and F_p with p <= SHARED_BOX) once per field object and height, in one
-table that the field keeps and every sampler of that height shares; in a
-larger box once per run, in the sampler's own cache.  `draw(k)` makes k
+an element.  Each element is built once per distinct value: over Q at a
+height h whose box has at most `SHARED_BOX` values (s_h <= SHARED_BOX, so
+h <= 28) once per field object and height, in one table that the field
+keeps and every sampler of that height shares; otherwise, and always over
+F_p, once per run, in the sampler's own cache.  `draw(k)` makes k
 draws in one call, the list of what k calls of `draw()` would return.
 `random_element` is one draw of a fresh sampler.
 """
@@ -39,8 +39,8 @@ from .errors import FieldMismatch
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# A box of at most this many values has one (id, element) table per field
-# and height, shared by all its samplers.
+# Over Q, a height whose box has at most this many values has one
+# (id, element) table per field, shared by all its samplers.
 SHARED_BOX = 1024
 
 
@@ -277,7 +277,6 @@ class PrimeField(Field):
         self.p = p
         self.zero = FpElement(0, self)
         self.one = FpElement(1, self)
-        self._table = {} if p <= SHARED_BOX else None
 
     def from_int(self, k: int) -> FpElement:
         return FpElement(k, self)
@@ -294,11 +293,11 @@ class PrimeField(Field):
 
     def _sampler(self, rng: random.Random, height_bound: int):
         """A uniform residue, which is its own id; the height is unused.
-        The cache maps each id to (id, FpElement): the field's table when
-        p <= SHARED_BOX, else one for this run."""
+        The cache maps each id to (id, FpElement), built once per distinct
+        value of its run."""
         p, bits = self.p, rng.getrandbits
         k = p.bit_length()
-        cache = {} if self._table is None else self._table
+        cache = {}
 
         def draw(count=None):
             out = []

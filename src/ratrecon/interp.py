@@ -29,7 +29,7 @@ modulo prod(x - a_i)).  The Newton pool stays on integers, residues over
 F_p and integer numerators over one denominator over Q, and candidates are
 checked by integer Horner; a `RatFun1` is built only for the fit returned.
 While the pool is too small for any row to be tried, detection runs only
-the remainder sequence (`reconstruct_ints`' `limit`), not the cofactors.
+the remainder sequence (`ratfun._row_within`), not the cofactors.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .matrix import bordered_dets, det_exact
 from .poly import Poly1, _ratio, _residue, _strip, field_prime
 from .ratfun import (
     RatFun1,
+    _row_within,
     degree_and_ord,
     ratfun1_from_row,
     reconstruct_ints,
@@ -253,9 +254,9 @@ class _NewtonPool:
         self.u, self.den = _strip([x // g for x in new]), den // g
         self.modulus = [x * ad - an * y for x, y in zip([0] + mod, mod + [0])]
 
-    def reconstruct(self, n=None, m=None, limit=None):
+    def reconstruct(self, n=None, m=None):
         """`reconstruct_ints` on the pool."""
-        return reconstruct_ints(self.modulus, self.u, self.p, n, m, limit)
+        return reconstruct_ints(self.modulus, self.u, self.p, n, m)
 
     def agrees(self, row, a, v) -> bool:
         """Whether the function of the coprime `row` is defined at a with
@@ -362,9 +363,8 @@ def detect_profile_with_fit(oracle: UnivariateOracle, field: Field,
     pool is tried again before the next draw.  Candidates thus come in the
     order (total degree, numerator degree) of a walk over all degree pairs,
     each fitted with at least one sample to spare; returns (profile, fit).
-    The bound is passed to `reconstruct_ints` as its `limit`, so a pass
-    with no candidate within it runs the remainders alone and builds no
-    cofactor."""
+    A pass first asks `_row_within` whether any row is within the bound,
+    on the remainders alone, so a pass with none builds no cofactor."""
     cap = budget.max_degree
     draw = field._sampler(rng, budget.height_bound)
     taken: set = set()
@@ -373,12 +373,14 @@ def detect_profile_with_fit(oracle: UnivariateOracle, field: Field,
     # below cap + 2, or rejects a candidate at a strictly later degree pair
     for _ in range((cap + 2) * (cap + 3)):
         k = len(pool.modulus) - 1
-        row = pool.reconstruct(limit=min(k - 2, cap))
-        if row is not None:
+        lim = min(k - 2, cap)
+        row = (pool.reconstruct()
+               if _row_within(pool.modulus, pool.u, pool.p, lim) else None)
+        if row is not None and (prof := _row_profile(row)).l <= lim:
             fresh = [_draw_defined(oracle, draw, budget, taken)
                      for _ in range(budget.validation_extra)]
             if all(pool.agrees(row, a, v) for a, v in fresh):
-                return _row_profile(row), pool.ratfun(row)
+                return prof, pool.ratfun(row)
         elif max(k - 1, 0) > cap:
             break
         else:

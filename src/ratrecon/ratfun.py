@@ -279,36 +279,28 @@ def rational_reconstruct(modulus: Poly1, u: Poly1, n: int | None = None,
 
 
 def reconstruct_ints(modulus: list, u: list, p, n: int | None = None,
-                     m: int | None = None, limit: int | None = None):
+                     m: int | None = None):
     """The extended-Euclid kernel of `rational_reconstruct` on integer
     coefficient lists (see poly.py), deg u < deg modulus: the selected row
     (r, t) of `eea_rows`, or None.  The function the row stands for is
-    r/(den*t), where u/den is the interpolant (see ratfun1_from_row).
-
-    With `limit` (and no bounds n, m) it is the unbounded selection's row
-    if that row's total degree deg r + deg t is at most `limit`, else
-    None.  As the rows are taken in (total degree, deg r) order, that row
-    is the first coprime one among the rows within `limit`.  Whether any
-    row is within `limit` is decided first, on the remainders alone
-    (`_row_within`); when none is, no cofactor t is built."""
-    if limit is not None and not _row_within(modulus, u, p, limit):
-        return None
+    r/(den*t), where u/den is the interpolant (see ratfun1_from_row)."""
     rows = []
     for r, t in eea_rows(modulus, u, p):
         dr = len(r) - 1
         if n is not None and dr <= n:
             return (r, t) if len(t) - 1 <= m and _coprime(r, t, p) else None
         rows.append((max(dr, 0) + len(t) - 1, dr, r, t))
-    for total, _, r, t in sorted(rows, key=lambda row: row[:2]):
-        if limit is not None and total > limit:
-            return None
+    for _, _, r, t in sorted(rows, key=lambda row: row[:2]):
         if _coprime(r, t, p):
             return r, t
 
 
 def _row_within(modulus: list, u: list, p, limit: int) -> bool:
     """Whether a row of `eea_rows(modulus, u, p)` has total degree at most
-    `limit`.  The row of the remainder r_(j+1) has t of degree
+    `limit`, decided on the remainders alone, without building any
+    cofactor t.  As the unbounded selection takes the rows in (total
+    degree, deg r) order, its row is within `limit` only if this holds.
+    The row of the remainder r_(j+1) has t of degree
     deg modulus - deg r_j, rising from row to row, so its total degree is
     max(deg r_(j+1), 0) + deg modulus - deg r_j, read off the remainder
     sequence of `remainders_ints`."""

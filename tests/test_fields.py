@@ -11,6 +11,7 @@ from ratrecon.fields import (
     SHARED_BOX,
     FpElement,
     PrimeField,
+    RationalField,
     derive_rng,
     enumerate_countable,
     field_from_string,
@@ -246,10 +247,11 @@ def test_height_box_sizes_count_the_sampler_values():
     assert (sizes[0], sizes[1], sizes[9]) == (3, 7, 127)
 
 
-@pytest.mark.parametrize("field, height", [(QQ, 10), (QQ, 1), (PrimeField(101), 7)])
-def test_small_box_table_is_shared_by_the_samplers(field, height):
+@pytest.mark.parametrize("height", [10, 1, 28])
+def test_small_box_table_is_shared_by_the_samplers(height):
     # every sampler of a field and height draws from one table when the box
     # has at most SHARED_BOX values: equal ids give the very same element
+    field = RationalField()
     firsts = {}
     for seed in range(4):
         for key, x in field._sampler(random.Random(seed), height)(300):
@@ -260,31 +262,35 @@ def test_small_box_table_is_shared_by_the_samplers(field, height):
 def test_q_tables_hold_at_most_their_box():
     sizes = height_box_sizes(29)
     assert sizes[27] <= SHARED_BOX < sizes[28]
-    rng = random.Random(11)
+    q, rng = RationalField(), random.Random(11)
     for h in range(1, 29):
-        QQ._sampler(rng, h)(4000)
-        assert 0 < len(QQ._tables[h]) <= sizes[h - 1]
-    QQ._sampler(rng, 29)(100)
-    assert QQ._tables[29] is None
-    assert sum(len(t) for t in QQ._tables.values() if t) <= sum(sizes[:28])
+        q._sampler(rng, h)(4000)
+        assert 0 < len(q._tables[h]) <= sizes[h - 1]
+    q._sampler(rng, 29)(100)
+    assert q._tables[29] is None
+    assert sum(len(t) for t in q._tables.values() if t) <= sum(sizes[:28])
 
 
 def test_large_boxes_leave_no_shared_table():
-    # F_1000003 and Q at height 10^6 keep a cache per run, which dies with it
-    fp = PrimeField(1000003)
-    draw = fp._sampler(random.Random(1), 10)
-    draw(500)
-    assert fp._table is None
-    QQ._sampler(random.Random(2), 10 ** 6)(500)
-    assert QQ._tables.get(10 ** 6) is None
+    # Q at a height whose box exceeds SHARED_BOX keeps a cache per run,
+    # which dies with it: heights up to 256 are marked None, larger ones
+    # never enter the field's tables
+    q = RationalField()
+    for h in (29, 100, 256, 10 ** 6):
+        q._sampler(random.Random(2), h)(500)
+    assert q._tables == {29: None, 100: None, 256: None}
+    draws = [q._sampler(random.Random(2), 100)(500) for _ in range(2)]
+    assert all(x is not y for (_, x), (_, y) in zip(*draws))
 
 
-def test_equal_prime_fields_do_not_share_elements():
-    # each PrimeField object keeps its own table, so the elements it draws
-    # are its own (verification tells a value of its field by `.field is`)
+def test_prime_field_samplers_share_no_elements():
+    # over F_p each run builds its own elements, so a value is always of
+    # the field object that drew it (verification tells a value of its
+    # field by `.field is`), also for two equal fields
     a, b = PrimeField(101), PrimeField(101)
     xs = a._sampler(random.Random(3), 10)(200)
     ys = b._sampler(random.Random(3), 10)(200)
-    assert [k for k, _ in xs] == [k for k, _ in ys]
-    assert all(x.field is a and y.field is b and x is not y
-               for (_, x), (_, y) in zip(xs, ys))
+    zs = a._sampler(random.Random(3), 10)(200)
+    assert [k for k, _ in xs] == [k for k, _ in ys] == [k for k, _ in zs]
+    assert all(x.field is a and y.field is b and x is not y and x is not z
+               for (_, x), (_, y), (_, z) in zip(xs, ys, zs))

@@ -35,6 +35,7 @@ from ratrecon.poly import Poly1, gcd_poly1
 from ratrecon.ratfun import (
     RatFun1,
     _coprime,
+    _row_within,
     eea_rows,
     normalize_ratfun1,
     rational_reconstruct,
@@ -616,7 +617,7 @@ def test_detection_builds_field_elements_only_for_its_answer(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the kernel's `limit` against the unbounded selection
+# `_row_within`, detection's gate on the remainders, against the EEA rows
 
 LIMIT_CASES = ((PrimeField(5), 10), (F101, 10), (FP, 10),
                (QQ, 1), (QQ, 10), (QQ, 1000))
@@ -648,10 +649,10 @@ def limit_pool(field, height, rng, kind):
     return pool
 
 
-def test_limit_matches_the_unbounded_selection():
-    # with `limit` the kernel returns the unbounded selection's row when its
-    # total degree is within the limit and None otherwise, for every limit
-    # from -1 to the pool size
+def test_row_within_matches_the_rows_and_gates_the_unbounded_selection():
+    # for every limit from -1 to the pool size, `_row_within` holds iff some
+    # EEA row has total degree within the limit; so gating the unbounded
+    # selection on it keeps exactly the selected rows within the limit
     rng = random.Random(2032)
     seen = set()
     for trial in range(600):
@@ -659,14 +660,17 @@ def test_limit_matches_the_unbounded_selection():
         pool = limit_pool(field, height, rng, trial // len(LIMIT_CASES) % 5)
         mod, u, p = pool.modulus, pool.u, pool.p
         k = len(mod) - 1
+        rows = list(eea_rows(mod, u, p))
+        totals = [max(len(r) - 1, 0) + len(t) - 1 for r, t in rows]
         want = reconstruct_ints(mod, u, p)
         total = max(len(want[0]) - 1, 0) + len(want[1]) - 1
         for limit in range(-1, k + 1):
-            got = reconstruct_ints(mod, u, p, limit=limit)
-            assert got == (want if total <= limit else None), (trial, limit)
+            within = _row_within(mod, u, p, limit)
+            assert within == (min(totals) <= limit), (trial, limit)
+            gated = want if within and total <= limit else None
+            assert gated == (want if total <= limit else None), (trial, limit)
         # coverage: a quotient of degree >= 2 below the first row, a
         # non-coprime row passed over, and zero and constant interpolants
-        rows = list(eea_rows(mod, u, p))
         drops = [len(r0) - len(r1) for (r0, _), (r1, _) in zip(rows, rows[1:]) if r1]
         first = min(rows, key=lambda row: (max(len(row[0]) - 1, 0) + len(row[1]) - 1,
                                            len(row[0]) - 1))
@@ -678,32 +682,31 @@ def test_limit_matches_the_unbounded_selection():
 
 
 def test_detection_builds_no_cofactor_while_no_row_is_within_reach(monkeypatch):
-    # a pass of detection asks the kernel for a row within min(k - 2,
-    # max_degree); `eea_rows`, which builds the cofactors, runs exactly in
-    # the passes where some row is within that limit
+    # each pass of detection asks `_row_within` for a row within min(k - 2,
+    # max_degree); `eea_rows`, which builds the cofactors, runs right after
+    # exactly the passes where some row is within that limit
     rng = random.Random(2033)
-    calls = []
+    events = []
 
     def spy_rows(modulus, u, p):
-        calls.append(1)
+        events.append("rows")
         return eea_rows(modulus, u, p)
 
-    passes = []
-
-    def spy_kernel(modulus, u, p, n=None, m=None, limit=None):
+    def spy_within(modulus, u, p, limit):
         totals = [max(len(r) - 1, 0) + len(t) - 1 for r, t in eea_rows(modulus, u, p)]
-        before = len(calls)
-        row = reconstruct_ints(modulus, u, p, n, m, limit)
-        passes.append((min(totals) <= limit, len(calls) - before))
-        return row
+        events.append(min(totals) <= limit)
+        return _row_within(modulus, u, p, limit)
 
     monkeypatch.setattr(ratfun, "eea_rows", spy_rows)
-    monkeypatch.setattr(interp, "reconstruct_ints", spy_kernel)
+    monkeypatch.setattr(interp, "_row_within", spy_within)
     for trial in range(30):
         field = KERNEL_FIELDS[trial % 3]
         f = rand_ratfun(field, rng, rng.randint(-1, 4), rng.randint(0, 4))
         oracle = SwitchingOracle(f, f, 0)
         detect_profile_with_fit(oracle, field, SamplingBudget(), random.Random(trial))
-    assert all(built == within for within, built in passes)
-    growth = sum(not within for within, _ in passes)
+    passes = [e for e in events if e != "rows"]
+    built = [events[i + 1:i + 2] == ["rows"] for i, e in enumerate(events) if e != "rows"]
+    assert built == passes
+    assert events.count("rows") == sum(passes)
+    growth = passes.count(False)
     assert growth > 2 * (len(passes) - growth) > 0
