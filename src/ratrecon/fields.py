@@ -18,11 +18,12 @@ so it takes the same bits and gives the same value as ``randint`` and
 denominator ``randint(1, h)``, over F_p one ``randrange(p)``.  It returns
 the value's integer id (equal ids iff equal values, within one sampler)
 with the element, so callers key sets and memos by the ids and never hash
-an element.  Each element is built once per distinct value: over Q at a
+an element.  Over Q each element is built once per distinct value: at a
 height h whose box has at most `SHARED_BOX` values (s_h <= SHARED_BOX, so
 h <= 28) once per field object and height, in one table that the field
-keeps and every sampler of that height shares; otherwise, and always over
-F_p, once per run, in the sampler's own cache.  `draw(k)` makes k
+keeps and every sampler of that height shares; otherwise once per run, in
+the sampler's own cache.  Over F_p, where values rarely repeat, each draw
+builds its element and nothing is kept.  `draw(k)` makes k
 draws in one call, the list of what k calls of `draw()` would return.
 `random_element` is one draw of a fresh sampler.
 """
@@ -293,11 +294,9 @@ class PrimeField(Field):
 
     def _sampler(self, rng: random.Random, height_bound: int):
         """A uniform residue, which is its own id; the height is unused.
-        The cache maps each id to (id, FpElement), built once per distinct
-        value of its run."""
+        Each draw builds its (id, FpElement) afresh."""
         p, bits = self.p, rng.getrandbits
         k = p.bit_length()
-        cache = {}
 
         def draw(count=None):
             out = []
@@ -305,10 +304,7 @@ class PrimeField(Field):
                 r = bits(k)
                 while r >= p:
                     r = bits(k)
-                hit = cache.get(r)
-                if hit is None:
-                    hit = cache[r] = (r, FpElement(r, self))
-                out.append(hit)
+                out.append((r, FpElement(r, self)))
             return out[0] if count is None else out
 
         return draw

@@ -9,9 +9,10 @@ each with its border row last:
     denominator-style det = (-1)^(n*m)     det[data; 0..0, y^0..y^m]
 
 With den_i = 1 and num_i = f(a_i) these are the pointwise interpolation
-determinants; with `PolyN` entries, the reconstruction determinants of a
-multivariate function over K[x'].  The rows are built here, from per-row
-anchor powers, so each caller can scale its rows to integers.  `alpha_beta` does:
+determinants.  `PolyN` entries over K[x'] work too, but no engine path
+uses them: its combine solves a scalar system (`reconstruct._combine`).
+The rows are built here, from per-row anchor powers, so each caller can
+scale its rows to integers.  `alpha_beta` does:
 over F_p residues, eliminated mod p; over Q each row times the
 denominators of its point and value, so Bareiss runs on plain integers
 with `//` and the two determinants are divided by the product of the

@@ -11,7 +11,8 @@ polynomial on packed exponents and int coefficients, the one multivariate
 arithmetic that multiplies, divides and cancels: `PolyN` `*` and `/` and
 the cancellation of `ratfun.normalize_ratfunn` run on it.  A PolyN is evaluated only as
 part of a `ratfun.RatFunN`, whose program `expr._compile` builds from
-`PolyN.int_form`.
+`PolyN.int_form`.  Every integer form comes back to field elements through
+one map, `over(field, den)`: c -> c/den.
 """
 
 from __future__ import annotations
@@ -167,13 +168,18 @@ def poly1_ints(f: Poly1):
     return [c.numerator * (den // c.denominator) for c in f.coeffs], den
 
 
+def over(field: Field, den: int = 1):
+    """The map c -> c/den from ints into `field`, the one place an integer
+    form becomes field elements; den is nonzero (mod p over F_p)."""
+    if isinstance(field, PrimeField):
+        inv = pow(den, -1, field.p)
+        return lambda c: FpElement(c * inv, field)
+    return lambda c: Fraction(c, den)
+
+
 def poly1_from_ints(field: Field, coeffs, den=1) -> Poly1:
     """The Poly1 coefficients / den; den is nonzero (mod p over F_p)."""
-    if isinstance(field, PrimeField):
-        p = field.p
-        inv = pow(den, -1, p)
-        return Poly1(field, [FpElement(c * inv, field) for c in coeffs])
-    return Poly1(field, [Fraction(c, den) for c in coeffs])
+    return Poly1(field, list(map(over(field, den), coeffs)))
 
 
 def _strip(cs: list) -> list:
@@ -447,20 +453,15 @@ class _PackedRing:
         return _Packed(self, {sum((e >> s & mask) << t for s, t in pairs): c
                               for e, c in f.terms.items()})
 
+    def ints(self, f: "_Packed") -> dict:
+        """f as a dict from exponent tuple to int coefficient."""
+        shifts, mask = self.shifts, (1 << self.w) - 1
+        return {tuple([e >> s & mask for s in shifts]): c for e, c in f.terms.items()}
+
     def unpack(self, f: "_Packed", den: int = 1) -> PolyN:
         """The PolyN f / den; den is nonzero (mod p over F_p)."""
-        field, shifts = self.field, self.shifts
-        mask = (1 << self.w) - 1
-        if self.p is None:
-            def make(c):
-                return Fraction(c, den)
-        else:
-            inv = pow(den, -1, self.p)
-
-            def make(c):
-                return FpElement(c * inv, field)
-        return PolyN(field, self.nvars, {tuple([e >> s & mask for s in shifts]): make(c)
-                                         for e, c in f.terms.items()})
+        make = over(self.field, den)
+        return PolyN(self.field, self.nvars, {e: make(c) for e, c in self.ints(f).items()})
 
 
 def _ring_for(*polys: PolyN) -> _PackedRing:

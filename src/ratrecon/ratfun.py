@@ -3,9 +3,10 @@
 RatFun1 keeps num/den coprime with a monic denominator.  A RatFunN from
 `normalize_ratfunn` is coprime and content-normalized: over Q both parts
 are integer with joint content 1 and the denominator's lex-leading
-coefficient positive; over F_p that leading coefficient is 1.
-`normalize_ratfunn` cancels the gcd and scales on packed integer
-polynomials (`poly._Packed`).
+coefficient positive; over F_p that leading coefficient is 1.  That is
+the scaling of `ratfunn_from_ints`, which cancels nothing: `normalize_ratfunn`
+ends in it after cancelling the gcd on packed integer polynomials
+(`poly._Packed`), `RatFun1.to_ratfunn` and the engine's combine without one.
 
 `rational_reconstruct` is the one univariate reconstruction step: rational
 interpolation of samples and Pade approximation of series both run on it.
@@ -18,12 +19,11 @@ field elements are built only for the row it returns.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import pairwise
 
 from .errors import UndefinedAt, ZeroDenominator, ZeroFunction
 from .expr import Add, Div, IntLit, Mul, Pow, Var, _compile
-from .fields import Field, FpElement, QQ
+from .fields import Field
 from .poly import (  # gcd_polyn: bench/selftest.py looks it up here
     Poly1,
     PolyN,
@@ -36,6 +36,7 @@ from .poly import (  # gcd_polyn: bench/selftest.py looks it up here
     gcd_poly1,
     gcd_polyn,
     mul_ints,
+    over,
     poly1_from_ints,
     poly1_ints,
     remainders_ints,
@@ -80,8 +81,14 @@ class RatFun1:
         return f"RatFun1({format_ratfun1(self)})"
 
     def to_ratfunn(self, nvars: int = 1, var: int = 0) -> "RatFunN":
-        return normalize_ratfunn(self.num.to_polyn(nvars, var),
-                                 self.den.to_polyn(nvars, var))
+        """The function as one of variable `var` in `nvars`: a RatFun1 is in
+        lowest terms, so it is only scaled, with no gcd."""
+        (num, lnum), (den, lden) = poly1_ints(self.num), poly1_ints(self.den)
+
+        def part(cs, k):
+            return {(0,) * var + (i,) + (0,) * (nvars - 1 - var): c * k
+                    for i, c in enumerate(cs) if c}
+        return ratfunn_from_ints(self.field, nvars, part(num, lden), part(den, lnum))
 
 
 def normalize_ratfun1(num: Poly1, den: Poly1) -> RatFun1:
@@ -148,8 +155,7 @@ class RatFunN:
         if pair is None:
             return None
         n, d = pair
-        p = field_prime(self.field)
-        return Fraction(n, d) if p is None else FpElement(n * pow(d, -1, p), self.field)
+        return over(self.field, d)(n)
 
     def eval_pairs(self, points) -> list:
         """For each point of `points`, as in `eval_or_none`, the integers
@@ -233,11 +239,20 @@ def normalize_ratfunn(num: PolyN, den: PolyN) -> RatFunN:
     g = _packed_gcd(n, d)
     if g.terms != {0: 1}:
         n, d = n / g, d / g
-    scale = d.terms[max(d.terms)]
-    if field == QQ:
-        k = math.gcd(*n.terms.values(), *d.terms.values())
-        scale = k if scale > 0 else -k
-    return RatFunN(ring.unpack(n, scale), ring.unpack(d, scale))
+    return ratfunn_from_ints(field, num.nvars, ring.ints(n), ring.ints(d))
+
+
+def ratfunn_from_ints(field: Field, nvars: int, num: dict, den: dict) -> RatFunN:
+    """num/den in canonical scale, nothing cancelled.  The parts map exponent
+    tuples to nonzero ints (residues over F_p), den nonzero; den's lex-leading
+    coefficient is made 1 over F_p, positive with joint content 1 over Q."""
+    lead = den[max(den)]
+    if field_prime(field) is None:
+        k = math.gcd(*num.values(), *den.values())
+        lead = k if lead > 0 else -k
+    make = over(field, lead)
+    return RatFunN(PolyN(field, nvars, {e: make(c) for e, c in num.items()}),
+                   PolyN(field, nvars, {e: make(c) for e, c in den.items()}))
 
 
 def rational_reconstruct(modulus: Poly1, u: Poly1, n: int | None = None,

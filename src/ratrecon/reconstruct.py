@@ -71,7 +71,7 @@ from .fields import Field, FpElement, _draw_point, derive_rng, iter_height_box_s
 from .interp import DegreeProfile, SamplingBudget, detect_profile_with_fit
 from .matrix import bordered_dets
 from .poly import PolyN, _ratio, _residue, field_prime, mul_ints
-from .ratfun import RatFunN, format_ratfunn, normalize_ratfunn
+from .ratfun import RatFunN, format_ratfunn, normalize_ratfunn, ratfunn_from_ints
 
 ANCHOR_PROBE_BATCH = 20
 ANCHOR_MIN_DEFINED = 0.95
@@ -147,10 +147,9 @@ class ReconConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.verify_trials < 1:
-            raise ValueError(f"verify_trials must be >= 1, got {self.verify_trials}")
-        if self.height_bound < 1:
-            raise ValueError(f"height_bound must be >= 1, got {self.height_bound}")
+        for name in ("validation_extra", "verify_trials", "height_bound"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name, cap in (("samples_per_class", SAMPLES_PER_CLASS_CAP),
                           ("validation_extra", VALIDATION_EXTRA_CAP),
                           ("verify_trials", VERIFY_TRIALS_CAP)):
@@ -604,8 +603,8 @@ def _combine(parts, anchors, profile: DegreeProfile, field: Field,
     the numerators, and the same over D_{i,alpha} for k < n.  (With
     s_i = t_i w_i, w_i = 1/prod_{j != i}(b_i - b_j), t_i is the constant
     of child i.)  Its kernel is taken with `matrix.bordered_dets` and unit
-    borders, the sums are interpolated and the result scaled to the
-    canonical form of `normalize_ratfunn`.  All of it runs on integers:
+    borders, the sums are interpolated and scaled by `ratfunn_from_ints`,
+    as in `normalize_ratfunn` but with no gcd.  All of it runs on integers:
     over F_p the kernel is taken mod p; over Q each child over the lcm of
     its two parts' denominators and each anchor u/v with powers
     u^k v^(max(n,m)-1-k), which scales each column by a constant.
@@ -664,20 +663,7 @@ def _combine(parts, anchors, profile: DegreeProfile, field: Field,
     num, den = _interpolate(nums, basis, n, p), _interpolate(dens, basis, m, p)
     if num is None or not den:
         return None
-    lead = den[max(den)]
-    if p is None:
-        g = math.gcd(*num.values(), *den.values())
-        g = g if lead > 0 else -g
-
-        def coeff(c):
-            return Fraction(c // g)
-    else:
-        inv = pow(lead, -1, p)
-
-        def coeff(c):
-            return FpElement(c * inv, field)
-    return RatFunN(*(PolyN(field, nvars, {e: coeff(c) for e, c in f.items()})
-                     for f in (num, den)))
+    return ratfunn_from_ints(field, nvars, num, den)
 
 
 def _interpolate(fs, basis, bound: int, p):

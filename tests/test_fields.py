@@ -123,8 +123,8 @@ def test_random_element_deterministic(field, height):
     # random_element and a run's sampler take the bits of randint (Q) or
     # randrange (F_p) on a twin stream and give the same value, with other
     # reads of the stream in between; a sampler's ids are equal exactly
-    # when the values are (over Q, 2/4 and 1/2 too), and it builds each
-    # value once.  Any height is accepted over F_p, none below 1 over Q.
+    # when the values are (over Q, 2/4 and 1/2 too), and over Q it builds
+    # each value once.  Any height is accepted over F_p, none below 1 over Q.
     for seed in range(5):
         twin, one, run = (random.Random(seed) for _ in range(3))
         draw = field._sampler(run, height)
@@ -137,7 +137,8 @@ def test_random_element_deterministic(field, height):
             key, got = draw()
             assert random_element(field, one, height) == want and got == want
             first = seen.setdefault(want, (key, got))
-            assert first[0] == key and first[1] is got
+            assert first[0] == key
+            assert first[1] is got if field == QQ else first[1] == got
             if i % 7 == 3:
                 assert one.getrandbits(63) == run.getrandbits(63) == twin.getrandbits(63)
         assert len({key for key, _ in seen.values()}) == len(seen)
@@ -153,8 +154,8 @@ def test_random_element_deterministic(field, height):
 ], ids=["fp5", "fp101", "fp1000003", "fp2^61-1", "q-1", "q-10", "q-1000"])
 def test_bulk_draw_is_single_draws(field, height):
     # draw(k) gives exactly the k pairs that k calls of draw() give on a twin
-    # stream, reads the stream as far, and shares the run's id cache with
-    # the single draws: each value is the one element built for it.  A
+    # stream, reads the stream as far, and over Q shares the run's id cache
+    # with the single draws: each value is the one element built for it.  A
     # residue mod 2^61 - 1 takes more than one 32-bit word per read.
     for seed in range(3):
         bulk_rng, single_rng = random.Random(seed), random.Random(seed)
@@ -168,7 +169,8 @@ def test_bulk_draw_is_single_draws(field, height):
             one = bulk()
             assert one == single()
             for key, x in got + [one]:
-                assert seen.setdefault(key, x) is x
+                kept = seen.setdefault(key, x)
+                assert kept is x if field == QQ else kept == x
             assert bulk_rng.getrandbits(64) == single_rng.getrandbits(64)
         assert len(seen) > 1
 

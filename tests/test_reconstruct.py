@@ -19,7 +19,7 @@ from ratrecon.errors import (
 )
 from ratrecon.expr import eval_expr, parse, to_ratfun
 from ratrecon.fields import QQ, PrimeField, derive_rng, height_box_sizes, random_element
-from ratrecon.interp import detect_profile_with_fit
+from ratrecon.interp import SamplingBudget, detect_profile_with_fit
 from ratrecon.poly import Poly1, PolyN
 from ratrecon.ratfun import (
     RatFunN,
@@ -800,6 +800,17 @@ def test_config_rejects_vacuous_verify_trials(setting):
     (name, value), = setting.items()
     with pytest.raises(ValueError, match=f"{name} must be >= 1, got {value}"):
         ReconConfig(**setting)
+
+
+@pytest.mark.parametrize("value", [0, -1])
+def test_config_rejects_validation_extra_below_one(value):
+    # with no check point, detection would take its first candidate
+    # unchecked and a support solve would run no check row; the command
+    # line refuses it too.  Detection's own budget still takes 0.
+    with pytest.raises(ValueError, match=f"^validation_extra must be >= 1, got {value}$"):
+        ReconConfig(validation_extra=value)
+    assert SamplingBudget(validation_extra=0).validation_extra == 0
+    assert ReconConfig(validation_extra=1).budget().validation_extra == 1
 
 
 @pytest.mark.parametrize("name,cap", [("samples_per_class", SAMPLES_PER_CLASS_CAP),
