@@ -47,7 +47,11 @@ function.  Verification draws all of a node's points at once, asks the
 oracle once per distinct point, and checks N(x) = f(x) D(x) on integers:
 the candidate's (N(x), D(x)) come from one run of the straight-line
 program it compiles at its first use (`RatFunN.eval_pairs`), with the
-compiler that runs an expression oracle, looping over the points.
+compiler that runs an expression oracle, looping over the points.  A
+child's first trials are the answers of the probe that accepted its
+anchor (`choose_anchors`), carried on its oracle: uniform points drawn
+before its candidate existed, which cost no further query; only the rest
+are drawn and asked.
 """
 
 from __future__ import annotations
@@ -98,20 +102,26 @@ class SliceOracle:
 
     `_suffix` is internal: the anchors that fix the trailing coordinates of
     `fn`'s points, so a restriction to an anchor hyperplane (`_restrict`)
-    calls the user's function directly, however deep the recursion."""
+    calls the user's function directly, however deep the recursion.  So is
+    `_probe`: a restriction's (ids, point, value) answers from the probe
+    that accepted its anchor, which `verify_agreement` takes as its first
+    trials."""
     arity: int
     field: Field
     fn: Callable[[tuple], Optional[object]]
     _suffix: tuple = ()
+    _probe: tuple = ()
 
     def eval(self, point: tuple):
         if len(point) != self.arity:
             raise ValueError(f"point arity {len(point)} != oracle arity {self.arity}")
         return self.fn(tuple(point) + self._suffix)
 
-    def _restrict(self, b) -> "SliceOracle":
-        """The oracle on the hyperplane where the last coordinate is `b`."""
-        return SliceOracle(self.arity - 1, self.field, self.fn, (b,) + self._suffix)
+    def _restrict(self, b, probe) -> "SliceOracle":
+        """The oracle on the hyperplane where the last coordinate is `b`,
+        carrying `probe`, the answers of `b`'s probe."""
+        return SliceOracle(self.arity - 1, self.field, self.fn, (b,) + self._suffix,
+                           probe)
 
 
 def slice_oracle(oracle: SliceOracle, axis: int, fixed: tuple):
@@ -275,11 +285,15 @@ def classify_slices(oracle: SliceOracle, axis: int, cfg: ReconConfig, rng,
                           cfg.samples_per_class - redraws)
 
 
-def choose_anchors(oracle: SliceOracle, axis: int, cfg: ReconConfig, rng):
+def choose_anchors(oracle: SliceOracle, axis: int, cfg: ReconConfig, rng,
+                   probes: Optional[list] = None):
     """Distinct values along `axis`, in the order drawn, at each of which the
     oracle is defined for at least 95% of a fresh random batch of
-    fixed-tuples.  A generator on one stream: a node takes the first l+1,
-    and more only to replace unlucky ones (see `_reconstruct_level`)."""
+    fixed-tuples, counted as drawn; each distinct tuple is asked once.  A
+    generator on one stream: a node takes the first l+1, and more only to
+    replace unlucky ones (see `_reconstruct_level`).  Before it yields an
+    anchor it appends the anchor's batch to `probes`, if given, as
+    (ids, fixed-tuple, value) per draw."""
     taken: set = set()          # the anchors' ids
     min_defined = ANCHOR_MIN_DEFINED * ANCHOR_PROBE_BATCH
     draw = oracle.field._sampler(rng, cfg.height_bound)
@@ -288,14 +302,16 @@ def choose_anchors(oracle: SliceOracle, axis: int, cfg: ReconConfig, rng):
             key, b = draw()
             if key in taken:
                 continue
-            defined = 0
+            asked, batch = {}, []
             for _ in range(ANCHOR_PROBE_BATCH):
-                _, fixed = _draw_point(draw, oracle.arity - 1)
-                point = fixed[:axis] + (b,) + fixed[axis:]
-                if oracle.eval(point) is not None:
-                    defined += 1
-            if defined >= min_defined:
+                ids, fixed = _draw_point(draw, oracle.arity - 1)
+                if ids not in asked:
+                    asked[ids] = oracle.eval(fixed[:axis] + (b,) + fixed[axis:])
+                batch.append((ids, fixed, asked[ids]))
+            if sum(value is not None for *_, value in batch) >= min_defined:
                 taken.add(key)
+                if probes is not None:
+                    probes.append(batch)
                 yield b
                 break
         else:
@@ -319,14 +335,15 @@ def verify_agreement(oracle: SliceOracle, g: RatFunN, trials: int, rng,
                      height_bound: int = 10) -> Agreement:
     """Tallies over `trials` random points of the oracle's arity, at least 1
     as at every node; points where either side is undefined are skipped,
-    the rest compared exactly.  The points are those of
-    `fields.random_element` on `rng`, drawn in one call of the field's
-    sampler.  A point drawn again is counted again, from the values of its
-    first draw: the oracle is a function, so each distinct point is queried
-    once, in the order of first draws, and the candidate is evaluated once
-    per distinct point, in one run of its program.  Points are keyed by the
-    tuples of the coordinates' sampler ids, which are equal exactly when
-    the points are.
+    the rest compared exactly.  The first points, at most `trials`, are the
+    oracle's `_probe` answers, uniform points drawn before `g` and never
+    asked again; the rest are those of `fields.random_element` on `rng`,
+    drawn in one call of the field's sampler.  A point drawn again is
+    counted again, from the values of its first draw: the oracle is a
+    function, so each distinct point is queried once, in the order of
+    first draws, and the candidate is evaluated once per distinct point, in
+    one run of its program.  Points are keyed by the tuples of the
+    coordinates' sampler ids, which are equal exactly when the points are.
 
     The candidate's value at x is the integer pair (N, D) of
     `RatFunN.eval_pairs`, and an oracle value w agrees when N = w*D: mod p
@@ -334,14 +351,18 @@ def verify_agreement(oracle: SliceOracle, g: RatFunN, trials: int, rng,
     an int nor a Fraction over Q, nor an element of the oracle's field over
     F_p, is compared with the candidate's value by ==."""
     field, arity = oracle.field, oracle.arity
-    hits = field._sampler(rng, height_bound)(arity * trials)
-    if not hits:
+    known = oracle._probe[:trials]
+    hits = field._sampler(rng, height_bound)(arity * (trials - len(known)))
+    ids, coords = zip(*hits) if hits else ((), ())
+    drawn = [(key, point) for key, point, _ in known]
+    drawn += zip(zip(*[iter(ids)] * arity), zip(*[iter(coords)] * arity))
+    if not drawn:
         return Agreement(trials, 0, 0)
-    ids, coords = zip(*hits)
-    keys = list(zip(*[iter(ids)] * arity))
-    counts = Counter(keys)                  # in the order of first draws
-    points = dict(zip(keys, zip(*[iter(coords)] * arity)))
-    wants = [oracle.eval(point) for point in points.values()]
+    counts = Counter(key for key, _ in drawn)   # in the order of first draws
+    points = dict(drawn)
+    asked = {key: want for key, _, want in known}
+    wants = [asked[key] if key in asked else oracle.eval(point)
+             for key, point in points.items()]
     pairs = g.eval_pairs(points.values())
     p = field_prime(field)
     agreements = skips = 0
@@ -455,13 +476,16 @@ def _reconstruct_level(oracle: SliceOracle, cfg: ReconConfig, path: tuple,
             raise BudgetExhausted(
                 f"the recursion tree would have at least {tree} leaves, "
                 f"more than {MAX_LEAVES}")
-        stream = choose_anchors(oracle, axis, cfg, derive_rng(cfg.seed, "anchors", *path))
+        probes: list = []           # probes[i]: the answers of anchors[i]'s probe
+        stream = choose_anchors(oracle, axis, cfg, derive_rng(cfg.seed, "anchors", *path),
+                                probes)
         anchors = list(islice(stream, profile.l + 1))
-        first_child = _reconstruct_level(oracle._restrict(anchors[0]), cfg,
+        first_child = _reconstruct_level(oracle._restrict(anchors[0], probes[0]), cfg,
                                          path + (0,), tree)
         children = [first_child] + [
-            _sibling(oracle._restrict(b), first_child.result, cfg, path + (i,), tree)
-            for i, b in enumerate(anchors[1:], 1)]
+            _sibling(oracle._restrict(anchors[i], probes[i]), first_child.result, cfg,
+                     path + (i,), tree)
+            for i in range(1, len(anchors))]
         result = _combine([c.result for c in children], anchors, profile,
                           field, oracle.arity)
         while result is None and len(anchors) <= profile.l + MAX_UNLUCKY_ANCHORS:
@@ -469,8 +493,8 @@ def _reconstruct_level(oracle: SliceOracle, cfg: ReconConfig, path: tuple,
             # each l of the others
             new = len(anchors)
             anchors.append(next(stream))
-            children.append(_sibling(oracle._restrict(anchors[new]), first_child.result,
-                                     cfg, path + (new,), tree))
+            children.append(_sibling(oracle._restrict(anchors[new], probes[new]),
+                                     first_child.result, cfg, path + (new,), tree))
             for out in combinations(range(new), new - profile.l):
                 keep = [j for j in range(new + 1) if j not in out]
                 result = _combine([children[j].result for j in keep],

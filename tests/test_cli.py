@@ -495,13 +495,30 @@ def test_reconstruct_replays_a_record_written_by_0_5_0(capsys):
     assert report["nodes"] == {"recursed": 9, "sparse": 0, "fallbacks": 1}
 
 
+def samples(path) -> dict:
+    """A record's samples, point -> value."""
+    return {tuple(s["point"]): s["value"]
+            for s in json.loads(path.read_text())["samples"]}
+
+
+def assert_asks_a_subset(record, again):
+    # since 0.9.0 a child's first verification trials are its anchor's
+    # probe answers and the rest the first points of its own stream, so a
+    # run asks a subset of an older record's points, with their values
+    old, new = samples(record), samples(again)
+    assert new.keys() <= old.keys()
+    assert all(old[pt] == v for pt, v in new.items())
+
+
 def test_reconstruct_replays_a_record_written_by_0_6_0(tmp_path, capsys):
     # written by version 0.6.0 from the input of the 0.5.0 file: its one
     # later sibling of arity 2 is solved on its first sibling's support and
     # none falls back, so every node that classifies is the first of its
     # level, as in 0.6.0.  The replay gives 0.6.0's answer, and a run of
-    # the expression asks for exactly the recorded points.
-    record = pathlib.Path(__file__).parent / "data" / "record-0.6.0-fp101-arity3.json"
+    # the expression asks for a subset of the recorded points: exactly
+    # those of the 0.9.0 file.
+    data = pathlib.Path(__file__).parent / "data"
+    record = data / "record-0.6.0-fp101-arity3.json"
     args = ("--arity", "3", "--field", "fp:101", "--seed", "9")
     code, out, _ = run_cli(capsys, "reconstruct", "--oracle-replay", str(record), *args)
     assert code == 0
@@ -515,15 +532,18 @@ def test_reconstruct_replays_a_record_written_by_0_6_0(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "reconstruct", "--expr", "(x1*x2 + 3*x3)/(x1 - x2 + 4)",
                          *args, "--record", str(again))
     assert code == 0
-    assert json.loads(again.read_text()) == json.loads(record.read_text())
+    assert_asks_a_subset(record, again)
+    assert json.loads(again.read_text()) == json.loads(
+        (data / "record-0.9.0-fp101-arity3-as-0.6.0.json").read_text())
 
 
 def test_reconstruct_replays_a_record_written_by_0_7_0(tmp_path, capsys):
     # written by version 0.7.0; no node of the run took the combine's
     # fallback, which 0.8.0 replaces by drawing one more anchor, so the
-    # replay gives 0.7.0's answer, and a run of the expression asks for
-    # exactly the recorded points
-    record = pathlib.Path(__file__).parent / "data" / "record-0.7.0-fp101-arity3.json"
+    # replay gives 0.7.0's answer, and a run of the expression asks for a
+    # subset of the recorded points: exactly those of the 0.9.0 file
+    data = pathlib.Path(__file__).parent / "data"
+    record = data / "record-0.7.0-fp101-arity3.json"
     args = ("--arity", "3", "--field", "fp:101", "--seed", "9")
     code, out, _ = run_cli(capsys, "reconstruct", "--oracle-replay", str(record), *args)
     assert code == 0
@@ -537,7 +557,32 @@ def test_reconstruct_replays_a_record_written_by_0_7_0(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "reconstruct", "--expr", "(x1*x2*x3 + 2)/(x1 + x2^2 - x3)",
                          *args, "--record", str(again))
     assert code == 0
-    assert json.loads(again.read_text()) == json.loads(record.read_text())
+    assert_asks_a_subset(record, again)
+    assert json.loads(again.read_text()) == json.loads(
+        (data / "record-0.9.0-fp101-arity3.json").read_text())
+
+
+def test_reconstruct_replays_a_record_written_by_0_8_0(tmp_path, capsys):
+    # written by version 0.8.0: the root's first anchor, 40, is unlucky
+    # (both parts are x1 + 40^2 there), so the root draws one more, and the
+    # children at the other anchors fail their sparse solve on the support
+    # of the constant first child and fall back.  The replay gives 0.8.0's report
+    # byte for byte, and a run of the expression asks a subset of the points
+    data = pathlib.Path(__file__).parent / "data"
+    record = data / "record-0.8.0-fp101-arity3.json"
+    args = ("--arity", "3", "--field", "fp:101", "--seed", "9")
+    code, out, _ = run_cli(capsys, "reconstruct", "--oracle-replay", str(record), *args)
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert (json.dumps(report, indent=2, sort_keys=True) + "\n"
+            == (data / "report-0.8.0-fp101-arity3.json").read_text())
+    assert report["anchors"][0] == ["40", "56", "13", "38", "39"]
+    assert report["nodes"] == {"recursed": 11, "sparse": 0, "fallbacks": 4}
+    again = tmp_path / "record.json"
+    code, _, _ = run_cli(capsys, "reconstruct", "--expr", "(x1 + 40*x3)/(x1 + x3^2)",
+                         *args, "--record", str(again))
+    assert code == 0
+    assert_asks_a_subset(record, again)
 
 
 def write_replay(path, points, field="q", arity=2):
@@ -814,7 +859,7 @@ def test_every_library_error_has_a_documented_exit_code(tmp_path, capsys, monkey
 
 
 # sha256 of stdout for small inputs of each command, recorded with version
-# 0.7.0: the "byte-identical stdout for a given version and seed" contract,
+# 0.9.0: the "byte-identical stdout for a given version and seed" contract,
 # checked across commits.  A version bump changes the manifest and re-records
 # every value.
 STDOUT_DIGESTS = {
@@ -845,24 +890,24 @@ for _name in ("reconstruct-q-h1", "reconstruct-q-h3", "reconstruct-q-h1000",
               "reconstruct-fp101"):
     STDOUT_DIGESTS[f"{_name}-record"] = STDOUT_DIGESTS[_name] + ("--record", "record.json")
 STDOUT_SHA256 = {
-    "hankel": "502e3a215cbd14c5dd91550a042b566f2c7629d946f0e32809dbb8949ad48462",
-    "interp-fit": "e521acb0f450d7a08b6726c083122f3f851a75a2d2a371fc7f2e067a6301fc49",
-    "reconstruct-fp-2": "824ab88f1a212f7dc679cf1bbd9ef4ccbfb56d4dc79f406c6192e01da41676e7",
-    "reconstruct-fp-3": "476effe6ffed0aeac85c7912d9d5226ac684ef408639ad84571e7e31200f355e",
-    "reconstruct-q-2": "6eded916ddc5407a80c76f88c2a88ee72dcb31e20014804b1ea7c8088aa8ca8d",
-    "reconstruct-q-3": "45ab7770412148ab7bd2064f4a6b8dd39cc2a27046c087c946e1231afa43f7de",
+    "hankel": "1db14f98d3c2efaaf274c7f516df20e6ec30ed3e521e26e998d3ab87c9508298",
+    "interp-fit": "95aa9231f3d94744678b75b97dc4b98e029887fc6f6176842690ad6806caa5ef",
+    "reconstruct-fp-2": "5ba61a20f887d60ea8461c2e53568be45b1190f92ba5aace21cf77e8124c6244",
+    "reconstruct-fp-3": "1133cd92b5053feadf9ad6fc08a719e1f577f0888335a7702d55b560f444a1dc",
+    "reconstruct-q-2": "da7f024c905fdb2d0216ad17c19b3fc2df7e125f1c8427841fa56fa7e9df0e0b",
+    "reconstruct-q-3": "1016f1dcffb7286ae96754ead6acc2353c0c6be5f65c83563e4000a7b1b4e798",
     "reconstruct-q-h1": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "reconstruct-q-h1-record":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "reconstruct-q-h3": "ecb54e22d069dcaf89ca1eb26ac33a541b043a1715982f65573448dc4651b0a0",
+    "reconstruct-q-h3": "7e8cb8a8231905eef80258a4d2b6292e874a67d399a208f345e60806395fac84",
     "reconstruct-q-h3-record":
-        "ecb54e22d069dcaf89ca1eb26ac33a541b043a1715982f65573448dc4651b0a0",
-    "reconstruct-q-h1000": "960dfde489c069f119a931ccfa305616ce03d896a3b312551bc8c58da2ffd10b",
+        "7e8cb8a8231905eef80258a4d2b6292e874a67d399a208f345e60806395fac84",
+    "reconstruct-q-h1000": "29d13313c36c72767cbf277f14d3c7d363b060b3ea730ae11521bab96e25c0ca",
     "reconstruct-q-h1000-record":
-        "960dfde489c069f119a931ccfa305616ce03d896a3b312551bc8c58da2ffd10b",
-    "reconstruct-fp101": "ff0df8440cc27fb6a7ac2efd75a7adb4cd28e845a40f35881c21a1005491ed29",
+        "29d13313c36c72767cbf277f14d3c7d363b060b3ea730ae11521bab96e25c0ca",
+    "reconstruct-fp101": "368adcfad9246fb294473ab02945357c5ed89577f46dcf102dfb0656bcd0ca96",
     "reconstruct-fp101-record":
-        "ff0df8440cc27fb6a7ac2efd75a7adb4cd28e845a40f35881c21a1005491ed29",
+        "368adcfad9246fb294473ab02945357c5ed89577f46dcf102dfb0656bcd0ca96",
 }
 # the --record files; at height 1 Q offers three values, fewer than even a
 # constant's detection needs, so the run is refused before any query (exit
@@ -873,9 +918,9 @@ RECORD_SHA256 = {
     "reconstruct-q-h3-record":
         "a7993cb524c1d34e49f40149cb7b2cced403ca5aa51b08d224ef8ed59d08414e",
     "reconstruct-q-h1000-record":
-        "cfc2b7b80318ebb2aa58aa81260df70f882e08151cfdf9e890d543396f48f271",
+        "e7a97a7c41112c69ba28e47798959fe6b84c68f7e760430f433deac062167462",
     "reconstruct-fp101-record":
-        "9ee7317a81a6d8d55b3819cd96bbb32c74dd619d8f3c1dda7f3a791254596e64",
+        "ec77c66e3225da736831af759468ae02760569e198a02b10ed568cb07c6d3061",
 }
 EXIT_CODE = {"reconstruct-q-h1": 1, "reconstruct-q-h1-record": 1}
 

@@ -428,8 +428,9 @@ def test_sibling_on_zero_hyperplane_classifies_in_full_chain(classify_log, recur
 def test_fallback_sibling_alone_is_the_node_it_was_in_the_run(monkeypatch):
     # Nodes share no state: the fallback sibling on x3 = 0 of the run
     # above, built alone from the oracle restricted to x3 = 0 at the same
-    # path, gives the same result, anchors, classes and verification as
-    # inside the run.
+    # path, with the answers of that anchor's probe as its first trials,
+    # gives the same result, anchors, classes and verification as inside
+    # the run.
     text = "(4*x1^2*x3 - 4*x1*x2*x3 + x1*x3)/(x1*x2 + 36*x2*x3^2 - 12)"
     oracle = expr_oracle(text, 3, QQ)
     cfg = ReconConfig(seed=2542212399)
@@ -446,7 +447,11 @@ def test_fallback_sibling_alone_is_the_node_it_was_in_the_run(monkeypatch):
     assert report.anchors[0][1] == 0
     assert report.to_json()["nodes"]["fallbacks"] == 1
     leaves, inside = nodes[(1,)]
-    alone = level(oracle._restrict(Fraction(0)), cfg, (1,), leaves)
+    probes = []
+    anchors = list(islice(choose_anchors(oracle, 2, cfg, derive_rng(cfg.seed, "anchors"),
+                                         probes), 2))
+    assert anchors[1] == 0
+    alone = level(oracle._restrict(Fraction(0), probes[1]), cfg, (1,), leaves)
     assert format_ratfunn(alone.result) == format_ratfunn(inside.result)
     assert alone.anchors == inside.anchors
     assert alone.histogram == inside.histogram

@@ -508,12 +508,14 @@ def test_root_verification_is_reported_not_repeated():
     # distinct point, and the three arity-1 leaves over F_101 draw their 200
     # points from 101 values, so 698 calls remained.  The root's
     # classification now stops after three slices instead of 20: 561 calls.
+    # Each leaf's first 20 trials are now its anchor's probe answers, and a
+    # probe asks each distinct point once: 499 calls.
     f = xy_over(FP101)
     calls = []
     oracle = SliceOracle(2, FP101, lambda pt: calls.append(pt) or f.eval_or_none(pt))
     cfg = ReconConfig(seed=10)
     report = reconstruct(oracle, cfg)
-    assert len(calls) == 561
+    assert len(calls) == 499
     assert report.to_json() == {
         "result": "(x1*x2 + 1)/(x1 - x2)",
         "coprime_certified": True,
