@@ -9,14 +9,10 @@ each with its border row last:
     denominator-style det = (-1)^(n*m)     det[data; 0..0, y^0..y^m]
 
 With den_i = 1 and num_i = f(a_i) these are the pointwise interpolation
-determinants.  `PolyN` entries over K[x'] work too, but no engine path
-uses them: its combine solves a scalar system (`reconstruct._combine`).
-The rows are built here, from per-row anchor powers, so each caller can
-scale its rows to integers.  `alpha_beta` does:
-over F_p residues, eliminated mod p; over Q each row times the
-denominators of its point and value, so Bareiss runs on plain integers
-with `//` and the two determinants are divided by the product of the
-scales.
+determinants.  `alpha_beta` builds the rows on integers through
+`poly.int_pair` and `poly.int_powers`: residues over F_p, eliminated mod
+p; over Q each row times the denominators of its point and value, the two
+determinants then divided by the product of the scales (`poly.over`).
 
 The sign relating their ratio to f(a) is fixed by the matrix layout:
     interp_sign(n, m) = -(-1)^((n+1)(m+1))
@@ -37,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import (
@@ -50,7 +45,7 @@ from .errors import (
 )
 from .fields import QQ, Field, FpElement
 from .matrix import bordered_dets, det_exact
-from .poly import Poly1, _ratio, _residue, _strip, field_prime
+from .poly import Poly1, _ratio, _residue, _strip, field_prime, int_pair, int_powers, over
 from .ratfun import (
     RatFun1,
     _row_within,
@@ -134,73 +129,33 @@ def delta_det(p: Poly1, q: Poly1, a, points):
     return det_exact(rows, field)
 
 
-def paired_determinants(dens, nums, apowers, n: int, m: int, powers, modulus=None):
-    """Evaluate both bordered determinants in one elimination pass.
-
-    dens/nums: per-row denominator and numerator entries; apowers: per row,
-    the powers a_i^0..a_i^max(n,m) of its point, or those powers times one
-    factor per row (each determinant is then multiplied by the product of
-    the factors); powers: the powers y^0, y^1, ... of the evaluation object,
-    at least max(n, m) + 1 of them (the border rows carry the first n+1
-    resp. m+1).  Entries are ints, field elements or `PolyN`s; an
-    entry times an element of its row's apowers must be an entry.  Returns
-    (numerator_det, denominator_det) exactly as the bordered matrices
-    define them; with a prime `modulus` (int entries) both are taken mod it.
-    """
-    rows = [[den_i * w for w in ap[:n + 1]] + [num_i * w for w in ap[:m + 1]]
-            for den_i, num_i, ap in zip(dens, nums, apowers)]
-    zero = dens[0] - dens[0]
-    num_border = powers[:n + 1] + [zero] * (m + 1)
-    den_border = [zero] * (n + 1) + powers[:m + 1]
-    num_det, den_det = bordered_dets(rows, [num_border, den_border], modulus)
-    if (n + m + 1) % 2:
-        num_det = -num_det
-    if (n * m) % 2:
-        den_det = -den_det
-    return num_det, den_det
-
-
 def alpha_beta(samples: SampleSet1, profile: DegreeProfile, a):
-    """The two bordered interpolation determinants, taken on integer rows.
-    Over F_p the entries are residues, eliminated mod p.  Over Q, with
-    x = xn/xd, v = vn/vd and a = an/ad, each data row is scaled by
-    xd^top*vd and both borders by ad^top (top = max(n, m)), and the
-    determinants are divided by the product of the scales."""
+    """The two bordered interpolation determinants, in one elimination pass
+    on integer rows (residues over F_p, eliminated mod p).  With x = xn/xd,
+    v = vn/vd and a = an/ad, each data row is scaled by xd^top*vd and both
+    borders by ad^top (top = max(n, m)), and the determinants are divided
+    by the product of the scales."""
     if len(samples) != profile.l + 1:
         raise SizeMismatch(f"need {profile.l + 1} samples, got {len(samples)}")
     n, m = profile.n, profile.m
     top = max(n, m)
     x0 = samples.points[0][0]
-    if isinstance(x0, FpElement):
-        field = x0.field
-        p = field.p
-
-        def powers(x):
-            x = _residue(x, p)
-            return [pow(x, j, p) for j in range(top + 1)]
-
-        nums = [_residue(v, p) for _, v in samples.points]
-        apowers = [powers(x) for x, _ in samples.points]
-        alpha, beta = paired_determinants([1] * len(nums), nums, apowers, n, m,
-                                          powers(a), p)
-        return field.from_int(alpha), field.from_int(beta)
-
-    def powers(x):                      # xd^top * (x^0..x^top)
-        xn, xd = _ratio(x)
-        return [xn ** j * xd ** (top - j) for j in range(top + 1)], xd ** top
-
-    dens, nums, apowers, scale = [], [], [], 1
+    field = x0.field if isinstance(x0, FpElement) else QQ
+    p = field_prime(field)
+    rows, scale = [], 1
     for x, v in samples.points:
-        vn, vd = _ratio(v)
-        row, xscale = powers(x)
-        dens.append(vd)
-        nums.append(vn)
-        apowers.append(row)
-        scale *= xscale * vd
-    border, ascale = powers(a)
-    alpha, beta = paired_determinants(dens, nums, apowers, n, m, border)
-    scale *= ascale
-    return Fraction(alpha, scale), Fraction(beta, scale)
+        vn, vd = int_pair(v, p)
+        xs = int_powers(x, top, p)      # xs[0] = xd^top
+        rows.append([vd * w for w in xs[:n + 1]] + [vn * w for w in xs[:m + 1]])
+        scale *= xs[0] * vd
+    ys = int_powers(a, top, p)
+    scale *= ys[0]
+    num_border = ys[:n + 1] + [0] * (m + 1)
+    den_border = [0] * (n + 1) + ys[:m + 1]
+    alpha, beta = bordered_dets(rows, [num_border, den_border], p)
+    back = over(field, scale)
+    return (back(-alpha if (n + m + 1) % 2 else alpha),
+            back(-beta if (n * m) % 2 else beta))
 
 
 def interp_point(samples: SampleSet1, profile: DegreeProfile, a):

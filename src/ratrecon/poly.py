@@ -11,8 +11,10 @@ polynomial on packed exponents and int coefficients, the one multivariate
 arithmetic that multiplies, divides and cancels: `PolyN` `*` and `/` and
 the cancellation of `ratfun.normalize_ratfunn` run on it.  A PolyN is evaluated only as
 part of a `ratfun.RatFunN`, whose program `expr._compile` builds from
-`PolyN.int_form`.  Every integer form comes back to field elements through
-one map, `over(field, den)`: c -> c/den.
+`PolyN.int_form`.  Field elements become integers in one place,
+`int_pair(x, p)` (a residue over F_p, a numerator and denominator over Q)
+and its list forms `ints_over` and `int_powers`; every integer form comes
+back to field elements through one map, `over(field, den)`: c -> c/den.
 """
 
 from __future__ import annotations
@@ -159,13 +161,32 @@ def field_prime(field: Field):
     return field.p if isinstance(field, PrimeField) else None
 
 
+def int_pair(x, p):
+    """(u, v) with x = u/v: (residue, 1) over F_p, (numerator, denominator)
+    over Q (p None); anything else is FieldMismatch."""
+    return (_residue(x, p), 1) if p is not None else _ratio(x)
+
+
+def ints_over(xs, p):
+    """(ints, den) with each x = int/den: over F_p the residues and 1, over
+    Q the numerators over the lcm of the denominators."""
+    pairs = [int_pair(x, p) for x in xs]
+    den = math.lcm(*(v for _, v in pairs))
+    return [u * (den // v) for u, v in pairs], den
+
+
+def int_powers(x, top: int, p) -> list:
+    """[u^k * v^(top-k) for k = 0..top] with x = u/v: the powers of x times
+    v^top, residues over F_p (where v = 1)."""
+    u, v = int_pair(x, p)
+    if p is not None:
+        return [pow(u, k, p) for k in range(top + 1)]
+    return [u ** k * v ** (top - k) for k in range(top + 1)]
+
+
 def poly1_ints(f: Poly1):
-    """(coefficients, den) with f = coefficients / den: over F_p the residues
-    and 1, over Q the integer numerators over the lcm of the denominators."""
-    if isinstance(f.field, PrimeField):
-        return [c.residue for c in f.coeffs], 1
-    den = math.lcm(*(c.denominator for c in f.coeffs))
-    return [c.numerator * (den // c.denominator) for c in f.coeffs], den
+    """(coefficients, den) with f = coefficients / den (see `ints_over`)."""
+    return ints_over(f.coeffs, field_prime(f.field))
 
 
 def over(field: Field, den: int = 1):
@@ -357,15 +378,9 @@ class PolyN:
         computed once.  Over Q the coefficients are scaled by L, the lcm of
         their denominators; over F_p they are residues and L is 1."""
         if self._ints is None:
-            if isinstance(self.field, PrimeField):
-                lcm = 1
-                terms = [(_residue(c, self.field.p), e) for e, c in self.terms.items()]
-            else:
-                pairs = [(_ratio(c), e) for e, c in self.terms.items()]
-                lcm = math.lcm(*(d for (_, d), _ in pairs))
-                terms = [(n * (lcm // d), e) for (n, d), e in pairs]
+            cs, lcm = ints_over(self.terms.values(), field_prime(self.field))
             degs = [max(k) for k in zip(*self.terms)] if self.terms else [0] * self.nvars
-            self._ints = (lcm, terms, degs)
+            self._ints = (lcm, list(zip(cs, self.terms)), degs)
         return self._ints
 
     def lex_leading(self):

@@ -74,7 +74,7 @@ from .errors import BudgetExhausted, DomainTooSparse, ZeroDenominator
 from .fields import Field, FpElement, _draw_point, derive_rng, iter_height_box_sizes
 from .interp import DegreeProfile, SamplingBudget, detect_profile_with_fit
 from .matrix import bordered_dets
-from .poly import PolyN, _ratio, _residue, field_prime, mul_ints
+from .poly import PolyN, field_prime, int_pair, int_powers, mul_ints
 from .ratfun import RatFunN, format_ratfunn, normalize_ratfunn, ratfunn_from_ints
 
 ANCHOR_PROBE_BATCH = 20
@@ -581,17 +581,10 @@ def _solve_on_support(oracle: SliceOracle, template: RatFunN, cfg: ReconConfig,
             value = oracle.eval(point)
             if value is None:
                 continue
-            if p is None:
-                a, b = _ratio(value)
-                powers = [[u ** k * v ** (top - k) for k in range(top + 1)]
-                          for (u, v), top in zip(map(_ratio, point), tops)]
-            else:
-                a, b = _residue(value, p), 1
-                powers = [[pow(x, k, p) for k in range(top + 1)]
-                          for x, top in zip((_residue(c, p) for c in point), tops)]
+            a, b = int_pair(value, p)
+            powers = [int_powers(c, top, p) for c, top in zip(point, tops)]
             monomials = [math.prod(pw[k] for pw, k in zip(powers, e)) for e in columns]
-            row = [b * x for x in monomials[:split]] + [-a * x for x in monomials[split:]]
-            yield row
+            yield [b * x for x in monomials[:split]] + [-a * x for x in monomials[split:]]
 
     stream = rows()
     units = [[int(i == j) for i in range(len(columns))] for j in range(len(columns))]
@@ -652,7 +645,7 @@ def _combine(parts, anchors, profile: DegreeProfile, field: Field,
     anchor (`_reconstruct_level`)."""
     n, m, l = profile.n, profile.m, profile.l
     p = field_prime(field)
-    ratios = [_ratio(b) if p is None else (_residue(b, p), 1) for b in anchors]
+    ratios = [int_pair(b, p) for b in anchors]
     nums, dens = [], []
     for h in parts:
         lden, dterms, _ = h.den.int_form()
@@ -661,8 +654,7 @@ def _combine(parts, anchors, profile: DegreeProfile, field: Field,
         nums.append({e: c * (lcm // lnum) for c, e in nterms})
         dens.append({e: c * (lcm // lden) for c, e in dterms})
     top = max(n, m)
-    # b^k times v^(top-1), an integer over Q
-    bpowers = [[u ** k * v ** (top - 1 - k) for k in range(top)] for u, v in ratios]
+    bpowers = [int_powers(b, top - 1, p) for b in anchors]     # b^k v^(top-1)
 
     def equations():
         for fs, below in ((nums, m), (dens, n)):
@@ -679,7 +671,7 @@ def _combine(parts, anchors, profile: DegreeProfile, field: Field,
     # common factor; over Q, v_j y - u_j stands for y - b_j
     basis = []
     for i, s in enumerate(scales):
-        f = [s * ratios[i][1] ** top] if p is None else [s]
+        f = [s * ratios[i][1] ** top]
         for j, (u, v) in enumerate(ratios):
             if j != i:
                 f = mul_ints(f, [-u, v], p)

@@ -1,5 +1,6 @@
 """The combine step: the scale system of `_combine` against a reference,
-the paired determinants over K[x'] on `PolyN` entries, normalized.
+the paired determinants over K[x'] on `PolyN` entries, expanded by the
+Laplace reference of `test_determinants`, normalized.
 
 Each instance is a canonical P/Q in 2 to 4 variables, of degrees n and m in
 the last one, and its canonical restrictions to l+1 anchor hyperplanes.
@@ -17,9 +18,10 @@ from fractions import Fraction
 import pytest
 
 from ratrecon.fields import QQ, PrimeField, random_element
-from ratrecon.interp import DegreeProfile, interp_sign, paired_determinants
+from ratrecon.interp import DegreeProfile, interp_sign
 from ratrecon.poly import PolyN, gcd_polyn
 from ratrecon.ratfun import RatFunN, normalize_ratfunn
+from test_determinants import ref_paired_determinants
 from test_packed import pad
 
 engine = importlib.import_module("ratrecon.reconstruct")
@@ -62,7 +64,8 @@ def restrict(f, b):
 
 def ref_combine_dets(parts, anchors, profile, field, nvars):
     """The node's function from its children by the paired interpolation
-    determinants over K[x'], on `PolyN` entries, normalized."""
+    determinants over K[x'], on `PolyN` entries by the Laplace reference,
+    normalized."""
     n, m = profile.n, profile.m
     top = max(n, m)
     dens = [pad(h.den, nvars) for h in parts]
@@ -71,8 +74,7 @@ def ref_combine_dets(parts, anchors, profile, field, nvars):
     powers = [PolyN.const(field, nvars, field.one)]
     while len(powers) <= top:
         powers.append(powers[-1] * y)
-    apowers = [[b ** j for j in range(top + 1)] for b in anchors]
-    phi, psi = paired_determinants(dens, nums, apowers, n, m, powers)
+    phi, psi = ref_paired_determinants(dens, nums, anchors, n, m, powers)
     if interp_sign(n, m) < 0:
         phi = -phi
     return normalize_ratfunn(phi, psi)

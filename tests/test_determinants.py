@@ -1,22 +1,29 @@
 """Differential tests: the fraction-free bordered kernel against the
 expansions it replaced.
 
-The reference below is the earlier implementation, kept here and nowhere
+The references below are earlier implementations, kept here and nowhere
 else: a memoized Laplace expansion giving every maximal minor of an
-r x (r+1) matrix (from which the paired determinants were assembled), and a
-memoized cofactor expansion for square determinants.  Every instance must
-give exactly the same value, over Q, small and large prime fields, and for
-PolyN entries over both.
+r x (r+1) matrix (from which the paired determinants were assembled), a
+memoized cofactor expansion for square determinants, and the Bareiss
+kernel on field elements with exact `/` that `matrix.bordered_dets` was
+before it took integer rows only.  The kernel's instances over Q and F_p
+are fed to it as integer rows (each Q row times the lcm of its
+denominators) or as residues with p, and compared with Laplace on the
+same rows (mod p); `det_exact` and `interp.alpha_beta` are compared on
+field elements.  Every instance must give exactly the same value, over Q
+and small and large prime fields.
 """
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from ratrecon.errors import InexactDivision
-from ratrecon.fields import QQ, PrimeField, random_element
-from ratrecon.interp import paired_determinants
+from ratrecon.errors import FieldMismatch, InexactDivision
+from ratrecon.fields import QQ, FpElement, PrimeField, random_element
+from ratrecon.interp import DegreeProfile, SampleSet1, alpha_beta
 from ratrecon.matrix import bordered_dets, det_exact
 from ratrecon.poly import PolyN
 
@@ -137,6 +144,44 @@ def brute_det(rows):
     return acc
 
 
+def ref_bordered_dets(data, borders):
+    """The bordered kernel on field elements, as it was before it took
+    integer rows only: each division v / prev is exact in a field."""
+    borders = [list(b) for b in borders]
+    r = len(borders[0]) - 1
+    zero = borders[0][0] - borders[0][0]
+    pivots = []
+
+    def eliminate(row):
+        prev = None
+        for k, (j, pivot_row) in enumerate(pivots):
+            if j != k:
+                row[k], row[j] = row[j], row[k]
+            pivot, lead = pivot_row[k], row[k]
+            for c in range(k + 1, r + 1):
+                v = row[c] * pivot - lead * pivot_row[c]
+                row[c] = v if prev is None else v / prev
+            prev = pivot
+        return row
+
+    negate = False
+    rows = iter(data)
+    while len(pivots) < r:
+        row = next(rows, None)
+        if row is None:
+            return [zero for _ in borders]
+        k = len(pivots)
+        row = eliminate(list(row))
+        j = next((j for j in range(k, r + 1) if row[j] != zero), None)
+        if j is None:
+            continue
+        if j != k:
+            row[k], row[j] = row[j], row[k]
+            negate = not negate
+        pivots.append((j, row))
+    return [-b[r] if negate else b[r] for b in map(eliminate, borders)]
+
+
 # ---------------------------------------------------------------------------
 # instance generators with forced degeneracies
 
@@ -165,7 +210,7 @@ def _square(field, rng, size):
 
 
 def _paired_instance(field, rng):
-    """(dens, nums, points, n, m, powers) with zero dens, zero nums and
+    """(dens, nums, points, n, m, y) with zero dens, zero nums and
     duplicate points mixed in."""
     n, m = rng.randint(0, 4), rng.randint(0, 4)
     l = n + m
@@ -183,20 +228,27 @@ def _paired_instance(field, rng):
         points[1] = points[0]
     elif kind == 3:
         nums = [d * points[0] for d in dens]   # the constant function: rank drop
-    y = pick()
-    powers = [y ** j for j in range(max(n, m) + 1)]
-    return dens, nums, points, n, m, powers
+    return dens, nums, points, n, m, pick()
 
 
-def _with_apowers(dens, nums, points, n, m, powers):
-    """The arguments of `paired_determinants` for the reference's."""
-    apowers = [[a ** j for j in range(max(n, m) + 1)] for a in points]
-    return dens, nums, apowers, n, m, powers
+def _prime(field):
+    return field.p if isinstance(field, PrimeField) else None
 
 
-def _sparse_polyn(field, rng, nvars=2, terms=2, deg=2):
-    return PolyN(field, nvars, {tuple(rng.randint(0, deg) for _ in range(nvars)):
-                                random_element(field, rng, 5) for _ in range(terms)})
+def _int_rows(field, rows):
+    """The rows as the kernel takes them: residues over F_p, each row times
+    the lcm of its denominators over Q, unchanged over Z."""
+    if isinstance(field, PrimeField):
+        return [[x.residue for x in row] for row in rows]
+    out = []
+    for row in rows:
+        den = math.lcm(*(Fraction(x).denominator for x in row))
+        out.append([int(x * den) for x in row])
+    return out
+
+
+def _mod(values, p):
+    return [v % p for v in values] if p else values
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +257,23 @@ def _sparse_polyn(field, rng, nvars=2, terms=2, deg=2):
 
 @pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7", "F1000003"])
 def test_paired_determinants_match_minors_reference(field):
+    # alpha_beta on the values num/den (num where den is 0) against the
+    # reference with unit dens, on the instances with distinct abscissae
     rng = random.Random(f"paired/{field.descriptor()}")
+    checked = 0
     for _ in range(120):
-        args = _paired_instance(field, rng)
-        assert paired_determinants(*_with_apowers(*args)) == ref_paired_determinants(*args)
+        dens, nums, points, n, m, y = _paired_instance(field, rng)
+        if len(set(points)) < len(points):
+            continue
+        values = [v / d if d != field.zero else v for d, v in zip(dens, nums)]
+        samples = SampleSet1(list(zip(points, values)))
+        profile = DegreeProfile.from_de(max(n, m), n - m)
+        powers = [y ** j for j in range(max(n, m) + 1)]
+        want = ref_paired_determinants([field.one] * len(points), values, points, n, m,
+                                       powers)
+        assert alpha_beta(samples, profile, y) == want
+        checked += 1
+    assert checked > 30
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7", "F1000003"])
@@ -223,23 +288,16 @@ def test_det_exact_matches_cofactor_reference(field):
 @pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7", "F1000003"])
 def test_bordered_dets_match_laplace_on_minors(field):
     rng = random.Random(f"bordered/{field.descriptor()}")
+    p = _prime(field)
     for _ in range(60):
         r = rng.randint(0, 5)
         data = _degenerate([[random_element(field, rng, 9) for _ in range(r + 1)]
                             for _ in range(r)], rng, field.zero, r + 1)
         borders = [[random_element(field, rng, 9) for _ in range(r + 1)]
                    for _ in range(rng.randint(1, 3))]
-        got = bordered_dets(data, borders)
-        if r == 0:
-            assert got == [b[0] for b in borders]
-            continue
-        minors = ref_maximal_minors(data, field.zero)
-        for b, d in zip(borders, got):
-            want = field.zero
-            for j in range(r + 1):
-                term = b[j] * minors[j]
-                want = want - term if (r + j) % 2 else want + term
-            assert d == want
+        data, borders = _int_rows(field, data), _int_rows(field, borders)
+        got = bordered_dets(data, borders, p)
+        assert got == _mod(_laplace_bordered(data, borders, 0), p)
 
 
 class _Integers:
@@ -309,17 +367,18 @@ def _tall_instance(field, rng):
                          ids=["Q", "F101", "F1000003", "Z"])
 def test_bordered_dets_on_a_tall_block_match_laplace_on_kept_rows(field):
     rng = random.Random(f"tall/{field.descriptor()}")
+    p = _prime(field)
     for _ in range(80):
-        data, borders, kept = _tall_instance(field, rng)
+        data, borders, kept = (_int_rows(field, rows) for rows in _tall_instance(field, rng))
         assert len(data) > len(borders[0]) - 1
-        got = bordered_dets(iter(data), borders)
+        got = bordered_dets(iter(data), borders, p)
         if len(kept) < len(borders[0]) - 1:
-            assert got == [field.zero] * len(borders)
+            assert got == [0] * len(borders)
         else:
-            assert got == _laplace_bordered(kept, borders, field.zero)
+            assert got == _mod(_laplace_bordered(kept, borders, 0), p)
         # a square block of the kept rows gives the same determinants
         if len(kept) == len(borders[0]) - 1:
-            assert bordered_dets(kept, borders) == got
+            assert bordered_dets(kept, borders, p) == got
 
 
 @pytest.mark.parametrize("field", (QQ, FP, _Integers), ids=["Q", "F1000003", "Z"])
@@ -332,13 +391,13 @@ def test_bordered_dets_unit_borders_span_the_nullspace(field):
         r = len(borders[0]) - 1
         if len(kept) < r:
             continue
-        data = data[:data.index(kept[-1]) + 1]
-        units = [[field.one if i == j else field.zero for i in range(r + 1)]
-                 for j in range(r + 1)]
-        v = bordered_dets(data, units)
-        assert any(x != field.zero for x in v)
+        data = _int_rows(field, data[:data.index(kept[-1]) + 1])
+        units = [[int(i == j) for i in range(r + 1)] for j in range(r + 1)]
+        p = _prime(field)
+        v = bordered_dets(data, units, p)
+        assert any(v)
         for row in data:
-            assert sum((a * b for a, b in zip(row, v)), field.zero) == field.zero
+            assert _mod([sum(a * b for a, b in zip(row, v))], p) == [0]
 
 
 def test_bordered_dets_over_integers_divide_exactly():
@@ -348,39 +407,6 @@ def test_bordered_dets_over_integers_divide_exactly():
         size = rng.randint(2, 6)
         rows = [[rng.randint(-10 ** 30, 10 ** 30) for _ in range(size)] for _ in range(size)]
         assert bordered_dets(rows[:-1], [rows[-1]]) == [brute_det(rows)]
-
-
-@pytest.mark.parametrize("field", (QQ, FP), ids=["Q", "F1000003"])
-def test_paired_determinants_polyn_match_minors_reference(field):
-    rng = random.Random(f"paired-polyn/{field.descriptor()}")
-    y = PolyN.var(field, 2, 1)
-    for _ in range(25):
-        n, m = rng.randint(0, 3), rng.randint(0, 3)
-        l = n + m
-        points = [random_element(field, rng, 9) for _ in range(l + 1)]
-        dens = [_sparse_polyn(field, rng) + PolyN.const(field, 2, field.one)
-                for _ in range(l + 1)]
-        nums = [_sparse_polyn(field, rng) for _ in range(l + 1)]
-        if rng.random() < 0.3 and l >= 1:
-            points[1] = points[0]
-        powers = [PolyN.const(field, 2, field.one)]
-        while len(powers) <= max(n, m):
-            powers.append(powers[-1] * y)
-        args = (dens, nums, points, n, m, powers)
-        assert paired_determinants(*_with_apowers(*args)) == ref_paired_determinants(*args)
-
-
-@pytest.mark.parametrize("field", (QQ, FP), ids=["Q", "F1000003"])
-def test_det_exact_polyn_matches_cofactor_reference(field):
-    rng = random.Random(f"det-polyn/{field.descriptor()}")
-    zero = PolyN.zero(field, 2)
-    for _ in range(25):
-        size = rng.randint(1, 4)
-        rows = [[_sparse_polyn(field, rng, terms=rng.randint(0, 2)) for _ in range(size)]
-                for _ in range(size)]
-        rows = _degenerate(rows, rng, zero, size)
-        want = ref_det_cofactor([list(r) for r in rows], zero)
-        assert det_exact(rows, field) == want
 
 
 def test_polyn_division_exact_or_raises():
@@ -417,7 +443,6 @@ def test_det_cofactor_polyn_matches_brute_force():
                  for _ in range(3)] for _ in range(3)]
         want = brute_det(rows)
         assert ref_det_cofactor([list(r) for r in rows], PolyN.zero(QQ, 2)) == want
-        assert det_exact(rows, QQ) == want
 
 
 def test_maximal_minors_match_cofactors():
@@ -429,10 +454,12 @@ def test_maximal_minors_match_cofactors():
         for j in range(r + 1):
             sub = [[row[c] for c in range(r + 1) if c != j] for row in rows]
             assert minors[j] == brute_det(sub)
-            # the same minor as a bordered determinant: unit border at column j
-            border = [QQ.one if c == j else QQ.zero for c in range(r + 1)]
+            # the same minor as a bordered determinant of the integer rows:
+            # unit border at column j
+            ints = _int_rows(QQ, rows)
+            border = [int(c == j) for c in range(r + 1)]
             sign = -1 if (r + j) % 2 else 1
-            assert bordered_dets(rows, [border])[0] == sign * minors[j]
+            assert bordered_dets(ints, [border])[0] == sign * ref_maximal_minors(ints, 0)[j]
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +471,10 @@ def _over_field(field, rows):
 
 
 def _exact_mod_p(field, data, borders):
-    """The exact kernel over F_p (FpElement entries, exact `/`), as residues:
-    it keeps the same rows as an elimination mod p."""
-    return [d.residue for d in bordered_dets(_over_field(field, data),
-                                             _over_field(field, borders))]
+    """The reference kernel over F_p (FpElement entries, exact `/`), as
+    residues: it keeps the same rows as an elimination mod p."""
+    return [d.residue for d in ref_bordered_dets(_over_field(field, data),
+                                                 _over_field(field, borders))]
 
 
 def _independent_mod_p(kept, p):
@@ -535,3 +562,79 @@ def test_modular_bordered_dets_unit_borders_span_the_nullspace(field):
         if _independent_mod_p(kept, p):
             assert any(v)
             assert v == [x % p for x in bordered_dets(data, units)]
+
+
+# ---------------------------------------------------------------------------
+# the integer-only kernel and the conversion at det_exact's edge
+
+MIXED = ((1, 2), (1, 3), (2, 7)), ((3, 5), (1, 1), (5, 3)), ((1, 1), (2, 9), (7, 4))
+
+
+def _mixed_layouts(field, as_int):
+    """The matrix MIXED over `field` with all entries elements, then with
+    each entry that `as_int` maps to a plain int replaced by it, one at a
+    time, then all of them at once."""
+    rows = [[field.from_int(a) / field.from_int(b) for a, b in row] for row in MIXED]
+    spots = [(i, j) for i, row in enumerate(rows) for j, x in enumerate(row)
+             if as_int(x) is not None]
+    yield rows
+    for chosen in [[s] for s in spots] + [spots]:
+        mixed = [list(row) for row in rows]
+        for i, j in chosen:
+            mixed[i][j] = as_int(mixed[i][j])
+        yield mixed
+
+
+def test_det_exact_on_mixed_rows_over_q():
+    # a plain int beside Fractions once sent every division to `//`
+    want = Fraction(4897, 7560)
+    layouts = list(_mixed_layouts(QQ, lambda x: int(x) if x.denominator == 1 else None))
+    assert len(layouts) == 4
+    for rows in layouts:
+        assert det_exact(rows, QQ) == want
+        assert ref_det_cofactor(rows, 0) == want
+
+
+def test_det_exact_on_mixed_rows_over_f101():
+    # the same layouts over F_101, where any entry can be its residue
+    field = PrimeField(101)
+    layouts = list(_mixed_layouts(field, lambda x: x.residue))
+    want = ref_det_cofactor(layouts[0], field.zero)
+    assert len(layouts) == 11
+    for rows in layouts:
+        got = det_exact(rows, field)
+        if all(type(x) is int for row in rows for x in row):
+            assert got % field.p == want.residue    # rows of ints alone: an int
+        else:
+            assert isinstance(got, FpElement) and got == want
+
+
+def test_det_exact_on_int_rows_gives_an_int():
+    rows = [[2, 7, 1], [8, 2, 8], [1, 8, 2]]
+    for field in (QQ, PrimeField(101)):
+        got = det_exact(rows, field)
+        assert type(got) is int and got == brute_det(rows)
+        assert det_exact([], field) is field.one
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(4), PrimeField(101).from_int(3),
+                                   PolyN.const(QQ, 2, QQ.one)],
+                         ids=["fraction", "integral-fraction", "fp", "polyn"])
+@pytest.mark.parametrize("modulus", [None, 101], ids=["exact", "mod"])
+@pytest.mark.parametrize("where", ["data", "border"])
+def test_bordered_dets_refuses_non_int_entries(entry, modulus, where):
+    data = [[2, 3, 5], [7, 11, 13]]
+    border = [1, 4, 9]
+    for i in range(3):
+        rows, last = [list(r) for r in data], list(border)
+        (rows[i % 2] if where == "data" else last)[i] = entry
+        with pytest.raises(TypeError):
+            bordered_dets(rows, [last], modulus)
+
+
+@pytest.mark.parametrize("field", (QQ, FP), ids=["Q", "F1000003"])
+def test_det_exact_refuses_polyn_rows(field):
+    x = PolyN.var(field, 2, 0)
+    one = PolyN.const(field, 2, field.one)
+    with pytest.raises(FieldMismatch):
+        det_exact([[x, one], [one, x]], field)

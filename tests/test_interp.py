@@ -23,7 +23,6 @@ from ratrecon.interp import (
     fit_ratfun,
     interp_point,
     interp_sign,
-    paired_determinants,
 )
 from ratrecon.matrix import det_exact, resultant, vandermonde_product
 from ratrecon.poly import Poly1, gcd_poly1
@@ -383,39 +382,3 @@ def test_detect_profile_domain_too_sparse():
     rng = derive_rng(82, "detect")
     with pytest.raises(DomainTooSparse):
         detect_profile_with_fit(lambda a: None, QQ, SamplingBudget(), rng)
-
-
-def test_paired_determinants_polynomial_entries_match_scalar_specialization():
-    # symbolic route specialized at a point equals the scalar route
-    from ratrecon.poly import PolyN
-    from ratrecon.ratfun import RatFunN
-
-    def at(f, pt):
-        return RatFunN(f, PolyN.const(QQ, 2, QQ.one)).eval(pt)
-
-    rng = random.Random(37)
-    n, m = 1, 2
-    l = n + m
-    pts = []
-    while len(pts) < l + 1:
-        v = random_element(QQ, rng, 20)
-        if v not in pts:
-            pts.append(v)
-    dens = [PolyN(QQ, 2, {(rng.randint(0, 2), 0): random_element(QQ, rng, 5),
-                          (0, 0): random_element(QQ, rng, 5) + 1})
-            for _ in range(l + 1)]
-    nums = [PolyN(QQ, 2, {(rng.randint(0, 2), 0): random_element(QQ, rng, 5)})
-            for _ in range(l + 1)]
-    y = PolyN.var(QQ, 2, 1)
-    powers = [PolyN.const(QQ, 2, QQ.one)]
-    while len(powers) <= max(n, m):
-        powers.append(powers[-1] * y)
-    apowers = [[a ** j for j in range(max(n, m) + 1)] for a in pts]
-    phi, psi = paired_determinants(dens, nums, apowers, n, m, powers)
-    x0, y0 = random_element(QQ, rng, 9), random_element(QQ, rng, 9)
-    dvals = [at(d, (x0, y0)) for d in dens]
-    nvals = [at(v, (x0, y0)) for v in nums]
-    spowers = [y0 ** j for j in range(max(n, m) + 1)]
-    a_s, b_s = paired_determinants(dvals, nvals, apowers, n, m, spowers)
-    assert at(phi, (x0, y0)) == a_s
-    assert at(psi, (x0, y0)) == b_s

@@ -874,11 +874,12 @@ def test_unlucky_root_anchor_is_replaced(field, monkeypatch):
 def test_no_determinant_or_packing_from_reconstruct(monkeypatch):
     # Over one cycle of each recon workload of the benchmark (seed 1, from
     # instance 21, where recon_q's cycle holds #26, whose root retries), no
-    # function of `reconstruct` calls the packed determinants or packs.
+    # function of `reconstruct` packs, and the engine has no packed
+    # determinants to call.
     bench = str(pathlib.Path(__file__).resolve().parents[1] / "bench")
     monkeypatch.syspath_prepend(bench)
     workloads = importlib.import_module("workloads")
-    interp, poly = (importlib.import_module(f"ratrecon.{m}") for m in ("interp", "poly"))
+    poly = importlib.import_module("ratrecon.poly")
     callers = Counter()
 
     def spy(fn):
@@ -887,7 +888,6 @@ def test_no_determinant_or_packing_from_reconstruct(monkeypatch):
             return fn(*args, **kwargs)
         return called
 
-    monkeypatch.setattr(interp, "paired_determinants", spy(interp.paired_determinants))
     monkeypatch.setattr(poly._PackedRing, "pack", spy(poly._PackedRing.pack))
     retries = []
     combine = engine._combine
