@@ -67,6 +67,7 @@ from typing import Callable, Optional
 from .errors import (
     AnchorSearchFailed,
     EmptyHistogram,
+    RatreconError,
     TooManyFailures,
     VerificationFailed,
 )
@@ -105,12 +106,15 @@ class SliceOracle:
     calls the user's function directly, however deep the recursion.  So is
     `_probe`: a restriction's (ids, point, value) answers from the probe
     that accepted its anchor, which `verify_agreement` takes as its first
-    trials."""
+    trials.  And `_skipped`: None when every node checks its result, else
+    the list to which each node below the root appends its path instead of
+    checking (the fast pass of `reconstruct`)."""
     arity: int
     field: Field
     fn: Callable[[tuple], Optional[object]]
     _suffix: tuple = ()
     _probe: tuple = ()
+    _skipped: Optional[list] = None
 
     def eval(self, point: tuple):
         if len(point) != self.arity:
@@ -121,7 +125,7 @@ class SliceOracle:
         """The oracle on the hyperplane where the last coordinate is `b`,
         carrying `probe`, the answers of `b`'s probe."""
         return SliceOracle(self.arity - 1, self.field, self.fn, (b,) + self._suffix,
-                           probe)
+                           probe, self._skipped)
 
 
 def slice_oracle(oracle: SliceOracle, axis: int, fixed: tuple):
@@ -441,9 +445,23 @@ class NodeRecord:
 
 def reconstruct(oracle: SliceOracle, cfg: ReconConfig) -> ReconReport:
     """Full reconstruction with verification; see module docstring.  The
-    report carries the root node's classes and verification tallies."""
+    report carries the root node's classes and verification tallies.
+
+    The fast pass checks only the root.  If it fails after a node below
+    the root skipped its check, the strict pass runs the tree again with
+    every node checked; a failure before any skipped check is the strict
+    pass's own, which would repeat it step for step."""
     cfg.check_field(oracle.field)
-    root = _reconstruct_level(oracle, cfg, (), 1)
+    skipped: list = []
+    try:
+        root = _reconstruct_level(SliceOracle(oracle.arity, oracle.field, oracle.fn,
+                                              oracle._suffix, (), skipped), cfg, (), 1)
+    except RatreconError:
+        if not skipped:
+            raise
+        root = None
+    if root is None:
+        root = _reconstruct_level(oracle, cfg, (), 1)
     return ReconReport(root.result, oracle.arity, oracle.field,
                        dict(root.histogram), root.failures, root.anchors,
                        root.verification, cfg, root.nodes)
@@ -507,7 +525,7 @@ def _reconstruct_level(oracle: SliceOracle, cfg: ReconConfig, path: tuple,
                                       f"children at recursion path {path} combine")
             verification = _verify_node(oracle, result, cfg, path)
         except (ZeroDenominator, VerificationFailed) as failure:
-            if cls.total == cfg.samples_per_class:
+            if cls.total == cfg.samples_per_class or oracle._skipped is not None:
                 raise
             # the class may be too low on this node's hyperplane: repeat
             # with all the slices of its stream, unless they agree.  If they
@@ -703,6 +721,9 @@ def _interpolate(fs, basis, bound: int, p):
 
 def _verify_node(oracle: SliceOracle, result: RatFunN, cfg: ReconConfig,
                  path: tuple) -> Agreement:
+    if path and oracle._skipped is not None:
+        oracle._skipped.append(path)
+        return Agreement(0, 0, 0)
     rng = derive_rng(cfg.seed, "verify", *path)
     tally = verify_agreement(oracle, result, cfg.verify_trials, rng,
                              cfg.height_bound)

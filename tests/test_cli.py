@@ -15,9 +15,11 @@ import pytest
 import ratrecon.cli as cli
 from ratrecon import errors
 from ratrecon.cli import main
+from ratrecon.expr import eval_expr, parse
 from ratrecon.fields import PrimeField, derive_rng
 from ratrecon.interp import detect_profile_with_fit
-from ratrecon.reconstruct import ReconConfig
+from ratrecon.reconstruct import ReconConfig, SliceOracle
+from test_level_classes import strict_reconstruct
 
 
 def run_cli(capsys, *argv):
@@ -270,26 +272,37 @@ def test_reconstruct_refusal_on_a_sparse_domain_is_kept(capsys, seed, failed):
 
 
 def test_reconstruct_verification_failure_fields_name_inner_node(tmp_path, capsys):
-    # The last fresh point on the first anchor's hyperplane x2 = b is asked
-    # by the verification of the child node at path (0,), after its fit.
-    # With that value off by one, the child fails, in its own coordinates.
+    # A record lists the points of the fast pass, which checks only the
+    # root, so this replay lists those of the strict pass, in which every
+    # node checks its result.  The last fresh point on the first anchor's
+    # hyperplane x2 = b is asked by the check of the child node at path
+    # (0,), after its fit.  With that value off by one, and that of the
+    # last fresh point of the root's check, the fast pass fails at the root
+    # and the strict pass fails at the child, in its own coordinates.
+    field = PrimeField(1000003)
+    ast = parse("(x1*x2+1)/(x1-x2)", 2)
+    asked = {}
+
+    def recording(pt):
+        asked[pt] = eval_expr(ast, pt, field)
+        return asked[pt]
+
+    report = strict_reconstruct(SliceOracle(2, field, recording), ReconConfig(seed=31))
+    defined = [pt for pt, v in asked.items() if v is not None]
+    child = [pt for pt in defined if pt[1] == report.anchors[0][0]][-1]
+    for pt in (child, defined[-1]):
+        asked[pt] += 1
     rec = tmp_path / "replay.json"
+    rec.write_text(json.dumps({"arity": 2, "field": "fp:1000003", "samples": [
+        {"point": [field.format(c) for c in pt],
+         "value": None if v is None else field.format(v)} for pt, v in asked.items()]}))
     args = ("--arity", "2", "--field", "fp:1000003", "--seed", "31")
-    code, out, _ = run_cli(capsys, "reconstruct", "--expr", "(x1*x2+1)/(x1-x2)",
-                           *args, "--record", str(rec))
-    assert code == 0
-    anchor = json.loads(out)["report"]["anchors"][0][0]
-    replay = json.loads(rec.read_text())
-    sample = [s for s in replay["samples"]
-              if s["point"][1] == anchor and s["value"] is not None][-1]
-    sample["value"] = str(int(sample["value"]) + 1)
-    rec.write_text(json.dumps(replay))
     code, out, _ = run_cli(capsys, "reconstruct", "--oracle-replay", str(rec), *args)
     assert code == 6
     err = json.loads(out)["error"]
     assert err["kind"] == "VerificationFailed" and err["path"] == [0]
-    assert (err["point"], err["oracle"]) == (sample["point"][:1], sample["value"])
-    x1 = sample["point"][0]
+    x1 = field.format(child[0])
+    assert (err["point"], err["oracle"]) == ([x1], field.format(asked[child]))
     assert int(err["oracle"]) == int(err["result"]) + 1
     assert err["detail"] == (f"reconstruction mismatch at recursion path (0,), "
                              f"point ({x1}): oracle {err['oracle']}, "
@@ -503,8 +516,9 @@ def samples(path) -> dict:
 
 def assert_asks_a_subset(record, again):
     # since 0.9.0 a child's first verification trials are its anchor's
-    # probe answers and the rest the first points of its own stream, so a
-    # run asks a subset of an older record's points, with their values
+    # probe answers and the rest the first points of its own stream, and
+    # since 0.10.0 only the root checks its result unless that check fails,
+    # so a run asks a subset of an older record's points, with their values
     old, new = samples(record), samples(again)
     assert new.keys() <= old.keys()
     assert all(old[pt] == v for pt, v in new.items())
@@ -516,7 +530,7 @@ def test_reconstruct_replays_a_record_written_by_0_6_0(tmp_path, capsys):
     # none falls back, so every node that classifies is the first of its
     # level, as in 0.6.0.  The replay gives 0.6.0's answer, and a run of
     # the expression asks for a subset of the recorded points: exactly
-    # those of the 0.9.0 file.
+    # those of the 0.10.0 file.
     data = pathlib.Path(__file__).parent / "data"
     record = data / "record-0.6.0-fp101-arity3.json"
     args = ("--arity", "3", "--field", "fp:101", "--seed", "9")
@@ -534,14 +548,14 @@ def test_reconstruct_replays_a_record_written_by_0_6_0(tmp_path, capsys):
     assert code == 0
     assert_asks_a_subset(record, again)
     assert json.loads(again.read_text()) == json.loads(
-        (data / "record-0.9.0-fp101-arity3-as-0.6.0.json").read_text())
+        (data / "record-0.10.0-fp101-arity3-as-0.6.0.json").read_text())
 
 
 def test_reconstruct_replays_a_record_written_by_0_7_0(tmp_path, capsys):
     # written by version 0.7.0; no node of the run took the combine's
     # fallback, which 0.8.0 replaces by drawing one more anchor, so the
     # replay gives 0.7.0's answer, and a run of the expression asks for a
-    # subset of the recorded points: exactly those of the 0.9.0 file
+    # subset of the recorded points: exactly those of the 0.10.0 file
     data = pathlib.Path(__file__).parent / "data"
     record = data / "record-0.7.0-fp101-arity3.json"
     args = ("--arity", "3", "--field", "fp:101", "--seed", "9")
@@ -559,7 +573,7 @@ def test_reconstruct_replays_a_record_written_by_0_7_0(tmp_path, capsys):
     assert code == 0
     assert_asks_a_subset(record, again)
     assert json.loads(again.read_text()) == json.loads(
-        (data / "record-0.9.0-fp101-arity3.json").read_text())
+        (data / "record-0.10.0-fp101-arity3.json").read_text())
 
 
 def test_reconstruct_replays_a_record_written_by_0_8_0(tmp_path, capsys):
@@ -583,6 +597,32 @@ def test_reconstruct_replays_a_record_written_by_0_8_0(tmp_path, capsys):
                          *args, "--record", str(again))
     assert code == 0
     assert_asks_a_subset(record, again)
+
+
+@pytest.mark.parametrize("name,expr,anchors", [
+    ("record-0.9.0-fp101-arity3.json", "(x1*x2*x3 + 2)/(x1 + x2^2 - x3)",
+     [["40", "56", "13"], ["84", "34", "28", "99"]]),
+    ("record-0.9.0-fp101-arity3-as-0.6.0.json", "(x1*x2 + 3*x3)/(x1 - x2 + 4)",
+     [["56", "13"], ["84", "34", "28"]]),
+], ids=["0.7.0-input", "0.6.0-input"])
+def test_reconstruct_replays_a_record_written_by_0_9_0(tmp_path, capsys, name, expr,
+                                                       anchors):
+    # written by version 0.9.0, in which every node checked its result: the
+    # replay gives 0.9.0's report, and a run of the expression asks for a
+    # subset of the recorded points
+    record = pathlib.Path(__file__).parent / "data" / name
+    args = ("--arity", "3", "--field", "fp:101", "--seed", "9")
+    code, out, _ = run_cli(capsys, "reconstruct", "--oracle-replay", str(record), *args)
+    assert code == 0
+    replayed = json.loads(out)["report"]
+    assert (replayed["result"], replayed["anchors"]) == (expr, anchors)
+    again = tmp_path / "record.json"
+    code, out, _ = run_cli(capsys, "reconstruct", "--expr", expr, *args,
+                           "--record", str(again))
+    assert code == 0
+    assert json.loads(out)["report"] == replayed
+    assert_asks_a_subset(record, again)
+    assert len(samples(again)) < len(samples(record))
 
 
 def write_replay(path, points, field="q", arity=2):
@@ -859,7 +899,7 @@ def test_every_library_error_has_a_documented_exit_code(tmp_path, capsys, monkey
 
 
 # sha256 of stdout for small inputs of each command, recorded with version
-# 0.9.0: the "byte-identical stdout for a given version and seed" contract,
+# 0.10.0: the "byte-identical stdout for a given version and seed" contract,
 # checked across commits.  A version bump changes the manifest and re-records
 # every value.
 STDOUT_DIGESTS = {
@@ -890,24 +930,24 @@ for _name in ("reconstruct-q-h1", "reconstruct-q-h3", "reconstruct-q-h1000",
               "reconstruct-fp101"):
     STDOUT_DIGESTS[f"{_name}-record"] = STDOUT_DIGESTS[_name] + ("--record", "record.json")
 STDOUT_SHA256 = {
-    "hankel": "1db14f98d3c2efaaf274c7f516df20e6ec30ed3e521e26e998d3ab87c9508298",
-    "interp-fit": "95aa9231f3d94744678b75b97dc4b98e029887fc6f6176842690ad6806caa5ef",
-    "reconstruct-fp-2": "5ba61a20f887d60ea8461c2e53568be45b1190f92ba5aace21cf77e8124c6244",
-    "reconstruct-fp-3": "1133cd92b5053feadf9ad6fc08a719e1f577f0888335a7702d55b560f444a1dc",
-    "reconstruct-q-2": "da7f024c905fdb2d0216ad17c19b3fc2df7e125f1c8427841fa56fa7e9df0e0b",
-    "reconstruct-q-3": "1016f1dcffb7286ae96754ead6acc2353c0c6be5f65c83563e4000a7b1b4e798",
+    "hankel": "5ae95af356168b24f9c3014607b2df60c45dbb7c4632d1cba87e548f1f7ef1ed",
+    "interp-fit": "0cfcf9ee6f7268db2e77a1805b044b2b57ebbc3f930c7501c3345ead0337ad5e",
+    "reconstruct-fp-2": "f1ad4d2785f8d944cf338c0cf88e52ff6f7b50a7820c59c4ef19795f2d020d0c",
+    "reconstruct-fp-3": "a4195db9ddaa4b50b8748f186c6f1fedc5c55d1b0bf3e5faffb6c7647d985e3d",
+    "reconstruct-q-2": "0862d041c2ad6452d3abe7965c088ad55606a1f6148ae5aa33fc35e4a9b09920",
+    "reconstruct-q-3": "21c6269c41b47fe76570d260aa184873eaa53702f3e4e7775bcf7af80bc3a3da",
     "reconstruct-q-h1": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "reconstruct-q-h1-record":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "reconstruct-q-h3": "7e8cb8a8231905eef80258a4d2b6292e874a67d399a208f345e60806395fac84",
+    "reconstruct-q-h3": "6edcb09a190bef96a3f08e5ef6bce7f726aed1a5b1555252573e18935576e582",
     "reconstruct-q-h3-record":
-        "7e8cb8a8231905eef80258a4d2b6292e874a67d399a208f345e60806395fac84",
-    "reconstruct-q-h1000": "29d13313c36c72767cbf277f14d3c7d363b060b3ea730ae11521bab96e25c0ca",
+        "6edcb09a190bef96a3f08e5ef6bce7f726aed1a5b1555252573e18935576e582",
+    "reconstruct-q-h1000": "c70781d9743cf6eaccf4d736948225e77b8c5e186de5e6208790845385ef4788",
     "reconstruct-q-h1000-record":
-        "29d13313c36c72767cbf277f14d3c7d363b060b3ea730ae11521bab96e25c0ca",
-    "reconstruct-fp101": "368adcfad9246fb294473ab02945357c5ed89577f46dcf102dfb0656bcd0ca96",
+        "c70781d9743cf6eaccf4d736948225e77b8c5e186de5e6208790845385ef4788",
+    "reconstruct-fp101": "63102cfccc7189196e263d6b25d0d196cc5a6185e07c3da746f8f10eefe1ce14",
     "reconstruct-fp101-record":
-        "368adcfad9246fb294473ab02945357c5ed89577f46dcf102dfb0656bcd0ca96",
+        "63102cfccc7189196e263d6b25d0d196cc5a6185e07c3da746f8f10eefe1ce14",
 }
 # the --record files; at height 1 Q offers three values, fewer than even a
 # constant's detection needs, so the run is refused before any query (exit
@@ -916,11 +956,11 @@ STDOUT_SHA256 = {
 RECORD_SHA256 = {
     "reconstruct-q-h1-record": None,
     "reconstruct-q-h3-record":
-        "a7993cb524c1d34e49f40149cb7b2cced403ca5aa51b08d224ef8ed59d08414e",
+        "fa6e756340ed5a742b39415585ff3e9ea5e2b19098404e11550d8c7d33ae6a7d",
     "reconstruct-q-h1000-record":
-        "e7a97a7c41112c69ba28e47798959fe6b84c68f7e760430f433deac062167462",
+        "2c9cb13f0094d0340f6b83cbbbd5e12f3d47ec380c1cfea9dbd2e4b4f69d155a",
     "reconstruct-fp101-record":
-        "ec77c66e3225da736831af759468ae02760569e198a02b10ed568cb07c6d3061",
+        "c048dd775467f1a86f105b9fbad14a9f56fe399990783777e8a0210125c9af4d",
 }
 EXIT_CODE = {"reconstruct-q-h1": 1, "reconstruct-q-h1-record": 1}
 

@@ -33,13 +33,13 @@ REFUSALS = {
 }
 OUTCOMES = {
     ("pointwise", "q"): "BBV BBV VVV VVV",
-    ("pointwise", "fp101"): "VVV VVV VVV VVV",
+    ("pointwise", "fp101"): "VVV VVV VV= VV=",
     ("pointwise", "fp1000003"): "VVM VVM VVV VVV",
     ("hyperplane", "q"): "VVV VVV VVV VVV",
     ("hyperplane", "fp101"): "VVV VVV VVB VVB",
     ("hyperplane", "fp1000003"): "=== === === ===",
     ("diagonal", "q"): "VVV VVV VVV VVV",
-    ("diagonal", "fp101"): "VVV VVV VVV VVV",
+    ("diagonal", "fp101"): "V=V V=V =VV =VV",
     ("diagonal", "fp1000003"): "=== === === ===",
     ("nonrational", "q"): "MMM MMM MMM MMM",
     ("nonrational", "fp101"): "MMM MMM MMM MMM",

@@ -184,6 +184,16 @@ def reference_reconstruct(oracle: SliceOracle, cfg: ReconConfig) -> ReconReport:
     return report
 
 
+def strict_reconstruct(oracle: SliceOracle, cfg: ReconConfig) -> ReconReport:
+    """The strict pass of `reconstruct`, run alone: every node checks its
+    own result on its own `verify` stream, repeats its classification when
+    its class fails, and a sibling whose check fails falls back."""
+    cfg.check_field(oracle.field)
+    root = engine._reconstruct_level(oracle, cfg, (), 1)
+    return ReconReport(root.result, oracle.arity, oracle.field, dict(root.histogram),
+                       root.failures, root.anchors, root.verification, cfg, root.nodes)
+
+
 def answer(report: ReconReport) -> str:
     """The report JSON without the classification fields."""
     return json.dumps({k: v for k, v in report.to_json().items()
@@ -430,7 +440,7 @@ def test_fallback_sibling_alone_is_the_node_it_was_in_the_run(monkeypatch):
     # above, built alone from the oracle restricted to x3 = 0 at the same
     # path, with the answers of that anchor's probe as its first trials,
     # gives the same result, anchors, classes and verification as inside
-    # the run.
+    # the strict pass, in which every node checks its result.
     text = "(4*x1^2*x3 - 4*x1*x2*x3 + x1*x3)/(x1*x2 + 36*x2*x3^2 - 12)"
     oracle = expr_oracle(text, 3, QQ)
     cfg = ReconConfig(seed=2542212399)
@@ -443,7 +453,7 @@ def test_fallback_sibling_alone_is_the_node_it_was_in_the_run(monkeypatch):
         return node
 
     monkeypatch.setattr(engine, "_reconstruct_level", spy)
-    report = reconstruct(oracle, cfg)
+    report = strict_reconstruct(oracle, cfg)
     assert report.anchors[0][1] == 0
     assert report.to_json()["nodes"]["fallbacks"] == 1
     leaves, inside = nodes[(1,)]
@@ -485,7 +495,8 @@ def test_class_settled_too_low_repeats_in_full(monkeypatch):
     # first three slices all lie on x1 = 0, so the stop rule settles on
     # (0, 0); the root's one-anchor result fails its verification, and the
     # root classifies all 20 slices of its stream, finds (1, 1) and repeats
-    # once.
+    # once.  That is the strict pass; `reconstruct` runs it after its fast
+    # pass fails at the root, and gives its report.
     F7 = PrimeField(7)
     text = "x1*x2 + 1"
     oracle = expr_oracle(text, 2, F7)
@@ -507,13 +518,15 @@ def test_class_settled_too_low_repeats_in_full(monkeypatch):
     verify_node = engine._verify_node
     monkeypatch.setattr(engine, "classify_slices", classify)
     monkeypatch.setattr(engine, "_verify_node", verify)
-    report = reconstruct(oracle, cfg)
+    report = strict_reconstruct(oracle, cfg)
     assert log[0] == (False, (0, 0), 3, {(0, 0): 3})
     assert log[1][:3] == (True, (1, 1), cfg.samples_per_class)
     assert len(log) == 2 and failed == [()]
     assert report.class_histogram == log[1][3]
     assert report.result.same_function(to_ratfun(parse(text, 2), F7, 2))
     monkeypatch.setattr(engine, "_verify_node", verify_node)
+    monkeypatch.setattr(engine, "classify_slices", classify_slices)
+    assert reconstruct(oracle, cfg).to_json() == report.to_json()
     assert_matches_reference(report, oracle, cfg)
 
 
@@ -522,12 +535,13 @@ def test_first_node_that_repeats_sets_the_level_class_again(classify_log, full_t
     # slices along x2 have class (1, 1), except on x1 = 0.  At seed 394
     # that node's first three slices lie on x1 = 0, so it settles on
     # (0, 0), fails its verification and repeats with (1, 1).  Its sibling
-    # classifies its own slices, three, all (1, 1).
+    # classifies its own slices, three, all (1, 1).  (In the strict pass:
+    # the fast pass, which checks only the root, fails there.)
     F7 = PrimeField(7)
     text = "x1*x2 + x3 + 1"
     oracle = expr_oracle(text, 3, F7)
     cfg = ReconConfig(seed=394)
-    report = reconstruct(oracle, cfg)
+    report = strict_reconstruct(oracle, cfg)
     assert report.result.same_function(to_ratfun(parse(text, 3), F7, 3))
     assert classify_log == [(3, False, (1, 1), 3), (2, False, (0, 0), 3),
                             (2, True, (1, 1), 20), (2, False, (1, 1), 3)]
@@ -543,7 +557,7 @@ def test_first_node_that_repeats_sets_the_level_class_again_chain(classify_log,
     text = "x1*x2 + x3 + 1"
     oracle = expr_oracle(text, 3, F7)
     cfg = ReconConfig(seed=394)
-    report = reconstruct(oracle, cfg)
+    report = strict_reconstruct(oracle, cfg)
     assert report.result.same_function(to_ratfun(parse(text, 3), F7, 3))
     assert [total for *_, total in classify_log] == [3, 3, 20]
     assert report.to_json()["nodes"] == {"recursed": 4, "sparse": 1, "fallbacks": 0}
@@ -553,8 +567,8 @@ def test_first_node_that_repeats_sets_the_level_class_again_chain(classify_log,
 def test_failure_the_full_class_confirms_is_raised_at_once(monkeypatch):
     # Corrupt the last fresh point of a clean run, which only the root's
     # verification asks for.  The root's early class (1, 0) fails there;
-    # all 20 slices give (1, 0) too, so the root re-raises that error
-    # without a second attempt.
+    # all 20 slices give (1, 0) too, so the strict pass's root re-raises
+    # that error without a second attempt, and so does `reconstruct`.
     text = "(x1*x2 + 1)/(x1 - x2)"
     truth = to_ratfun(parse(text, 2), FP, 2)
     queried = []
@@ -579,10 +593,13 @@ def test_failure_the_full_class_confirms_is_raised_at_once(monkeypatch):
     oracle = SliceOracle(2, FP, lambda pt: truth.eval(pt) + 1 if pt == bad
                          else truth.eval_or_none(pt))
     with pytest.raises(VerificationFailed) as info:
-        reconstruct(oracle, cfg)
+        strict_reconstruct(oracle, cfg)
     assert (info.value.path, info.value.point) == ((), bad)
     assert classes == [(False, (1, 0)), (True, (1, 0))]
     assert checked.count(()) == 1
+    with pytest.raises(VerificationFailed) as again:
+        reconstruct(oracle, cfg)
+    assert str(again.value) == str(info.value)
 
 
 def root_anchors(text, arity, field, cfg):
@@ -719,7 +736,8 @@ def test_slice_above_the_generic_class_is_refused(monkeypatch, classify_log):
     # four with two more anchors, so the node raises ZeroDenominator.  All
     # its 20 slices give the maximal class (1, -1) too, so the node raises
     # that error after the one full classification.  (The 20-slice vote
-    # found the zero class and returned 0.)
+    # found the zero class and returned 0.)  That is the strict pass; the
+    # fast pass, in which node (1,) does not repeat, fails first.
     cfg = ReconConfig(seed=5)
     c = first_slice_value(cfg, FP, (1,))
     b1 = root_anchors("x3/(x1 + x2)", 3, FP, cfg)[1]
@@ -742,11 +760,14 @@ def test_slice_above_the_generic_class_is_refused(monkeypatch, classify_log):
     combine = engine._combine
     monkeypatch.setattr(engine, "_combine", spy)
     classify_log.clear()
-    with pytest.raises(ZeroDenominator):
-        reconstruct(SliceOracle(3, FP, fn), cfg)
+    with pytest.raises(ZeroDenominator) as info:
+        strict_reconstruct(SliceOracle(3, FP, fn), cfg)
     # node (1,): its two children, then the third anchor's child with each
     # of them, then the fourth's with each of the three
     assert failed == [(1, 2)] * 6
     # root, node (0,), node (1,), its full repeat
     assert classify_log == [(3, False, (1, 1), 3), (2, False, (1, -1), 3),
                             (2, False, (1, -1), 3), (2, True, (1, -1), 20)]
+    with pytest.raises(ZeroDenominator) as again:
+        reconstruct(SliceOracle(3, FP, fn), cfg)
+    assert str(again.value) == str(info.value)

@@ -1,6 +1,7 @@
-"""A child's first verification trials are the answers of the probe that
-accepted its anchor (`choose_anchors`), and only the rest are drawn from
-its `verify` stream.  These tests check each verification run against
+"""In the strict pass, in which every node checks its result, a child's
+first verification trials are the answers of the probe that accepted its
+anchor (`choose_anchors`), and only the rest are drawn from its `verify`
+stream.  These tests check each verification run of that pass against
 references copied from 0.8.0, in which every run drew all its points and
 asked the oracle at each of them."""
 
@@ -24,9 +25,10 @@ from ratrecon.reconstruct import (
     ReconConfig,
     SliceOracle,
     choose_anchors,
-    reconstruct,
     verify_agreement,
 )
+
+from test_level_classes import strict_reconstruct
 
 engine = importlib.import_module("ratrecon.reconstruct")
 
@@ -121,8 +123,9 @@ class Run:
 
 
 def traced_reconstruct(case, monkeypatch, **config):
-    """Reconstruct CASES[case], recording every verification run; returns
-    (the user's function unspied, the config, the runs)."""
+    """Reconstruct CASES[case] in the strict pass, recording every
+    verification run; returns (the user's function unspied, the config, the
+    runs)."""
     text, field, seed = CASES[case]
     ast = parse(text, 3)
 
@@ -159,7 +162,7 @@ def traced_reconstruct(case, monkeypatch, **config):
     monkeypatch.setattr(engine, "_verify_node", node_spy)
     monkeypatch.setattr(engine, "verify_agreement", spy)
     cfg = ReconConfig(seed=seed, **config)
-    report = reconstruct(SliceOracle(3, field, fn), cfg)
+    report = strict_reconstruct(SliceOracle(3, field, fn), cfg)
     assert report.result.same_function(to_ratfun(ast, field, 3))
     return plain, cfg, runs
 

@@ -43,6 +43,8 @@ from ratrecon.reconstruct import (
     verify_agreement,
 )
 
+from test_level_classes import strict_reconstruct
+
 engine = importlib.import_module("ratrecon.reconstruct")
 ratfun = importlib.import_module("ratrecon.ratfun")
 
@@ -509,13 +511,14 @@ def test_root_verification_is_reported_not_repeated():
     # points from 101 values, so 698 calls remained.  The root's
     # classification now stops after three slices instead of 20: 561 calls.
     # Each leaf's first 20 trials are now its anchor's probe answers, and a
-    # probe asks each distinct point once: 499 calls.
+    # probe asks each distinct point once: 499 calls.  Only the root checks
+    # its result now, unless that check fails: 301 calls.
     f = xy_over(FP101)
     calls = []
     oracle = SliceOracle(2, FP101, lambda pt: calls.append(pt) or f.eval_or_none(pt))
     cfg = ReconConfig(seed=10)
     report = reconstruct(oracle, cfg)
-    assert len(calls) == 499
+    assert len(calls) == 301
     assert report.to_json() == {
         "result": "(x1*x2 + 1)/(x1 - x2)",
         "coprime_certified": True,
@@ -761,9 +764,9 @@ def eval_frames() -> int:
 
 
 def test_deep_node_queries_the_user_function_in_one_frame(monkeypatch):
-    # a verification at recursion depth 2 reaches the user's function through
-    # one SliceOracle.eval frame, whatever the depth, and asks it once per
-    # distinct point
+    # a verification at recursion depth 2, in the strict pass, reaches the
+    # user's function through one SliceOracle.eval frame, whatever the
+    # depth, and asks it once per distinct point
     f = rand_ratfunn(FP, random.Random(48), 3, 2)
     runs = []           # per verification run: (node arity, [(point, frames)])
     active = []
@@ -784,7 +787,7 @@ def test_deep_node_queries_the_user_function_in_one_frame(monkeypatch):
             active.pop()
 
     monkeypatch.setattr(engine, "verify_agreement", spy)
-    report = reconstruct(SliceOracle(3, FP, fn), ReconConfig(seed=200))
+    report = strict_reconstruct(SliceOracle(3, FP, fn), ReconConfig(seed=200))
     assert report.result.same_function(f)
     deep = [calls for arity, calls in runs if arity == 1]
     assert deep and all(calls for calls in deep)

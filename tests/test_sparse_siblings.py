@@ -6,7 +6,9 @@ the tree in which every node recurses.  The chain must give
 its result, verification, classification fields and root anchors; each
 node that recursed in the chain must have the anchors of the full tree's
 node at its path; and every node that returns, recursed or solved, must
-have passed its own verification with `verify_trials` on its own stream."""
+have passed its own verification with `verify_trials` on its own stream in
+the strict pass, which `reconstruct` runs when its fast pass, checked only
+at the root, fails."""
 
 import importlib
 import random
@@ -30,6 +32,7 @@ from test_level_classes import (
     rand_sparse,
     recursed,  # noqa: F401  (fixture)
     root_anchors,
+    strict_reconstruct,
 )
 
 engine = importlib.import_module("ratrecon.reconstruct")
@@ -95,7 +98,8 @@ def test_chain_matches_full_recursion(field, arity, recursed, monkeypatch):
 @pytest.fixture
 def outcomes(monkeypatch):
     """(path, what) per sibling: "solved" or "none" from the sparse solve,
-    then "verified" or "rejected" from its verification."""
+    then "verified" or "rejected" from `_verify_node` (in the fast pass a
+    sibling is "verified" unchecked)."""
     log = []
     solve, verify = engine._solve_on_support, engine._verify_node
 
@@ -163,8 +167,9 @@ def test_wrong_solve_is_caught_by_verification(outcomes, recursed, monkeypatch):
     # On the second root anchor x3 = b1 the oracle answers another function
     # g on the first sibling's support at the points of that sibling's
     # sparse stream, and the truth everywhere else.  The solve finds g and
-    # its check rows, drawn from the same stream, agree; the sibling's own
-    # verification rejects it, and the sibling recurses to the truth.
+    # its check rows, drawn from the same stream, agree; in the strict pass
+    # the sibling's own verification rejects it, and the sibling recurses
+    # to the truth.
     text = "(x1*x2 + x3)/(x1 + x2 + x3 + 1)"
     truth = to_ratfun(parse(text, 3), FP, 3)
     cfg = ReconConfig(seed=3)
@@ -182,7 +187,7 @@ def test_wrong_solve_is_caught_by_verification(outcomes, recursed, monkeypatch):
     oracle = SliceOracle(3, FP, fn)
     outcomes.clear()
     recursed.clear()
-    report = reconstruct(oracle, cfg)
+    report = strict_reconstruct(oracle, cfg)
     assert format_ratfunn(report.result) == format_ratfunn(truth)
     assert outcomes[:2] == [((1,), "solved"), ((1,), "rejected")]
     assert (1,) in final_tree(recursed)
@@ -232,9 +237,10 @@ def test_solve_finds_a_sibling_on_the_support(field):
 
 
 def test_every_returned_node_passed_its_own_verification(monkeypatch):
-    # Every record that `_reconstruct_level` or `_sibling` returns holds a
-    # result that `_verify_node` accepted at the record's path, with
-    # `verify_trials` trials on the stream derive_rng(seed, "verify", *path).
+    # In the strict pass every record that `_reconstruct_level` or
+    # `_sibling` returns holds a result that `_verify_node` accepted at the
+    # record's path, with `verify_trials` trials on the stream
+    # derive_rng(seed, "verify", *path).
     field = FP
     rng = random.Random("spy")
     f = rand_sparse(field, rng, 4)
@@ -269,7 +275,7 @@ def test_every_returned_node_passed_its_own_verification(monkeypatch):
     monkeypatch.setattr(engine, "verify_agreement", agreement_spy)
     monkeypatch.setattr(engine, "_reconstruct_level", level_spy)
     monkeypatch.setattr(engine, "_sibling", sibling_spy)
-    report = reconstruct(SliceOracle(4, field, f.eval_or_none), cfg)
+    report = strict_reconstruct(SliceOracle(4, field, f.eval_or_none), cfg)
     assert report.result.same_function(f)
     counts = report.to_json()["nodes"]
     assert counts["sparse"] > 0
