@@ -35,7 +35,6 @@ a tree of any depth or length can be compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -62,7 +61,24 @@ PROGRAM_CACHE_SIZE = 256
 
 
 class _Node:
-    """Structural == and hash, by the flat form of `_signature`."""
+    """Immutable, with structural == and hash by the flat form of
+    `_signature`, and a dataclass's repr.  Each node type is a plain class
+    with `__slots__`: it costs nothing at import, where a frozen dataclass
+    generates and compiles its methods."""
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, k) for k in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
     def __eq__(self, other):
         if not isinstance(other, _Node):
@@ -73,49 +89,65 @@ class _Node:
         return hash(_signature(self))
 
 
-@dataclass(frozen=True, eq=False)
 class IntLit(_Node):
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True, eq=False)
 class Var(_Node):
-    index: int
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        object.__setattr__(self, "index", index)
 
 
-@dataclass(frozen=True, eq=False)
 class Add(_Node):
-    lhs: "Expr"
-    rhs: "Expr"
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: "Expr", rhs: "Expr"):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
-@dataclass(frozen=True, eq=False)
 class Sub(_Node):
-    lhs: "Expr"
-    rhs: "Expr"
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: "Expr", rhs: "Expr"):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
-@dataclass(frozen=True, eq=False)
 class Mul(_Node):
-    lhs: "Expr"
-    rhs: "Expr"
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: "Expr", rhs: "Expr"):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
-@dataclass(frozen=True, eq=False)
 class Div(_Node):
-    lhs: "Expr"
-    rhs: "Expr"
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: "Expr", rhs: "Expr"):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
-@dataclass(frozen=True, eq=False)
 class Neg(_Node):
-    arg: "Expr"
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: "Expr"):
+        object.__setattr__(self, "arg", arg)
 
 
-@dataclass(frozen=True, eq=False)
 class Pow(_Node):
-    base: "Expr"
-    exponent: int
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: "Expr", exponent: int):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
 
 
 Expr = IntLit | Var | Add | Sub | Mul | Div | Neg | Pow

@@ -1,5 +1,7 @@
+import copy
 import io
 import math
+import pickle
 import random
 import re
 import tokenize
@@ -40,6 +42,20 @@ from ratrecon.ratfun import format_ratfunn
 
 def q(n, d=1):
     return Fraction(n, d)
+
+
+def test_nodes_are_immutable_and_print_their_fields():
+    e = parse("(x1*x2 + 1)/(x1 - x2)^2 + -3", 2)
+    assert repr(e) == (
+        "Add(lhs=Div(lhs=Add(lhs=Mul(lhs=Var(index=0), rhs=Var(index=1)), "
+        "rhs=IntLit(value=1)), rhs=Pow(base=Sub(lhs=Var(index=0), rhs=Var(index=1)), "
+        "exponent=2)), rhs=Neg(arg=IntLit(value=3)))")
+    for node, name in ((e, "lhs"), (e.rhs, "arg"), (e.lhs.rhs, "exponent"), (e, "other")):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(node, name, IntLit(0))
+    with pytest.raises(AttributeError, match="cannot delete field 'rhs'"):
+        del e.rhs
+    assert pickle.loads(pickle.dumps(e)) == e and copy.deepcopy(e) == e
 
 
 def test_parse_basic_example():
