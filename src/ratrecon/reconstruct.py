@@ -10,9 +10,19 @@ whose hyperplane the numerator and denominator share a factor breaks that
 system; the node then draws one more anchor from the same stream and
 combines the new child with each l of the others, and once more if none
 combine (the unlucky-point retry of Kaltofen & Trager, JSC 1990).
-Every reconstruction is verified against the oracle at random points;
-exact arithmetic means any disagreement at all is a failure, and so is a
-check in which no point was defined on both sides.
+
+A run has two passes (`reconstruct`).  The fast pass checks only the
+root's result against the oracle, at `verify_trials` random points; a
+wrong result of total degree D agrees at a random point of a sample set S
+with probability at most D/|S| (Schwartz 1980; Zippel 1979).  Exact
+arithmetic means any disagreement at all is a failure, and so is a check
+in which no point was defined on both sides.  Below the root each node
+returns its result unchecked.  If the fast pass fails, the strict pass
+builds the tree again with every node checked at its own path, so a
+failure there names the deepest node that failed, and a node or sibling
+can repair a failure as described below.  A failure of the fast pass
+before any node skipped its check is final: the strict pass would repeat
+it step for step.
 
 A slice's (n, m) can only fall below its node's generic class, and only on
 a Zariski-closed set, so the generic class is the componentwise maximum
@@ -20,34 +30,35 @@ over the slices.  `classify_slices` stops once a few slices in a row leave
 that maximum unchanged, unless a slice failed.  Every node that recurses
 classifies the slices of its own restriction this way.  A class that is
 too low shows at the node itself: its combine fails (`ZeroDenominator`) or
-its verification does.  Such a node, unless it drew every slice, then
-classifies all `samples_per_class` slices of its stream and repeats itself
-with their maximum; if that is the class that failed, the original error
-stands.
+its check does.  In the strict pass such a node, unless it drew every
+slice, then classifies all `samples_per_class` slices of its stream and
+repeats itself with their maximum; if that is the class that failed, the
+original error stands.
 
 Only the first child of a node recurses.  Each later child of arity 2 or
 more is the same function on another anchor hyperplane, and off a
 Zariski-closed set of anchors it has the support of the first child's
 result, so it is first solved on that support (`_solve_on_support`, Zippel's
 sparse interpolation carried over to rational functions as in FireFly,
-Klappert & Lange, CPC 2020) and verified at its own path like any node.  A
-sibling whose solve or verification fails is reconstructed in full, the
-node it would have been without the solve.  The tree of prod(l_k + 1)
-nodes becomes a chain: the first child at each level recurses, its
-siblings are solved, and only the fallbacks recurse further.
+Klappert & Lange, CPC 2020).  A sibling whose solve fails, or in the strict
+pass whose check fails, is reconstructed in full, the node it would have
+been without the solve.  The tree of prod(l_k + 1) nodes becomes a chain:
+the first child at each level recurses, its siblings are solved, and only
+the fallbacks recurse further.
 
-Each node returns a `NodeRecord`: its result, its verification tally, its
-own slice classes, the anchors of its subtree per level, merged from the
-children that recursed in child order, and its subtree's node counts.
-Nodes share no state.
+Each node returns a `NodeRecord`: its result, its verification tally
+((0, 0, 0) where its check was skipped), its own slice classes, the
+anchors of its subtree per level, merged from the children that recursed
+in child order, and its subtree's node counts.  Nodes share no state but
+the fast pass's list of skipped checks.
 
 A node's oracle holds the user's function and the anchors fixed above it,
 so a query at any depth is one `SliceOracle.eval` call into the user's
-function.  Verification draws all of a node's points at once, asks the
-oracle once per distinct point, and checks N(x) = f(x) D(x) on integers:
-the candidate's (N(x), D(x)) come from one run of the straight-line
-program it compiles at its first use (`RatFunN.eval_pairs`), with the
-compiler that runs an expression oracle, looping over the points.  A
+function.  A check draws all of a node's points at once, asks the oracle
+once per distinct point, and checks N(x) = f(x) D(x) on integers: the
+candidate's (N(x), D(x)) come from one run of the straight-line program it
+compiles at its first use (`RatFunN.eval_pairs`), with the compiler that
+runs an expression oracle, looping over the points.  In the strict pass a
 child's first trials are the answers of the probe that accepted its
 anchor (`choose_anchors`), carried on its oracle: uniform points drawn
 before its candidate existed, which cost no further query; only the rest
