@@ -464,13 +464,13 @@ def reconstruct(oracle: SliceOracle, cfg: ReconConfig) -> ReconReport:
     pass's own, which would repeat it step for step."""
     cfg.check_field(oracle.field)
     skipped: list = []
+    fast = SliceOracle(oracle.arity, oracle.field, oracle.fn, oracle._suffix, (), skipped)
     try:
-        root = _reconstruct_level(SliceOracle(oracle.arity, oracle.field, oracle.fn,
-                                              oracle._suffix, (), skipped), cfg, (), 1)
+        root = _reconstruct_level(fast, cfg, (), 1)
     except RatreconError:
         if not skipped:
             raise
-        root = None
+        root = None     # the strict pass runs outside the handler: its error is its own
     if root is None:
         root = _reconstruct_level(oracle, cfg, (), 1)
     return ReconReport(root.result, oracle.arity, oracle.field,

@@ -35,7 +35,8 @@ def counted(fn):
 
 @pytest.fixture
 def workloads(monkeypatch):
-    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
     return importlib.import_module("workloads")
 
 
