@@ -1,6 +1,6 @@
 """Faulty and partial oracles for the fault-and-domain suite.
 
-Each wrapper takes a truth, a `RatFunN` over the oracle's field, and gives
+`KINDS[kind]` takes a truth, a `RatFunN` over the oracle's field, and gives
 the `SliceOracle.fn` of a black box that departs from it in one way:
 
 - a fault adds 1 to the truth's value at some points: where the sha256 of
@@ -58,34 +58,21 @@ def _holed(truth, at):
     return fn
 
 
-def _kinds():
-    def k(field, n):
-        return field.from_int(n)
-
-    return {
-        "pointwise": lambda f: _faulty(f, lambda x: _hash(f.field, x) % 97 == 0),
-        "hyperplane": lambda f: _faulty(f, lambda x: x[0] == k(f.field, 2)),
-        "diagonal": lambda f: _faulty(f, lambda x: x[0] == x[-1]),
-        "nonrational": lambda f: _faulty(f, lambda x: _hash(f.field, x) % 5 == 0),
-        "hole-line": lambda f: _holed(f, lambda x: not x[0] + x[1]),
-        "hole-parabola": lambda f: _holed(f, lambda x: x[1] == x[0] * x[0]),
-        "hole-hyperbola": lambda f: _holed(
-            f, lambda x: x[0] * x[1] == f.field.one or not x[0]),
-        "hole-x1": lambda f: _holed(f, lambda x: x[0] in _units(f.field)),
-        "hole-xn": lambda f: _holed(f, lambda x: x[-1] in _units(f.field)),
-    }
-
-
 def _units(field):
     return (field.zero, field.one, -field.one)
 
 
-KINDS = _kinds()
-
-
-def faulty_fn(kind: str, truth):
-    """The black box of fault or hole `kind` around `truth`."""
-    return KINDS[kind](truth)
+KINDS = {
+    "pointwise": lambda f: _faulty(f, lambda x: _hash(f.field, x) % 97 == 0),
+    "hyperplane": lambda f: _faulty(f, lambda x: x[0] == f.field.from_int(2)),
+    "diagonal": lambda f: _faulty(f, lambda x: x[0] == x[-1]),
+    "nonrational": lambda f: _faulty(f, lambda x: _hash(f.field, x) % 5 == 0),
+    "hole-line": lambda f: _holed(f, lambda x: not x[0] + x[1]),
+    "hole-parabola": lambda f: _holed(f, lambda x: x[1] == x[0] * x[0]),
+    "hole-hyperbola": lambda f: _holed(f, lambda x: x[0] * x[1] == f.field.one or not x[0]),
+    "hole-x1": lambda f: _holed(f, lambda x: x[0] in _units(f.field)),
+    "hole-xn": lambda f: _holed(f, lambda x: x[-1] in _units(f.field)),
+}
 
 
 def calkin_wilf_index(q: Fraction) -> int:

@@ -546,6 +546,7 @@ def test_first_node_that_repeats_sets_the_level_class_again(classify_log, full_t
     assert classify_log == [(3, False, (1, 1), 3), (2, False, (0, 0), 3),
                             (2, True, (1, 1), 20), (2, False, (1, 1), 3)]
     assert_matches_reference(report, oracle, cfg)
+    assert reconstruct(oracle, cfg).to_json() == report.to_json()
 
 
 def test_first_node_that_repeats_sets_the_level_class_again_chain(classify_log,
