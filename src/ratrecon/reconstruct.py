@@ -1,8 +1,8 @@
 """Multivariate reconstruction from a slice-rational black box.
 
 The engine peels the last variable: it samples random slices to find the
-generic (degree, order-at-infinity) class, picks anchor values where the
-oracle is widely defined, recursively reconstructs the function on each
+generic (degree, order-at-infinity) class, draws anchor values off the
+poles that the slices show, recursively reconstructs the function on each
 anchor hyperplane, and combines the results by solving for one scale factor
 per child: a scalar kernel and coefficient-wise interpolation on integers,
 with no symbolic determinant and no gcd (see `_combine`).  An anchor on
@@ -58,11 +58,10 @@ function.  A check draws all of a node's points at once, asks the oracle
 once per distinct point, and checks N(x) = f(x) D(x) on integers: the
 candidate's (N(x), D(x)) come from one run of the straight-line program it
 compiles at its first use (`RatFunN.eval_pairs`), with the compiler that
-runs an expression oracle, looping over the points.  In the strict pass a
-child's first trials are the answers of the probe that accepted its
-anchor (`choose_anchors`), carried on its oracle: uniform points drawn
-before its candidate existed, which cost no further query; only the rest
-are drawn and asked.
+runs an expression oracle, looping over the points.  An anchor costs no
+query (`choose_anchors`).  A child that refuses for lack of defined points
+lies on a hole of the black box, and the node replaces its anchor by the
+next draw, at most `MAX_HOLE_ANCHORS` times (Kaltofen & Trager's retry).
 """
 
 from __future__ import annotations
@@ -89,8 +88,6 @@ from .matrix import bordered_dets
 from .poly import PolyN, field_prime, int_pair, int_powers, mul_ints
 from .ratfun import RatFunN, format_ratfunn, normalize_ratfunn, ratfunn_from_ints
 
-ANCHOR_PROBE_BATCH = 20
-ANCHOR_MIN_DEFINED = 0.95
 MAX_ANCHOR_ATTEMPTS = 100
 MAX_CLASSIFY_FAILURE_RATE = 0.20
 # A node's classification stops once this many detected slices in a row
@@ -102,6 +99,9 @@ MAX_LEAVES = 1024
 # A node whose l+1 children do not combine draws up to this many more
 # anchors, one at a time (the unlucky-point retry, see `_reconstruct_level`).
 MAX_UNLUCKY_ANCHORS = 2
+# A node replaces at most this many anchors whose child refused for lack of
+# defined points (the retry on holes, see `_reconstruct_level`).
+MAX_HOLE_ANCHORS = 2
 # A sparse solve draws at most this many points per row it needs, the
 # template's unknowns plus the check rows, and falls back when they run out.
 SPARSE_DRAWS_PER_ROW = 2
@@ -115,16 +115,13 @@ class SliceOracle:
     `_suffix` is internal: the anchors that fix the trailing coordinates of
     `fn`'s points, so a restriction to an anchor hyperplane (`_restrict`)
     calls the user's function directly, however deep the recursion.  So is
-    `_probe`: a restriction's (ids, point, value) answers from the probe
-    that accepted its anchor, which `verify_agreement` takes as its first
-    trials.  And `_skipped`: None when every node checks its result, else
-    the list to which each node below the root appends its path instead of
-    checking (the fast pass of `reconstruct`)."""
+    `_skipped`: None when every node checks its result, else the list to
+    which each node below the root appends its path instead of checking
+    (the fast pass of `reconstruct`)."""
     arity: int
     field: Field
     fn: Callable[[tuple], Optional[object]]
     _suffix: tuple = ()
-    _probe: tuple = ()
     _skipped: Optional[list] = None
 
     def eval(self, point: tuple):
@@ -132,11 +129,10 @@ class SliceOracle:
             raise ValueError(f"point arity {len(point)} != oracle arity {self.arity}")
         return self.fn(tuple(point) + self._suffix)
 
-    def _restrict(self, b, probe) -> "SliceOracle":
-        """The oracle on the hyperplane where the last coordinate is `b`,
-        carrying `probe`, the answers of `b`'s probe."""
+    def _restrict(self, b) -> "SliceOracle":
+        """The oracle on the hyperplane where the last coordinate is `b`."""
         return SliceOracle(self.arity - 1, self.field, self.fn, (b,) + self._suffix,
-                           probe, self._skipped)
+                           self._skipped)
 
 
 def slice_oracle(oracle: SliceOracle, axis: int, fixed: tuple):
@@ -227,6 +223,7 @@ class ClassifyResult:
     total: int                 # the slices drawn: histogram plus failures
     de: tuple                  # the node's (d, e): see `maximal_class`
     redrawn: int               # draws of a dead slice that were redrawn
+    dens: list                 # the detected slices' fitted denominators
 
 
 def maximal_class(hist) -> tuple:
@@ -258,6 +255,7 @@ def classify_slices(oracle: SliceOracle, axis: int, cfg: ReconConfig, rng,
     if oracle.arity < 2:
         raise ValueError("classification needs arity >= 2")
     hist: Counter = Counter()
+    dens = []
     failures = 0
     dead: set = set()           # the ids of the dead fixed tuples
     redraws = cfg.samples_per_class
@@ -273,7 +271,7 @@ def classify_slices(oracle: SliceOracle, axis: int, cfg: ReconConfig, rng,
             sub_rng = derive_rng(rng.getrandbits(63), "classify-slice", axis, i)
             if ids not in dead:
                 try:
-                    prof, _ = detect_profile_with_fit(
+                    prof, fit = detect_profile_with_fit(
                         slice_oracle(oracle, axis, fixed), oracle.field,
                         budget, sub_rng)
                 except BudgetExhausted:
@@ -283,6 +281,7 @@ def classify_slices(oracle: SliceOracle, axis: int, cfg: ReconConfig, rng,
                     dead.add(ids)
                 else:
                     hist[(prof.d, prof.e)] += 1
+                    dens.append(fit.den)
                     grown = maximal_class(hist)
                     unchanged = unchanged + 1 if grown == top else 0
                     top = grown
@@ -297,38 +296,28 @@ def classify_slices(oracle: SliceOracle, axis: int, cfg: ReconConfig, rng,
             f"{failures}/{cfg.samples_per_class} slices failed profile detection; "
             "oracle is likely not slice-rational within the budget")
     return ClassifyResult(hist, failures, i, maximal_class(hist),
-                          cfg.samples_per_class - redraws)
+                          cfg.samples_per_class - redraws, dens)
 
 
-def choose_anchors(oracle: SliceOracle, axis: int, cfg: ReconConfig, rng,
-                   probes: Optional[list] = None):
-    """Distinct values along `axis`, in the order drawn, at each of which the
-    oracle is defined for at least 95% of a fresh random batch of
-    fixed-tuples, counted as drawn; each distinct tuple is asked once.  A
-    generator on one stream: a node takes the first l+1, and more only to
-    replace unlucky ones (see `_reconstruct_level`).  Before it yields an
-    anchor it appends the anchor's batch to `probes`, if given, as
-    (ids, fixed-tuple, value) per draw."""
+def choose_anchors(oracle: SliceOracle, axis: int, cfg: ReconConfig, rng, dens=()):
+    """Distinct values along `axis`, each fresh draw of one stream in the
+    order drawn, with no oracle query.  A draw b is skipped when each of
+    `dens`, the fitted denominators of the node's slices along `axis`,
+    vanishes at b: then (x_axis - b) divides the node's denominator, and
+    b's hyperplane is a pole.  A generator: a node takes the first l+1, and
+    more only to replace unlucky anchors or holes (see
+    `_reconstruct_level`)."""
     taken: set = set()          # the anchors' ids
-    min_defined = ANCHOR_MIN_DEFINED * ANCHOR_PROBE_BATCH
+    zero = oracle.field.zero
     draw = oracle.field._sampler(rng, cfg.height_bound)
     while True:
         for _ in range(MAX_ANCHOR_ATTEMPTS):
             key, b = draw()
-            if key in taken:
+            if key in taken or dens and all(den.eval(b) == zero for den in dens):
                 continue
-            asked, batch = {}, []
-            for _ in range(ANCHOR_PROBE_BATCH):
-                ids, fixed = _draw_point(draw, oracle.arity - 1)
-                if ids not in asked:
-                    asked[ids] = oracle.eval(fixed[:axis] + (b,) + fixed[axis:])
-                batch.append((ids, fixed, asked[ids]))
-            if sum(value is not None for *_, value in batch) >= min_defined:
-                taken.add(key)
-                if probes is not None:
-                    probes.append(batch)
-                yield b
-                break
+            taken.add(key)
+            yield b
+            break
         else:
             raise AnchorSearchFailed(
                 f"no usable anchor after {MAX_ANCHOR_ATTEMPTS} attempts "
@@ -350,15 +339,14 @@ def verify_agreement(oracle: SliceOracle, g: RatFunN, trials: int, rng,
                      height_bound: int = 10) -> Agreement:
     """Tallies over `trials` random points of the oracle's arity, at least 1
     as at every node; points where either side is undefined are skipped,
-    the rest compared exactly.  The first points, at most `trials`, are the
-    oracle's `_probe` answers, uniform points drawn before `g` and never
-    asked again; the rest are those of `fields.random_element` on `rng`,
-    drawn in one call of the field's sampler.  A point drawn again is
-    counted again, from the values of its first draw: the oracle is a
-    function, so each distinct point is queried once, in the order of
-    first draws, and the candidate is evaluated once per distinct point, in
-    one run of its program.  Points are keyed by the tuples of the
-    coordinates' sampler ids, which are equal exactly when the points are.
+    the rest compared exactly.  The points are those of
+    `fields.random_element` on `rng`, drawn in one call of the field's
+    sampler.  A point drawn again is counted again, from the values of its
+    first draw: the oracle is a function, so each distinct point is queried
+    once, in the order of first draws, and the candidate is evaluated once
+    per distinct point, in one run of its program.  Points are keyed by the
+    tuples of the coordinates' sampler ids, which are equal exactly when
+    the points are.
 
     The candidate's value at x is the integer pair (N, D) of
     `RatFunN.eval_pairs`, and an oracle value w agrees when N = w*D: mod p
@@ -366,18 +354,14 @@ def verify_agreement(oracle: SliceOracle, g: RatFunN, trials: int, rng,
     an int nor a Fraction over Q, nor an element of the oracle's field over
     F_p, is compared with the candidate's value by ==."""
     field, arity = oracle.field, oracle.arity
-    known = oracle._probe[:trials]
-    hits = field._sampler(rng, height_bound)(arity * (trials - len(known)))
-    ids, coords = zip(*hits) if hits else ((), ())
-    drawn = [(key, point) for key, point, _ in known]
-    drawn += zip(zip(*[iter(ids)] * arity), zip(*[iter(coords)] * arity))
-    if not drawn:
+    hits = field._sampler(rng, height_bound)(arity * trials)
+    if not hits:
         return Agreement(trials, 0, 0)
-    counts = Counter(key for key, _ in drawn)   # in the order of first draws
-    points = dict(drawn)
-    asked = {key: want for key, _, want in known}
-    wants = [asked[key] if key in asked else oracle.eval(point)
-             for key, point in points.items()]
+    ids, coords = zip(*hits)
+    keys = list(zip(*[iter(ids)] * arity))
+    counts = Counter(keys)                  # in the order of first draws
+    points = dict(zip(keys, zip(*[iter(coords)] * arity)))
+    wants = [oracle.eval(point) for point in points.values()]
     pairs = g.eval_pairs(points.values())
     p = field_prime(field)
     agreements = skips = 0
@@ -464,7 +448,7 @@ def reconstruct(oracle: SliceOracle, cfg: ReconConfig) -> ReconReport:
     pass's own, which would repeat it step for step."""
     cfg.check_field(oracle.field)
     skipped: list = []
-    fast = SliceOracle(oracle.arity, oracle.field, oracle.fn, oracle._suffix, (), skipped)
+    fast = SliceOracle(oracle.arity, oracle.field, oracle.fn, oracle._suffix, skipped)
     try:
         root = _reconstruct_level(fast, cfg, (), 1)
     except RatreconError:
@@ -505,16 +489,30 @@ def _reconstruct_level(oracle: SliceOracle, cfg: ReconConfig, path: tuple,
             raise BudgetExhausted(
                 f"the recursion tree would have at least {tree} leaves, "
                 f"more than {MAX_LEAVES}")
-        probes: list = []           # probes[i]: the answers of anchors[i]'s probe
         stream = choose_anchors(oracle, axis, cfg, derive_rng(cfg.seed, "anchors", *path),
-                                probes)
+                                cls.dens)
         anchors = list(islice(stream, profile.l + 1))
-        first_child = _reconstruct_level(oracle._restrict(anchors[0], probes[0]), cfg,
-                                         path + (0,), tree)
-        children = [first_child] + [
-            _sibling(oracle._restrict(anchors[i], probes[i]), first_child.result, cfg,
-                     path + (i,), tree)
-            for i in range(1, len(anchors))]
+        holes = MAX_HOLE_ANCHORS
+
+        def child(i, first=None):
+            # the child on anchors[i], a sibling of `first` if given; one
+            # that refuses for lack of defined points lies on a hole, and
+            # the next anchor of the stream replaces its own
+            nonlocal holes
+            while True:
+                sub, at = oracle._restrict(anchors[i]), path + (i,)
+                try:
+                    if first is None:
+                        return _reconstruct_level(sub, cfg, at, tree)
+                    return _sibling(sub, first.result, cfg, at, tree)
+                except (DomainTooSparse, TooManyFailures, AnchorSearchFailed):
+                    if not holes:
+                        raise
+                    holes -= 1
+                    anchors[i] = next(stream)
+
+        first_child = child(0)
+        children = [first_child] + [child(i, first_child) for i in range(1, len(anchors))]
         result = _combine([c.result for c in children], anchors, profile,
                           field, oracle.arity)
         while result is None and len(anchors) <= profile.l + MAX_UNLUCKY_ANCHORS:
@@ -522,8 +520,7 @@ def _reconstruct_level(oracle: SliceOracle, cfg: ReconConfig, path: tuple,
             # each l of the others
             new = len(anchors)
             anchors.append(next(stream))
-            children.append(_sibling(oracle._restrict(anchors[new], probes[new]),
-                                     first_child.result, cfg, path + (new,), tree))
+            children.append(child(new, first_child))
             for out in combinations(range(new), new - profile.l):
                 keep = [j for j in range(new + 1) if j not in out]
                 result = _combine([children[j].result for j in keep],

@@ -230,30 +230,52 @@ def test_reconstruct_record_and_replay(tmp_path, capsys):
     assert r1 == r2
 
 
+def strict_record(tmp_path, text, arity, field, seed):
+    """Run `text` in the strict pass, in which every node checks its result;
+    returns (the run's report, the points it asked with their values, and
+    a function that writes them, as they then are, as a replay file)."""
+    ast = parse(text, arity)
+    asked = {}
+
+    def recording(pt):
+        asked[pt] = eval_expr(ast, pt, field)
+        return asked[pt]
+
+    report = strict_reconstruct(SliceOracle(arity, field, recording), ReconConfig(seed=seed))
+
+    def write():
+        rec = tmp_path / "replay.json"
+        rec.write_text(json.dumps({"arity": arity, "field": field.descriptor(), "samples": [
+            {"point": [field.format(c) for c in pt],
+             "value": None if v is None else field.format(v)} for pt, v in asked.items()]}))
+        return rec
+
+    return report, asked, write
+
+
 def test_reconstruct_verification_failure_detail(tmp_path, capsys):
-    # Replay a recorded run with the last fresh defined point's value off by
-    # one: only the root's verification asks for it, so the run fails there.
-    rec = tmp_path / "replay.json"
-    args = ("--arity", "2", "--field", "fp:1000003", "--seed", "31")
-    code, _, _ = run_cli(capsys, "reconstruct", "--expr", "(x1*x2+1)/(x1-x2)",
-                         *args, "--record", str(rec))
-    assert code == 0
-    replay = json.loads(rec.read_text())
-    sample = [s for s in replay["samples"] if s["value"] is not None][-1]
-    value = int(sample["value"])
-    sample["value"] = str(value + 1)
-    rec.write_text(json.dumps(replay))
-    code, out, _ = run_cli(capsys, "reconstruct", "--oracle-replay", str(rec), *args)
+    # A replay of a strict-pass run with the last defined point's value off
+    # by one: the root's check asks for it last, after every node below
+    # has checked its own points, so the fast pass fails at the root, and
+    # so does the strict pass.
+    field = PrimeField(1000003)
+    _, asked, write = strict_record(tmp_path, "(x1*x2+1)/(x1-x2)", 2, field, 31)
+    point = [pt for pt, v in asked.items() if v is not None][-1]
+    value = field.format(asked[point])
+    asked[point] += 1
+    oracle = field.format(asked[point])
+    code, out, _ = run_cli(capsys, "reconstruct", "--oracle-replay", str(write()),
+                           "--arity", "2", "--field", "fp:1000003", "--seed", "31")
     assert code == 6
-    a, b = sample["point"]
+    a, b = (field.format(c) for c in point)
     assert json.loads(out)["error"] == {
         "kind": "VerificationFailed",
         "detail": f"reconstruction mismatch at recursion path (), point ({a}, {b}): "
-                  f"oracle {value + 1}, result {value}",
+                  f"oracle {oracle}, result {value}",
         "path": [],
         "point": [a, b],
-        "oracle": str(value + 1),
-        "result": str(value)}
+        "oracle": oracle,
+        "result": value}
 
 
 @pytest.mark.parametrize("seed,failed", [("1", 12), ("5", 10)])
@@ -280,24 +302,13 @@ def test_reconstruct_verification_failure_fields_name_inner_node(tmp_path, capsy
     # last fresh point of the root's check, the fast pass fails at the root
     # and the strict pass fails at the child, in its own coordinates.
     field = PrimeField(1000003)
-    ast = parse("(x1*x2+1)/(x1-x2)", 2)
-    asked = {}
-
-    def recording(pt):
-        asked[pt] = eval_expr(ast, pt, field)
-        return asked[pt]
-
-    report = strict_reconstruct(SliceOracle(2, field, recording), ReconConfig(seed=31))
+    report, asked, write = strict_record(tmp_path, "(x1*x2+1)/(x1-x2)", 2, field, 31)
     defined = [pt for pt, v in asked.items() if v is not None]
     child = [pt for pt in defined if pt[1] == report.anchors[0][0]][-1]
     for pt in (child, defined[-1]):
         asked[pt] += 1
-    rec = tmp_path / "replay.json"
-    rec.write_text(json.dumps({"arity": 2, "field": "fp:1000003", "samples": [
-        {"point": [field.format(c) for c in pt],
-         "value": None if v is None else field.format(v)} for pt, v in asked.items()]}))
     args = ("--arity", "2", "--field", "fp:1000003", "--seed", "31")
-    code, out, _ = run_cli(capsys, "reconstruct", "--oracle-replay", str(rec), *args)
+    code, out, _ = run_cli(capsys, "reconstruct", "--oracle-replay", str(write()), *args)
     assert code == 6
     err = json.loads(out)["error"]
     assert err["kind"] == "VerificationFailed" and err["path"] == [0]
@@ -476,153 +487,93 @@ def test_reconstruct_refuses_a_q_height_box_too_small(monkeypatch, capsys,
     assert "Traceback" not in err
 
 
-def test_reconstruct_replays_a_record_written_by_0_4_0(capsys):
-    # written by version 0.4.0, which classified all 20 slices at every
-    # node: the early stop asks for a prefix of them, so the replay needs no
-    # point the file lacks and gives 0.4.0's answer
-    record = pathlib.Path(__file__).parent / "data" / "record-0.4.0-fp101.json"
-    code, out, _ = run_cli(capsys, "reconstruct", "--oracle-replay", str(record),
-                           "--arity", "2", "--field", "fp:101", "--seed", "9")
+DATA = pathlib.Path(__file__).parent / "data"
+ARITY3 = ("--arity", "3", "--field", "fp:101", "--seed", "9")
+# the refusals of an old record's replay: a leaf on a hyperplane that the
+# record never asked (DomainTooSparse), and a node of arity 2 there, all of
+# whose slices are dead (TooManyFailures)
+NO_LEAF_POINT = "101 consecutive undefined oracle responses"
+NO_SLICE = ("20/20 slices failed profile detection; oracle is likely not "
+            "slice-rational within the budget")
+
+
+def assert_refused(capsys, record, detail, *args):
+    """A record written before 0.11.0 holds no points on the anchor
+    hyperplanes that 0.11.0 draws, which no longer interleave a probe with
+    the anchors: they replay as holes, each child there refuses and is
+    replaced until the retry's cap, and the run refuses with exit code 7,
+    never a traceback."""
+    code, out, err = run_cli(capsys, "reconstruct", "--oracle-replay", str(record),
+                             *(args or ARITY3))
+    assert (code, out) == (7, "")
+    assert err == f"reconstruction budget failure: {detail}\n"
+
+
+def assert_round_trip(tmp_path, capsys, expr, *args):
+    """A fresh record of `expr` replays to the fresh run's report; returns
+    the record's path."""
+    again = tmp_path / "record.json"
+    code, out, _ = run_cli(capsys, "reconstruct", "--expr", expr, *(args or ARITY3),
+                           "--record", str(again))
     assert code == 0
-    report = json.loads(out)["report"]
-    assert report["result"] == "(x1^2 + 3*x2)/(x1 - x2 + 4)"
-    assert report["anchors"] == [["40", "30", "87"]]
-    assert report["verification"] == {"trials": 200, "agreements": 197,
-                                      "undefined_skips": 3}
+    code, replayed, _ = run_cli(capsys, "reconstruct", "--oracle-replay", str(again),
+                                *(args or ARITY3))
+    assert code == 0
+    assert json.loads(replayed)["report"] == json.loads(out)["report"]
+    return again
+
+
+def test_reconstruct_replays_a_record_written_by_0_4_0(capsys):
+    # written by version 0.4.0 for (x1^2 + 3*x2)/(x1 - x2 + 4): each leaf
+    # on a new anchor finds no point
+    assert_refused(capsys, DATA / "record-0.4.0-fp101.json", NO_LEAF_POINT,
+                   "--arity", "2", "--field", "fp:101", "--seed", "9")
 
 
 def test_reconstruct_replays_a_record_written_by_0_5_0(capsys):
-    # written by version 0.5.0, in which every node recursed: 0.6.0 draws
-    # each sibling's sparse points on a stream 0.5.0 never drew, which the
-    # file lacks, so every sparse solve runs out of defined points, each
-    # sibling recurses as in 0.5.0, and the replay gives 0.5.0's answer
-    record = pathlib.Path(__file__).parent / "data" / "record-0.5.0-fp101-arity3.json"
-    code, out, _ = run_cli(capsys, "reconstruct", "--oracle-replay", str(record),
-                           "--arity", "3", "--field", "fp:101", "--seed", "9")
-    assert code == 0
-    report = json.loads(out)["report"]
-    assert report["result"] == "(x1*x2 + 3*x3)/(x1 - x2 + 4)"
-    assert report["anchors"] == [["56", "13"], ["84", "34", "28", "97", "13", "57"]]
-    assert report["verification"] == {"trials": 200, "agreements": 195,
-                                      "undefined_skips": 5}
-    assert report["nodes"] == {"recursed": 9, "sparse": 0, "fallbacks": 1}
-
-
-def samples(path) -> dict:
-    """A record's samples, point -> value."""
-    return {tuple(s["point"]): s["value"]
-            for s in json.loads(path.read_text())["samples"]}
-
-
-def assert_asks_a_subset(record, again):
-    # since 0.9.0 a child's first verification trials are its anchor's
-    # probe answers and the rest the first points of its own stream, and
-    # since 0.10.0 only the root checks its result unless that check fails,
-    # so a run asks a subset of an older record's points, with their values
-    old, new = samples(record), samples(again)
-    assert new.keys() <= old.keys()
-    assert all(old[pt] == v for pt, v in new.items())
+    # written by version 0.5.0, in which every node recursed
+    assert_refused(capsys, DATA / "record-0.5.0-fp101-arity3.json", NO_SLICE)
 
 
 def test_reconstruct_replays_a_record_written_by_0_6_0(tmp_path, capsys):
-    # written by version 0.6.0 from the input of the 0.5.0 file: its one
-    # later sibling of arity 2 is solved on its first sibling's support and
-    # none falls back, so every node that classifies is the first of its
-    # level, as in 0.6.0.  The replay gives 0.6.0's answer, and a run of
-    # the expression asks for a subset of the recorded points: exactly
-    # those of the 0.10.0 file.
-    data = pathlib.Path(__file__).parent / "data"
-    record = data / "record-0.6.0-fp101-arity3.json"
-    args = ("--arity", "3", "--field", "fp:101", "--seed", "9")
-    code, out, _ = run_cli(capsys, "reconstruct", "--oracle-replay", str(record), *args)
-    assert code == 0
-    report = json.loads(out)["report"]
-    assert report["result"] == "(x1*x2 + 3*x3)/(x1 - x2 + 4)"
-    assert report["anchors"] == [["56", "13"], ["84", "34", "28"]]
-    assert report["verification"] == {"trials": 200, "agreements": 195,
-                                      "undefined_skips": 5}
-    assert report["nodes"] == {"recursed": 5, "sparse": 1, "fallbacks": 0}
-    again = tmp_path / "record.json"
-    code, _, _ = run_cli(capsys, "reconstruct", "--expr", "(x1*x2 + 3*x3)/(x1 - x2 + 4)",
-                         *args, "--record", str(again))
-    assert code == 0
-    assert_asks_a_subset(record, again)
+    # written by version 0.6.0 from the input of the 0.5.0 file.  A fresh
+    # record of the expression replays to its run's report, and holds
+    # exactly the points of the 0.11.0 file.
+    assert_refused(capsys, DATA / "record-0.6.0-fp101-arity3.json", NO_SLICE)
+    again = assert_round_trip(tmp_path, capsys, "(x1*x2 + 3*x3)/(x1 - x2 + 4)")
     assert json.loads(again.read_text()) == json.loads(
-        (data / "record-0.10.0-fp101-arity3-as-0.6.0.json").read_text())
+        (DATA / "record-0.11.0-fp101-arity3-as-0.6.0.json").read_text())
 
 
 def test_reconstruct_replays_a_record_written_by_0_7_0(tmp_path, capsys):
-    # written by version 0.7.0; no node of the run took the combine's
-    # fallback, which 0.8.0 replaces by drawing one more anchor, so the
-    # replay gives 0.7.0's answer, and a run of the expression asks for a
-    # subset of the recorded points: exactly those of the 0.10.0 file
-    data = pathlib.Path(__file__).parent / "data"
-    record = data / "record-0.7.0-fp101-arity3.json"
-    args = ("--arity", "3", "--field", "fp:101", "--seed", "9")
-    code, out, _ = run_cli(capsys, "reconstruct", "--oracle-replay", str(record), *args)
-    assert code == 0
-    report = json.loads(out)["report"]
-    assert report["result"] == "(x1*x2*x3 + 2)/(x1 + x2^2 - x3)"
-    assert report["anchors"] == [["40", "56", "13"], ["84", "34", "28", "99"]]
-    assert report["verification"] == {"trials": 200, "agreements": 198,
-                                      "undefined_skips": 2}
-    assert report["nodes"] == {"recursed": 6, "sparse": 2, "fallbacks": 0}
-    again = tmp_path / "record.json"
-    code, _, _ = run_cli(capsys, "reconstruct", "--expr", "(x1*x2*x3 + 2)/(x1 + x2^2 - x3)",
-                         *args, "--record", str(again))
-    assert code == 0
-    assert_asks_a_subset(record, again)
+    # written by version 0.7.0.  A fresh record of the expression replays
+    # to its run's report, and holds exactly the points of the 0.11.0 file.
+    assert_refused(capsys, DATA / "record-0.7.0-fp101-arity3.json", NO_SLICE)
+    again = assert_round_trip(tmp_path, capsys, "(x1*x2*x3 + 2)/(x1 + x2^2 - x3)")
     assert json.loads(again.read_text()) == json.loads(
-        (data / "record-0.10.0-fp101-arity3.json").read_text())
+        (DATA / "record-0.11.0-fp101-arity3.json").read_text())
 
 
 def test_reconstruct_replays_a_record_written_by_0_8_0(tmp_path, capsys):
     # written by version 0.8.0: the root's first anchor, 40, is unlucky
-    # (both parts are x1 + 40^2 there), so the root draws one more, and the
-    # children at the other anchors fail their sparse solve on the support
-    # of the constant first child and fall back.  The replay gives 0.8.0's report
-    # byte for byte, and a run of the expression asks a subset of the points
-    data = pathlib.Path(__file__).parent / "data"
-    record = data / "record-0.8.0-fp101-arity3.json"
-    args = ("--arity", "3", "--field", "fp:101", "--seed", "9")
-    code, out, _ = run_cli(capsys, "reconstruct", "--oracle-replay", str(record), *args)
-    assert code == 0
+    # (both parts are x1 + 40^2 there).  It is still the first draw of the
+    # root's stream, so a fresh run draws one more anchor too.
+    assert_refused(capsys, DATA / "record-0.8.0-fp101-arity3.json", NO_SLICE)
+    again = assert_round_trip(tmp_path, capsys, "(x1 + 40*x3)/(x1 + x3^2)")
+    _, out, _ = run_cli(capsys, "reconstruct", "--oracle-replay", str(again), *ARITY3)
     report = json.loads(out)["report"]
-    assert (json.dumps(report, indent=2, sort_keys=True) + "\n"
-            == (data / "report-0.8.0-fp101-arity3.json").read_text())
-    assert report["anchors"][0] == ["40", "56", "13", "38", "39"]
+    assert report["anchors"][0] == ["40", "91", "95", "74", "60"]
     assert report["nodes"] == {"recursed": 11, "sparse": 0, "fallbacks": 4}
-    again = tmp_path / "record.json"
-    code, _, _ = run_cli(capsys, "reconstruct", "--expr", "(x1 + 40*x3)/(x1 + x3^2)",
-                         *args, "--record", str(again))
-    assert code == 0
-    assert_asks_a_subset(record, again)
 
 
-@pytest.mark.parametrize("name,expr,anchors", [
-    ("record-0.9.0-fp101-arity3.json", "(x1*x2*x3 + 2)/(x1 + x2^2 - x3)",
-     [["40", "56", "13"], ["84", "34", "28", "99"]]),
-    ("record-0.9.0-fp101-arity3-as-0.6.0.json", "(x1*x2 + 3*x3)/(x1 - x2 + 4)",
-     [["56", "13"], ["84", "34", "28"]]),
+@pytest.mark.parametrize("name,expr", [
+    ("record-0.9.0-fp101-arity3.json", "(x1*x2*x3 + 2)/(x1 + x2^2 - x3)"),
+    ("record-0.9.0-fp101-arity3-as-0.6.0.json", "(x1*x2 + 3*x3)/(x1 - x2 + 4)"),
 ], ids=["0.7.0-input", "0.6.0-input"])
-def test_reconstruct_replays_a_record_written_by_0_9_0(tmp_path, capsys, name, expr,
-                                                       anchors):
-    # written by version 0.9.0, in which every node checked its result: the
-    # replay gives 0.9.0's report, and a run of the expression asks for a
-    # subset of the recorded points
-    record = pathlib.Path(__file__).parent / "data" / name
-    args = ("--arity", "3", "--field", "fp:101", "--seed", "9")
-    code, out, _ = run_cli(capsys, "reconstruct", "--oracle-replay", str(record), *args)
-    assert code == 0
-    replayed = json.loads(out)["report"]
-    assert (replayed["result"], replayed["anchors"]) == (expr, anchors)
-    again = tmp_path / "record.json"
-    code, out, _ = run_cli(capsys, "reconstruct", "--expr", expr, *args,
-                           "--record", str(again))
-    assert code == 0
-    assert json.loads(out)["report"] == replayed
-    assert_asks_a_subset(record, again)
-    assert len(samples(again)) < len(samples(record))
+def test_reconstruct_replays_a_record_written_by_0_9_0(tmp_path, capsys, name, expr):
+    # written by version 0.9.0, in which every node checked its result
+    assert_refused(capsys, DATA / name, NO_SLICE)
+    assert_round_trip(tmp_path, capsys, expr)
 
 
 def write_replay(path, points, field="q", arity=2):
@@ -899,7 +850,7 @@ def test_every_library_error_has_a_documented_exit_code(tmp_path, capsys, monkey
 
 
 # sha256 of stdout for small inputs of each command, recorded with version
-# 0.10.0: the "byte-identical stdout for a given version and seed" contract,
+# 0.11.0: the "byte-identical stdout for a given version and seed" contract,
 # checked across commits.  A version bump changes the manifest and re-records
 # every value.
 STDOUT_DIGESTS = {
@@ -930,24 +881,24 @@ for _name in ("reconstruct-q-h1", "reconstruct-q-h3", "reconstruct-q-h1000",
               "reconstruct-fp101"):
     STDOUT_DIGESTS[f"{_name}-record"] = STDOUT_DIGESTS[_name] + ("--record", "record.json")
 STDOUT_SHA256 = {
-    "hankel": "5ae95af356168b24f9c3014607b2df60c45dbb7c4632d1cba87e548f1f7ef1ed",
-    "interp-fit": "0cfcf9ee6f7268db2e77a1805b044b2b57ebbc3f930c7501c3345ead0337ad5e",
-    "reconstruct-fp-2": "f1ad4d2785f8d944cf338c0cf88e52ff6f7b50a7820c59c4ef19795f2d020d0c",
-    "reconstruct-fp-3": "a4195db9ddaa4b50b8748f186c6f1fedc5c55d1b0bf3e5faffb6c7647d985e3d",
-    "reconstruct-q-2": "0862d041c2ad6452d3abe7965c088ad55606a1f6148ae5aa33fc35e4a9b09920",
-    "reconstruct-q-3": "21c6269c41b47fe76570d260aa184873eaa53702f3e4e7775bcf7af80bc3a3da",
+    "hankel": "5121bffb9771ea1d52e148aebdf90e94d19a7f10d91dc73f3e634efb2f77e15f",
+    "interp-fit": "397f9b622119ce6b67ebcce08986652f62663929d961cfd82d8d4edde4a22206",
+    "reconstruct-fp-2": "11f4f804cbc506bb89302d20a8d8f3eed45858752fa83082012166e4de511666",
+    "reconstruct-fp-3": "7bd0741eba19806f7aa97b1518de89f66a1ffdbdbcbc9ea748755399c3005c9f",
+    "reconstruct-q-2": "eb711dc623859ca5975ad1db683a84c56d81b83ec7b13dccfe4f7f5208456f69",
+    "reconstruct-q-3": "41b3a1b11ebfa938934f10e544c480d75d424689fcbab936a6aa498ce1ac5838",
     "reconstruct-q-h1": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "reconstruct-q-h1-record":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "reconstruct-q-h3": "6edcb09a190bef96a3f08e5ef6bce7f726aed1a5b1555252573e18935576e582",
+    "reconstruct-q-h3": "73740400efd708dd5d47db5001a42601057e3ec816f5ec5444a336ee08453a8a",
     "reconstruct-q-h3-record":
-        "6edcb09a190bef96a3f08e5ef6bce7f726aed1a5b1555252573e18935576e582",
-    "reconstruct-q-h1000": "c70781d9743cf6eaccf4d736948225e77b8c5e186de5e6208790845385ef4788",
+        "73740400efd708dd5d47db5001a42601057e3ec816f5ec5444a336ee08453a8a",
+    "reconstruct-q-h1000": "c939346554e8d627cfced2cb4fd303f9ab41527dbdc605e7140c984364386186",
     "reconstruct-q-h1000-record":
-        "c70781d9743cf6eaccf4d736948225e77b8c5e186de5e6208790845385ef4788",
-    "reconstruct-fp101": "63102cfccc7189196e263d6b25d0d196cc5a6185e07c3da746f8f10eefe1ce14",
+        "c939346554e8d627cfced2cb4fd303f9ab41527dbdc605e7140c984364386186",
+    "reconstruct-fp101": "293a7f7048658d67ae141fe466bbd9447e4ca4fcfe0b3001dd66a442f08666a3",
     "reconstruct-fp101-record":
-        "63102cfccc7189196e263d6b25d0d196cc5a6185e07c3da746f8f10eefe1ce14",
+        "293a7f7048658d67ae141fe466bbd9447e4ca4fcfe0b3001dd66a442f08666a3",
 }
 # the --record files; at height 1 Q offers three values, fewer than even a
 # constant's detection needs, so the run is refused before any query (exit
@@ -956,11 +907,11 @@ STDOUT_SHA256 = {
 RECORD_SHA256 = {
     "reconstruct-q-h1-record": None,
     "reconstruct-q-h3-record":
-        "fa6e756340ed5a742b39415585ff3e9ea5e2b19098404e11550d8c7d33ae6a7d",
+        "ba73e2e83585aabd049156d60dfad1ce04b383f8921b475c1991e59589900953",
     "reconstruct-q-h1000-record":
-        "2c9cb13f0094d0340f6b83cbbbd5e12f3d47ec380c1cfea9dbd2e4b4f69d155a",
+        "49119f643660ad28db3484db6827b19c10ca18144c432aa9db5dd8242559862e",
     "reconstruct-fp101-record":
-        "c048dd775467f1a86f105b9fbad14a9f56fe399990783777e8a0210125c9af4d",
+        "f59d123dc843ddb896955f936d69a2c6ad974ab01c718fc13daf8eaa27cf358e",
 }
 EXIT_CODE = {"reconstruct-q-h1": 1, "reconstruct-q-h1-record": 1}
 

@@ -33,7 +33,7 @@ REFUSALS = {
 }
 OUTCOMES = {
     ("pointwise", "q"): "BBV BBV VVV VVV",
-    ("pointwise", "fp101"): "VVV VVV VV= VV=",
+    ("pointwise", "fp101"): "VVV VVV VB= VB=",
     ("pointwise", "fp1000003"): "VVM VVM VVV VVV",
     ("hyperplane", "q"): "VVV VVV VVV VVV",
     ("hyperplane", "fp101"): "VVV VVV VVB VVB",

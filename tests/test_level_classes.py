@@ -23,6 +23,7 @@ from itertools import combinations, islice
 import pytest
 
 from ratrecon.errors import (
+    AnchorSearchFailed,
     BudgetExhausted,
     DomainTooSparse,
     EmptyHistogram,
@@ -38,6 +39,7 @@ from ratrecon.poly import PolyN
 from ratrecon.ratfun import format_ratfunn, normalize_ratfunn
 from ratrecon.reconstruct import (
     MAX_CLASSIFY_FAILURE_RATE,
+    MAX_HOLE_ANCHORS,
     MAX_UNLUCKY_ANCHORS,
     STABLE_SLICES,
     ReconConfig,
@@ -113,10 +115,10 @@ def reference_reconstruct(oracle: SliceOracle, cfg: ReconConfig) -> ReconReport:
     `root_slices` lists the root's slices in order, and its
     `anchors_by_path` maps each inner node's path to its anchors.  Its node
     counts are the engine's when every sparse solve falls back: every node
-    recursed, and so did every later child of arity 2 or more."""
-    anchors_by_level: dict = {}
-    anchors_by_path: dict = {}
-    nodes = Counter()
+    recursed, and so did every later child of arity 2 or more.  A child
+    that refuses for lack of defined points is replaced as in the engine,
+    and its subtree forgotten."""
+    tree: dict = {}             # each node's path: its anchors, [] at a leaf
     root_slices = []
 
     def verify(node, result, path):
@@ -130,9 +132,6 @@ def reference_reconstruct(oracle: SliceOracle, cfg: ReconConfig) -> ReconReport:
 
     def level(node, path):
         field = node.field
-        nodes["recursed"] += 1
-        if path and path[-1] and node.arity > 1:
-            nodes["fallbacks"] += 1
         if node.arity == 1:
             prof, fit = detect_profile_with_fit(
                 lambda a: node.eval((a,)), field, cfg.budget(),
@@ -140,6 +139,7 @@ def reference_reconstruct(oracle: SliceOracle, cfg: ReconConfig) -> ReconReport:
             if not path:
                 root_slices.append((prof.d, prof.e))
             result = fit.to_ratfunn(1)
+            tree[path] = []
             return result, verify(node, result, path)
         axis = node.arity - 1
         slices = vote_classify(node, axis, cfg, derive_rng(cfg.seed, "classify", *path))
@@ -147,13 +147,27 @@ def reference_reconstruct(oracle: SliceOracle, cfg: ReconConfig) -> ReconReport:
             root_slices.extend(slices)
         hist = Counter(de for de in slices if de is not None)
         profile = DegreeProfile.from_de(*dominant_class(hist))
-        stream = choose_anchors(node, axis, cfg, derive_rng(cfg.seed, "anchors", *path))
+        # the engine's pole filter, on the slices its classification draws
+        dens = classify_slices(node, axis, cfg, derive_rng(cfg.seed, "classify", *path)).dens
+        stream = choose_anchors(node, axis, cfg, derive_rng(cfg.seed, "anchors", *path),
+                                dens)
         anchors = list(islice(stream, profile.l + 1))
+        holes = MAX_HOLE_ANCHORS
 
         def child(i):
-            sub = SliceOracle(node.arity - 1, field,
-                              lambda pt, _b=anchors[i]: node.eval(tuple(pt) + (_b,)))
-            return level(sub, path + (i,))[0]
+            nonlocal holes
+            while True:
+                sub = SliceOracle(node.arity - 1, field,
+                                  lambda pt, _b=anchors[i]: node.eval(tuple(pt) + (_b,)))
+                try:
+                    return level(sub, path + (i,))[0]
+                except (DomainTooSparse, TooManyFailures, AnchorSearchFailed):
+                    if not holes:
+                        raise
+                    holes -= 1
+                    anchors[i] = next(stream)
+                    for q in [q for q in tree if q[:len(path) + 1] == path + (i,)]:
+                        del tree[q]
 
         parts = [child(i) for i in range(len(anchors))]
         result = engine._combine(parts, anchors, profile, field, node.arity)
@@ -170,17 +184,20 @@ def reference_reconstruct(oracle: SliceOracle, cfg: ReconConfig) -> ReconReport:
                                          profile, field, node.arity)
                 if result is not None:
                     break
-        anchors_by_level.setdefault(len(path), []).extend(anchors)
-        anchors_by_path[path] = anchors
+        tree[path] = anchors
         return result, verify(node, result, path)
 
     result, verification = level(oracle, ())
-    levels = [anchors_by_level[k] for k in sorted(anchors_by_level)]
+    inner = {path: anchors for path, anchors in sorted(tree.items()) if anchors}
+    levels = [sum((a for path, a in inner.items() if len(path) == k), [])
+              for k in range(oracle.arity - 1)]
+    nodes = Counter(recursed=len(tree), fallbacks=sum(
+        1 for path in inner if path and path[-1]))
     hist = Counter(de for de in root_slices if de is not None)
     report = ReconReport(result, oracle.arity, oracle.field, dict(hist),
                          root_slices.count(None), levels, verification, cfg, nodes)
     report.root_slices = root_slices
-    report.anchors_by_path = anchors_by_path
+    report.anchors_by_path = inner
     return report
 
 
@@ -403,7 +420,7 @@ def test_sibling_on_zero_hyperplane_classifies_in_full(classify_log, full_tree):
     # child 4 classifies like siblings 2 and 3, and combines without x3 = 0.
     text = "(4*x1^2*x3 - 4*x1*x2*x3 + x1*x3)/(x1*x2 + 36*x2*x3^2 - 12)"
     oracle = expr_oracle(text, 3, QQ)
-    cfg = ReconConfig(seed=2542212399)
+    cfg = ReconConfig(seed=2004327310)
     report = reconstruct(oracle, cfg)
     assert report.to_json()["anchors"][0][:2] == ["1", "0"]
     assert len(report.anchors[0]) == 5
@@ -423,7 +440,7 @@ def test_sibling_on_zero_hyperplane_classifies_in_full_chain(classify_log, recur
     # on the support and classify nothing.
     text = "(4*x1^2*x3 - 4*x1*x2*x3 + x1*x3)/(x1*x2 + 36*x2*x3^2 - 12)"
     oracle = expr_oracle(text, 3, QQ)
-    cfg = ReconConfig(seed=2542212399)
+    cfg = ReconConfig(seed=2004327310)
     report = reconstruct(oracle, cfg)
     assert report.to_json()["anchors"][0][:2] == ["1", "0"]
     assert len(report.anchors[0]) == 5
@@ -438,12 +455,11 @@ def test_sibling_on_zero_hyperplane_classifies_in_full_chain(classify_log, recur
 def test_fallback_sibling_alone_is_the_node_it_was_in_the_run(monkeypatch):
     # Nodes share no state: the fallback sibling on x3 = 0 of the run
     # above, built alone from the oracle restricted to x3 = 0 at the same
-    # path, with the answers of that anchor's probe as its first trials,
-    # gives the same result, anchors, classes and verification as inside
-    # the strict pass, in which every node checks its result.
+    # path, gives the same result, anchors, classes and verification as
+    # inside the strict pass, in which every node checks its result.
     text = "(4*x1^2*x3 - 4*x1*x2*x3 + x1*x3)/(x1*x2 + 36*x2*x3^2 - 12)"
     oracle = expr_oracle(text, 3, QQ)
-    cfg = ReconConfig(seed=2542212399)
+    cfg = ReconConfig(seed=2004327310)
     nodes = {}
     level = engine._reconstruct_level
 
@@ -457,11 +473,9 @@ def test_fallback_sibling_alone_is_the_node_it_was_in_the_run(monkeypatch):
     assert report.anchors[0][1] == 0
     assert report.to_json()["nodes"]["fallbacks"] == 1
     leaves, inside = nodes[(1,)]
-    probes = []
-    anchors = list(islice(choose_anchors(oracle, 2, cfg, derive_rng(cfg.seed, "anchors"),
-                                         probes), 2))
+    anchors = list(islice(choose_anchors(oracle, 2, cfg, derive_rng(cfg.seed, "anchors")), 2))
     assert anchors[1] == 0
-    alone = level(oracle._restrict(Fraction(0), probes[1]), cfg, (1,), leaves)
+    alone = level(oracle._restrict(Fraction(0)), cfg, (1,), leaves)
     assert format_ratfunn(alone.result) == format_ratfunn(inside.result)
     assert alone.anchors == inside.anchors
     assert alone.histogram == inside.histogram

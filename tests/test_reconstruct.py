@@ -300,9 +300,17 @@ def test_choose_anchors_single():
 
 
 def test_choose_anchors_failure():
-    oracle = SliceOracle(2, QQ, lambda pt: None)
-    stream = choose_anchors(oracle, 1, ReconConfig(seed=11), derive_rng(11, "a"))
+    # x^5 - x vanishes on all of F_5: every draw is a pole of every slice
+    f5 = PrimeField(5)
+    oracle = SliceOracle(2, f5, lambda pt: None)
+    den = Poly1(f5, [f5.zero, -f5.one, f5.zero, f5.zero, f5.zero, f5.one])
+    stream = choose_anchors(oracle, 1, ReconConfig(seed=11), derive_rng(11, "a"), [den])
     with pytest.raises(AnchorSearchFailed, match=r"after 100 attempts \(found 0\)"):
+        next(stream)
+    # without the pole, the five values are the only anchors
+    stream = choose_anchors(oracle, 1, ReconConfig(seed=11), derive_rng(11, "a"))
+    assert sorted(b.residue for b in islice(stream, 5)) == [0, 1, 2, 3, 4]
+    with pytest.raises(AnchorSearchFailed, match=r"after 100 attempts \(found 5\)"):
         next(stream)
 
 
@@ -512,13 +520,14 @@ def test_root_verification_is_reported_not_repeated():
     # classification now stops after three slices instead of 20: 561 calls.
     # Each leaf's first 20 trials are now its anchor's probe answers, and a
     # probe asks each distinct point once: 499 calls.  Only the root checks
-    # its result now, unless that check fails: 301 calls.
+    # its result now, unless that check fails: 301 calls.  Anchors are now
+    # taken without a probe, which asked 54 distinct points: 247 calls.
     f = xy_over(FP101)
     calls = []
     oracle = SliceOracle(2, FP101, lambda pt: calls.append(pt) or f.eval_or_none(pt))
     cfg = ReconConfig(seed=10)
     report = reconstruct(oracle, cfg)
-    assert len(calls) == 301
+    assert len(calls) == 247
     assert report.to_json() == {
         "result": "(x1*x2 + 1)/(x1 - x2)",
         "coprime_certified": True,
@@ -526,7 +535,7 @@ def test_root_verification_is_reported_not_repeated():
         "field": "fp:101",
         "class_histogram": {"1,0": 3},
         "classify_failures": 0,
-        "anchors": [["14", "44", "38"]],
+        "anchors": [["14", "81", "15"]],
         "nodes": {"recursed": 4, "sparse": 0, "fallbacks": 0},
         "verification": {"trials": 200, "agreements": 197, "undefined_skips": 3},
         "config": cfg.to_json(),
@@ -876,7 +885,7 @@ def test_unlucky_root_anchor_is_replaced(field, monkeypatch):
 
 def test_no_determinant_or_packing_from_reconstruct(monkeypatch):
     # Over one cycle of each recon workload of the benchmark (seed 1, from
-    # instance 21, where recon_q's cycle holds #26, whose root retries), no
+    # instance 35, whose root retries in recon_q), no
     # function of `reconstruct` packs, and the engine has no packed
     # determinants to call.
     bench = str(pathlib.Path(__file__).resolve().parents[1] / "bench")
@@ -897,7 +906,7 @@ def test_no_determinant_or_packing_from_reconstruct(monkeypatch):
     monkeypatch.setattr(engine, "_combine",
                         lambda *args: retries.append(1) if (r := combine(*args)) is None else r)
     for name in ("recon_sparse_fp", "recon_dense_fp", "recon_q"):
-        for i in range(21, 21 + len(workloads.WORKLOADS[name].cycle)):
+        for i in range(35, 35 + len(workloads.WORKLOADS[name].cycle)):
             inst = workloads.instance(name, 1, i)
             inst.prepare()
             assert inst.check(inst.solve()), (name, i)

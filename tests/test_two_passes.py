@@ -8,22 +8,31 @@ report byte for byte and fewer oracle calls; a refusal raised before any
 skipped check is the strict pass's own and runs once.  A wrong sparse
 solve that the fast pass lets through either fails the root's check, and
 the run gives the strict pass's report, or, when it does not combine, is
-left out by the unlucky-anchor retry, and the checked answer stands."""
+left out by the unlucky-anchor retry, and the checked answer stands.
+
+In the strict pass every node draws all its trials from its own `verify`
+stream, and each verification run is checked against the one of 0.8.0,
+which asked the oracle at each distinct point drawn."""
 
 import importlib
 import pathlib
+from collections import Counter
+from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 
 from faults import counterexample_oracle
 from ratrecon.errors import TooManyFailures, VerificationFailed
 from ratrecon.expr import eval_expr, parse, to_ratfun
-from ratrecon.fields import QQ, PrimeField, _draw_point, derive_rng
-from ratrecon.reconstruct import ReconConfig, SliceOracle, reconstruct
+from ratrecon.fields import QQ, FpElement, PrimeField, _draw_point, derive_rng
+from ratrecon.poly import field_prime
+from ratrecon.reconstruct import Agreement, ReconConfig, SliceOracle, reconstruct
 from test_level_classes import root_anchors, strict_reconstruct
 
 engine = importlib.import_module("ratrecon.reconstruct")
 
+FP101 = PrimeField(101)
 FP = PrimeField(1000003)
 
 
@@ -170,3 +179,155 @@ def test_a_wrong_sibling_the_retry_leaves_out_is_not_rerun(roots):
     assert len(report.anchors[0]) == len(strict.anchors[0]) + 1
     assert report.to_json()["nodes"] == {"recursed": 5, "sparse": 3, "fallbacks": 0}
     assert strict.to_json()["nodes"] == {"recursed": 9, "sparse": 1, "fallbacks": 1}
+
+
+# (expression of x1, x2, x3, field, seed)
+CASES = {
+    # the root's first anchor is unlucky: one more is drawn, and the
+    # children at the others fall back from their sparse solve
+    "fp101-unlucky": ("(x1 + 40*x3)/(x1 + x3^2)", FP101, 9),
+    "fp101-sparse": ("(x1*x2*x3 + 2)/(x1 + x2^2 - x3)", FP101, 9),
+    "fp-large": ("(x1*x2*x3 + x2^2)/(x1 + x3^2 - 7)", FP, 6),
+    "q": ("(x1^2 - x2*x3/2)/(x3 + 2*x1 + 1)", QQ, 4),
+}
+
+
+def parent_verify_agreement(oracle, g, trials, hits):
+    # verify_agreement of 0.8.0 on the (id, coordinate) draws `hits` in
+    # place of its own: every point of the run asked fresh
+    field, arity = oracle.field, oracle.arity
+    if not hits:
+        return Agreement(trials, 0, 0)
+    ids, coords = zip(*hits)
+    keys = list(zip(*[iter(ids)] * arity))
+    counts = Counter(keys)
+    points = dict(zip(keys, zip(*[iter(coords)] * arity)))
+    wants = [oracle.eval(point) for point in points.values()]
+    pairs = g.eval_pairs(points.values())
+    p = field_prime(field)
+    agreements = skips = 0
+    mismatch = None
+    for k, point, want, pair in zip(counts.values(), points.values(), wants, pairs):
+        if want is None or pair is None:
+            skips += k
+            continue
+        n, d = pair
+        t = type(want)
+        if t is int:
+            agree = n == want * d if p is None else (n - want * d) % p == 0
+        elif p is None and t is Fraction:
+            agree = n * want.denominator == want.numerator * d
+        elif t is FpElement and want.field is field:
+            agree = (n - want.residue * d) % p == 0
+        else:
+            agree = want == g.eval_or_none(point)
+        if agree:
+            agreements += k
+        elif mismatch is None:
+            mismatch = (point, want, g.eval_or_none(point))
+    return Agreement(trials, agreements, skips, mismatch)
+
+
+@dataclass
+class Run:
+    """One verification run of the engine."""
+    path: tuple
+    oracle: SliceOracle
+    candidate: object
+    trials: int
+    calls: list                 # the user-function points it asked
+    tally: Agreement
+
+
+def traced_reconstruct(case, monkeypatch, **config):
+    """Reconstruct CASES[case] in the strict pass, recording every
+    verification run; returns (the user's function unspied, the config, the
+    runs)."""
+    text, field, seed = CASES[case]
+    ast = parse(text, 3)
+
+    def plain(pt):
+        return eval_expr(ast, pt, field)
+
+    active, paths, runs = [], [], []
+
+    def fn(pt):
+        if active:
+            active[-1].append(pt)
+        return plain(pt)
+
+    verify_node, verify = engine._verify_node, engine.verify_agreement
+
+    def node_spy(oracle, result, cfg_, path):
+        paths.append(path)
+        try:
+            return verify_node(oracle, result, cfg_, path)
+        finally:
+            paths.pop()
+
+    def spy(oracle, g, trials, rng, height_bound):
+        active.append([])
+        try:
+            tally = verify(oracle, g, trials, rng, height_bound)
+        finally:
+            calls = active.pop()
+        runs.append(Run(paths[-1], oracle, g, trials, calls, tally))
+        return tally
+
+    monkeypatch.setattr(engine, "_verify_node", node_spy)
+    monkeypatch.setattr(engine, "verify_agreement", spy)
+    cfg = ReconConfig(seed=seed, **config)
+    report = strict_reconstruct(SliceOracle(3, field, fn), cfg)
+    assert report.result.same_function(to_ratfun(ast, field, 3))
+    return plain, cfg, runs
+
+
+def stream_hits(cfg, run):
+    """The (id, coordinate) draws of `run`'s trials: the first points of
+    the `verify` stream of its node's path."""
+    node = run.oracle
+    stream = derive_rng(cfg.seed, "verify", *run.path)
+    return node.field._sampler(stream, cfg.height_bound)(node.arity * run.trials)
+
+
+def asked(run, hits):
+    """The distinct points of `hits`, in the order drawn, as the user's
+    function sees them."""
+    arity = run.oracle.arity
+    return list(dict.fromkeys(tuple(c for _, c in hits[i:i + arity]) + run.oracle._suffix
+                              for i in range(0, len(hits), arity)))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_each_tally_is_the_parent_one_on_the_same_points(case, monkeypatch):
+    # every node asks exactly the distinct points of its own stream's
+    # draws, in the order drawn, and tallies them as 0.8.0 did
+    plain, cfg, runs = traced_reconstruct(case, monkeypatch)
+    assert sum(bool(run.path) for run in runs) >= 3
+    for run in runs:
+        node = run.oracle
+        fresh = SliceOracle(node.arity, node.field, plain, node._suffix)
+        hits = stream_hits(cfg, run)
+        assert len(hits) == node.arity * cfg.verify_trials
+        assert run.calls == asked(run, hits), run.path
+        want = parent_verify_agreement(fresh, run.candidate, run.trials, hits)
+        assert run.tally == want and run.tally.mismatch is want.mismatch is None, run.path
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_the_root_asks_the_parent_points(case, monkeypatch):
+    plain, cfg, runs = traced_reconstruct(case, monkeypatch)
+    root, = [run for run in runs if not run.path]
+    stream = derive_rng(cfg.seed, "verify")
+    hits = root.oracle.field._sampler(stream, cfg.height_bound)(3 * cfg.verify_trials)
+    assert root.calls == asked(root, hits)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_five_trials_draw_five(case, monkeypatch):
+    _, cfg, runs = traced_reconstruct(case, monkeypatch, verify_trials=5)
+    assert sum(bool(run.path) for run in runs) >= 3
+    for run in runs:
+        hits = stream_hits(cfg, run)
+        assert run.tally[0] == 5 and len(hits) == 5 * run.oracle.arity
+        assert run.calls == asked(run, hits), run.path
