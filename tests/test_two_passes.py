@@ -11,22 +11,20 @@ the run gives the strict pass's report, or, when it does not combine, is
 left out by the unlucky-anchor retry, and the checked answer stands.
 
 In the strict pass every node draws all its trials from its own `verify`
-stream, and each verification run is checked against the one of 0.8.0,
-which asked the oracle at each distinct point drawn."""
+stream and asks the oracle at each distinct point drawn, as 0.8.0 did;
+tests/test_probe_trials.py checks each run's tally against 0.8.0's, on
+the runs that `traced_reconstruct` records."""
 
 import importlib
 import pathlib
-from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 import pytest
 
 from faults import counterexample_oracle
 from ratrecon.errors import TooManyFailures, VerificationFailed
 from ratrecon.expr import eval_expr, parse, to_ratfun
-from ratrecon.fields import QQ, FpElement, PrimeField, _draw_point, derive_rng
-from ratrecon.poly import field_prime
+from ratrecon.fields import QQ, PrimeField, _draw_point, derive_rng
 from ratrecon.reconstruct import Agreement, ReconConfig, SliceOracle, reconstruct
 from test_level_classes import root_anchors, strict_reconstruct
 
@@ -192,42 +190,6 @@ CASES = {
 }
 
 
-def parent_verify_agreement(oracle, g, trials, hits):
-    # verify_agreement of 0.8.0 on the (id, coordinate) draws `hits` in
-    # place of its own: every point of the run asked fresh
-    field, arity = oracle.field, oracle.arity
-    if not hits:
-        return Agreement(trials, 0, 0)
-    ids, coords = zip(*hits)
-    keys = list(zip(*[iter(ids)] * arity))
-    counts = Counter(keys)
-    points = dict(zip(keys, zip(*[iter(coords)] * arity)))
-    wants = [oracle.eval(point) for point in points.values()]
-    pairs = g.eval_pairs(points.values())
-    p = field_prime(field)
-    agreements = skips = 0
-    mismatch = None
-    for k, point, want, pair in zip(counts.values(), points.values(), wants, pairs):
-        if want is None or pair is None:
-            skips += k
-            continue
-        n, d = pair
-        t = type(want)
-        if t is int:
-            agree = n == want * d if p is None else (n - want * d) % p == 0
-        elif p is None and t is Fraction:
-            agree = n * want.denominator == want.numerator * d
-        elif t is FpElement and want.field is field:
-            agree = (n - want.residue * d) % p == 0
-        else:
-            agree = want == g.eval_or_none(point)
-        if agree:
-            agreements += k
-        elif mismatch is None:
-            mismatch = (point, want, g.eval_or_none(point))
-    return Agreement(trials, agreements, skips, mismatch)
-
-
 @dataclass
 class Run:
     """One verification run of the engine."""
@@ -296,22 +258,6 @@ def asked(run, hits):
     arity = run.oracle.arity
     return list(dict.fromkeys(tuple(c for _, c in hits[i:i + arity]) + run.oracle._suffix
                               for i in range(0, len(hits), arity)))
-
-
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_each_tally_is_the_parent_one_on_the_same_points(case, monkeypatch):
-    # every node asks exactly the distinct points of its own stream's
-    # draws, in the order drawn, and tallies them as 0.8.0 did
-    plain, cfg, runs = traced_reconstruct(case, monkeypatch)
-    assert sum(bool(run.path) for run in runs) >= 3
-    for run in runs:
-        node = run.oracle
-        fresh = SliceOracle(node.arity, node.field, plain, node._suffix)
-        hits = stream_hits(cfg, run)
-        assert len(hits) == node.arity * cfg.verify_trials
-        assert run.calls == asked(run, hits), run.path
-        want = parent_verify_agreement(fresh, run.candidate, run.trials, hits)
-        assert run.tally == want and run.tally.mismatch is want.mismatch is None, run.path
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
