@@ -127,8 +127,8 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _check_range(flag: str, value: int, low: int | None, high: int = None):
-    if low is not None and value < low:
+def _check_range(flag: str, value: int, low: int, high: int = None):
+    if value < low:
         raise InputError(f"{flag} must be >= {low}, got {value}")
     if high is not None and value > high:
         raise InputError(f"{flag} must be <= {high}, got {value}")
@@ -275,7 +275,7 @@ def _cmd_reconstruct(args) -> int:
     seed = _resolve_seed(args)
     if args.arity > 1 and args.samples_per_class < 1:
         raise InputError("--samples-per-class must be >= 1 for arity > 1")
-    _check_range("--samples-per-class", args.samples_per_class, None,
+    _check_range("--samples-per-class", args.samples_per_class, 0,
                  SAMPLES_PER_CLASS_CAP)
     _check_range("--verify-trials", args.verify_trials, 1, VERIFY_TRIALS_CAP)
     _check_range("--validation-extra", args.validation_extra, 1, VALIDATION_EXTRA_CAP)

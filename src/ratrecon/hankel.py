@@ -12,12 +12,13 @@ determinant.  Each row (r, t) of the extended Euclidean algorithm on
 (t^(N+1), s) (`ratfun.eea_rows`) has t*s = r mod t^(N+1), so for
 m >= deg t and n + m > deg r the columns m - k of H(n, m), weighted by t_k,
 sum to zero: det H(n, m) = 0.  That is the block structure of the Pade table
-(Gragg, SIAM Review 1972).  One pass over the rows with deg t <= m_max gives,
-for each m, the least n from which every determinant is proven zero; the
-scan runs n downward from just below it and stops at the first nonzero
-determinant.  Those determinants are taken on integer rows: over F_p on
-the residues, mod p; over Q on the prefix scaled by the lcm of its
-denominators, first modulo the word prime `WORD_PRIME`.  A nonzero
+(Gragg, SIAM Review 1972).  One pass over the rows with deg t <= m_max (the
+walk's own bound, so no row past it is built) gives, for each m, the least
+n from which every determinant is proven zero; the scan runs n downward
+from just below it and stops at the first nonzero determinant.  Those
+determinants are taken on integer rows: over F_p on the residues, mod p;
+over Q on the prefix scaled by the lcm of its denominators, first modulo
+the word prime `WORD_PRIME`.  A nonzero
 residue proves the determinant nonzero; a zero residue is settled by the
 exact determinant, so a zero is only ever proven exactly.  A
 factorial-type refusal still costs one determinant per m, now a modular
@@ -125,20 +126,15 @@ WORD_PRIME = 2 ** 30 - 35
 def _zero_tails(s: SeriesPrefix, m_max: int):
     """(ints, den, p, tails): the prefix as integers over `den` (residues
     and 1 over F_p, p None over Q), and for m = 0..m_max the least n from
-    which every det H(n, m) is proven zero by an extended-Euclid row
-    (N - 2m + 1 when none is)."""
+    which every det H(n, m) is proven zero by an extended-Euclid row with
+    deg t <= m (N - 2m + 1 when none is)."""
     n_max = s.n_max
     p = field_prime(s.field)
     ints, den = poly1_ints(Poly1(s.field, s.coeffs))
     tails = [n_max - 2 * m + 1 for m in range(m_max + 1)]
-    prev = n_max + 1                    # deg t^(N+1)
-    for r, t in eea_rows([0] * (n_max + 1) + [1], ints, p):
-        dr, dt = len(r) - 1, len(t) - 1
-        for m in range(dt, m_max + 1):
-            tails[m] = min(tails[m], max(dr - m + 1, 0))
-        if dt + prev - dr > m_max:      # deg t of the next row
-            break
-        prev = dr
+    for r, t in eea_rows([0] * (n_max + 1) + [1], ints, p, m_max):
+        for m in range(len(t) - 1, m_max + 1):
+            tails[m] = min(tails[m], max(len(r) - m, 0))
     return ints + [0] * (n_max + 1 - len(ints)), den, p, tails
 
 

@@ -25,8 +25,8 @@ integer kernel of `rational_reconstruct` (the extended Euclidean algorithm
 modulo prod(x - a_i)).  The Newton pool stays on integers, residues over
 F_p and integer numerators over one denominator over Q, and candidates are
 checked by integer Horner; a `RatFun1` is built only for the fit returned.
-While the pool is too small for any row to be tried, detection runs only
-the remainder sequence (`ratfun._row_within`), not the cofactors.
+Detection passes the bound on the candidate's total degree to the walk
+(`ratfun.eea_rows`), which builds no row whose cofactor exceeds it.
 """
 
 from __future__ import annotations
@@ -46,13 +46,7 @@ from .errors import (
 from .fields import QQ, Field, FpElement
 from .matrix import bordered_dets, det_exact
 from .poly import Poly1, _ratio, _residue, _strip, field_prime, int_pair, int_powers, over
-from .ratfun import (
-    RatFun1,
-    _row_within,
-    degree_and_ord,
-    ratfun1_from_row,
-    reconstruct_ints,
-)
+from .ratfun import RatFun1, degree_and_ord, ratfun1_from_row, reconstruct_ints
 
 
 @dataclass(frozen=True)
@@ -210,9 +204,9 @@ class _NewtonPool:
         self.u, self.den = _strip([x // g for x in new]), den // g
         self.modulus = [x * ad - an * y for x, y in zip([0] + mod, mod + [0])]
 
-    def reconstruct(self, n=None, m=None):
+    def reconstruct(self, n=None, m=None, limit=math.inf):
         """`reconstruct_ints` on the pool."""
-        return reconstruct_ints(self.modulus, self.u, self.p, n, m)
+        return reconstruct_ints(self.modulus, self.u, self.p, n, m, limit)
 
     def agrees(self, row, a, v) -> bool:
         """Whether the function of the coprime `row` is defined at a with
@@ -319,8 +313,8 @@ def detect_profile_with_fit(oracle: UnivariateOracle, field: Field,
     pool is tried again before the next draw.  Candidates thus come in the
     order (total degree, numerator degree) of a walk over all degree pairs,
     each fitted with at least one sample to spare; returns (profile, fit).
-    A pass first asks `_row_within` whether any row is within the bound,
-    on the remainders alone, so a pass with none builds no cofactor."""
+    A pass walks the extended-Euclid rows once, up to cofactor degree
+    min(k - 2, max_degree), so a pass below two points divides nothing."""
     cap = budget.max_degree
     draw = field._sampler(rng, budget.height_bound)
     taken: set = set()
@@ -330,13 +324,12 @@ def detect_profile_with_fit(oracle: UnivariateOracle, field: Field,
     for _ in range((cap + 2) * (cap + 3)):
         k = len(pool.modulus) - 1
         lim = min(k - 2, cap)
-        row = (pool.reconstruct()
-               if _row_within(pool.modulus, pool.u, pool.p, lim) else None)
-        if row is not None and (prof := _row_profile(row)).l <= lim:
+        row = pool.reconstruct(limit=lim)
+        if row is not None:
             fresh = [_draw_defined(oracle, draw, budget, taken)
                      for _ in range(budget.validation_extra)]
             if all(pool.agrees(row, a, v) for a, v in fresh):
-                return prof, pool.ratfun(row)
+                return _row_profile(row), pool.ratfun(row)
         elif max(k - 1, 0) > cap:
             break
         else:

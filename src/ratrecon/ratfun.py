@@ -13,13 +13,15 @@ interpolation of samples and Pade approximation of series both run on it.
 It converts its arguments to integer coefficient lists and runs the
 extended-Euclid kernel `reconstruct_ints`, one routine for F_p (residue
 rows) and Q (pseudo-remainder rows with their joint content divided out);
-field elements are built only for the row it returns.
+field elements are built only for the row it returns.  The row walk
+`eea_rows` alone stops the Euclid, at a bound on the cofactor degree that
+each caller derives from its own: m for an (n, m) fit, the total-degree
+`limit` of degree detection, m_max for the Hankel scan.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import pairwise
 
 from .errors import UndefinedAt, ZeroDenominator, ZeroFunction
 from .expr import Add, Div, IntLit, Mul, Pow, Var, _compile
@@ -39,7 +41,6 @@ from .poly import (  # gcd_polyn: bench/selftest.py looks it up here
     over,
     poly1_from_ints,
     poly1_ints,
-    remainders_ints,
 )
 
 
@@ -294,46 +295,38 @@ def rational_reconstruct(modulus: Poly1, u: Poly1, n: int | None = None,
 
 
 def reconstruct_ints(modulus: list, u: list, p, n: int | None = None,
-                     m: int | None = None):
+                     m: int | None = None, limit=math.inf):
     """The extended-Euclid kernel of `rational_reconstruct` on integer
     coefficient lists (see poly.py), deg u < deg modulus: the selected row
     (r, t) of `eea_rows`, or None.  The function the row stands for is
-    r/(den*t), where u/den is the interpolant (see ratfun1_from_row)."""
+    r/(den*t), where u/den is the interpolant (see ratfun1_from_row).
+    Without bounds, `limit` bounds the total degree: the unbounded
+    selection is returned if it is within it, else None.  The walk stops
+    at the cofactor degree no wanted row passes, m or `limit`."""
+    if n is not None:
+        for r, t in eea_rows(modulus, u, p, m):
+            if len(r) - 1 <= n:
+                return (r, t) if _coprime(r, t, p) else None
+        return None
     rows = []
-    for r, t in eea_rows(modulus, u, p):
+    for r, t in eea_rows(modulus, u, p, limit):
         dr = len(r) - 1
-        if n is not None and dr <= n:
-            return (r, t) if len(t) - 1 <= m and _coprime(r, t, p) else None
         rows.append((max(dr, 0) + len(t) - 1, dr, r, t))
-    for _, _, r, t in sorted(rows, key=lambda row: row[:2]):
+    for total, _, r, t in sorted(rows, key=lambda row: row[:2]):
+        if total > limit:
+            return None
         if _coprime(r, t, p):
             return r, t
 
 
-def _row_within(modulus: list, u: list, p, limit: int) -> bool:
-    """Whether a row of `eea_rows(modulus, u, p)` has total degree at most
-    `limit`, decided on the remainders alone, without building any
-    cofactor t.  As the unbounded selection takes the rows in (total
-    degree, deg r) order, its row is within `limit` only if this holds.
-    The row of the remainder r_(j+1) has t of degree
-    deg modulus - deg r_j, rising from row to row, so its total degree is
-    max(deg r_(j+1), 0) + deg modulus - deg r_j, read off the remainder
-    sequence of `remainders_ints`."""
-    k = len(modulus) - 1
-    for r0, r1 in pairwise(remainders_ints(modulus, u, p)):
-        dt = k - (len(r0) - 1)
-        if dt > limit:
-            return False
-        if max(len(r1) - 1, 0) + dt <= limit:
-            return True
-    return False
-
-
-def eea_rows(modulus: list, u: list, p):
+def eea_rows(modulus: list, u: list, p, top=math.inf):
     """The rows (r, t) of the extended Euclidean algorithm on (modulus, u),
-    u stripped and deg u < deg modulus, from (u, 1) down to the row whose r
-    is the zero list [].  Each has t nonzero and r = t*u mod modulus, deg r
-    falling and deg t rising from row to row.
+    u stripped and deg u < deg modulus, from (u, 1) down to the last row
+    with deg t <= top (the row whose r is the zero list [] at the latest;
+    none when top < 0).  Each has t nonzero and r = t*u mod modulus, deg r
+    falling and deg t rising from row to row: the row after (r1, t1), with
+    r0 the remainder before r1, has deg t = deg t1 + deg r0 - deg r1, so
+    the walk stops before it divides for a row past `top`.
 
     Over F_p the rows are residue lists.  Over Q they come from the
     pseudo-remainder sequence, s*r0 = q*r1 + r2 and t2 = s*t0 - q*t1, with
@@ -341,9 +334,11 @@ def eea_rows(modulus: list, u: list, p):
     nonzero scalar multiple of the row over Q, so the degrees, the order by
     (total degree, deg r), the bounds and the coprimality test all agree."""
     r0, r1, t0, t1 = modulus, u, [], [1]
+    if top < 0:
+        return
     while True:
         yield r1, t1
-        if not r1:
+        if not r1 or len(t1) + len(r0) - len(r1) - 1 > top:
             return
         s, q, r2 = divmod_ints(r0, r1, p)
         t2 = [-c for c in mul_ints(q, t1, p)]   # deg q*t1 > deg t0

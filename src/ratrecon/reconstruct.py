@@ -168,9 +168,11 @@ class ReconConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("validation_extra", "verify_trials", "height_bound"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, low in (("samples_per_class", 0), ("max_degree", 0),
+                          ("validation_extra", 1), ("verify_trials", 1),
+                          ("height_bound", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         for name, cap in (("samples_per_class", SAMPLES_PER_CLASS_CAP),
                           ("validation_extra", VALIDATION_EXTRA_CAP),
                           ("verify_trials", VERIFY_TRIALS_CAP)):
@@ -445,7 +447,10 @@ def reconstruct(oracle: SliceOracle, cfg: ReconConfig) -> ReconReport:
     The fast pass checks only the root.  If it fails after a node below
     the root skipped its check, the strict pass runs the tree again with
     every node checked; a failure before any skipped check is the strict
-    pass's own, which would repeat it step for step."""
+    pass's own, which would repeat it step for step.  Above arity 1 a
+    samples_per_class of 0 is refused (ValueError): no slice is classified."""
+    if oracle.arity > 1 and cfg.samples_per_class < 1:
+        raise ValueError("samples_per_class must be >= 1 for arity > 1")
     cfg.check_field(oracle.field)
     skipped: list = []
     fast = SliceOracle(oracle.arity, oracle.field, oracle.fn, oracle._suffix, skipped)

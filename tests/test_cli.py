@@ -471,6 +471,14 @@ def test_reconstruct_zero_samples_per_class(capsys):
     assert err.startswith("input error: --samples-per-class")
 
 
+def test_reconstruct_negative_samples_per_class_at_arity_one(capsys):
+    # arity 1 classifies no slice, but a negative count is no count at all
+    code, out, err = run_cli(capsys, "reconstruct", "--expr", "x1",
+                             "--arity", "1", "--samples-per-class", "-3")
+    assert (code, out) == (1, "")
+    assert err.rstrip() == "input error: --samples-per-class must be >= 0, got -3"
+
+
 @pytest.mark.parametrize("height,extra,least", [("1", "4", 2), ("2", "10", 3),
                                                  ("10", "200", 13)])
 def test_reconstruct_refuses_a_q_height_box_too_small(monkeypatch, capsys,

@@ -386,6 +386,31 @@ def test_l_min_matches_the_top_down_reference(field):
     assert all(rows_seen.values()), rows_seen
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)])
+def test_zero_tails_walk_stops_at_m_max(field, monkeypatch):
+    # a row with deg t > m_max proves no det H(n, m) with m <= m_max zero:
+    # the walk yields none, and the tails are those of all the rows
+    rng = random.Random(f"zero-tails/{field.descriptor()}")
+    walks = []
+
+    def spy_rows(modulus, u, p, top):
+        walks.append(list(eea_rows(modulus, u, p, top)))
+        return iter(walks[-1])
+
+    monkeypatch.setattr(hankel, "eea_rows", spy_rows)
+    for case in range(100):
+        kind = NONNORMAL_KINDS[case % len(NONNORMAL_KINDS)]
+        s = SeriesPrefix(field, nonnormal_prefix(field, rng, kind, rng.randint(1, 26)))
+        m_max = rng.randint(0, s.n_max // 2)
+        ints, _, p, tails = hankel._zero_tails(s, m_max)
+        rows = list(eea_rows([0] * (s.n_max + 1) + [1], _strip(list(ints)), p))
+        assert walks[-1] == [(r, t) for r, t in rows if len(t) - 1 <= m_max]
+        want = [min([s.n_max - 2 * m + 1] + [max(len(r) - m, 0)
+                                             for r, t in rows if len(t) - 1 <= m])
+                for m in range(m_max + 1)]
+        assert tails == want, (kind, s.coeffs, m_max)
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(1000003)])
 def test_witness_at_m0_computes_one_determinant_per_smaller_m(field, monkeypatch):
     # P/Q with deg P = 3 and deg Q = 10: for m < 10 the first determinant of

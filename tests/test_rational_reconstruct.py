@@ -35,7 +35,6 @@ from ratrecon.poly import Poly1, gcd_poly1
 from ratrecon.ratfun import (
     RatFun1,
     _coprime,
-    _row_within,
     eea_rows,
     normalize_ratfun1,
     rational_reconstruct,
@@ -617,7 +616,8 @@ def test_detection_builds_field_elements_only_for_its_answer(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# `_row_within`, detection's gate on the remainders, against the EEA rows
+# the bounded walk: `eea_rows` up to a cofactor degree, and the total-degree
+# `limit` of the unbounded selection that detection passes it
 
 LIMIT_CASES = ((PrimeField(5), 10), (F101, 10), (FP, 10),
                (QQ, 1), (QQ, 10), (QQ, 1000))
@@ -649,10 +649,37 @@ def limit_pool(field, height, rng, kind):
     return pool
 
 
-def test_row_within_matches_the_rows_and_gates_the_unbounded_selection():
-    # for every limit from -1 to the pool size, `_row_within` holds iff some
-    # EEA row has total degree within the limit; so gating the unbounded
-    # selection on it keeps exactly the selected rows within the limit
+def test_bounded_walk_is_the_prefix_of_the_rows_and_divides_no_further(monkeypatch):
+    # `eea_rows(..., top)` yields the rows with deg t <= top, a prefix of the
+    # unbounded rows (none for top = -1), and divides only for the rows it
+    # yields: once per row after the first
+    rng = random.Random(2034)
+    divisions = []
+    divmod_ints = ratfun.divmod_ints
+
+    def counting_divmod(a, b, p):
+        divisions.append(1)
+        return divmod_ints(a, b, p)
+
+    for trial in range(600):
+        field, height = LIMIT_CASES[trial % len(LIMIT_CASES)]
+        pool = limit_pool(field, height, rng, trial // len(LIMIT_CASES) % 5)
+        mod, u, p = pool.modulus, pool.u, pool.p
+        rows = list(eea_rows(mod, u, p))
+        assert not rows[-1][0] and all(r for r, _ in rows[:-1]), trial
+        for top in range(-1, len(mod) + 1):
+            monkeypatch.setattr(ratfun, "divmod_ints", counting_divmod)
+            divisions.clear()
+            walked = list(eea_rows(mod, u, p, top))
+            monkeypatch.undo()
+            assert walked == [(r, t) for r, t in rows if len(t) - 1 <= top], (trial, top)
+            assert len(divisions) == max(len(walked) - 1, 0), (trial, top)
+
+
+def test_limit_returns_the_unbounded_selection_within_it():
+    # for every limit from -1 to the pool size, the selection under `limit`
+    # is the unbounded one when its total degree is within the limit, else
+    # None
     rng = random.Random(2032)
     seen = set()
     for trial in range(600):
@@ -661,14 +688,11 @@ def test_row_within_matches_the_rows_and_gates_the_unbounded_selection():
         mod, u, p = pool.modulus, pool.u, pool.p
         k = len(mod) - 1
         rows = list(eea_rows(mod, u, p))
-        totals = [max(len(r) - 1, 0) + len(t) - 1 for r, t in rows]
         want = reconstruct_ints(mod, u, p)
         total = max(len(want[0]) - 1, 0) + len(want[1]) - 1
         for limit in range(-1, k + 1):
-            within = _row_within(mod, u, p, limit)
-            assert within == (min(totals) <= limit), (trial, limit)
-            gated = want if within and total <= limit else None
-            assert gated == (want if total <= limit else None), (trial, limit)
+            got = reconstruct_ints(mod, u, p, limit=limit)
+            assert got == (want if total <= limit else None), (trial, limit)
         # coverage: a quotient of degree >= 2 below the first row, a
         # non-coprime row passed over, and zero and constant interpolants
         drops = [len(r0) - len(r1) for (r0, _), (r1, _) in zip(rows, rows[1:]) if r1]
@@ -681,32 +705,46 @@ def test_row_within_matches_the_rows_and_gates_the_unbounded_selection():
         assert {(field, c) for c in ("jump", "passed over", "zero", "constant")} <= seen
 
 
-def test_detection_builds_no_cofactor_while_no_row_is_within_reach(monkeypatch):
-    # each pass of detection asks `_row_within` for a row within min(k - 2,
-    # max_degree); `eea_rows`, which builds the cofactors, runs right after
-    # exactly the passes where some row is within that limit
+def test_detection_walks_once_per_pass_within_its_bound(monkeypatch):
+    # each pass of detection walks the rows once, up to its bound min(k - 2,
+    # max_degree) at pool size k, then draws one point, or the validation
+    # points of the candidate it tries; so the pool sizes of the walks rise
+    # by exactly the draws between them, one or validation_extra
     rng = random.Random(2033)
+    budget = SamplingBudget()
     events = []
 
-    def spy_rows(modulus, u, p):
-        events.append("rows")
-        return eea_rows(modulus, u, p)
+    def spy_rows(modulus, u, p, top):
+        k = len(modulus) - 1
+        assert top == min(k - 2, budget.max_degree)
+        rows = list(eea_rows(modulus, u, p, top))
+        assert all(len(t) - 1 <= top for _, t in rows)
+        events.append((k, len(rows)))
+        return iter(rows)
 
-    def spy_within(modulus, u, p, limit):
-        totals = [max(len(r) - 1, 0) + len(t) - 1 for r, t in eea_rows(modulus, u, p)]
-        events.append(min(totals) <= limit)
-        return _row_within(modulus, u, p, limit)
+    def spy_draw(*args):
+        events.append("draw")
+        return draw_defined(*args)
 
+    draw_defined = interp._draw_defined
     monkeypatch.setattr(ratfun, "eea_rows", spy_rows)
-    monkeypatch.setattr(interp, "_row_within", spy_within)
+    monkeypatch.setattr(interp, "_draw_defined", spy_draw)
+    walks = []
     for trial in range(30):
         field = KERNEL_FIELDS[trial % 3]
         f = rand_ratfun(field, rng, rng.randint(-1, 4), rng.randint(0, 4))
-        oracle = SwitchingOracle(f, f, 0)
-        detect_profile_with_fit(oracle, field, SamplingBudget(), random.Random(trial))
-    passes = [e for e in events if e != "rows"]
-    built = [events[i + 1:i + 2] == ["rows"] for i, e in enumerate(events) if e != "rows"]
-    assert built == passes
-    assert events.count("rows") == sum(passes)
-    growth = passes.count(False)
-    assert growth > 2 * (len(passes) - growth) > 0
+        events.clear()
+        _, fit = detect_profile_with_fit(SwitchingOracle(f, f, 0), field, budget,
+                                         random.Random(trial))
+        assert fit == f
+        at = [i for i, e in enumerate(events) if e != "draw"]
+        gaps = [j - i - 1 for i, j in zip(at, at[1:] + [len(events)])]
+        sizes = [events[i][0] for i in at]
+        assert at[0] == 0 and sizes[0] == 0
+        assert [b - a for a, b in zip(sizes, sizes[1:])] == gaps[:-1]
+        assert set(gaps) <= {1, budget.validation_extra}
+        assert gaps[-1] == budget.validation_extra
+        walks += [events[i] for i in at]
+    # passes below two points walk no row; later ones do
+    assert {(0, 0), (1, 0)} <= set(walks)
+    assert sum(rows > 0 for _, rows in walks) > len(walks) // 2

@@ -827,6 +827,29 @@ def test_config_rejects_validation_extra_below_one(value):
     assert ReconConfig(validation_extra=1).budget().validation_extra == 1
 
 
+@pytest.mark.parametrize("name,value", [("samples_per_class", -1),
+                                        ("samples_per_class", -3), ("max_degree", -1)])
+def test_config_rejects_negative_sizes(name, value):
+    # a negative sample count refused as "0/-3 slices failed" and a negative
+    # degree bound as "up to total degree -1"; the command line refuses them
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0, got {value}$"):
+        ReconConfig(**{name: value})
+    assert getattr(ReconConfig(**{name: 0}), name) == 0
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_reconstruct_refuses_zero_samples_per_class_above_arity_one(arity):
+    # no slice to classify: an empty histogram, which no input may reach;
+    # arity 1 classifies no slice and takes 0
+    oracle = SliceOracle(arity, FP101, lambda pt: pt[0] * pt[-1] + FP101.one)
+    cfg = ReconConfig(samples_per_class=0, seed=3)
+    if arity == 1:
+        assert format_ratfunn(reconstruct(oracle, cfg).result) == "(x1^2 + 1)/(1)"
+        return
+    with pytest.raises(ValueError, match="^samples_per_class must be >= 1 for arity > 1$"):
+        reconstruct(oracle, cfg)
+
+
 @pytest.mark.parametrize("name,cap", [("samples_per_class", SAMPLES_PER_CLASS_CAP),
                                       ("validation_extra", VALIDATION_EXTRA_CAP),
                                       ("verify_trials", VERIFY_TRIALS_CAP)])
