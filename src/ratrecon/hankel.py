@@ -3,28 +3,32 @@
 A series prefix a_0..a_N is declared rational only with a checkable witness:
 a rational function whose exact re-expansion reproduces the whole prefix.
 The converse direction never claims irrationality, only the absence of a
-witness within the scanned (l, m) bounds.  Witnesses are Pade approximants,
-computed by `ratfun.rational_reconstruct` modulo t^(n+m+1).
+witness within the scanned (l, m) bounds.
+
+Witnesses and Kronecker's zero determinants are both read off one walk:
+the rows (r, t) of the extended Euclidean algorithm on (t^(N+1), s)
+(`ratfun.eea_rows`) up to deg t <= m_max, each with t*s = r mod t^(N+1).
+A witness P/Q with deg P <= n, deg Q <= m and n + m < N + 1 is unique,
+and (P, Q) is a polynomial multiple of the one row with deg t <= m and
+deg r <= n (von zur Gathen & Gerhard, Modern Computer Algebra, Thm 5.16);
+since gcd(r, t) = gcd(t, t^(N+1)), that row is coprime exactly when
+t(0) != 0.  So each m has at most one candidate, and no Pade approximant
+is computed for it.
 
 Kronecker's criterion: for each m, l_min(m) is the smallest l from which
 every det H(n, m), l <= n <= N - 2m, vanishes.  Most of those zeros need no
-determinant.  Each row (r, t) of the extended Euclidean algorithm on
-(t^(N+1), s) (`ratfun.eea_rows`) has t*s = r mod t^(N+1), so for
-m >= deg t and n + m > deg r the columns m - k of H(n, m), weighted by t_k,
-sum to zero: det H(n, m) = 0.  That is the block structure of the Pade table
-(Gragg, SIAM Review 1972).  One pass over the rows with deg t <= m_max (the
-walk's own bound, so no row past it is built) gives, for each m, the least
-n from which every determinant is proven zero; the scan runs n downward
-from just below it and stops at the first nonzero determinant.  Those
-determinants are taken on integer rows: over F_p on the residues, mod p;
-over Q on the prefix scaled by the lcm of its denominators, first modulo
-the word prime `WORD_PRIME`.  A nonzero
+determinant: for a row with m >= deg t and n + m > deg r the columns
+m - k of H(n, m), weighted by t_k, sum to zero: det H(n, m) = 0.  That is
+the block structure of the Pade table (Gragg, SIAM Review 1972).  The scan
+runs n downward from just below the least n so proven and stops at the
+first nonzero determinant.  Those determinants are taken on integer rows:
+over F_p on the residues, mod p; over Q on the prefix scaled by the lcm of
+its denominators, first modulo the word prime `WORD_PRIME`.  A nonzero
 residue proves the determinant nonzero; a zero residue is settled by the
-exact determinant, so a zero is only ever proven exactly.  A
-factorial-type refusal still costs one determinant per m, now a modular
-one; the zeros above a rational series' witness cost none.  The witness
-search interleaves with the scan: m ascends, l_min(m) is computed only
-when the search reaches m, and the search stops at the first witness.
+exact determinant, so a zero is only ever proven exactly.  l_min(m) is
+computed only for an m that has a candidate, so a prefix with none, as a
+factorial-type refusal, computes no determinant; the search stops at the
+first witness.
 
 A witness P/Q is checked on the same integer prefix: Q(0) != 0 and
 Q*s = P mod t^(N+1), coefficient by coefficient, which holds exactly when
@@ -45,6 +49,7 @@ from .ratfun import (
     eea_rows,
     format_poly1,
     format_ratfun1,
+    ratfun1_from_row,
     rational_reconstruct,
 )
 
@@ -123,32 +128,30 @@ def _check_bounds(s: SeriesPrefix, l_max: int, m_max: int) -> None:
 WORD_PRIME = 2 ** 30 - 35
 
 
-def _zero_tails(s: SeriesPrefix, m_max: int):
-    """(ints, den, p, tails): the prefix as integers over `den` (residues
-    and 1 over F_p, p None over Q), and for m = 0..m_max the least n from
-    which every det H(n, m) is proven zero by an extended-Euclid row with
-    deg t <= m (N - 2m + 1 when none is)."""
-    n_max = s.n_max
+def _walk(s: SeriesPrefix, m_max: int):
+    """(ints, den, p, rows): the prefix as integers over `den` (residues
+    and 1 over F_p, p None over Q), and the rows (r, t) of the extended
+    Euclidean algorithm on (t^(N+1), ints) with deg t <= m_max."""
     p = field_prime(s.field)
     ints, den = poly1_ints(Poly1(s.field, s.coeffs))
-    tails = [n_max - 2 * m + 1 for m in range(m_max + 1)]
-    for r, t in eea_rows([0] * (n_max + 1) + [1], ints, p, m_max):
-        for m in range(len(t) - 1, m_max + 1):
-            tails[m] = min(tails[m], max(len(r) - m, 0))
-    return ints + [0] * (n_max + 1 - len(ints)), den, p, tails
+    rows = list(eea_rows([0] * (s.n_max + 1) + [1], ints, p, m_max))
+    return ints + [0] * (s.n_max + 1 - len(ints)), den, p, rows
 
 
-def _l_min(s: SeriesPrefix, m: int, zero_tails=None) -> int:
-    """Smallest l with det H(n, m) = 0 for every n with l <= n <= N - 2m:
-    scans n downward from below the proven zeros (`_zero_tails(s, m_max)`
-    for some m_max >= m) and stops at the first nonzero determinant.  Over
-    F_p the determinants are taken mod p; over Q first mod `WORD_PRIME`,
-    and exactly only when that residue is zero."""
-    ints, _, p, tails = zero_tails or _zero_tails(s, m)
-    for n in range(tails[m] - 1, -1, -1):
-        rows = [ints[n + i:n + i + m + 1] for i in range(m + 1)]
-        if (bordered_dets(rows[:m], rows[m:], p or WORD_PRIME)[0]
-                or p is None and bordered_dets(rows[:m], rows[m:])[0]):
+def _l_min(s: SeriesPrefix, m: int, walk=None) -> int:
+    """Smallest l with det H(n, m) = 0 for every n with l <= n <= N - 2m.
+    A row of `_walk(s, m_max)`, m_max >= m, with deg t <= m proves every
+    determinant with n >= deg r - m + 1 zero; the scan runs n downward from
+    below the least such n (N - 2m when no row does) and stops at the first
+    nonzero determinant.  Over F_p the determinants are taken mod p; over Q
+    first mod `WORD_PRIME`, and exactly only when that residue is zero."""
+    ints, _, p, rows = walk or _walk(s, m)
+    tail = min([s.n_max - 2 * m + 1] +
+               [max(len(r) - m, 0) for r, t in rows if len(t) <= m + 1])
+    for n in range(tail - 1, -1, -1):
+        h = [ints[n + i:n + i + m + 1] for i in range(m + 1)]
+        if (bordered_dets(h[:m], h[m:], p or WORD_PRIME)[0]
+                or p is None and bordered_dets(h[:m], h[m:])[0]):
             return n + 1
     return 0
 
@@ -184,13 +187,13 @@ def series_of_ratfun(f: RatFun1, n_terms: int) -> SeriesPrefix:
     return SeriesPrefix(field, out)
 
 
-def _matches_prefix(f: RatFun1, s: SeriesPrefix, zero_tails=None) -> bool:
+def _matches_prefix(f: RatFun1, s: SeriesPrefix, walk=None) -> bool:
     """Whether the re-expansion of f = P/Q is the whole prefix: Q(0) != 0
     and Q*s = P mod t^(N+1), checked coefficient by coefficient on the
-    integer prefix of `_zero_tails`.  With s = ints/den, P = pn/pd and
+    integer prefix of `_walk`.  With s = ints/den, P = pn/pd and
     Q = qn/qd that is pd * (qn*ints)_k = den * qd * pn_k for k <= N, mod p
     over F_p."""
-    ints, den, p, _ = zero_tails or _zero_tails(s, 0)
+    ints, den, p, _ = walk or _walk(s, 0)
     pn, pd = poly1_ints(f.num)
     qn, qd = poly1_ints(f.den)
     if not qn[0]:
@@ -206,26 +209,26 @@ def _matches_prefix(f: RatFun1, s: SeriesPrefix, zero_tails=None) -> bool:
 
 
 def certify_rationality(s: SeriesPrefix, l_max: int, m_max: int) -> RationalityCertificate:
-    """Scan Hankel candidates, attempt a witness per candidate, and accept the
-    first whose exact re-expansion matches the entire prefix.
+    """The first witness by ascending m whose exact re-expansion matches the
+    entire prefix, with l = l_min(m), or the refusal.
 
-    For each m only l = l_min(m) is attempted: a larger l tries a subset of
-    the same Pade windows, and an m is scanned only when the search reaches
-    it, so no determinant past the witness is computed."""
+    For each m the one candidate is the row of `_walk(s, m_max)` with
+    deg t <= m, deg r <= top = min(l_max + m_max, N - m - 1) and t(0) != 0,
+    the only Pade approximant of degrees at most (top, m) that can match;
+    l_min(m) is computed only for an m that has one, and the m is skipped
+    when l_min(m) > l_max or l_min(m) + m - 1 > top."""
     _check_bounds(s, l_max, m_max)
-    zero_tails = _zero_tails(s, m_max)
+    walk = _walk(s, m_max)
+    _, den, _, rows = walk
     for m in range(m_max + 1):
-        l = _l_min(s, m, zero_tails)
-        if l > l_max:
-            continue
-        for n_deg in range(max(l + m - 1, 0), l_max + m_max + 1):
-            if s.n_max < n_deg + m + 1:
-                break
-            try:
-                f = pade_reconstruct(s, n_deg, m)
-            except NoSolution:
-                continue
-            if _matches_prefix(f, s, zero_tails):
-                return RationalityCertificate(
-                    "RationalWitness", l, m, f, len(s.coeffs))
+        top = min(l_max + m_max, s.n_max - m - 1)
+        for r, t in rows:
+            if len(t) <= m + 1 and len(r) <= top + 1 and t[0]:
+                l = _l_min(s, m, walk)
+                if l > l_max or max(l + m - 1, 0) > top:
+                    break
+                f = ratfun1_from_row(s.field, r, t, den)
+                if _matches_prefix(f, s, walk):
+                    return RationalityCertificate(
+                        "RationalWitness", l, m, f, len(s.coeffs))
     return RationalityCertificate("NoWitnessUpTo", l_max, m_max, None, len(s.coeffs))

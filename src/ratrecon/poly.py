@@ -209,12 +209,6 @@ def _strip(cs: list) -> list:
     return cs
 
 
-def primitive_ints(cs: list) -> list:
-    """An integer list divided by the gcd of its entries."""
-    g = math.gcd(*cs)
-    return [c // g for c in cs] if g > 1 else cs
-
-
 def mul_ints(a: list, b: list, p) -> list:
     """The product a*b."""
     if not a or not b:
@@ -258,31 +252,19 @@ def divmod_ints(a: list, b: list, p):
     return s, q, _strip(rem if p is None else [c % p for c in rem])
 
 
-def remainders_ints(a: list, b: list, p):
-    """The remainder sequence of Euclid on (a, b), deg a >= deg b: a, b and
-    each remainder in turn, ending with the first zero list [].  Over F_p
-    the entries are residue lists; over Q it is the primitive
-    pseudo-remainder sequence, each entry a nonzero scalar multiple of the
-    remainder over Q, so the degrees are those of Euclid over Q."""
-    if p is None:
-        a, b = primitive_ints(a), primitive_ints(b)
-    yield a
-    while b:
-        yield b
-        r = divmod_ints(a, b, p)[2]
-        a, b = b, primitive_ints(r) if p is None else r
-    yield b
-
-
 def gcd_ints(a: list, b: list, p) -> list:
     """A gcd of a and b, a nonzero scalar multiple of the monic one ([] when
-    both are zero): the last nonzero entry of `remainders_ints`."""
+    both are zero): the last nonzero remainder of Euclid by `divmod_ints`,
+    over Q each remainder divided by its integer content."""
     if len(a) < len(b):
         a, b = b, a
-    g = []
-    for r in remainders_ints(a, b, p):
-        g = r or g
-    return g
+    while b:
+        r = divmod_ints(a, b, p)[2]
+        if r and p is None:
+            g = math.gcd(*r)
+            r = [c // g for c in r]
+        a, b = b, r
+    return a
 
 
 class PolyN:

@@ -121,6 +121,12 @@ def test_pade_no_solution():
         pade_reconstruct(s, 0, 1)
 
 
+def test_pade_prefix_too_short():
+    # [1/1] needs a_0..a_3
+    with pytest.raises(PrefixTooShort):
+        pade_reconstruct(qs(1, 1, 1), 1, 1)
+
+
 def test_series_of_ratfun_examples():
     f = normalize_ratfun1(Poly1.from_ints(QQ, [1]), Poly1.from_ints(QQ, [1, -1]))
     assert series_of_ratfun(f, 4).coeffs == [1, 1, 1, 1, 1]
@@ -262,6 +268,28 @@ def eager_certify_rationality(s, l_max, m_max):
     return RationalityCertificate("NoWitnessUpTo", l_max, m_max, None, len(s.coeffs))
 
 
+def reference_certify(s, l_max, m_max):
+    """The search before witnesses were read off the walk: for each m with
+    l_min(m) <= l_max, the Pade approximant [n/m] for each n from l + m - 1
+    up to the bound, the first that re-expands to the prefix."""
+    hankel._check_bounds(s, l_max, m_max)
+    for m in range(m_max + 1):
+        l = hankel._l_min(s, m)
+        if l > l_max:
+            continue
+        for n_deg in range(max(l + m - 1, 0), l_max + m_max + 1):
+            if s.n_max < n_deg + m + 1:
+                break
+            try:
+                f = pade_reconstruct(s, n_deg, m)
+            except NoSolution:
+                continue
+            if hankel._matches_prefix(f, s):
+                return RationalityCertificate(
+                    "RationalWitness", l, m, f, len(s.coeffs))
+    return RationalityCertificate("NoWitnessUpTo", l_max, m_max, None, len(s.coeffs))
+
+
 def random_prefix(field, rng, n_terms):
     kind = rng.choice(["zero", "poly", "shifted", "sparse", "random",
                        "factorial", "rational", "rational"])
@@ -303,7 +331,9 @@ def test_scan_and_certificate_match_eager_reference(field):
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(1000003)])
-def test_refusal_computes_one_determinant_per_m(field, monkeypatch):
+def test_refusal_computes_no_determinant(field, monkeypatch):
+    # no extended-Euclid row of the factorial prefix is a witness row, so no
+    # l_min(m) is needed
     calls = []
 
     def counting_dets(data, borders, modulus=None):
@@ -315,7 +345,7 @@ def test_refusal_computes_one_determinant_per_m(field, monkeypatch):
                              for k in range(31)])
     cert = certify_rationality(s, 8, 10)
     assert cert.verdict == "NoWitnessUpTo"
-    assert len(calls) == 10 + 1
+    assert calls == []
 
 
 # -- reference: the plain top-down scan that `_l_min` shortcuts --------------
@@ -373,23 +403,24 @@ def test_l_min_matches_the_top_down_reference(field):
         n_terms = rng.randint(1, 26)
         s = SeriesPrefix(field, nonnormal_prefix(field, rng, kind, n_terms))
         m_top = s.n_max // 2
-        zero_tails = hankel._zero_tails(s, m_top)
-        ints, _, p, _ = zero_tails
+        walk = hankel._walk(s, m_top)
+        ints, _, p, _ = walk
         for r, t in eea_rows([0] * n_terms + [1], _strip(list(ints)), p):
             rows_seen["r = 0"] += not r
             rows_seen["t(0) = 0"] += t[0] == 0
         for m in range(m_top + 1):
             want = reference_l_min(s, m)
             assert hankel._l_min(s, m) == want, (kind, s.coeffs, m)
-            assert hankel._l_min(s, m, zero_tails) == want, (kind, s.coeffs, m)
+            assert hankel._l_min(s, m, walk) == want, (kind, s.coeffs, m)
     # the inputs reach both kinds of non-normal row
     assert all(rows_seen.values()), rows_seen
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(101)])
 def test_zero_tails_walk_stops_at_m_max(field, monkeypatch):
-    # a row with deg t > m_max proves no det H(n, m) with m <= m_max zero:
-    # the walk yields none, and the tails are those of all the rows
+    # a row with deg t > m_max proves no det H(n, m) with m <= m_max zero
+    # and is no witness row for such an m: the walk yields none, and l_min
+    # on the bounded walk is the top-down scan's
     rng = random.Random(f"zero-tails/{field.descriptor()}")
     walks = []
 
@@ -402,36 +433,99 @@ def test_zero_tails_walk_stops_at_m_max(field, monkeypatch):
         kind = NONNORMAL_KINDS[case % len(NONNORMAL_KINDS)]
         s = SeriesPrefix(field, nonnormal_prefix(field, rng, kind, rng.randint(1, 26)))
         m_max = rng.randint(0, s.n_max // 2)
-        ints, _, p, tails = hankel._zero_tails(s, m_max)
+        walk = hankel._walk(s, m_max)
+        ints, _, p, got = walk
         rows = list(eea_rows([0] * (s.n_max + 1) + [1], _strip(list(ints)), p))
-        assert walks[-1] == [(r, t) for r, t in rows if len(t) - 1 <= m_max]
-        want = [min([s.n_max - 2 * m + 1] + [max(len(r) - m, 0)
-                                             for r, t in rows if len(t) - 1 <= m])
-                for m in range(m_max + 1)]
-        assert tails == want, (kind, s.coeffs, m_max)
+        assert walks[-1] == got == [(r, t) for r, t in rows if len(t) - 1 <= m_max]
+        for m in range(m_max + 1):
+            assert hankel._l_min(s, m, walk) == reference_l_min(s, m), (kind, s.coeffs, m)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(1000003)])
-def test_witness_at_m0_computes_one_determinant_per_smaller_m(field, monkeypatch):
-    # P/Q with deg P = 3 and deg Q = 10: for m < 10 the first determinant of
-    # the scan is nonzero, and from m = 10 on an extended-Euclid row proves
-    # every determinant zero, so none is computed
-    calls = []
+def test_witness_at_m10_takes_l_min_once_with_no_determinant(field, monkeypatch):
+    # P/Q with deg P = 3 and deg Q = 10: for m < 10 no extended-Euclid row is
+    # a witness row, so l_min(m) is not needed; at m = 10 the witness row
+    # proves every determinant zero, so none is computed
+    calls, l_mins = [], []
+    l_min = hankel._l_min
 
     def counting_dets(data, borders, modulus=None):
-        dets = bordered_dets(data, borders, modulus)
-        calls.append((len(data), dets[0]))
-        return dets
+        calls.append(data)
+        return bordered_dets(data, borders, modulus)
+
+    def spy_l_min(s, m, walk=None):
+        l_mins.append(m)
+        return l_min(s, m, walk)
 
     num = Poly1.from_ints(field, [2, -1, 3, 5])
     den = Poly1.from_ints(field, [1, 4, -2, 0, 1, 3, -1, 2, 0, 1, 7])
     f = normalize_ratfun1(num, den)
     s = series_of_ratfun(f, 8 + 2 * 12 + 4)
     monkeypatch.setattr(hankel, "bordered_dets", counting_dets)
+    monkeypatch.setattr(hankel, "_l_min", spy_l_min)
     cert = certify_rationality(s, 8, 12)
     assert (cert.verdict, cert.l, cert.m, cert.witness) == ("RationalWitness", 0, 10, f)
-    assert [m for m, _ in calls] == list(range(10))
-    assert all(det for _, det in calls)
+    assert (l_mins, calls) == ([10], [])
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(1000003)])
+def test_certificate_walks_once_and_computes_no_pade_approximant(field, monkeypatch):
+    # Fibonacci within wide and tight bounds, whose witness row has deg t = 2;
+    # a factorial refusal; and t^3, whose row (0, t) at m = 1 has t(0) = 0,
+    # so it is no witness row and l_min(1) is not needed
+    walks, l_mins = [], []
+    l_min = hankel._l_min
+
+    def spy_rows(*args):
+        walks.append(args)
+        return eea_rows(*args)
+
+    def spy_l_min(s, m, walk=None):
+        l_mins.append(m)
+        return l_min(s, m, walk)
+
+    def no_call(*args):
+        raise AssertionError("the certificate computes no Pade approximant")
+
+    monkeypatch.setattr(hankel, "eea_rows", spy_rows)
+    monkeypatch.setattr(hankel, "_l_min", spy_l_min)
+    monkeypatch.setattr(hankel, "pade_reconstruct", no_call)
+    monkeypatch.setattr(hankel, "rational_reconstruct", no_call)
+    fact = [math.factorial(k) for k in range(31)]
+    fib = [int(c) for c in fib_prefix(24).coeffs]
+    for coeffs, l_max, m_max, verdict, ms in (
+            (fib, 5, 5, "RationalWitness", [2]),
+            (fib, 0, 2, "RationalWitness", [2]),
+            (fact, 8, 10, "NoWitnessUpTo", []),
+            ([0, 0, 0, 1], 1, 1, "NoWitnessUpTo", [])):
+        walks.clear()
+        l_mins.clear()
+        s = SeriesPrefix(field, [field.from_int(c) for c in coeffs])
+        assert certify_rationality(s, l_max, m_max).verdict == verdict
+        assert (len(walks), l_mins) == (1, ms)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(7), PrimeField(101),
+                                   PrimeField(1000003)])
+def test_certificate_is_the_pade_search_on_every_prefix_kind(field):
+    # at least 3000 prefixes over the five fields: every certificate, verdict,
+    # (l, m) and witness, equals the search that tries each Pade approximant
+    rng = random.Random(f"hankel-rows/{field.descriptor()}")
+    witnesses = 0
+    for case in range(640):
+        n_terms = rng.randint(1, 25)
+        if case % 2:
+            coeffs = nonnormal_prefix(field, rng, NONNORMAL_KINDS[case // 2 % 5], n_terms)
+        else:
+            coeffs = random_prefix(field, rng, n_terms)
+        s = SeriesPrefix(field, coeffs)
+        m_max = rng.randint(0, min(8, s.n_max // 2))
+        l_max = rng.randint(0, min(8, s.n_max - 2 * m_max))
+        got = certify_rationality(s, l_max, m_max).to_json()
+        want = reference_certify(s, l_max, m_max).to_json()
+        assert got == want, (coeffs, l_max, m_max)
+        witnesses += "witness" in got
+    assert witnesses > 150, witnesses
 
 
 P = hankel.WORD_PRIME
@@ -501,7 +595,7 @@ def test_matches_prefix_is_the_re_expansion_check(field):
         for f in (RatFun1(num, den), RatFun1(num * t, den * t)):
             want = reference_matches_prefix(f, s)
             assert hankel._matches_prefix(f, s) == want, (num, den, coeffs)
-            zero_tails = hankel._zero_tails(s, s.n_max // 2)
-            assert hankel._matches_prefix(f, s, zero_tails) == want
+            walk = hankel._walk(s, s.n_max // 2)
+            assert hankel._matches_prefix(f, s, walk) == want
             seen[want] += 1
     assert min(seen.values()) > 30, seen

@@ -194,6 +194,35 @@ def test_wrong_solve_is_caught_by_verification(outcomes, recursed, monkeypatch):
     assert_chain_matches_full(report, final_tree(recursed), oracle, cfg, monkeypatch)
 
 
+def test_sibling_falls_back_when_the_check_rows_run_out(outcomes):
+    # On the second root anchor x3 = b1 the oracle is defined at the first
+    # four points of the sibling's sparse stream, the kernel rows of the
+    # first sibling's five-term support, and undefined at the rest of that
+    # stream: the check rows run out, the solve gives up, and the sibling
+    # recurses to the truth.
+    text = "(x1*x2 + x3)/(x1 + x2 + x3 + 1)"
+    truth = to_ratfun(parse(text, 3), FP, 3)
+    cfg = ReconConfig(seed=3)
+    b1 = root_anchors(text, 3, FP, cfg)[1]
+    draw = FP._sampler(derive_rng(cfg.seed, "sparse", 1), cfg.height_bound)
+    stream = [_draw_point(draw, 2)[1] for _ in range(
+        SPARSE_DRAWS_PER_ROW * (4 + cfg.validation_extra))]
+    holes, asked = set(stream[4:]), set()
+
+    def fn(pt):
+        if pt[2] == b1 and pt[:2] in holes:
+            asked.add(pt[:2])
+            return None
+        return truth.eval_or_none(pt)
+
+    outcomes.clear()
+    report = reconstruct(SliceOracle(3, FP, fn), cfg)
+    assert format_ratfunn(report.result) == format_ratfunn(truth)
+    assert outcomes[0] == ((1,), "none")
+    assert asked == holes
+    assert report.to_json()["nodes"]["fallbacks"] == 1
+
+
 def polyn(field, nvars, terms):
     return PolyN(field, nvars, {e: field.from_int(c) for e, c in terms.items()})
 
