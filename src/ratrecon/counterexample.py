@@ -17,11 +17,11 @@ infinite field, which is what is demonstrated here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import QQ, enumerate_countable
 from .poly import Poly1
+from .records import Record
 
 
 def _enum(n: int) -> Fraction:
@@ -60,11 +60,13 @@ def slice_poly(m: int, cap: int | None = None) -> Poly1:
     return acc
 
 
-@dataclass
-class CounterexampleTable:
+class CounterexampleTable(Record):
     """First N enumaration elements and the N x N value table."""
-    enumeration: list
-    values: list
+    __slots__ = ("enumeration", "values")
+
+    def __init__(self, enumeration: list, values: list):
+        self.enumeration = enumeration
+        self.values = values
 
     @classmethod
     def build(cls, n: int) -> "CounterexampleTable":
@@ -152,13 +154,17 @@ def _refute_rational(table: CounterexampleTable, d: int):
     return None
 
 
-@dataclass
-class NonrationalityReport:
-    n_grid: int
-    d_max: int
-    slice_degrees: list
-    table_symmetric: bool
-    per_degree: list
+class NonrationalityReport(Record):
+    __slots__ = ("n_grid", "d_max", "slice_degrees", "table_symmetric",
+                 "per_degree")
+
+    def __init__(self, n_grid: int, d_max: int, slice_degrees: list,
+                 table_symmetric: bool, per_degree: list):
+        self.n_grid = n_grid
+        self.d_max = d_max
+        self.slice_degrees = slice_degrees
+        self.table_symmetric = table_symmetric
+        self.per_degree = per_degree
 
     def to_json(self) -> dict:
         return {

@@ -48,6 +48,7 @@ from .errors import (
 )
 from .fields import Field, FpElement, PrimeField
 from .poly import PolyN, _ratio, _residue
+from .records import Frozen
 
 
 MAX_EXPONENT = 1024
@@ -60,25 +61,11 @@ MAX_NESTING = 100
 PROGRAM_CACHE_SIZE = 256
 
 
-class _Node:
+class _Node(Frozen):
     """Immutable, with structural == and hash by the flat form of
-    `_signature`, and a dataclass's repr.  Each node type is a plain class
-    with `__slots__`: it costs nothing at import, where a frozen dataclass
-    generates and compiles its methods."""
+    `_signature`; the repr, the refusal to assign and pickling are
+    `records.Frozen`'s."""
     __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, k) for k in self.__slots__)
-
-    def __repr__(self):
-        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
-        return f"{type(self).__name__}({fields})"
 
     def __eq__(self, other):
         if not isinstance(other, _Node):

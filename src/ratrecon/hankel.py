@@ -37,7 +37,6 @@ the re-expansion of P/Q reproduces a_0..a_N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
 from .errors import NoSolution, PoleAtOrigin, PrefixTooShort
@@ -52,16 +51,17 @@ from .ratfun import (
     ratfun1_from_row,
     rational_reconstruct,
 )
+from .records import Record
 
 
-@dataclass
-class SeriesPrefix:
+class SeriesPrefix(Record):
     """Coefficients a_0..a_N of a formal power series."""
-    field: Field
-    coeffs: list
+    __slots__ = ("field", "coeffs")
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, field: Field, coeffs: list):
+        self.field = field
+        self.coeffs = coeffs
+        if not coeffs:
             raise ValueError("need at least a_0")
 
     @property
@@ -79,13 +79,16 @@ class SeriesPrefix:
         return cls(f, [f.parse(s) for s in obj["coeffs"]])
 
 
-@dataclass
-class RationalityCertificate:
-    verdict: str                      # "RationalWitness" | "NoWitnessUpTo"
-    l: int
-    m: int
-    witness: RatFun1 | None
-    checked_prefix_length: int
+class RationalityCertificate(Record):
+    __slots__ = ("verdict", "l", "m", "witness", "checked_prefix_length")
+
+    def __init__(self, verdict: str, l: int, m: int, witness: RatFun1 | None,
+                 checked_prefix_length: int):
+        self.verdict = verdict        # "RationalWitness" | "NoWitnessUpTo"
+        self.l = l
+        self.m = m
+        self.witness = witness
+        self.checked_prefix_length = checked_prefix_length
 
     def to_json(self) -> dict:
         out = {

@@ -32,8 +32,6 @@ Detection passes the bound on the candidate's total degree to the walk
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
 
 from .errors import (
     BetaZero,
@@ -47,22 +45,23 @@ from .fields import QQ, Field, FpElement
 from .matrix import bordered_dets, det_exact
 from .poly import Poly1, _ratio, _residue, _strip, field_prime, int_pair, int_powers, over
 from .ratfun import RatFun1, degree_and_ord, ratfun1_from_row, reconstruct_ints
+from .records import Frozen, Record
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(Frozen):
     """Degree data (d, e) of a univariate rational function along with the
     derived numerator/denominator degrees n, m and node count l = n + m."""
-    d: int
-    e: int
-    n: int
-    m: int
-    l: int
+    __slots__ = ("d", "e", "n", "m", "l")
 
-    def __post_init__(self):
-        if self.n != self.d + min(0, self.e) or self.m != self.d - max(0, self.e):
+    def __init__(self, d: int, e: int, n: int, m: int, l: int):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "l", l)
+        if n != d + min(0, e) or m != d - max(0, e):
             raise ValueError("inconsistent degree profile")
-        if self.l != self.n + self.m or self.n < 0 or self.m < 0:
+        if l != n + m or n < 0 or m < 0:
             raise ValueError("inconsistent degree profile")
 
     @classmethod
@@ -79,13 +78,13 @@ class DegreeProfile:
         return cls.from_de(d, e)
 
 
-@dataclass
-class SampleSet1:
+class SampleSet1(Record):
     """(a_i, f(a_i)) pairs with pairwise distinct abscissae."""
-    points: list
+    __slots__ = ("points",)
 
-    def __post_init__(self):
-        if len({a for a, _ in self.points}) != len(self.points):
+    def __init__(self, points: list):
+        self.points = points
+        if len({a for a, _ in points}) != len(points):
             raise DegenerateInput("duplicate sample abscissae")
 
     def __len__(self):
@@ -268,20 +267,21 @@ def fit_ratfun(samples: SampleSet1, n_deg: int, m_deg: int) -> RatFun1:
     return pool.ratfun(row)
 
 
-@dataclass
-class SamplingBudget:
+class SamplingBudget(Record):
     """Knobs for black-box degree detection."""
-    max_degree: int = 8
-    validation_extra: int = 4
-    height_bound: int = 10
-    max_consecutive_undefined: int = 100
+    __slots__ = ("max_degree", "validation_extra", "height_bound",
+                 "max_consecutive_undefined")
+
+    def __init__(self, max_degree: int = 8, validation_extra: int = 4,
+                 height_bound: int = 10, max_consecutive_undefined: int = 100):
+        self.max_degree = max_degree
+        self.validation_extra = validation_extra
+        self.height_bound = height_bound
+        self.max_consecutive_undefined = max_consecutive_undefined
 
 
-UnivariateOracle = Callable[[object], Optional[object]]
-
-
-def _draw_defined(oracle: UnivariateOracle, draw, budget: SamplingBudget,
-                  taken: set):
+def _draw_defined(oracle: "Callable[[object], object | None]", draw,
+                  budget: SamplingBudget, taken: set):
     """One (a, f(a)) pair with a fresh abscissa; resamples on Undefined.
     `draw` is the run's sampler (`Field._sampler`), and `taken` holds the
     ids of the abscissae returned so far."""
@@ -304,8 +304,8 @@ def _draw_defined(oracle: UnivariateOracle, draw, budget: SamplingBudget,
         return a, v
 
 
-def detect_profile_with_fit(oracle: UnivariateOracle, field: Field,
-                            budget: SamplingBudget, rng):
+def detect_profile_with_fit(oracle: "Callable[[object], object | None]",
+                            field: Field, budget: SamplingBudget, rng):
     """Grow a sample pool one point at a time.  At pool size k the candidate
     is the fit of minimal total degree through the pool; it is tried once
     that degree is at most min(k - 2, max_degree), and accepted if it agrees

@@ -68,11 +68,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, zip_longest
 from operator import mul
-from typing import Callable, Optional
 
 from .errors import (
     AnchorSearchFailed,
@@ -87,6 +85,7 @@ from .interp import DegreeProfile, SamplingBudget, detect_profile_with_fit
 from .matrix import bordered_dets
 from .poly import PolyN, field_prime, int_pair, int_powers, mul_ints
 from .ratfun import RatFunN, format_ratfunn, normalize_ratfunn, ratfunn_from_ints
+from .records import Record
 
 MAX_ANCHOR_ATTEMPTS = 100
 MAX_CLASSIFY_FAILURE_RATE = 0.20
@@ -107,8 +106,7 @@ MAX_HOLE_ANCHORS = 2
 SPARSE_DRAWS_PER_ROW = 2
 
 
-@dataclass
-class SliceOracle:
+class SliceOracle(Record):
     """Partial black-box function on field^arity.  Undefined inputs are
     reported as None, never raised.  The engine calls it serially.
 
@@ -118,11 +116,16 @@ class SliceOracle:
     `_skipped`: None when every node checks its result, else the list to
     which each node below the root appends its path instead of checking
     (the fast pass of `reconstruct`)."""
-    arity: int
-    field: Field
-    fn: Callable[[tuple], Optional[object]]
-    _suffix: tuple = ()
-    _skipped: Optional[list] = None
+    __slots__ = ("arity", "field", "fn", "_suffix", "_skipped")
+
+    def __init__(self, arity: int, field: Field,
+                 fn: "Callable[[tuple], object | None]", _suffix: tuple = (),
+                 _skipped: list | None = None):
+        self.arity = arity
+        self.field = field
+        self.fn = fn
+        self._suffix = _suffix
+        self._skipped = _skipped
 
     def eval(self, point: tuple):
         if len(point) != self.arity:
@@ -158,16 +161,19 @@ VALIDATION_EXTRA_CAP = 1000
 VERIFY_TRIALS_CAP = 10_000
 
 
-@dataclass
-class ReconConfig:
-    samples_per_class: int = 20
-    max_degree: int = 8
-    validation_extra: int = 4
-    verify_trials: int = 200
-    height_bound: int = 10
-    seed: int = 0
+class ReconConfig(Record):
+    __slots__ = ("samples_per_class", "max_degree", "validation_extra",
+                 "verify_trials", "height_bound", "seed")
 
-    def __post_init__(self):
+    def __init__(self, samples_per_class: int = 20, max_degree: int = 8,
+                 validation_extra: int = 4, verify_trials: int = 200,
+                 height_bound: int = 10, seed: int = 0):
+        self.samples_per_class = samples_per_class
+        self.max_degree = max_degree
+        self.validation_extra = validation_extra
+        self.verify_trials = verify_trials
+        self.height_bound = height_bound
+        self.seed = seed
         for name, low in (("samples_per_class", 0), ("max_degree", 0),
                           ("validation_extra", 1), ("verify_trials", 1),
                           ("height_bound", 1)):
@@ -218,14 +224,17 @@ class ReconConfig:
         }
 
 
-@dataclass
-class ClassifyResult:
-    histogram: Counter
-    failures: int
-    total: int                 # the slices drawn: histogram plus failures
-    de: tuple                  # the node's (d, e): see `maximal_class`
-    redrawn: int               # draws of a dead slice that were redrawn
-    dens: list                 # the detected slices' fitted denominators
+class ClassifyResult(Record):
+    __slots__ = ("histogram", "failures", "total", "de", "redrawn", "dens")
+
+    def __init__(self, histogram: Counter, failures: int, total: int, de: tuple,
+                 redrawn: int, dens: list):
+        self.histogram = histogram
+        self.failures = failures
+        self.total = total          # the slices drawn: histogram plus failures
+        self.de = de                # the node's (d, e): see `maximal_class`
+        self.redrawn = redrawn      # draws of a dead slice that were redrawn
+        self.dens = dens            # the detected slices' fitted denominators
 
 
 def maximal_class(hist) -> tuple:
@@ -389,17 +398,22 @@ def verify_agreement(oracle: SliceOracle, g: RatFunN, trials: int, rng,
     return Agreement(trials, agreements, skips, mismatch)
 
 
-@dataclass
-class ReconReport:
-    result: RatFunN
-    arity: int
-    field: Field
-    class_histogram: dict
-    failures: int
-    anchors: list              # per recursion level, in processing order
-    verification: tuple        # (trials, agreements, undefined_skips)
-    config: ReconConfig
-    nodes: Counter             # see NodeRecord
+class ReconReport(Record):
+    __slots__ = ("result", "arity", "field", "class_histogram", "failures",
+                 "anchors", "verification", "config", "nodes")
+
+    def __init__(self, result: RatFunN, arity: int, field: Field,
+                 class_histogram: dict, failures: int, anchors: list,
+                 verification: tuple, config: ReconConfig, nodes: Counter):
+        self.result = result
+        self.arity = arity
+        self.field = field
+        self.class_histogram = class_histogram
+        self.failures = failures
+        self.anchors = anchors            # per recursion level, in processing order
+        self.verification = verification  # (trials, agreements, undefined_skips)
+        self.config = config
+        self.nodes = nodes                # see NodeRecord
 
     def to_json(self) -> dict:
         fmt = self.field.format
@@ -429,15 +443,19 @@ class ReconReport:
 NODE_KINDS = ("recursed", "sparse", "fallbacks")
 
 
-@dataclass
-class NodeRecord:
+class NodeRecord(Record):
     """What one recursion node hands back to its parent."""
-    result: RatFunN
-    anchors: list              # anchors[k]: the subtree's anchors k levels down
-    verification: Agreement
-    histogram: Counter         # the node's own slice classes
-    failures: int
-    nodes: Counter             # the subtree's counts of NODE_KINDS
+    __slots__ = ("result", "anchors", "verification", "histogram", "failures",
+                 "nodes")
+
+    def __init__(self, result: RatFunN, anchors: list, verification: Agreement,
+                 histogram: Counter, failures: int, nodes: Counter):
+        self.result = result
+        self.anchors = anchors  # anchors[k]: the subtree's anchors k levels down
+        self.verification = verification
+        self.histogram = histogram        # the node's own slice classes
+        self.failures = failures
+        self.nodes = nodes                # the subtree's counts of NODE_KINDS
 
 
 def reconstruct(oracle: SliceOracle, cfg: ReconConfig) -> ReconReport:
@@ -584,7 +602,7 @@ def _sibling(oracle: SliceOracle, template: RatFunN, cfg: ReconConfig,
 
 
 def _solve_on_support(oracle: SliceOracle, template: RatFunN, cfg: ReconConfig,
-                      path: tuple) -> Optional[RatFunN]:
+                      path: tuple) -> RatFunN | None:
     """The canonical N/D whose parts have the supports of `template`'s, or
     None.  The unknowns are the T + 1 coefficients of the two parts; each
     point x where the oracle is defined gives the row N(x) - f(x) D(x) = 0.
@@ -636,7 +654,7 @@ def _solve_on_support(oracle: SliceOracle, template: RatFunN, cfg: ReconConfig,
 
 
 def _combine(parts, anchors, profile: DegreeProfile, field: Field,
-             nvars: int) -> Optional[RatFunN]:
+             nvars: int) -> RatFunN | None:
     """Assemble the node's function from its per-anchor reconstructions by
     the scaling-factor system of de Kleine, Monagan & Wittkopf (ISSAC 2005).
 

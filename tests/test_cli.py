@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import hashlib
 import json
 import pathlib
@@ -646,7 +645,7 @@ def test_reconstruct_options_set_config_fields(monkeypatch):
     monkeypatch.setattr(cli, "reconstruct", capture)
     sub = next(a for a in cli._build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    fields = {f.name for f in dataclasses.fields(cli.ReconConfig)}
+    fields = set(cli.ReconConfig().to_json())
     default = config()
     for action in sub.choices["reconstruct"]._actions:
         flag = action.option_strings[-1]
@@ -655,7 +654,7 @@ def test_reconstruct_options_set_config_fields(monkeypatch):
         assert action.dest in fields, f"{flag} sets no ReconConfig field"
         value = action.default + 1
         assert config(flag, str(value)) == \
-            dataclasses.replace(default, **{action.dest: value}), flag
+            cli.ReconConfig(**{**default.to_json(), action.dest: value}), flag
 
 
 def test_reconstruct_timings_flag_is_gone(capsys):

@@ -109,7 +109,11 @@ def vote_classify(oracle: SliceOracle, axis: int, cfg: ReconConfig, rng) -> list
     return slices
 
 
-def reference_reconstruct(oracle: SliceOracle, cfg: ReconConfig) -> ReconReport:
+class ReferenceReport(ReconReport):
+    """A ReconReport with room for the reference's own attributes."""
+
+
+def reference_reconstruct(oracle: SliceOracle, cfg: ReconConfig) -> ReferenceReport:
     """The engine as it was before the maximal class: every inner node
     votes over all the slices of its own stream.  The report's
     `root_slices` lists the root's slices in order, and its
@@ -194,8 +198,8 @@ def reference_reconstruct(oracle: SliceOracle, cfg: ReconConfig) -> ReconReport:
     nodes = Counter(recursed=len(tree), fallbacks=sum(
         1 for path in inner if path and path[-1]))
     hist = Counter(de for de in root_slices if de is not None)
-    report = ReconReport(result, oracle.arity, oracle.field, dict(hist),
-                         root_slices.count(None), levels, verification, cfg, nodes)
+    report = ReferenceReport(result, oracle.arity, oracle.field, dict(hist),
+                             root_slices.count(None), levels, verification, cfg, nodes)
     report.root_slices = root_slices
     report.anchors_by_path = inner
     return report
