@@ -19,7 +19,6 @@ stdout.  Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -46,7 +45,7 @@ from .errors import (
 )
 from .counterexample import CounterexampleTable, nonrationality_report, slice_poly
 from .expr import eval_expr, parse as parse_expr
-from .fields import Field, field_from_string
+from .fields import Field, field_from_string, sha256
 from .hankel import SeriesPrefix, certify_rationality
 from .interp import DegreeProfile, SampleSet1, fit_ratfun, interp_point
 from .ratfun import format_ratfun1
@@ -81,7 +80,7 @@ class InputError(Exception):
 
 
 def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+    return sha256(data).hexdigest()
 
 
 def _manifest(command: str, field: str, seed, config: dict, inputs: dict) -> dict:

@@ -30,13 +30,23 @@ draws in one call, the list of what k calls of `draw()` would return.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 import random
 from fractions import Fraction
 
 from .errors import FieldMismatch
+
+# hashlib loads OpenSSL; the builtin module gives the same digests for a
+# fraction of the start-up time and memory (as CPython's random.py does
+# for sha512): _sha256 up to 3.11, _sha2 from 3.12.
+try:
+    from _sha256 import sha256
+except ImportError:
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -370,7 +380,7 @@ def _draw_point(draw, n: int):
 def derive_rng(seed: int, *path) -> random.Random:
     """Independent child stream determined by (seed, path).  Streams derived
     with distinct paths are uncorrelated and platform-stable."""
-    h = hashlib.sha256(repr((int(seed),) + tuple(path)).encode()).digest()
+    h = sha256(repr((int(seed),) + tuple(path)).encode()).digest()
     return random.Random(int.from_bytes(h[:16], "big"))
 
 

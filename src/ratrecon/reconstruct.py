@@ -345,6 +345,10 @@ class Agreement(tuple):
         tally.mismatch = mismatch
         return tally
 
+    def __reduce__(self):
+        # the tuple's own reduce passes only the tally, and drops mismatch
+        return type(self), (*self, self.mismatch)
+
 
 def verify_agreement(oracle: SliceOracle, g: RatFunN, trials: int, rng,
                      height_bound: int = 10) -> Agreement:

@@ -936,3 +936,22 @@ def test_stdout_bytes_are_stable(tmp_path, capsys, monkeypatch, name):
         record = tmp_path / "record.json"
         digest = hashlib.sha256(record.read_bytes()).hexdigest() if record.exists() else None
         assert digest == RECORD_SHA256[name]
+
+
+def test_manifest_input_digests_are_sha256_of_the_file_bytes(tmp_path, capsys):
+    series, samples, replay = (tmp_path / n for n in ("fib.json", "sq.csv", "replay.json"))
+    write_fib_series(series)
+    samples.write_bytes(b"1,2\n2,5/2\r\n3,10/3\n4,17/4\n5,26/5\n6,37/6\n")
+    code, _, _ = run_cli(capsys, "reconstruct", "--expr", "x1/(x2 + 1)", "--arity", "2",
+                         "--field", "fp:101", "--seed", "2", "--record", str(replay))
+    assert code == 0
+    for key, path, argv in [
+            ("series", series, ("hankel", "--series", str(series))),
+            ("samples", samples, ("interp", "--samples", str(samples), "--field", "q",
+                                  "--n", "2", "--m", "1", "--fit")),
+            ("oracle_replay", replay, ("reconstruct", "--oracle-replay", str(replay),
+                                       "--arity", "2", "--field", "fp:101", "--seed", "2"))]:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, key
+        assert json.loads(out)["manifest"]["inputs"] == {key: {
+            "path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}}

@@ -12,6 +12,7 @@ import dataclasses
 import importlib
 import inspect
 import pathlib
+import pickle
 import subprocess
 import sys
 from collections import Counter
@@ -22,7 +23,7 @@ import pytest
 
 from ratrecon import counterexample, hankel, interp
 from ratrecon.errors import DegenerateInput
-from ratrecon.expr import parse, to_ratfun
+from ratrecon.expr import eval_expr, parse, to_ratfun
 from ratrecon.fields import QQ, PrimeField
 from ratrecon.hankel import certify_rationality
 from ratrecon.records import Record
@@ -38,13 +39,22 @@ reconstruct = importlib.import_module("ratrecon.reconstruct")
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
-def test_import_loads_no_dataclasses_inspect_or_typing():
+def loaded_by_import(names):
+    """Which of `names` a fresh `python -I -S` has loaded after importing
+    ratrecon and its CLI from this checkout."""
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
-             "import ratrecon, ratrecon.cli; "
-             "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(SRC)],
-                         capture_output=True, text=True, check=True).stdout
-    assert out == "[]\n"
+             f"import ratrecon, ratrecon.cli; print(sorted({set(names)!r} & set(sys.modules)))")
+    return subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(SRC)],
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    assert loaded_by_import(("dataclasses", "inspect", "typing")) == "[]\n"
+
+
+def test_import_loads_no_hashlib():
+    # hashlib loads OpenSSL (_hashlib); fields takes sha256 from the builtin module
+    assert loaded_by_import(("hashlib", "_hashlib")) == "[]\n"
 
 
 @dataclass
@@ -320,3 +330,25 @@ def test_degree_profile_is_immutable():
     with pytest.raises(AttributeError, match="cannot delete field 'n'"):
         del twin.n
     assert {prof: "found"}[interp.DegreeProfile(2, -1, 1, 2, 3)] == "found"
+
+
+@pytest.mark.parametrize("mismatch", [None, ((Fraction(1), Fraction(-2)), Fraction(3), None)],
+                         ids=["unset", "set"])
+def test_agreement_copies_and_pickles_with_its_mismatch(mismatch):
+    tally = Agreement(5, 3, 1, mismatch)
+    copies = [copy.copy(tally), copy.deepcopy(tally)]
+    copies += [pickle.loads(pickle.dumps(tally, proto))
+               for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in copies:
+        assert type(twin) is Agreement
+        assert twin == (5, 3, 1) and twin.mismatch == mismatch
+
+
+def test_report_of_a_real_run_deep_copies():
+    ast = parse("(x1*x2 + 1)/(x1 - x2)", 2)
+    oracle = reconstruct.SliceOracle(2, QQ, lambda pt: eval_expr(ast, pt, QQ))
+    report = reconstruct.reconstruct(oracle, reconstruct.ReconConfig(seed=3))
+    twin = copy.deepcopy(report)
+    assert twin == report and twin.to_json() == report.to_json()
+    assert type(twin.verification) is Agreement
+    assert twin.verification.mismatch is None
