@@ -131,6 +131,10 @@ class RatFunN:
         self.den = den
         self._program = None
 
+    def __reduce__(self):
+        # the cached program is a function built by exec: rebuilt on use
+        return type(self), (self.num, self.den)
+
     @property
     def field(self) -> Field:
         return self.num.field

@@ -11,50 +11,46 @@ system; the node then draws one more anchor from the same stream and
 combines the new child with each l of the others, and once more if none
 combine (the unlucky-point retry of Kaltofen & Trager, JSC 1990).
 
-A run has two passes (`reconstruct`).  The fast pass checks only the
-root's result against the oracle, at `verify_trials` random points; a
-wrong result of total degree D agrees at a random point of a sample set S
-with probability at most D/|S| (Schwartz 1980; Zippel 1979).  Exact
-arithmetic means any disagreement at all is a failure, and so is a check
-in which no point was defined on both sides.  Below the root each node
-returns its result unchecked.  If the fast pass fails, the strict pass
-builds the tree again with every node checked at its own path, so a
-failure there names the deepest node that failed, and a node or sibling
-can repair a failure as described below.  A failure of the fast pass
-before any node skipped its check is final: the strict pass would repeat
-it step for step.
+A run is one pass (`reconstruct`), and only the root checks its result
+against the oracle, at `verify_trials` random points; a wrong result of
+total degree D agrees at a random point of a sample set S with
+probability at most D/|S| (Schwartz 1980; Zippel 1979).  Exact arithmetic
+means any disagreement at all is a failure, and so is a check in which no
+point was defined on both sides.  Below the root each node returns its
+result unchecked, and a wrong one shows at the root: its combine fails or
+its check does.  The root treats a failed check as a failed combine: it
+draws one more anchor and checks each candidate that combines, asking the
+oracle at each of its check's points at most once over all of them.
 
 A slice's (n, m) can only fall below its node's generic class, and only on
 a Zariski-closed set, so the generic class is the componentwise maximum
 over the slices.  `classify_slices` stops once a few slices in a row leave
 that maximum unchanged, unless a slice failed.  Every node that recurses
 classifies the slices of its own restriction this way.  A class that is
-too low shows at the node itself: its combine fails (`ZeroDenominator`) or
-its check does.  In the strict pass such a node, unless it drew every
-slice, then classifies all `samples_per_class` slices of its stream and
-repeats itself with their maximum; if that is the class that failed, the
-original error stands.
+too low shows at the node itself: its combine fails (`ZeroDenominator`) or,
+at the root, its check does.  When the retry leaves no candidate, such a
+node, unless it drew every slice, classifies all `samples_per_class`
+slices of its stream and repeats itself with their maximum; if that is the
+class that failed, the node's first failure stands.
 
 Only the first child of a node recurses.  Each later child of arity 2 or
 more is the same function on another anchor hyperplane, and off a
 Zariski-closed set of anchors it has the support of the first child's
 result, so it is first solved on that support (`_solve_on_support`, Zippel's
 sparse interpolation carried over to rational functions as in FireFly,
-Klappert & Lange, CPC 2020).  A sibling whose solve fails, or in the strict
-pass whose check fails, is reconstructed in full, the node it would have
-been without the solve.  The tree of prod(l_k + 1) nodes becomes a chain:
-the first child at each level recurses, its siblings are solved, and only
-the fallbacks recurse further.
+Klappert & Lange, CPC 2020).  A sibling whose solve fails is reconstructed
+in full, the node it would have been without the solve.  The tree of
+prod(l_k + 1) nodes becomes a chain: the first child at each level
+recurses, its siblings are solved, and only the fallbacks recurse further.
 
 Each node returns a `NodeRecord`: its result, its verification tally
-((0, 0, 0) where its check was skipped), its own slice classes, the
-anchors of its subtree per level, merged from the children that recursed
-in child order, and its subtree's node counts.  Nodes share no state but
-the fast pass's list of skipped checks.
+((0, 0, 0) below the root), its own slice classes, the anchors of its
+subtree per level, merged from the children that recursed in child order,
+and its subtree's node counts.  Nodes share no state.
 
 A node's oracle holds the user's function and the anchors fixed above it,
 so a query at any depth is one `SliceOracle.eval` call into the user's
-function.  A check draws all of a node's points at once, asks the oracle
+function.  The root's check draws all its points at once, asks the oracle
 once per distinct point, and checks N(x) = f(x) D(x) on integers: the
 candidate's (N(x), D(x)) come from one run of the straight-line program it
 compiles at its first use (`RatFunN.eval_pairs`), with the compiler that
@@ -75,7 +71,6 @@ from operator import mul
 from .errors import (
     AnchorSearchFailed,
     EmptyHistogram,
-    RatreconError,
     TooManyFailures,
     VerificationFailed,
 )
@@ -112,20 +107,15 @@ class SliceOracle(Record):
 
     `_suffix` is internal: the anchors that fix the trailing coordinates of
     `fn`'s points, so a restriction to an anchor hyperplane (`_restrict`)
-    calls the user's function directly, however deep the recursion.  So is
-    `_skipped`: None when every node checks its result, else the list to
-    which each node below the root appends its path instead of checking
-    (the fast pass of `reconstruct`)."""
-    __slots__ = ("arity", "field", "fn", "_suffix", "_skipped")
+    calls the user's function directly, however deep the recursion."""
+    __slots__ = ("arity", "field", "fn", "_suffix")
 
     def __init__(self, arity: int, field: Field,
-                 fn: "Callable[[tuple], object | None]", _suffix: tuple = (),
-                 _skipped: list | None = None):
+                 fn: "Callable[[tuple], object | None]", _suffix: tuple = ()):
         self.arity = arity
         self.field = field
         self.fn = fn
         self._suffix = _suffix
-        self._skipped = _skipped
 
     def eval(self, point: tuple):
         if len(point) != self.arity:
@@ -134,8 +124,7 @@ class SliceOracle(Record):
 
     def _restrict(self, b) -> "SliceOracle":
         """The oracle on the hyperplane where the last coordinate is `b`."""
-        return SliceOracle(self.arity - 1, self.field, self.fn, (b,) + self._suffix,
-                           self._skipped)
+        return SliceOracle(self.arity - 1, self.field, self.fn, (b,) + self._suffix)
 
 
 def slice_oracle(oracle: SliceOracle, axis: int, fixed: tuple):
@@ -351,7 +340,7 @@ class Agreement(tuple):
 
 
 def verify_agreement(oracle: SliceOracle, g: RatFunN, trials: int, rng,
-                     height_bound: int = 10) -> Agreement:
+                     height_bound: int = 10, values: dict | None = None) -> Agreement:
     """Tallies over `trials` random points of the oracle's arity, at least 1
     as at every node; points where either side is undefined are skipped,
     the rest compared exactly.  The points are those of
@@ -361,7 +350,8 @@ def verify_agreement(oracle: SliceOracle, g: RatFunN, trials: int, rng,
     once, in the order of first draws, and the candidate is evaluated once
     per distinct point, in one run of its program.  Points are keyed by the
     tuples of the coordinates' sampler ids, which are equal exactly when
-    the points are.
+    the points are.  `values` holds the oracle's values by those keys: a
+    point found there is not asked again, and each point asked is added.
 
     The candidate's value at x is the integer pair (N, D) of
     `RatFunN.eval_pairs`, and an oracle value w agrees when N = w*D: mod p
@@ -376,7 +366,12 @@ def verify_agreement(oracle: SliceOracle, g: RatFunN, trials: int, rng,
     keys = list(zip(*[iter(ids)] * arity))
     counts = Counter(keys)                  # in the order of first draws
     points = dict(zip(keys, zip(*[iter(coords)] * arity)))
-    wants = [oracle.eval(point) for point in points.values()]
+    if values is None:
+        values = {}
+    for key, point in points.items():
+        if key not in values:
+            values[key] = oracle.eval(point)
+    wants = [values[key] for key in points]
     pairs = g.eval_pairs(points.values())
     p = field_prime(field)
     agreements = skips = 0
@@ -443,7 +438,7 @@ class ReconReport(Record):
 # The node counts of a subtree: "recursed" nodes ran `_reconstruct_level`
 # (inner nodes and leaf fits), "sparse" ones were solved on their first
 # sibling's support, so the two sum to the nodes of the tree; "fallbacks"
-# counts the recursed siblings whose sparse solve or its check failed.
+# counts the recursed siblings whose sparse solve failed.
 NODE_KINDS = ("recursed", "sparse", "fallbacks")
 
 
@@ -465,25 +460,12 @@ class NodeRecord(Record):
 def reconstruct(oracle: SliceOracle, cfg: ReconConfig) -> ReconReport:
     """Full reconstruction with verification; see module docstring.  The
     report carries the root node's classes and verification tallies.
-
-    The fast pass checks only the root.  If it fails after a node below
-    the root skipped its check, the strict pass runs the tree again with
-    every node checked; a failure before any skipped check is the strict
-    pass's own, which would repeat it step for step.  Above arity 1 a
-    samples_per_class of 0 is refused (ValueError): no slice is classified."""
+    Above arity 1 a samples_per_class of 0 is refused (ValueError): no
+    slice is classified."""
     if oracle.arity > 1 and cfg.samples_per_class < 1:
         raise ValueError("samples_per_class must be >= 1 for arity > 1")
     cfg.check_field(oracle.field)
-    skipped: list = []
-    fast = SliceOracle(oracle.arity, oracle.field, oracle.fn, oracle._suffix, skipped)
-    try:
-        root = _reconstruct_level(fast, cfg, (), 1)
-    except RatreconError:
-        if not skipped:
-            raise
-        root = None     # the strict pass runs outside the handler: its error is its own
-    if root is None:
-        root = _reconstruct_level(oracle, cfg, (), 1)
+    root = _reconstruct_level(oracle, cfg, (), 1)
     return ReconReport(root.result, oracle.arity, oracle.field,
                        dict(root.histogram), root.failures, root.anchors,
                        root.verification, cfg, root.nodes)
@@ -492,14 +474,18 @@ def reconstruct(oracle: SliceOracle, cfg: ReconConfig) -> ReconReport:
 def _reconstruct_level(oracle: SliceOracle, cfg: ReconConfig, path: tuple,
                        leaves: int) -> NodeRecord:
     """The node at `path`.  `leaves` is the product of l + 1 over the
-    classes of its ancestors."""
+    classes of its ancestors.  Only the root, at path (), checks its
+    result."""
     field = oracle.field
+    values: dict = {}           # the root's check's oracle values, by point key
     if oracle.arity == 1:
         rng = derive_rng(cfg.seed, "fit", *path)
         prof, fit = detect_profile_with_fit(
             slice_oracle(oracle, 0, ()), field, cfg.budget(), rng)
         result = fit.to_ratfunn(1)
-        return NodeRecord(result, [], _verify_node(oracle, result, cfg, path),
+        verification = (Agreement(0, 0, 0) if path
+                        else _verify_root(oracle, result, cfg, values))
+        return NodeRecord(result, [], verification,
                           Counter({(prof.d, prof.e): 1}), 0, Counter(recursed=1))
 
     axis = oracle.arity - 1
@@ -538,35 +524,44 @@ def _reconstruct_level(oracle: SliceOracle, cfg: ReconConfig, path: tuple,
                     holes -= 1
                     anchors[i] = next(stream)
 
+        def candidates():
+            # the l+1 children, then, after an unlucky anchor, one more
+            # anchor at a time, its child with each l of the others
+            yield range(len(anchors))
+            while len(anchors) <= profile.l + MAX_UNLUCKY_ANCHORS:
+                new = len(anchors)
+                anchors.append(next(stream))
+                children.append(child(new, first_child))
+                for out in combinations(range(new), new - profile.l):
+                    yield [j for j in range(new + 1) if j not in out]
+
         first_child = child(0)
         children = [first_child] + [child(i, first_child) for i in range(1, len(anchors))]
-        result = _combine([c.result for c in children], anchors, profile,
-                          field, oracle.arity)
-        while result is None and len(anchors) <= profile.l + MAX_UNLUCKY_ANCHORS:
-            # an unlucky anchor: draw one more, and combine its child with
-            # each l of the others
-            new = len(anchors)
-            anchors.append(next(stream))
-            children.append(child(new, first_child))
-            for out in combinations(range(new), new - profile.l):
-                keep = [j for j in range(new + 1) if j not in out]
-                result = _combine([children[j].result for j in keep],
-                                  [anchors[j] for j in keep], profile, field, oracle.arity)
-                if result is not None:
-                    break
-        try:
+        failure = None          # this class's first failure
+        for keep in candidates():
+            result = _combine([children[j].result for j in keep],
+                              [anchors[j] for j in keep], profile, field, oracle.arity)
             if result is None:
-                raise ZeroDenominator(f"no {profile.l + 1} of the {len(anchors)} "
-                                      f"children at recursion path {path} combine")
-            verification = _verify_node(oracle, result, cfg, path)
-        except (ZeroDenominator, VerificationFailed) as failure:
-            if cls.total == cfg.samples_per_class or oracle._skipped is not None:
-                raise
+                continue
+            if path:
+                verification = Agreement(0, 0, 0)
+                break
+            try:
+                verification = _verify_root(oracle, result, cfg, values)
+                break
+            except VerificationFailed as e:
+                failure = failure or e
+        else:
+            failure = failure or ZeroDenominator(
+                f"no {profile.l + 1} of the {len(anchors)} children at "
+                f"recursion path {path} combine")
+            if cls.total == cfg.samples_per_class:
+                raise failure
             # the class may be too low on this node's hyperplane: repeat
             # with all the slices of its stream, unless they agree.  If they
             # refuse, the refusal stands when the node's own slices met a
             # hole already; otherwise the holes lie only beyond the slices
-            # drawn, as in a replayed record, and the original error stands
+            # drawn, as in a replayed record, and the first failure stands
             try:
                 repeat = classify(full=True)
             except TooManyFailures:
@@ -574,7 +569,7 @@ def _reconstruct_level(oracle: SliceOracle, cfg: ReconConfig, path: tuple,
                     raise
                 raise failure from None
             if repeat.de == cls.de:
-                raise
+                raise failure
             cls = repeat
             continue
         below = [sum(levels, []) for levels in
@@ -587,19 +582,14 @@ def _reconstruct_level(oracle: SliceOracle, cfg: ReconConfig, path: tuple,
 def _sibling(oracle: SliceOracle, template: RatFunN, cfg: ReconConfig,
              path: tuple, leaves: int) -> NodeRecord:
     """A later child at `path`: solved on the support of its first sibling's
-    result `template` and verified as every node is, or, when either fails,
-    the node `_reconstruct_level` builds.  A leaf is always fitted."""
+    result `template`, or, when the solve fails, the node
+    `_reconstruct_level` builds.  A leaf is always fitted."""
     if oracle.arity == 1:
         return _reconstruct_level(oracle, cfg, path, leaves)
     result = _solve_on_support(oracle, template, cfg, path)
     if result is not None:
-        try:
-            verification = _verify_node(oracle, result, cfg, path)
-        except (VerificationFailed, DomainTooSparse):
-            pass
-        else:
-            return NodeRecord(result, [], verification, Counter(), 0,
-                              Counter(sparse=1))
+        return NodeRecord(result, [], Agreement(0, 0, 0), Counter(), 0,
+                          Counter(sparse=1))
     node = _reconstruct_level(oracle, cfg, path, leaves)
     node.nodes["fallbacks"] += 1
     return node
@@ -754,20 +744,19 @@ def _interpolate(fs, basis, bound: int, p):
     return out
 
 
-def _verify_node(oracle: SliceOracle, result: RatFunN, cfg: ReconConfig,
-                 path: tuple) -> Agreement:
-    if path and oracle._skipped is not None:
-        oracle._skipped.append(path)
-        return Agreement(0, 0, 0)
-    rng = derive_rng(cfg.seed, "verify", *path)
+def _verify_root(oracle: SliceOracle, result: RatFunN, cfg: ReconConfig,
+                 values: dict) -> Agreement:
+    """The root's check of `result` on the `verify` stream; `values` keeps
+    the oracle's values across the root's candidates."""
+    rng = derive_rng(cfg.seed, "verify")
     tally = verify_agreement(oracle, result, cfg.verify_trials, rng,
-                             cfg.height_bound)
+                             cfg.height_bound, values)
     if tally.mismatch is not None:
-        raise VerificationFailed(*tally.mismatch, path=path)
+        raise VerificationFailed(*tally.mismatch, path=())
     trials, agreements, skips = tally
     if trials and not agreements:
         raise DomainTooSparse(
-            f"verification at recursion path {path} found no point where "
-            f"both the oracle and the result are defined ({skips}/{trials} "
+            f"verification at recursion path () found no point where both "
+            f"the oracle and the result are defined ({skips}/{trials} "
             "undefined)")
     return tally

@@ -132,8 +132,7 @@ def test_a_child_on_a_hole_gets_the_next_draw(hole, refusals):
 def test_only_a_domain_refusal_below_the_root_is_retried(error, retried, monkeypatch):
     # The first child raises `error` on its first run.  A domain refusal
     # gets the next anchor, and the run answers the truth; any other error
-    # propagates at once: the fast pass had skipped no check yet, so it is
-    # the run's error, and no node runs again.
+    # propagates at once as the run's error, and no node runs again.
     truth = to_ratfun(parse("(x1 + 2*x2)/(x1*x2 + 3)", 2), FP, 2)
     cfg = ReconConfig(seed=4)
     paths = []

@@ -17,8 +17,7 @@ from ratrecon.cli import main
 from ratrecon.expr import eval_expr, parse
 from ratrecon.fields import PrimeField, derive_rng
 from ratrecon.interp import detect_profile_with_fit
-from ratrecon.reconstruct import ReconConfig, SliceOracle
-from test_level_classes import strict_reconstruct
+from ratrecon.reconstruct import ReconConfig, SliceOracle, reconstruct
 
 
 def run_cli(capsys, *argv):
@@ -229,18 +228,23 @@ def test_reconstruct_record_and_replay(tmp_path, capsys):
     assert r1 == r2
 
 
-def strict_record(tmp_path, text, arity, field, seed):
-    """Run `text` in the strict pass, in which every node checks its result;
-    returns (the run's report, the points it asked with their values, and
-    a function that writes them, as they then are, as a replay file)."""
+def replay_record(tmp_path, text, arity, field, seed, off=lambda pt: False):
+    """Run `reconstruct` on `text`, with the oracle's values one more at the
+    points where `off` holds; returns (the run's report, or None where it refused,
+    the points it asked with their values, and a function that writes them
+    as a replay file)."""
     ast = parse(text, arity)
     asked = {}
 
     def recording(pt):
-        asked[pt] = eval_expr(ast, pt, field)
+        value = eval_expr(ast, pt, field)
+        asked[pt] = value + 1 if off(pt) else value
         return asked[pt]
 
-    report = strict_reconstruct(SliceOracle(arity, field, recording), ReconConfig(seed=seed))
+    try:
+        report = reconstruct(SliceOracle(arity, field, recording), ReconConfig(seed=seed))
+    except errors.VerificationFailed:
+        report = None
 
     def write():
         rec = tmp_path / "replay.json"
@@ -253,15 +257,17 @@ def strict_record(tmp_path, text, arity, field, seed):
 
 
 def test_reconstruct_verification_failure_detail(tmp_path, capsys):
-    # A replay of a strict-pass run with the last defined point's value off
-    # by one: the root's check asks for it last, after every node below
-    # has checked its own points, so the fast pass fails at the root, and
-    # so does the strict pass.
+    # The replay of a run whose last defined point has its value off by
+    # one: the root's check asks for it last, fails there, and so does
+    # every candidate of the unlucky-anchor retry, whose points the replay
+    # lists too.
     field = PrimeField(1000003)
-    _, asked, write = strict_record(tmp_path, "(x1*x2+1)/(x1-x2)", 2, field, 31)
-    point = [pt for pt, v in asked.items() if v is not None][-1]
-    value = field.format(asked[point])
-    asked[point] += 1
+    _, clean, _ = replay_record(tmp_path, "(x1*x2+1)/(x1-x2)", 2, field, 31)
+    point = [pt for pt, v in clean.items() if v is not None][-1]
+    value = field.format(clean[point])
+    report, asked, write = replay_record(tmp_path, "(x1*x2+1)/(x1-x2)", 2, field, 31,
+                                         off=lambda pt: pt == point)
+    assert report is None
     oracle = field.format(asked[point])
     code, out, _ = run_cli(capsys, "reconstruct", "--oracle-replay", str(write()),
                            "--arity", "2", "--field", "fp:1000003", "--seed", "31")
@@ -292,30 +298,29 @@ def test_reconstruct_refusal_on_a_sparse_domain_is_kept(capsys, seed, failed):
                    "within the budget\n")
 
 
-def test_reconstruct_verification_failure_fields_name_inner_node(tmp_path, capsys):
-    # A record lists the points of the fast pass, which checks only the
-    # root, so this replay lists those of the strict pass, in which every
-    # node checks its result.  The last fresh point on the first anchor's
-    # hyperplane x2 = b is asked by the check of the child node at path
-    # (0,), after its fit.  With that value off by one, and that of the
-    # last fresh point of the root's check, the fast pass fails at the root
-    # and the strict pass fails at the child, in its own coordinates.
+def test_reconstruct_verification_failure_fields_name_the_root(tmp_path, capsys):
+    # The replay of a run whose values are off by one on the whole first
+    # anchor hyperplane x2 = b and at the last fresh point of the root's
+    # check.  The first child is then the wrong function, unchecked, and no
+    # three children with it combine; the unlucky-anchor retry leaves it
+    # out, and every candidate without it fails the root's check at that
+    # last point.  The error names the root, in its own coordinates.
     field = PrimeField(1000003)
-    report, asked, write = strict_record(tmp_path, "(x1*x2+1)/(x1-x2)", 2, field, 31)
-    defined = [pt for pt, v in asked.items() if v is not None]
-    child = [pt for pt in defined if pt[1] == report.anchors[0][0]][-1]
-    for pt in (child, defined[-1]):
-        asked[pt] += 1
+    text = "(x1*x2+1)/(x1-x2)"
+    report, clean, _ = replay_record(tmp_path, text, 2, field, 31)
+    b, last = report.anchors[0][0], [pt for pt, v in clean.items() if v is not None][-1]
+    _, asked, write = replay_record(tmp_path, text, 2, field, 31,
+                                    off=lambda pt: pt[1] == b or pt == last)
     args = ("--arity", "2", "--field", "fp:1000003", "--seed", "31")
     code, out, _ = run_cli(capsys, "reconstruct", "--oracle-replay", str(write()), *args)
     assert code == 6
     err = json.loads(out)["error"]
-    assert err["kind"] == "VerificationFailed" and err["path"] == [0]
-    x1 = field.format(child[0])
-    assert (err["point"], err["oracle"]) == ([x1], field.format(asked[child]))
+    assert err["kind"] == "VerificationFailed" and err["path"] == []
+    point = [field.format(c) for c in last]
+    assert (err["point"], err["oracle"]) == (point, field.format(asked[last]))
     assert int(err["oracle"]) == int(err["result"]) + 1
-    assert err["detail"] == (f"reconstruction mismatch at recursion path (0,), "
-                             f"point ({x1}): oracle {err['oracle']}, "
+    assert err["detail"] == (f"reconstruction mismatch at recursion path (), "
+                             f"point ({point[0]}, {point[1]}): oracle {err['oracle']}, "
                              f"result {err['result']}")
 
 
@@ -857,7 +862,7 @@ def test_every_library_error_has_a_documented_exit_code(tmp_path, capsys, monkey
 
 
 # sha256 of stdout for small inputs of each command, recorded with version
-# 0.11.0: the "byte-identical stdout for a given version and seed" contract,
+# 0.12.0: the "byte-identical stdout for a given version and seed" contract,
 # checked across commits.  A version bump changes the manifest and re-records
 # every value.
 STDOUT_DIGESTS = {
@@ -888,24 +893,24 @@ for _name in ("reconstruct-q-h1", "reconstruct-q-h3", "reconstruct-q-h1000",
               "reconstruct-fp101"):
     STDOUT_DIGESTS[f"{_name}-record"] = STDOUT_DIGESTS[_name] + ("--record", "record.json")
 STDOUT_SHA256 = {
-    "hankel": "5121bffb9771ea1d52e148aebdf90e94d19a7f10d91dc73f3e634efb2f77e15f",
-    "interp-fit": "397f9b622119ce6b67ebcce08986652f62663929d961cfd82d8d4edde4a22206",
-    "reconstruct-fp-2": "11f4f804cbc506bb89302d20a8d8f3eed45858752fa83082012166e4de511666",
-    "reconstruct-fp-3": "7bd0741eba19806f7aa97b1518de89f66a1ffdbdbcbc9ea748755399c3005c9f",
-    "reconstruct-q-2": "eb711dc623859ca5975ad1db683a84c56d81b83ec7b13dccfe4f7f5208456f69",
-    "reconstruct-q-3": "41b3a1b11ebfa938934f10e544c480d75d424689fcbab936a6aa498ce1ac5838",
+    "hankel": "d80c82412f20a569f1a42c5e526fad79e21ed9c1324c25e27085091fca16c2bd",
+    "interp-fit": "a1159d485350c6504c15930d69566a672400bbb880e272c8ffc68d76fb2efaa2",
+    "reconstruct-fp-2": "6358ec988d158ea2282bc5dce265d3536df9421878d951ac9282f877a43d0853",
+    "reconstruct-fp-3": "9ab544ba72a544679499e0cc61a4f49a15bb6a7db8445b59b0cd65da146e090c",
+    "reconstruct-q-2": "58751f9be702559de01d9014f3ec4844eae2e41b7a4c47b29b853cfdd8a2be34",
+    "reconstruct-q-3": "b1b735251067349f7d079c2f44ae4643c9509a0b77d9c83770a417f771fe1d0f",
     "reconstruct-q-h1": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "reconstruct-q-h1-record":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "reconstruct-q-h3": "73740400efd708dd5d47db5001a42601057e3ec816f5ec5444a336ee08453a8a",
+    "reconstruct-q-h3": "2ad1dad173f8ba401244a23552aa91efa8ae8241b39f102d1dbd45a83eea59a1",
     "reconstruct-q-h3-record":
-        "73740400efd708dd5d47db5001a42601057e3ec816f5ec5444a336ee08453a8a",
-    "reconstruct-q-h1000": "c939346554e8d627cfced2cb4fd303f9ab41527dbdc605e7140c984364386186",
+        "2ad1dad173f8ba401244a23552aa91efa8ae8241b39f102d1dbd45a83eea59a1",
+    "reconstruct-q-h1000": "68de43d2f99def32566ed258d79a96d51336033efd0484e3e5d046347517385e",
     "reconstruct-q-h1000-record":
-        "c939346554e8d627cfced2cb4fd303f9ab41527dbdc605e7140c984364386186",
-    "reconstruct-fp101": "293a7f7048658d67ae141fe466bbd9447e4ca4fcfe0b3001dd66a442f08666a3",
+        "68de43d2f99def32566ed258d79a96d51336033efd0484e3e5d046347517385e",
+    "reconstruct-fp101": "b648e746b1b7cb73b49d19547263869b6da8e9e272fbc8e411061ee91853ebb3",
     "reconstruct-fp101-record":
-        "293a7f7048658d67ae141fe466bbd9447e4ca4fcfe0b3001dd66a442f08666a3",
+        "b648e746b1b7cb73b49d19547263869b6da8e9e272fbc8e411061ee91853ebb3",
 }
 # the --record files; at height 1 Q offers three values, fewer than even a
 # constant's detection needs, so the run is refused before any query (exit

@@ -5,8 +5,10 @@ at some points, not rational at all, or undefined where the truth is not
 No run may return a wrong answer.  Each run's outcome is pinned: the truth
 ("="), or the refusal's class and exit code by its letter in `REFUSALS`.
 A row of `OUTCOMES` lists the runs of one kind and field, truth by truth
-in `TRUTHS` order, one letter per seed of `SEEDS`.  docs/formats.md
-tabulates the same runs."""
+in `TRUTHS` order, one letter per seed of `SEEDS`, and `CALLS` pins the
+oracle queries that the row's runs ask in all, refusals included: 108,994
+over the table, where 0.11.0, whose refusals could run the tree twice,
+asked 114,855.  docs/formats.md tabulates the same runs."""
 
 import pytest
 
@@ -35,10 +37,10 @@ OUTCOMES = {
     ("pointwise", "q"): "BBV BBV VVV VVV",
     ("pointwise", "fp101"): "VVV VVV VB= VB=",
     ("pointwise", "fp1000003"): "VVM VVM VVV VVV",
-    ("hyperplane", "q"): "VVV VVV VVV VVV",
-    ("hyperplane", "fp101"): "VVV VVV VVB VVB",
+    ("hyperplane", "q"): "BVV BVV BBB BBB",
+    ("hyperplane", "fp101"): "BBV BBV VVB VVB",
     ("hyperplane", "fp1000003"): "=== === === ===",
-    ("diagonal", "q"): "VVV VVV VVV VVV",
+    ("diagonal", "q"): "VVB BVB VVB VVB",
     ("diagonal", "fp101"): "V=V V=V =VV =VV",
     ("diagonal", "fp1000003"): "=== === === ===",
     ("nonrational", "q"): "MMM MMM MMM MMM",
@@ -60,6 +62,35 @@ OUTCOMES = {
     ("hole-xn", "fp101"): "=== === === ===",
     ("hole-xn", "fp1000003"): "=== === === ===",
 }
+CALLS = {
+    ("pointwise", "q"): 4123,
+    ("pointwise", "fp101"): 4357,
+    ("pointwise", "fp1000003"): 4996,
+    ("hyperplane", "q"): 2581,
+    ("hyperplane", "fp101"): 3001,
+    ("hyperplane", "fp1000003"): 3216,
+    ("diagonal", "q"): 3740,
+    ("diagonal", "fp101"): 4849,
+    ("diagonal", "fp1000003"): 3216,
+    ("nonrational", "q"): 2297,
+    ("nonrational", "fp101"): 2400,
+    ("nonrational", "fp1000003"): 2324,
+    ("hole-line", "q"): 3198,
+    ("hole-line", "fp101"): 3234,
+    ("hole-line", "fp1000003"): 3216,
+    ("hole-parabola", "q"): 3201,
+    ("hole-parabola", "fp101"): 3230,
+    ("hole-parabola", "fp1000003"): 3216,
+    ("hole-hyperbola", "q"): 3627,
+    ("hole-hyperbola", "fp101"): 3245,
+    ("hole-hyperbola", "fp1000003"): 3216,
+    ("hole-x1", "q"): 3472,
+    ("hole-x1", "fp101"): 3236,
+    ("hole-x1", "fp1000003"): 3216,
+    ("hole-xn", "q"): 15741,
+    ("hole-xn", "fp101"): 9630,
+    ("hole-xn", "fp1000003"): 3216,
+}
 # the paper's function over Q^2, one letter per seed
 COUNTEREXAMPLE = "MMM"
 
@@ -78,18 +109,25 @@ def outcome(fn, arity, field, seed, truth=None) -> str:
 
 
 def test_the_table_covers_every_kind_and_field():
-    assert set(OUTCOMES) == {(k, f) for k in KINDS for f in FIELDS}
+    assert set(OUTCOMES) == set(CALLS) == {(k, f) for k in KINDS for f in FIELDS}
 
 
 @pytest.mark.parametrize("field", FIELDS)
 @pytest.mark.parametrize("kind", KINDS)
 def test_no_wrong_answer_and_each_outcome_pinned(kind, field):
-    got = []
+    got, calls = [], []
     for text, arity in TRUTHS:
         truth = to_ratfun(parse(text, arity), FIELDS[field], arity)
-        got.append("".join(outcome(KINDS[kind](truth), arity, FIELDS[field], seed,
-                                   truth) for seed in SEEDS))
+        fn = KINDS[kind](truth)
+
+        def counted(pt, fn=fn):
+            calls.append(pt)
+            return fn(pt)
+
+        got.append("".join(outcome(counted, arity, FIELDS[field], seed, truth)
+                           for seed in SEEDS))
     assert " ".join(got) == OUTCOMES[(kind, field)]
+    assert len(calls) == CALLS[(kind, field)]
 
 
 def test_the_papers_function_is_refused():

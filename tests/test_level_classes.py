@@ -205,16 +205,6 @@ def reference_reconstruct(oracle: SliceOracle, cfg: ReconConfig) -> ReferenceRep
     return report
 
 
-def strict_reconstruct(oracle: SliceOracle, cfg: ReconConfig) -> ReconReport:
-    """The strict pass of `reconstruct`, run alone: every node checks its
-    own result on its own `verify` stream, repeats its classification when
-    its class fails, and a sibling whose check fails falls back."""
-    cfg.check_field(oracle.field)
-    root = engine._reconstruct_level(oracle, cfg, (), 1)
-    return ReconReport(root.result, oracle.arity, oracle.field, dict(root.histogram),
-                       root.failures, root.anchors, root.verification, cfg, root.nodes)
-
-
 def answer(report: ReconReport) -> str:
     """The report JSON without the classification fields."""
     return json.dumps({k: v for k, v in report.to_json().items()
@@ -459,8 +449,8 @@ def test_sibling_on_zero_hyperplane_classifies_in_full_chain(classify_log, recur
 def test_fallback_sibling_alone_is_the_node_it_was_in_the_run(monkeypatch):
     # Nodes share no state: the fallback sibling on x3 = 0 of the run
     # above, built alone from the oracle restricted to x3 = 0 at the same
-    # path, gives the same result, anchors, classes and verification as
-    # inside the strict pass, in which every node checks its result.
+    # path, gives the same result, anchors, classes and verification
+    # (unchecked below the root) as inside the run.
     text = "(4*x1^2*x3 - 4*x1*x2*x3 + x1*x3)/(x1*x2 + 36*x2*x3^2 - 12)"
     oracle = expr_oracle(text, 3, QQ)
     cfg = ReconConfig(seed=2004327310)
@@ -473,7 +463,7 @@ def test_fallback_sibling_alone_is_the_node_it_was_in_the_run(monkeypatch):
         return node
 
     monkeypatch.setattr(engine, "_reconstruct_level", spy)
-    report = strict_reconstruct(oracle, cfg)
+    report = reconstruct(oracle, cfg)
     assert report.anchors[0][1] == 0
     assert report.to_json()["nodes"]["fallbacks"] == 1
     leaves, inside = nodes[(1,)]
@@ -507,87 +497,126 @@ def test_every_node_classifies_by_the_stop_rule(field, samples, classify_log,
                    for *_, total in classify_log)
 
 
-def test_class_settled_too_low_repeats_in_full(monkeypatch):
+def counted_oracle(text, arity, field):
+    """The expression's oracle and the list of points it is asked."""
+    ast = parse(text, arity)
+    calls = []
+    return SliceOracle(arity, field, lambda pt: calls.append(pt) or
+                       eval_expr(ast, pt, field)), calls
+
+
+@pytest.fixture
+def root_checks(monkeypatch):
+    """(the state of its rng on entry, tally, the points asked) of each run
+    of `verify_agreement`."""
+    log = []
+
+    def spy(oracle, g, trials, rng, height_bound, values):
+        fn, asked = oracle.fn, []
+        node = SliceOracle(oracle.arity, oracle.field,
+                           lambda pt: asked.append(pt) or fn(pt), oracle._suffix)
+        state = rng.getstate()
+        tally = verify_agreement(node, g, trials, rng, height_bound, values)
+        log.append((state, tally, asked))
+        return tally
+
+    monkeypatch.setattr(engine, "verify_agreement", spy)
+    return log
+
+
+def test_class_settled_too_low_repeats_in_full(monkeypatch, root_checks):
     # Over F_7 the slices of x1*x2 + 1 along x2 have class (1, 1), except on
     # x1 = 0, where the slice is the constant 1.  At seed 728 the root's
     # first three slices all lie on x1 = 0, so the stop rule settles on
-    # (0, 0); the root's one-anchor result fails its verification, and the
-    # root classifies all 20 slices of its stream, finds (1, 1) and repeats
-    # once.  That is the strict pass; `reconstruct` runs it after its fast
-    # pass fails at the root, and gives its report.
+    # (0, 0).  The root's one-anchor result fails its check, and so do the
+    # results at the two anchors that the unlucky-anchor retry draws; the
+    # root then classifies all 20 slices of its stream, finds (1, 1) and
+    # repeats once.  Its check asks each of its points once over the four
+    # candidates: the run asks 233 queries, where 0.11.0's two passes
+    # asked 360.
     F7 = PrimeField(7)
     text = "x1*x2 + 1"
-    oracle = expr_oracle(text, 2, F7)
+    oracle, calls = counted_oracle(text, 2, F7)
     cfg = ReconConfig(seed=728)
-    log, failed = [], []
+    log = []
 
     def classify(oracle, axis, cfg, rng, full=False):
         cls = classify_slices(oracle, axis, cfg, rng, full)
         log.append((full, cls.de, cls.total, dict(cls.histogram)))
         return cls
 
-    def verify(node, result, cfg_, path):
-        try:
-            return verify_node(node, result, cfg_, path)
-        except VerificationFailed:
-            failed.append(path)
-            raise
-
-    verify_node = engine._verify_node
     monkeypatch.setattr(engine, "classify_slices", classify)
-    monkeypatch.setattr(engine, "_verify_node", verify)
-    report = strict_reconstruct(oracle, cfg)
+    report = reconstruct(oracle, cfg)
     assert log[0] == (False, (0, 0), 3, {(0, 0): 3})
     assert log[1][:3] == (True, (1, 1), cfg.samples_per_class)
-    assert len(log) == 2 and failed == [()]
+    assert len(log) == 2
+    assert [tally.mismatch is None for _, tally, _ in root_checks] == \
+        [False] * (1 + MAX_UNLUCKY_ANCHORS) + [True]
+    asked = [pt for *_, points in root_checks for pt in points]
+    assert len(asked) == len(set(asked))
     assert report.class_histogram == log[1][3]
     assert report.result.same_function(to_ratfun(parse(text, 2), F7, 2))
-    monkeypatch.setattr(engine, "_verify_node", verify_node)
+    assert len(calls) == 233
     monkeypatch.setattr(engine, "classify_slices", classify_slices)
-    assert reconstruct(oracle, cfg).to_json() == report.to_json()
     assert_matches_reference(report, oracle, cfg)
 
 
-def test_first_node_that_repeats_sets_the_level_class_again(classify_log, full_tree):
+def test_first_node_that_repeats_sets_the_level_class_again(classify_log, full_tree,
+                                                            root_checks):
     # x1*x2 + x3 + 1 over F_7: on the root's first anchor hyperplane the
     # slices along x2 have class (1, 1), except on x1 = 0.  At seed 394
     # that node's first three slices lie on x1 = 0, so it settles on
-    # (0, 0), fails its verification and repeats with (1, 1).  Its sibling
-    # classifies its own slices, three, all (1, 1).  (In the strict pass:
-    # the fast pass, which checks only the root, fails there.)
+    # (0, 0) and returns a result without x2, unchecked.  Its sibling
+    # classifies its own slices, three, all (1, 1).  The root combines the
+    # two, and its check fails; the unlucky-anchor retry draws a third
+    # anchor, whose node also takes (1, 1), and the root combines it with
+    # the sibling: the truth, which passes.  The first node's wrong class
+    # is left out, not repeated.  The run asks 271 queries, where 0.11.0,
+    # whose strict pass repeated the first node's class, asked 802.
     F7 = PrimeField(7)
     text = "x1*x2 + x3 + 1"
-    oracle = expr_oracle(text, 3, F7)
+    oracle, calls = counted_oracle(text, 3, F7)
     cfg = ReconConfig(seed=394)
-    report = strict_reconstruct(oracle, cfg)
+    report = reconstruct(oracle, cfg)
     assert report.result.same_function(to_ratfun(parse(text, 3), F7, 3))
     assert classify_log == [(3, False, (1, 1), 3), (2, False, (0, 0), 3),
-                            (2, True, (1, 1), 20), (2, False, (1, 1), 3)]
-    assert_matches_reference(report, oracle, cfg)
-    assert reconstruct(oracle, cfg).to_json() == report.to_json()
+                            (2, False, (1, 1), 3), (2, False, (1, 1), 3)]
+    assert [tally.mismatch is None for _, tally, _ in root_checks] == [False, True]
+    assert len(report.anchors[0]) == 3
+    assert len(calls) == 271
+    ref = reference_reconstruct(oracle, cfg)
+    assert format_ratfunn(report.result) == format_ratfunn(ref.result)
+    assert report.verification == ref.verification
 
 
 def test_first_node_that_repeats_sets_the_level_class_again_chain(classify_log,
                                                                   recursed):
-    # The same run with sparse siblings: the first node repeats as above,
-    # and its sibling is solved on the support of the repeated node's
-    # result, x1*x2 + c, without classifying.
+    # The same run with sparse siblings: no sibling fits the first node's
+    # result, which has no x2, so both recurse as above, and the root's
+    # retry leaves the first node out.  The run asks 277 queries, where
+    # 0.11.0 asked 764.
     F7 = PrimeField(7)
     text = "x1*x2 + x3 + 1"
-    oracle = expr_oracle(text, 3, F7)
+    oracle, calls = counted_oracle(text, 3, F7)
     cfg = ReconConfig(seed=394)
-    report = strict_reconstruct(oracle, cfg)
+    report = reconstruct(oracle, cfg)
     assert report.result.same_function(to_ratfun(parse(text, 3), F7, 3))
-    assert [total for *_, total in classify_log] == [3, 3, 20]
-    assert report.to_json()["nodes"] == {"recursed": 4, "sparse": 1, "fallbacks": 0}
-    assert_chain_matches_reference(report, oracle, cfg, recursed)
+    assert [total for *_, total in classify_log] == [3, 3, 3, 3]
+    assert report.to_json()["nodes"] == {"recursed": 9, "sparse": 0, "fallbacks": 2}
+    assert final_tree(recursed) == {(): report.anchors[0], (0,): report.anchors[1][:1],
+                                    (0, 0): [], (1,): report.anchors[1][1:3],
+                                    (1, 0): [], (1, 1): [], (2,): report.anchors[1][3:],
+                                    (2, 0): [], (2, 1): []}
+    assert len(calls) == 277
 
 
-def test_failure_the_full_class_confirms_is_raised_at_once(monkeypatch):
+def test_failure_the_full_class_confirms_is_raised_at_once(monkeypatch, root_checks):
     # Corrupt the last fresh point of a clean run, which only the root's
-    # verification asks for.  The root's early class (1, 0) fails there;
-    # all 20 slices give (1, 0) too, so the strict pass's root re-raises
-    # that error without a second attempt, and so does `reconstruct`.
+    # check asks for.  The root's early class (1, 0) fails there, and so
+    # does each candidate of the unlucky-anchor retry; all 20 slices give
+    # (1, 0) too, so the root raises its first failure without a second
+    # attempt.  Its check asks each of its points once over all the
+    # candidates.
     text = "(x1*x2 + 1)/(x1 - x2)"
     truth = to_ratfun(parse(text, 2), FP, 2)
     queried = []
@@ -595,30 +624,25 @@ def test_failure_the_full_class_confirms_is_raised_at_once(monkeypatch):
     reconstruct(SliceOracle(2, FP, lambda pt: queried.append(pt) or
                             truth.eval_or_none(pt)), cfg)
     bad = [pt for pt in dict.fromkeys(queried) if truth.eval_or_none(pt) is not None][-1]
-    checked, classes = [], []
-
-    def verify(node, result, cfg_, path):
-        checked.append(path)
-        return verify_node(node, result, cfg_, path)
+    classes = []
 
     def classify(oracle, axis, cfg_, rng, full=False):
         cls = classify_slices(oracle, axis, cfg_, rng, full)
         classes.append((full, cls.de))
         return cls
 
-    verify_node = engine._verify_node
-    monkeypatch.setattr(engine, "_verify_node", verify)
     monkeypatch.setattr(engine, "classify_slices", classify)
     oracle = SliceOracle(2, FP, lambda pt: truth.eval(pt) + 1 if pt == bad
                          else truth.eval_or_none(pt))
+    root_checks.clear()
     with pytest.raises(VerificationFailed) as info:
-        strict_reconstruct(oracle, cfg)
+        reconstruct(oracle, cfg)
     assert (info.value.path, info.value.point) == ((), bad)
     assert classes == [(False, (1, 0)), (True, (1, 0))]
-    assert checked.count(()) == 1
-    with pytest.raises(VerificationFailed) as again:
-        reconstruct(oracle, cfg)
-    assert str(again.value) == str(info.value)
+    assert len(root_checks) > 1
+    assert all(tally.mismatch[0] == bad for _, tally, _ in root_checks)
+    asked = [pt for *_, points in root_checks for pt in points]
+    assert len(asked) == len(set(asked)) and bad in asked
 
 
 def root_anchors(text, arity, field, cfg):
@@ -654,41 +678,27 @@ def first_slice_value(cfg, field, path):
                           cfg.height_bound)
 
 
-def test_sibling_whose_first_slice_is_low_verifies_at_once(monkeypatch, classify_log):
+def test_sibling_whose_first_slice_is_low_verifies_at_once(root_checks, classify_log):
     # First node degenerate as above, and sibling 1's first slice, at
     # x1 = c, drops to the same class (0, 0).  The sibling's solve on the
     # first node's support fails, and it classifies its own slices: the
-    # next three give (1, 1), which it takes at once, so it passes its
-    # verification on the first attempt.
+    # next three give (1, 1), which it takes at once, so the root's result
+    # passes its check on the first attempt.
     cfg = ReconConfig(seed=11)
     c = first_slice_value(cfg, FP, (1,))
     b0 = root_anchors(f"1 + x3*(x1 - {c})*x2", 3, FP, cfg)[0]
     text = f"1 + (x3 - {b0})*(x1 - {c})*x2"
     oracle = expr_oracle(text, 3, FP)
-    log = []
-
-    def spy(node, result, cfg_, path):
-        try:
-            tally = verify_node(node, result, cfg_, path)
-        except VerificationFailed:
-            log.append((path, "failed"))
-            raise
-        log.append((path, "ok"))
-        return tally
-
-    verify_node = engine._verify_node
-    monkeypatch.setattr(engine, "_verify_node", spy)
+    root_checks.clear()
     classify_log.clear()
     report = reconstruct(oracle, cfg)
     assert report.anchors[0][0] == b0
-    assert log.count(((1,), "ok")) == 1
-    assert all(outcome == "ok" for _, outcome in log)
+    assert len(root_checks) == 1 and root_checks[0][1].mismatch is None
     # the root, node (0,), node (1,)
     assert classify_log == [(3, False, (1, 1), 3), (2, False, (0, 0), 3),
                             (2, False, (1, 1), 4)]
     truth = to_ratfun(parse(text, 3), FP, 3)
     assert format_ratfunn(report.result) == format_ratfunn(truth)
-    monkeypatch.setattr(engine, "_verify_node", verify_node)
     assert_matches_reference(report, oracle, cfg)
 
 
@@ -755,8 +765,7 @@ def test_slice_above_the_generic_class_is_refused(monkeypatch, classify_log):
     # four with two more anchors, so the node raises ZeroDenominator.  All
     # its 20 slices give the maximal class (1, -1) too, so the node raises
     # that error after the one full classification.  (The 20-slice vote
-    # found the zero class and returned 0.)  That is the strict pass; the
-    # fast pass, in which node (1,) does not repeat, fails first.
+    # found the zero class and returned 0.)
     cfg = ReconConfig(seed=5)
     c = first_slice_value(cfg, FP, (1,))
     b1 = root_anchors("x3/(x1 + x2)", 3, FP, cfg)[1]
@@ -780,13 +789,11 @@ def test_slice_above_the_generic_class_is_refused(monkeypatch, classify_log):
     monkeypatch.setattr(engine, "_combine", spy)
     classify_log.clear()
     with pytest.raises(ZeroDenominator) as info:
-        strict_reconstruct(SliceOracle(3, FP, fn), cfg)
+        reconstruct(SliceOracle(3, FP, fn), cfg)
     # node (1,): its two children, then the third anchor's child with each
     # of them, then the fourth's with each of the three
     assert failed == [(1, 2)] * 6
     # root, node (0,), node (1,), its full repeat
     assert classify_log == [(3, False, (1, 1), 3), (2, False, (1, -1), 3),
                             (2, False, (1, -1), 3), (2, True, (1, -1), 20)]
-    with pytest.raises(ZeroDenominator) as again:
-        reconstruct(SliceOracle(3, FP, fn), cfg)
-    assert str(again.value) == str(info.value)
+    assert info.value.args[0].startswith("no 2 of the 4 children at recursion path (1,)")

@@ -1,9 +1,9 @@
-"""The anchor search asks the user's function nothing, so a child's
-verification trials have no probe answers to take: in the strict pass, in
-which every node checks its result, each verification run draws all its
-points from its node's `verify` stream.  These tests check each such run
+"""The anchor search asks the user's function nothing, so the root's
+verification trials have no probe answers to take: its check draws all its
+points from the root's `verify` stream.  These tests check that run
 against references copied from 0.8.0, in which every run drew all its
-points and asked the oracle at each of them."""
+points and asked the oracle at each of them; no node below the root
+checks its result, so no child asks a verification point at all."""
 
 import importlib
 from collections import Counter
@@ -57,25 +57,25 @@ def parent_verify_agreement(oracle, g, trials, hits):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_each_tally_is_the_parent_one_on_the_same_points(case, monkeypatch):
-    # every node asks exactly the distinct points of its own stream's
-    # draws, in the order drawn, and tallies them as 0.8.0 did
+    # the root asks exactly the distinct points of its stream's draws, in
+    # the order drawn, and tallies them as 0.8.0 did
     plain, cfg, runs = traced_reconstruct(case, monkeypatch)
-    assert sum(bool(run.path) for run in runs) >= 3
-    for run in runs:
-        node = run.oracle
-        fresh = SliceOracle(node.arity, node.field, plain, node._suffix)
-        hits = stream_hits(cfg, run)
-        assert len(hits) == node.arity * cfg.verify_trials
-        assert run.calls == asked(run, hits), run.path
-        want = parent_verify_agreement(fresh, run.candidate, run.trials, hits)
-        assert run.tally == want and run.tally.mismatch is want.mismatch is None, run.path
+    run, = runs
+    node = run.oracle
+    fresh = SliceOracle(node.arity, node.field, plain, node._suffix)
+    hits = stream_hits(cfg, run)
+    assert len(hits) == node.arity * cfg.verify_trials
+    assert run.calls == asked(run, hits)
+    want = parent_verify_agreement(fresh, run.candidate, run.trials, hits)
+    assert run.tally == want and run.tally.mismatch is want.mismatch is None
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_no_child_asks_a_probe_point_again(case, monkeypatch):
     # choosing the anchors asks the user's function at no point, so there
-    # is no probe point for a child to ask again; each child asks every
-    # point once, the distinct points of its own draws in the order drawn
+    # is no probe point for a child to ask again, and no child checks its
+    # result; the root asks every point of its check once, the distinct
+    # points of its draws in the order drawn
     probed, searches = [], []
     choose = engine.choose_anchors
 
@@ -84,14 +84,12 @@ def test_no_child_asks_a_probe_point_again(case, monkeypatch):
         fn = oracle.fn
         seen = SliceOracle(oracle.arity, oracle.field,
                            lambda pt: probed.append(pt) or fn(pt),
-                           oracle._suffix, oracle._skipped)
+                           oracle._suffix)
         return choose(seen, axis, cfg_, rng, dens)
 
     monkeypatch.setattr(engine, "choose_anchors", spy)
     _, cfg, runs = traced_reconstruct(case, monkeypatch)
-    assert searches and probed == []
-    children = [run for run in runs if run.path]
-    assert len(children) >= 3
-    for run in children:
-        assert len(set(run.calls)) == len(run.calls), run.path
-        assert run.calls == asked(run, stream_hits(cfg, run)), run.path
+    assert len(searches) >= 2 and probed == []
+    root, = runs
+    assert len(set(root.calls)) == len(root.calls)
+    assert root.calls == asked(root, stream_hits(cfg, root))

@@ -43,8 +43,6 @@ from ratrecon.reconstruct import (
     verify_agreement,
 )
 
-from test_level_classes import strict_reconstruct
-
 engine = importlib.import_module("ratrecon.reconstruct")
 ratfun = importlib.import_module("ratrecon.ratfun")
 
@@ -773,37 +771,33 @@ def eval_frames() -> int:
 
 
 def test_deep_node_queries_the_user_function_in_one_frame(monkeypatch):
-    # a verification at recursion depth 2, in the strict pass, reaches the
-    # user's function through one SliceOracle.eval frame, whatever the
-    # depth, and asks it once per distinct point
-    f = rand_ratfunn(FP, random.Random(48), 3, 2)
-    runs = []           # per verification run: (node arity, [(point, frames)])
-    active = []
+    # a sparse solve at recursion depth 2 reaches the user's function
+    # through one SliceOracle.eval frame, whatever the depth, with the
+    # anchors above it appended to each point
+    f = rand_ratfunn(FP, random.Random(48), 4, 1)
+    active = []         # the path of the solve running
+    runs = {}           # per solve at depth 2: [(point, frames)]
 
     def fn(pt):
-        if active:
-            runs[-1][1].append((pt, eval_frames()))
+        if active and len(active[-1]) == 2:
+            runs.setdefault(active[-1], []).append((pt, eval_frames()))
         return f.eval_or_none(pt)
 
-    verify = engine.verify_agreement
+    solve = engine._solve_on_support
 
-    def spy(oracle, g, trials, rng, height_bound=10):
-        runs.append((oracle.arity, []))
-        active.append(1)
+    def spy(oracle, template, cfg, path):
+        active.append(path)
         try:
-            return verify(oracle, g, trials, rng, height_bound)
+            return solve(oracle, template, cfg, path)
         finally:
             active.pop()
 
-    monkeypatch.setattr(engine, "verify_agreement", spy)
-    report = strict_reconstruct(SliceOracle(3, FP, fn), ReconConfig(seed=200))
+    monkeypatch.setattr(engine, "_solve_on_support", spy)
+    report = reconstruct(SliceOracle(4, FP, fn), ReconConfig(seed=200))
     assert report.result.same_function(f)
-    deep = [calls for arity, calls in runs if arity == 1]
-    assert deep and all(calls for calls in deep)
-    for calls in deep:
-        points = [pt for pt, _ in calls]
-        assert len(points) == len(set(points))
-        assert all(len(pt) == 3 and frames == 1 for pt, frames in calls)
+    assert runs
+    for calls in runs.values():
+        assert all(len(pt) == 4 and frames == 1 for pt, frames in calls)
 
 
 @pytest.mark.parametrize("setting", [{"verify_trials": 0}, {"verify_trials": -1},

@@ -129,7 +129,6 @@ class SliceOracle:
     field: object
     fn: object
     _suffix: tuple = ()
-    _skipped: object = None
 
 
 @dataclass
@@ -232,8 +231,8 @@ CASES = {
         [((), {}), ((3,), {}), ((), {"height_bound": 5}), ((1, 2, 3, 4), {})],
         []),
     "SliceOracle": (
-        [((2, QQ, oracle_fn), {}), ((3, F101, oracle_fn, (F101.from_int(5),), []), {}),
-         ((1, QQ), {"fn": oracle_fn, "_skipped": []})],
+        [((2, QQ, oracle_fn), {}), ((3, F101, oracle_fn, (F101.from_int(5),)), {}),
+         ((1, QQ), {"fn": oracle_fn, "_suffix": ()})],
         []),
     "ReconConfig": (
         [((), {}), ((5,), {}), ((), {"seed": 7}), ((1, 2, 3, 4, 5, 6), {})],
@@ -352,3 +351,18 @@ def test_report_of_a_real_run_deep_copies():
     assert twin == report and twin.to_json() == report.to_json()
     assert type(twin.verification) is Agreement
     assert twin.verification.mismatch is None
+
+
+def test_report_with_an_evaluated_result_pickles_and_deep_copies():
+    # the root's check has run the result's compiled program, which a copy
+    # leaves behind and builds again at its first use
+    ast = parse("(x1*x2 + 1)/(x1 - x2)", 2)
+    oracle = reconstruct.SliceOracle(2, F101, lambda pt: eval_expr(ast, pt, F101))
+    report = reconstruct.reconstruct(oracle, reconstruct.ReconConfig(seed=3))
+    point = (F101.from_int(3), F101.from_int(5))
+    value = report.result.eval(point)
+    copies = [copy.deepcopy(report)] + [pickle.loads(pickle.dumps(report, proto))
+                                        for proto in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in copies:
+        assert twin.to_json() == report.to_json()
+        assert twin.result.eval(point) == value

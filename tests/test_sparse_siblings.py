@@ -2,20 +2,19 @@
 recursion.
 
 The full recursion is the engine with every sparse solve made to fall back,
-the tree in which every node recurses.  The chain must give
-its result, verification, classification fields and root anchors; each
-node that recursed in the chain must have the anchors of the full tree's
-node at its path; and every node that returns, recursed or solved, must
-have passed its own verification with `verify_trials` on its own stream in
-the strict pass, which `reconstruct` runs when its fast pass, checked only
-at the root, fails."""
+the tree in which every node recurses.  The chain must give its result,
+verification, classification fields and root anchors; each node that
+recursed in the chain must have the anchors of the full tree's node at its
+path; and on a faithful oracle every node that returns, recursed or
+solved, holds a result that would pass its own check, though only the
+root's is checked.  A wrong solve shows at the root: its combine fails or
+its check does, and the unlucky-anchor retry leaves the sibling out."""
 
 import importlib
 import random
 
 import pytest
 
-from ratrecon.errors import VerificationFailed
 from ratrecon.expr import parse, to_ratfun
 from ratrecon.fields import QQ, PrimeField, _draw_point, derive_rng
 from ratrecon.poly import PolyN
@@ -32,7 +31,6 @@ from test_level_classes import (
     rand_sparse,
     recursed,  # noqa: F401  (fixture)
     root_anchors,
-    strict_reconstruct,
 )
 
 engine = importlib.import_module("ratrecon.reconstruct")
@@ -97,31 +95,16 @@ def test_chain_matches_full_recursion(field, arity, recursed, monkeypatch):
 
 @pytest.fixture
 def outcomes(monkeypatch):
-    """(path, what) per sibling: "solved" or "none" from the sparse solve,
-    then "verified" or "rejected" from `_verify_node` (in the fast pass a
-    sibling is "verified" unchecked)."""
+    """(path, what) per sibling: "solved" or "none" from the sparse solve."""
     log = []
-    solve, verify = engine._solve_on_support, engine._verify_node
+    solve = engine._solve_on_support
 
     def solve_spy(oracle, template, cfg, path):
         result = solve(oracle, template, cfg, path)
         log.append((path, "none" if result is None else "solved"))
         return result
 
-    def verify_spy(oracle, result, cfg, path):
-        solved = bool(log) and log[-1] == (path, "solved")
-        try:
-            tally = verify(oracle, result, cfg, path)
-        except VerificationFailed:
-            if solved:
-                log.append((path, "rejected"))
-            raise
-        if solved:
-            log.append((path, "verified"))
-        return tally
-
     monkeypatch.setattr(engine, "_solve_on_support", solve_spy)
-    monkeypatch.setattr(engine, "_verify_node", verify_spy)
     return log
 
 
@@ -136,9 +119,8 @@ def test_sibling_on_vanishing_hyperplane_is_singular(outcomes, recursed, monkeyp
     cfg = ReconConfig(seed=2004327310)
     report = reconstruct(oracle, cfg)
     assert format_ratfunn(report.result) == text
-    assert outcomes == [((1,), "none"), ((2,), "solved"), ((2,), "verified"),
-                        ((3,), "solved"), ((3,), "verified"),
-                        ((4,), "solved"), ((4,), "verified")]
+    assert outcomes == [((1,), "none"), ((2,), "solved"), ((3,), "solved"),
+                        ((4,), "solved")]
     assert len(report.anchors[0]) == 5
     assert_chain_matches_full(report, final_tree(recursed), oracle, cfg, monkeypatch)
 
@@ -163,35 +145,40 @@ def test_degenerate_first_child_fails_the_check(field, outcomes, recursed, monke
     assert_chain_matches_full(report, final_tree(recursed), oracle, cfg, monkeypatch)
 
 
-def test_wrong_solve_is_caught_by_verification(outcomes, recursed, monkeypatch):
-    # On the second root anchor x3 = b1 the oracle answers another function
-    # g on the first sibling's support at the points of that sibling's
-    # sparse stream, and the truth everywhere else.  The solve finds g and
-    # its check rows, drawn from the same stream, agree; in the strict pass
-    # the sibling's own verification rejects it, and the sibling recurses
-    # to the truth.
+def test_wrong_solve_is_caught_by_verification(outcomes, recursed):
+    # On the second root anchor x3 = b1 the oracle answers the truth's
+    # restriction to x3 = b1 + 1 at the points of that sibling's sparse
+    # stream, and the truth everywhere else.  The solve finds that function
+    # on the first sibling's support and its check rows, drawn from the
+    # same stream, agree.  It has the root's class in x3, so the root
+    # combines it, and the root's check rejects the result.  The
+    # unlucky-anchor retry draws a fourth anchor, solves its sibling and
+    # combines it with the others but the wrong one: the truth, which
+    # passes.
     text = "(x1*x2 + x3)/(x1 + x2 + x3 + 1)"
     truth = to_ratfun(parse(text, 3), FP, 3)
     cfg = ReconConfig(seed=3)
     b1 = root_anchors(text, 3, FP, cfg)[1]
-    g = to_ratfun(parse(f"(x1*x2 + {2 * b1.residue})/(x1 + x2 + {b1.residue} + 1)", 2),
-                  FP, 2)
     draw = FP._sampler(derive_rng(cfg.seed, "sparse", 1), cfg.height_bound)
     lied = {_draw_point(draw, 2)[1] for _ in range(100)}
 
     def fn(pt):
         if pt[2] == b1 and pt[:2] in lied:
-            return g.eval_or_none(pt[:2])
+            return truth.eval_or_none(pt[:2] + (b1 + FP.one,))
         return truth.eval_or_none(pt)
 
-    oracle = SliceOracle(3, FP, fn)
     outcomes.clear()
     recursed.clear()
-    report = strict_reconstruct(oracle, cfg)
+    report = reconstruct(SliceOracle(3, FP, fn), cfg)
     assert format_ratfunn(report.result) == format_ratfunn(truth)
-    assert outcomes[:2] == [((1,), "solved"), ((1,), "rejected")]
-    assert (1,) in final_tree(recursed)
-    assert_chain_matches_full(report, final_tree(recursed), oracle, cfg, monkeypatch)
+    assert outcomes == [((1,), "solved"), ((2,), "solved"), ((3,), "solved")]
+    assert len(report.anchors[0]) == 4 and report.anchors[0][1] == b1
+    # only the first child recursed
+    leaves = {(0, i): [] for i in range(len(report.anchors[1]))}
+    assert final_tree(recursed) == {(): report.anchors[0], (0,): report.anchors[1],
+                                    **leaves}
+    assert report.to_json()["nodes"] == {"recursed": 2 + len(leaves), "sparse": 3,
+                                         "fallbacks": 0}
 
 
 def test_sibling_falls_back_when_the_check_rows_run_out(outcomes):
@@ -266,52 +253,47 @@ def test_solve_finds_a_sibling_on_the_support(field):
 
 
 def test_every_returned_node_passed_its_own_verification(monkeypatch):
-    # In the strict pass every record that `_reconstruct_level` or
-    # `_sibling` returns holds a result that `_verify_node` accepted at the
+    # On a faithful oracle every record that `_reconstruct_level` or
+    # `_sibling` returns holds a result that passes a check at the
     # record's path, with `verify_trials` trials on the stream
-    # derive_rng(seed, "verify", *path).
+    # derive_rng(seed, "verify", *path), though the engine checks only the
+    # root's: every other record's tally is (0, 0, 0), and the engine runs
+    # `verify_agreement` once, on the root's stream.
     field = FP
     rng = random.Random("spy")
     f = rand_sparse(field, rng, 4)
     cfg = ReconConfig(seed=rng.getrandbits(32))
-    passed, returned, streams = [], [], []
-    verify, agreement = engine._verify_node, engine.verify_agreement
+    returned, streams = [], []
+    agreement = engine.verify_agreement
     level, sibling = engine._reconstruct_level, engine._sibling
 
-    def verify_spy(oracle, result, cfg_, path):
-        streams.append(path)
-        tally = verify(oracle, result, cfg_, path)
-        passed.append((path, result, tally))
-        return tally
-
-    def agreement_spy(oracle, g, trials, rng_, height_bound):
-        path = streams[-1]
-        assert rng_.getstate() == derive_rng(cfg.seed, "verify", *path).getstate()
-        assert (trials, height_bound) == (cfg.verify_trials, cfg.height_bound)
-        return agreement(oracle, g, trials, rng_, height_bound)
+    def agreement_spy(oracle, g, trials, rng_, height_bound, values):
+        streams.append(rng_.getstate())
+        return agreement(oracle, g, trials, rng_, height_bound, values)
 
     def level_spy(oracle, cfg_, path, leaves):
         node = level(oracle, cfg_, path, leaves)
-        returned.append((path, node))
+        returned.append((path, oracle, node))
         return node
 
     def sibling_spy(oracle, template, cfg_, path, leaves):
         node = sibling(oracle, template, cfg_, path, leaves)
-        returned.append((path, node))
+        returned.append((path, oracle, node))
         return node
 
-    monkeypatch.setattr(engine, "_verify_node", verify_spy)
     monkeypatch.setattr(engine, "verify_agreement", agreement_spy)
     monkeypatch.setattr(engine, "_reconstruct_level", level_spy)
     monkeypatch.setattr(engine, "_sibling", sibling_spy)
-    report = strict_reconstruct(SliceOracle(4, field, f.eval_or_none), cfg)
+    report = reconstruct(SliceOracle(4, field, f.eval_or_none), cfg)
     assert report.result.same_function(f)
-    counts = report.to_json()["nodes"]
-    assert counts["sparse"] > 0
-    for path, node in returned:
-        assert any(p == path and r is node.result and t is node.verification
-                   and t[0] == cfg.verify_trials for p, r, t in passed), path
+    assert report.to_json()["nodes"]["sparse"] > 0
+    assert streams == [derive_rng(cfg.seed, "verify").getstate()]
     assert returned[-1][0] == ()
+    for path, oracle, node in returned:
+        tally = agreement(oracle, node.result, cfg.verify_trials,
+                          derive_rng(cfg.seed, "verify", *path), cfg.height_bound)
+        assert tally.mismatch is None and tally[1] > 0, path
+        assert node.verification == (tally if not path else (0, 0, 0)), path
 
 
 def sparse_truth(field, nvars, d, rng):

@@ -1,19 +1,19 @@
-"""`reconstruct` against its strict pass.
+"""`reconstruct` runs one pass where 0.11.0 ran two, a fast pass checked
+only at the root and a strict pass that rebuilt the tree with every node
+checked; the file keeps its name, and its tests check what took the two
+passes' place.
 
-The fast pass checks only the root's result; the strict pass, which runs
-when the fast pass fails after a node skipped its check, is the engine in
-which every node checks its own result (`strict_reconstruct`).  On the
-benchmark's recon shapes the fast pass answers with the strict pass's
-report byte for byte and fewer oracle calls; a refusal raised before any
-skipped check is the strict pass's own and runs once.  A wrong sparse
-solve that the fast pass lets through either fails the root's check, and
-the run gives the strict pass's report, or, when it does not combine, is
-left out by the unlucky-anchor retry, and the checked answer stands.
+Only the root checks its result: on the benchmark's recon shapes the engine
+runs `verify_agreement` once per run, on the root's `verify` stream, and
+answers the truth.  A refusal raised before any check runs once.  A wrong
+sparse solve shows at the root, where its combine fails or the root's check
+does, and the unlucky-anchor retry leaves it out; the root's check asks
+each of its points at most once over all its candidates.
 
-In the strict pass every node draws all its trials from its own `verify`
-stream and asks the oracle at each distinct point drawn, as 0.8.0 did;
-tests/test_probe_trials.py checks each run's tally against 0.8.0's, on
-the runs that `traced_reconstruct` records."""
+The root draws all its trials from its `verify` stream and asks the oracle
+at each distinct point drawn, as 0.8.0 did; tests/test_probe_trials.py
+checks its tally against 0.8.0's, on the runs that `traced_reconstruct`
+records."""
 
 import importlib
 import pathlib
@@ -21,12 +21,13 @@ from dataclasses import dataclass
 
 import pytest
 
-from faults import counterexample_oracle
+from faults import KINDS, counterexample_oracle
 from ratrecon.errors import TooManyFailures, VerificationFailed
 from ratrecon.expr import eval_expr, parse, to_ratfun
 from ratrecon.fields import QQ, PrimeField, _draw_point, derive_rng
 from ratrecon.reconstruct import Agreement, ReconConfig, SliceOracle, reconstruct
-from test_level_classes import root_anchors, strict_reconstruct
+from test_level_classes import root_anchors
+from test_level_classes import root_checks as checks  # noqa: F401  (fixture)
 
 engine = importlib.import_module("ratrecon.reconstruct")
 
@@ -49,13 +50,13 @@ def workloads(monkeypatch):
 
 @pytest.fixture
 def roots(monkeypatch):
-    """One entry per run of the root: True for the fast pass."""
+    """One entry per run of the root node."""
     runs = []
     level = engine._reconstruct_level
 
     def spy(oracle, cfg, path, leaves):
         if not path:
-            runs.append(oracle._skipped is not None)
+            runs.append(path)
         return level(oracle, cfg, path, leaves)
 
     monkeypatch.setattr(engine, "_reconstruct_level", spy)
@@ -64,20 +65,18 @@ def roots(monkeypatch):
 
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("name", ["recon_sparse_fp", "recon_dense_fp", "recon_q"])
-def test_fast_pass_gives_the_strict_report_with_fewer_calls(workloads, roots, name, seed):
+def test_only_the_root_checks_once_per_run(workloads, roots, checks, name, seed):
     for i in range(len(workloads.WORKLOADS[name].cycle)):
         inst = workloads.instance(name, seed, i)
         inst.prepare()
-        oracle, cfg = inst.slice_oracle, inst.recon_config
-        fast, fast_calls = counted(oracle.fn)
-        strict, strict_calls = counted(oracle.fn)
         roots.clear()
-        report = reconstruct(SliceOracle(oracle.arity, oracle.field, fast), cfg)
-        assert roots == [True], (name, i)
+        checks.clear()
+        report = reconstruct(inst.slice_oracle, inst.recon_config)
         assert inst.check(report), (name, i)
-        want = strict_reconstruct(SliceOracle(oracle.arity, oracle.field, strict), cfg)
-        assert report.to_json() == want.to_json(), (name, i)
-        assert len(fast_calls) < len(strict_calls), (name, i)
+        assert roots == [()], (name, i)
+        root = derive_rng(inst.recon_config.seed, "verify").getstate()
+        assert [state for state, *_ in checks] == [root], (name, i)
+        assert report.verification == checks[0][1], (name, i)
 
 
 POWER = parse("(x1 + x2 + 1)^1024", 2)
@@ -87,96 +86,99 @@ POWER = parse("(x1 + x2 + 1)^1024", 2)
     (lambda pt: eval_expr(POWER, pt, FP), FP),
     (counterexample_oracle, QQ),        # the paper's function
 ], ids=["power", "counterexample"])
-def test_refusal_before_any_skipped_check_runs_once(roots, fn, field):
+def test_refusal_before_any_skipped_check_runs_once(roots, checks, fn, field):
     # every slice of the root fails its detection, before any node below
-    # the root has run
-    cfg = ReconConfig(seed=1)
-    fast, fast_calls = counted(fn)
-    with pytest.raises(TooManyFailures) as refused:
-        reconstruct(SliceOracle(2, field, fast), cfg)
-    assert roots == [True]
-    strict, strict_calls = counted(fn)
-    with pytest.raises(TooManyFailures) as want:
-        strict_reconstruct(SliceOracle(2, field, strict), cfg)
-    assert str(refused.value) == str(want.value)
-    assert fast_calls == strict_calls
+    # the root has run: the root runs once and checks nothing
+    with pytest.raises(TooManyFailures):
+        reconstruct(SliceOracle(2, field, fn), ReconConfig(seed=1))
+    assert roots == [()] and checks == []
 
 
-def test_wrong_sparse_solve_fails_the_root_and_the_strict_pass_answers(roots,
-                                                                       monkeypatch):
+def lie_on_sparse_stream(text, lie, cfg):
+    """The oracle of `text` over F_1000003 at arity 3, that answers `lie`
+    at the points of the second root anchor's sparse stream, on that
+    anchor's hyperplane; `lie` takes the truth and the point (x1, x2)."""
+    truth = to_ratfun(parse(text, 3), FP, 3)
+    b1 = root_anchors(text, 3, FP, cfg)[1]
+    draw = FP._sampler(derive_rng(cfg.seed, "sparse", 1), cfg.height_bound)
+    lied = {_draw_point(draw, 2)[1] for _ in range(100)}
+
+    def fn(pt):
+        if pt[2] == b1 and pt[:2] in lied:
+            return lie(truth, b1, pt[:2])
+        return truth.eval_or_none(pt)
+
+    return truth, fn
+
+
+def test_wrong_sparse_solve_fails_the_root_and_the_strict_pass_answers(roots, checks):
     # On the second root anchor x3 = b1 the oracle answers the truth's
     # restriction to x3 = b1 + 1 at the points of that sibling's sparse
     # stream, and the truth everywhere else.  The solve finds that function
-    # and its check rows agree.  The fast pass does not check the sibling,
+    # and its check rows agree.  No node below the root checks the sibling,
     # and the root combines it: a function of the same class in x3 that
-    # is the lie on x3 = b1, which the root's check rejects.  The strict
-    # pass checks the sibling, which falls back and recurses to the truth.
-    text = "(x1*x2 + x3)/(x1 + x2 + x3 + 1)"
-    truth = to_ratfun(parse(text, 3), FP, 3)
+    # is the lie on x3 = b1, which the root's check rejects at path ().
+    # The unlucky-anchor retry, where 0.11.0 ran its strict pass, draws a
+    # fourth anchor and combines its sibling with each two of the others:
+    # with the wrong one the check fails again, on the points it has asked
+    # already, and without it the truth passes.  The run asks 296 queries,
+    # each once, where 0.11.0's two passes asked 2624.
     cfg = ReconConfig(seed=3)
-    b1 = root_anchors(text, 3, FP, cfg)[1]
-    lie = b1 + FP.one
-    draw = FP._sampler(derive_rng(cfg.seed, "sparse", 1), cfg.height_bound)
-    lied = {_draw_point(draw, 2)[1] for _ in range(100)}
-
-    def fn(pt):
-        if pt[2] == b1 and pt[:2] in lied:
-            return truth.eval_or_none(pt[:2] + (lie,))
-        return truth.eval_or_none(pt)
-
-    failures = []
-    verify_node = engine._verify_node
-
-    def spy(oracle, result, cfg_, path):
-        try:
-            return verify_node(oracle, result, cfg_, path)
-        except VerificationFailed:
-            failures.append((oracle._skipped is not None, path))
-            raise
-
-    monkeypatch.setattr(engine, "_verify_node", spy)
+    truth, fn = lie_on_sparse_stream(
+        "(x1*x2 + x3)/(x1 + x2 + x3 + 1)",
+        lambda truth, b1, x: truth.eval_or_none(x + (b1 + FP.one,)), cfg)
+    fn, calls = counted(fn)
     roots.clear()
+    checks.clear()
     report = reconstruct(SliceOracle(3, FP, fn), cfg)
-    assert roots == [True, False]
-    assert failures == [(True, ()), (False, (1,))]
+    assert roots == [()]
+    assert [tally.mismatch is None for _, tally, _ in checks] == [False, False, True]
+    assert checks[1][2] == checks[2][2] == []
     assert report.result.same_function(truth)
-    assert report.to_json() == strict_reconstruct(SliceOracle(3, FP, fn), cfg).to_json()
-    assert report.to_json()["nodes"]["fallbacks"] == 1
+    assert report.verification == checks[2][1]
+    assert len(report.anchors[0]) == 4
+    assert report.to_json()["nodes"] == {"recursed": 5, "sparse": 3, "fallbacks": 0}
+    assert len(calls) == len(set(calls)) == 296
 
 
-def test_a_wrong_sibling_the_retry_leaves_out_is_not_rerun(roots):
+def test_a_wrong_sibling_the_retry_leaves_out_is_not_rerun(roots, checks):
     # A lie of another class on the same sibling's sparse stream: the
     # function (x1*x2 + 2*b1)/(x1 + x2 + b1 + 1), which no function of the
-    # root's class combines with the first child.  The fast pass takes it
+    # root's class combines with the first child.  The root takes it
     # unchecked, the combine fails, and the unlucky-anchor retry draws one
     # more anchor and combines without it: the truth, which passes the
-    # root's check.  That answer stands, with one anchor and one sparse
-    # node more than the strict pass, whose check of the sibling makes it
-    # fall back instead.
-    text = "(x1*x2 + x3)/(x1 + x2 + x3 + 1)"
-    truth = to_ratfun(parse(text, 3), FP, 3)
+    # root's check at its first run, and no node runs again.
     cfg = ReconConfig(seed=3)
-    b1 = root_anchors(text, 3, FP, cfg)[1]
-    g = to_ratfun(parse(f"(x1*x2 + {2 * b1.residue})/(x1 + x2 + {b1.residue} + 1)", 2),
-                  FP, 2)
-    draw = FP._sampler(derive_rng(cfg.seed, "sparse", 1), cfg.height_bound)
-    lied = {_draw_point(draw, 2)[1] for _ in range(100)}
 
-    def fn(pt):
-        if pt[2] == b1 and pt[:2] in lied:
-            return g.eval_or_none(pt[:2])
-        return truth.eval_or_none(pt)
+    def lie(truth, b1, x):
+        g = to_ratfun(parse(f"(x1*x2 + {2 * b1.residue})/(x1 + x2 + {b1.residue} + 1)",
+                            2), FP, 2)
+        return g.eval_or_none(x)
 
+    truth, fn = lie_on_sparse_stream("(x1*x2 + x3)/(x1 + x2 + x3 + 1)", lie, cfg)
     roots.clear()
+    checks.clear()
     report = reconstruct(SliceOracle(3, FP, fn), cfg)
-    assert roots == [True]
+    assert roots == [()] and len(checks) == 1
     assert report.result.same_function(truth)
-    strict = strict_reconstruct(SliceOracle(3, FP, fn), cfg)
-    assert strict.result.same_function(truth)
-    assert report.anchors[0] == strict.anchors[0] + report.anchors[0][3:]
-    assert len(report.anchors[0]) == len(strict.anchors[0]) + 1
+    assert len(report.anchors[0]) == 4
     assert report.to_json()["nodes"] == {"recursed": 5, "sparse": 3, "fallbacks": 0}
-    assert strict.to_json()["nodes"] == {"recursed": 9, "sparse": 1, "fallbacks": 1}
+
+
+def test_the_root_asks_each_check_point_once_across_candidates(checks):
+    # A box that is wrong at a hundredth of all points, over Q: the root's
+    # result fails its check, and so does each of the nine candidates of
+    # the unlucky-anchor retry, on the same points.  Only the first check
+    # asks the oracle; the run refuses with the first check's mismatch.
+    truth = to_ratfun(parse("(x1*x2*x3 + 2)/(x1 + x2^2 - x3)", 3), QQ, 3)
+    with pytest.raises(VerificationFailed) as info:
+        reconstruct(SliceOracle(3, QQ, KINDS["pointwise"](truth)), ReconConfig(seed=1))
+    assert len(checks) == 10
+    first = checks[0][1].mismatch
+    assert (info.value.path, info.value.point) == ((), first[0])
+    assert all(tally.mismatch is not None for _, tally, _ in checks)
+    asked = [pt for *_, points in checks for pt in points]
+    assert asked == checks[0][2] and len(asked) == len(set(asked))
 
 
 # (expression of x1, x2, x3, field, seed)
@@ -193,7 +195,6 @@ CASES = {
 @dataclass
 class Run:
     """One verification run of the engine."""
-    path: tuple
     oracle: SliceOracle
     candidate: object
     trials: int
@@ -202,53 +203,44 @@ class Run:
 
 
 def traced_reconstruct(case, monkeypatch, **config):
-    """Reconstruct CASES[case] in the strict pass, recording every
-    verification run; returns (the user's function unspied, the config, the
-    runs)."""
+    """Reconstruct CASES[case], recording every verification run; returns
+    (the user's function unspied, the config, the runs)."""
     text, field, seed = CASES[case]
     ast = parse(text, 3)
 
     def plain(pt):
         return eval_expr(ast, pt, field)
 
-    active, paths, runs = [], [], []
+    active, runs = [], []
 
     def fn(pt):
         if active:
             active[-1].append(pt)
         return plain(pt)
 
-    verify_node, verify = engine._verify_node, engine.verify_agreement
+    verify = engine.verify_agreement
 
-    def node_spy(oracle, result, cfg_, path):
-        paths.append(path)
-        try:
-            return verify_node(oracle, result, cfg_, path)
-        finally:
-            paths.pop()
-
-    def spy(oracle, g, trials, rng, height_bound):
+    def spy(oracle, g, trials, rng, height_bound, values):
         active.append([])
         try:
-            tally = verify(oracle, g, trials, rng, height_bound)
+            tally = verify(oracle, g, trials, rng, height_bound, values)
         finally:
             calls = active.pop()
-        runs.append(Run(paths[-1], oracle, g, trials, calls, tally))
+        runs.append(Run(oracle, g, trials, calls, tally))
         return tally
 
-    monkeypatch.setattr(engine, "_verify_node", node_spy)
     monkeypatch.setattr(engine, "verify_agreement", spy)
     cfg = ReconConfig(seed=seed, **config)
-    report = strict_reconstruct(SliceOracle(3, field, fn), cfg)
+    report = reconstruct(SliceOracle(3, field, fn), cfg)
     assert report.result.same_function(to_ratfun(ast, field, 3))
     return plain, cfg, runs
 
 
 def stream_hits(cfg, run):
     """The (id, coordinate) draws of `run`'s trials: the first points of
-    the `verify` stream of its node's path."""
+    the root's `verify` stream."""
     node = run.oracle
-    stream = derive_rng(cfg.seed, "verify", *run.path)
+    stream = derive_rng(cfg.seed, "verify")
     return node.field._sampler(stream, cfg.height_bound)(node.arity * run.trials)
 
 
@@ -263,7 +255,7 @@ def asked(run, hits):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_the_root_asks_the_parent_points(case, monkeypatch):
     plain, cfg, runs = traced_reconstruct(case, monkeypatch)
-    root, = [run for run in runs if not run.path]
+    root, = runs
     stream = derive_rng(cfg.seed, "verify")
     hits = root.oracle.field._sampler(stream, cfg.height_bound)(3 * cfg.verify_trials)
     assert root.calls == asked(root, hits)
@@ -272,8 +264,7 @@ def test_the_root_asks_the_parent_points(case, monkeypatch):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_five_trials_draw_five(case, monkeypatch):
     _, cfg, runs = traced_reconstruct(case, monkeypatch, verify_trials=5)
-    assert sum(bool(run.path) for run in runs) >= 3
-    for run in runs:
-        hits = stream_hits(cfg, run)
-        assert run.tally[0] == 5 and len(hits) == 5 * run.oracle.arity
-        assert run.calls == asked(run, hits), run.path
+    root, = runs
+    hits = stream_hits(cfg, root)
+    assert root.tally[0] == 5 and len(hits) == 5 * root.oracle.arity
+    assert root.calls == asked(root, hits)
