@@ -888,11 +888,16 @@ STDOUT_DIGESTS = {
                             "--height-bound", "1000"),
     "reconstruct-fp101": ("reconstruct", "--expr", "(x1^2 + 3*x2)/(x1 - x2 + 4)",
                           "--arity", "2", "--field", "fp:101", "--seed", "9"),
+    # the table, its slice degrees and the rank-test witness indices
+    "counterexample": ("counterexample",),
+    "counterexample-24": ("counterexample", "--n", "24", "--dmax", "6", "--grid", "20"),
 }
 for _name in ("reconstruct-q-h1", "reconstruct-q-h3", "reconstruct-q-h1000",
               "reconstruct-fp101"):
     STDOUT_DIGESTS[f"{_name}-record"] = STDOUT_DIGESTS[_name] + ("--record", "record.json")
 STDOUT_SHA256 = {
+    "counterexample": "574931c1ef2f13b0d67e496b403cb2d3cb842be2fba2d6f0bbfddf758f3e1a39",
+    "counterexample-24": "5f97a2569fb452bd438850cd80cf505e047dcc59eaf82584998af0e86e3e6202",
     "hankel": "d80c82412f20a569f1a42c5e526fad79e21ed9c1324c25e27085091fca16c2bd",
     "interp-fit": "a1159d485350c6504c15930d69566a672400bbb880e272c8ffc68d76fb2efaa2",
     "reconstruct-fp-2": "6358ec988d158ea2282bc5dce265d3536df9421878d951ac9282f877a43d0853",
