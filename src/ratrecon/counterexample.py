@@ -8,7 +8,8 @@ Over a fixed enumeration a_0, a_1, ... of Q, the function
 has polynomial slices (the slice at a_m is a polynomial of degree exactly m)
 while no single bivariate rational function of bounded degree can match its
 table: slice degrees grow without bound.  The report refutes every degree
-bound D on a finite grid via an exact cross-multiplied linear system.
+bound D on a finite grid via an exact cross-multiplied linear system, its
+rows scaled to integers and eliminated one at a time by `matrix.Echelon`.
 
 Q is countable but not algebraically closed; the construction and the
 degree-growth phenomenon only need a fixed enumeration of a countable
@@ -20,40 +21,33 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .fields import QQ, enumerate_countable
-from .poly import Poly1
+from .matrix import Echelon
+from .poly import Poly1, ints_over
 from .records import Record
 
 
-def _enum(n: int) -> Fraction:
-    return enumerate_countable(n)
-
-
-def f_counter(n: int, m: int, n_cap: int | None = None) -> Fraction:
+def f_counter(n: int, m: int) -> Fraction:
     """The double sum-product, evaluated exactly.  Terms with i >= min(n, m)
     contain a vanishing factor, so the effective sum stops there."""
-    if n_cap is not None and (n >= n_cap or m >= n_cap):
-        raise ValueError("index beyond table cap")
-    an, am = _enum(n), _enum(m)
+    an, am = enumerate_countable(n), enumerate_countable(m)
     acc = Fraction(0)
     prod = Fraction(1)
     for i in range(min(n, m)):
-        al = _enum(i)
+        al = enumerate_countable(i)
         prod *= (an - al) * (am - al)
         acc += prod
     return acc
 
 
-def slice_poly(m: int, cap: int | None = None) -> Poly1:
+def slice_poly(m: int) -> Poly1:
     """The univariate slice at a_m: sum_{i<m} prod_{l<=i} (x - a_l)(a_m - a_l)
     in expanded coefficient form; degree exactly m for m >= 1."""
-    if cap is not None and m >= cap:
-        raise ValueError("index beyond table cap")
-    am = _enum(m)
+    am = enumerate_countable(m)
     acc = Poly1.zero(QQ)
     basis = Poly1.from_ints(QQ, [1])
     scalar = Fraction(1)
     for i in range(m):
-        al = _enum(i)
+        al = enumerate_countable(i)
         basis = basis * Poly1(QQ, [-al, Fraction(1)])
         scalar *= (am - al)
         acc = acc + basis.scale(scalar)
@@ -61,7 +55,7 @@ def slice_poly(m: int, cap: int | None = None) -> Poly1:
 
 
 class CounterexampleTable(Record):
-    """First N enumaration elements and the N x N value table."""
+    """First N enumeration elements and the N x N value table."""
     __slots__ = ("enumeration", "values")
 
     def __init__(self, enumeration: list, values: list):
@@ -70,7 +64,7 @@ class CounterexampleTable(Record):
 
     @classmethod
     def build(cls, n: int) -> "CounterexampleTable":
-        enum = [_enum(i) for i in range(n)]
+        enum = [enumerate_countable(i) for i in range(n)]
         values = [[f_counter(i, j) for j in range(n)] for i in range(n)]
         return cls(enum, values)
 
@@ -81,56 +75,23 @@ class CounterexampleTable(Record):
         return "\n".join(lines) + "\n"
 
 
-def _monomials_total_deg(d: int):
-    return [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
-
-
-class _IncrementalRank:
-    """Row-by-row Gaussian elimination tracking rank (and inconsistency for
-    augmented rows)."""
-
-    def __init__(self, width: int):
-        self.width = width
-        self.pivots: dict[int, list] = {}
-
-    def reduce(self, row):
-        row = list(row)
-        for c, prow in sorted(self.pivots.items()):
-            if row[c] != 0:
-                f = row[c]
-                row = [a - f * b for a, b in zip(row, prow)]
-        return row
-
-    def add(self, row):
-        """Insert a reduced row; returns its pivot column, or None if the
-        row was dependent (the rank did not grow)."""
-        row = self.reduce(row)
-        lead = next((c for c, v in enumerate(row) if v != 0), None)
-        if lead is None:
-            return None
-        inv = 1 / row[lead]
-        row = [v * inv for v in row]
-        self.pivots[lead] = row
-        return lead
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
+def _grid(table: CounterexampleTable, d: int):
+    """Per grid point, row-major: (i, j), the monomials of total degree <= d
+    at (a_i, a_j), and the table's value there."""
+    monos = [(p, q) for p in range(d + 1) for q in range(d + 1 - p)]
+    for i, ai in enumerate(table.enumeration):
+        for j, aj in enumerate(table.enumeration):
+            yield (i, j), [ai ** p * aj ** q for p, q in monos], table.values[i][j]
 
 
 def _refute_polynomial(table: CounterexampleTable, d: int):
     """First grid point (row-major) where no total-degree-<=d polynomial can
-    match the table, or None if one fits everywhere."""
-    monos = _monomials_total_deg(d)
-    elim = _IncrementalRank(len(monos) + 1)
-    n = len(table.enumeration)
-    for i in range(n):
-        for j in range(n):
-            ai, aj = table.enumeration[i], table.enumeration[j]
-            row = [ai ** p * aj ** q for (p, q) in monos] + [table.values[i][j]]
-            # a pivot in the value column means the row is inconsistent
-            if elim.add(row) == len(monos):
-                return (i, j)
+    match the table, or None if one fits everywhere: the first row of the
+    augmented system whose pivot lands in the value column."""
+    echelon = Echelon((d + 1) * (d + 2) // 2 + 1)
+    for at, monos, value in _grid(table, d):
+        if echelon.add(ints_over(monos + [value], None)[0]) == len(monos):
+            return at
     return None
 
 
@@ -138,19 +99,11 @@ def _refute_rational(table: CounterexampleTable, d: int):
     """First grid point at which the homogeneous cross-multiplied system
     f*Q - P = 0 (num and den of total degree <= d) reaches full rank, i.e.
     only the zero pair survives; None if a nonzero pair remains."""
-    monos = _monomials_total_deg(d)
-    width = 2 * len(monos)
-    elim = _IncrementalRank(width)
-    n = len(table.enumeration)
-    for i in range(n):
-        for j in range(n):
-            ai, aj = table.enumeration[i], table.enumeration[j]
-            fv = table.values[i][j]
-            row = [-(ai ** p * aj ** q) for (p, q) in monos] \
-                + [fv * ai ** p * aj ** q for (p, q) in monos]
-            elim.add(row)
-            if elim.rank == width:
-                return (i, j)
+    echelon = Echelon((d + 1) * (d + 2))
+    for at, monos, value in _grid(table, d):
+        echelon.add(ints_over([-x for x in monos] + [value * x for x in monos], None)[0])
+        if echelon.rank == echelon.width:
+            return at
     return None
 
 

@@ -88,6 +88,9 @@ class FpElement:
         self.residue = residue % field.p
         self.field = field
 
+    def __reduce__(self):
+        return type(self), (self.residue, self.field)
+
     def _other(self, other):
         if isinstance(other, FpElement):
             if other.field.p != self.field.p:
@@ -288,6 +291,9 @@ class PrimeField(Field):
         self.p = p
         self.zero = FpElement(0, self)
         self.one = FpElement(1, self)
+
+    def __reduce__(self):
+        return type(self), (self.p,)
 
     def from_int(self, k: int) -> FpElement:
         return FpElement(k, self)

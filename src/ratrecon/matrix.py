@@ -1,25 +1,27 @@
 """Exact determinants, Sylvester matrices, resultants.
 
-Every determinant goes through one fraction-free Bareiss kernel (Bareiss
-1968), `bordered_dets`, on integer rows: an r x (r+1) block of shared
-data rows, eliminated once with column pivoting, completed by one or more
-border rows.  The block may come from a taller system: rows that depend
-on the rows before them are dropped, so with unit rows as borders the
-kernel returns a vector spanning the nullspace of a rank-r system (the
-scale system of the multivariate combine).  Its divisions are exact
-integer divisions, `//`.
+Every elimination goes through one fraction-free Bareiss kernel (Bareiss
+1968), `Echelon`, on integer rows: rows of one width added one at a time
+with column pivoting, each either dropped as a combination of the rows
+before it or kept as a new pivot row.  `bordered_dets` completes an
+r x (r+1) block of the first r independent data rows by one or more
+border rows; with unit rows as borders it returns a vector spanning the
+nullspace of a rank-r system (the scale system of the multivariate
+combine).  Its divisions are exact integer divisions, `//`.
 
 With a prime modulus the same loop runs on the rows' residues: each
 pivot row is divided by its pivot, one inverse per pivot, and the product
 of the pivots restores the determinant.  Every F_p caller passes residues
 and p: the Hankel scan (`hankel._l_min`), pointwise interpolation
 (`interp.alpha_beta`), the combine's scale system and the sparse sibling
-solve (`reconstruct`).  Over Q the callers scale their rows to integers;
-the Hankel scan first takes each determinant modulo a word-size prime,
-since a nonzero residue proves it nonzero, and computes it exactly only
-when the residue is zero.  Field elements reach the kernel only through
-`det_exact`, which converts each row by `poly.ints_over` and maps the
-result back by `poly.over` (resultants, `delta_det`).
+solve (`reconstruct`).  Over Q the callers scale their rows to integers:
+the rank tests of the countable-field refutation (`counterexample`) feed
+them to `Echelon` directly, and the Hankel scan first takes each
+determinant modulo a word-size prime, since a nonzero residue proves it
+nonzero, and computes it exactly only when the residue is zero.  Field
+elements reach the kernel only through `det_exact`, which converts each
+row by `poly.ints_over` and maps the result back by `poly.over`
+(resultants, `delta_det`).
 """
 
 from __future__ import annotations
@@ -50,77 +52,105 @@ def det_exact(rows, field: Field):
     return over(field, math.prod(dens))(det)
 
 
-def bordered_dets(data, borders, modulus=None):
-    """det([D; b]) for each border row b of length r+1, where D is the first
-    r rows of `data` (rows of length r+1) that are linearly independent.
-    Every entry is an int; anything else is TypeError.
+class Echelon:
+    """Rows of one width, every entry an int (anything else is TypeError),
+    eliminated one at a time by fraction-free Bareiss with column pivoting.
+    `add` eliminates a row against the pivot rows before it: a row that
+    eliminates to zero is a combination of them and is dropped, otherwise
+    its first nonzero column becomes the next pivot (each column swap flips
+    the sign).  `rank` counts the pivots; at width - 1 of them `dets` gives
+    the bordered determinants.  Each division v // prev is exact.
 
-    One fraction-free Bareiss pass with column pivoting (each swap flips the
-    sign).  The data rows are eliminated one at a time, in order, against
-    the pivot rows before them: a row that eliminates to zero is a
-    combination of those rows and is dropped, and no row after the r-th
-    pivot is read, so `data` may be a generator.  With fewer than r
-    independent rows every determinant vanishes.  A square block, exactly
-    r rows, is the plain bordered determinant.  Every border row is
-    eliminated as the last row of its own matrix.  Each division v // prev
-    is exact.
+    With a prime `modulus` the rows are eliminated as residues: each pivot
+    row is divided by its pivot, one inverse per pivot, so a step is
+    x - lead * y, and the product of the pivots restores each determinant.
+    Independence is then independence mod the prime."""
+    __slots__ = ("width", "modulus", "pivots", "columns", "scale", "negate")
 
-    With a prime `modulus` the pass runs on the residues, over F_modulus:
-    each pivot row is divided by its pivot, one inverse per pivot, so a step
-    is x - lead * y, and each determinant is the product of the pivots
-    times its border's last entry, a residue in [0, modulus).  Independence
-    is then independence mod the prime, and a nonzero residue proves the
-    integer determinant nonzero."""
-    def start(row):
-        return [x % modulus for x in map(index, row)] if modulus else list(map(index, row))
+    def __init__(self, width: int, modulus=None):
+        self.width = width
+        self.modulus = modulus
+        self.pivots = []        # per step k: (column swapped into k, pivot row)
+        self.columns = list(range(width))   # the original column at each place
+        self.scale = 1          # mod p: the product of the pivots
+        self.negate = False
 
-    borders = list(map(start, borders))
-    r = len(borders[0]) - 1
-    if any(len(b) != r + 1 for b in borders):
-        raise ValueError("borders of different lengths")
-    pivots = []                 # per step k: (column swapped into k, pivot row)
-    scale = 1                   # mod p: the product of the pivots
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
 
-    def eliminate(row):
+    def _start(self, row):
+        modulus = self.modulus
+        row = [x % modulus for x in map(index, row)] if modulus else list(map(index, row))
+        if len(row) != self.width:
+            raise ValueError(f"need rows of length {self.width}, not {len(row)}")
+        return row
+
+    def _eliminate(self, row):
+        modulus, last = self.modulus, self.width
         prev = None
-        for k, (j, pivot_row) in enumerate(pivots):
+        for k, (j, pivot_row) in enumerate(self.pivots):
             if j != k:
                 row[k], row[j] = row[j], row[k]
             pivot, lead = pivot_row[k], row[k]
             if modulus:
                 if lead:
-                    for c in range(k + 1, r + 1):
+                    for c in range(k + 1, last):
                         row[c] = (row[c] - lead * pivot_row[c]) % modulus
                 continue
-            for c in range(k + 1, r + 1):
+            for c in range(k + 1, last):
                 v = row[c] * pivot - lead * pivot_row[c]
                 row[c] = v if prev is None else v // prev
             prev = pivot
         return row
 
-    negate = False
-    rows = iter(data)
-    while len(pivots) < r:
-        row = next(rows, None)
-        if row is None:
-            return [0 for _ in borders]
-        if len(row) != r + 1:
-            raise ValueError("need data rows of the borders' length r+1")
-        k = len(pivots)
-        row = eliminate(start(row))
-        j = next((j for j in range(k, r + 1) if row[j]), None)
+    def add(self, row):
+        """Eliminate `row`: the original column of its new pivot, or None
+        when it depends on the rows added before it."""
+        row = self._eliminate(self._start(row))
+        k = len(self.pivots)
+        j = next((j for j in range(k, self.width) if row[j]), None)
         if j is None:
-            continue
+            return None
         if j != k:
             row[k], row[j] = row[j], row[k]
-            negate = not negate
+            self.columns[k], self.columns[j] = self.columns[j], self.columns[k]
+            self.negate = not self.negate
+        modulus = self.modulus
         if modulus:
-            scale = scale * row[k] % modulus
+            self.scale = self.scale * row[k] % modulus
             inv = pow(row[k], -1, modulus)
             row[k + 1:] = [x * inv % modulus for x in row[k + 1:]]
-        pivots.append((j, row))
-    dets = [-b[r] if negate else b[r] for b in map(eliminate, borders)]
-    return [d * scale % modulus for d in dets] if modulus else dets
+        self.pivots.append((j, row))
+        return self.columns[k]
+
+    def dets(self, borders):
+        """det([P; b]) for each border row b, where P are the width - 1
+        pivot rows in the order they were added; every determinant vanishes
+        at a lower rank.  Each border is eliminated as the last row of its
+        own matrix; mod p each result is a residue in [0, modulus)."""
+        borders = list(map(self._start, borders))
+        r, modulus = self.width - 1, self.modulus
+        if len(self.pivots) < r:
+            return [0 for _ in borders]
+        dets = [-b[r] if self.negate else b[r] for b in map(self._eliminate, borders)]
+        return [d * self.scale % modulus for d in dets] if modulus else dets
+
+
+def bordered_dets(data, borders, modulus=None):
+    """det([D; b]) for each border row b of length r+1, where D is the first
+    r rows of `data` (rows of length r+1) that are linearly independent:
+    one `Echelon` pass.  No row after the r-th pivot is read, so `data` may
+    be a generator.  With fewer than r independent rows every determinant
+    vanishes.  A square block, exactly r rows, is the plain bordered
+    determinant.  With a prime `modulus` each determinant is a residue, and
+    a nonzero residue proves the integer determinant nonzero."""
+    borders = list(borders)
+    echelon = Echelon(len(borders[0]), modulus)
+    rows = iter(data)
+    while echelon.rank < echelon.width - 1 and (row := next(rows, None)) is not None:
+        echelon.add(row)
+    return echelon.dets(borders)
 
 
 def vandermonde_product(points):

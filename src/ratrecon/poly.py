@@ -48,6 +48,9 @@ class Poly1:
         self.field = field
         self.coeffs = cs
 
+    def __reduce__(self):
+        return type(self), (self.field, self.coeffs)
+
     @classmethod
     def from_ints(cls, field: Field, ints) -> "Poly1":
         return cls(field, [field.from_int(k) for k in ints])
@@ -281,6 +284,10 @@ class PolyN:
         for e in self.terms:
             if len(e) != nvars:
                 raise ValueError("exponent vector length != nvars")
+
+    def __reduce__(self):
+        # the cached integer form is rebuilt on use
+        return type(self), (self.field, self.nvars, self.terms)
 
     @classmethod
     def zero(cls, field: Field, nvars: int) -> "PolyN":

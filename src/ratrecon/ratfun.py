@@ -54,6 +54,9 @@ class RatFun1:
         self.num = num
         self.den = den
 
+    def __reduce__(self):
+        return type(self), (self.num, self.den)
+
     @property
     def field(self) -> Field:
         return self.num.field

@@ -299,12 +299,12 @@ def classify_slices(oracle: SliceOracle, axis: int, cfg: ReconConfig, rng,
                           cfg.samples_per_class - redraws, dens)
 
 
-def choose_anchors(oracle: SliceOracle, axis: int, cfg: ReconConfig, rng, dens=()):
-    """Distinct values along `axis`, each fresh draw of one stream in the
-    order drawn, with no oracle query.  A draw b is skipped when each of
-    `dens`, the fitted denominators of the node's slices along `axis`,
-    vanishes at b: then (x_axis - b) divides the node's denominator, and
-    b's hyperplane is a pole.  A generator: a node takes the first l+1, and
+def choose_anchors(oracle: SliceOracle, cfg: ReconConfig, rng, dens=()):
+    """Distinct values of the node's last axis, each fresh draw of one
+    stream in the order drawn, with no oracle query.  A draw b is skipped
+    when each of `dens`, the fitted denominators of the node's slices along
+    that axis, vanishes at b: then (x_axis - b) divides the node's
+    denominator, and b's hyperplane is a pole.  A generator: a node takes the first l+1, and
     more only to replace unlucky anchors or holes (see
     `_reconstruct_level`)."""
     taken: set = set()          # the anchors' ids
@@ -502,8 +502,7 @@ def _reconstruct_level(oracle: SliceOracle, cfg: ReconConfig, path: tuple,
             raise BudgetExhausted(
                 f"the recursion tree would have at least {tree} leaves, "
                 f"more than {MAX_LEAVES}")
-        stream = choose_anchors(oracle, axis, cfg, derive_rng(cfg.seed, "anchors", *path),
-                                cls.dens)
+        stream = choose_anchors(oracle, cfg, derive_rng(cfg.seed, "anchors", *path), cls.dens)
         anchors = list(islice(stream, profile.l + 1))
         holes = MAX_HOLE_ANCHORS
 

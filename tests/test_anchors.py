@@ -36,7 +36,7 @@ FP = PrimeField(1000003)
 
 def draws(field, cfg, count=8):
     """The first `count` distinct draws of the root's `anchors` stream."""
-    stream = choose_anchors(SliceOracle(1, field, None), 0, cfg,
+    stream = choose_anchors(SliceOracle(1, field, None), cfg,
                             derive_rng(cfg.seed, "anchors"))
     return list(islice(stream, count))
 

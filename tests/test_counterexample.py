@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -7,13 +8,14 @@ import pytest
 from ratrecon.counterexample import (
     CounterexampleTable,
     _refute_polynomial,
+    _refute_rational,
     f_counter,
     nonrationality_report,
     slice_poly,
 )
-from ratrecon.fields import enumerate_countable
+from ratrecon.fields import QQ, enumerate_countable
+from ratrecon.matrix import Echelon
 from ratrecon.poly import Poly1
-from ratrecon.fields import QQ
 
 
 def test_base_values():
@@ -71,13 +73,6 @@ def test_slice_consistency_with_table():
             assert p.eval(enumerate_countable(n)) == f_counter(n, m)
 
 
-def test_table_cap_enforced():
-    with pytest.raises(ValueError):
-        f_counter(5, 2, n_cap=5)
-    with pytest.raises(ValueError):
-        slice_poly(7, cap=7)
-
-
 def test_grid_precondition():
     with pytest.raises(ValueError):
         nonrationality_report(5, 11)
@@ -111,17 +106,21 @@ def test_csv_export_shape():
     assert lines[1].startswith("0,")
 
 
-def rank(rows):
-    rows = [list(r) for r in rows]
+def rank(rows, p=None):
+    """Rank by Gauss-Jordan from scratch: over Q on Fractions, or mod the
+    prime p."""
+    rows = [[x % p if p else Fraction(x) for x in r] for r in rows]
     r = 0
     for c in range(len(rows[0]) if rows else 0):
         piv = next((k for k in range(r, len(rows)) if rows[k][c] != 0), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], -1, p) if p else 1 / rows[r][c]
         for k in range(r + 1, len(rows)):
-            f = rows[k][c] / rows[r][c]
-            rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
+            f = rows[k][c] * inv
+            rows[k] = [(a - f * b) % p if p else a - f * b
+                       for a, b in zip(rows[k], rows[r])]
         r += 1
     return r
 
@@ -152,3 +151,75 @@ def test_refute_polynomial_matches_rank_reference():
                 reference_refute_polynomial(table, d), d
     assert _refute_polynomial(quadratic, 1) is not None
     assert _refute_polynomial(quadratic, 2) is None
+
+
+def reference_refute_rational(table, d):
+    """First row-major grid point at which the cross-multiplied system has
+    full rank, by bisection on the prefix (its rank never falls) with each
+    rank computed from scratch."""
+    monos = [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
+    points, rows = [], []
+    n = len(table.enumeration)
+    for i in range(n):
+        for j in range(n):
+            ai, aj = table.enumeration[i], table.enumeration[j]
+            m = [ai ** p * aj ** q for p, q in monos]
+            points.append((i, j))
+            rows.append([-x for x in m] + [table.values[i][j] * x for x in m])
+    width = 2 * len(monos)
+    if rank(rows) < width:
+        return None
+    lo, hi = width, len(rows)          # full at hi rows, never below width
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if rank(rows[:mid]) == width else (mid + 1, hi)
+    return points[lo - 1]
+
+
+def test_refute_rational_matches_rank_reference():
+    grid = 7
+    xs = [enumerate_countable(k) for k in range(grid)]
+    # (3xy - x + 2)/(x^2 + y^2 + 1): total degree 2, defined on all of Q^2
+    planted = SimpleNamespace(enumeration=xs, values=[
+        [(3 * a * b - a + 2) / (a * a + b * b + 1) for b in xs] for a in xs])
+    for table in (CounterexampleTable.build(grid), planted):
+        for d in range(4):
+            assert _refute_rational(table, d) == \
+                reference_refute_rational(table, d), d
+    assert _refute_rational(planted, 1) is not None
+    assert _refute_rational(planted, 2) is None
+    assert _refute_rational(planted, 3) is None
+
+
+@pytest.mark.parametrize("modulus", [None, 7], ids=["exact", "mod7"])
+def test_echelon_add_tracks_the_rank_of_every_prefix(modulus):
+    # random rows with zero, duplicate and dependent rows, and rows whose
+    # last entry alone breaks a dependence, exact and mod 7
+    rng = random.Random(5)
+    for width in (1, 2, 3, 5):
+        for _ in range(12):
+            echelon, rows = Echelon(width, modulus), []
+            for _ in range(2 * width + 3):
+                kind = rng.randrange(5)
+                if kind == 0 or not rows:
+                    row = [rng.randint(-4, 4) for _ in range(width)]
+                elif kind == 1:
+                    row = list(rng.choice(rows))
+                elif kind == 2:
+                    row = [0] * width
+                else:
+                    a, b = rng.choice(rows), rng.choice(rows)
+                    u, v = rng.randint(-3, 3), rng.randint(-3, 3)
+                    row = [u * x + v * y for x, y in zip(a, b)]
+                    if kind == 4:
+                        row[-1] += rng.randint(1, 3)
+                before = (rank(rows, modulus), rank([r[:-1] for r in rows], modulus))
+                rows.append(row)
+                after = (rank(rows, modulus), rank([r[:-1] for r in rows], modulus))
+                col = echelon.add(row)
+                assert echelon.rank == after[0]
+                assert (col is None) == (after[0] == before[0])
+                # the pivot is the last column exactly when the rest of
+                # the row reduces to zero against the rows before it
+                assert (col == width - 1) == (after[0] > before[0]
+                                              and after[1] == before[1])

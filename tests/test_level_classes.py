@@ -153,8 +153,7 @@ def reference_reconstruct(oracle: SliceOracle, cfg: ReconConfig) -> ReferenceRep
         profile = DegreeProfile.from_de(*dominant_class(hist))
         # the engine's pole filter, on the slices its classification draws
         dens = classify_slices(node, axis, cfg, derive_rng(cfg.seed, "classify", *path)).dens
-        stream = choose_anchors(node, axis, cfg, derive_rng(cfg.seed, "anchors", *path),
-                                dens)
+        stream = choose_anchors(node, cfg, derive_rng(cfg.seed, "anchors", *path), dens)
         anchors = list(islice(stream, profile.l + 1))
         holes = MAX_HOLE_ANCHORS
 
@@ -467,7 +466,7 @@ def test_fallback_sibling_alone_is_the_node_it_was_in_the_run(monkeypatch):
     assert report.anchors[0][1] == 0
     assert report.to_json()["nodes"]["fallbacks"] == 1
     leaves, inside = nodes[(1,)]
-    anchors = list(islice(choose_anchors(oracle, 2, cfg, derive_rng(cfg.seed, "anchors")), 2))
+    anchors = list(islice(choose_anchors(oracle, cfg, derive_rng(cfg.seed, "anchors")), 2))
     assert anchors[1] == 0
     alone = level(oracle._restrict(Fraction(0)), cfg, (1,), leaves)
     assert format_ratfunn(alone.result) == format_ratfunn(inside.result)
@@ -717,7 +716,7 @@ def test_sibling_whose_first_slice_is_low_combines_at_once(monkeypatch, classify
     cfg = ReconConfig(seed=5)
     c = first_slice_value(cfg, FP, (1,))
     b0, b1 = root_anchors("x1 + x2 + x3", 3, FP, cfg)
-    a0, a1 = islice(choose_anchors(SliceOracle(2, FP, lambda pt: FP.one), 1, cfg,
+    a0, a1 = islice(choose_anchors(SliceOracle(2, FP, lambda pt: FP.one), cfg,
                                    derive_rng(cfg.seed, "anchors", 1)), 2)
     text = f"((x3 - {b0})*(x2 - {a0})*(x2 - {a1}) + x3 - {b1})/(x1 + x2)"
     truth = to_ratfun(parse(text, 3), FP, 3)

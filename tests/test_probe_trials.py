@@ -79,13 +79,13 @@ def test_no_child_asks_a_probe_point_again(case, monkeypatch):
     probed, searches = [], []
     choose = engine.choose_anchors
 
-    def spy(oracle, axis, cfg_, rng, dens=()):
+    def spy(oracle, cfg_, rng, dens=()):
         searches.append(oracle._suffix)
         fn = oracle.fn
         seen = SliceOracle(oracle.arity, oracle.field,
                            lambda pt: probed.append(pt) or fn(pt),
                            oracle._suffix)
-        return choose(seen, axis, cfg_, rng, dens)
+        return choose(seen, cfg_, rng, dens)
 
     monkeypatch.setattr(engine, "choose_anchors", spy)
     _, cfg, runs = traced_reconstruct(case, monkeypatch)

@@ -285,15 +285,15 @@ def test_choose_anchors():
     # l+1 gets the anchor a longer take would have given
     oracle = oracle_from_ratfunn(xy_over(QQ))
     cfg = ReconConfig(seed=9)
-    anchors = list(islice(choose_anchors(oracle, 1, cfg, derive_rng(9, "a")), 3))
+    anchors = list(islice(choose_anchors(oracle, cfg, derive_rng(9, "a")), 3))
     assert len(anchors) == len(set(anchors)) == 3
-    longer = list(islice(choose_anchors(oracle, 1, cfg, derive_rng(9, "a")), 4))
+    longer = list(islice(choose_anchors(oracle, cfg, derive_rng(9, "a")), 4))
     assert longer[:3] == anchors and longer[3] not in anchors
 
 
 def test_choose_anchors_single():
     oracle = SliceOracle(2, QQ, lambda pt: q(5))
-    stream = choose_anchors(oracle, 1, ReconConfig(seed=10), derive_rng(10, "a"))
+    stream = choose_anchors(oracle, ReconConfig(seed=10), derive_rng(10, "a"))
     assert next(stream) is not None
 
 
@@ -302,11 +302,11 @@ def test_choose_anchors_failure():
     f5 = PrimeField(5)
     oracle = SliceOracle(2, f5, lambda pt: None)
     den = Poly1(f5, [f5.zero, -f5.one, f5.zero, f5.zero, f5.zero, f5.one])
-    stream = choose_anchors(oracle, 1, ReconConfig(seed=11), derive_rng(11, "a"), [den])
+    stream = choose_anchors(oracle, ReconConfig(seed=11), derive_rng(11, "a"), [den])
     with pytest.raises(AnchorSearchFailed, match=r"after 100 attempts \(found 0\)"):
         next(stream)
     # without the pole, the five values are the only anchors
-    stream = choose_anchors(oracle, 1, ReconConfig(seed=11), derive_rng(11, "a"))
+    stream = choose_anchors(oracle, ReconConfig(seed=11), derive_rng(11, "a"))
     assert sorted(b.residue for b in islice(stream, 5)) == [0, 1, 2, 3, 4]
     with pytest.raises(AnchorSearchFailed, match=r"after 100 attempts \(found 5\)"):
         next(stream)
@@ -873,7 +873,7 @@ def unlucky_root_anchor(field, cfg):
     so b is a root anchor of the run on the text too (the test checks)."""
     ast = parse(SHARED_AT_B.format(b=field.one), 3)
     oracle = SliceOracle(3, field, lambda pt: eval_expr(ast, pt, field))
-    b = list(islice(choose_anchors(oracle, 2, cfg, derive_rng(cfg.seed, "anchors")), 2))[1]
+    b = list(islice(choose_anchors(oracle, cfg, derive_rng(cfg.seed, "anchors")), 2))[1]
     return SHARED_AT_B.format(b=b), b
 
 

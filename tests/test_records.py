@@ -21,11 +21,12 @@ from fractions import Fraction
 
 import pytest
 
-from ratrecon import counterexample, hankel, interp
+from ratrecon import counterexample, hankel, interp, ratfun
 from ratrecon.errors import DegenerateInput
 from ratrecon.expr import eval_expr, parse, to_ratfun
 from ratrecon.fields import QQ, PrimeField
 from ratrecon.hankel import certify_rationality
+from ratrecon.poly import Poly1
 from ratrecon.records import Record
 from ratrecon.reconstruct import (
     SAMPLES_PER_CLASS_CAP,
@@ -343,6 +344,23 @@ def test_agreement_copies_and_pickles_with_its_mismatch(mismatch):
         assert twin == (5, 3, 1) and twin.mismatch == mismatch
 
 
+def _values():
+    # one of each hand-slotted value class, over both fields
+    for field in (QQ, F101):
+        f = to_ratfun(parse("(x1^2 - 3*x2)/(x1*x2 + 2)", 2), field, 2)
+        g = ratfun.normalize_ratfun1(Poly1.from_ints(field, [1, 2]),
+                                     Poly1.from_ints(field, [3, 0, 1]))
+        yield from (field, field.from_int(7), f.num, f, g.num, g)
+
+
+@pytest.mark.parametrize("proto", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_field_values_pickle_at_every_protocol(proto):
+    for value in _values():
+        twin = pickle.loads(pickle.dumps(value, proto))
+        assert type(twin) is type(value) and twin == value, value
+        assert repr(twin) == repr(value)
+
+
 def test_report_of_a_real_run_deep_copies():
     ast = parse("(x1*x2 + 1)/(x1 - x2)", 2)
     oracle = reconstruct.SliceOracle(2, QQ, lambda pt: eval_expr(ast, pt, QQ))
@@ -362,7 +380,7 @@ def test_report_with_an_evaluated_result_pickles_and_deep_copies():
     point = (F101.from_int(3), F101.from_int(5))
     value = report.result.eval(point)
     copies = [copy.deepcopy(report)] + [pickle.loads(pickle.dumps(report, proto))
-                                        for proto in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+                                        for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
     for twin in copies:
         assert twin.to_json() == report.to_json()
         assert twin.result.eval(point) == value
