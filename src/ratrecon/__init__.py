@@ -40,7 +40,6 @@ from .hankel import (
 from .interp import (
     DegreeProfile,
     SampleSet1,
-    SamplingBudget,
     alpha_beta,
     delta_det,
     delta_sign,

@@ -50,6 +50,7 @@ from .hankel import SeriesPrefix, certify_rationality
 from .interp import DegreeProfile, SampleSet1, fit_ratfun, interp_point
 from .ratfun import format_ratfun1
 from .reconstruct import (
+    MAX_DEGREE_CAP,
     SAMPLES_PER_CLASS_CAP,
     VALIDATION_EXTRA_CAP,
     VERIFY_TRIALS_CAP,
@@ -68,7 +69,6 @@ _EXIT_INTERNAL = 8
 
 # Upper bounds on the size flags: the largest accepted value of each runs
 # in seconds, not hours (see docs/formats.md).
-MAX_DEGREE_CAP = 24
 ARITY_CAP = 64
 TABLE_N_CAP = 64
 DMAX_CAP = 8

@@ -267,21 +267,13 @@ def fit_ratfun(samples: SampleSet1, n_deg: int, m_deg: int) -> RatFun1:
     return pool.ratfun(row)
 
 
-class SamplingBudget(Record):
-    """Knobs for black-box degree detection."""
-    __slots__ = ("max_degree", "validation_extra", "height_bound",
-                 "max_consecutive_undefined")
-
-    def __init__(self, max_degree: int = 8, validation_extra: int = 4,
-                 height_bound: int = 10, max_consecutive_undefined: int = 100):
-        self.max_degree = max_degree
-        self.validation_extra = validation_extra
-        self.height_bound = height_bound
-        self.max_consecutive_undefined = max_consecutive_undefined
+# Detection refuses a slice (DomainTooSparse) after this many draws in a
+# row that were taken already or undefined.
+MAX_CONSECUTIVE_UNDEFINED = 100
 
 
 def _draw_defined(oracle: "Callable[[object], object | None]", draw,
-                  budget: SamplingBudget, taken: set):
+                  taken: set):
     """One (a, f(a)) pair with a fresh abscissa; resamples on Undefined.
     `draw` is the run's sampler (`Field._sampler`), and `taken` holds the
     ids of the abscissae returned so far."""
@@ -290,13 +282,13 @@ def _draw_defined(oracle: "Callable[[object], object | None]", draw,
         key, a = draw()
         if key in taken:
             misses += 1
-            if misses > budget.max_consecutive_undefined:
+            if misses > MAX_CONSECUTIVE_UNDEFINED:
                 raise DomainTooSparse("cannot find a fresh sample point")
             continue
         v = oracle(a)
         if v is None:
             misses += 1
-            if misses > budget.max_consecutive_undefined:
+            if misses > MAX_CONSECUTIVE_UNDEFINED:
                 raise DomainTooSparse(
                     f"{misses} consecutive undefined oracle responses")
             continue
@@ -305,8 +297,9 @@ def _draw_defined(oracle: "Callable[[object], object | None]", draw,
 
 
 def detect_profile_with_fit(oracle: "Callable[[object], object | None]",
-                            field: Field, budget: SamplingBudget, rng):
-    """Grow a sample pool one point at a time.  At pool size k the candidate
+                            field: Field, cfg: "ReconConfig", rng):
+    """Grow a sample pool one point at a time, drawn from the height box of
+    `cfg`, the run's `reconstruct.ReconConfig`.  At pool size k the candidate
     is the fit of minimal total degree through the pool; it is tried once
     that degree is at most min(k - 2, max_degree), and accepted if it agrees
     with `validation_extra` fresh points.  After a rejection the enlarged
@@ -315,8 +308,8 @@ def detect_profile_with_fit(oracle: "Callable[[object], object | None]",
     each fitted with at least one sample to spare; returns (profile, fit).
     A pass walks the extended-Euclid rows once, up to cofactor degree
     min(k - 2, max_degree), so a pass below two points divides nothing."""
-    cap = budget.max_degree
-    draw = field._sampler(rng, budget.height_bound)
+    cap = cfg.max_degree
+    draw = field._sampler(rng, cfg.height_bound)
     taken: set = set()
     pool = _NewtonPool(field)
     # a pass either draws one point, which happens only while the pool is
@@ -326,16 +319,15 @@ def detect_profile_with_fit(oracle: "Callable[[object], object | None]",
         lim = min(k - 2, cap)
         row = pool.reconstruct(limit=lim)
         if row is not None:
-            fresh = [_draw_defined(oracle, draw, budget, taken)
-                     for _ in range(budget.validation_extra)]
+            fresh = [_draw_defined(oracle, draw, taken)
+                     for _ in range(cfg.validation_extra)]
             if all(pool.agrees(row, a, v) for a, v in fresh):
                 return _row_profile(row), pool.ratfun(row)
         elif max(k - 1, 0) > cap:
             break
         else:
-            fresh = [_draw_defined(oracle, draw, budget, taken)]
+            fresh = [_draw_defined(oracle, draw, taken)]
         for a, v in fresh:
             pool.add(a, v)
-    raise BudgetExhausted(
-        f"no rational profile up to total degree {budget.max_degree}")
+    raise BudgetExhausted(f"no rational profile up to total degree {cap}")
 

@@ -76,7 +76,7 @@ from .errors import (
 )
 from .errors import BudgetExhausted, DomainTooSparse, ZeroDenominator
 from .fields import Field, FpElement, _draw_point, derive_rng, iter_height_box_sizes
-from .interp import DegreeProfile, SamplingBudget, detect_profile_with_fit
+from .interp import DegreeProfile, detect_profile_with_fit
 from .matrix import bordered_dets
 from .poly import PolyN, field_prime, int_pair, int_powers, mul_ints
 from .ratfun import RatFunN, format_ratfunn, normalize_ratfunn, ratfunn_from_ints
@@ -143,8 +143,10 @@ def slice_oracle(oracle: SliceOracle, axis: int, fixed: tuple):
 
 
 # Upper bounds on the budget fields of ReconConfig, far above the defaults
-# and every value the tests use; a run's cost grows linearly in each (see
+# and every value the tests use; a run's cost grows linearly in each of the
+# last three, and a slice's detection costs O(max_degree^2) fits (see
 # docs/formats.md).
+MAX_DEGREE_CAP = 24
 SAMPLES_PER_CLASS_CAP = 1000
 VALIDATION_EXTRA_CAP = 1000
 VERIFY_TRIALS_CAP = 10_000
@@ -168,7 +170,8 @@ class ReconConfig(Record):
                           ("height_bound", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        for name, cap in (("samples_per_class", SAMPLES_PER_CLASS_CAP),
+        for name, cap in (("max_degree", MAX_DEGREE_CAP),
+                          ("samples_per_class", SAMPLES_PER_CLASS_CAP),
                           ("validation_extra", VALIDATION_EXTRA_CAP),
                           ("verify_trials", VERIFY_TRIALS_CAP)):
             if getattr(self, name) > cap:
@@ -196,11 +199,6 @@ class ReconConfig(Record):
             f"than the {need} that even a constant's detection needs at "
             f"validation_extra {self.validation_extra}; use a height bound "
             f"of at least {least}")
-
-    def budget(self) -> SamplingBudget:
-        return SamplingBudget(max_degree=self.max_degree,
-                              validation_extra=self.validation_extra,
-                              height_bound=self.height_bound)
 
     def to_json(self) -> dict:
         return {
@@ -259,7 +257,6 @@ def classify_slices(oracle: SliceOracle, axis: int, cfg: ReconConfig, rng,
     failures = 0
     dead: set = set()           # the ids of the dead fixed tuples
     redraws = cfg.samples_per_class
-    budget = cfg.budget()
     draw = oracle.field._sampler(rng, cfg.height_bound)
     top = None                  # the maximal class so far
     unchanged = 0               # detected slices in a row that left it so
@@ -273,7 +270,7 @@ def classify_slices(oracle: SliceOracle, axis: int, cfg: ReconConfig, rng,
                 try:
                     prof, fit = detect_profile_with_fit(
                         slice_oracle(oracle, axis, fixed), oracle.field,
-                        budget, sub_rng)
+                        cfg, sub_rng)
                 except BudgetExhausted:
                     failures += 1
                     break
@@ -481,7 +478,7 @@ def _reconstruct_level(oracle: SliceOracle, cfg: ReconConfig, path: tuple,
     if oracle.arity == 1:
         rng = derive_rng(cfg.seed, "fit", *path)
         prof, fit = detect_profile_with_fit(
-            slice_oracle(oracle, 0, ()), field, cfg.budget(), rng)
+            slice_oracle(oracle, 0, ()), field, cfg, rng)
         result = fit.to_ratfunn(1)
         verification = (Agreement(0, 0, 0) if path
                         else _verify_root(oracle, result, cfg, values))

@@ -335,7 +335,7 @@ def test_reconstruct_vacuous_verification_exit(tmp_path, capsys):
         asked[a] = field.one / a if a else None
         return asked[a]
 
-    detect_profile_with_fit(recording, field, cfg.budget(), derive_rng(cfg.seed, "fit"))
+    detect_profile_with_fit(recording, field, cfg, derive_rng(cfg.seed, "fit"))
     rec = tmp_path / "replay.json"
     rec.write_text(json.dumps({"arity": 1, "field": "fp:1000003", "samples": [
         {"point": [str(a)], "value": None if v is None else str(v)}

@@ -15,7 +15,6 @@ from ratrecon.fields import QQ, PrimeField, derive_rng, random_element
 from ratrecon.interp import (
     DegreeProfile,
     SampleSet1,
-    SamplingBudget,
     alpha_beta,
     delta_det,
     delta_sign,
@@ -27,6 +26,7 @@ from ratrecon.interp import (
 from ratrecon.matrix import det_exact, resultant, vandermonde_product
 from ratrecon.poly import Poly1, gcd_poly1
 from ratrecon.ratfun import normalize_ratfun1
+from ratrecon.reconstruct import ReconConfig
 
 from sign_calibration import calibrate_sign
 
@@ -346,11 +346,11 @@ def test_detect_profile_examples():
     rng = derive_rng(77, "detect")
     prof = detect_profile_with_fit(
         lambda a: f.eval(a) if f.defined_at(a) else None,
-        QQ, SamplingBudget(), rng)[0]
+        QQ, ReconConfig(), rng)[0]
     assert (prof.d, prof.e, prof.n, prof.m, prof.l) == (2, 1, 2, 1, 3)
 
     rng = derive_rng(78, "detect")
-    prof = detect_profile_with_fit(lambda a: q(5), QQ, SamplingBudget(), rng)[0]
+    prof = detect_profile_with_fit(lambda a: q(5), QQ, ReconConfig(), rng)[0]
     assert (prof.d, prof.e, prof.n, prof.m, prof.l) == (0, 0, 0, 0, 0)
 
 
@@ -358,7 +358,7 @@ def test_detect_profile_with_fit_returns_function():
     f = normalize_ratfun1(qpoly(1), qpoly(0, 1))
     rng = derive_rng(79, "detect")
     prof, fit = detect_profile_with_fit(
-        lambda a: f.eval(a) if f.defined_at(a) else None, QQ, SamplingBudget(), rng)
+        lambda a: f.eval(a) if f.defined_at(a) else None, QQ, ReconConfig(), rng)
     assert fit == f and (prof.d, prof.e) == (1, -1)
 
 
@@ -375,10 +375,10 @@ def test_detect_profile_budget_exhausted_on_factorial_table():
 
     rng = derive_rng(80, "detect")
     with pytest.raises(BudgetExhausted):
-        detect_profile_with_fit(oracle, field, SamplingBudget(max_degree=8), rng)
+        detect_profile_with_fit(oracle, field, ReconConfig(max_degree=8), rng)
 
 
 def test_detect_profile_domain_too_sparse():
     rng = derive_rng(82, "detect")
     with pytest.raises(DomainTooSparse):
-        detect_profile_with_fit(lambda a: None, QQ, SamplingBudget(), rng)
+        detect_profile_with_fit(lambda a: None, QQ, ReconConfig(), rng)

@@ -91,7 +91,7 @@ def vote_classify(oracle: SliceOracle, axis: int, cfg: ReconConfig, rng) -> list
                 try:
                     prof, _ = detect_profile_with_fit(
                         slice_oracle(oracle, axis, fixed), oracle.field,
-                        cfg.budget(), sub_rng)
+                        cfg, sub_rng)
                 except BudgetExhausted:
                     slices.append(None)
                     break
@@ -138,7 +138,7 @@ def reference_reconstruct(oracle: SliceOracle, cfg: ReconConfig) -> ReferenceRep
         field = node.field
         if node.arity == 1:
             prof, fit = detect_profile_with_fit(
-                lambda a: node.eval((a,)), field, cfg.budget(),
+                lambda a: node.eval((a,)), field, cfg,
                 derive_rng(cfg.seed, "fit", *path))
             if not path:
                 root_slices.append((prof.d, prof.e))

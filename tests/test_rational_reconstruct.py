@@ -25,9 +25,9 @@ from ratrecon.errors import (
 from ratrecon.fields import QQ, FpElement, PrimeField, random_element
 from ratrecon.hankel import SeriesPrefix, pade_reconstruct
 from ratrecon.interp import (
+    MAX_CONSECUTIVE_UNDEFINED,
     DegreeProfile,
     SampleSet1,
-    SamplingBudget,
     detect_profile_with_fit,
     fit_ratfun,
 )
@@ -40,6 +40,7 @@ from ratrecon.ratfun import (
     rational_reconstruct,
     reconstruct_ints,
 )
+from ratrecon.reconstruct import ReconConfig
 
 FP = PrimeField(1000003)
 F101 = PrimeField(101)
@@ -121,13 +122,13 @@ def ref_draw_defined(oracle, field, budget, rng, taken):
         a = random_element(field, rng, budget.height_bound)
         if a in taken:
             misses += 1
-            if misses > budget.max_consecutive_undefined:
+            if misses > MAX_CONSECUTIVE_UNDEFINED:
                 raise DomainTooSparse("cannot find a fresh sample point")
             continue
         v = oracle(a)
         if v is None:
             misses += 1
-            if misses > budget.max_consecutive_undefined:
+            if misses > MAX_CONSECUTIVE_UNDEFINED:
                 raise DomainTooSparse(
                     f"{misses} consecutive undefined oracle responses")
             continue
@@ -401,11 +402,10 @@ class SwitchingOracle:
 
 def test_detect_matches_degree_walk_and_its_queries():
     rng = random.Random(2026)
-    budgets = [SamplingBudget(), SamplingBudget(max_degree=3),
-               SamplingBudget(validation_extra=1, height_bound=4),
-               SamplingBudget(validation_extra=0, max_degree=5),
-               SamplingBudget(height_bound=2, max_consecutive_undefined=6),
-               SamplingBudget(height_bound=1), SamplingBudget(height_bound=1000)]
+    budgets = [ReconConfig(), ReconConfig(max_degree=3),
+               ReconConfig(validation_extra=1, height_bound=4),
+               ReconConfig(height_bound=2),
+               ReconConfig(height_bound=1), ReconConfig(height_bound=1000)]
     outcomes = set()
     for trial in range(300):
         field = FIELDS[trial % 2]
@@ -539,11 +539,11 @@ def test_fit_matches_poly1_eea():
 
 def test_detect_matches_poly1_eea_and_its_queries():
     rng = random.Random(2030)
-    budgets = [SamplingBudget(), SamplingBudget(max_degree=3),
-               SamplingBudget(height_bound=10 ** 6),
-               SamplingBudget(validation_extra=1, height_bound=4),
-               SamplingBudget(height_bound=2, max_consecutive_undefined=6),
-               SamplingBudget(height_bound=1), SamplingBudget(height_bound=1000)]
+    budgets = [ReconConfig(), ReconConfig(max_degree=3),
+               ReconConfig(height_bound=10 ** 6),
+               ReconConfig(validation_extra=1, height_bound=4),
+               ReconConfig(height_bound=2),
+               ReconConfig(height_bound=1), ReconConfig(height_bound=1000)]
     outcomes = set()
     for trial in range(300):
         field = KERNEL_FIELDS[trial % 3]
@@ -606,7 +606,7 @@ def test_detection_builds_field_elements_only_for_its_answer(monkeypatch):
         monkeypatch.setattr(PrimeField, "_sampler", counting_sampler)
         monkeypatch.setattr(FpElement, "__init__", counting_init)
         try:
-            prof, fit = detect_profile_with_fit(oracle, FP, SamplingBudget(),
+            prof, fit = detect_profile_with_fit(oracle, FP, ReconConfig(),
                                                 random.Random(rng.getrandbits(32)))
         finally:
             monkeypatch.undo()
@@ -711,7 +711,7 @@ def test_detection_walks_once_per_pass_within_its_bound(monkeypatch):
     # points of the candidate it tries; so the pool sizes of the walks rise
     # by exactly the draws between them, one or validation_extra
     rng = random.Random(2033)
-    budget = SamplingBudget()
+    budget = ReconConfig()
     events = []
 
     def spy_rows(modulus, u, p, top):

@@ -19,7 +19,7 @@ from ratrecon.errors import (
 )
 from ratrecon.expr import eval_expr, parse, to_ratfun
 from ratrecon.fields import QQ, PrimeField, derive_rng, height_box_sizes, random_element
-from ratrecon.interp import SamplingBudget, detect_profile_with_fit
+from ratrecon.interp import detect_profile_with_fit
 from ratrecon.poly import Poly1, PolyN
 from ratrecon.ratfun import (
     RatFunN,
@@ -29,6 +29,7 @@ from ratrecon.ratfun import (
     normalize_ratfunn,
 )
 from ratrecon.reconstruct import (
+    MAX_DEGREE_CAP,
     SAMPLES_PER_CLASS_CAP,
     VALIDATION_EXTRA_CAP,
     VERIFY_TRIALS_CAP,
@@ -739,7 +740,7 @@ def test_vacuous_verification_is_a_budget_failure():
         asked[a] = f.eval(a) if f.defined_at(a) else None
         return asked[a]
 
-    detect_profile_with_fit(recording, FP, cfg.budget(), derive_rng(cfg.seed, "fit"))
+    detect_profile_with_fit(recording, FP, cfg, derive_rng(cfg.seed, "fit"))
     oracle = SliceOracle(1, FP, lambda pt: asked.get(pt[0]))
     with pytest.raises(DomainTooSparse, match=r"recursion path \(\)"):
         reconstruct(oracle, cfg)
@@ -814,11 +815,9 @@ def test_config_rejects_vacuous_verify_trials(setting):
 def test_config_rejects_validation_extra_below_one(value):
     # with no check point, detection would take its first candidate
     # unchecked and a support solve would run no check row; the command
-    # line refuses it too.  Detection's own budget still takes 0.
+    # line refuses it too
     with pytest.raises(ValueError, match=f"^validation_extra must be >= 1, got {value}$"):
         ReconConfig(validation_extra=value)
-    assert SamplingBudget(validation_extra=0).validation_extra == 0
-    assert ReconConfig(validation_extra=1).budget().validation_extra == 1
 
 
 @pytest.mark.parametrize("name,value", [("samples_per_class", -1),
@@ -844,7 +843,8 @@ def test_reconstruct_refuses_zero_samples_per_class_above_arity_one(arity):
         reconstruct(oracle, cfg)
 
 
-@pytest.mark.parametrize("name,cap", [("samples_per_class", SAMPLES_PER_CLASS_CAP),
+@pytest.mark.parametrize("name,cap", [("max_degree", MAX_DEGREE_CAP),
+                                      ("samples_per_class", SAMPLES_PER_CLASS_CAP),
                                       ("validation_extra", VALIDATION_EXTRA_CAP),
                                       ("verify_trials", VERIFY_TRIALS_CAP)])
 def test_config_rejects_budgets_past_their_caps(name, cap):

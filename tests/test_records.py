@@ -29,6 +29,7 @@ from ratrecon.hankel import certify_rationality
 from ratrecon.poly import Poly1
 from ratrecon.records import Record
 from ratrecon.reconstruct import (
+    MAX_DEGREE_CAP,
     SAMPLES_PER_CLASS_CAP,
     VALIDATION_EXTRA_CAP,
     VERIFY_TRIALS_CAP,
@@ -117,14 +118,6 @@ class SampleSet1:
 
 
 @dataclass
-class SamplingBudget:
-    max_degree: int = 8
-    validation_extra: int = 4
-    height_bound: int = 10
-    max_consecutive_undefined: int = 100
-
-
-@dataclass
 class SliceOracle:
     arity: int
     field: object
@@ -147,7 +140,8 @@ class ReconConfig:
                           ("height_bound", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        for name, cap in (("samples_per_class", SAMPLES_PER_CLASS_CAP),
+        for name, cap in (("max_degree", MAX_DEGREE_CAP),
+                          ("samples_per_class", SAMPLES_PER_CLASS_CAP),
                           ("validation_extra", VALIDATION_EXTRA_CAP),
                           ("verify_trials", VERIFY_TRIALS_CAP)):
             if getattr(self, name) > cap:
@@ -228,9 +222,6 @@ CASES = {
         [(([(Fraction(1), Fraction(2)), (Fraction(2), Fraction(3))],), {}),
          ((), {"points": [(F101.from_int(1), F101.from_int(7))]})],
         [(([(Fraction(1), Fraction(2)), (Fraction(1), Fraction(3))],), {})]),
-    "SamplingBudget": (
-        [((), {}), ((3,), {}), ((), {"height_bound": 5}), ((1, 2, 3, 4), {})],
-        []),
     "SliceOracle": (
         [((2, QQ, oracle_fn), {}), ((3, F101, oracle_fn, (F101.from_int(5),)), {}),
          ((1, QQ), {"fn": oracle_fn, "_suffix": ()})],
@@ -240,6 +231,7 @@ CASES = {
         [((-1,), {}), ((), {"max_degree": -1}), ((), {"validation_extra": 0}),
          ((), {"verify_trials": 0}), ((), {"height_bound": 0}),
          ((SAMPLES_PER_CLASS_CAP + 1,), {}),
+         ((), {"max_degree": MAX_DEGREE_CAP + 1}),
          ((), {"validation_extra": VALIDATION_EXTRA_CAP + 1}),
          ((), {"verify_trials": VERIFY_TRIALS_CAP + 1})]),
     "ClassifyResult": (
