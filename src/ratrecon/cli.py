@@ -43,7 +43,7 @@ from .errors import (
     VerificationFailed,
     ZeroDenominator,
 )
-from .counterexample import CounterexampleTable, nonrationality_report, slice_poly
+from .counterexample import CounterexampleTable, nonrationality_report
 from .expr import eval_expr, parse as parse_expr
 from .fields import Field, field_from_string, sha256
 from .hankel import SeriesPrefix, certify_rationality
@@ -334,15 +334,10 @@ def _cmd_counterexample(args) -> int:
     table = CounterexampleTable.build(args.n)
     csv_text = table.to_csv()
     cert = nonrationality_report(args.dmax, args.grid)
-    slice_degs = []
-    for m in range(args.n):
-        p = slice_poly(m)
-        slice_degs.append(int(p.degree) if not p.is_zero() else 0)
     table_obj = {
         "n": args.n,
-        "symmetric": all(table.values[i][j] == table.values[j][i]
-                         for i in range(args.n) for j in range(args.n)),
-        "slice_degrees": slice_degs,
+        "symmetric": table.symmetric(),
+        "slice_degrees": table.slice_degrees(),
         "csv_sha256": _sha256(csv_text.encode("utf-8")),
     }
     if args.table_out:

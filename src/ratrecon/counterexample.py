@@ -11,14 +11,15 @@ table: slice degrees grow without bound.  The report refutes every degree
 bound D on a finite grid via an exact cross-multiplied linear system, its
 rows scaled to integers and eliminated one at a time by `matrix.Echelon`.
 
-Q is countable but not algebraically closed; the construction and the
-degree-growth phenomenon only need a fixed enumeration of a countable
-infinite field, which is what is demonstrated here.
+Q is countable but not algebraically closed; the construction needs only a
+fixed enumeration of a countable infinite field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 from .fields import QQ, enumerate_countable
 from .matrix import Echelon
@@ -30,26 +31,18 @@ def f_counter(n: int, m: int) -> Fraction:
     """The double sum-product, evaluated exactly.  Terms with i >= min(n, m)
     contain a vanishing factor, so the effective sum stops there."""
     an, am = enumerate_countable(n), enumerate_countable(m)
-    acc = Fraction(0)
-    prod = Fraction(1)
-    for i in range(min(n, m)):
-        al = enumerate_countable(i)
-        prod *= (an - al) * (am - al)
-        acc += prod
-    return acc
+    terms = [(an - al) * (am - al) for al in map(enumerate_countable, range(min(n, m)))]
+    return sum(accumulate(terms, mul), Fraction(0))
 
 
 def slice_poly(m: int) -> Poly1:
     """The univariate slice at a_m: sum_{i<m} prod_{l<=i} (x - a_l)(a_m - a_l)
     in expanded coefficient form; degree exactly m for m >= 1."""
-    am = enumerate_countable(m)
-    acc = Poly1.zero(QQ)
-    basis = Poly1.from_ints(QQ, [1])
-    scalar = Fraction(1)
-    for i in range(m):
-        al = enumerate_countable(i)
+    am, acc = enumerate_countable(m), Poly1.zero(QQ)
+    basis, scalar = Poly1.from_ints(QQ, [1]), Fraction(1)
+    for al in map(enumerate_countable, range(m)):
         basis = basis * Poly1(QQ, [-al, Fraction(1)])
-        scalar *= (am - al)
+        scalar *= am - al
         acc = acc + basis.scale(scalar)
     return acc
 
@@ -64,9 +57,24 @@ class CounterexampleTable(Record):
 
     @classmethod
     def build(cls, n: int) -> "CounterexampleTable":
+        """f_counter on the first n values: the value at (a_i, a_j) sums the
+        termwise products of the rows of prefix products prod_{l<=t}(a_k - a_l),
+        t < k, of k = i and k = j, each row computed once."""
         enum = [enumerate_countable(i) for i in range(n)]
-        values = [[f_counter(i, j) for j in range(n)] for i in range(n)]
-        return cls(enum, values)
+        rows = [list(accumulate((ak - al for al in enum[:k]), mul))
+                for k, ak in enumerate(enum)]
+        return cls(enum, [[sum(map(mul, ri, rj), Fraction(0)) for rj in rows]
+                          for ri in rows])
+
+    def symmetric(self) -> bool:
+        return all(row[j] == self.values[j][i]
+                   for i, row in enumerate(self.values) for j in range(i))
+
+    def slice_degrees(self) -> list:
+        """m for the slice at a_m (`slice_poly`, zero at a_0, listed as 0):
+        its x^m coefficient prod_{l<m}(a_m - a_l) is nonzero iff a_m is new."""
+        return [m if m and a not in self.enumeration[:m] else 0
+                for m, a in enumerate(self.enumeration)]
 
     def to_csv(self) -> str:
         lines = ["," + ",".join(str(a) for a in self.enumeration)]
@@ -140,21 +148,13 @@ def nonrationality_report(d_max: int, grid: int) -> NonrationalityReport:
     if grid < 2 * d_max + 2:
         raise ValueError(f"grid must be >= 2*d_max + 2 = {2 * d_max + 2}")
     table = CounterexampleTable.build(grid)
-    sym = all(table.values[i][j] == table.values[j][i]
-              for i in range(grid) for j in range(grid))
-    slice_degs = []
-    for m in range(grid):
-        p = slice_poly(m)
-        slice_degs.append(int(p.degree) if not p.is_zero() else 0)
     per_degree = []
     for d in range(d_max + 1):
-        poly_witness = _refute_polynomial(table, d)
-        rational_witness = _refute_rational(table, d)
+        poly, rational = _refute_polynomial(table, d), _refute_rational(table, d)
         per_degree.append({
-            "degree_bound": d,
-            "polynomial_refuted": poly_witness is not None,
-            "polynomial_witness_index": list(poly_witness) if poly_witness else None,
-            "rational_refuted": rational_witness is not None,
-            "rational_rank_full_at_index": list(rational_witness) if rational_witness else None,
-        })
-    return NonrationalityReport(grid, d_max, slice_degs, sym, per_degree)
+            "degree_bound": d, "polynomial_refuted": poly is not None,
+            "polynomial_witness_index": list(poly) if poly else None,
+            "rational_refuted": rational is not None,
+            "rational_rank_full_at_index": list(rational) if rational else None})
+    return NonrationalityReport(grid, d_max, table.slice_degrees(),
+                                table.symmetric(), per_degree)

@@ -66,6 +66,22 @@ def test_slice_degrees():
         assert int(slice_poly(m).degree) == m
 
 
+def test_table_from_prefix_products_equals_f_counter():
+    t = CounterexampleTable.build(20)
+    assert t.enumeration == [enumerate_countable(i) for i in range(20)]
+    assert t.values == [[f_counter(i, j) for j in range(20)] for i in range(20)]
+    assert all(type(v) is Fraction for row in t.values for v in row)
+
+
+def test_table_symmetric_and_slice_degrees():
+    t = CounterexampleTable.build(12)
+    assert t.symmetric()
+    assert t.slice_degrees() == [0] + [int(slice_poly(m).degree) for m in range(1, 12)]
+    t.values[7][3] += 1
+    assert not t.symmetric()
+    assert CounterexampleTable.build(0).slice_degrees() == []
+
+
 def test_slice_consistency_with_table():
     for m in range(20):
         p = slice_poly(m)
