@@ -84,14 +84,8 @@ def _sha256(data: bytes) -> str:
 
 
 def _manifest(command: str, field: str, seed, config: dict, inputs: dict) -> dict:
-    return {
-        "command": command,
-        "version": __version__,
-        "field": field,
-        "seed": seed,
-        "config": config,
-        "inputs": inputs,
-    }
+    return {"command": command, "version": __version__, "field": field,
+            "seed": seed, "config": config, "inputs": inputs}
 
 
 def _emit(obj: dict) -> int:
@@ -105,6 +99,14 @@ def _read_file(path: str) -> bytes:
             return fh.read()
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from e
+
+
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise InputError(f"cannot write {path}: {e}") from e
 
 
 def _load_json(raw: bytes, what: str) -> dict:
@@ -317,8 +319,7 @@ def _cmd_reconstruct(args) -> int:
                    "samples": [{"point": [field.format(c) for c in pt],
                                 "value": None if v is None else field.format(v)}
                                for pt, v in record.items()]}
-        with open(args.record, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
+        _write_file(args.record, json.dumps(payload, indent=1, sort_keys=True))
     _emit({"manifest": manifest, "report": report.to_json()})
     return 0
 
@@ -341,8 +342,7 @@ def _cmd_counterexample(args) -> int:
         "csv_sha256": _sha256(csv_text.encode("utf-8")),
     }
     if args.table_out:
-        with open(args.table_out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+        _write_file(args.table_out, csv_text)
         table_obj["csv_path"] = args.table_out
     else:
         table_obj["csv"] = csv_text

@@ -228,6 +228,21 @@ def test_reconstruct_record_and_replay(tmp_path, capsys):
     assert r1 == r2
 
 
+@pytest.mark.parametrize("argv,name", [
+    (("reconstruct", "--expr", "(x1*x2+1)/(x1-x2)", "--arity", "2",
+      "--field", "fp:101", "--record"), "f.json"),
+    (("counterexample", "--n", "3", "--dmax", "0", "--grid", "2", "--table-out"),
+     "t.csv")], ids=["record", "table-out"])
+def test_an_output_file_that_cannot_be_written_is_an_input_error(tmp_path, capsys,
+                                                                 argv, name):
+    path = tmp_path / "missing" / name
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"input error: cannot write {path}: ")
+    assert err.count("\n") == 1 and "No such file or directory" in err
+    assert not path.parent.exists()
+
+
 def replay_record(tmp_path, text, arity, field, seed, off=lambda pt: False):
     """Run `reconstruct` on `text`, with the oracle's values one more at the
     points where `off` holds; returns (the run's report, or None where it refused,
