@@ -434,6 +434,23 @@ def test_reconstruct_admits_a_tree_of_512_leaves(capsys):
     assert json.loads(out)["report"]["result"] == f"({product_of_vars(10)})/(1)"
 
 
+@pytest.mark.parametrize("field", ["fp:1000003", "q"])
+@pytest.mark.parametrize("arity", [24, 64])
+def test_a_long_product_answers_or_refuses_quickly(field, arity):
+    # a guard for a successor of the leaf cap: a run-wide cap of 2048
+    # recursed nodes ran x1*...*x24 over Q for minutes
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "ratrecon.cli", "reconstruct", "--arity", str(arity),
+         "--field", field, "--expr", product_of_vars(arity)],
+        capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 10
+    assert proc.returncode in (0, 6, 7), proc.stderr
+    if proc.returncode == 0:
+        assert json.loads(proc.stdout)["report"]["result"] == \
+            f"({product_of_vars(arity)})/(1)"
+
+
 @pytest.mark.parametrize("expr", ["x1^3^3^3^3", "x1^1025", "(x1+1)^2^11",
                                   "x1^2^2^2^2^2"])
 def test_reconstruct_exponent_over_cap(capsys, expr):
