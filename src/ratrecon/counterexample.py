@@ -57,9 +57,9 @@ class CounterexampleTable(Record):
 
     @classmethod
     def build(cls, n: int) -> "CounterexampleTable":
-        """f_counter on the first n values: the value at (a_i, a_j) sums the
-        termwise products of the rows of prefix products prod_{l<=t}(a_k - a_l),
-        t < k, of k = i and k = j, each row computed once."""
+        """f_counter on the first n values.  Row k holds a_k's prefix products
+        prod_{l<=t}(a_k - a_l), t < k, computed once; the value at (a_i, a_j)
+        is the sum of the termwise products of rows i and j."""
         enum = [enumerate_countable(i) for i in range(n)]
         rows = [list(accumulate((ak - al for al in enum[:k]), mul))
                 for k, ak in enumerate(enum)]

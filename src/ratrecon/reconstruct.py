@@ -144,8 +144,7 @@ def slice_oracle(oracle: SliceOracle, axis: int, fixed: tuple):
 
 # Upper bounds on the budget fields of ReconConfig, far above the defaults
 # and every value the tests use; a run's cost grows linearly in each of the
-# last three, and a slice's detection costs O(max_degree^2) fits (see
-# docs/formats.md).
+# last three, and faster in max_degree (see docs/formats.md).
 MAX_DEGREE_CAP = 24
 SAMPLES_PER_CLASS_CAP = 1000
 VALIDATION_EXTRA_CAP = 1000
