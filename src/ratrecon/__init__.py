@@ -1,6 +1,6 @@
 """Exact reconstruction of rational functions from point evaluations."""
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 from .errors import RatreconError
 from .fields import (

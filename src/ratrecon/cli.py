@@ -101,9 +101,9 @@ def _read_file(path: str) -> bytes:
         raise InputError(f"cannot read {path}: {e}") from e
 
 
-def _write_file(path: str, text: str) -> None:
+def _write_file(path: str, text: str, mode: str = "w") -> None:
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, mode, encoding="utf-8") as fh:
             fh.write(text)
     except OSError as e:
         raise InputError(f"cannot write {path}: {e}") from e
@@ -135,13 +135,6 @@ def _check_range(flag: str, value: int, low: int, high: int = None):
         raise InputError(f"{flag} must be <= {high}, got {value}")
 
 
-def _parse_field(desc: str) -> Field:
-    try:
-        return field_from_string(desc)
-    except ValueError as e:
-        raise InputError(str(e)) from e
-
-
 # ---------------------------------------------------------------------------
 # hankel
 
@@ -154,7 +147,7 @@ def _cmd_hankel(args) -> int:
     except (KeyError, ValueError, TypeError, AttributeError, ZeroDivisionError) as e:
         raise InputError(f"bad series file: {e}") from e
     if args.field is not None:
-        want = _parse_field(args.field)
+        want = field_from_string(args.field)
         if want != series.field:
             raise InputError(
                 f"--field {args.field} does not match series field "
@@ -200,11 +193,8 @@ def _load_samples(path: str, field: Field):
 def _cmd_interp(args) -> int:
     _check_range("--n", args.n, 0)
     _check_range("--m", args.m, 0)
-    field = _parse_field(args.field)
-    try:
-        samples, raw = _load_samples(args.samples, field)
-    except RatreconError as e:
-        raise InputError(str(e)) from e
+    field = field_from_string(args.field)
+    samples, raw = _load_samples(args.samples, field)
     config = {"n": args.n, "m": args.m,
               "mode": "fit" if args.fit else "at", "at": args.at}
     manifest = _manifest("interp", field.descriptor(), None, config,
@@ -272,7 +262,7 @@ def _oracle_from_args(args, field: Field):
 
 def _cmd_reconstruct(args) -> int:
     _check_range("--arity", args.arity, 1, ARITY_CAP)
-    field = _parse_field(args.field)
+    field = field_from_string(args.field)
     seed = _resolve_seed(args)
     if args.arity > 1 and args.samples_per_class < 1:
         raise InputError("--samples-per-class must be >= 1 for arity > 1")
@@ -288,11 +278,10 @@ def _cmd_reconstruct(args) -> int:
                       verify_trials=args.verify_trials,
                       height_bound=args.height_bound,
                       seed=seed)
-    try:
-        cfg.check_field(field)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    cfg.check_field(field)
     oracle, inputs = _oracle_from_args(args, field)
+    if args.record:
+        _write_file(args.record, "", "a")   # an unwritable path fails before the run
     record = {} if args.record else None
     if record is not None:
         base_fn = oracle.fn
@@ -332,6 +321,8 @@ def _cmd_counterexample(args) -> int:
     _check_range("--n", args.n, 1, TABLE_N_CAP)
     _check_range("--dmax", args.dmax, 0, DMAX_CAP)
     _check_range("--grid", args.grid, 1, GRID_CAP)
+    if args.table_out:
+        _write_file(args.table_out, "", "a")   # an unwritable path fails before the work
     table = CounterexampleTable.build(args.n)
     csv_text = table.to_csv()
     cert = nonrationality_report(args.dmax, args.grid)
@@ -388,11 +379,12 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--field", default="fp:1000003")
     pr.add_argument("--seed", type=int, default=None,
                     help="default: RATRECON_SEED or 0")
-    pr.add_argument("--samples-per-class", type=int, default=20)
-    pr.add_argument("--max-degree", type=int, default=8)
-    pr.add_argument("--validation-extra", type=int, default=4)
-    pr.add_argument("--verify-trials", type=int, default=200)
-    pr.add_argument("--height-bound", type=int, default=10)
+    default = ReconConfig()
+    pr.add_argument("--samples-per-class", type=int, default=default.samples_per_class)
+    pr.add_argument("--max-degree", type=int, default=default.max_degree)
+    pr.add_argument("--validation-extra", type=int, default=default.validation_extra)
+    pr.add_argument("--verify-trials", type=int, default=default.verify_trials)
+    pr.add_argument("--height-bound", type=int, default=default.height_bound)
     pr.add_argument("--record", default=None, help="write queried points to FILE")
     pr.set_defaults(fn=_cmd_reconstruct)
 

@@ -18,7 +18,7 @@ fixed enumeration of a countable infinite field.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat, tee
 from operator import mul
 
 from .fields import QQ, enumerate_countable
@@ -83,32 +83,41 @@ class CounterexampleTable(Record):
         return "\n".join(lines) + "\n"
 
 
-def _grid(table: CounterexampleTable, d: int):
-    """Per grid point, row-major: (i, j), the monomials of total degree <= d
-    at (a_i, a_j), and the table's value there."""
-    monos = [(p, q) for p in range(d + 1) for q in range(d + 1 - p)]
-    for i, ai in enumerate(table.enumeration):
-        for j, aj in enumerate(table.enumeration):
-            yield (i, j), [ai ** p * aj ** q for p, q in monos], table.values[i][j]
+def _grid(table: CounterexampleTable, d_max: int):
+    """Per grid point, row-major: (i, j), the monomials a_i^p a_j^q of total
+    degree <= d_max in order of total degree, so that those of degree <= d
+    come first, and the table's value there.  Each a_i's powers are
+    computed once."""
+    powers = [list(accumulate(repeat(a, d_max), mul, initial=Fraction(1)))
+              for a in table.enumeration]
+    for i, pi in enumerate(powers):
+        for j, pj in enumerate(powers):
+            yield ((i, j), [pi[p] * pj[t - p] for t in range(d_max + 1) for p in range(t + 1)],
+                   table.values[i][j])
 
 
-def _refute_polynomial(table: CounterexampleTable, d: int):
-    """First grid point (row-major) where no total-degree-<=d polynomial can
-    match the table, or None if one fits everywhere: the first row of the
-    augmented system whose pivot lands in the value column."""
-    echelon = Echelon((d + 1) * (d + 2) // 2 + 1)
-    for at, monos, value in _grid(table, d):
-        if echelon.add(ints_over(monos + [value], None)[0]) == len(monos):
+def _refute_polynomial(grid, d: int):
+    """First point of `grid` (`_grid` of a degree bound >= d) where no
+    total-degree-<=d polynomial can match the table, or None if one fits
+    everywhere: the first row of the augmented system whose pivot lands in
+    the value column."""
+    size = (d + 1) * (d + 2) // 2
+    echelon = Echelon(size + 1)
+    for at, monos, value in grid:
+        if echelon.add(ints_over(monos[:size] + [value], None)[0]) == size:
             return at
     return None
 
 
-def _refute_rational(table: CounterexampleTable, d: int):
-    """First grid point at which the homogeneous cross-multiplied system
-    f*Q - P = 0 (num and den of total degree <= d) reaches full rank, i.e.
-    only the zero pair survives; None if a nonzero pair remains."""
-    echelon = Echelon((d + 1) * (d + 2))
-    for at, monos, value in _grid(table, d):
+def _refute_rational(grid, d: int):
+    """First point of `grid` (`_grid` of a degree bound >= d) at which the
+    homogeneous cross-multiplied system f*Q - P = 0 (num and den of total
+    degree <= d) reaches full rank, i.e. only the zero pair survives; None
+    if a nonzero pair remains."""
+    size = (d + 1) * (d + 2) // 2
+    echelon = Echelon(2 * size)
+    for at, monos, value in grid:
+        monos = monos[:size]
         echelon.add(ints_over([-x for x in monos] + [value * x for x in monos], None)[0])
         if echelon.rank == echelon.width:
             return at
@@ -148,9 +157,11 @@ def nonrationality_report(d_max: int, grid: int) -> NonrationalityReport:
     if grid < 2 * d_max + 2:
         raise ValueError(f"grid must be >= 2*d_max + 2 = {2 * d_max + 2}")
     table = CounterexampleTable.build(grid)
+    # one pass over the grid's points, computed once, for each test and bound
+    grids = iter(tee(_grid(table, d_max), 2 * (d_max + 1)))
     per_degree = []
     for d in range(d_max + 1):
-        poly, rational = _refute_polynomial(table, d), _refute_rational(table, d)
+        poly, rational = _refute_polynomial(next(grids), d), _refute_rational(next(grids), d)
         per_degree.append({
             "degree_bound": d, "polynomial_refuted": poly is not None,
             "polynomial_witness_index": list(poly) if poly else None,

@@ -7,9 +7,10 @@ anchor hyperplane, and combines the results by solving for one scale factor
 per child: a scalar kernel and coefficient-wise interpolation on integers,
 with no symbolic determinant and no gcd (see `_combine`).  An anchor on
 whose hyperplane the numerator and denominator share a factor breaks that
-system; the node then draws one more anchor from the same stream and
-combines the new child with each l of the others, and once more if none
-combine (the unlucky-point retry of Kaltofen & Trager, JSC 1990).
+system when its child recursed, which reduces the pair; the node then
+draws one more anchor from the same stream and combines the new child
+with each l of the others, and once more if none combine (the
+unlucky-point retry of Kaltofen & Trager, JSC 1990).
 
 A run is one pass (`reconstruct`), and only the root checks its result
 against the oracle, at `verify_trials` random points; a wrong result of
@@ -78,8 +79,8 @@ from .errors import BudgetExhausted, DomainTooSparse, ZeroDenominator
 from .fields import Field, FpElement, _draw_point, derive_rng, iter_height_box_sizes
 from .interp import DegreeProfile, detect_profile_with_fit
 from .matrix import bordered_dets
-from .poly import PolyN, field_prime, int_pair, int_powers, mul_ints
-from .ratfun import RatFunN, format_ratfunn, normalize_ratfunn, ratfunn_from_ints
+from .poly import field_prime, int_pair, int_powers, mul_ints
+from .ratfun import RatFunN, format_ratfunn, ratfunn_from_ints
 from .records import Record
 
 MAX_ANCHOR_ATTEMPTS = 100
@@ -592,16 +593,17 @@ def _sibling(oracle: SliceOracle, template: RatFunN, cfg: ReconConfig,
 
 def _solve_on_support(oracle: SliceOracle, template: RatFunN, cfg: ReconConfig,
                       path: tuple) -> RatFunN | None:
-    """The canonical N/D whose parts have the supports of `template`'s, or
-    None.  The unknowns are the T + 1 coefficients of the two parts; each
-    point x where the oracle is defined gives the row N(x) - f(x) D(x) = 0.
-    The points come from the `sparse` stream of `path`, at most
-    `SPARSE_DRAWS_PER_ROW` per row needed.  `matrix.bordered_dets` with
-    unit borders takes the kernel of the first T independent rows, and
-    `validation_extra` further rows check it.  The rows are integers:
-    over F_p eliminated mod p, so a row dependent mod p is dropped like any
-    dependent row; over Q each point's row times its denominators, f's and
-    the coordinates' to the largest power of the template.
+    """The N/D whose parts have the supports of `template`'s, scaled, not
+    reduced (`ratfunn_from_ints`), or None.  The unknowns are the T + 1
+    coefficients of the two parts; each point x where the oracle is
+    defined gives the row N(x) - f(x) D(x) = 0.  The points come from the
+    `sparse` stream of `path`, at most `SPARSE_DRAWS_PER_ROW` per row
+    needed.  `matrix.bordered_dets` with unit borders takes the kernel of
+    the first T independent rows, and `validation_extra` further rows
+    check it.  The rows are integers: over F_p eliminated mod p, so a row
+    dependent mod p is dropped like any dependent row; over Q each point's
+    row times its denominators, f's and the coordinates' to the largest
+    power of the template.
 
     None when the draws run out, the kernel found is zero (the system is
     singular), its denominator is zero, or a check row fails: the sibling
@@ -636,10 +638,9 @@ def _solve_on_support(oracle: SliceOracle, template: RatFunN, cfg: ReconConfig,
         residual = sum(map(mul, row, coeffs))
         if residual % p if p is not None else residual:
             return None
-    num, den = (PolyN(field, oracle.arity, {e: field.from_int(c) for e, c in zip(es, cs)})
-                for es, cs in ((columns[:split], coeffs[:split]),
-                               (columns[split:], coeffs[split:])))
-    return normalize_ratfunn(num, den)
+    num = {e: c for e, c in zip(columns[:split], coeffs) if c}
+    den = {e: c for e, c in zip(columns[split:], coeffs[split:]) if c}
+    return ratfunn_from_ints(field, oracle.arity, num, den)
 
 
 def _combine(parts, anchors, profile: DegreeProfile, field: Field,
@@ -648,9 +649,9 @@ def _combine(parts, anchors, profile: DegreeProfile, field: Field,
     the scaling-factor system of de Kleine, Monagan & Wittkopf (ISSAC 2005).
 
     Write the node's function as P/Q, coprime, of degrees n and m in the
-    peeled variable y.  Where P(x', b_i) and Q(x', b_i) are coprime, the
-    canonical child N_i/D_i at anchor b_i is that pair divided by a nonzero
-    constant, so the unknowns are l+1 scalars: with
+    peeled variable y.  Where the child N_i/D_i at anchor b_i is the pair
+    (P, Q)(x', b_i) divided by a nonzero constant, the unknowns are l+1
+    scalars: with
     L_i(y) = prod_{j != i} (y - b_j), P is sum_i s_i N_i L_i and Q is
     sum_i s_i D_i L_i for some s.  The system asks of s that every
     x'-coefficient of these sums has degree <= n in y, resp. <= m:
@@ -664,23 +665,28 @@ def _combine(parts, anchors, profile: DegreeProfile, field: Field,
     its two parts' denominators and each anchor u/v with powers
     u^k v^(max(n,m)-1-k), which scales each column by a constant.
 
-    No gcd is needed: the canonical children are coprime, and then a
-    one-dimensional kernel with every s_i nonzero gives a coprime result.
-    Let g divide both sums.  At y = b_i the sums are s_i L_i(b_i) (N_i, D_i),
-    so g(x', b_i) divides a coprime pair times a nonzero constant: it is a
-    nonzero constant c_i.  The part of g that depends on x' has degree
-    <= l in y and vanishes at l+1 anchors, so g lies in K[y].  With the
-    sums divided by g and multiplied by any h in K[y] of degree <= deg g,
-    both sums keep their degree bounds and take the values h(b_i)/c_i
-    times those at s, so s_i h(b_i)/c_i solves the system too; h = 1 and
-    h = y give two independent solutions unless deg g = 0.
+    No gcd is needed: a kernel vector s with every s_i nonzero gives a
+    coprime result.  Let (P', Q') be its sums.  Each child is P/Q on its
+    hyperplane, so P'Q - PQ' vanishes at the l+1 anchors, and its y-degree
+    is at most l: it is zero, and (P', Q') = h (P, Q) for some h in K[x'].
+    At y = b_i this reads s_i L_i(b_i) (N_i, D_i) = h (P, Q)(x', b_i).  A
+    recursed child is canonical, so h times the gcd of P(x', b_i) and
+    Q(x', b_i) is a nonzero constant, and h is constant.  A sparse child's
+    denominator lies on the support of the first child's, a divisor of
+    Q(x', b_0), so its total degree is at most D = deg_x' Q; a nonconstant
+    h would make deg Q(x', b_i) < D, which holds only at roots of the
+    y-coefficient of a top-degree x'-monomial of Q: at most m anchors.  A
+    candidate has l + 1 > m children, so h is constant either way, and the
+    result, scaled by `ratfunn_from_ints`, is P/Q in lowest terms.
 
     At an unlucky anchor, where P(x', b_i) and Q(x', b_i) share a factor,
-    the child is that pair divided by the factor, so no solution has
-    s_i != 0.  Such a kernel, a kernel of another dimension (or a class
-    that does not hold on the node), a sum above its degree and a zero
-    denominator (duplicate anchors) give None, and the node draws one more
-    anchor (`_reconstruct_level`)."""
+    a recursed child is that pair divided by the factor, so no solution has
+    s_i != 0.  A sparse child is not reduced: at such an anchor it is the
+    exact restriction (P, Q)(x', b_i) up to a constant, which is what the
+    system needs.  A kernel with a zero s_i, a kernel of another
+    dimension (or a class that does not hold on the node), a sum above its
+    degree and a zero denominator (duplicate anchors) give None, and the
+    node draws one more anchor (`_reconstruct_level`)."""
     n, m, l = profile.n, profile.m, profile.l
     p = field_prime(field)
     ratios = [int_pair(b, p) for b in anchors]

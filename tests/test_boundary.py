@@ -3,14 +3,14 @@
 `poly.over(field, den)` is the one map c -> c/den into a field, and
 `ratfun.ratfunn_from_ints` the one canonical scaling of integer parts.
 `normalize_ratfunn` ends in that scaling after its gcd, and
-`RatFun1.to_ratfunn` and the engine's combine end in it without one: a
-leaf, an arity-1 `reconstruct` and the text format of a univariate
-function never reach the multivariate gcd.
+`RatFun1.to_ratfunn`, the engine's combine and its sparse solve end in it
+without one: `reconstruct` at any arity, the text format of a univariate
+function and each command of the CLI never reach the multivariate gcd.
 """
 
 import importlib
+import json
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -152,21 +152,16 @@ def test_over_defaults_to_den_one():
 
 
 class GcdSpy:
-    """Counts calls of both bindings of the multivariate gcd; each call
-    records whether `_solve_on_support` is on its stack."""
+    """Counts calls of both bindings of the multivariate gcd."""
 
     def __init__(self, monkeypatch):
-        self.calls = []
+        self.calls = 0
         for module in (poly, ratfun):
             monkeypatch.setattr(module, "_packed_gcd", self._wrap(module._packed_gcd))
 
     def _wrap(self, fn):
         def counting(*args, **kwargs):
-            frame, names = sys._getframe(1), set()
-            while frame is not None:
-                names.add(frame.f_code.co_name)
-                frame = frame.f_back
-            self.calls.append("_solve_on_support" in names)
+            self.calls += 1
             return fn(*args, **kwargs)
         return counting
 
@@ -177,12 +172,12 @@ def test_no_gcd_from_an_arity_one_reconstruct(field, monkeypatch):
     spy = GcdSpy(monkeypatch)
     report = reconstruct(SliceOracle(1, field, f.eval_or_none), ReconConfig(seed=4))
     assert report.result.same_function(f)
-    assert spy.calls == []
+    assert spy.calls == 0
 
 
 @pytest.mark.parametrize("field", SOLVE_FIELDS, ids=SOLVE_IDS)
 def test_no_gcd_from_a_leaf(field, monkeypatch):
-    # every gcd of a multivariate solve comes from a sibling's support solve
+    # neither the leaves nor the siblings solved on a support call the gcd
     f = to_ratfun(parse("(x1*x3 - 2*x2^2 + 1)/(x1 + x2*x3 - 3)", 3), field, 3)
     leaves = []
     lift = ratfun.RatFun1.to_ratfunn
@@ -195,8 +190,8 @@ def test_no_gcd_from_a_leaf(field, monkeypatch):
     spy = GcdSpy(monkeypatch)
     report = reconstruct(SliceOracle(3, field, f.eval_or_none), ReconConfig(seed=5))
     assert report.result.same_function(f)
-    assert leaves
-    assert all(spy.calls)
+    assert leaves and report.to_json()["nodes"]["sparse"]
+    assert spy.calls == 0
 
 
 @pytest.mark.parametrize("field", SOLVE_FIELDS, ids=SOLVE_IDS)
@@ -215,5 +210,29 @@ def test_no_gcd_from_the_univariate_text_format(field, monkeypatch, tmp_path, ca
         fib.append(fib[-1] + fib[-2])
     cert = certify_rationality(SeriesPrefix(field, [field.from_int(c) for c in fib]), 5, 5)
     assert cert.to_json()["witness_den_at0is1"] == "1 - t - t^2"
-    assert spy.calls == []
+    assert spy.calls == 0
     assert texts[:2] == ["(0)/(1)", "(1)/(1)"]
+
+
+@pytest.mark.parametrize("field", SOLVE_FIELDS, ids=SOLVE_IDS)
+def test_no_gcd_from_any_cli_command(field, monkeypatch, tmp_path, capsys):
+    # one run of each command; the arity-3 reconstruct solves siblings on a
+    # support, which 0.12.0 reduced with the gcd
+    desc = field.descriptor()
+    series, samples = tmp_path / "fib.json", tmp_path / "s.csv"
+    series.write_text(json.dumps({"field": desc, "coeffs": [
+        str(c) for c in (1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144)]}))
+    samples.write_text("0,1\n1,2\n2,5\n3,10\n")
+    spy = GcdSpy(monkeypatch)
+    runs = [("hankel", "--series", str(series), "--lmax", "3", "--mmax", "3"),
+            ("interp", "--samples", str(samples), "--field", desc, "--n", "2",
+             "--m", "0", "--fit"),
+            ("reconstruct", "--expr", "(x1*x3 - 2*x2^2 + 1)/(x1 + x2*x3 - 3)",
+             "--arity", "3", "--field", desc, "--seed", "5"),
+            ("counterexample", "--n", "3", "--dmax", "0", "--grid", "2")]
+    outs = []
+    for argv in runs:
+        assert main(list(argv)) == 0, argv[0]
+        outs.append(capsys.readouterr().out)
+    assert json.loads(outs[2])["report"]["nodes"]["sparse"] > 0
+    assert spy.calls == 0

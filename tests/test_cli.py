@@ -228,15 +228,49 @@ def test_reconstruct_record_and_replay(tmp_path, capsys):
     assert r1 == r2
 
 
+# seed 5002 #62 of the `recon_q` benchmark workload: on the hyperplane
+# x3 = 0 its numerator and denominator share the factor x2
+UNLUCKY_SIBLING = ("(-420*x1^2*x3 - 60*x1*x2*x3 + 252*x1*x2)"
+                   "/(700*x1*x2*x3^2 + 3360*x1*x2 - 315*x2)")
+
+
+def test_reconstruct_combines_a_sibling_that_keeps_its_factor(monkeypatch, capsys):
+    # The root's third anchor is 0.  Its child is solved on the support of
+    # the first, the restriction to x3 = 1/2, scaled and not reduced, so it
+    # is the exact restriction and the four children combine.  0.12.0
+    # reduced it, drew a fifth anchor, 5/2, and asked 308 queries.
+    asked = []
+
+    def counted(ast, pt, field):
+        asked.append(pt)
+        return eval_expr(ast, pt, field)
+
+    monkeypatch.setattr(cli, "eval_expr", counted)
+    code, out, _ = run_cli(capsys, "reconstruct", "--expr", UNLUCKY_SIBLING,
+                           "--arity", "3", "--field", "q", "--seed", "1521320594")
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["result"] == UNLUCKY_SIBLING
+    assert report["verification"] == {"trials": 200, "agreements": 192,
+                                      "undefined_skips": 8}
+    assert report["anchors"][0] == ["1/2", "3/5", "0", "1/4"]
+    assert len(asked) == 300
+
+
 @pytest.mark.parametrize("argv,name", [
     (("reconstruct", "--expr", "(x1*x2+1)/(x1-x2)", "--arity", "2",
       "--field", "fp:101", "--record"), "f.json"),
     (("counterexample", "--n", "3", "--dmax", "0", "--grid", "2", "--table-out"),
      "t.csv")], ids=["record", "table-out"])
 def test_an_output_file_that_cannot_be_written_is_an_input_error(tmp_path, capsys,
-                                                                 argv, name):
+                                                                 monkeypatch, argv, name):
+    # the path is opened before the run: neither command starts its work
+    ran = []
+    for work in ("reconstruct", "nonrationality_report"):
+        monkeypatch.setattr(cli, work, lambda *a, work=work: ran.append(work))
     path = tmp_path / "missing" / name
     code, out, err = run_cli(capsys, *argv, str(path))
+    assert ran == []
     assert (code, out) == (1, "")
     assert err.startswith(f"input error: cannot write {path}: ")
     assert err.count("\n") == 1 and "No such file or directory" in err
@@ -894,7 +928,7 @@ def test_every_library_error_has_a_documented_exit_code(tmp_path, capsys, monkey
 
 
 # sha256 of stdout for small inputs of each command, recorded with version
-# 0.12.0: the "byte-identical stdout for a given version and seed" contract,
+# 0.13.0: the "byte-identical stdout for a given version and seed" contract,
 # checked across commits.  A version bump changes the manifest and re-records
 # every value.
 STDOUT_DIGESTS = {
@@ -928,26 +962,26 @@ for _name in ("reconstruct-q-h1", "reconstruct-q-h3", "reconstruct-q-h1000",
               "reconstruct-fp101"):
     STDOUT_DIGESTS[f"{_name}-record"] = STDOUT_DIGESTS[_name] + ("--record", "record.json")
 STDOUT_SHA256 = {
-    "counterexample": "574931c1ef2f13b0d67e496b403cb2d3cb842be2fba2d6f0bbfddf758f3e1a39",
-    "counterexample-24": "5f97a2569fb452bd438850cd80cf505e047dcc59eaf82584998af0e86e3e6202",
-    "hankel": "d80c82412f20a569f1a42c5e526fad79e21ed9c1324c25e27085091fca16c2bd",
-    "interp-fit": "a1159d485350c6504c15930d69566a672400bbb880e272c8ffc68d76fb2efaa2",
-    "reconstruct-fp-2": "6358ec988d158ea2282bc5dce265d3536df9421878d951ac9282f877a43d0853",
-    "reconstruct-fp-3": "9ab544ba72a544679499e0cc61a4f49a15bb6a7db8445b59b0cd65da146e090c",
-    "reconstruct-q-2": "58751f9be702559de01d9014f3ec4844eae2e41b7a4c47b29b853cfdd8a2be34",
-    "reconstruct-q-3": "b1b735251067349f7d079c2f44ae4643c9509a0b77d9c83770a417f771fe1d0f",
+    "counterexample": "b0ef2749bca7bc589e2cea09e54c5622a29bc5da74db09ef95b4084d244ec2e0",
+    "counterexample-24": "f6a89f84ebdeab0cb84147d5c0bdecda6302c6a594e012840d81cb6ee009ce50",
+    "hankel": "6830b06aa6dbd302804a1e25d389dd6faa78638c7f69a142f56ab16f26b7f058",
+    "interp-fit": "1fa8bb7705f5d67425daa452317c9f693ef2a0043e432c7620a914c5366dc1dc",
+    "reconstruct-fp-2": "c79f380b4b1cd6d83041a5347c71d0e7d8a2ec49a3c8c75e029484413cdbb9c0",
+    "reconstruct-fp-3": "79964430c83d0c2eab8e580e8e7b443cbcfa12e1f96c14bec50f7955567f7ba0",
+    "reconstruct-q-2": "3f4a4c6093ca0ee1410f246def7b8154b8ad3f1198a56cc688624969f67f8724",
+    "reconstruct-q-3": "0c0766795481b1ce250e582e9e4aa913d2f6ae2b66f8d108a7edb911f8a7aeae",
     "reconstruct-q-h1": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "reconstruct-q-h1-record":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "reconstruct-q-h3": "2ad1dad173f8ba401244a23552aa91efa8ae8241b39f102d1dbd45a83eea59a1",
+    "reconstruct-q-h3": "3b8e8afc97d4c8ff7c3f3f5d09c12063bfc50c943433192243069ce03280fe52",
     "reconstruct-q-h3-record":
-        "2ad1dad173f8ba401244a23552aa91efa8ae8241b39f102d1dbd45a83eea59a1",
-    "reconstruct-q-h1000": "68de43d2f99def32566ed258d79a96d51336033efd0484e3e5d046347517385e",
+        "3b8e8afc97d4c8ff7c3f3f5d09c12063bfc50c943433192243069ce03280fe52",
+    "reconstruct-q-h1000": "4555f59093940a1f4a9bf295cb51535fd2cf49a7123b3ff10755352912cf4a88",
     "reconstruct-q-h1000-record":
-        "68de43d2f99def32566ed258d79a96d51336033efd0484e3e5d046347517385e",
-    "reconstruct-fp101": "b648e746b1b7cb73b49d19547263869b6da8e9e272fbc8e411061ee91853ebb3",
+        "4555f59093940a1f4a9bf295cb51535fd2cf49a7123b3ff10755352912cf4a88",
+    "reconstruct-fp101": "680c18966156aad755acf0bd7b0c6b25cf9ca282a954397e8487c5aadce6dbb9",
     "reconstruct-fp101-record":
-        "b648e746b1b7cb73b49d19547263869b6da8e9e272fbc8e411061ee91853ebb3",
+        "680c18966156aad755acf0bd7b0c6b25cf9ca282a954397e8487c5aadce6dbb9",
 }
 # the --record files; at height 1 Q offers three values, fewer than even a
 # constant's detection needs, so the run is refused before any query (exit

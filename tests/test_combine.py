@@ -122,14 +122,13 @@ def instance(field, rng, nvars, shared_at_zero=False):
 
 
 class Spies:
-    """Call counts of normalization, both bindings of the multivariate gcd
-    and PolyN construction, while installed."""
+    """Call counts of both bindings of the multivariate gcd and PolyN
+    construction, while installed."""
 
     def __init__(self, monkeypatch):
         self.calls = {}
-        for module, name in ((engine, "normalize_ratfunn"),
-                             (ratfun, "_packed_gcd"), (poly, "_packed_gcd")):
-            self._spy(monkeypatch, module, name, f"{module.__name__}.{name}")
+        for module in (ratfun, poly):
+            self._spy(monkeypatch, module, "_packed_gcd", f"{module.__name__}._packed_gcd")
         init = PolyN.__init__
         self.calls["PolyN"] = 0
 
@@ -162,9 +161,8 @@ def test_scale_system_matches_determinant_path_on_coprime_images(field, nvars, m
         got = engine._combine(*args)
         calls = spies.calls
         monkeypatch.undo()
-        # no normalization, no gcd; PolyNs only for the result
-        assert calls == {"ratrecon.reconstruct.normalize_ratfunn": 0,
-                         "ratrecon.ratfun._packed_gcd": 0,
+        # no gcd; PolyNs only for the result
+        assert calls == {"ratrecon.ratfun._packed_gcd": 0,
                          "ratrecon.poly._packed_gcd": 0, "PolyN": 2}
         assert (got.num, got.den) == (want.num, want.den)
         assert (got.num, got.den) == (truth.num, truth.den)

@@ -7,6 +7,7 @@ import pytest
 
 from ratrecon.counterexample import (
     CounterexampleTable,
+    _grid,
     _refute_polynomial,
     _refute_rational,
     f_counter,
@@ -163,10 +164,10 @@ def test_refute_polynomial_matches_rank_reference():
         [3 * a * a - a * b + Fraction(1, 2) * b - 4 for b in xs] for a in xs])
     for table in (CounterexampleTable.build(grid), quadratic):
         for d in range(4):
-            assert _refute_polynomial(table, d) == \
+            assert _refute_polynomial(_grid(table, 3), d) == \
                 reference_refute_polynomial(table, d), d
-    assert _refute_polynomial(quadratic, 1) is not None
-    assert _refute_polynomial(quadratic, 2) is None
+    assert _refute_polynomial(_grid(quadratic, 1), 1) is not None
+    assert _refute_polynomial(_grid(quadratic, 2), 2) is None
 
 
 def reference_refute_rational(table, d):
@@ -200,11 +201,11 @@ def test_refute_rational_matches_rank_reference():
         [(3 * a * b - a + 2) / (a * a + b * b + 1) for b in xs] for a in xs])
     for table in (CounterexampleTable.build(grid), planted):
         for d in range(4):
-            assert _refute_rational(table, d) == \
+            assert _refute_rational(_grid(table, 3), d) == \
                 reference_refute_rational(table, d), d
-    assert _refute_rational(planted, 1) is not None
-    assert _refute_rational(planted, 2) is None
-    assert _refute_rational(planted, 3) is None
+    assert _refute_rational(_grid(planted, 1), 1) is not None
+    assert _refute_rational(_grid(planted, 2), 2) is None
+    assert _refute_rational(_grid(planted, 3), 3) is None
 
 
 @pytest.mark.parametrize("modulus", [None, 7], ids=["exact", "mod7"])

@@ -8,11 +8,13 @@ A row of `OUTCOMES` lists the runs of one kind and field, truth by truth
 in `TRUTHS` order, one letter per seed of `SEEDS`, and `CALLS` pins the
 oracle queries that the row's runs ask in all, refusals included: 108,994
 over the table, where 0.11.0, whose refusals could run the tree twice,
-asked 114,855.  docs/formats.md tabulates the same runs."""
+asked 114,855.  docs/formats.md tabulates the same runs.  No run, refused
+or not, calls the multivariate gcd."""
 
 import pytest
 
 from faults import KINDS, counterexample_oracle, exit_code
+from test_boundary import GcdSpy
 from ratrecon.errors import RatreconError
 from ratrecon.expr import parse, to_ratfun
 from ratrecon.fields import QQ, PrimeField
@@ -114,10 +116,12 @@ def test_the_table_covers_every_kind_and_field():
 
 @pytest.mark.parametrize("field", FIELDS)
 @pytest.mark.parametrize("kind", KINDS)
-def test_no_wrong_answer_and_each_outcome_pinned(kind, field):
+def test_no_wrong_answer_and_each_outcome_pinned(kind, field, monkeypatch):
+    truths = [(to_ratfun(parse(text, arity), FIELDS[field], arity), arity)
+              for text, arity in TRUTHS]
+    spy = GcdSpy(monkeypatch)       # installed after the truths' own gcds
     got, calls = [], []
-    for text, arity in TRUTHS:
-        truth = to_ratfun(parse(text, arity), FIELDS[field], arity)
+    for truth, arity in truths:
         fn = KINDS[kind](truth)
 
         def counted(pt, fn=fn):
@@ -128,8 +132,11 @@ def test_no_wrong_answer_and_each_outcome_pinned(kind, field):
                            for seed in SEEDS))
     assert " ".join(got) == OUTCOMES[(kind, field)]
     assert len(calls) == CALLS[(kind, field)]
+    assert spy.calls == 0
 
 
-def test_the_papers_function_is_refused():
+def test_the_papers_function_is_refused(monkeypatch):
+    spy = GcdSpy(monkeypatch)
     assert "".join(outcome(counterexample_oracle, 2, QQ, seed)
                    for seed in SEEDS) == COUNTEREXAMPLE
+    assert spy.calls == 0

@@ -8,16 +8,24 @@ recursed in the chain must have the anchors of the full tree's node at its
 path; and on a faithful oracle every node that returns, recursed or
 solved, holds a result that would pass its own check, though only the
 root's is checked.  A wrong solve shows at the root: its combine fails or
-its check does, and the unlucky-anchor retry leaves the sibling out."""
+its check does, and the unlucky-anchor retry leaves the sibling out.
+
+A solved sibling is scaled, not reduced: its result is the function that
+`normalize_ratfunn` makes of it, with the same parts wherever that gcd is
+1.  At an anchor where the truth's numerator and denominator share a
+factor, the full tree's reduced child does not combine, and the chain's
+unreduced one may: the chain then draws fewer anchors
+(`test_solve_keeps_the_factor_of_an_unlucky_anchor`)."""
 
 import importlib
 import random
+from fractions import Fraction
 
 import pytest
 
 from ratrecon.expr import parse, to_ratfun
 from ratrecon.fields import QQ, PrimeField, _draw_point, derive_rng
-from ratrecon.poly import PolyN
+from ratrecon.poly import PolyN, gcd_polyn
 from ratrecon.ratfun import format_ratfunn, normalize_ratfunn
 from ratrecon.reconstruct import (
     SPARSE_DRAWS_PER_ROW,
@@ -37,6 +45,23 @@ engine = importlib.import_module("ratrecon.reconstruct")
 
 FP101 = PrimeField(101)
 FP = PrimeField(1000003)
+
+
+@pytest.fixture(autouse=True)
+def solves_are_scaled_not_reduced(monkeypatch):
+    """Checks every sparse solve's result against `normalize_ratfunn`."""
+    solve = engine._solve_on_support
+
+    def checked(oracle, template, cfg, path):
+        result = solve(oracle, template, cfg, path)
+        if result is not None:
+            reduced = normalize_ratfunn(result.num, result.den)
+            assert result.same_function(reduced)
+            if gcd_polyn(result.num, result.den).is_constant():
+                assert (result.num, result.den) == (reduced.num, reduced.den)
+        return result
+
+    monkeypatch.setattr(engine, "_solve_on_support", checked)
 
 
 def full_recursion(oracle, cfg, monkeypatch):
@@ -239,6 +264,27 @@ def test_solve_falls_back_on_a_zero_denominator(monkeypatch):
     assert engine._solve_on_support(oracle, template, ReconConfig(), (1,)) is None
 
 
+def test_solve_keeps_the_factor_of_an_unlucky_anchor():
+    # seed 5002 #62 of the `recon_q` benchmark workload, whose run at this
+    # seed takes the root anchors 1/2, 3/5, 0, 1/4.  On x3 = 0 the
+    # restriction is (252*x1*x2)/(3360*x1*x2 - 315*x2), whose parts share
+    # x2; the solve on the support of the restriction to x3 = 1/2 keeps it.
+    text = ("(-420*x1^2*x3 - 60*x1*x2*x3 + 252*x1*x2)"
+            "/(700*x1*x2*x3^2 + 3360*x1*x2 - 315*x2)")
+    f = to_ratfun(parse(text, 3), QQ, 3)
+    oracle = SliceOracle(3, QQ, f.eval_or_none)._restrict(Fraction(0))
+    template = to_ratfun(parse("(-210*x1^2 + 222*x1*x2)/(3535*x1*x2 - 315*x2)", 2),
+                         QQ, 2)
+    half = Fraction(1, 2)
+    assert all(template.eval_or_none(pt) == f.eval_or_none(pt + (half,))
+               for pt in ((Fraction(2), Fraction(3)), (Fraction(-1, 3), Fraction(5))))
+    solved = engine._solve_on_support(oracle, template, ReconConfig(seed=1521320594),
+                                      (2,))
+    # 0.12.0 reduced it to (12*x1)/(160*x1 - 15)
+    assert (solved.num, solved.den) == (polyn(QQ, 2, {(1, 1): 12}),
+                                        polyn(QQ, 2, {(1, 1): 160, (0, 1): -15}))
+
+
 @pytest.mark.parametrize("field", [QQ, FP101, FP], ids=["q", "fp101", "fp1000003"])
 def test_solve_finds_a_sibling_on_the_support(field):
     # (x1*x2 + 3)/(x1 - 2) as the template, (4*x1*x2 - 1)/(x1 + 5) as the
@@ -250,6 +296,21 @@ def test_solve_finds_a_sibling_on_the_support(field):
     oracle = SliceOracle(2, field, sibling.eval_or_none)
     solved = engine._solve_on_support(oracle, template, ReconConfig(seed=2), (3,))
     assert format_ratfunn(solved) == format_ratfunn(sibling)
+
+
+@pytest.mark.parametrize("field", [QQ, FP101, FP], ids=["q", "fp101", "fp1000003"])
+def test_solve_drops_the_terms_a_sibling_lacks(field):
+    # x1/(x1 + x2 + 1) as the template, x1/(x2 + 1) as the sibling: the
+    # kernel's coefficient of the denominator's lex-leading monomial x1 is
+    # zero, and the result is scaled by the term that remains
+    template = normalize_ratfunn(polyn(field, 2, {(1, 0): 1}),
+                                 polyn(field, 2, {(1, 0): 1, (0, 1): 1, (0, 0): 1}))
+    sibling = normalize_ratfunn(polyn(field, 2, {(1, 0): 1}),
+                                polyn(field, 2, {(0, 1): 1, (0, 0): 1}))
+    oracle = SliceOracle(2, field, sibling.eval_or_none)
+    solved = engine._solve_on_support(oracle, template, ReconConfig(seed=2), (3,))
+    assert (solved.num, solved.den) == (sibling.num, sibling.den)
+    assert format_ratfunn(solved) == "(x1)/(x2 + 1)"
 
 
 def test_every_returned_node_passed_its_own_verification(monkeypatch):
