@@ -42,7 +42,7 @@ from operator import mul
 from .errors import NoSolution, PoleAtOrigin, PrefixTooShort
 from .fields import Field
 from .matrix import bordered_dets
-from .poly import Poly1, field_prime, poly1_ints
+from .poly import WORD_PRIME, Poly1, field_prime, poly1_ints
 from .ratfun import (
     RatFun1,
     eea_rows,
@@ -122,13 +122,6 @@ def _check_bounds(s: SeriesPrefix, l_max: int, m_max: int) -> None:
     if s.n_max < l_max + 2 * m_max:
         raise PrefixTooShort(
             f"need prefix length >= {l_max + 2 * m_max + 1}, have {s.n_max + 1}")
-
-
-# Over Q a Hankel determinant is first taken modulo this prime: a nonzero
-# residue proves it nonzero, and only a zero residue costs the exact one.
-# Below 2^30 each residue is one digit of a CPython int, which keeps the
-# elimination's products small.
-WORD_PRIME = 2 ** 30 - 35
 
 
 def _walk(s: SeriesPrefix, m_max: int):

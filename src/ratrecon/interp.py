@@ -27,11 +27,26 @@ F_p and integer numerators over one denominator over Q, and candidates are
 checked by integer Horner; a `RatFun1` is built only for the fit returned.
 Detection passes the bound on the candidate's total degree to the walk
 (`ratfun.eea_rows`), which builds no row whose cofactor exceeds it.
+
+Over Q, `fit_ratfun` and `interp_point` first solve the image of their
+samples mod the word prime `poly.WORD_PRIME` with the same F_p code (a
+residue Newton pool and its extended-Euclid rows), lift the row's
+coefficients to Q by rational number reconstruction (Wang 1981) and check
+the lift exactly on every sample by integer Horner (`_word_lift`).  A lift
+that passes is the answer, the same as that of the exact path (the
+arguments are in the two docstrings); on any failed step the exact path
+runs: the Bareiss determinants of `alpha_beta`, or the Newton pool and
+pseudo-remainder walk over Q.  That path is the only one over F_p and the
+only one that refuses.  The fitted functions have coefficients of a few
+digits while the exact path's integers grow with the samples' heights, so
+the image costs word-size arithmetic where the exact path costs
+thousand-bit products.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .errors import (
     BetaZero,
@@ -43,8 +58,25 @@ from .errors import (
 )
 from .fields import QQ, Field, FpElement
 from .matrix import bordered_dets, det_exact
-from .poly import Poly1, _ratio, _residue, _strip, field_prime, int_pair, int_powers, over
-from .ratfun import RatFun1, degree_and_ord, ratfun1_from_row, reconstruct_ints
+from .poly import (
+    WORD_PRIME,
+    Poly1,
+    _ratio,
+    _residue,
+    _strip,
+    field_prime,
+    int_pair,
+    int_powers,
+    over,
+)
+from .ratfun import (
+    RatFun1,
+    _coprime,
+    degree_and_ord,
+    eea_rows,
+    ratfun1_from_row,
+    reconstruct_ints,
+)
 from .records import Frozen, Record
 
 
@@ -132,8 +164,7 @@ def alpha_beta(samples: SampleSet1, profile: DegreeProfile, a):
         raise SizeMismatch(f"need {profile.l + 1} samples, got {len(samples)}")
     n, m = profile.n, profile.m
     top = max(n, m)
-    x0 = samples.points[0][0]
-    field = x0.field if isinstance(x0, FpElement) else QQ
+    field = _field_of(samples)
     p = field_prime(field)
     rows, scale = [], 1
     for x, v in samples.points:
@@ -153,14 +184,45 @@ def alpha_beta(samples: SampleSet1, profile: DegreeProfile, a):
 
 def interp_point(samples: SampleSet1, profile: DegreeProfile, a):
     """Exact value of the underlying function at a, via the sign-calibrated
-    determinant ratio."""
-    alpha, beta = alpha_beta(samples, profile, a)
-    zero = alpha - alpha
-    if beta == zero:
-        raise BetaZero("denominator determinant vanished (wrong profile or "
-                       "target off the function's domain); resample")
-    v = alpha / beta
-    return -v if interp_sign(profile.n, profile.m) < 0 else v
+    determinant ratio.
+
+    Over Q the value is first read off the lift of `_word_lift`: P(a)/Q(a)
+    for its row (P, Q).  With l + 1 samples, the solutions mod p of type
+    (n, m) are alpha*(r_j, t_j), deg alpha <= min(n - deg r_j, m - deg t_j)
+    (von zur Gathen & Gerhard, Modern Computer Algebra, Thm 5.16), so the
+    kernel of the data matrix mod p is one-dimensional exactly when
+    deg r_j = n or deg t_j = m; the lift is taken only then.  Rank l + 1
+    mod p forces rank l + 1 over Q, so a nonzero (P, Q) that satisfies the
+    equations P(a_i) = v_i*Q(a_i) exactly is a multiple of the Cramer
+    vector, whose entries give the two determinants: alpha/beta is
+    P(a)/Q(a) under the calibrated sign, and beta = 0 exactly when
+    Q(a) = 0, which raises the same BetaZero."""
+    if len(samples) != profile.l + 1:
+        raise SizeMismatch(f"need {profile.l + 1} samples, got {len(samples)}")
+    n, m = profile.n, profile.m
+    row = None
+    if _field_of(samples) is QQ:
+        row = _word_lift(samples, n, m, lambda r, t: len(r) == n + 1 or len(t) == m + 1)
+    if row is None:
+        alpha, beta = alpha_beta(samples, profile, a)
+        if beta == alpha - alpha:
+            raise BetaZero(_BETA_ZERO)
+        v = alpha / beta
+        return -v if interp_sign(n, m) < 0 else v
+    an, ad = _ratio(a)
+    (rn, rs), (tn, ts) = _horner_q(row[0], an, ad), _horner_q(row[1], an, ad)
+    if not tn:
+        raise BetaZero(_BETA_ZERO)
+    return Fraction(rn * ts, tn * rs)
+
+
+_BETA_ZERO = ("denominator determinant vanished (wrong profile or target "
+              "off the function's domain); resample")
+
+
+def _field_of(samples: SampleSet1) -> Field:
+    x0 = samples.points[0][0]
+    return x0.field if isinstance(x0, FpElement) else QQ
 
 
 class _NewtonPool:
@@ -170,11 +232,12 @@ class _NewtonPool:
     Over F_p both are residue lists.  Over Q, with a_i = n_i/d_i, the
     modulus is prod(d_i*x - n_i) (a scalar multiple, which leaves the
     Newton step c*M unchanged) and u is an integer list over the common
-    denominator `den`."""
+    denominator `den`.  A prime `p` given with Q makes the pool that of
+    the samples' image mod p: it is fed residues and holds residue lists."""
 
-    def __init__(self, field: Field):
+    def __init__(self, field: Field, p=None):
         self.field = field
-        self.p = field_prime(field)
+        self.p = field_prime(field) if p is None else p
         self.modulus, self.u, self.den = [1], [], 1
 
     def add(self, a, v):
@@ -249,16 +312,95 @@ def _row_profile(row) -> DegreeProfile:
     return DegreeProfile.from_de(max(dn, dd), dn - dd)
 
 
+def _rat_lift(c: int, p: int, bound: int):
+    """(u, w), coprime, with u = c*w mod p, |u| <= bound and 0 < w <= bound,
+    or None: rational number reconstruction (Wang 1981), the extended
+    Euclid on (p, c) stopped at the first remainder within the bound.  With
+    2*bound^2 < p there is at most one such fraction."""
+    r0, r1, t0, t1 = p, c, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if t1 < 0:
+        r1, t1 = -r1, -t1
+    return (r1, t1) if t1 <= bound and math.gcd(r1, t1) == 1 else None
+
+
+def _word_lift(samples: SampleSet1, n: int, m: int, accept):
+    """Over Q, the (n, m) row of the samples solved mod `WORD_PRIME` and
+    lifted to Q, as integer lists (r, t) over the common denominator lc(t):
+    the first extended-Euclid row of the image pool with deg r <= n, among
+    those with deg t <= m, on which `accept(r, t)` holds, made monic and its
+    coefficients lifted by `_rat_lift`.  The lift is returned only if
+    t(a_i) != 0 and r(a_i) = v_i*t(a_i) at every sample, checked exactly.
+    None, for the exact path to answer, when a sample's denominator is 0 mod
+    p, two abscissae are congruent, no row or `accept` fails, a coefficient
+    has no lift within sqrt(p/2), or the check fails."""
+    p = WORD_PRIME
+    pool, seen, pairs = _NewtonPool(QQ, p), set(), []
+    for a, v in samples.points:
+        (an, ad), (vn, vd) = _ratio(a), _ratio(v)
+        if not (ad % p and vd % p):
+            return None
+        x = an * pow(ad, -1, p) % p
+        if x in seen:
+            return None
+        seen.add(x)
+        pool.add(x, vn * pow(vd, -1, p) % p)
+        pairs.append((an, ad, vn, vd))
+    for r, t in eea_rows(pool.modulus, pool.u, p, m):
+        if len(r) <= n + 1:
+            break
+    else:
+        return None
+    if not accept(r, t):
+        return None
+    inv, bound = pow(t[-1], -1, p), math.isqrt(p // 2)
+    lifted = [_rat_lift(c * inv % p, p, bound) for c in r + t]
+    if None in lifted:
+        return None
+    den = math.lcm(*(w for _, w in lifted))
+    ints = [u * (den // w) for u, w in lifted]
+    r, t = ints[:len(r)], ints[len(r):]
+    for an, ad, vn, vd in pairs:
+        rn, rs = _horner_q(r, an, ad)
+        tn, ts = _horner_q(t, an, ad)
+        if not tn or rn * ts * vd != vn * tn * rs:
+            return None
+    return r, t
+
+
 def fit_ratfun(samples: SampleSet1, n_deg: int, m_deg: int) -> RatFun1:
     """The canonical function with numerator degree <= n_deg and denominator
     degree <= m_deg through all samples, its denominator nonvanishing at
     every sample.  Requires at least one sample beyond n_deg + m_deg + 1,
-    which makes the fit unique."""
+    which makes the fit unique.
+
+    Over Q the answer is first sought as the lift (P, Q) of `_word_lift`,
+    from an image row that is coprime mod p.  Q is monic, deg P <= n_deg,
+    deg Q <= m_deg, Q(a_i) != 0 and P(a_i) = v_i*Q(a_i) at every sample.
+    Then the exact path fits too, and P/Q is its fit as a function: for any
+    fit P'/Q', P*Q' - P'*Q has degree <= n_deg + m_deg and at least
+    n_deg + m_deg + 2 roots.  P/Q is in lowest terms: a monic common factor
+    over Q would have p-integral coefficients, as Q has, and would survive
+    mod p as a factor of the coprime image row.  So it is the same
+    canonical RatFun1."""
     if len(samples) < n_deg + m_deg + 2:
         raise SizeMismatch(
             f"need >= {n_deg + m_deg + 2} samples for degrees ({n_deg}, {m_deg})")
-    a0 = samples.points[0][0]
-    pool = _NewtonPool(a0.field if isinstance(a0, FpElement) else QQ)
+    field = _field_of(samples)
+    if field is QQ:
+        row = _word_lift(samples, n_deg, m_deg,
+                         lambda r, t: _coprime(r, t, WORD_PRIME))
+        if row is not None:
+            return ratfun1_from_row(QQ, *row)
+    return _fit_exact(samples, n_deg, m_deg, field)
+
+
+def _fit_exact(samples: SampleSet1, n_deg: int, m_deg: int, field: Field) -> RatFun1:
+    """`fit_ratfun` on the Newton pool of `field` and its extended-Euclid
+    rows: the path over F_p, and over Q wherever `_word_lift` fails."""
+    pool = _NewtonPool(field)
     for a, v in samples.points:
         pool.add(a, v)
     row = pool.reconstruct(n_deg, m_deg)
