@@ -323,9 +323,12 @@ def _cmd_counterexample(args) -> int:
     _check_range("--grid", args.grid, 1, GRID_CAP)
     if args.table_out:
         _write_file(args.table_out, "", "a")   # an unwritable path fails before the work
-    table = CounterexampleTable.build(args.n)
+    # one table serves both: the CSV is its n x n block, the report's grid its
+    # grid x grid block
+    table = CounterexampleTable.build(max(args.n, args.grid))
+    cert = nonrationality_report(args.dmax, args.grid, table)
+    table = table.block(args.n)
     csv_text = table.to_csv()
-    cert = nonrationality_report(args.dmax, args.grid)
     table_obj = {
         "n": args.n,
         "symmetric": table.symmetric(),

@@ -66,6 +66,11 @@ class CounterexampleTable(Record):
         return cls(enum, [[sum(map(mul, ri, rj), Fraction(0)) for rj in rows]
                           for ri in rows])
 
+    def block(self, n: int) -> "CounterexampleTable":
+        """The table on the first n values: the top-left n x n block."""
+        return CounterexampleTable(self.enumeration[:n],
+                                   [row[:n] for row in self.values[:n]])
+
     def symmetric(self) -> bool:
         return all(row[j] == self.values[j][i]
                    for i, row in enumerate(self.values) for j in range(i))
@@ -151,12 +156,14 @@ class NonrationalityReport(Record):
         }
 
 
-def nonrationality_report(d_max: int, grid: int) -> NonrationalityReport:
+def nonrationality_report(d_max: int, grid: int,
+                          table: CounterexampleTable | None = None) -> NonrationalityReport:
     """Refute every bivariate rational degree bound D <= d_max on a
-    grid x grid table of exact values."""
+    grid x grid table of exact values: the top-left block of `table`, which
+    has at least `grid` values, or else a table built for the report."""
     if grid < 2 * d_max + 2:
         raise ValueError(f"grid must be >= 2*d_max + 2 = {2 * d_max + 2}")
-    table = CounterexampleTable.build(grid)
+    table = CounterexampleTable.build(grid) if table is None else table.block(grid)
     # one pass over the grid's points, computed once, for each test and bound
     grids = iter(tee(_grid(table, d_max), 2 * (d_max + 1)))
     per_degree = []

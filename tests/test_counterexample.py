@@ -110,6 +110,35 @@ def test_refutation_full():
         assert entry["rational_refuted"], entry
 
 
+def test_report_reads_the_top_left_block_of_a_larger_table():
+    big = CounterexampleTable.build(12)
+    small = big.block(8)
+    assert small == CounterexampleTable.build(8)
+    assert (nonrationality_report(3, 8, big).to_json()
+            == nonrationality_report(3, 8).to_json())
+
+
+@pytest.mark.parametrize("n, grid", [(3, 6), (9, 6), (6, 6)])
+def test_counterexample_command_builds_one_table(capsys, monkeypatch, n, grid):
+    # the CSV's n x n table and the report's grid x grid table are blocks
+    # of the one table of max(n, grid) values
+    import ratrecon.cli as cli
+    built = []
+    build = CounterexampleTable.build.__func__
+
+    def counting_build(cls, k):
+        built.append(k)
+        return build(cls, k)
+
+    monkeypatch.setattr(CounterexampleTable, "build", classmethod(counting_build))
+    assert cli.main(["counterexample", "--n", str(n), "--dmax", "2",
+                     "--grid", str(grid)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert built == [max(n, grid)]
+    assert out["table"]["csv"] == CounterexampleTable.build(n).to_csv()
+    assert out["certificate"] == nonrationality_report(2, grid).to_json()
+
+
 def test_report_deterministic():
     a = json.dumps(nonrationality_report(2, 8).to_json(), sort_keys=True)
     b = json.dumps(nonrationality_report(2, 8).to_json(), sort_keys=True)
