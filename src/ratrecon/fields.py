@@ -221,7 +221,11 @@ class RationalField(Field):
         return Fraction(k)
 
     def parse(self, s: str) -> Fraction:
-        return Fraction(s.strip())
+        s = s.strip()
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ZeroDivisionError(f"zero denominator in {s!r}") from None
 
     def format(self, x: Fraction) -> str:
         return str(x)
@@ -302,7 +306,10 @@ class PrimeField(Field):
         s = s.strip()
         if "/" in s:
             a, b = s.split("/", 1)
-            return self.from_int(int(a)) / self.from_int(int(b))
+            den = self.from_int(int(b))
+            if not den.residue:
+                raise ZeroDivisionError(f"zero denominator mod {self.p} in {s!r}")
+            return self.from_int(int(a)) / den
         return self.from_int(int(s))
 
     def format(self, x: FpElement) -> str:

@@ -141,6 +141,24 @@ def test_interp_json_samples_zero_denominator(tmp_path, capsys):
     assert err.startswith("input error: bad samples JSON")
 
 
+@pytest.mark.parametrize("field, message", [
+    ("q", "zero denominator in '1/0'"),
+    ("fp:101", "zero denominator mod 101 in '1/202'")])
+def test_interp_zero_denominator_names_itself(tmp_path, capsys, field, message):
+    # a sample line and an --at value with a zero denominator are input
+    # errors that name the denominator and the text
+    bad = message.split("'")[1]
+    f = tmp_path / "div0.csv"
+    f.write_text(f"1,1\n2,{bad}\n")
+    code, out, err = run_cli(capsys, "interp", "--samples", str(f),
+                             "--field", field, "--n", "0", "--m", "1", "--at", "3")
+    assert (code, out, err) == (1, "", f"input error: {f}:2: {message}\n")
+    f.write_text("1,1\n2,3\n")
+    code, out, err = run_cli(capsys, "interp", "--samples", str(f),
+                             "--field", field, "--n", "0", "--m", "1", "--at", bad)
+    assert (code, out, err) == (1, "", f"input error: bad --at value: {message}\n")
+
+
 def test_interp_beta_zero_exit(tmp_path, capsys):
     f = tmp_path / "inv.csv"
     f.write_text("1,1\n2,1/2\n")
