@@ -36,8 +36,10 @@ the lift exactly on every sample by integer Horner (`_word_lift`).  A lift
 that passes is the answer, the same as that of the exact path (the
 arguments are in the two docstrings); on any failed step the exact path
 runs: the Bareiss determinants of `alpha_beta`, or the Newton pool and
-pseudo-remainder walk over Q.  That path is the only one over F_p and the
-only one that refuses.  The fitted functions have coefficients of a few
+pseudo-remainder walk over Q.  That path is the only one over F_p, and
+the only one that raises NoFit, or BetaZero for a kernel of dimension
+above 1; the lift raises BetaZero only at a target where its denominator
+vanishes.  The fitted functions have coefficients of a few
 digits while the exact path's integers grow with the samples' heights, so
 the image costs word-size arithmetic where the exact path costs
 thousand-bit products.
@@ -188,11 +190,12 @@ def interp_point(samples: SampleSet1, profile: DegreeProfile, a):
 
     Over Q the value is first read off the lift of `_word_lift`: P(a)/Q(a)
     for its row (P, Q).  With l + 1 samples, the solutions mod p of type
-    (n, m) are alpha*(r_j, t_j), deg alpha <= min(n - deg r_j, m - deg t_j)
+    (n, m) are c*(r_j, t_j) with deg c <= min(n - deg r_j, m - deg t_j)
     (von zur Gathen & Gerhard, Modern Computer Algebra, Thm 5.16), so the
     kernel of the data matrix mod p is one-dimensional exactly when
-    deg r_j = n or deg t_j = m; the lift is taken only then.  Rank l + 1
-    mod p forces rank l + 1 over Q, so a nonzero (P, Q) that satisfies the
+    deg r_j = n or deg t_j = m; the lift is taken only then.  That matrix
+    is the image of the one over Q, whose rank l + 1 mod p then forces
+    rank l + 1 over Q, so a nonzero (P, Q) that satisfies the
     equations P(a_i) = v_i*Q(a_i) exactly is a multiple of the Cramer
     vector, whose entries give the two determinants: alpha/beta is
     P(a)/Q(a) under the calibrated sign, and beta = 0 exactly when
@@ -200,9 +203,8 @@ def interp_point(samples: SampleSet1, profile: DegreeProfile, a):
     if len(samples) != profile.l + 1:
         raise SizeMismatch(f"need {profile.l + 1} samples, got {len(samples)}")
     n, m = profile.n, profile.m
-    row = None
-    if _field_of(samples) is QQ:
-        row = _word_lift(samples, n, m, lambda r, t: len(r) == n + 1 or len(t) == m + 1)
+    row = None if _field_of(samples) is not QQ else _word_lift(
+        samples, n, m, lambda r, t: len(r) == n + 1 or len(t) == m + 1)
     if row is None:
         alpha, beta = alpha_beta(samples, profile, a)
         if beta == alpha - alpha:
@@ -332,7 +334,7 @@ def _word_lift(samples: SampleSet1, n: int, m: int, accept):
     the first extended-Euclid row of the image pool with deg r <= n, among
     those with deg t <= m, on which `accept(r, t)` holds, made monic and its
     coefficients lifted by `_rat_lift`.  The lift is returned only if
-    t(a_i) != 0 and r(a_i) = v_i*t(a_i) at every sample, checked exactly.
+    r(a_i) = v_i*t(a_i) at every sample, checked exactly.
     None, for the exact path to answer, when a sample's denominator is 0 mod
     p, two abscissae are congruent, no row or `accept` fails, a coefficient
     has no lift within sqrt(p/2), or the check fails."""
@@ -365,7 +367,7 @@ def _word_lift(samples: SampleSet1, n: int, m: int, accept):
     for an, ad, vn, vd in pairs:
         rn, rs = _horner_q(r, an, ad)
         tn, ts = _horner_q(t, an, ad)
-        if not tn or rn * ts * vd != vn * tn * rs:
+        if rn * ts * vd != vn * tn * rs:
             return None
     return r, t
 
@@ -378,8 +380,10 @@ def fit_ratfun(samples: SampleSet1, n_deg: int, m_deg: int) -> RatFun1:
 
     Over Q the answer is first sought as the lift (P, Q) of `_word_lift`,
     from an image row that is coprime mod p.  Q is monic, deg P <= n_deg,
-    deg Q <= m_deg, Q(a_i) != 0 and P(a_i) = v_i*Q(a_i) at every sample.
-    Then the exact path fits too, and P/Q is its fit as a function: for any
+    deg Q <= m_deg and P(a_i) = v_i*Q(a_i) at every sample; Q(a_i) != 0,
+    as a Euclid row has gcd(r, t) = gcd(t, modulus), so the image of Q has
+    no root among the abscissae mod p.  Then the exact path fits too, and
+    P/Q is its fit as a function: for any
     fit P'/Q', P*Q' - P'*Q has degree <= n_deg + m_deg and at least
     n_deg + m_deg + 2 roots.  P/Q is in lowest terms: a monic common factor
     over Q would have p-integral coefficients, as Q has, and would survive
