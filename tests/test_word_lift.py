@@ -172,12 +172,14 @@ def test_a_coefficient_beyond_the_lift_bound_falls_back(lifts):
 
 def bench_shaped(field, rng, l):
     """As the benchmark's interp instances: numerator and denominator of
-    degrees n and l - n with coefficients of height 9, coprime, and l + 3
-    samples at abscissae of height 50 off the poles."""
+    degrees n and l - n, coprime, with coefficients of height 9 over Q
+    (uniform residues over F_p), and l + 3 samples at abscissae of height
+    50 off the poles."""
     n = rng.randint(0, l)
     while True:
-        num, den = rand_poly(rng, n, 9), rand_poly(rng, l - n, 9)
-        if field is not QQ:
+        if field is QQ:
+            num, den = rand_poly(rng, n, 9), rand_poly(rng, l - n, 9)
+        else:
             num, den = (Poly1.from_ints(field, [rng.randrange(field.p) or 1
                                                 for _ in range(d + 1)])
                         for d in (n, l - n))
