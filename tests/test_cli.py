@@ -17,6 +17,7 @@ from ratrecon.cli import main
 from ratrecon.expr import eval_expr, parse
 from ratrecon.fields import PrimeField, derive_rng
 from ratrecon.interp import detect_profile_with_fit
+from ratrecon.poly import WORD_PRIME
 from ratrecon.reconstruct import ReconConfig, SliceOracle, reconstruct
 
 
@@ -961,6 +962,12 @@ STDOUT_DIGESTS = {
     "hankel": ("hankel", "--series", "fib.json", "--lmax", "5", "--mmax", "5"),
     "interp-fit": ("interp", "--samples", "sq.csv", "--field", "q", "--n", "2",
                    "--m", "1", "--fit"),
+    # an abscissa with the word prime as denominator: the Q value comes from
+    # the exact path, not the word-prime lift
+    "interp-at-q": ("interp", "--samples", "wp.csv", "--field", "q", "--n", "1",
+                    "--m", "2", "--at", "7"),
+    "interp-at-fp101": ("interp", "--samples", "fp.csv", "--field", "fp:101", "--n", "1",
+                        "--m", "2", "--at", "33"),
     # heights and a small field the benchmark never runs; with --record the
     # file lists the queried points in query order
     "reconstruct-q-h1": ("reconstruct", "--expr", "(x1*x2 + 1)/(x1 - x2)", "--arity", "2",
@@ -984,6 +991,8 @@ STDOUT_SHA256 = {
     "counterexample-24": "f6a89f84ebdeab0cb84147d5c0bdecda6302c6a594e012840d81cb6ee009ce50",
     "hankel": "6830b06aa6dbd302804a1e25d389dd6faa78638c7f69a142f56ab16f26b7f058",
     "interp-fit": "1fa8bb7705f5d67425daa452317c9f693ef2a0043e432c7620a914c5366dc1dc",
+    "interp-at-q": "197124435463bde9284447415d6bf4f0acb68eec061cb76353c074214ab758f5",
+    "interp-at-fp101": "d86caf73ecc8b7e9ff6fcc986f0abe10e3793612118d7cb4c4dda401b8f6dd08",
     "reconstruct-fp-2": "c79f380b4b1cd6d83041a5347c71d0e7d8a2ec49a3c8c75e029484413cdbb9c0",
     "reconstruct-fp-3": "79964430c83d0c2eab8e580e8e7b443cbcfa12e1f96c14bec50f7955567f7ba0",
     "reconstruct-q-2": "3f4a4c6093ca0ee1410f246def7b8154b8ad3f1198a56cc688624969f67f8724",
@@ -1023,6 +1032,11 @@ def test_stdout_bytes_are_stable(tmp_path, capsys, monkeypatch, name):
     monkeypatch.chdir(tmp_path)
     write_fib_series(tmp_path / "fib.json")
     (tmp_path / "sq.csv").write_text("1,2\n2,5/2\n3,10/3\n4,17/4\n5,26/5\n6,37/6\n")
+    # samples of (1 + 2x)/(3 + x^2) over Q and of (x + 3)/(x^2 + 1) mod 101
+    (tmp_path / "wp.csv").write_text(
+        f"1/{WORD_PRIME},1152921431592404099/3458764288334761564\n"
+        "2,5/7\n3,7/12\n5/2,24/37\n4,9/19\n")
+    (tmp_path / "fp.csv").write_text("2,1\n5,78\n9,10\n14,37\n20,26\n")
     code, out, _ = run_cli(capsys, *STDOUT_DIGESTS[name])
     assert code == EXIT_CODE.get(name, 0)
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[name]
