@@ -1,54 +1,33 @@
-"""Determinantal interpolation of univariate rational functions.
+"""Interpolation of univariate rational functions from samples.
 
-The two bordered (l+2)x(l+2) determinants share the (l+1)x(l+2) data
-matrix whose row i is [den_i*b_i^0..den_i*b_i^n, num_i*b_i^0..num_i*b_i^m],
-so one fraction-free elimination pass (`matrix.bordered_dets`) yields both,
-each with its border row last:
+Every answer is read off the rows of one extended-Euclid walk
+(`ratfun.eea_rows`) on (prod(x - a_i), u), u the Newton interpolant of
+the samples, kept on integers: residues over F_p, integer numerators over
+one denominator over Q.  Candidates are checked by integer Horner, and a
+`RatFun1` is built only for the fit returned.  Degree detection bounds
+the walk by the candidate's total degree.
 
-    numerator-style   det = (-1)^(n+m+1) det[data; y^0..y^n, 0..0]
-    denominator-style det = (-1)^(n*m)     det[data; 0..0, y^0..y^m]
+`fit_ratfun` and `interp_point` share one path (`_solve`): the
+`ratfun.first_row` of type (n, m) under the caller's test, coprime for a
+fit (else NoFit) or a one-dimensional kernel for a point (else BetaZero),
+whose value is r(a)/(den*t(a)).  Over Q that path first solves the image
+of the samples mod `poly.WORD_PRIME` with the same code, lifts the row to
+Q by rational number reconstruction (Wang 1981) and checks the lift
+exactly on every sample (`_word_lift`); the pool over Q answers on any
+failed step.  The fitted functions have coefficients of a few digits
+while the pool's integers grow with the samples' heights, so the image
+costs word-size arithmetic where the pool over Q costs thousand-bit
+products.
 
-With den_i = 1 and num_i = f(a_i) these are the pointwise interpolation
-determinants.  `alpha_beta` builds the rows on integers through
-`poly.int_pair` and `poly.int_powers`: residues over F_p, eliminated mod
-p; over Q each row times the denominators of its point and value, the two
-determinants then divided by the product of the scales (`poly.over`).
-
-The sign relating their ratio to f(a) is fixed by the matrix layout:
-    interp_sign(n, m) = -(-1)^((n+1)(m+1))
-frozen after calibration against known functions (the test suite
-re-derives it: tests/sign_calibration.py).
-
-Coefficient fitting and black-box degree detection interpolate the samples
-in Newton form and recover the fraction by `ratfun.reconstruct_ints`, the
-integer kernel of `rational_reconstruct` (the extended Euclidean algorithm
-modulo prod(x - a_i)).  The Newton pool stays on integers, residues over
-F_p and integer numerators over one denominator over Q, and candidates are
-checked by integer Horner; a `RatFun1` is built only for the fit returned.
-Detection passes the bound on the candidate's total degree to the walk
-(`ratfun.eea_rows`), which builds no row whose cofactor exceeds it.
-
-Over Q, `fit_ratfun` and `interp_point` first solve the image of their
-samples mod the word prime `poly.WORD_PRIME` with the same F_p code (a
-residue Newton pool and its extended-Euclid rows), lift the row's
-coefficients to Q by rational number reconstruction (Wang 1981) and check
-the lift exactly on every sample by integer Horner (`_word_lift`).  A lift
-that passes is the answer, the same as that of the exact path (the
-arguments are in the two docstrings); on any failed step the exact path
-runs: the Bareiss determinants of `alpha_beta`, or the Newton pool and
-pseudo-remainder walk over Q.  That path is the only one over F_p, and
-the only one that raises NoFit, or BetaZero for a kernel of dimension
-above 1; the lift raises BetaZero only at a target where its denominator
-vanishes.  The fitted functions have coefficients of a few
-digits while the exact path's integers grow with the samples' heights, so
-the image costs word-size arithmetic where the exact path costs
-thousand-bit products.
+The pointwise formula, the ratio of the two bordered determinants of
+`alpha_beta` under the frozen sign `interp_sign`, gives the same value or
+refusal as `interp_point` (its docstring says why); the two stay public
+as the reference of the tests and the acceptance suite.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import (
     BetaZero,
@@ -75,7 +54,7 @@ from .ratfun import (
     RatFun1,
     _coprime,
     degree_and_ord,
-    eea_rows,
+    first_row,
     ratfun1_from_row,
     reconstruct_ints,
 )
@@ -113,12 +92,14 @@ class DegreeProfile(Frozen):
 
 
 class SampleSet1(Record):
-    """(a_i, f(a_i)) pairs with pairwise distinct abscissae."""
+    """(a_i, f(a_i)) pairs with pairwise distinct abscissae, compared as
+    elements of the first one's field (by residue over F_p)."""
     __slots__ = ("points",)
 
     def __init__(self, points: list):
         self.points = points
-        if len({a for a, _ in points}) != len(points):
+        p = field_prime(_field_of(self)) if points else None
+        if len({int_pair(a, p) for a, _ in points}) != len(points):
             raise DegenerateInput("duplicate sample abscissae")
 
     def __len__(self):
@@ -126,7 +107,9 @@ class SampleSet1(Record):
 
 
 def interp_sign(n: int, m: int) -> int:
-    """Frozen calibration constant relating the determinant ratio to f(a)."""
+    """The sign relating the ratio of `alpha_beta` to f(a), fixed by the
+    matrix layout: -(-1)^((n+1)(m+1)), frozen after calibration against
+    known functions (tests/sign_calibration.py re-derives it)."""
     return -1 if ((n + 1) * (m + 1)) % 2 == 0 else 1
 
 
@@ -157,11 +140,18 @@ def delta_det(p: Poly1, q: Poly1, a, points):
 
 
 def alpha_beta(samples: SampleSet1, profile: DegreeProfile, a):
-    """The two bordered interpolation determinants, in one elimination pass
-    on integer rows (residues over F_p, eliminated mod p).  With x = xn/xd,
-    v = vn/vd and a = an/ad, each data row is scaled by xd^top*vd and both
-    borders by ad^top (top = max(n, m)), and the determinants are divided
-    by the product of the scales."""
+    """The two bordered (l+2)x(l+2) interpolation determinants.  They share
+    the (l+1)x(l+2) data matrix whose row i is
+    [a_i^0..a_i^n, v_i*a_i^0..v_i*a_i^m], so one fraction-free elimination
+    pass (`matrix.bordered_dets`) yields both, each with its border row last:
+
+        numerator-style   det = (-1)^(n+m+1) det[data; a^0..a^n, 0..0]
+        denominator-style det = (-1)^(n*m)     det[data; 0..0, a^0..a^m]
+
+    The pass runs on integer rows (residues over F_p, eliminated mod p).
+    With x = xn/xd, v = vn/vd and a = an/ad, each data row is scaled by
+    xd^top*vd and both borders by ad^top (top = max(n, m)), and the
+    determinants are divided by the product of the scales."""
     if len(samples) != profile.l + 1:
         raise SizeMismatch(f"need {profile.l + 1} samples, got {len(samples)}")
     n, m = profile.n, profile.m
@@ -185,37 +175,39 @@ def alpha_beta(samples: SampleSet1, profile: DegreeProfile, a):
 
 
 def interp_point(samples: SampleSet1, profile: DegreeProfile, a):
-    """Exact value of the underlying function at a, via the sign-calibrated
-    determinant ratio.
+    """Exact value at a of the function of type (n, m) through the l + 1
+    samples: r(a)/(den*t(a)) for the row of `_solve`, taken when the kernel
+    of the data matrix of `alpha_beta` is one-dimensional, and equal to the
+    sign-calibrated ratio of its two determinants.
 
-    Over Q the value is first read off the lift of `_word_lift`: P(a)/Q(a)
-    for its row (P, Q).  With l + 1 samples, the solutions mod p of type
-    (n, m) are c*(r_j, t_j) with deg c <= min(n - deg r_j, m - deg t_j)
-    (von zur Gathen & Gerhard, Modern Computer Algebra, Thm 5.16), so the
-    kernel of the data matrix mod p is one-dimensional exactly when
-    deg r_j = n or deg t_j = m; the lift is taken only then.  That matrix
-    is the image of the one over Q, whose rank l + 1 mod p then forces
-    rank l + 1 over Q, so a nonzero (P, Q) that satisfies the
-    equations P(a_i) = v_i*Q(a_i) exactly is a multiple of the Cramer
-    vector, whose entries give the two determinants: alpha/beta is
-    P(a)/Q(a) under the calibrated sign, and beta = 0 exactly when
-    Q(a) = 0, which raises the same BetaZero."""
+    With n + m = l, every solution (P, Q) of P(a_i) = v_i*Q(a_i) of type
+    (n, m) is c*(r, t) with deg c <= min(n - deg r, m - deg t) (von zur
+    Gathen & Gerhard, Modern Computer Algebra, Thm 5.16), so the kernel is
+    one-dimensional exactly when deg r = n or deg t = m.  Then the Cramer
+    vector, whose entries give the two determinants, is a nonzero multiple
+    of (r, t): alpha/beta is r(a)/t(a) under the calibrated sign, and
+    beta = 0 exactly when t(a) = 0, which raises BetaZero.  Otherwise the
+    rank is at most l, both determinants vanish, and BetaZero is raised as
+    well.  Over Q a row of `_word_lift` solves the weak equations exactly
+    and the kernel mod p is one-dimensional; the matrix mod p is the image
+    of the one over Q, whose rank l + 1 mod p forces rank l + 1 over Q, so
+    that row is a multiple of the Cramer vector too."""
     if len(samples) != profile.l + 1:
         raise SizeMismatch(f"need {profile.l + 1} samples, got {len(samples)}")
     n, m = profile.n, profile.m
-    row = None if _field_of(samples) is not QQ else _word_lift(
-        samples, n, m, lambda r, t: len(r) == n + 1 or len(t) == m + 1)
-    if row is None:
-        alpha, beta = alpha_beta(samples, profile, a)
-        if beta == alpha - alpha:
-            raise BetaZero(_BETA_ZERO)
-        v = alpha / beta
-        return -v if interp_sign(n, m) < 0 else v
-    an, ad = _ratio(a)
-    (rn, rs), (tn, ts) = _horner_q(row[0], an, ad), _horner_q(row[1], an, ad)
-    if not tn:
+    field = _field_of(samples)
+    p = field_prime(field)
+    an, ad = int_pair(a, p)
+    solved = _solve(samples, n, m,
+                    lambda r, t, _: len(r) == n + 1 or len(t) == m + 1)
+    if solved is None:
         raise BetaZero(_BETA_ZERO)
-    return Fraction(rn * ts, tn * rs)
+    r, t, den = solved
+    (rn, rs), (tn, ts) = _horner_q(r, an, ad), _horner_q(t, an, ad)
+    d = tn * rs * den
+    if (d if p is None else d % p) == 0:
+        raise BetaZero(_BETA_ZERO)
+    return over(field, d)(rn * ts)
 
 
 _BETA_ZERO = ("denominator determinant vanished (wrong profile or target "
@@ -267,10 +259,6 @@ class _NewtonPool:
             g = -g
         self.u, self.den = _strip([x // g for x in new]), den // g
         self.modulus = [x * ad - an * y for x, y in zip([0] + mod, mod + [0])]
-
-    def reconstruct(self, n=None, m=None, limit=math.inf):
-        """`reconstruct_ints` on the pool."""
-        return reconstruct_ints(self.modulus, self.u, self.p, n, m, limit)
 
     def agrees(self, row, a, v) -> bool:
         """Whether the function of the coprime `row` is defined at a with
@@ -331,13 +319,12 @@ def _rat_lift(c: int, p: int, bound: int):
 def _word_lift(samples: SampleSet1, n: int, m: int, accept):
     """Over Q, the (n, m) row of the samples solved mod `WORD_PRIME` and
     lifted to Q, as integer lists (r, t) over the common denominator lc(t):
-    the first extended-Euclid row of the image pool with deg r <= n, among
-    those with deg t <= m, on which `accept(r, t)` holds, made monic and its
-    coefficients lifted by `_rat_lift`.  The lift is returned only if
-    r(a_i) = v_i*t(a_i) at every sample, checked exactly.
-    None, for the exact path to answer, when a sample's denominator is 0 mod
-    p, two abscissae are congruent, no row or `accept` fails, a coefficient
-    has no lift within sqrt(p/2), or the check fails."""
+    the `ratfun.first_row` of the image pool, if `accept(r, t, p)` holds,
+    made monic and its coefficients lifted by `_rat_lift`.  The lift is
+    returned only if r(a_i) = v_i*t(a_i) at every sample, checked exactly.
+    None, for the pool over Q to answer, when a sample's denominator is 0
+    mod p, two abscissae are congruent, no row or `accept` fails, a
+    coefficient has no lift within sqrt(p/2), or the check fails."""
     p = WORD_PRIME
     pool, seen, pairs = _NewtonPool(QQ, p), set(), []
     for a, v in samples.points:
@@ -350,13 +337,10 @@ def _word_lift(samples: SampleSet1, n: int, m: int, accept):
         seen.add(x)
         pool.add(x, vn * pow(vd, -1, p) % p)
         pairs.append((an, ad, vn, vd))
-    for r, t in eea_rows(pool.modulus, pool.u, p, m):
-        if len(r) <= n + 1:
-            break
-    else:
+    row = first_row(pool.modulus, pool.u, p, n, m)
+    if row is None or not accept(*row, p):
         return None
-    if not accept(r, t):
-        return None
+    r, t = row
     inv, bound = pow(t[-1], -1, p), math.isqrt(p // 2)
     lifted = [_rat_lift(c * inv % p, p, bound) for c in r + t]
     if None in lifted:
@@ -372,17 +356,33 @@ def _word_lift(samples: SampleSet1, n: int, m: int, accept):
     return r, t
 
 
+def _solve(samples: SampleSet1, n: int, m: int, accept):
+    """(r, t, den): the `ratfun.first_row` (r, t) of the samples' Newton
+    pool, whose function is r/(den*t), or None when there is none or
+    `accept(r, t, p)` fails, p the prime of the rows (None over Q).  Over Q
+    the row of `_word_lift`, with den 1, when it has one."""
+    field = _field_of(samples)
+    row = _word_lift(samples, n, m, accept) if field is QQ else None
+    if row is not None:
+        return (*row, 1)
+    pool = _NewtonPool(field)
+    for a, v in samples.points:
+        pool.add(a, v)
+    row = first_row(pool.modulus, pool.u, pool.p, n, m)
+    return None if row is None or not accept(*row, pool.p) else (*row, pool.den)
+
+
 def fit_ratfun(samples: SampleSet1, n_deg: int, m_deg: int) -> RatFun1:
     """The canonical function with numerator degree <= n_deg and denominator
     degree <= m_deg through all samples, its denominator nonvanishing at
-    every sample.  Requires at least one sample beyond n_deg + m_deg + 1,
-    which makes the fit unique.
+    every sample: the row of `_solve`, if coprime, else NoFit.  Requires at
+    least one sample beyond n_deg + m_deg + 1, which makes the fit unique.
 
-    Over Q the answer is first sought as the lift (P, Q) of `_word_lift`,
-    from an image row that is coprime mod p.  Q is monic, deg P <= n_deg,
+    Over Q a lift (P, Q) of `_word_lift`, from an image row that is coprime
+    mod p, is that fit.  Q is monic, deg P <= n_deg,
     deg Q <= m_deg and P(a_i) = v_i*Q(a_i) at every sample; Q(a_i) != 0,
     as a Euclid row has gcd(r, t) = gcd(t, modulus), so the image of Q has
-    no root among the abscissae mod p.  Then the exact path fits too, and
+    no root among the abscissae mod p.  Then the pool over Q fits too, and
     P/Q is its fit as a function: for any
     fit P'/Q', P*Q' - P'*Q has degree <= n_deg + m_deg and at least
     n_deg + m_deg + 2 roots.  P/Q is in lowest terms: a monic common factor
@@ -392,25 +392,10 @@ def fit_ratfun(samples: SampleSet1, n_deg: int, m_deg: int) -> RatFun1:
     if len(samples) < n_deg + m_deg + 2:
         raise SizeMismatch(
             f"need >= {n_deg + m_deg + 2} samples for degrees ({n_deg}, {m_deg})")
-    field = _field_of(samples)
-    if field is QQ:
-        row = _word_lift(samples, n_deg, m_deg,
-                         lambda r, t: _coprime(r, t, WORD_PRIME))
-        if row is not None:
-            return ratfun1_from_row(QQ, *row)
-    return _fit_exact(samples, n_deg, m_deg, field)
-
-
-def _fit_exact(samples: SampleSet1, n_deg: int, m_deg: int, field: Field) -> RatFun1:
-    """`fit_ratfun` on the Newton pool of `field` and its extended-Euclid
-    rows: the path over F_p, and over Q wherever `_word_lift` fails."""
-    pool = _NewtonPool(field)
-    for a, v in samples.points:
-        pool.add(a, v)
-    row = pool.reconstruct(n_deg, m_deg)
-    if row is None:
+    solved = _solve(samples, n_deg, m_deg, _coprime)
+    if solved is None:
         raise NoFit("no rational function with these degree bounds fits the samples")
-    return pool.ratfun(row)
+    return ratfun1_from_row(_field_of(samples), *solved)
 
 
 # Detection refuses a slice (DomainTooSparse) after this many draws in a
@@ -463,7 +448,7 @@ def detect_profile_with_fit(oracle: "Callable[[object], object | None]",
     for _ in range((cap + 2) * (cap + 3)):
         k = len(pool.modulus) - 1
         lim = min(k - 2, cap)
-        row = pool.reconstruct(limit=lim)
+        row = reconstruct_ints(pool.modulus, pool.u, pool.p, limit=lim)
         if row is not None:
             fresh = [_draw_defined(oracle, draw, taken)
                      for _ in range(cfg.validation_extra)]

@@ -8,15 +8,15 @@ the scaling of `ratfunn_from_ints`, which cancels nothing: `normalize_ratfunn`
 ends in it after cancelling the gcd on packed integer polynomials
 (`poly._Packed`), `RatFun1.to_ratfunn` and the engine's combine without one.
 
-`rational_reconstruct` is the one univariate reconstruction step: rational
-interpolation of samples and Pade approximation of series both run on it.
-It converts its arguments to integer coefficient lists and runs the
-extended-Euclid kernel `reconstruct_ints`, one routine for F_p (residue
-rows) and Q (pseudo-remainder rows with their joint content divided out);
-field elements are built only for the row it returns.  The row walk
-`eea_rows` alone stops the Euclid, at a bound on the cofactor degree that
-each caller derives from its own: m for an (n, m) fit, the total-degree
-`limit` of degree detection, m_max for the Hankel scan.
+Every univariate reconstruction reads rows of one extended-Euclid walk,
+`eea_rows`, on integer lists: residue rows over F_p, pseudo-remainder
+rows over Q.  `first_row` selects the row of an (n, m) fit (`interp`'s
+fit and point, `reconstruct_ints` on bounds), `reconstruct_ints` the
+minimal one of degree detection, `rational_reconstruct` wraps it for Pade
+approximation, and the Hankel scan walks the rows itself.  The walk alone
+stops the Euclid, at a bound on the cofactor degree that each caller
+derives from its own: m for an (n, m) fit, the total-degree `limit` of
+degree detection, m_max for the Hankel scan.
 """
 
 from __future__ import annotations
@@ -311,10 +311,8 @@ def reconstruct_ints(modulus: list, u: list, p, n: int | None = None,
     selection is returned if it is within it, else None.  The walk stops
     at the cofactor degree no wanted row passes, m or `limit`."""
     if n is not None:
-        for r, t in eea_rows(modulus, u, p, m):
-            if len(r) - 1 <= n:
-                return (r, t) if _coprime(r, t, p) else None
-        return None
+        row = first_row(modulus, u, p, n, m)
+        return row if row is not None and _coprime(*row, p) else None
     rows = []
     for r, t in eea_rows(modulus, u, p, limit):
         dr = len(r) - 1
@@ -358,6 +356,15 @@ def eea_rows(modulus: list, u: list, p, top=math.inf):
         else:
             t2 = [c % p for c in t2]
         r0, r1, t0, t1 = r1, r2, t1, t2
+
+
+def first_row(modulus: list, u: list, p, n: int, m: int):
+    """The first row (r, t) of `eea_rows` with deg r <= n among those with
+    deg t <= m, or None.  With n + m < deg modulus every solution of
+    P = Q*u mod `modulus` with deg P <= n and deg Q <= m is a polynomial
+    multiple of it (see `rational_reconstruct`)."""
+    return next((row for row in eea_rows(modulus, u, p, m) if len(row[0]) <= n + 1),
+                None)
 
 
 def _coprime(r: list, t: list, p) -> bool:

@@ -96,6 +96,17 @@ def test_delta_constant_denominator_base_case():
         assert d == c ** (n + 1) * vandermonde_product(pts)
 
 
+def test_abscissae_congruent_mod_p_are_duplicates():
+    # 104 = 3 in F_101 although the two hash apart
+    f = PrimeField(101)
+    pts = [(f.from_int(3), f.from_int(1)), (104, f.from_int(2)),
+           (f.from_int(5), f.from_int(7))]
+    with pytest.raises(DegenerateInput):
+        interp_point(SampleSet1(pts), DegreeProfile.from_de(1, 0), f.from_int(9))
+    with pytest.raises(DegenerateInput):
+        fit_ratfun(SampleSet1(pts + [(f.from_int(6), f.from_int(1))]), 1, 1)
+
+
 def test_delta_duplicate_points():
     with pytest.raises(DegenerateInput):
         delta_det(qpoly(1), qpoly(0, 1), q(3), [q(1), q(1)])

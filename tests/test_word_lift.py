@@ -1,11 +1,14 @@
-"""The word-prime image of `fit_ratfun` and `interp_point` over Q.
+"""The word-prime image of `fit_ratfun` and `interp_point` over Q, and
+`interp_point` against the determinants of `alpha_beta` on every field.
 
 Over Q both first solve their samples mod `poly.WORD_PRIME`, lift the row
 to Q and check the lift exactly on every sample (`interp._word_lift`); the
-exact path, `interp._fit_exact` and the determinants of `alpha_beta`,
-answers wherever a step fails.  These tests hold the two paths to the same
-results and exceptions on seeded random sample sets, force each kind of
-fallback, and pin which path bench-shaped data takes.
+exact path, the Newton pool over Q and its extended-Euclid row, answers
+wherever a step fails, and is the only path over F_p.  These tests hold
+the fit to the exact path and the value to the calibrated ratio of the
+two determinants, with the same results and exceptions on seeded random
+sample sets, force each kind of fallback, pin which path bench-shaped
+data takes, and check that `interp_point` computes no determinant.
 """
 
 import random
@@ -13,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from ratrecon import interp
+from ratrecon import interp, matrix
 from ratrecon.errors import BetaZero
 from ratrecon.fields import QQ, PrimeField, random_element
 from ratrecon.interp import (
@@ -28,6 +31,7 @@ from ratrecon.poly import WORD_PRIME, Poly1
 from ratrecon.ratfun import normalize_ratfun1
 
 FP = PrimeField(1000003)
+F101 = PrimeField(101)
 
 
 def outcome(fn, *args):
@@ -50,7 +54,10 @@ def exact_point(samples, profile, a):
 
 
 def exact_fit(samples, n, m):
-    return interp._fit_exact(samples, n, m, QQ)
+    """`fit_ratfun` on the exact path alone: the word-prime lift is off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(interp, "_word_lift", lambda *args: None)
+        return fit_ratfun(samples, n, m)
 
 
 @pytest.fixture
@@ -67,18 +74,19 @@ def lifts(monkeypatch):
     return seen
 
 
-def rand_poly(rng, deg, height):
+def rand_poly(rng, deg, height, field=QQ):
     """Degree exactly deg (the zero polynomial for -1)."""
-    cs = [random_element(QQ, rng, height) for _ in range(deg + 1)]
+    cs = [random_element(field, rng, height) for _ in range(deg + 1)]
     while cs and not cs[-1]:
-        cs[-1] = random_element(QQ, rng, height)
-    return Poly1(QQ, cs)
+        cs[-1] = random_element(field, rng, height)
+    return Poly1(field, cs)
 
 
-def draw_case(rng, trial):
-    """(samples, n, m, target): n + m + 2 or n + m + 3 samples with n, m <= 5
-    and coefficients of height 9 (10^6 one time in four) at abscissae of
-    height 50 (10^6 one time in four).  Kind 0 has random values, kind 1
+def draw_case(field, rng, trial):
+    """(samples, n, m, target) over `field`: n + m + 2 or n + m + 3 samples
+    with n, m <= 5 and coefficients of height 9 (10^6 one time in four) at
+    abscissae of height 50 (10^6 one time in four); over F_p every element
+    is a uniform residue.  Kind 0 has random values, kind 1
     the values of a function of degrees at most (n, m), kind 2 the same with
     one value moved (an unattainable point, and no fit), kind 3 a function
     with a pole at the target.  Half the functions have the degrees (n, m),
@@ -87,37 +95,40 @@ def draw_case(rng, trial):
     kind = trial % 4
     n, m = rng.randint(0, 5), rng.randint(1 if kind == 3 else 0, 5)
     full = rng.random() < 0.5     # the degrees of the profile, else below them
-    num = rand_poly(rng, n if full else rng.randint(-1, n), height)
+    num = rand_poly(rng, n if full else rng.randint(-1, n), height, field)
     den = rand_poly(rng, m - (kind == 3) if full else rng.randint(0, m - (kind == 3)),
-                    height)
-    pole = random_element(QQ, rng, 12)
+                    height, field)
+    pole = random_element(field, rng, 12)
     if kind == 3:
-        den = den * Poly1(QQ, [-pole, QQ.one])
+        den = den * Poly1(field, [-pole, field.one])
     pts = []
     while len(pts) < n + m + 2 + rng.randint(0, 1):
-        a = random_element(QQ, rng, 10 ** 6 if rng.random() < 0.25 else 50)
+        a = random_element(field, rng, 10 ** 6 if rng.random() < 0.25 else 50)
         if a not in pts and den.eval(a):
             pts.append(a)
     if kind == 0:
-        vals = [random_element(QQ, rng, height) for _ in pts]
+        vals = [random_element(field, rng, height) for _ in pts]
     else:
         vals = [num.eval(a) / den.eval(a) for a in pts]
     if kind == 2:
-        vals[rng.randrange(n + m + 1)] += QQ.one
+        vals[rng.randrange(n + m + 1)] += field.one
     if rng.random() < 0.2:
         target = pts[rng.randrange(n + m + 1)]
     elif kind == 3:
         target = pole
     else:
-        target = random_element(QQ, rng, 50)
+        target = random_element(field, rng, 50)
     return SampleSet1(list(zip(pts, vals))), n, m, target
 
 
 def test_lift_answers_as_the_exact_path(lifts):
+    """Over Q the fit against the exact path and the value against
+    `exact_point`; over F_101 and F_1000003, where no lift runs, the value
+    against `exact_point`."""
     rng = random.Random(4301)
     fits = points = lifted_refusals = 0     # answers of the lift
     for trial in range(2000):
-        samples, n, m, target = draw_case(rng, trial)
+        samples, n, m, target = draw_case(QQ, rng, trial)
         want = outcome(exact_fit, samples, n, m)
         del lifts[:]
         assert outcome(fit_ratfun, samples, n, m) == want, trial
@@ -132,6 +143,20 @@ def test_lift_answers_as_the_exact_path(lifts):
     # each path answers a sizeable share, and the lift refuses at poles
     assert 600 < fits < 1400 and 400 < points < 1400, (fits, points)
     assert lifted_refusals > 100, lifted_refusals
+    del lifts[:]
+    for field in (F101, FP):
+        rng = random.Random(4303)
+        refusals = 0
+        for trial in range(2000):
+            samples, n, m, target = draw_case(field, rng, trial)
+            head = SampleSet1(samples.points[:n + m + 1])
+            profile = DegreeProfile.from_de(max(n, m), n - m)
+            want = outcome(exact_point, head, profile, target)
+            assert outcome(interp_point, head, profile, target) == want, (field, trial)
+            refusals += want is BetaZero
+        # values and refusals both take a sizeable share
+        assert 300 < refusals < 1700, (field, refusals)
+    assert lifts == []
 
 
 def fallback_case(samples, n, m, target, lifts):
@@ -194,13 +219,23 @@ def bench_shaped(field, rng, l):
     return f, sample(f, pts)
 
 
+def spy_rows(monkeypatch):
+    """The prime of every `first_row` that interp calls: WORD_PRIME for the
+    lift's image, the field's own (None over Q) for the exact path."""
+    primes = []
+    first_row = interp.first_row
+
+    def spy(modulus, u, p, n, m):
+        primes.append(p)
+        return first_row(modulus, u, p, n, m)
+
+    monkeypatch.setattr(interp, "first_row", spy)
+    return primes
+
+
 @pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
 def test_bench_shaped_data_takes_the_lift_over_q_only(field, monkeypatch):
-    exact = []
-    for name in ("alpha_beta", "_fit_exact"):
-        fn = getattr(interp, name)
-        monkeypatch.setattr(interp, name,
-                            lambda *args, fn=fn: exact.append(1) or fn(*args))
+    primes = spy_rows(monkeypatch)
     rng = random.Random(4302)
     for trial in range(30):
         f, samples = bench_shaped(field, rng, 12)
@@ -210,4 +245,22 @@ def test_bench_shaped_data_takes_the_lift_over_q_only(field, monkeypatch):
         value = interp_point(head, DegreeProfile.from_de(max(n, m), n - m), a)
         assert value == samples.points[-1][1]
         assert fit_ratfun(samples, n, m) == f
+        exact = [p for p in primes if p != WORD_PRIME]
         assert len(exact) == (0 if field is QQ else 2 * (trial + 1))
+
+
+def test_interp_point_computes_no_determinant(monkeypatch, lifts):
+    calls = []
+    for module, name in ((interp, "alpha_beta"), (interp, "bordered_dets"),
+                         (matrix, "bordered_dets")):
+        monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+    primes = spy_rows(monkeypatch)
+    for field in (QQ, F101, FP):
+        rng = random.Random(4304)
+        for trial in range(300):
+            samples, n, m, target = draw_case(field, rng, trial)
+            head = SampleSet1(samples.points[:n + m + 1])
+            outcome(interp_point, head, DegreeProfile.from_de(max(n, m), n - m), target)
+    assert calls == []
+    # the Q cases include fallbacks to the pool over Q
+    assert primes.count(None) > 30 and lifts.count(None) == primes.count(None)
