@@ -10,13 +10,14 @@ ends in it after cancelling the gcd on packed integer polynomials
 
 Every univariate reconstruction reads rows of one extended-Euclid walk,
 `eea_rows`, on integer lists: residue rows over F_p, pseudo-remainder
-rows over Q.  `first_row` selects the row of an (n, m) fit (`interp`'s
-fit and point, `reconstruct_ints` on bounds), `reconstruct_ints` the
-minimal one of degree detection, `rational_reconstruct` wraps it for Pade
-approximation, and the Hankel scan walks the rows itself.  The walk alone
-stops the Euclid, at a bound on the cofactor degree that each caller
-derives from its own: m for an (n, m) fit, the total-degree `limit` of
-degree detection, m_max for the Hankel scan.
+rows over Q.  `first_row` selects the row of an (n, m) fit, for
+`interp.fit_ratfun`, `interp.interp_point` and `reconstruct_ints` on
+bounds; `reconstruct_ints` selects the minimal row of degree detection;
+`rational_reconstruct` runs it on `Poly1` arguments for
+`hankel.pade_reconstruct` and the tests; the Hankel scan walks the rows
+itself.  The walk alone stops the Euclid, at a bound on the cofactor
+degree that each caller derives from its own: m for an (n, m) fit, the
+total-degree `limit` of degree detection, m_max for the Hankel scan.
 """
 
 from __future__ import annotations
