@@ -33,6 +33,20 @@ first witness.
 A witness P/Q is checked on the same integer prefix: Q(0) != 0 and
 Q*s = P mod t^(N+1), coefficient by coefficient, which holds exactly when
 the re-expansion of P/Q reproduces a_0..a_N.
+
+Over Q the walk runs first on the integer prefix mod `WORD_PRIME`, once.
+An m with no image row within its degrees has no candidate over Q, so a
+refusal is settled on the image alone.  A candidate is the image row
+scaled to t(0) = 1 and divided by the prefix's denominator, its
+coefficients lifted to Q by rational number reconstruction
+(`ratfun.rat_lift`, Wang 1981), and the lift checked exactly as above;
+by a degree sandwich a lift that passes is the row over Q
+(`certify_rationality` has the argument).  The walk over Q answers the
+whole call when p divides the denominator, the image row has t(0) = 0
+mod p, a coefficient has no lift or the check fails.  The integers of
+the walk over Q grow with the prefix's heights while the witnesses have
+coefficients of a few digits, so the image costs word-size arithmetic
+where the walk over Q costs big-integer products.
 """
 
 from __future__ import annotations
@@ -42,12 +56,13 @@ from operator import mul
 from .errors import NoSolution, PoleAtOrigin, PrefixTooShort
 from .fields import Field
 from .matrix import bordered_dets
-from .poly import WORD_PRIME, Poly1, field_prime, poly1_ints
+from .poly import WORD_PRIME, Poly1, _strip, field_prime, poly1_ints
 from .ratfun import (
     RatFun1,
     eea_rows,
     format_poly1,
     format_ratfun1,
+    rat_lift,
     ratfun1_from_row,
     rational_reconstruct,
 )
@@ -124,20 +139,24 @@ def _check_bounds(s: SeriesPrefix, l_max: int, m_max: int) -> None:
             f"need prefix length >= {l_max + 2 * m_max + 1}, have {s.n_max + 1}")
 
 
-def _walk(s: SeriesPrefix, m_max: int):
+def _walk(s: SeriesPrefix, m_max: int, image=None):
     """(ints, den, p, rows): the prefix as integers over `den` (residues
     and 1 over F_p, p None over Q), and the rows (r, t) of the extended
-    Euclidean algorithm on (t^(N+1), ints) with deg t <= m_max."""
+    Euclidean algorithm on (t^(N+1), ints) with deg t <= m_max; over Q
+    with a prime `image`, the residue rows of ints mod that prime."""
     p = field_prime(s.field)
     ints, den = poly1_ints(Poly1(s.field, s.coeffs))
-    rows = list(eea_rows([0] * (s.n_max + 1) + [1], ints, p, m_max))
+    u = ints if image is None else _strip([c % image for c in ints])
+    rows = list(eea_rows([0] * (s.n_max + 1) + [1], u, p or image, m_max))
     return ints + [0] * (s.n_max + 1 - len(ints)), den, p, rows
 
 
 def _l_min(s: SeriesPrefix, m: int, walk=None) -> int:
     """Smallest l with det H(n, m) = 0 for every n with l <= n <= N - 2m.
     A row of `_walk(s, m_max)`, m_max >= m, with deg t <= m proves every
-    determinant with n >= deg r - m + 1 zero; the scan runs n downward from
+    determinant with n >= deg r - m + 1 zero, as does any solution of
+    t*s = r mod t^(N+1), such as the lifted row that `_certify_on_image`
+    passes in the walk's place; the scan runs n downward from
     below the least such n (N - 2m when no row does) and stops at the first
     nonzero determinant.  Over F_p the determinants are taken mod p; over Q
     first mod `WORD_PRIME`, and exactly only when that residue is zero."""
@@ -204,6 +223,41 @@ def _matches_prefix(f: RatFun1, s: SeriesPrefix, walk=None) -> bool:
     return True
 
 
+def _certify_on_image(s: SeriesPrefix, l_max: int, m_max: int):
+    """Over Q, the certificate of `certify_rationality` settled on the walk
+    of the integer prefix mod `WORD_PRIME`, with each candidate lifted to Q
+    by `ratfun.rat_lift` and checked exactly, or None for the walk over Q
+    to answer."""
+    p = WORD_PRIME
+    ints, den, _, rows = _walk(s, m_max, p)
+    if den % p == 0:
+        return None
+    den_inv = pow(den, -1, p)
+    for m in range(m_max + 1):
+        top = min(l_max + m_max, s.n_max - m - 1)
+        row = next(((r, t) for r, t in rows if len(t) <= m + 1 and len(r) <= top + 1),
+                   None)
+        if row is None:
+            continue
+        r, t = row
+        if not t[0]:
+            return None
+        inv = pow(t[0], -1, p)
+        lifted = rat_lift([c * inv * den_inv % p for c in r]
+                          + [c * inv % p for c in t], p)
+        if lifted is None:
+            return None
+        r, t = lifted[:len(r)], lifted[len(r):]
+        f = ratfun1_from_row(s.field, r, t)
+        walk = (ints, den, None, [(r, t)])
+        if not _matches_prefix(f, s, walk):
+            return None
+        l = _l_min(s, m, walk)
+        if l <= l_max and max(l + m - 1, 0) <= top:
+            return RationalityCertificate("RationalWitness", l, m, f, len(s.coeffs))
+    return RationalityCertificate("NoWitnessUpTo", l_max, m_max, None, len(s.coeffs))
+
+
 def certify_rationality(s: SeriesPrefix, l_max: int, m_max: int) -> RationalityCertificate:
     """The first witness by ascending m whose exact re-expansion matches the
     entire prefix, with l = l_min(m), or the refusal.
@@ -212,8 +266,42 @@ def certify_rationality(s: SeriesPrefix, l_max: int, m_max: int) -> RationalityC
     deg t <= m, deg r <= top = min(l_max + m_max, N - m - 1) and t(0) != 0,
     the only Pade approximant of degrees at most (top, m) that can match;
     l_min(m) is computed only for an m that has one, and the m is skipped
-    when l_min(m) > l_max or l_min(m) + m - 1 > top."""
+    when l_min(m) > l_max or l_min(m) + m - 1 > top.
+
+    Over Q the rows are first those of the integer prefix mod `WORD_PRIME`
+    (`_certify_on_image`), walked once up to deg t <= m_max.  Each m is
+    settled from them:
+
+    - No image row has deg t <= m and deg r <= top: then no row over Q
+      has either, so the m has no candidate.  A row over Q, scaled to
+      jointly primitive integers, solves t*ints = r mod t^(N+1) on
+      integers, so its image is a nonzero solution mod p of degrees at
+      most (top, m), and a multiple of an image row of degrees at most
+      those (Thm 5.16).  The modulus is monic and the prefix integral, so
+      no reduction is bad here; a prefix with no candidate at any m is
+      refused with no walk over Q.
+    - The first such image row (r, t): with t(0) = 1 after scaling, the
+      coefficients of r/den and t are lifted by rational number
+      reconstruction to P and Q, of the same degrees as r and t, and
+      P/Q must match the prefix exactly (`_matches_prefix`).  It is then
+      the candidate over Q, by a degree sandwich.  The row (R, T) over Q
+      of degrees at most (top, m) exists, as (den*P, Q) solves
+      t*ints = r and so is a multiple c*(R, T); the image of the
+      primitive (R, T) is a multiple of (r, t).  So
+      deg T >= deg t = deg Q = deg c + deg T: c is a constant,
+      T(0) = Q(0)/c != 0, and P/Q is the canonical R/(den*T).
+      l_min(m) is then taken with the lifted row's degrees as the proven
+      tail: any solution of t*s = r proves the same zeros, and this one
+      has the degrees of the row over Q.
+
+    The walk over Q answers the whole call instead when p divides `den`,
+    the image row has t(0) = 0 mod p, a coefficient has no lift within
+    sqrt(p/2), or the exact check fails; over F_p it is the only walk."""
     _check_bounds(s, l_max, m_max)
+    if field_prime(s.field) is None:
+        cert = _certify_on_image(s, l_max, m_max)
+        if cert is not None:
+            return cert
     walk = _walk(s, m_max)
     _, den, _, rows = walk
     for m in range(m_max + 1):

@@ -55,6 +55,7 @@ from .ratfun import (
     _coprime,
     degree_and_ord,
     first_row,
+    rat_lift,
     ratfun1_from_row,
     reconstruct_ints,
 )
@@ -128,7 +129,8 @@ def delta_det(p: Poly1, q: Poly1, a, points):
     n, m = int(p.degree), int(q.degree)
     if len(points) != n + m + 1:
         raise SizeMismatch(f"need {n + m + 1} points, got {len(points)}")
-    if len(set(points)) != len(points):
+    pf = field_prime(field)
+    if len({int_pair(x, pf) for x in points}) != len(points):
         raise DegenerateInput("duplicate interpolation points")
     first = [a ** j for j in range(m + 1)] + [field.zero] * (n + 1)
     rows = [first]
@@ -302,25 +304,11 @@ def _row_profile(row) -> DegreeProfile:
     return DegreeProfile.from_de(max(dn, dd), dn - dd)
 
 
-def _rat_lift(c: int, p: int, bound: int):
-    """(u, w), coprime, with u = c*w mod p, |u| <= bound and 0 < w <= bound,
-    or None: rational number reconstruction (Wang 1981), the extended
-    Euclid on (p, c) stopped at the first remainder within the bound.  With
-    2*bound^2 < p there is at most one such fraction."""
-    r0, r1, t0, t1 = p, c, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    if t1 < 0:
-        r1, t1 = -r1, -t1
-    return (r1, t1) if t1 <= bound and math.gcd(r1, t1) == 1 else None
-
-
 def _word_lift(samples: SampleSet1, n: int, m: int, accept):
     """Over Q, the (n, m) row of the samples solved mod `WORD_PRIME` and
     lifted to Q, as integer lists (r, t) over the common denominator lc(t):
     the `ratfun.first_row` of the image pool, if `accept(r, t, p)` holds,
-    made monic and its coefficients lifted by `_rat_lift`.  The lift is
+    made monic and its coefficients lifted by `ratfun.rat_lift`.  The lift is
     returned only if r(a_i) = v_i*t(a_i) at every sample, checked exactly.
     None, for the pool over Q to answer, when a sample's denominator is 0
     mod p, two abscissae are congruent, no row or `accept` fails, a
@@ -341,12 +329,10 @@ def _word_lift(samples: SampleSet1, n: int, m: int, accept):
     if row is None or not accept(*row, p):
         return None
     r, t = row
-    inv, bound = pow(t[-1], -1, p), math.isqrt(p // 2)
-    lifted = [_rat_lift(c * inv % p, p, bound) for c in r + t]
-    if None in lifted:
+    inv = pow(t[-1], -1, p)
+    ints = rat_lift([c * inv % p for c in r + t], p)
+    if ints is None:
         return None
-    den = math.lcm(*(w for _, w in lifted))
-    ints = [u * (den // w) for u, w in lifted]
     r, t = ints[:len(r)], ints[len(r):]
     for an, ad, vn, vd in pairs:
         rn, rs = _horner_q(r, an, ad)

@@ -18,6 +18,8 @@ bounds; `reconstruct_ints` selects the minimal row of degree detection;
 itself.  The walk alone stops the Euclid, at a bound on the cofactor
 degree that each caller derives from its own: m for an (n, m) fit, the
 total-degree `limit` of degree detection, m_max for the Hankel scan.
+`rat_lift` lifts a row walked mod a prime to Q, for the word-prime
+images of `interp` and `hankel`.
 """
 
 from __future__ import annotations
@@ -366,6 +368,29 @@ def first_row(modulus: list, u: list, p, n: int, m: int):
     multiple of it (see `rational_reconstruct`)."""
     return next((row for row in eea_rows(modulus, u, p, m) if len(row[0]) <= n + 1),
                 None)
+
+
+def rat_lift(residues: list, p: int):
+    """Integers over one common denominator whose quotients u/w are the
+    residues lifted to Q, u = c*w mod p, or None: rational number
+    reconstruction (Wang 1981), the extended Euclid on (p, c) stopped at
+    the first remainder within bound = sqrt(p/2), the lift taken when
+    0 < w <= bound and gcd(u, w) = 1.  As 2*bound^2 < p there is at most
+    one such fraction per residue, and a residue lifts to 0 only if it is
+    0.  The word-prime callers check the lifts exactly."""
+    bound, lifted = math.isqrt(p // 2), []
+    for c in residues:
+        r0, r1, t0, t1 = p, c, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        if t1 < 0:
+            r1, t1 = -r1, -t1
+        if t1 > bound or math.gcd(r1, t1) != 1:
+            return None
+        lifted.append((r1, t1))
+    den = math.lcm(*(w for _, w in lifted))
+    return [u * (den // w) for u, w in lifted]
 
 
 def _coprime(r: list, t: list, p) -> bool:

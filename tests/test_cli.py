@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import pathlib
 import random
 import re
@@ -8,6 +9,7 @@ import resource
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -968,6 +970,12 @@ STDOUT_DIGESTS = {
                     "--m", "2", "--at", "7"),
     "interp-at-fp101": ("interp", "--samples", "fp.csv", "--field", "fp:101", "--n", "1",
                         "--m", "2", "--at", "33"),
+    # a series with the word prime as denominator: the Q certificate comes
+    # from the exact walk, not the word-prime lift; and a factorial refusal
+    "hankel-q-wp": ("hankel", "--series", "wp.json", "--field", "q", "--lmax", "3",
+                    "--mmax", "3"),
+    "hankel-q-factorial": ("hankel", "--series", "fact.json", "--field", "q",
+                           "--lmax", "4", "--mmax", "4"),
     # heights and a small field the benchmark never runs; with --record the
     # file lists the queried points in query order
     "reconstruct-q-h1": ("reconstruct", "--expr", "(x1*x2 + 1)/(x1 - x2)", "--arity", "2",
@@ -990,6 +998,8 @@ STDOUT_SHA256 = {
     "counterexample": "b0ef2749bca7bc589e2cea09e54c5622a29bc5da74db09ef95b4084d244ec2e0",
     "counterexample-24": "f6a89f84ebdeab0cb84147d5c0bdecda6302c6a594e012840d81cb6ee009ce50",
     "hankel": "6830b06aa6dbd302804a1e25d389dd6faa78638c7f69a142f56ab16f26b7f058",
+    "hankel-q-factorial": "dcaf95947aa6259fdf6643492913ff747f91f728b6f5b6885be12278a13f8b54",
+    "hankel-q-wp": "2d04325db8b9b3612418610043551866eb3174bdcab6491fbd07f0faa8267479",
     "interp-fit": "1fa8bb7705f5d67425daa452317c9f693ef2a0043e432c7620a914c5366dc1dc",
     "interp-at-q": "197124435463bde9284447415d6bf4f0acb68eec061cb76353c074214ab758f5",
     "interp-at-fp101": "d86caf73ecc8b7e9ff6fcc986f0abe10e3793612118d7cb4c4dda401b8f6dd08",
@@ -1023,7 +1033,8 @@ RECORD_SHA256 = {
     "reconstruct-fp101-record":
         "f59d123dc843ddb896955f936d69a2c6ad974ab01c718fc13daf8eaa27cf358e",
 }
-EXIT_CODE = {"reconstruct-q-h1": 1, "reconstruct-q-h1-record": 1}
+EXIT_CODE = {"reconstruct-q-h1": 1, "reconstruct-q-h1-record": 1,
+             "hankel-q-factorial": 3}
 
 
 @pytest.mark.parametrize("name", sorted(STDOUT_DIGESTS))
@@ -1037,6 +1048,14 @@ def test_stdout_bytes_are_stable(tmp_path, capsys, monkeypatch, name):
         f"1/{WORD_PRIME},1152921431592404099/3458764288334761564\n"
         "2,5/7\n3,7/12\n5/2,24/37\n4,9/19\n")
     (tmp_path / "fp.csv").write_text("2,1\n5,78\n9,10\n14,37\n20,26\n")
+    # the prefixes of (1 + t/WORD_PRIME)/(1 - t - t^2) and of k!
+    fib = [1, 1]
+    while len(fib) < 21:
+        fib.append(fib[-1] + fib[-2])
+    wp = [str(Fraction(a) + Fraction(b, WORD_PRIME)) for a, b in zip(fib, [0] + fib)]
+    (tmp_path / "wp.json").write_text(json.dumps({"field": "q", "coeffs": wp}))
+    (tmp_path / "fact.json").write_text(json.dumps(
+        {"field": "q", "coeffs": [str(math.factorial(k)) for k in range(16)]}))
     code, out, _ = run_cli(capsys, *STDOUT_DIGESTS[name])
     assert code == EXIT_CODE.get(name, 0)
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[name]

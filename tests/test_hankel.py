@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 import ratrecon.hankel as hankel
 from ratrecon.errors import NoSolution, PoleAtOrigin, PrefixTooShort
@@ -17,8 +18,10 @@ from ratrecon.hankel import (
     series_of_ratfun,
 )
 from ratrecon.matrix import bordered_dets, det_exact
-from ratrecon.poly import Poly1, _strip
-from ratrecon.ratfun import RatFun1, eea_rows, normalize_ratfun1
+from ratrecon.poly import WORD_PRIME, Poly1, _strip, field_prime
+from ratrecon.ratfun import RatFun1, eea_rows, normalize_ratfun1, rat_lift
+
+P = WORD_PRIME
 
 
 def q(n, d=1):
@@ -472,7 +475,9 @@ def test_witness_at_m10_takes_l_min_once_with_no_determinant(field, monkeypatch)
 def test_certificate_walks_once_and_computes_no_pade_approximant(field, monkeypatch):
     # Fibonacci within wide and tight bounds, whose witness row has deg t = 2;
     # a factorial refusal; and t^3, whose row (0, t) at m = 1 has t(0) = 0,
-    # so it is no witness row and l_min(1) is not needed
+    # so it is no witness row and l_min(1) is not needed.  Over Q the first
+    # three are settled on the one walk mod the word prime; t^3's image row
+    # has t(0) = 0 too, so the walk over Q follows it
     walks, l_mins = [], []
     l_min = hankel._l_min
 
@@ -493,16 +498,18 @@ def test_certificate_walks_once_and_computes_no_pade_approximant(field, monkeypa
     monkeypatch.setattr(hankel, "rational_reconstruct", no_call)
     fact = [math.factorial(k) for k in range(31)]
     fib = [int(c) for c in fib_prefix(24).coeffs]
-    for coeffs, l_max, m_max, verdict, ms in (
-            (fib, 5, 5, "RationalWitness", [2]),
-            (fib, 0, 2, "RationalWitness", [2]),
-            (fact, 8, 10, "NoWitnessUpTo", []),
-            ([0, 0, 0, 1], 1, 1, "NoWitnessUpTo", [])):
+    own = field_prime(field) or P
+    for coeffs, l_max, m_max, verdict, ms, primes in (
+            (fib, 5, 5, "RationalWitness", [2], [own]),
+            (fib, 0, 2, "RationalWitness", [2], [own]),
+            (fact, 8, 10, "NoWitnessUpTo", [], [own]),
+            ([0, 0, 0, 1], 1, 1, "NoWitnessUpTo", [],
+             [own] if field_prime(field) else [P, None])):
         walks.clear()
         l_mins.clear()
         s = SeriesPrefix(field, [field.from_int(c) for c in coeffs])
         assert certify_rationality(s, l_max, m_max).verdict == verdict
-        assert (len(walks), l_mins) == (1, ms)
+        assert ([p for _, _, p, _ in walks], l_mins) == (primes, ms)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(7), PrimeField(101),
@@ -526,9 +533,6 @@ def test_certificate_is_the_pade_search_on_every_prefix_kind(field):
         assert got == want, (coeffs, l_max, m_max)
         witnesses += "witness" in got
     assert witnesses > 150, witnesses
-
-
-P = hankel.WORD_PRIME
 
 
 @pytest.mark.parametrize("coeffs,m,det", [
@@ -599,3 +603,155 @@ def test_matches_prefix_is_the_re_expansion_check(field):
             assert hankel._matches_prefix(f, s, walk) == want
             seen[want] += 1
     assert min(seen.values()) > 30, seen
+
+
+# -- over Q: the certificate settled on the word-prime image ----------------
+
+
+def q_path(s, l_max, m_max):
+    """`certify_rationality` on the walk over Q alone: the image is off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hankel, "_certify_on_image", lambda *args: None)
+        return certify_rationality(s, l_max, m_max)
+
+
+@pytest.fixture
+def images(monkeypatch):
+    """The result of every `_certify_on_image` call, in order (None where
+    the walk over Q answers)."""
+    seen = []
+    on_image = hankel._certify_on_image
+
+    def spy(*args):
+        seen.append(on_image(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(hankel, "_certify_on_image", spy)
+    return seen
+
+
+@pytest.fixture
+def walk_primes(monkeypatch):
+    """The prime of every `eea_rows` walk the certificate starts: WORD_PRIME
+    for the image, None for the walk over Q."""
+    primes = []
+
+    def spy(modulus, u, p, top):
+        primes.append(p)
+        return eea_rows(modulus, u, p, top)
+
+    monkeypatch.setattr(hankel, "eea_rows", spy)
+    return primes
+
+
+def bench_series(rng, shape):
+    """As the benchmark's Q certificates, (coeffs, l_max, m_max): the prefix
+    of P/Q with deg P = n0, deg Q = m0, Q(0) = 1 and coefficients of height
+    9, l_max + 2*m_max + 5 terms long, or c * r^k * k! for 41 terms."""
+    if shape == "factorial":
+        c, r = rng.randint(1, 9), rng.randint(1, 5)
+        return [q(c * r ** k * math.factorial(k)) for k in range(41)], 10, 10
+    n0, m0, l_max, m_max = shape
+
+    def height9(nonzero=False):
+        while True:
+            c = q(rng.randint(-9, 9), rng.randint(1, 9))
+            if c or not nonzero:
+                return c
+    num = [height9() for _ in range(n0)] + [height9(True)]
+    den = [q(1)] + [height9() for _ in range(m0 - 1)] + [height9(True)]
+    f = RatFun1(Poly1(QQ, num), Poly1(QQ, den))
+    return series_of_ratfun(f, l_max + 2 * m_max + 4).coeffs, l_max, m_max
+
+
+BENCH_SHAPES = ((2, 6, 6, 8), (3, 10, 8, 12), "factorial")
+
+
+def test_image_certificate_is_the_q_walk_on_every_prefix_kind(images):
+    # 2100 prefixes over Q: seeded random and non-normal ones of up to 25
+    # terms, and bench-shaped rational and factorial ones; every certificate
+    # equals the one of the walk over Q, byte for byte
+    rng = random.Random("hankel-image")
+    settled = {"witness": 0, "refusal": 0}
+    for case in range(2100):
+        if case % 7 == 6:
+            coeffs, l_max, m_max = bench_series(rng, BENCH_SHAPES[case // 7 % 3])
+        else:
+            n_terms = rng.randint(1, 25)
+            if case % 2:
+                coeffs = nonnormal_prefix(QQ, rng, NONNORMAL_KINDS[case // 2 % 5], n_terms)
+            else:
+                coeffs = random_prefix(QQ, rng, n_terms)
+            m_max = rng.randint(0, min(8, (n_terms - 1) // 2))
+            l_max = rng.randint(0, min(8, n_terms - 1 - 2 * m_max))
+        s = SeriesPrefix(QQ, coeffs)
+        got = json.dumps(certify_rationality(s, l_max, m_max).to_json(), sort_keys=True)
+        want = json.dumps(q_path(s, l_max, m_max).to_json(), sort_keys=True)
+        assert got == want, (coeffs, l_max, m_max)
+        if images[-1] is not None:
+            settled["witness" if images[-1].witness else "refusal"] += 1
+    # all but a few are settled on the image, witnesses and refusals alike
+    assert len(images) == 2100
+    assert sum(settled.values()) > 2000 and min(settled.values()) > 400, settled
+
+
+@pytest.mark.parametrize("name, coeffs, l_max, m_max, verdict, primes", [
+    # the prefix's denominator is the word prime
+    ("den", [q(a) + q(b, P) for a, b in zip(fib_prefix(20).coeffs,
+                                            [0] + fib_prefix(19).coeffs)],
+     3, 3, "RationalWitness", [P, None]),
+    # the witness (1 + 40000 t)/(1 - t) has a coefficient beyond sqrt(p/2)
+    ("bound", [q(1)] + [q(40001)] * 12, 2, 2, "RationalWitness", [P, None]),
+    # t^3: the image row (0, t) at m = 1 has t(0) = 0
+    ("t(0)", [q(0), q(0), q(0), q(1)], 1, 1, "NoWitnessUpTo", [P, None]),
+    # P/(1 - t)^2: the image is the zero series, whose row (0, 1) lifts to
+    # the witness 0, and the exact check refuses it
+    ("check", [q(k * P) for k in range(1, 14)], 3, 3, "RationalWitness", [P, None]),
+])
+def test_forced_fallbacks_answer_exactly(name, coeffs, l_max, m_max, verdict, primes,
+                                         images, walk_primes):
+    s = SeriesPrefix(QQ, coeffs)
+    cert = certify_rationality(s, l_max, m_max)
+    assert images == [None] and walk_primes == primes
+    assert cert.verdict == verdict
+    if cert.witness is not None:
+        assert series_of_ratfun(cert.witness, s.n_max).coeffs == coeffs
+    assert cert.to_json() == q_path(s, l_max, m_max).to_json()
+
+
+def test_a_coefficient_beyond_the_bound_has_no_lift():
+    bound = math.isqrt(P // 2)
+    assert rat_lift([40000], P) is None
+    assert rat_lift([-bound % P, pow(bound, -1, P)], P) == [-bound * bound, 1]
+
+
+def test_bench_shaped_q_certificates_walk_the_image_only(walk_primes):
+    rng = random.Random(4501)
+    for case in range(60):
+        coeffs, l_max, m_max = bench_series(rng, BENCH_SHAPES[case % 3])
+        cert = certify_rationality(SeriesPrefix(QQ, coeffs), l_max, m_max)
+        assert cert.verdict == ("NoWitnessUpTo" if case % 3 == 2 else "RationalWitness")
+        assert walk_primes == [P] * (case + 1)
+
+
+def test_lifted_witnesses_re_expand_to_the_prefix_under_sympy(images):
+    # 200 witnesses settled on the image: sympy's series of P/Q, an
+    # expansion independent of this library, is the whole prefix
+    rng = random.Random("hankel-sympy")
+    t = sympy.Symbol("t")
+    checked = 0
+    while checked < 200:
+        coeffs = random_prefix(QQ, rng, rng.randint(2, 20))
+        s = SeriesPrefix(QQ, coeffs)
+        m_max = rng.randint(0, min(4, s.n_max // 2))
+        cert = certify_rationality(s, s.n_max - 2 * m_max, m_max)
+        if images[-1] is None or cert.witness is None:
+            continue
+        w = cert.witness
+        num, den = (sum(sympy.Rational(c.numerator, c.denominator) * t ** k
+                        for k, c in enumerate(part.coeffs))
+                    for part in (w.num, w.den))
+        series = sympy.series(num / den, t, 0, len(coeffs)).removeO()
+        got = [series.coeff(t, k) for k in range(len(coeffs))]
+        assert got == [sympy.Rational(c.numerator, c.denominator) for c in coeffs]
+        checked += 1

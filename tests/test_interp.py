@@ -115,6 +115,16 @@ def test_delta_duplicate_points():
     assert det_exact(rows, QQ) == 0
 
 
+def test_delta_duplicate_points_compare_as_residues():
+    # 104 = 3 in F_101 although the two hash apart, as in SampleSet1
+    f = PrimeField(101)
+    p, qq_ = Poly1.from_ints(f, [1, 1]), Poly1.from_ints(f, [2, 0, 1])
+    for pts in ([3, 3, 5, 9], [3, 104, 5, 9], [f.from_int(3), 104, 5, 9]):
+        with pytest.raises(DegenerateInput):
+            delta_det(p, qq_, f.from_int(7), pts)
+    assert delta_det(p, qq_, f.from_int(7), [3, 4, 5, 9]) != f.zero
+
+
 @pytest.mark.parametrize("field", [QQ, FP])
 def test_delta_identity_random(field):
     rng = random.Random(32)
