@@ -59,12 +59,16 @@ class CounterexampleTable(Record):
     def build(cls, n: int) -> "CounterexampleTable":
         """f_counter on the first n values.  Row k holds a_k's prefix products
         prod_{l<=t}(a_k - a_l), t < k, computed once; the value at (a_i, a_j)
-        is the sum of the termwise products of rows i and j."""
+        is the sum of the termwise products of rows i and j, the same sum as
+        at (a_j, a_i), so it is computed once for i <= j and mirrored."""
         enum = [enumerate_countable(i) for i in range(n)]
         rows = [list(accumulate((ak - al for al in enum[:k]), mul))
                 for k, ak in enumerate(enum)]
-        return cls(enum, [[sum(map(mul, ri, rj), Fraction(0)) for rj in rows]
-                          for ri in rows])
+        values = [[None] * n for _ in range(n)]
+        for i, ri in enumerate(rows):
+            for j in range(i, n):
+                values[i][j] = values[j][i] = sum(map(mul, ri, rows[j]), Fraction(0))
+        return cls(enum, values)
 
     def block(self, n: int) -> "CounterexampleTable":
         """The table on the first n values: the top-left n x n block."""

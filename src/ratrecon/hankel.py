@@ -28,25 +28,27 @@ residue proves the determinant nonzero; a zero residue is settled by the
 exact determinant, so a zero is only ever proven exactly.  l_min(m) is
 computed only for an m that has a candidate, so a prefix with none, as a
 factorial-type refusal, computes no determinant; the search stops at the
-first witness.
+first witness.  As m grows the bound on deg r falls, so the candidates
+are found in one forward pass over the rows.
 
-A witness P/Q is checked on the same integer prefix: Q(0) != 0 and
-Q*s = P mod t^(N+1), coefficient by coefficient, which holds exactly when
-the re-expansion of P/Q reproduces a_0..a_N.
-
-Over Q the walk runs first on the integer prefix mod `WORD_PRIME`, once.
-An m with no image row within its degrees has no candidate over Q, so a
-refusal is settled on the image alone.  A candidate is the image row
-scaled to t(0) = 1 and divided by the prefix's denominator, its
-coefficients lifted to Q by rational number reconstruction
-(`ratfun.rat_lift`, Wang 1981), and the lift checked exactly as above;
-by a degree sandwich a lift that passes is the row over Q
-(`certify_rationality` has the argument).  The walk over Q answers the
-whole call when p divides the denominator, the image row has t(0) = 0
-mod p, a coefficient has no lift or the check fails.  The integers of
-the walk over Q grow with the prefix's heights while the witnesses have
-coefficients of a few digits, so the image costs word-size arithmetic
-where the walk over Q costs big-integer products.
+The rows are walked modulo each modulus of `ratfun.moduli` in turn
+(`_certify`) until one answers: over F_p the field's prime; over Q first
+the integer prefix mod `WORD_PRIME`, last the walk over Q.  An m with no
+image row within its degrees has no candidate over Q, so a refusal is
+settled on the image alone.  An image row within them is scaled to
+t(0) = 1 (to a monic t where t(0) = 0 mod p), r divided by the prefix's
+denominator, its coefficients lifted to Q by rational number
+reconstruction (`ratfun.lift_row`, Wang 1981), and the lift checked
+exactly: t*s = r mod t^(N+1), coefficient by coefficient on the integer
+prefix, which with t(0) != 0 holds exactly when the re-expansion of r/t
+reproduces a_0..a_N.  By a degree sandwich a lift that passes is the
+row over Q up to a constant (`certify_rationality` has the argument), so
+it is the candidate, or with t(0) = 0 proves that the m has none.  The
+walk over Q answers when p divides the denominator, a coefficient has no
+lift or a check fails.  The integers of the walk over Q grow with the
+prefix's heights while the witnesses have coefficients of a few digits,
+so the image costs word-size arithmetic where the walk over Q costs
+big-integer products.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ from .ratfun import (
     eea_rows,
     format_poly1,
     format_ratfun1,
-    rat_lift,
+    lift_row,
+    moduli,
     ratfun1_from_row,
     rational_reconstruct,
 )
@@ -139,15 +142,16 @@ def _check_bounds(s: SeriesPrefix, l_max: int, m_max: int) -> None:
             f"need prefix length >= {l_max + 2 * m_max + 1}, have {s.n_max + 1}")
 
 
-def _walk(s: SeriesPrefix, m_max: int, image=None):
+def _walk(s: SeriesPrefix, m_max: int, q=None):
     """(ints, den, p, rows): the prefix as integers over `den` (residues
     and 1 over F_p, p None over Q), and the rows (r, t) of the extended
     Euclidean algorithm on (t^(N+1), ints) with deg t <= m_max; over Q
-    with a prime `image`, the residue rows of ints mod that prime."""
+    with a prime `q`, the residue rows of ints mod that prime."""
     p = field_prime(s.field)
     ints, den = poly1_ints(Poly1(s.field, s.coeffs))
-    u = ints if image is None else _strip([c % image for c in ints])
-    rows = list(eea_rows([0] * (s.n_max + 1) + [1], u, p or image, m_max))
+    q = q or p
+    u = ints if q == p else _strip([c % q for c in ints])
+    rows = list(eea_rows([0] * (s.n_max + 1) + [1], u, q, m_max))
     return ints + [0] * (s.n_max + 1 - len(ints)), den, p, rows
 
 
@@ -155,8 +159,8 @@ def _l_min(s: SeriesPrefix, m: int, walk=None) -> int:
     """Smallest l with det H(n, m) = 0 for every n with l <= n <= N - 2m.
     A row of `_walk(s, m_max)`, m_max >= m, with deg t <= m proves every
     determinant with n >= deg r - m + 1 zero, as does any solution of
-    t*s = r mod t^(N+1), such as the lifted row that `_certify_on_image`
-    passes in the walk's place; the scan runs n downward from
+    t*s = r mod t^(N+1), such as the lifted row that `_certify` passes
+    in the walk's place; the scan runs n downward from
     below the least such n (N - 2m when no row does) and stops at the first
     nonzero determinant.  Over F_p the determinants are taken mod p; over Q
     first mod `WORD_PRIME`, and exactly only when that residue is zero."""
@@ -202,59 +206,51 @@ def series_of_ratfun(f: RatFun1, n_terms: int) -> SeriesPrefix:
     return SeriesPrefix(field, out)
 
 
-def _matches_prefix(f: RatFun1, s: SeriesPrefix, walk=None) -> bool:
-    """Whether the re-expansion of f = P/Q is the whole prefix: Q(0) != 0
-    and Q*s = P mod t^(N+1), checked coefficient by coefficient on the
-    integer prefix of `_walk`.  With s = ints/den, P = pn/pd and
-    Q = qn/qd that is pd * (qn*ints)_k = den * qd * pn_k for k <= N, mod p
-    over F_p."""
-    ints, den, p, _ = walk or _walk(s, 0)
-    pn, pd = poly1_ints(f.num)
-    qn, qd = poly1_ints(f.den)
-    if not qn[0]:
-        return False
-    scale = den * qd
+def _solves(r: list, t: list, walk) -> bool:
+    """Whether the integer row (r, t) solves t*s = r mod t^(N+1), s the
+    prefix ints/den of `walk` (`_walk`): (t*ints)_k = den*r_k for k <= N,
+    mod p over F_p.  With t(0) != 0 that holds exactly when the
+    re-expansion of r/t is the whole prefix."""
+    ints, den, p, _ = walk
+    n_max = len(ints) - 1
     rev = ints[::-1]                    # rev[N - k + j] = ints[k - j]
-    for k in range(s.n_max + 1):
-        lhs = pd * sum(map(mul, qn, rev[s.n_max - k:s.n_max - k + len(qn)]))
-        rhs = scale * pn[k] if k < len(pn) else 0
+    for k in range(n_max + 1):
+        lhs = sum(map(mul, t, rev[n_max - k:n_max - k + len(t)]))
+        rhs = den * r[k] if k < len(r) else 0
         if (lhs - rhs) % p if p else lhs != rhs:
             return False
     return True
 
 
-def _certify_on_image(s: SeriesPrefix, l_max: int, m_max: int):
-    """Over Q, the certificate of `certify_rationality` settled on the walk
-    of the integer prefix mod `WORD_PRIME`, with each candidate lifted to Q
-    by `ratfun.rat_lift` and checked exactly, or None for the walk over Q
-    to answer."""
-    p = WORD_PRIME
-    ints, den, _, rows = _walk(s, m_max, p)
-    if den % p == 0:
-        return None
-    den_inv = pow(den, -1, p)
+def _certify(s: SeriesPrefix, l_max: int, m_max: int, q):
+    """The certificate of `certify_rationality` read off the walk mod q, a
+    modulus of `ratfun.moduli`, or None for the next modulus to answer.
+    One forward pass over the rows finds each m's candidate row; over Q
+    with a prime q that row is lifted to Q and checked exactly, and None
+    is returned when it has no lift or fails the check."""
+    walk = _walk(s, m_max, q)
+    ints, den, p, rows = walk
+    rows = iter(rows)
+    row = next(rows, None)
     for m in range(m_max + 1):
         top = min(l_max + m_max, s.n_max - m - 1)
-        row = next(((r, t) for r, t in rows if len(t) <= m + 1 and len(r) <= top + 1),
-                   None)
-        if row is None:
+        while row is not None and len(row[0]) > top + 1:
+            row = next(rows, None)
+        if row is None or len(row[1]) > m + 1:
             continue
-        r, t = row
+        (r, t), d, proof = row, den, walk
+        if q != p:
+            lifted = lift_row(r, t, q, 0 if t[0] else -1, den)
+            if lifted is None or not _solves(*lifted, walk):
+                return None
+            (r, t), d, proof = lifted, 1, (ints, den, p, [lifted])
         if not t[0]:
-            return None
-        inv = pow(t[0], -1, p)
-        lifted = rat_lift([c * inv * den_inv % p for c in r]
-                          + [c * inv % p for c in t], p)
-        if lifted is None:
-            return None
-        r, t = lifted[:len(r)], lifted[len(r):]
-        f = ratfun1_from_row(s.field, r, t)
-        walk = (ints, den, None, [(r, t)])
-        if not _matches_prefix(f, s, walk):
-            return None
-        l = _l_min(s, m, walk)
+            continue
+        l = _l_min(s, m, proof)
         if l <= l_max and max(l + m - 1, 0) <= top:
-            return RationalityCertificate("RationalWitness", l, m, f, len(s.coeffs))
+            return RationalityCertificate("RationalWitness", l, m,
+                                          ratfun1_from_row(s.field, r, t, d),
+                                          len(s.coeffs))
     return RationalityCertificate("NoWitnessUpTo", l_max, m_max, None, len(s.coeffs))
 
 
@@ -266,11 +262,14 @@ def certify_rationality(s: SeriesPrefix, l_max: int, m_max: int) -> RationalityC
     deg t <= m, deg r <= top = min(l_max + m_max, N - m - 1) and t(0) != 0,
     the only Pade approximant of degrees at most (top, m) that can match;
     l_min(m) is computed only for an m that has one, and the m is skipped
-    when l_min(m) > l_max or l_min(m) + m - 1 > top.
+    when l_min(m) > l_max or l_min(m) + m - 1 > top.  A row of the walk
+    solves t*s = r mod t^(N+1), so with t(0) != 0 its r/(den*t)
+    re-expands to the prefix and needs no check.
 
-    Over Q the rows are first those of the integer prefix mod `WORD_PRIME`
-    (`_certify_on_image`), walked once up to deg t <= m_max.  Each m is
-    settled from them:
+    The rows are those of the moduli of `ratfun.moduli`, tried in turn by
+    `_certify`.  Over Q the first are those of the integer prefix mod
+    p = `WORD_PRIME`, walked once up to deg t <= m_max.  Each m is settled
+    from them:
 
     - No image row has deg t <= m and deg r <= top: then no row over Q
       has either, so the m has no candidate.  A row over Q, scaled to
@@ -280,39 +279,26 @@ def certify_rationality(s: SeriesPrefix, l_max: int, m_max: int) -> RationalityC
       those (Thm 5.16).  The modulus is monic and the prefix integral, so
       no reduction is bad here; a prefix with no candidate at any m is
       refused with no walk over Q.
-    - The first such image row (r, t): with t(0) = 1 after scaling, the
-      coefficients of r/den and t are lifted by rational number
-      reconstruction to P and Q, of the same degrees as r and t, and
-      P/Q must match the prefix exactly (`_matches_prefix`).  It is then
-      the candidate over Q, by a degree sandwich.  The row (R, T) over Q
-      of degrees at most (top, m) exists, as (den*P, Q) solves
-      t*ints = r and so is a multiple c*(R, T); the image of the
-      primitive (R, T) is a multiple of (r, t).  So
-      deg T >= deg t = deg Q = deg c + deg T: c is a constant,
-      T(0) = Q(0)/c != 0, and P/Q is the canonical R/(den*T).
-      l_min(m) is then taken with the lifted row's degrees as the proven
-      tail: any solution of t*s = r proves the same zeros, and this one
-      has the degrees of the row over Q.
+    - The first such image row (r, t): scaled to t(0) = 1, or to a monic
+      t where t(0) = 0, the coefficients of r/den and t are lifted by
+      rational number reconstruction to P and Q, of the same degrees as
+      r and t, and Q*s = P mod t^(N+1) is checked exactly (`_solves`).
+      Then P/Q is the row over Q up to a constant, by a degree sandwich.
+      The row (R, T) over Q of degrees at most (top, m) exists, as
+      (den*P, Q) solves t*ints = r and so is a multiple c*(R, T); the
+      image of the primitive (R, T) is a multiple of (r, t).  So
+      deg T >= deg t = deg Q = deg c + deg T: c is a constant and
+      T(0) = Q(0)/c.  Where t(0) = 0 mod p, Q(0) = 0, so T(0) = 0 and the
+      m has no candidate over Q either; else T(0) != 0 and P/Q is the
+      canonical R/(den*T).  l_min(m) is then taken with the lifted row's
+      degrees as the proven tail: any solution of t*s = r proves the same
+      zeros, and this one has the degrees of the row over Q.
 
-    The walk over Q answers the whole call instead when p divides `den`,
-    the image row has t(0) = 0 mod p, a coefficient has no lift within
-    sqrt(p/2), or the exact check fails; over F_p it is the only walk."""
+    The walk over Q, the last modulus, answers the whole call instead when
+    p divides `den`, a coefficient has no lift within sqrt(p/2) or an
+    exact check fails; over F_p the walk mod p is the only one."""
     _check_bounds(s, l_max, m_max)
-    if field_prime(s.field) is None:
-        cert = _certify_on_image(s, l_max, m_max)
+    for q in moduli(field_prime(s.field)):
+        cert = _certify(s, l_max, m_max, q)
         if cert is not None:
             return cert
-    walk = _walk(s, m_max)
-    _, den, _, rows = walk
-    for m in range(m_max + 1):
-        top = min(l_max + m_max, s.n_max - m - 1)
-        for r, t in rows:
-            if len(t) <= m + 1 and len(r) <= top + 1 and t[0]:
-                l = _l_min(s, m, walk)
-                if l > l_max or max(l + m - 1, 0) > top:
-                    break
-                f = ratfun1_from_row(s.field, r, t, den)
-                if _matches_prefix(f, s, walk):
-                    return RationalityCertificate(
-                        "RationalWitness", l, m, f, len(s.coeffs))
-    return RationalityCertificate("NoWitnessUpTo", l_max, m_max, None, len(s.coeffs))

@@ -10,14 +10,15 @@ the walk by the candidate's total degree.
 `fit_ratfun` and `interp_point` share one path (`_solve`): the
 `ratfun.first_row` of type (n, m) under the caller's test, coprime for a
 fit (else NoFit) or a one-dimensional kernel for a point (else BetaZero),
-whose value is r(a)/(den*t(a)).  Over Q that path first solves the image
-of the samples mod `poly.WORD_PRIME` with the same code, lifts the row to
-Q by rational number reconstruction (Wang 1981) and checks the lift
-exactly on every sample (`_word_lift`); the pool over Q answers on any
-failed step.  The fitted functions have coefficients of a few digits
-while the pool's integers grow with the samples' heights, so the image
-costs word-size arithmetic where the pool over Q costs thousand-bit
-products.
+whose value is r(a)/(den*t(a)).  It runs once per modulus of
+`ratfun.moduli` (`_solve_mod`) until one answers: over F_p the field's
+prime; over Q first the image of the samples mod `poly.WORD_PRIME`, whose
+row is lifted to Q by rational number reconstruction (Wang 1981) and
+checked exactly on every sample, last the pool over Q, which answers
+where a step on the image fails.  The fitted functions have coefficients
+of a few digits while the pool's integers grow with the samples' heights,
+so the image costs word-size arithmetic where the pool over Q costs
+thousand-bit products.
 
 The pointwise formula, the ratio of the two bordered determinants of
 `alpha_beta` under the frozen sign `interp_sign`, gives the same value or
@@ -40,7 +41,6 @@ from .errors import (
 from .fields import QQ, Field, FpElement
 from .matrix import bordered_dets, det_exact
 from .poly import (
-    WORD_PRIME,
     Poly1,
     _ratio,
     _residue,
@@ -55,7 +55,8 @@ from .ratfun import (
     _coprime,
     degree_and_ord,
     first_row,
-    rat_lift,
+    lift_row,
+    moduli,
     ratfun1_from_row,
     reconstruct_ints,
 )
@@ -190,8 +191,8 @@ def interp_point(samples: SampleSet1, profile: DegreeProfile, a):
     of (r, t): alpha/beta is r(a)/t(a) under the calibrated sign, and
     beta = 0 exactly when t(a) = 0, which raises BetaZero.  Otherwise the
     rank is at most l, both determinants vanish, and BetaZero is raised as
-    well.  Over Q a row of `_word_lift` solves the weak equations exactly
-    and the kernel mod p is one-dimensional; the matrix mod p is the image
+    well.  Over Q a lifted row of `_solve_mod` solves the weak equations
+    exactly and the kernel mod p is one-dimensional; the matrix mod p is the image
     of the one over Q, whose rank l + 1 mod p forces rank l + 1 over Q, so
     that row is a multiple of the Cramer vector too."""
     if len(samples) != profile.l + 1:
@@ -304,58 +305,55 @@ def _row_profile(row) -> DegreeProfile:
     return DegreeProfile.from_de(max(dn, dd), dn - dd)
 
 
-def _word_lift(samples: SampleSet1, n: int, m: int, accept):
-    """Over Q, the (n, m) row of the samples solved mod `WORD_PRIME` and
-    lifted to Q, as integer lists (r, t) over the common denominator lc(t):
-    the `ratfun.first_row` of the image pool, if `accept(r, t, p)` holds,
-    made monic and its coefficients lifted by `ratfun.rat_lift`.  The lift is
-    returned only if r(a_i) = v_i*t(a_i) at every sample, checked exactly.
-    None, for the pool over Q to answer, when a sample's denominator is 0
-    mod p, two abscissae are congruent, no row or `accept` fails, a
-    coefficient has no lift within sqrt(p/2), or the check fails."""
-    p = WORD_PRIME
-    pool, seen, pairs = _NewtonPool(QQ, p), set(), []
+def _solve_mod(samples: SampleSet1, n: int, m: int, accept, q):
+    """(r, t, den): the `ratfun.first_row` (r, t) of the samples' Newton
+    pool mod q, whose function is r/(den*t), or None when there is none or
+    `accept(r, t, q)` fails.  q is a modulus of `ratfun.moduli`: the
+    field's prime, None for the pool over Q, or over Q `WORD_PRIME`, whose
+    pool is that of the samples' image.  Its row is made monic and lifted
+    by `ratfun.lift_row`, and returned with den 1 only if r(a_i) =
+    v_i*t(a_i) at every sample, checked exactly on the integer pairs kept
+    while reducing; None also when a sample's denominator is 0 mod q, two
+    abscissae are congruent or a coefficient has no lift."""
+    field = _field_of(samples)
+    pool, pairs = _NewtonPool(field, q), {}
+    image = field is QQ and q is not None
     for a, v in samples.points:
-        (an, ad), (vn, vd) = _ratio(a), _ratio(v)
-        if not (ad % p and vd % p):
-            return None
-        x = an * pow(ad, -1, p) % p
-        if x in seen:
-            return None
-        seen.add(x)
-        pool.add(x, vn * pow(vd, -1, p) % p)
-        pairs.append((an, ad, vn, vd))
-    row = first_row(pool.modulus, pool.u, p, n, m)
-    if row is None or not accept(*row, p):
+        if image:
+            (an, ad), (vn, vd) = pair = _ratio(a), _ratio(v)
+            if not (ad % q and vd % q):
+                return None
+            a, v = an * pow(ad, -1, q) % q, vn * pow(vd, -1, q) % q
+            if a in pairs:
+                return None
+            pairs[a] = pair
+        pool.add(a, v)
+    row = first_row(pool.modulus, pool.u, q, n, m)
+    if row is None or not accept(*row, q):
+        return None
+    if not image:
+        return (*row, pool.den)
+    row = lift_row(*row, q)
+    if row is None:
         return None
     r, t = row
-    inv = pow(t[-1], -1, p)
-    ints = rat_lift([c * inv % p for c in r + t], p)
-    if ints is None:
-        return None
-    r, t = ints[:len(r)], ints[len(r):]
-    for an, ad, vn, vd in pairs:
+    for (an, ad), (vn, vd) in pairs.values():
         rn, rs = _horner_q(r, an, ad)
         tn, ts = _horner_q(t, an, ad)
         if rn * ts * vd != vn * tn * rs:
             return None
-    return r, t
+    return r, t, 1
 
 
 def _solve(samples: SampleSet1, n: int, m: int, accept):
-    """(r, t, den): the `ratfun.first_row` (r, t) of the samples' Newton
-    pool, whose function is r/(den*t), or None when there is none or
-    `accept(r, t, p)` fails, p the prime of the rows (None over Q).  Over Q
-    the row of `_word_lift`, with den 1, when it has one."""
-    field = _field_of(samples)
-    row = _word_lift(samples, n, m, accept) if field is QQ else None
-    if row is not None:
-        return (*row, 1)
-    pool = _NewtonPool(field)
-    for a, v in samples.points:
-        pool.add(a, v)
-    row = first_row(pool.modulus, pool.u, pool.p, n, m)
-    return None if row is None or not accept(*row, pool.p) else (*row, pool.den)
+    """The answer of `_solve_mod` at the first modulus of `ratfun.moduli`
+    that gives one: over Q the samples' image mod `WORD_PRIME` first, the
+    pool over Q last."""
+    for q in moduli(field_prime(_field_of(samples))):
+        solved = _solve_mod(samples, n, m, accept, q)
+        if solved is not None:
+            return solved
+    return None
 
 
 def fit_ratfun(samples: SampleSet1, n_deg: int, m_deg: int) -> RatFun1:
@@ -364,7 +362,7 @@ def fit_ratfun(samples: SampleSet1, n_deg: int, m_deg: int) -> RatFun1:
     every sample: the row of `_solve`, if coprime, else NoFit.  Requires at
     least one sample beyond n_deg + m_deg + 1, which makes the fit unique.
 
-    Over Q a lift (P, Q) of `_word_lift`, from an image row that is coprime
+    Over Q a lift (P, Q) of `_solve_mod`, from an image row that is coprime
     mod p, is that fit.  Q is monic, deg P <= n_deg,
     deg Q <= m_deg and P(a_i) = v_i*Q(a_i) at every sample; Q(a_i) != 0,
     as a Euclid row has gcd(r, t) = gcd(t, modulus), so the image of Q has

@@ -164,10 +164,11 @@ def field_prime(field: Field):
     return field.p if isinstance(field, PrimeField) else None
 
 
-# The prime of the word-size images of Q computations: a Hankel determinant
-# mod p first (`hankel._l_min`), the interpolant of Q samples mod p first
-# (`interp._word_lift`).  Below 2^30 each residue is one digit of a CPython
-# int, which keeps the products of an elimination or a Euclid step small.
+# The prime of the word-size images of Q computations: the first modulus of
+# `ratfun.moduli`, on which `interp` and `hankel` walk their Euclid rows,
+# and of a Hankel determinant (`hankel._l_min`).  Below 2^30 each residue
+# is one digit of a CPython int, which keeps the products of an
+# elimination or a Euclid step small.
 WORD_PRIME = 2 ** 30 - 35
 
 

@@ -11,15 +11,19 @@ ends in it after cancelling the gcd on packed integer polynomials
 Every univariate reconstruction reads rows of one extended-Euclid walk,
 `eea_rows`, on integer lists: residue rows over F_p, pseudo-remainder
 rows over Q.  `first_row` selects the row of an (n, m) fit, for
-`interp.fit_ratfun`, `interp.interp_point` and `reconstruct_ints` on
+`interp.fit_ratfun`, `interp.interp_point` and `rational_reconstruct` on
 bounds; `reconstruct_ints` selects the minimal row of degree detection;
-`rational_reconstruct` runs it on `Poly1` arguments for
+`rational_reconstruct` runs either on `Poly1` arguments for
 `hankel.pade_reconstruct` and the tests; the Hankel scan walks the rows
 itself.  The walk alone stops the Euclid, at a bound on the cofactor
 degree that each caller derives from its own: m for an (n, m) fit, the
 total-degree `limit` of degree detection, m_max for the Hankel scan.
-`rat_lift` lifts a row walked mod a prime to Q, for the word-prime
-images of `interp` and `hankel`.
+
+`interp` and `hankel` answer from one loop over the moduli of `moduli`:
+the field's prime over F_p; over Q first `poly.WORD_PRIME`, whose rows
+`lift_row` lifts to Q by rational number reconstruction (`rat_lift`) for
+the caller's exact check, and last None, the walk over Q, which answers
+whatever the image left open.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .errors import UndefinedAt, ZeroDenominator, ZeroFunction
 from .expr import Add, Div, IntLit, Mul, Pow, Var, _compile
 from .fields import Field
 from .poly import (  # gcd_polyn: bench/selftest.py looks it up here
+    WORD_PRIME,
     Poly1,
     PolyN,
     _packed_gcd,
@@ -300,22 +305,21 @@ def rational_reconstruct(modulus: Poly1, u: Poly1, n: int | None = None,
     if len(ints) >= len(mod):
         s, _, ints = divmod_ints(ints, mod, p)
         den *= s
-    row = reconstruct_ints(mod, ints, p, n, m)
+    if n is None:
+        row = reconstruct_ints(mod, ints, p)
+    else:
+        row = first_row(mod, ints, p, n, m)
+        row = row if row is not None and _coprime(*row, p) else None
     return None if row is None else ratfun1_from_row(field, *row, den)
 
 
-def reconstruct_ints(modulus: list, u: list, p, n: int | None = None,
-                     m: int | None = None, limit=math.inf):
-    """The extended-Euclid kernel of `rational_reconstruct` on integer
-    coefficient lists (see poly.py), deg u < deg modulus: the selected row
-    (r, t) of `eea_rows`, or None.  The function the row stands for is
-    r/(den*t), where u/den is the interpolant (see ratfun1_from_row).
-    Without bounds, `limit` bounds the total degree: the unbounded
-    selection is returned if it is within it, else None.  The walk stops
-    at the cofactor degree no wanted row passes, m or `limit`."""
-    if n is not None:
-        row = first_row(modulus, u, p, n, m)
-        return row if row is not None and _coprime(*row, p) else None
+def reconstruct_ints(modulus: list, u: list, p, limit=math.inf):
+    """The unbounded selection of `rational_reconstruct` on integer
+    coefficient lists (see poly.py), deg u < deg modulus: the coprime row
+    (r, t) of `eea_rows` of minimal total degree, ties going to the smaller
+    deg r, if that degree is within `limit`, else None.  The function the
+    row stands for is r/(den*t), where u/den is the interpolant (see
+    ratfun1_from_row).  The walk stops at the cofactor degree `limit`."""
     rows = []
     for r, t in eea_rows(modulus, u, p, limit):
         dr = len(r) - 1
@@ -377,7 +381,7 @@ def rat_lift(residues: list, p: int):
     the first remainder within bound = sqrt(p/2), the lift taken when
     0 < w <= bound and gcd(u, w) = 1.  As 2*bound^2 < p there is at most
     one such fraction per residue, and a residue lifts to 0 only if it is
-    0.  The word-prime callers check the lifts exactly."""
+    0.  The callers of `lift_row` check the lifts exactly."""
     bound, lifted = math.isqrt(p // 2), []
     for c in residues:
         r0, r1, t0, t1 = p, c, 0, 1
@@ -391,6 +395,26 @@ def rat_lift(residues: list, p: int):
         lifted.append((r1, t1))
     den = math.lcm(*(w for _, w in lifted))
     return [u * (den // w) for u, w in lifted]
+
+
+def moduli(p) -> tuple:
+    """The moduli of the univariate image path, in the order tried: over
+    F_p the field's prime p; over Q (p None) `WORD_PRIME`, then None, the
+    walk over Q, which always answers."""
+    return (p,) if p is not None else (WORD_PRIME, None)
+
+
+def lift_row(r: list, t: list, q: int, k: int = -1, den: int = 1):
+    """The row (r, t) of a walk mod q, scaled to t[k] = 1 with r divided by
+    den, lifted to Q by `rat_lift`: integer lists (r, t) over one common
+    denominator, of the row's degrees, or None when den is 0 mod q or a
+    coefficient has no lift."""
+    if den % q == 0:
+        return None
+    inv = pow(t[k], -1, q)
+    r_inv = inv * pow(den, -1, q) % q
+    ints = rat_lift([c * r_inv % q for c in r] + [c * inv % q for c in t], q)
+    return None if ints is None else (ints[:len(r)], ints[len(r):])
 
 
 def _coprime(r: list, t: list, p) -> bool:

@@ -18,7 +18,7 @@ from ratrecon.hankel import (
     series_of_ratfun,
 )
 from ratrecon.matrix import bordered_dets, det_exact
-from ratrecon.poly import WORD_PRIME, Poly1, _strip, field_prime
+from ratrecon.poly import WORD_PRIME, Poly1, _strip, field_prime, poly1_ints
 from ratrecon.ratfun import RatFun1, eea_rows, normalize_ratfun1, rat_lift
 
 P = WORD_PRIME
@@ -265,7 +265,7 @@ def eager_certify_rationality(s, l_max, m_max):
                 f = pade_reconstruct(s, n_deg, m)
             except NoSolution:
                 continue
-            if hankel._matches_prefix(f, s):
+            if reference_matches_prefix(f, s):
                 return RationalityCertificate(
                     "RationalWitness", l, m, f, len(s.coeffs))
     return RationalityCertificate("NoWitnessUpTo", l_max, m_max, None, len(s.coeffs))
@@ -287,7 +287,7 @@ def reference_certify(s, l_max, m_max):
                 f = pade_reconstruct(s, n_deg, m)
             except NoSolution:
                 continue
-            if hankel._matches_prefix(f, s):
+            if reference_matches_prefix(f, s):
                 return RationalityCertificate(
                     "RationalWitness", l, m, f, len(s.coeffs))
     return RationalityCertificate("NoWitnessUpTo", l_max, m_max, None, len(s.coeffs))
@@ -475,9 +475,9 @@ def test_witness_at_m10_takes_l_min_once_with_no_determinant(field, monkeypatch)
 def test_certificate_walks_once_and_computes_no_pade_approximant(field, monkeypatch):
     # Fibonacci within wide and tight bounds, whose witness row has deg t = 2;
     # a factorial refusal; and t^3, whose row (0, t) at m = 1 has t(0) = 0,
-    # so it is no witness row and l_min(1) is not needed.  Over Q the first
-    # three are settled on the one walk mod the word prime; t^3's image row
-    # has t(0) = 0 too, so the walk over Q follows it
+    # so it is no witness row and l_min(1) is not needed.  Over Q all four
+    # are settled on the one walk mod the word prime: t^3's image row lifts
+    # to (0, t), which the exact check proves a row over Q
     walks, l_mins = [], []
     l_min = hankel._l_min
 
@@ -503,8 +503,7 @@ def test_certificate_walks_once_and_computes_no_pade_approximant(field, monkeypa
             (fib, 5, 5, "RationalWitness", [2], [own]),
             (fib, 0, 2, "RationalWitness", [2], [own]),
             (fact, 8, 10, "NoWitnessUpTo", [], [own]),
-            ([0, 0, 0, 1], 1, 1, "NoWitnessUpTo", [],
-             [own] if field_prime(field) else [P, None])):
+            ([0, 0, 0, 1], 1, 1, "NoWitnessUpTo", [], [own])):
         walks.clear()
         l_mins.clear()
         s = SeriesPrefix(field, [field.from_int(c) for c in coeffs])
@@ -596,11 +595,13 @@ def test_matches_prefix_is_the_re_expansion_check(field):
         else:
             coeffs = [random_element(field, rng, 9) for _ in range(n_terms)]
         s = SeriesPrefix(field, coeffs)
+        walk = hankel._walk(s, s.n_max // 2)
         for f in (RatFun1(num, den), RatFun1(num * t, den * t)):
             want = reference_matches_prefix(f, s)
-            assert hankel._matches_prefix(f, s) == want, (num, den, coeffs)
-            walk = hankel._walk(s, s.n_max // 2)
-            assert hankel._matches_prefix(f, s, walk) == want
+            # P/Q = (pn*qd)/(qn*pd), one integer row
+            (pn, pd), (qn, qd) = poly1_ints(f.num), poly1_ints(f.den)
+            r, u = [c * qd for c in pn], [c * pd for c in qn]
+            assert (qn[0] != 0 and hankel._solves(r, u, walk)) == want, (num, den, coeffs)
             seen[want] += 1
     assert min(seen.values()) > 30, seen
 
@@ -610,23 +611,23 @@ def test_matches_prefix_is_the_re_expansion_check(field):
 
 def q_path(s, l_max, m_max):
     """`certify_rationality` on the walk over Q alone: the image is off."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hankel, "_certify_on_image", lambda *args: None)
-        return certify_rationality(s, l_max, m_max)
+    return hankel._certify(s, l_max, m_max, None)
 
 
 @pytest.fixture
 def images(monkeypatch):
-    """The result of every `_certify_on_image` call, in order (None where
-    the walk over Q answers)."""
+    """The result of every `_certify` call mod `WORD_PRIME`, in order (None
+    where the walk over Q answers)."""
     seen = []
-    on_image = hankel._certify_on_image
+    certify = hankel._certify
 
-    def spy(*args):
-        seen.append(on_image(*args))
-        return seen[-1]
+    def spy(s, l_max, m_max, q):
+        cert = certify(s, l_max, m_max, q)
+        if q == P:
+            seen.append(cert)
+        return cert
 
-    monkeypatch.setattr(hankel, "_certify_on_image", spy)
+    monkeypatch.setattr(hankel, "_certify", spy)
     return seen
 
 
@@ -690,9 +691,9 @@ def test_image_certificate_is_the_q_walk_on_every_prefix_kind(images):
         assert got == want, (coeffs, l_max, m_max)
         if images[-1] is not None:
             settled["witness" if images[-1].witness else "refusal"] += 1
-    # all but a few are settled on the image, witnesses and refusals alike
+    # all are settled on the image, witnesses and refusals alike
     assert len(images) == 2100
-    assert sum(settled.values()) > 2000 and min(settled.values()) > 400, settled
+    assert sum(settled.values()) == 2100 and min(settled.values()) > 400, settled
 
 
 @pytest.mark.parametrize("name, coeffs, l_max, m_max, verdict, primes", [
@@ -702,8 +703,9 @@ def test_image_certificate_is_the_q_walk_on_every_prefix_kind(images):
      3, 3, "RationalWitness", [P, None]),
     # the witness (1 + 40000 t)/(1 - t) has a coefficient beyond sqrt(p/2)
     ("bound", [q(1)] + [q(40001)] * 12, 2, 2, "RationalWitness", [P, None]),
-    # t^3: the image row (0, t) at m = 1 has t(0) = 0
-    ("t(0)", [q(0), q(0), q(0), q(1)], 1, 1, "NoWitnessUpTo", [P, None]),
+    # t^3: the image row (0, t) at m = 1 has t(0) = 0; its lift is checked
+    # exactly, which proves that m = 1 has no candidate, and the image refuses
+    ("t(0)", [q(0), q(0), q(0), q(1)], 1, 1, "NoWitnessUpTo", [P]),
     # P/(1 - t)^2: the image is the zero series, whose row (0, 1) lifts to
     # the witness 0, and the exact check refuses it
     ("check", [q(k * P) for k in range(1, 14)], 3, 3, "RationalWitness", [P, None]),
@@ -712,7 +714,8 @@ def test_forced_fallbacks_answer_exactly(name, coeffs, l_max, m_max, verdict, pr
                                          images, walk_primes):
     s = SeriesPrefix(QQ, coeffs)
     cert = certify_rationality(s, l_max, m_max)
-    assert images == [None] and walk_primes == primes
+    assert walk_primes == primes
+    assert images == [None if primes[-1] is None else cert]
     assert cert.verdict == verdict
     if cert.witness is not None:
         assert series_of_ratfun(cert.witness, s.n_max).coeffs == coeffs

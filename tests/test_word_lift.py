@@ -2,9 +2,10 @@
 `interp_point` against the determinants of `alpha_beta` on every field.
 
 Over Q both first solve their samples mod `poly.WORD_PRIME`, lift the row
-to Q and check the lift exactly on every sample (`interp._word_lift`); the
-exact path, the Newton pool over Q and its extended-Euclid row, answers
-wherever a step fails, and is the only path over F_p.  These tests hold
+to Q and check the lift exactly on every sample (`interp._solve_mod` at
+that prime); the exact path, the Newton pool over Q and its extended-Euclid
+row (`_solve_mod` at None), answers wherever a step fails, and the pool
+mod p is the only path over F_p.  These tests hold
 the fit to the exact path and the value to the calibrated ratio of the
 two determinants, with the same results and exceptions on seeded random
 sample sets, force each kind of fallback, pin which path bench-shaped
@@ -54,23 +55,25 @@ def exact_point(samples, profile, a):
 
 
 def exact_fit(samples, n, m):
-    """`fit_ratfun` on the exact path alone: the word-prime lift is off."""
+    """`fit_ratfun` on the exact path alone: its one modulus is None."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(interp, "_word_lift", lambda *args: None)
+        mp.setattr(interp, "moduli", lambda p: (None,))
         return fit_ratfun(samples, n, m)
 
 
 @pytest.fixture
 def lifts(monkeypatch):
-    """The results of every `_word_lift` call, in order."""
+    """The results of every `_solve_mod` call mod `WORD_PRIME`, in order."""
     seen = []
-    word_lift = interp._word_lift
+    solve_mod = interp._solve_mod
 
-    def spy(*args):
-        seen.append(word_lift(*args))
-        return seen[-1]
+    def spy(samples, n, m, accept, q):
+        solved = solve_mod(samples, n, m, accept, q)
+        if q == WORD_PRIME:
+            seen.append(solved)
+        return solved
 
-    monkeypatch.setattr(interp, "_word_lift", spy)
+    monkeypatch.setattr(interp, "_solve_mod", spy)
     return seen
 
 
