@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 from .errors import FieldMismatch
@@ -53,6 +54,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Over Q, a height whose box has at most this many values has one
 # (id, element) table per field, shared by all its samplers.
 SHARED_BOX = 1024
+
+# The two forms of an element of Q, [+-]digits and [+-]digits/digits; a
+# decimal or exponent literal such as 1e99999999 is no element.
+_Q_ELEMENT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def is_probable_prime(n: int) -> bool:
@@ -222,8 +227,11 @@ class RationalField(Field):
 
     def parse(self, s: str) -> Fraction:
         s = s.strip()
+        match = _Q_ELEMENT.fullmatch(s)
+        if match is None:
+            raise ValueError(f"invalid element of Q: {s!r}")
         try:
-            return Fraction(s)
+            return Fraction(int(match[1]), int(match[2] or 1))
         except ZeroDivisionError:
             raise ZeroDivisionError(f"zero denominator in {s!r}") from None
 

@@ -13,27 +13,16 @@ and (P, Q) is a polynomial multiple of the one row with deg t <= m and
 deg r <= n (von zur Gathen & Gerhard, Modern Computer Algebra, Thm 5.16);
 since gcd(r, t) = gcd(t, t^(N+1)), that row is coprime exactly when
 t(0) != 0.  So each m has at most one candidate, and no Pade approximant
-is computed for it.
-
-Kronecker's criterion: for each m, l_min(m) is the smallest l from which
-every det H(n, m), l <= n <= N - 2m, vanishes.  Most of those zeros need no
-determinant: for a row with m >= deg t and n + m > deg r the columns
-m - k of H(n, m), weighted by t_k, sum to zero: det H(n, m) = 0.  That is
-the block structure of the Pade table (Gragg, SIAM Review 1972).  The scan
-runs n downward from just below the least n so proven and stops at the
-first nonzero determinant.  Those determinants are taken on integer rows:
-over F_p on the residues, mod p; over Q on the prefix scaled by the lcm of
-its denominators, first modulo the word prime `WORD_PRIME`.  A nonzero
-residue proves the determinant nonzero; a zero residue is settled by the
-exact determinant, so a zero is only ever proven exactly.  l_min(m) is
-computed only for an m that has a candidate, so a prefix with none, as a
-factorial-type refusal, computes no determinant; the search stops at the
-first witness.  As m grows the bound on deg r falls, so the candidates
-are found in one forward pass over the rows.
+is computed for it.  Kronecker's l_min(m), the smallest l from which
+every det H(n, m), l <= n <= N - 2m, vanishes, is then read off the
+candidate's degrees, max(deg r - m + 1, 0), with no determinant
+(`certify_rationality` has the argument).  The search stops at the first
+witness.  As m grows the bound on deg r falls, so the candidates are
+found in one forward pass over the rows.
 
 The rows are walked modulo each modulus of `ratfun.moduli` in turn
 (`_certify`) until one answers: over F_p the field's prime; over Q first
-the integer prefix mod `WORD_PRIME`, last the walk over Q.  An m with no
+the integer prefix mod `poly.WORD_PRIME`, last the walk over Q.  An m with no
 image row within its degrees has no candidate over Q, so a refusal is
 settled on the image alone.  An image row within them is scaled to
 t(0) = 1 (to a monic t where t(0) = 0 mod p), r divided by the prefix's
@@ -57,8 +46,7 @@ from operator import mul
 
 from .errors import NoSolution, PoleAtOrigin, PrefixTooShort
 from .fields import Field
-from .matrix import bordered_dets
-from .poly import WORD_PRIME, Poly1, _strip, field_prime, poly1_ints
+from .poly import Poly1, _strip, field_prime, poly1_ints
 from .ratfun import (
     RatFun1,
     eea_rows,
@@ -128,6 +116,8 @@ class RationalityCertificate(Record):
 
 def hankel_matrix(s: SeriesPrefix, n: int, m: int) -> list:
     """The (m+1)x(m+1) rows with entry (i, j) = a_{n+i+j}."""
+    if n < 0 or m < 0:
+        raise ValueError(f"Hankel bounds must be >= 0, got n={n}, m={m}")
     if n + 2 * m > s.n_max:
         raise PrefixTooShort(f"need a_0..a_{n + 2 * m}, have a_0..a_{s.n_max}")
     return [[s.coeffs[n + i + j] for j in range(m + 1)] for i in range(m + 1)]
@@ -153,26 +143,6 @@ def _walk(s: SeriesPrefix, m_max: int, q=None):
     u = ints if q == p else _strip([c % q for c in ints])
     rows = list(eea_rows([0] * (s.n_max + 1) + [1], u, q, m_max))
     return ints + [0] * (s.n_max + 1 - len(ints)), den, p, rows
-
-
-def _l_min(s: SeriesPrefix, m: int, walk=None) -> int:
-    """Smallest l with det H(n, m) = 0 for every n with l <= n <= N - 2m.
-    A row of `_walk(s, m_max)`, m_max >= m, with deg t <= m proves every
-    determinant with n >= deg r - m + 1 zero, as does any solution of
-    t*s = r mod t^(N+1), such as the lifted row that `_certify` passes
-    in the walk's place; the scan runs n downward from
-    below the least such n (N - 2m when no row does) and stops at the first
-    nonzero determinant.  Over F_p the determinants are taken mod p; over Q
-    first mod `WORD_PRIME`, and exactly only when that residue is zero."""
-    ints, _, p, rows = walk or _walk(s, m)
-    tail = min([s.n_max - 2 * m + 1] +
-               [max(len(r) - m, 0) for r, t in rows if len(t) <= m + 1])
-    for n in range(tail - 1, -1, -1):
-        h = [ints[n + i:n + i + m + 1] for i in range(m + 1)]
-        if (bordered_dets(h[:m], h[m:], p or WORD_PRIME)[0]
-                or p is None and bordered_dets(h[:m], h[m:])[0]):
-            return n + 1
-    return 0
 
 
 def pade_reconstruct(s: SeriesPrefix, n_deg: int, m_deg: int) -> RatFun1:
@@ -206,20 +176,25 @@ def series_of_ratfun(f: RatFun1, n_terms: int) -> SeriesPrefix:
     return SeriesPrefix(field, out)
 
 
-def _solves(r: list, t: list, walk) -> bool:
+def _solves(r: list, t: list, ints: list, den: int) -> bool:
     """Whether the integer row (r, t) solves t*s = r mod t^(N+1), s the
-    prefix ints/den of `walk` (`_walk`): (t*ints)_k = den*r_k for k <= N,
-    mod p over F_p.  With t(0) != 0 that holds exactly when the
+    prefix ints/den over Q (`_walk`): (t*ints)_k = den*r_k for k <= N,
+    compared exactly.  With t(0) != 0 that holds exactly when the
     re-expansion of r/t is the whole prefix."""
-    ints, den, p, _ = walk
     n_max = len(ints) - 1
     rev = ints[::-1]                    # rev[N - k + j] = ints[k - j]
     for k in range(n_max + 1):
         lhs = sum(map(mul, t, rev[n_max - k:n_max - k + len(t)]))
         rhs = den * r[k] if k < len(r) else 0
-        if (lhs - rhs) % p if p else lhs != rhs:
+        if lhs != rhs:
             return False
     return True
+
+
+def _kronecker_l(r: list, m: int) -> int:
+    """l_min(m) = max(deg r - m + 1, 0), read off m's candidate row (r, t);
+    `certify_rationality` has the argument."""
+    return max(len(r) - m, 0)
 
 
 def _certify(s: SeriesPrefix, l_max: int, m_max: int, q):
@@ -228,8 +203,7 @@ def _certify(s: SeriesPrefix, l_max: int, m_max: int, q):
     One forward pass over the rows finds each m's candidate row; over Q
     with a prime q that row is lifted to Q and checked exactly, and None
     is returned when it has no lift or fails the check."""
-    walk = _walk(s, m_max, q)
-    ints, den, p, rows = walk
+    ints, den, p, rows = _walk(s, m_max, q)
     rows = iter(rows)
     row = next(rows, None)
     for m in range(m_max + 1):
@@ -238,15 +212,15 @@ def _certify(s: SeriesPrefix, l_max: int, m_max: int, q):
             row = next(rows, None)
         if row is None or len(row[1]) > m + 1:
             continue
-        (r, t), d, proof = row, den, walk
+        (r, t), d = row, den
         if q != p:
             lifted = lift_row(r, t, q, 0 if t[0] else -1, den)
-            if lifted is None or not _solves(*lifted, walk):
+            if lifted is None or not _solves(*lifted, ints, den):
                 return None
-            (r, t), d, proof = lifted, 1, (ints, den, p, [lifted])
+            (r, t), d = lifted, 1
         if not t[0]:
             continue
-        l = _l_min(s, m, proof)
+        l = _kronecker_l(r, m)
         if l <= l_max and max(l + m - 1, 0) <= top:
             return RationalityCertificate("RationalWitness", l, m,
                                           ratfun1_from_row(s.field, r, t, d),
@@ -260,15 +234,33 @@ def certify_rationality(s: SeriesPrefix, l_max: int, m_max: int) -> RationalityC
 
     For each m the one candidate is the row of `_walk(s, m_max)` with
     deg t <= m, deg r <= top = min(l_max + m_max, N - m - 1) and t(0) != 0,
-    the only Pade approximant of degrees at most (top, m) that can match;
-    l_min(m) is computed only for an m that has one, and the m is skipped
-    when l_min(m) > l_max or l_min(m) + m - 1 > top.  A row of the walk
-    solves t*s = r mod t^(N+1), so with t(0) != 0 its r/(den*t)
+    the only Pade approximant of degrees at most (top, m) that can match.
+    Its l_min(m) is max(deg r - m + 1, 0) (`_kronecker_l`), and the m is
+    skipped when l_min(m) > l_max or l_min(m) + m - 1 > top.  A row of the
+    walk solves t*s = r mod t^(N+1), so with t(0) != 0 its r/(den*t)
     re-expands to the prefix and needs no check.
+
+    Kronecker's l_min(m) needs no determinant, on any field:
+
+    - Zeros.  The coefficients of t*s from deg r + 1 to N vanish, so for
+      every n >= deg r - m + 1 the coefficients of t, weighted into the
+      columns m - k of H(n, m), sum to zero: det H(n, m) = 0.  That is
+      the block structure of the Pade table (Gragg, SIAM Review 1972).
+    - The first nonzero.  Let n = deg r - m >= 0, and suppose Q != 0 with
+      deg Q <= m is in the kernel of H(n, m).  Then Q*s = R mod t^M, with
+      M = deg r + m + 1 <= N and deg R < deg r.  From t*s = r it follows
+      that Q*r = R*t mod t^M.  Both sides have degree below M, so
+      Q*r = R*t.  gcd(r, t) = 1 because t(0) != 0, so Q = c*t and
+      R = c*r.  That forces deg R >= deg r, a contradiction: so
+      det H(n, m) != 0.
+    - Which rows it covers.  The argument holds for the walk's rows over
+      F_p, for the rows of the walk over Q (scalar multiples of the row
+      over Q), and for a lifted row: the degree sandwich below makes a
+      lifted row coprime and of the row over Q's degrees.
 
     The rows are those of the moduli of `ratfun.moduli`, tried in turn by
     `_certify`.  Over Q the first are those of the integer prefix mod
-    p = `WORD_PRIME`, walked once up to deg t <= m_max.  Each m is settled
+    p = `poly.WORD_PRIME`, walked once up to deg t <= m_max.  Each m is settled
     from them:
 
     - No image row has deg t <= m and deg r <= top: then no row over Q
@@ -290,9 +282,7 @@ def certify_rationality(s: SeriesPrefix, l_max: int, m_max: int) -> RationalityC
       deg T >= deg t = deg Q = deg c + deg T: c is a constant and
       T(0) = Q(0)/c.  Where t(0) = 0 mod p, Q(0) = 0, so T(0) = 0 and the
       m has no candidate over Q either; else T(0) != 0 and P/Q is the
-      canonical R/(den*T).  l_min(m) is then taken with the lifted row's
-      degrees as the proven tail: any solution of t*s = r proves the same
-      zeros, and this one has the degrees of the row over Q.
+      canonical R/(den*T), and l_min(m) is read off its degrees.
 
     The walk over Q, the last modulus, answers the whole call instead when
     p divides `den`, a coefficient has no lift within sqrt(p/2) or an

@@ -12,13 +12,11 @@ combine).  Its divisions are exact integer divisions, `//`.
 With a prime modulus the same loop runs on the rows' residues: each
 pivot row is divided by its pivot, one inverse per pivot, and the product
 of the pivots restores the determinant.  Every F_p caller passes residues
-and p: the Hankel scan (`hankel._l_min`), the combine's scale system and
-the sparse sibling solve (`reconstruct`), and `interp.alpha_beta`, which
-only the tests call.  Over Q the callers scale their rows to integers:
-the rank tests of the countable-field refutation (`counterexample`) feed
-them to `Echelon` directly, and the Hankel scan first takes each
-determinant modulo a word-size prime, since a nonzero residue proves it
-nonzero, and computes it exactly only when the residue is zero.  Field
+and p: the combine's scale system and the sparse sibling solve
+(`reconstruct`), and `interp.alpha_beta`, which only the tests call.  Over
+Q the callers scale their rows to integers: the rank tests of the
+countable-field refutation (`counterexample`) feed them to `Echelon`
+directly.  Field
 elements reach the kernel only through `det_exact`, which converts each
 row by `poly.ints_over` and maps the result back by `poly.over`
 (resultants, `delta_det`).

@@ -165,10 +165,9 @@ def field_prime(field: Field):
 
 
 # The prime of the word-size images of Q computations: the first modulus of
-# `ratfun.moduli`, on which `interp` and `hankel` walk their Euclid rows,
-# and of a Hankel determinant (`hankel._l_min`).  Below 2^30 each residue
-# is one digit of a CPython int, which keeps the products of an
-# elimination or a Euclid step small.
+# `ratfun.moduli`, on which `interp` and `hankel` walk their Euclid rows.
+# Below 2^30 each residue is one digit of a CPython int, which keeps the
+# products of a Euclid step small.
 WORD_PRIME = 2 ** 30 - 35
 
 

@@ -14,10 +14,11 @@ rows over Q.  `first_row` selects the row of an (n, m) fit, for
 `interp.fit_ratfun`, `interp.interp_point` and `rational_reconstruct` on
 bounds; `reconstruct_ints` selects the minimal row of degree detection;
 `rational_reconstruct` runs either on `Poly1` arguments for
-`hankel.pade_reconstruct` and the tests; the Hankel scan walks the rows
-itself.  The walk alone stops the Euclid, at a bound on the cofactor
+`hankel.pade_reconstruct` and the tests; the Hankel certificate walks
+the rows itself.  The walk alone stops the Euclid, at a bound on the cofactor
 degree that each caller derives from its own: m for an (n, m) fit, the
-total-degree `limit` of degree detection, m_max for the Hankel scan.
+total-degree `limit` of degree detection, m_max for the Hankel
+certificate.
 
 `interp` and `hankel` answer from one loop over the moduli of `moduli`:
 the field's prime over F_p; over Q first `poly.WORD_PRIME`, whose rows

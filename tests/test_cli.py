@@ -797,8 +797,8 @@ def test_console_entry_point_subprocess(tmp_path):
 
 
 def test_hankel_wide_bounds_refuse_within_the_timeout(tmp_path):
-    # 201 random integer coefficients: no Hankel determinant vanishes, so no
-    # zero is proven and every m up to 90 costs one determinant of its size
+    # 201 random integer coefficients: no m up to 90 has a candidate row in
+    # the extended-Euclid walk, so the refusal takes no determinant
     rng = random.Random(13)
     f = tmp_path / "wide.json"
     f.write_text(json.dumps({"field": "q",
@@ -814,7 +814,7 @@ def test_hankel_wide_bounds_refuse_within_the_timeout(tmp_path):
 
 def test_hankel_wide_bounds_on_fractions_refuse_within_the_timeout(tmp_path):
     # 201 random fractions: scaled to integers the entries carry the lcm of
-    # the denominators, and each determinant's zero test runs mod a word prime
+    # the denominators, and the refusal is settled on the walk mod a word prime
     rng = random.Random(14)
     f = tmp_path / "wide_fractions.json"
     f.write_text(json.dumps({"field": "q", "coeffs": [

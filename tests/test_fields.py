@@ -110,9 +110,22 @@ def test_descriptor_roundtrip():
 
 def test_parse_format_roundtrip():
     assert QQ.parse("-3/4") == Fraction(-3, 4)
+    assert QQ.parse(" +5 ") == Fraction(5)
+    assert QQ.parse("\t12/8\n") == Fraction(3, 2)
     assert QQ.format(Fraction(5)) == "5"
     assert F7.parse("10").residue == 3
     assert F7.parse("2/3") == F7.from_int(2) / F7.from_int(3)
+
+
+@pytest.mark.parametrize("text", [
+    "1e99999999", "1e-99999999", "1.5", ".5", "1_000", "3/-4", "3 /4", "1/2/3",
+    "", "+", "/2", "inf", "nan", "٣",
+])
+def test_qq_refuses_every_other_form(text):
+    # only [+-]digits and [+-]digits/digits are elements of Q; a decimal or
+    # exponent literal such as 1e99999999 is an input error
+    with pytest.raises(ValueError, match="invalid element of Q"):
+        QQ.parse(text)
 
 
 @pytest.mark.parametrize("field, height", [
