@@ -55,9 +55,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # (id, element) table per field, shared by all its samplers.
 SHARED_BOX = 1024
 
-# The two forms of an element of Q, [+-]digits and [+-]digits/digits; a
-# decimal or exponent literal such as 1e99999999 is no element.
-_Q_ELEMENT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+# The two forms of a field element, [+-]digits and [+-]digits/digits, over
+# Q and over F_p alike; a decimal or exponent literal such as 1e99999999 is
+# no element.
+_ELEMENT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def is_probable_prime(n: int) -> bool:
@@ -227,7 +228,7 @@ class RationalField(Field):
 
     def parse(self, s: str) -> Fraction:
         s = s.strip()
-        match = _Q_ELEMENT.fullmatch(s)
+        match = _ELEMENT.fullmatch(s)
         if match is None:
             raise ValueError(f"invalid element of Q: {s!r}")
         try:
@@ -312,13 +313,16 @@ class PrimeField(Field):
 
     def parse(self, s: str) -> FpElement:
         s = s.strip()
-        if "/" in s:
-            a, b = s.split("/", 1)
-            den = self.from_int(int(b))
-            if not den.residue:
-                raise ZeroDivisionError(f"zero denominator mod {self.p} in {s!r}")
-            return self.from_int(int(a)) / den
-        return self.from_int(int(s))
+        match = _ELEMENT.fullmatch(s)
+        if match is None:
+            raise ValueError(f"invalid element of F_{self.p}: {s!r}")
+        num = self.from_int(int(match[1]))
+        if match[2] is None:
+            return num
+        den = self.from_int(int(match[2]))
+        if not den.residue:
+            raise ZeroDivisionError(f"zero denominator mod {self.p} in {s!r}")
+        return num / den
 
     def format(self, x: FpElement) -> str:
         return str(x.residue)

@@ -5,7 +5,11 @@ Every answer is read off the rows of one extended-Euclid walk
 the samples, kept on integers: residues over F_p, integer numerators over
 one denominator over Q.  Candidates are checked by integer Horner, and a
 `RatFun1` is built only for the fit returned.  Degree detection bounds
-the walk by the candidate's total degree.
+the walk by the candidate's total degree, and walks only when a candidate
+can exist: a test in O(k) per drawn point that the pool's Euclid
+remainder sequence is normal (`_GatedPool`) settles the other passes,
+over Q on the pool's image mod `poly.WORD_PRIME` once the pool's
+integers are large (`detect_profile_with_fit` has the proof).
 
 `fit_ratfun` and `interp_point` share one path (`_solve`): the
 `ratfun.first_row` of type (n, m) under the caller's test, coprime for a
@@ -41,6 +45,7 @@ from .errors import (
 from .fields import QQ, Field, FpElement
 from .matrix import bordered_dets, det_exact
 from .poly import (
+    WORD_PRIME,
     Poly1,
     _ratio,
     _residue,
@@ -242,10 +247,7 @@ class _NewtonPool:
         p, mod, u = self.p, self.modulus, self.u
         if p is not None:
             a, v = _residue(a, p), _residue(v, p)
-            c = (v - _horner(u, a, p)) * pow(_horner(mod, a, p), -1, p) % p
-            u = u + [0] * (len(mod) - len(u))
-            self.u = _strip([(x + c * y) % p for x, y in zip(u, mod)])
-            self.modulus = [(x - a * y) % p for x, y in zip([0] + mod, mod + [0])]
+            self._step(a, v, _horner(mod, a, p), _horner(u, a, p))
             return
         (an, ad), (vn, vd), den = _ratio(a), _ratio(v), self.den
         un, us = _horner_q(u, an, ad)       # u(a) = un/us
@@ -263,6 +265,14 @@ class _NewtonPool:
         self.u, self.den = _strip([x // g for x in new]), den // g
         self.modulus = [x * ad - an * y for x, y in zip([0] + mod, mod + [0])]
 
+    def _step(self, a: int, v: int, ma: int, ua: int):
+        """The residue Newton step by (a, v), given M(a) != 0 and u(a)."""
+        p, mod, u = self.p, self.modulus, self.u
+        c = (v - ua) * pow(ma, -1, p) % p
+        u = u + [0] * (len(mod) - len(u))
+        self.u = _strip([(x + c * y) % p for x, y in zip(u, mod)])
+        self.modulus = [(x - a * y) % p for x, y in zip([0] + mod, mod + [0])]
+
     def agrees(self, row, a, v) -> bool:
         """Whether the function of the coprime `row` is defined at a with
         value v: r(a) = v*den*t(a), as r and t have no common root."""
@@ -278,6 +288,77 @@ class _NewtonPool:
 
     def ratfun(self, row) -> RatFun1:
         return ratfun1_from_row(self.field, *row, self.den)
+
+
+class _GatedPool(_NewtonPool):
+    """A residue pool mod p, over Q that of the samples' image, that also
+    certifies in O(k) per point that the Euclid remainder sequence of its
+    (M, u) is normal: every quotient has degree 1 (see
+    `detect_profile_with_fit`).  While it is, `steps` holds the triples
+    (alpha_i, beta_i, sigma_i) of the rows R_(i+1) = sigma_i*R_(i-1) -
+    (alpha_i + beta_i*x)*R_i, from R_(-1) = (M, 0) and R_0 = kappa*(u, 1) to
+    the terminal row (0, t); once it is not, `steps` is None for good."""
+
+    def __init__(self, field: Field, p: int):
+        super().__init__(field, p)
+        self.kappa, self.steps = 1, []
+
+    def add(self, a, v) -> bool:
+        """Extend the pool by the fresh point (a, v), as `_NewtonPool.add`
+        does on residues, reusing M(a) and u(a) for the certificate; False,
+        adding nothing, when the point has no image mod p: over Q a
+        denominator 0 mod p, or an abscissa congruent to an earlier one."""
+        p, mod, u = self.p, self.modulus, self.u
+        if self.field is QQ:
+            (an, ad), (vn, vd) = _ratio(a), _ratio(v)
+            if not (ad % p and vd % p):
+                return False
+            a, v = an * pow(ad, -1, p) % p, vn * pow(vd, -1, p) % p
+        else:
+            a, v = _residue(a, p), _residue(v, p)
+        ma, ua = _horner(mod, a, p), _horner(u, a, p)
+        if not ma:
+            return False
+        if self.steps is not None:
+            self.steps = self._next_steps(a, v, ma, ua)
+        self._step(a, v, ma, ua)
+        return True
+
+    def _next_steps(self, a: int, v: int, ma: int, ua: int):
+        """The steps of the pool with (a, v), or None when a residual
+        e_j = r_j(a) - v*t_j(a), j = 0..k, vanishes (e_(-1) = M(a) != 0).
+        One loop computes e_(j+1) and the new step j (the formulas are in
+        `detect_profile_with_fit`)."""
+        p = self.p
+        e0 = self.kappa * (ua - v) % p
+        if not e0:
+            return None
+        self.kappa = -self.kappa * ma % p
+        steps = self.steps
+        if not steps:
+            return [(-a % p, 1, e0)]
+        alpha, beta, s0 = steps[0]
+        g = e0 * beta % p
+        h = (s0 * ma - a * g) % p
+        e1 = (h - alpha * e0) % p
+        d1 = e0 * g % p
+        new = [(h, g, d1)]
+        # g0 = g_(j-1), d0 = d_(j-2), d1 = d_(j-1) and s0 = sigma_(j-1)
+        g0, d0 = g, ma
+        for alpha, beta, sigma in steps[1:]:
+            if not e1:
+                return None
+            g = e1 * beta % p
+            h = (sigma * e0 - a * g) % p
+            d = e1 * g % p
+            new.append(((g0 * h - d) % p, g0 * g % p, d0 * d * s0 % p))
+            e0, e1 = e1, (h - alpha * e1) % p
+            g0, d0, d1, s0 = g, d1, d, sigma
+        if not e1:
+            return None
+        # the terminal step, to (x - a)*(0, t): g_k = 1, d_k = e_k, sigma_k = 0
+        new.append(((-g0 * a - e1) % p, g0, d0 * e1 * s0 % p))
+        return new
 
 
 def _horner(cs: list, a: int, p: int) -> int:
@@ -411,6 +492,26 @@ def _draw_defined(oracle: "Callable[[object], object | None]", draw,
         return a, v
 
 
+# Over Q the image mod WORD_PRIME engages once the pool's common
+# denominator passes this many bits.  The image costs the same per point
+# whatever the size of the samples, while a walk over Q grows with it; the
+# benchmark's recon_q pools stay below 100 bits, where the walks over Q
+# cost no more than keeping the image.
+IMAGE_BITS = 128
+
+
+def _settled(gate, pool, lim: int) -> bool:
+    """Whether the pass at bound `lim` is settled with no walk of `pool`:
+    the gate's sequence is normal, or over Q its image walk has no row
+    within `lim`."""
+    if gate is None:
+        return False
+    if gate.steps is not None:
+        return True
+    return gate is not pool and reconstruct_ints(gate.modulus, gate.u, gate.p,
+                                                 limit=lim) is None
+
+
 def detect_profile_with_fit(oracle: "Callable[[object], object | None]",
                             field: Field, cfg: "ReconConfig", rng):
     """Grow a sample pool one point at a time, drawn from the height box of
@@ -421,18 +522,75 @@ def detect_profile_with_fit(oracle: "Callable[[object], object | None]",
     pool is tried again before the next draw.  Candidates thus come in the
     order (total degree, numerator degree) of a walk over all degree pairs,
     each fitted with at least one sample to spare; returns (profile, fit).
-    A pass walks the extended-Euclid rows once, up to cofactor degree
-    min(k - 2, max_degree), so a pass below two points divides nothing."""
+    A pass is settled with no walk (the gate below), or walks the
+    extended-Euclid rows once, up to cofactor degree lim = min(k - 2,
+    max_degree), so a pass below two points divides nothing.
+
+    The gate.  A slice of total degree l has no candidate before k = l + 2,
+    and such passes need no walk when the Euclid remainder sequence of
+    (M, u) is normal, every quotient of degree 1: its rows then have the
+    degrees (k - 1 - j, j), j = 0..k - 1, all of total k - 1 > lim.
+    `_GatedPool` keeps that sequence as R_(j+1) = sigma_j*R_(j-1) -
+    q_j*R_j, q_j = alpha_j + beta_j*x, from R_(-1) = (M, 0) and
+    R_0 = kappa*(u, 1) to the terminal row (0, t_k).  At a fresh point
+    (a, v) the residuals e_j = r_j(a) - v*t_j(a) follow the same recurrence
+    from e_(-1) = M(a) and e_0 = kappa*(u(a) - v).  If e_(-1)..e_k are all
+    nonzero, W_j = e_j*R_(j-1) - e_(j-1)*R_j, j = 0..k, vanish at a, so
+    they solve r = t*u' mod (x - a)*M, with the exact degrees (k - j, j).
+    By von zur Gathen & Gerhard (Modern Computer Algebra, Thm 5.16) each
+    W_j is c*R for the first row R of the new sequence with deg r <= k - j.
+    deg c = 0: for j = 0, t has degree 0; for j > 0, deg c > 0 would make
+    the remainder degrees skip k - j + 1, so W_(j-1) = c'*R with deg c' =
+    deg c + 1 by r and deg c - 1 by t.  So the new sequence is normal with
+    rows W_j, and with c_0 = 1, c_1 = e_(-1), c_(j+1) = c_j*d_(j-1), where
+    d_(-1) = M(a), d_j = e_j*g_j and g_j = e_j*beta_j, the rows
+    c_j*W_j give, with no inverse,
+
+        q'_0 = g_0*(x - a) + e_(-1)*sigma_0,          sigma'_0 = d_0,
+        q'_j = g_(j-1)*(sigma_j*e_(j-1) + g_j*(x - a)) - d_j,
+                                       sigma'_j = d_(j-2)*d_j*sigma_(j-1),
+
+    for 0 < j <= k, the terminal step j = k (to (x - a)*(0, t_k)) taking
+    g_k = 1, d_k = e_k and sigma_k = 0; and kappa' = -kappa*M(a).  If
+    e_j = 0 for some j < k, R_j is a row of total k - 1 at k + 1 points; if
+    e_k = -v*t_k(a) = 0, then v = 0 and (0, M) is a row of total k: the
+    new sequence is not normal either way, and the gate stays off for the
+    slice (a candidate may now exist), so every later pass walks.
+
+    Over F_p the gate runs on the pool itself.  Over Q it runs on the
+    pool's image mod `WORD_PRIME`, and when it is off, a walk of the image
+    up to lim comes first; the pool over Q is fed from the stored points
+    only when a pass walks it.  The image is good when p divides no
+    denominator of an a_i or v_i and the a_i stay distinct mod p, else it
+    is dropped (`_GatedPool.add`).  Then a row (r, t) over Q of total
+    degree <= lim, scaled to coprime integers, reduces to a solution of the
+    image problem of at most its degrees, with t nonzero (r would have k
+    roots), so by Thm 5.16 the image has a row within lim: a normal image
+    sequence, or an image walk with no row within lim, settles the pass
+    exactly as the walk over Q would.  Over Q the image engages once the
+    pool's common denominator passes `IMAGE_BITS`: below it, the walks
+    over Q cost less than keeping the image."""
     cap = cfg.max_degree
     draw = field._sampler(rng, cfg.height_bound)
     taken: set = set()
-    pool = _NewtonPool(field)
+    p = field_prime(field)
+    pool = _GatedPool(field, p) if p is not None else _NewtonPool(field)
+    gate, engage = (pool, False) if p is not None else (None, True)
+    points = []
     # a pass either draws one point, which happens only while the pool is
     # below cap + 2, or rejects a candidate at a strictly later degree pair
     for _ in range((cap + 2) * (cap + 3)):
-        k = len(pool.modulus) - 1
+        k = len(points)
         lim = min(k - 2, cap)
-        row = reconstruct_ints(pool.modulus, pool.u, pool.p, limit=lim)
+        if engage and pool.den.bit_length() > IMAGE_BITS:
+            gate, engage = _GatedPool(QQ, WORD_PRIME), False
+            if not all(gate.add(a, v) for a, v in points):
+                gate = None
+        row = None
+        if not _settled(gate, pool, lim):
+            for a, v in points[len(pool.modulus) - 1:]:
+                pool.add(a, v)
+            row = reconstruct_ints(pool.modulus, pool.u, pool.p, limit=lim)
         if row is not None:
             fresh = [_draw_defined(oracle, draw, taken)
                      for _ in range(cfg.validation_extra)]
@@ -442,7 +600,8 @@ def detect_profile_with_fit(oracle: "Callable[[object], object | None]",
             break
         else:
             fresh = [_draw_defined(oracle, draw, taken)]
-        for a, v in fresh:
-            pool.add(a, v)
+        points += fresh
+        if gate is not None and not all(gate.add(a, v) for a, v in fresh):
+            gate = None
     raise BudgetExhausted(f"no rational profile up to total degree {cap}")
 

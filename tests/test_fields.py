@@ -128,6 +128,26 @@ def test_qq_refuses_every_other_form(text):
         QQ.parse(text)
 
 
+@pytest.mark.parametrize("text", [
+    "1e99999999", "1.5", ".5", "1_000", "3/-4", "3 /4", " 3 / 4", "1/2/3",
+    "", "+", "/2", "inf", "٣", "0x10",
+])
+def test_fp_refuses_what_q_refuses(text):
+    # over F_p an element has the two forms of Q as well: int() would read
+    # "1_000" as 91 mod 101, "٣" as 3 and " 3 / 4" as 26 mod 101
+    with pytest.raises(ValueError, match="invalid element of F_101"):
+        PrimeField(101).parse(text)
+
+
+def test_fp_parses_both_forms():
+    f101 = PrimeField(101)
+    assert f101.parse(" -3 ") == f101.from_int(-3)
+    assert f101.parse("+1000") == f101.from_int(91)
+    assert f101.parse("3/4") == f101.from_int(3) / f101.from_int(4)
+    with pytest.raises(ZeroDivisionError, match="zero denominator mod 101"):
+        f101.parse("3/202")
+
+
 @pytest.mark.parametrize("field, height", [
     (QQ, 1), (QQ, 2), (QQ, 10), (QQ, 1000), (QQ, 10 ** 6),
     (PrimeField(5), 0), (PrimeField(101), 10), (PrimeField(1000003), -3),

@@ -10,7 +10,10 @@ replaced.  Every instance must give the same function or the same refusal,
 and degree detection must query the oracle at exactly the same points.
 """
 
+import importlib
+import pathlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -31,7 +34,7 @@ from ratrecon.interp import (
     detect_profile_with_fit,
     fit_ratfun,
 )
-from ratrecon.poly import Poly1, gcd_poly1
+from ratrecon.poly import WORD_PRIME, Poly1, field_prime, gcd_poly1
 from ratrecon.ratfun import (
     RatFun1,
     _coprime,
@@ -623,12 +626,12 @@ LIMIT_CASES = ((PrimeField(5), 10), (F101, 10), (FP, 10),
                (QQ, 1), (QQ, 10), (QQ, 1000))
 
 
-def limit_pool(field, height, rng, kind):
-    """A Newton pool (`interp._NewtonPool`) through up to 9 distinct
-    abscissae of the height box, with the values of the zero function (kind
-    0), a nonzero constant (1), a polynomial (2) or a fraction of low degree
-    (3, and 4 with one value moved, whose low rows then share a factor with
-    the modulus); a value at a pole is drawn at random."""
+def limit_pool_points(field, height, rng, kind):
+    """Up to 9 points with distinct abscissae of the height box, with the
+    values of the zero function (kind 0), a nonzero constant (1), a
+    polynomial (2) or a fraction of low degree (3, and 4 with one value
+    moved, whose low rows then share a factor with the modulus); a value at
+    a pole is drawn at random."""
     box = field.p if field != QQ else 4 * height - 1    # at most s_h
     pts = distinct_points(field, rng, min(rng.randint(1, 9), box), height)
     if kind == 0:
@@ -643,8 +646,13 @@ def limit_pool(field, height, rng, kind):
             for a in pts]
     if kind == 4:
         vals[rng.randrange(len(vals))] += field.one
+    return list(zip(pts, vals))
+
+
+def limit_pool(field, height, rng, kind):
+    """The Newton pool (`interp._NewtonPool`) of `limit_pool_points`."""
     pool = interp._NewtonPool(field)
-    for a, v in zip(pts, vals):
+    for a, v in limit_pool_points(field, height, rng, kind):
         pool.add(a, v)
     return pool
 
@@ -706,30 +714,36 @@ def test_limit_returns_the_unbounded_selection_within_it():
 
 
 def test_detection_walks_once_per_pass_within_its_bound(monkeypatch):
-    # each pass of detection walks the rows once, up to its bound min(k - 2,
-    # max_degree) at pool size k, then draws one point, or the validation
-    # points of the candidate it tries; so the pool sizes of the walks rise
-    # by exactly the draws between them, one or validation_extra
+    # each pass is settled with no walk of its pool (the normality gate, or
+    # over Q a walk of the pool's image mod WORD_PRIME), or walks the pool's
+    # rows once, up to its bound min(k - 2, max_degree) at pool size k; then
+    # it draws one point, or the validation points of the candidate it
+    # tries, so the pool sizes of the passes rise by one or validation_extra
     rng = random.Random(2033)
     budget = ReconConfig()
     events = []
+    settled = interp._settled
+
+    def spy_settled(gate, pool, lim):
+        events.append(["pass", lim, None])
+        events[-1][2] = verdict = settled(gate, pool, lim)
+        return verdict
 
     def spy_rows(modulus, u, p, top):
-        k = len(modulus) - 1
-        assert top == min(k - 2, budget.max_degree)
         rows = list(eea_rows(modulus, u, p, top))
         assert all(len(t) - 1 <= top for _, t in rows)
-        events.append((k, len(rows)))
+        events.append(["walk", len(modulus) - 1, p, top])
         return iter(rows)
 
     def spy_draw(*args):
-        events.append("draw")
+        events.append(["draw"])
         return draw_defined(*args)
 
     draw_defined = interp._draw_defined
+    monkeypatch.setattr(interp, "_settled", spy_settled)
     monkeypatch.setattr(ratfun, "eea_rows", spy_rows)
     monkeypatch.setattr(interp, "_draw_defined", spy_draw)
-    walks = []
+    verdicts = []
     for trial in range(30):
         field = KERNEL_FIELDS[trial % 3]
         f = rand_ratfun(field, rng, rng.randint(-1, 4), rng.randint(0, 4))
@@ -737,14 +751,216 @@ def test_detection_walks_once_per_pass_within_its_bound(monkeypatch):
         _, fit = detect_profile_with_fit(SwitchingOracle(f, f, 0), field, budget,
                                          random.Random(trial))
         assert fit == f
-        at = [i for i, e in enumerate(events) if e != "draw"]
-        gaps = [j - i - 1 for i, j in zip(at, at[1:] + [len(events)])]
-        sizes = [events[i][0] for i in at]
-        assert at[0] == 0 and sizes[0] == 0
-        assert [b - a for a, b in zip(sizes, sizes[1:])] == gaps[:-1]
+        at = [i for i, e in enumerate(events) if e[0] == "pass"]
+        sizes, draws = [], 0
+        for i, j in zip(at, at[1:] + [len(events)]):
+            _, lim, verdict = events[i]
+            k = draws
+            walks = [e for e in events[i + 1:j] if e[0] == "walk"]
+            draws += sum(e[0] == "draw" for e in events[i + 1:j])
+            assert lim == min(k - 2, budget.max_degree)
+            assert walks == ([] if verdict else [["walk", k, field_prime(field), lim]])
+            sizes.append(k)
+            verdicts.append((field, verdict))
+        gaps = [b - a for a, b in zip(sizes, sizes[1:])] + [draws - sizes[-1]]
         assert set(gaps) <= {1, budget.validation_extra}
         assert gaps[-1] == budget.validation_extra
-        walks += [events[i] for i in at]
-    # passes below two points walk no row; later ones do
-    assert {(0, 0), (1, 0)} <= set(walks)
-    assert sum(rows > 0 for _, rows in walks) > len(walks) // 2
+    # over F_p most passes walk nothing, the ones that try a candidate walk;
+    # over Q these pools stay below IMAGE_BITS, so every pass walks
+    for field in KERNEL_FIELDS:
+        settled = [v for f, v in verdicts if f == field]
+        if field == QQ:
+            assert not any(settled)
+        else:
+            assert 2 * len(settled) // 3 < sum(settled) < len(settled)
+
+
+# ---------------------------------------------------------------------------
+# the normality gate of detection (`interp._GatedPool`, `interp._settled`)
+
+
+def gate_oracle(field, height, rng, kind, prime):
+    """A SwitchingOracle for one differential trial: the zero function (kind
+    0), a fraction of low degree (1), a polynomial (2), a function with
+    roots in the height box, whose values are often zero (3), one above
+    the detection cap of 3 (4), or over Q a fraction with a coefficient
+    1/prime, whose values' denominators are divisible by the image's prime
+    (5); a third of them switch to another fraction after a few queries."""
+    if kind == 0:
+        f = rand_ratfun(field, rng, -1, 0)
+    elif kind == 1:
+        f = rand_ratfun(field, rng, rng.randint(0, 3), rng.randint(1, 3))
+    elif kind == 2:
+        f = rand_ratfun(field, rng, rng.randint(1, 4), 0)
+    elif kind == 3:
+        num = Poly1(field, [field.one])
+        for _ in range(rng.randint(1, 3)):
+            root = random_element(field, rng, height)
+            num = num * Poly1(field, [-root, field.one])
+        f = normalize_ratfun1(num, rand_poly(field, rng, rng.randint(0, 2), 3))
+    elif kind == 4:
+        f = rand_ratfun(field, rng, rng.randint(3, 5), rng.randint(1, 3))
+    else:
+        f = rand_ratfun(field, rng, rng.randint(0, 3), rng.randint(0, 2))
+        if field == QQ:
+            scale = Poly1(field, [field.one / prime])
+            f = normalize_ratfun1(f.num * scale + scale, f.den)
+    then = f
+    if rng.randrange(3) == 0:
+        then = rand_ratfun(field, rng, rng.randint(-1, 3), rng.randint(0, 3))
+    return SwitchingOracle(f, then, rng.randint(1, 12))
+
+
+def gate_trials(monkeypatch, count, seed):
+    """(field, cfg, oracle, seed) over the LIMIT_CASES fields and heights.
+    Over Q two trials in three engage the image from the first point (its
+    `IMAGE_BITS` patched to -1), half of those at the prime 101, where
+    congruent abscissae and denominators divisible by the prime are
+    common; a trial's patches hold until the next one's."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        field, height = LIMIT_CASES[trial % len(LIMIT_CASES)]
+        prime = WORD_PRIME
+        monkeypatch.undo()
+        if field == QQ and trial % 3:
+            monkeypatch.setattr(interp, "IMAGE_BITS", -1)
+            if trial % 3 == 2:
+                prime = 101
+                monkeypatch.setattr(interp, "WORD_PRIME", prime)
+        cfg = ReconConfig(max_degree=3 if trial % 4 == 3 else 6,
+                          validation_extra=1 + 3 * (trial % 2),
+                          height_bound=height)
+        kind = trial // len(LIMIT_CASES) % 6
+        yield field, cfg, gate_oracle(field, height, rng, kind, prime), rng.getrandbits(32)
+
+
+def test_gate_matches_detection_with_the_gate_off(monkeypatch):
+    # every pass that the gate settles would have found no row within its
+    # bound: profile, fit, refusal and oracle queries are those of detection
+    # with every pass walking its pool
+    outcomes, added = set(), Counter()
+    add = interp._GatedPool.add
+
+    def counting_add(gate, a, v):
+        image = add(gate, a, v)
+        added[gate.p, image] += 1
+        return image
+
+    for field, cfg, oracle, seed in gate_trials(monkeypatch, 720, 2035):
+        monkeypatch.setattr(interp._GatedPool, "add", counting_add)
+        got = outcome(detect_profile_with_fit, oracle, field, cfg, random.Random(seed))
+        queries, oracle.queries = oracle.queries, []
+        monkeypatch.setattr(interp, "_settled", lambda gate, pool, lim: False)
+        want = outcome(detect_profile_with_fit, oracle, field, cfg, random.Random(seed))
+        assert got == want, (field, cfg, seed)
+        assert queries == oracle.queries, (field, cfg, seed)
+        outcomes.add((field, want if isinstance(want, str) else "fit"))
+    # F_5 runs out of points before its budget
+    for field, _ in LIMIT_CASES:
+        refusal = "DomainTooSparse" if field == LIMIT_CASES[0][0] else "BudgetExhausted"
+        assert (field, "fit") in outcomes and (field, refusal) in outcomes, field
+    # over Q some points had no image, at either prime
+    assert added[WORD_PRIME, False] and added[101, False] and added[101, True]
+
+
+def test_settled_passes_have_no_row_within_their_bound(monkeypatch):
+    # a settled pass is one whose pool, fed every point drawn so far, has
+    # no row within the bound: `reconstruct_ints(..., limit) is None`;
+    # over F_p the full walk of a pool the gate settles is normal
+    tally = Counter()
+    for field, cfg, oracle, seed in gate_trials(monkeypatch, 360, 2036):
+        drawn = []
+        draw_defined, settled = interp._draw_defined, interp._settled
+
+        def recording_draw(*args):
+            drawn.append(draw_defined(*args))
+            return drawn[-1]
+
+        def checked_settled(gate, pool, lim):
+            verdict = settled(gate, pool, lim)
+            exact = interp._NewtonPool(field)
+            for a, v in drawn:
+                exact.add(a, v)
+            none = reconstruct_ints(exact.modulus, exact.u, exact.p, limit=lim) is None
+            assert none or not verdict, (field, cfg, seed, len(drawn))
+            if gate is pool:
+                rows = list(eea_rows(pool.modulus, pool.u, pool.p))
+                normal = [len(r) - 1 for r, _ in rows] == list(range(len(drawn) - 1, -2, -1))
+                assert normal or gate.steps is None, (field, cfg, seed)
+            tally[verdict, none] += 1
+            return verdict
+
+        monkeypatch.setattr(interp, "_draw_defined", recording_draw)
+        monkeypatch.setattr(interp, "_settled", checked_settled)
+        outcome(detect_profile_with_fit, oracle, field, cfg, random.Random(seed))
+    # settled passes, passes with no row that the gate could not settle,
+    # and passes that found a row
+    assert tally[True, True] and tally[False, True] and tally[False, False]
+
+
+def step_ints(x0, x1, alpha, beta, sigma, p):
+    """sigma*x0 - (alpha + beta*x)*x1 mod p, stripped."""
+    out = [0] * max(len(x0), len(x1) + 1)
+    for i, c in enumerate(x0):
+        out[i] += sigma * c
+    for i, c in enumerate(x1):
+        out[i] -= alpha * c
+        out[i + 1] -= beta * c
+    while out and not out[-1] % p:
+        out.pop()
+    return [c % p for c in out]
+
+
+def test_gate_keeps_the_rows_of_the_walk():
+    # the gate stays on at a point exactly when the walk of the enlarged
+    # pool is normal, and its steps then rebuild every row of the walk up to
+    # a nonzero scalar, over the points of LIMIT_CASES added one at a time;
+    # over Q on their image mod WORD_PRIME
+    rng = random.Random(2037)
+    kept = Counter()
+    for trial in range(600):
+        field, height = LIMIT_CASES[trial % len(LIMIT_CASES)]
+        p = WORD_PRIME if field == QQ else field.p
+        gate = interp._GatedPool(field, p)
+        for k, (a, v) in enumerate(limit_pool_points(field, height, rng,
+                                                     trial // len(LIMIT_CASES) % 5), 1):
+            was_on = gate.steps is not None
+            assert gate.add(a, v)
+            if not was_on:
+                break
+            rows = list(eea_rows(gate.modulus, gate.u, p))
+            normal = [len(r) - 1 for r, _ in rows] == list(range(k - 1, -2, -1))
+            assert normal == (gate.steps is not None), (trial, k)
+            kept[field, normal] += 1
+            if not normal:
+                break
+            built = [(gate.modulus, []), ([gate.kappa * c % p for c in gate.u], [gate.kappa])]
+            for alpha, beta, sigma in gate.steps:
+                # R_(i+1) = sigma_i*R_(i-1) - (alpha_i + beta_i*x)*R_i
+                (r0, t0), (r1, t1) = built[-2:]
+                built.append(tuple(step_ints(x0, x1, alpha, beta, sigma, p)
+                                   for x0, x1 in ((r0, r1), (t0, t1))))
+            assert len(built) - 1 == len(rows), (trial, k)
+            for (r, t), (rr, tt) in zip(built[1:], rows):
+                scale = tt[-1] * pow(t[-1], -1, p) % p
+                assert [c * scale % p for c in r] == rr, (trial, k)
+                assert [c * scale % p for c in t] == tt, (trial, k)
+    for field, _ in LIMIT_CASES:
+        assert kept[field, True] and kept[field, False], field
+
+
+def test_gate_settles_most_dense_recon_passes(monkeypatch):
+    # over the benchmark's recon_dense_fp shapes (slice degree 5..9 over
+    # F_1000003), at least 60% of detection passes walk nothing
+    bench = str(pathlib.Path(__file__).resolve().parents[1] / "bench")
+    monkeypatch.syspath_prepend(bench)
+    workloads = importlib.import_module("workloads")
+    verdicts = []
+    settled = interp._settled
+    monkeypatch.setattr(interp, "_settled",
+                        lambda *args: verdicts.append(settled(*args)) or verdicts[-1])
+    for i in range(len(workloads.WORKLOADS["recon_dense_fp"].cycle)):
+        inst = workloads.instance("recon_dense_fp", 1, i)
+        inst.prepare()
+        assert inst.check(inst.solve()), i
+    assert sum(verdicts) >= 0.6 * len(verdicts)

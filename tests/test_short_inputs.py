@@ -8,6 +8,14 @@ Over Q an element is `[+-]digits` or `[+-]digits/digits` (docs/formats.md);
 a decimal or exponent literal is an input error.  Parsed as a Python
 `Fraction`, the 10-character `1e99999999` built 10^99999999 and ran past
 any bound.
+
+The refusals over Q are expressions whose slices have no rational profile
+within `max_degree`: each must end in exit 7.  Their oracle values have
+thousands of digits, and while detection walked the Euclid rows of every
+pool over Q they took 1 to 66 s; detection now settles those passes on
+the pool's image mod `WORD_PRIME`.  A row runs under a small wrapper
+process that reports the row's peak RSS from
+`resource.getrusage(RUSAGE_CHILDREN)`, its only child.
 """
 
 import json
@@ -17,7 +25,23 @@ import sys
 import pytest
 
 BOUND_S = 5
+BOUND_MIB = 200
 HUGE = "1e99999999"
+
+# `python -c WRAPPER BOUND_S ARGS...` runs `python -m ratrecon.cli ARGS...`
+# as its one child, killed after BOUND_S seconds, and prints the child's
+# exit code and peak RSS in MiB (ru_maxrss is in KiB on Linux).
+WRAPPER = """
+import resource, subprocess, sys
+try:
+    proc = subprocess.run([sys.executable, "-m", "ratrecon.cli", *sys.argv[2:]],
+                          capture_output=True, text=True, timeout=float(sys.argv[1]))
+except subprocess.TimeoutExpired:
+    sys.exit("timed out")
+rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+sys.stderr.write(proc.stderr)
+print(proc.returncode, rss)
+"""
 
 
 def hankel_series(tmp_path):
@@ -58,3 +82,23 @@ def test_short_input_ends_within_its_bound(argv, code, tmp_path):
                           capture_output=True, text=True, timeout=BOUND_S)
     assert proc.returncode == code, proc.stderr
     assert proc.stderr.startswith("input error: "), proc.stderr
+
+
+@pytest.mark.parametrize("expr, arity, extra", [
+    ("(x1+x2+1)^1024", 2, []),
+    ("(x1^32*x2^32)^32+1", 2, []),
+    ("(x1+x2+x3+x4+x5+1)^1024", 5, []),
+    ("1/(x1^512+x2^512)", 2, []),
+    ("x1^1024", 1, []),
+    ("(x1*x2+1)^24/(x1+x2)^24", 2, ["--max-degree", "24"]),
+])
+def test_q_refusal_ends_within_its_bounds(expr, arity, extra):
+    argv = ["reconstruct", "--expr", expr, "--arity", str(arity), "--field", "q",
+            "--seed", "1", *extra]
+    proc = subprocess.run([sys.executable, "-c", WRAPPER, str(BOUND_S), *argv],
+                          capture_output=True, text=True, timeout=2 * BOUND_S)
+    assert proc.returncode == 0, proc.stderr
+    code, rss = proc.stdout.split()
+    assert int(code) == 7, proc.stderr
+    assert proc.stderr.startswith("reconstruction budget failure: "), proc.stderr
+    assert float(rss) < BOUND_MIB
