@@ -4,25 +4,26 @@ Every answer is read off the rows of one extended-Euclid walk
 (`ratfun.eea_rows`) on (prod(x - a_i), u), u the Newton interpolant of
 the samples, kept on integers: residues over F_p, integer numerators over
 one denominator over Q.  Candidates are checked by integer Horner, and a
-`RatFun1` is built only for the fit returned.  Degree detection bounds
-the walk by the candidate's total degree, and walks only when a candidate
-can exist: a test in O(k) per drawn point that the pool's Euclid
-remainder sequence is normal (`_GatedPool`) settles the other passes,
-over Q on the pool's image mod `poly.WORD_PRIME` once the pool's
-integers are large (`detect_profile_with_fit` has the proof).
+`RatFun1` is built only for the fit returned.  Every path runs on the
+moduli of `ratfun.moduli`: over F_p the field's prime; over Q first the
+image of the samples mod `poly.WORD_PRIME`, whose row is lifted to Q by
+rational number reconstruction (Wang 1981) and checked exactly on every
+sample (`_lift_checked`), last the pool over Q, which answers where a
+step on the image fails.  The fitted functions have coefficients of a
+few digits while the pool's integers grow with the samples' heights, so
+the image costs word-size arithmetic where the pool over Q costs
+thousand-bit products.
 
 `fit_ratfun` and `interp_point` share one path (`_solve`): the
 `ratfun.first_row` of type (n, m) under the caller's test, coprime for a
 fit (else NoFit) or a one-dimensional kernel for a point (else BetaZero),
-whose value is r(a)/(den*t(a)).  It runs once per modulus of
-`ratfun.moduli` (`_solve_mod`) until one answers: over F_p the field's
-prime; over Q first the image of the samples mod `poly.WORD_PRIME`, whose
-row is lifted to Q by rational number reconstruction (Wang 1981) and
-checked exactly on every sample, last the pool over Q, which answers
-where a step on the image fails.  The fitted functions have coefficients
-of a few digits while the pool's integers grow with the samples' heights,
-so the image costs word-size arithmetic where the pool over Q costs
-thousand-bit products.
+whose value is r(a)/(den*t(a)), tried once per modulus (`_solve_mod`)
+until one answers.  Degree detection bounds the walk by the candidate's
+total degree, and walks only when a candidate can exist: a test in O(k)
+per drawn point that the Euclid remainder sequence of the pool at the
+first modulus is normal (`_GatedPool`) settles the other passes, and
+over Q a pass walks over Q only where the image cannot answer
+(`detect_profile_with_fit` has the proofs).
 
 The pointwise formula, the ratio of the two bordered determinants of
 `alpha_beta` under the frozen sign `interp_sign`, gives the same value or
@@ -44,17 +45,7 @@ from .errors import (
 )
 from .fields import QQ, Field, FpElement
 from .matrix import bordered_dets, det_exact
-from .poly import (
-    WORD_PRIME,
-    Poly1,
-    _ratio,
-    _residue,
-    _strip,
-    field_prime,
-    int_pair,
-    int_powers,
-    over,
-)
+from .poly import Poly1, _strip, field_prime, int_pair, int_powers, over
 from .ratfun import (
     RatFun1,
     _coprime,
@@ -64,6 +55,7 @@ from .ratfun import (
     moduli,
     ratfun1_from_row,
     reconstruct_ints,
+    rows_by_degree,
 )
 from .records import Frozen, Record
 
@@ -228,28 +220,48 @@ def _field_of(samples: SampleSet1) -> Field:
 
 
 class _NewtonPool:
-    """The Newton interpolant of the samples so far, on integers: the
-    modulus prod(x - a_i) and the interpolant u with u(a_i) = v_i.
+    """The Newton interpolant of the points so far, on integers: the
+    modulus prod(x - a_i) and the interpolant u with u(a_i) = v_i.  Points
+    come as the integer pairs of `poly.int_pair`, a = (an, ad) and
+    v = (vn, vd).
 
-    Over F_p both are residue lists.  Over Q, with a_i = n_i/d_i, the
-    modulus is prod(d_i*x - n_i) (a scalar multiple, which leaves the
-    Newton step c*M unchanged) and u is an integer list over the common
-    denominator `den`.  A prime `p` given with Q makes the pool that of
-    the samples' image mod p: it is fed residues and holds residue lists."""
+    With a prime `p` the pool is that of the points' image mod p (over F_p
+    the points themselves): both are residue lists.  With p None, over Q,
+    the modulus is prod(d_i*x - n_i) for a_i = n_i/d_i (a scalar multiple,
+    which leaves the Newton step c*M unchanged) and u is an integer list
+    over the common denominator `den`."""
 
-    def __init__(self, field: Field, p=None):
-        self.field = field
-        self.p = field_prime(field) if p is None else p
+    steps = None        # a `_GatedPool`'s certificate; a plain pool keeps none
+
+    def __init__(self, p):
+        self.p = p
         self.modulus, self.u, self.den = [1], [], 1
 
-    def add(self, a, v):
-        """Extend the interpolant by the fresh point (a, v)."""
+    def add(self, a, v) -> bool:
+        """Extend the interpolant by the fresh point (a, v); False, adding
+        nothing, when it has no image mod p: a denominator 0 mod p, or an
+        abscissa congruent to an earlier one.  A `_GatedPool` updates its
+        certificate first, from M(a) and u(a)."""
         p, mod, u = self.p, self.modulus, self.u
+        (an, ad), (vn, vd) = a, v
         if p is not None:
-            a, v = _residue(a, p), _residue(v, p)
-            self._step(a, v, _horner(mod, a, p), _horner(u, a, p))
-            return
-        (an, ad), (vn, vd), den = _ratio(a), _ratio(v), self.den
+            d = ad * vd % p
+            if not d:
+                return False
+            inv = pow(d, -1, p)
+            a, v = an * vd * inv % p, vn * ad * inv % p
+            ma = _horner(mod, a, p)
+            if not ma:
+                return False
+            ua = _horner(u, a, p)
+            if self.steps is not None:
+                self.steps = self._next_steps(a, v, ma, ua)
+            c = (v - ua) * pow(ma, -1, p) % p
+            u = u + [0] * (len(mod) - len(u))
+            self.u = _strip([(x + c * y) % p for x, y in zip(u, mod)])
+            self.modulus = [(x - a * y) % p for x, y in zip([0] + mod, mod + [0])]
+            return True
+        den = self.den
         un, us = _horner_q(u, an, ad)       # u(a) = un/us
         mn, ms = _horner_q(mod, an, ad)     # M(a) = mn/ms
         # v - u(a)/den = w/(vd*us*den), so the step is
@@ -264,65 +276,21 @@ class _NewtonPool:
             g = -g
         self.u, self.den = _strip([x // g for x in new]), den // g
         self.modulus = [x * ad - an * y for x, y in zip([0] + mod, mod + [0])]
-
-    def _step(self, a: int, v: int, ma: int, ua: int):
-        """The residue Newton step by (a, v), given M(a) != 0 and u(a)."""
-        p, mod, u = self.p, self.modulus, self.u
-        c = (v - ua) * pow(ma, -1, p) % p
-        u = u + [0] * (len(mod) - len(u))
-        self.u = _strip([(x + c * y) % p for x, y in zip(u, mod)])
-        self.modulus = [(x - a * y) % p for x, y in zip([0] + mod, mod + [0])]
-
-    def agrees(self, row, a, v) -> bool:
-        """Whether the function of the coprime `row` is defined at a with
-        value v: r(a) = v*den*t(a), as r and t have no common root."""
-        r, t = row
-        p = self.p
-        if p is not None:
-            a = _residue(a, p)
-            return (_horner(r, a, p) - _residue(v, p) * _horner(t, a, p)) % p == 0
-        (an, ad), (vn, vd) = _ratio(a), _ratio(v)
-        rn, rs = _horner_q(r, an, ad)       # r(a) = rn/rs
-        tn, ts = _horner_q(t, an, ad)
-        return rn * ts * vd == vn * self.den * tn * rs
-
-    def ratfun(self, row) -> RatFun1:
-        return ratfun1_from_row(self.field, *row, self.den)
+        return True
 
 
 class _GatedPool(_NewtonPool):
-    """A residue pool mod p, over Q that of the samples' image, that also
-    certifies in O(k) per point that the Euclid remainder sequence of its
-    (M, u) is normal: every quotient has degree 1 (see
-    `detect_profile_with_fit`).  While it is, `steps` holds the triples
-    (alpha_i, beta_i, sigma_i) of the rows R_(i+1) = sigma_i*R_(i-1) -
-    (alpha_i + beta_i*x)*R_i, from R_(-1) = (M, 0) and R_0 = kappa*(u, 1) to
-    the terminal row (0, t); once it is not, `steps` is None for good."""
+    """A residue pool mod p that also certifies in O(k) per point that the
+    Euclid remainder sequence of its (M, u) is normal: every quotient has
+    degree 1 (see `detect_profile_with_fit`).  While it is, `steps` holds
+    the triples (alpha_i, beta_i, sigma_i) of the rows R_(i+1) =
+    sigma_i*R_(i-1) - (alpha_i + beta_i*x)*R_i, from R_(-1) = (M, 0) and
+    R_0 = kappa*(u, 1) to the terminal row (0, t); once it is not, `steps`
+    is None for good."""
 
-    def __init__(self, field: Field, p: int):
-        super().__init__(field, p)
+    def __init__(self, p: int):
+        super().__init__(p)
         self.kappa, self.steps = 1, []
-
-    def add(self, a, v) -> bool:
-        """Extend the pool by the fresh point (a, v), as `_NewtonPool.add`
-        does on residues, reusing M(a) and u(a) for the certificate; False,
-        adding nothing, when the point has no image mod p: over Q a
-        denominator 0 mod p, or an abscissa congruent to an earlier one."""
-        p, mod, u = self.p, self.modulus, self.u
-        if self.field is QQ:
-            (an, ad), (vn, vd) = _ratio(a), _ratio(v)
-            if not (ad % p and vd % p):
-                return False
-            a, v = an * pow(ad, -1, p) % p, vn * pow(vd, -1, p) % p
-        else:
-            a, v = _residue(a, p), _residue(v, p)
-        ma, ua = _horner(mod, a, p), _horner(u, a, p)
-        if not ma:
-            return False
-        if self.steps is not None:
-            self.steps = self._next_steps(a, v, ma, ua)
-        self._step(a, v, ma, ua)
-        return True
 
     def _next_steps(self, a: int, v: int, ma: int, ua: int):
         """The steps of the pool with (a, v), or None when a residual
@@ -377,53 +345,59 @@ def _horner_q(cs: list, n: int, d: int):
     return acc * d, scale
 
 
-def _row_profile(row) -> DegreeProfile:
+def _row_profile(r: list, t: list) -> DegreeProfile:
     """DegreeProfile.of the function of an EEA row."""
-    r, t = row
     if not r:
         return DegreeProfile.from_de(0, 0)
     dn, dd = len(r) - 1, len(t) - 1
     return DegreeProfile.from_de(max(dn, dd), dn - dd)
 
 
+def _pool(pairs: list, q):
+    """The `_NewtonPool` of the points `pairs` mod q (over Q, q None), or
+    None when a point has no image mod q."""
+    pool = _NewtonPool(q)
+    return pool if all(pool.add(a, v) for a, v in pairs) else None
+
+
+def _agrees(r: list, t: list, den: int, pairs: list, p) -> bool:
+    """Whether r(a) = v*den*t(a), mod p over F_p, at every point of the
+    integer pairs `pairs`: for a coprime row, whether its function r/(den*t)
+    is defined at each a with value v, as r and t have no common root."""
+    for (an, ad), (vn, vd) in pairs:
+        rn, rs = _horner_q(r, an, ad)       # r(a) = rn/rs
+        tn, ts = _horner_q(t, an, ad)
+        d = rn * ts * vd - vn * den * tn * rs
+        if d if p is None else d % p:
+            return False
+    return True
+
+
+def _lift_checked(row, q: int, pairs: list):
+    """(r, t, 1): the image row mod q made monic and lifted to Q by
+    `ratfun.lift_row`, if r(a) = v*t(a) at every point of the integer
+    pairs `pairs` over Q, checked exactly; else None."""
+    row = lift_row(*row, q)
+    return None if row is None or not _agrees(*row, 1, pairs, None) else (*row, 1)
+
+
 def _solve_mod(samples: SampleSet1, n: int, m: int, accept, q):
     """(r, t, den): the `ratfun.first_row` (r, t) of the samples' Newton
     pool mod q, whose function is r/(den*t), or None when there is none or
     `accept(r, t, q)` fails.  q is a modulus of `ratfun.moduli`: the
-    field's prime, None for the pool over Q, or over Q `WORD_PRIME`, whose
-    pool is that of the samples' image.  Its row is made monic and lifted
-    by `ratfun.lift_row`, and returned with den 1 only if r(a_i) =
-    v_i*t(a_i) at every sample, checked exactly on the integer pairs kept
-    while reducing; None also when a sample's denominator is 0 mod q, two
-    abscissae are congruent or a coefficient has no lift."""
-    field = _field_of(samples)
-    pool, pairs = _NewtonPool(field, q), {}
-    image = field is QQ and q is not None
-    for a, v in samples.points:
-        if image:
-            (an, ad), (vn, vd) = pair = _ratio(a), _ratio(v)
-            if not (ad % q and vd % q):
-                return None
-            a, v = an * pow(ad, -1, q) % q, vn * pow(vd, -1, q) % q
-            if a in pairs:
-                return None
-            pairs[a] = pair
-        pool.add(a, v)
-    row = first_row(pool.modulus, pool.u, q, n, m)
-    if row is None or not accept(*row, q):
+    field's prime, None for the field's own pool, or over Q `WORD_PRIME`,
+    whose pool is that of the samples' image; its row is returned as
+    `_lift_checked` returns it, checked on the integer pairs of the
+    samples.  None also when a point has no image mod q."""
+    p = field_prime(_field_of(samples))
+    pairs = [(int_pair(a, p), int_pair(v, p)) for a, v in samples.points]
+    pool = _pool(pairs, p if q is None else q)
+    if pool is None:
         return None
-    if not image:
-        return (*row, pool.den)
-    row = lift_row(*row, q)
-    if row is None:
+    row = first_row(pool.modulus, pool.u, pool.p, n, m)
+    if row is None or not accept(*row, pool.p):
         return None
-    r, t = row
-    for (an, ad), (vn, vd) in pairs.values():
-        rn, rs = _horner_q(r, an, ad)
-        tn, ts = _horner_q(t, an, ad)
-        if rn * ts * vd != vn * tn * rs:
-            return None
-    return r, t, 1
+    return (*row, pool.den) if pool.p == p else _lift_checked(row, q, pairs)
 
 
 def _solve(samples: SampleSet1, n: int, m: int, accept):
@@ -469,10 +443,11 @@ MAX_CONSECUTIVE_UNDEFINED = 100
 
 
 def _draw_defined(oracle: "Callable[[object], object | None]", draw,
-                  taken: set):
-    """One (a, f(a)) pair with a fresh abscissa; resamples on Undefined.
-    `draw` is the run's sampler (`Field._sampler`), and `taken` holds the
-    ids of the abscissae returned so far."""
+                  taken: set, p):
+    """One point (a, f(a)) with a fresh abscissa, as the integer pairs of
+    `poly.int_pair` at p; resamples on Undefined.  `draw` is the run's
+    sampler (`Field._sampler`), and `taken` holds the ids of the abscissae
+    returned so far."""
     misses = 0
     while True:
         key, a = draw()
@@ -489,27 +464,34 @@ def _draw_defined(oracle: "Callable[[object], object | None]", draw,
                     f"{misses} consecutive undefined oracle responses")
             continue
         taken.add(key)
-        return a, v
+        return int_pair(a, p), int_pair(v, p)
 
 
-# Over Q the image mod WORD_PRIME engages once the pool's common
-# denominator passes this many bits.  The image costs the same per point
-# whatever the size of the samples, while a walk over Q grows with it; the
-# benchmark's recon_q pools stay below 100 bits, where the walks over Q
-# cost no more than keeping the image.
-IMAGE_BITS = 128
-
-
-def _settled(gate, pool, lim: int) -> bool:
-    """Whether the pass at bound `lim` is settled with no walk of `pool`:
-    the gate's sequence is normal, or over Q its image walk has no row
-    within `lim`."""
-    if gate is None:
-        return False
-    if gate.steps is not None:
-        return True
-    return gate is not pool and reconstruct_ints(gate.modulus, gate.u, gate.p,
-                                                 limit=lim) is None
+def _candidate(gate, pairs: list, lim: int, p):
+    """The candidate (r, t, den) of a detection pass at bound `lim` on the
+    points `pairs`, whose function is r/(den*t), or None when the pass has
+    none: the row of `ratfun.reconstruct_ints` on the points' pool over the
+    field.  `gate` is the points' `_GatedPool` at the first modulus of
+    `ratfun.moduli`, None after a bad reduction; a normal one settles the
+    pass.  Over F_p it is the pool.  Over Q it is the points' image: no
+    image row within `lim` settles the pass, and a first one that is
+    coprime mod q is returned by `_lift_checked`; else the walk over Q
+    answers, on a pool built from `pairs`."""
+    if gate is not None:
+        if gate.steps is not None:
+            return None
+        if gate.p != p:
+            rows = rows_by_degree(gate.modulus, gate.u, gate.p, lim)
+            if not rows:
+                return None
+            if _coprime(*rows[0], gate.p):
+                lifted = _lift_checked(rows[0], gate.p, pairs)
+                if lifted is not None:
+                    return lifted
+            gate = None
+    pool = _pool(pairs, p) if gate is None else gate
+    row = reconstruct_ints(pool.modulus, pool.u, p, limit=lim)
+    return None if row is None else (*row, pool.den)
 
 
 def detect_profile_with_fit(oracle: "Callable[[object], object | None]",
@@ -523,8 +505,9 @@ def detect_profile_with_fit(oracle: "Callable[[object], object | None]",
     order (total degree, numerator degree) of a walk over all degree pairs,
     each fitted with at least one sample to spare; returns (profile, fit).
     A pass is settled with no walk (the gate below), or walks the
-    extended-Euclid rows once, up to cofactor degree lim = min(k - 2,
-    max_degree), so a pass below two points divides nothing.
+    extended-Euclid rows of one pool once, up to cofactor degree
+    lim = min(k - 2, max_degree), so a pass below two points divides
+    nothing; over Q a pass whose image cannot answer walks over Q too.
 
     The gate.  A slice of total degree l has no candidate before k = l + 2,
     and such passes need no walk when the Euclid remainder sequence of
@@ -557,51 +540,52 @@ def detect_profile_with_fit(oracle: "Callable[[object], object | None]",
     new sequence is not normal either way, and the gate stays off for the
     slice (a candidate may now exist), so every later pass walks.
 
-    Over F_p the gate runs on the pool itself.  Over Q it runs on the
-    pool's image mod `WORD_PRIME`, and when it is off, a walk of the image
-    up to lim comes first; the pool over Q is fed from the stored points
-    only when a pass walks it.  The image is good when p divides no
+    The gate runs on the pool at the first modulus of `ratfun.moduli`,
+    from the first point: over F_p the pool itself, over Q the points'
+    image mod `poly.WORD_PRIME`.  The image is good when p divides no
     denominator of an a_i or v_i and the a_i stay distinct mod p, else it
-    is dropped (`_GatedPool.add`).  Then a row (r, t) over Q of total
-    degree <= lim, scaled to coprime integers, reduces to a solution of the
-    image problem of at most its degrees, with t nonzero (r would have k
-    roots), so by Thm 5.16 the image has a row within lim: a normal image
-    sequence, or an image walk with no row within lim, settles the pass
-    exactly as the walk over Q would.  Over Q the image engages once the
-    pool's common denominator passes `IMAGE_BITS`: below it, the walks
-    over Q cost less than keeping the image."""
+    is dropped (`_NewtonPool.add`) and every later pass walks over Q.  Then
+    a row (r, t) over Q of total degree <= lim, scaled to coprime integers,
+    reduces to a solution of the image problem of at most its degrees,
+    with t nonzero (r would have k roots), so by Thm 5.16 the image has a
+    row within lim: a normal image sequence, or an image walk with no row
+    within lim, settles the pass exactly as the walk over Q would.
+
+    A lifted candidate is the row of the walk over Q.  Let the image's
+    first row in (total degree, deg r) order within lim be coprime mod p,
+    and let its lift L (`_lift_checked`) check exactly on the points.  L
+    is coprime over Q: its t is monic and p-integral, so a common factor
+    would survive mod p.  So L is a multiple of a row of the walk over Q,
+    with L's degrees (Thm 5.16).  Conversely the row R that the walk over
+    Q selects reduces to c*I for an image row I of at most R's degrees, so
+    I comes no later than R in that order.  The first image row therefore
+    comes no later than R, and R no later than L's row; L's row has the
+    first image row's degrees, so it is R.  The argument fails when the
+    first image row is not coprime mod p: then, as on a bad reduction or
+    a failed lift or check, the walk over Q answers (`_candidate`)."""
     cap = cfg.max_degree
     draw = field._sampler(rng, cfg.height_bound)
     taken: set = set()
     p = field_prime(field)
-    pool = _GatedPool(field, p) if p is not None else _NewtonPool(field)
-    gate, engage = (pool, False) if p is not None else (None, True)
-    points = []
+    q = moduli(p)[0]
+    gate = None if q is None else _GatedPool(q)
+    pairs = []
     # a pass either draws one point, which happens only while the pool is
     # below cap + 2, or rejects a candidate at a strictly later degree pair
     for _ in range((cap + 2) * (cap + 3)):
-        k = len(points)
-        lim = min(k - 2, cap)
-        if engage and pool.den.bit_length() > IMAGE_BITS:
-            gate, engage = _GatedPool(QQ, WORD_PRIME), False
-            if not all(gate.add(a, v) for a, v in points):
-                gate = None
-        row = None
-        if not _settled(gate, pool, lim):
-            for a, v in points[len(pool.modulus) - 1:]:
-                pool.add(a, v)
-            row = reconstruct_ints(pool.modulus, pool.u, pool.p, limit=lim)
+        k = len(pairs)
+        row = _candidate(gate, pairs, min(k - 2, cap), p)
         if row is not None:
-            fresh = [_draw_defined(oracle, draw, taken)
+            fresh = [_draw_defined(oracle, draw, taken, p)
                      for _ in range(cfg.validation_extra)]
-            if all(pool.agrees(row, a, v) for a, v in fresh):
-                return _row_profile(row), pool.ratfun(row)
+            if _agrees(*row, fresh, p):
+                r, t, den = row
+                return _row_profile(r, t), ratfun1_from_row(field, r, t, den)
         elif max(k - 1, 0) > cap:
             break
         else:
-            fresh = [_draw_defined(oracle, draw, taken)]
-        points += fresh
+            fresh = [_draw_defined(oracle, draw, taken, p)]
+        pairs += fresh
         if gate is not None and not all(gate.add(a, v) for a, v in fresh):
             gate = None
     raise BudgetExhausted(f"no rational profile up to total degree {cap}")
-

@@ -12,7 +12,8 @@ Every univariate reconstruction reads rows of one extended-Euclid walk,
 `eea_rows`, on integer lists: residue rows over F_p, pseudo-remainder
 rows over Q.  `first_row` selects the row of an (n, m) fit, for
 `interp.fit_ratfun`, `interp.interp_point` and `rational_reconstruct` on
-bounds; `reconstruct_ints` selects the minimal row of degree detection;
+bounds; `reconstruct_ints` selects the minimal row of degree detection
+from the rows in degree order, `rows_by_degree`;
 `rational_reconstruct` runs either on `Poly1` arguments for
 `hankel.pade_reconstruct` and the tests; the Hankel certificate walks
 the rows itself.  The walk alone stops the Euclid, at a bound on the cofactor
@@ -20,11 +21,11 @@ degree that each caller derives from its own: m for an (n, m) fit, the
 total-degree `limit` of degree detection, m_max for the Hankel
 certificate.
 
-`interp` and `hankel` answer from one loop over the moduli of `moduli`:
-the field's prime over F_p; over Q first `poly.WORD_PRIME`, whose rows
-`lift_row` lifts to Q by rational number reconstruction (`rat_lift`) for
-the caller's exact check, and last None, the walk over Q, which answers
-whatever the image left open.
+`interp` (its fits, points and degree detection) and `hankel` answer on
+the moduli of `moduli`: the field's prime over F_p; over Q first
+`poly.WORD_PRIME`, whose rows `lift_row` lifts to Q by rational number
+reconstruction (`rat_lift`) for the caller's exact check, and last None,
+the walk over Q, which answers whatever the image left open.
 """
 
 from __future__ import annotations
@@ -320,16 +321,20 @@ def reconstruct_ints(modulus: list, u: list, p, limit=math.inf):
     (r, t) of `eea_rows` of minimal total degree, ties going to the smaller
     deg r, if that degree is within `limit`, else None.  The function the
     row stands for is r/(den*t), where u/den is the interpolant (see
-    ratfun1_from_row).  The walk stops at the cofactor degree `limit`."""
-    rows = []
-    for r, t in eea_rows(modulus, u, p, limit):
-        dr = len(r) - 1
-        rows.append((max(dr, 0) + len(t) - 1, dr, r, t))
-    for total, _, r, t in sorted(rows, key=lambda row: row[:2]):
-        if total > limit:
-            return None
-        if _coprime(r, t, p):
-            return r, t
+    ratfun1_from_row)."""
+    for row in rows_by_degree(modulus, u, p, limit):
+        if _coprime(*row, p):
+            return row
+    return None
+
+
+def rows_by_degree(modulus: list, u: list, p, limit=math.inf) -> list:
+    """The rows (r, t) of `eea_rows` of total degree deg r + deg t within
+    `limit` (deg r read as 0 for r = 0), in the order (total degree,
+    deg r).  The walk stops at the cofactor degree `limit`."""
+    rows = sorted([((max(len(r) - 1, 0) + len(t) - 1, len(r)), r, t)
+                   for r, t in eea_rows(modulus, u, p, limit)])
+    return [(r, t) for (total, _), r, t in rows if total <= limit]
 
 
 def eea_rows(modulus: list, u: list, p, top=math.inf):

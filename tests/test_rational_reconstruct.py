@@ -34,12 +34,13 @@ from ratrecon.interp import (
     detect_profile_with_fit,
     fit_ratfun,
 )
-from ratrecon.poly import WORD_PRIME, Poly1, field_prime, gcd_poly1
+from ratrecon.poly import WORD_PRIME, Poly1, field_prime, gcd_poly1, int_pair
 from ratrecon.ratfun import (
     RatFun1,
     _coprime,
     eea_rows,
     normalize_ratfun1,
+    ratfun1_from_row,
     rational_reconstruct,
     reconstruct_ints,
 )
@@ -649,11 +650,17 @@ def limit_pool_points(field, height, rng, kind):
     return list(zip(pts, vals))
 
 
+def int_point(field, a, v):
+    """The integer pairs of the point (a, v) that the pools take."""
+    p = field_prime(field)
+    return int_pair(a, p), int_pair(v, p)
+
+
 def limit_pool(field, height, rng, kind):
     """The Newton pool (`interp._NewtonPool`) of `limit_pool_points`."""
-    pool = interp._NewtonPool(field)
+    pool = interp._NewtonPool(field_prime(field))
     for a, v in limit_pool_points(field, height, rng, kind):
-        pool.add(a, v)
+        pool.add(*int_point(field, a, v))
     return pool
 
 
@@ -713,21 +720,17 @@ def test_limit_returns_the_unbounded_selection_within_it():
         assert {(field, c) for c in ("jump", "passed over", "zero", "constant")} <= seen
 
 
-def test_detection_walks_once_per_pass_within_its_bound(monkeypatch):
-    # each pass is settled with no walk of its pool (the normality gate, or
-    # over Q a walk of the pool's image mod WORD_PRIME), or walks the pool's
-    # rows once, up to its bound min(k - 2, max_degree) at pool size k; then
-    # it draws one point, or the validation points of the candidate it
-    # tries, so the pool sizes of the passes rise by one or validation_extra
-    rng = random.Random(2033)
-    budget = ReconConfig()
+def detection_passes(monkeypatch):
+    """Spies that record, for each detection pass (a call of
+    `interp._candidate`), its pool size, its bound, whether its gate is
+    normal, and the prime of each Euclid walk it makes (None over Q), in
+    the returned list; the draws of points add ["draw"] entries."""
     events = []
-    settled = interp._settled
+    candidate, draw_defined = interp._candidate, interp._draw_defined
 
-    def spy_settled(gate, pool, lim):
-        events.append(["pass", lim, None])
-        events[-1][2] = verdict = settled(gate, pool, lim)
-        return verdict
+    def spy_candidate(gate, pairs, lim, p):
+        events.append(["pass", len(pairs), lim, gate is not None and gate.steps is not None])
+        return candidate(gate, pairs, lim, p)
 
     def spy_rows(modulus, u, p, top):
         rows = list(eea_rows(modulus, u, p, top))
@@ -739,11 +742,38 @@ def test_detection_walks_once_per_pass_within_its_bound(monkeypatch):
         events.append(["draw"])
         return draw_defined(*args)
 
-    draw_defined = interp._draw_defined
-    monkeypatch.setattr(interp, "_settled", spy_settled)
+    monkeypatch.setattr(interp, "_candidate", spy_candidate)
     monkeypatch.setattr(ratfun, "eea_rows", spy_rows)
     monkeypatch.setattr(interp, "_draw_defined", spy_draw)
-    verdicts = []
+    return events
+
+
+def pass_walks(events) -> list:
+    """[(k, lim, normal, walks, draws)] per pass of `detection_passes`'
+    events, walks the primes of its walks in order."""
+    at = [i for i, e in enumerate(events) if e[0] == "pass"]
+    passes = []
+    for i, j in zip(at, at[1:] + [len(events)]):
+        _, k, lim, normal = events[i]
+        walks = [e for e in events[i + 1:j] if e[0] == "walk"]
+        assert all(e[1:] == [k, e[2], lim] for e in walks), events[i:j]
+        passes.append((k, lim, normal, [e[2] for e in walks],
+                       sum(e[0] == "draw" for e in events[i + 1:j])))
+    return passes
+
+
+def test_detection_walks_once_per_pass_within_its_bound(monkeypatch):
+    # each pass is settled with no walk (a normal gate sequence), or walks
+    # the rows of a pool once, up to its bound min(k - 2, max_degree) at
+    # pool size k: over F_p the pool; over Q the image mod WORD_PRIME
+    # first, then the pool over Q only where the image cannot answer.
+    # Then it draws one point, or the validation points of the candidate
+    # it tries, so the pool sizes of the passes rise by one or
+    # validation_extra
+    rng = random.Random(2033)
+    budget = ReconConfig()
+    events = detection_passes(monkeypatch)
+    walked = Counter()
     for trial in range(30):
         field = KERNEL_FIELDS[trial % 3]
         f = rand_ratfun(field, rng, rng.randint(-1, 4), rng.randint(0, 4))
@@ -751,32 +781,30 @@ def test_detection_walks_once_per_pass_within_its_bound(monkeypatch):
         _, fit = detect_profile_with_fit(SwitchingOracle(f, f, 0), field, budget,
                                          random.Random(trial))
         assert fit == f
-        at = [i for i, e in enumerate(events) if e[0] == "pass"]
         sizes, draws = [], 0
-        for i, j in zip(at, at[1:] + [len(events)]):
-            _, lim, verdict = events[i]
-            k = draws
-            walks = [e for e in events[i + 1:j] if e[0] == "walk"]
-            draws += sum(e[0] == "draw" for e in events[i + 1:j])
-            assert lim == min(k - 2, budget.max_degree)
-            assert walks == ([] if verdict else [["walk", k, field_prime(field), lim]])
+        for k, lim, normal, walks, drew in pass_walks(events):
+            assert k == draws and lim == min(k - 2, budget.max_degree)
+            image = [WORD_PRIME] if field == QQ else [field.p]
+            assert walks in ([], image, [WORD_PRIME, None], [None]), walks
+            assert not (normal and walks)
             sizes.append(k)
-            verdicts.append((field, verdict))
+            draws += drew
+            walked[field, tuple(walks)] += 1
         gaps = [b - a for a, b in zip(sizes, sizes[1:])] + [draws - sizes[-1]]
         assert set(gaps) <= {1, budget.validation_extra}
         assert gaps[-1] == budget.validation_extra
-    # over F_p most passes walk nothing, the ones that try a candidate walk;
-    # over Q these pools stay below IMAGE_BITS, so every pass walks
+    # most passes walk nothing, the ones that try a candidate walk; over Q
+    # the image answers every pass of these small functions
     for field in KERNEL_FIELDS:
-        settled = [v for f, v in verdicts if f == field]
-        if field == QQ:
-            assert not any(settled)
-        else:
-            assert 2 * len(settled) // 3 < sum(settled) < len(settled)
+        counts = {walks: n for (f, walks), n in walked.items() if f == field}
+        total = sum(counts.values())
+        assert 2 * total // 3 < counts[()] < total, counts
+        assert set(counts) == {(), (field_prime(field) or WORD_PRIME,)}, counts
 
 
 # ---------------------------------------------------------------------------
-# the normality gate of detection (`interp._GatedPool`, `interp._settled`)
+# the normality gate of detection (`interp._GatedPool`) and the image of Q:
+# every pass has the candidate of the walk over the field
 
 
 def gate_oracle(field, height, rng, kind, prime):
@@ -785,7 +813,11 @@ def gate_oracle(field, height, rng, kind, prime):
     roots in the height box, whose values are often zero (3), one above
     the detection cap of 3 (4), or over Q a fraction with a coefficient
     1/prime, whose values' denominators are divisible by the image's prime
-    (5); a third of them switch to another fraction after a few queries."""
+    (5), a fraction with a coefficient beyond sqrt(WORD_PRIME/2), which has
+    no lift (6), or a fraction whose first one or two values are moved by
+    1 (7), whose first row within a bound is then a multiple of the
+    fraction by the moved points' factors, not coprime; a third of the
+    others switch to another fraction after a few queries."""
     if kind == 0:
         f = rand_ratfun(field, rng, -1, 0)
     elif kind == 1:
@@ -800,11 +832,18 @@ def gate_oracle(field, height, rng, kind, prime):
         f = normalize_ratfun1(num, rand_poly(field, rng, rng.randint(0, 2), 3))
     elif kind == 4:
         f = rand_ratfun(field, rng, rng.randint(3, 5), rng.randint(1, 3))
+    elif kind == 7:
+        f = rand_ratfun(field, rng, rng.randint(0, 1), rng.randint(0, 1))
+        moved = normalize_ratfun1(f.num + f.den, f.den)
+        return SwitchingOracle(moved, f, rng.randint(1, 2))
     else:
         f = rand_ratfun(field, rng, rng.randint(0, 3), rng.randint(0, 2))
-        if field == QQ:
+        if field == QQ and kind == 5:
             scale = Poly1(field, [field.one / prime])
             f = normalize_ratfun1(f.num * scale + scale, f.den)
+        elif field == QQ:
+            big = Poly1(field, [field.one * rng.randint(10 ** 5, 10 ** 6)])
+            f = normalize_ratfun1(f.num + big * f.den, f.den)
     then = f
     if rng.randrange(3) == 0:
         then = rand_ratfun(field, rng, rng.randint(-1, 3), rng.randint(0, 3))
@@ -813,44 +852,63 @@ def gate_oracle(field, height, rng, kind, prime):
 
 def gate_trials(monkeypatch, count, seed):
     """(field, cfg, oracle, seed) over the LIMIT_CASES fields and heights.
-    Over Q two trials in three engage the image from the first point (its
-    `IMAGE_BITS` patched to -1), half of those at the prime 101, where
-    congruent abscissae and denominators divisible by the prime are
-    common; a trial's patches hold until the next one's."""
+    Over Q one trial in three takes its image mod 101 (`interp.moduli`
+    patched), where congruent abscissae, denominators divisible by the
+    prime, coefficients with no lift and image rows that are not coprime
+    are common; a trial's patches hold until the next one's."""
     rng = random.Random(seed)
     for trial in range(count):
         field, height = LIMIT_CASES[trial % len(LIMIT_CASES)]
         prime = WORD_PRIME
         monkeypatch.undo()
-        if field == QQ and trial % 3:
-            monkeypatch.setattr(interp, "IMAGE_BITS", -1)
-            if trial % 3 == 2:
-                prime = 101
-                monkeypatch.setattr(interp, "WORD_PRIME", prime)
+        if field == QQ and trial % 3 == 2:
+            prime = 101
+            monkeypatch.setattr(interp, "moduli", lambda p: (101, None) if p is None else (p,))
         cfg = ReconConfig(max_degree=3 if trial % 4 == 3 else 6,
                           validation_extra=1 + 3 * (trial % 2),
                           height_bound=height)
-        kind = trial // len(LIMIT_CASES) % 6
+        kind = trial // len(LIMIT_CASES) % 8
         yield field, cfg, gate_oracle(field, height, rng, kind, prime), rng.getrandbits(32)
 
 
 def test_gate_matches_detection_with_the_gate_off(monkeypatch):
-    # every pass that the gate settles would have found no row within its
-    # bound: profile, fit, refusal and oracle queries are those of detection
-    # with every pass walking its pool
-    outcomes, added = set(), Counter()
-    add = interp._GatedPool.add
+    # detection forced onto the walk over the field (`interp.moduli`
+    # patched to (None,): no gate, no image) is the reference: profile,
+    # fit, refusal and oracle queries are the same.  Over Q every kind of
+    # fallback to the walk over Q happens, at both primes
+    outcomes, why = set(), Counter()
+    add, lift, checked = interp._NewtonPool.add, interp.lift_row, interp._lift_checked
+    by_degree = interp.rows_by_degree
 
-    def counting_add(gate, a, v):
-        image = add(gate, a, v)
-        added[gate.p, image] += 1
+    def counting_add(pool, a, v):
+        image = add(pool, a, v)
+        if isinstance(pool, interp._GatedPool):     # always good over F_p
+            why[pool.p, "bad reduction"] += not image
         return image
 
+    def counting_rows(modulus, u, p, limit):
+        rows = by_degree(modulus, u, p, limit)
+        why[p, "not coprime"] += bool(rows) and not _coprime(*rows[0], p)
+        return rows
+
+    def counting_lift(r, t, q):
+        row = lift(r, t, q)
+        why[q, "no lift"] += row is None
+        return row
+
+    def counting_check(row, q, pairs):
+        got = checked(row, q, pairs)
+        why[q, "lifted" if got else "failed check"] += got is not None or lift(*row, q) is not None
+        return got
+
     for field, cfg, oracle, seed in gate_trials(monkeypatch, 720, 2035):
-        monkeypatch.setattr(interp._GatedPool, "add", counting_add)
+        monkeypatch.setattr(interp._NewtonPool, "add", counting_add)
+        monkeypatch.setattr(interp, "rows_by_degree", counting_rows)
+        monkeypatch.setattr(interp, "lift_row", counting_lift)
+        monkeypatch.setattr(interp, "_lift_checked", counting_check)
         got = outcome(detect_profile_with_fit, oracle, field, cfg, random.Random(seed))
         queries, oracle.queries = oracle.queries, []
-        monkeypatch.setattr(interp, "_settled", lambda gate, pool, lim: False)
+        monkeypatch.setattr(interp, "moduli", lambda p: (None,))
         want = outcome(detect_profile_with_fit, oracle, field, cfg, random.Random(seed))
         assert got == want, (field, cfg, seed)
         assert queries == oracle.queries, (field, cfg, seed)
@@ -859,42 +917,40 @@ def test_gate_matches_detection_with_the_gate_off(monkeypatch):
     for field, _ in LIMIT_CASES:
         refusal = "DomainTooSparse" if field == LIMIT_CASES[0][0] else "BudgetExhausted"
         assert (field, "fit") in outcomes and (field, refusal) in outcomes, field
-    # over Q some points had no image, at either prime
-    assert added[WORD_PRIME, False] and added[101, False] and added[101, True]
+    for prime in (WORD_PRIME, 101):
+        for reason in ("bad reduction", "not coprime", "no lift", "failed check", "lifted"):
+            assert why[prime, reason], (prime, reason, why)
 
 
 def test_settled_passes_have_no_row_within_their_bound(monkeypatch):
-    # a settled pass is one whose pool, fed every point drawn so far, has
-    # no row within the bound: `reconstruct_ints(..., limit) is None`;
-    # over F_p the full walk of a pool the gate settles is normal
+    # every pass has the candidate of the walk over the field on the pool
+    # of the points drawn so far (`reconstruct_ints(..., limit)`), with the
+    # same degrees and function: a settled pass has none; over F_p the
+    # full walk of a pool the gate settles is normal
     tally = Counter()
+    candidate = interp._candidate
     for field, cfg, oracle, seed in gate_trials(monkeypatch, 360, 2036):
-        drawn = []
-        draw_defined, settled = interp._draw_defined, interp._settled
 
-        def recording_draw(*args):
-            drawn.append(draw_defined(*args))
-            return drawn[-1]
+        def checked_candidate(gate, pairs, lim, p):
+            normal = gate is not None and gate.steps is not None
+            got = candidate(gate, pairs, lim, p)
+            exact = interp._pool(pairs, p)
+            want = reconstruct_ints(exact.modulus, exact.u, p, limit=lim)
+            assert (got is None) == (want is None), (field, cfg, seed, len(pairs))
+            if got is not None:
+                assert [len(c) for c in got[:2]] == [len(c) for c in want]
+                assert (ratfun1_from_row(field, *got)
+                        == ratfun1_from_row(field, *want, exact.den)), (field, cfg, seed)
+            if normal and gate.p == p:
+                rows = list(eea_rows(gate.modulus, gate.u, p))
+                assert [len(r) - 1 for r, _ in rows] == list(range(len(pairs) - 1, -2, -1))
+            tally[normal, got is None] += 1
+            return got
 
-        def checked_settled(gate, pool, lim):
-            verdict = settled(gate, pool, lim)
-            exact = interp._NewtonPool(field)
-            for a, v in drawn:
-                exact.add(a, v)
-            none = reconstruct_ints(exact.modulus, exact.u, exact.p, limit=lim) is None
-            assert none or not verdict, (field, cfg, seed, len(drawn))
-            if gate is pool:
-                rows = list(eea_rows(pool.modulus, pool.u, pool.p))
-                normal = [len(r) - 1 for r, _ in rows] == list(range(len(drawn) - 1, -2, -1))
-                assert normal or gate.steps is None, (field, cfg, seed)
-            tally[verdict, none] += 1
-            return verdict
-
-        monkeypatch.setattr(interp, "_draw_defined", recording_draw)
-        monkeypatch.setattr(interp, "_settled", checked_settled)
+        monkeypatch.setattr(interp, "_candidate", checked_candidate)
         outcome(detect_profile_with_fit, oracle, field, cfg, random.Random(seed))
-    # settled passes, passes with no row that the gate could not settle,
-    # and passes that found a row
+    # passes the gate settles, passes with no row that the gate could not
+    # settle, and passes that found a row
     assert tally[True, True] and tally[False, True] and tally[False, False]
 
 
@@ -921,11 +977,11 @@ def test_gate_keeps_the_rows_of_the_walk():
     for trial in range(600):
         field, height = LIMIT_CASES[trial % len(LIMIT_CASES)]
         p = WORD_PRIME if field == QQ else field.p
-        gate = interp._GatedPool(field, p)
+        gate = interp._GatedPool(p)
         for k, (a, v) in enumerate(limit_pool_points(field, height, rng,
                                                      trial // len(LIMIT_CASES) % 5), 1):
             was_on = gate.steps is not None
-            assert gate.add(a, v)
+            assert gate.add(*int_point(field, a, v))
             if not was_on:
                 break
             rows = list(eea_rows(gate.modulus, gate.u, p))
@@ -949,18 +1005,31 @@ def test_gate_keeps_the_rows_of_the_walk():
         assert kept[field, True] and kept[field, False], field
 
 
-def test_gate_settles_most_dense_recon_passes(monkeypatch):
-    # over the benchmark's recon_dense_fp shapes (slice degree 5..9 over
-    # F_1000003), at least 60% of detection passes walk nothing
+def recon_passes(monkeypatch, workload: str, seed: int) -> list:
+    """The walks of each detection pass (`pass_walks`) over one cycle of a
+    benchmark workload, every answer checked."""
     bench = str(pathlib.Path(__file__).resolve().parents[1] / "bench")
     monkeypatch.syspath_prepend(bench)
     workloads = importlib.import_module("workloads")
-    verdicts = []
-    settled = interp._settled
-    monkeypatch.setattr(interp, "_settled",
-                        lambda *args: verdicts.append(settled(*args)) or verdicts[-1])
-    for i in range(len(workloads.WORKLOADS["recon_dense_fp"].cycle)):
-        inst = workloads.instance("recon_dense_fp", 1, i)
+    events = detection_passes(monkeypatch)
+    for i in range(len(workloads.WORKLOADS[workload].cycle)):
+        inst = workloads.instance(workload, seed, i)
         inst.prepare()
         assert inst.check(inst.solve()), i
-    assert sum(verdicts) >= 0.6 * len(verdicts)
+    return [walks for _, _, _, walks, _ in pass_walks(events)]
+
+
+def test_gate_settles_most_dense_recon_passes(monkeypatch):
+    # over the benchmark's recon_dense_fp shapes (slice degree 5..9 over
+    # F_1000003), at least 60% of detection passes walk nothing
+    passes = recon_passes(monkeypatch, "recon_dense_fp", 1)
+    assert sum(not walks for walks in passes) >= 0.6 * len(passes)
+
+
+def test_image_settles_most_q_recon_passes(monkeypatch):
+    # over the benchmark's recon_q shapes at least 60% of detection passes
+    # walk nothing, and the image mod WORD_PRIME answers all but at most
+    # two of the others, with no walk over Q
+    passes = recon_passes(monkeypatch, "recon_q", 3)
+    assert sum(not walks for walks in passes) >= 0.6 * len(passes)
+    assert sum(None in walks for walks in passes) <= 2

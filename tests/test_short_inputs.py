@@ -12,8 +12,9 @@ any bound.
 The refusals over Q are expressions whose slices have no rational profile
 within `max_degree`: each must end in exit 7.  Their oracle values have
 thousands of digits, and while detection walked the Euclid rows of every
-pool over Q they took 1 to 66 s; detection now settles those passes on
-the pool's image mod `WORD_PRIME`.  A row runs under a small wrapper
+pool over Q they took 1 to 66 s; detection now runs on the samples'
+image mod `WORD_PRIME` from the first point, which settles those passes.
+A row runs under a small wrapper
 process that reports the row's peak RSS from
 `resource.getrusage(RUSAGE_CHILDREN)`, its only child.
 """
