@@ -20,28 +20,25 @@ candidate's degrees, max(deg r - m + 1, 0), with no determinant
 witness.  As m grows the bound on deg r falls, so the candidates are
 found in one forward pass over the rows.
 
-The rows are walked modulo each modulus of `ratfun.moduli` in turn
-(`_certify`) until one answers: over F_p the field's prime; over Q first
-the integer prefix mod `poly.WORD_PRIME`, last the walk over Q.  An m with no
-image row within its degrees has no candidate over Q, so a refusal is
-settled on the image alone.  An image row within them is scaled to
-t(0) = 1 (to a monic t where t(0) = 0 mod p), r divided by the prefix's
-denominator, its coefficients lifted to Q by rational number
-reconstruction (`ratfun.lift_row`, Wang 1981), and the lift checked
-exactly: t*s = r mod t^(N+1), coefficient by coefficient on the integer
-prefix, which with t(0) != 0 holds exactly when the re-expansion of r/t
-reproduces a_0..a_N.  By a degree sandwich a lift that passes is the
-row over Q up to a constant (`certify_rationality` has the argument), so
-it is the candidate, or with t(0) = 0 proves that the m has none.  The
-walk over Q answers when p divides the denominator, a coefficient has no
-lift or a check fails.  The integers of the walk over Q grow with the
-prefix's heights while the witnesses have coefficients of a few digits,
-so the image costs word-size arithmetic where the walk over Q costs
-big-integer products.
+The rows are those of `ratfun.lift_rows`, one residue path for both
+fields: over F_p the walk mod the field's prime; over Q the walks of the
+integer prefix mod the word primes of `ratfun.moduli`, each walked once
+and read for every m.  An m with no image row within its degrees at a
+good prime (one that divides no denominator of the prefix) has no
+candidate over Q, so a refusal is settled on the first image.  An image
+row within them is scaled to a monic t, r divided by the prefix's
+denominator, joined by CRT with the rows of the same degrees at the
+other primes, lifted to Q by rational number reconstruction (Wang 1981)
+and checked exactly: t*s = r mod t^(N+1), coefficient by coefficient on
+the integer prefix (`_solves`).  A checked lift is the row over Q, so
+t(0) != 0 is read off it.  The witnesses have coefficients of a few
+digits, which one word prime lifts; larger ones take a few more primes,
+where the walk over Q would cost big-integer products.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from operator import mul
 
 from .errors import NoSolution, PoleAtOrigin, PrefixTooShort
@@ -52,7 +49,7 @@ from .ratfun import (
     eea_rows,
     format_poly1,
     format_ratfun1,
-    lift_row,
+    lift_rows,
     moduli,
     ratfun1_from_row,
     rational_reconstruct,
@@ -132,17 +129,19 @@ def _check_bounds(s: SeriesPrefix, l_max: int, m_max: int) -> None:
             f"need prefix length >= {l_max + 2 * m_max + 1}, have {s.n_max + 1}")
 
 
-def _walk(s: SeriesPrefix, m_max: int, q=None):
-    """(ints, den, p, rows): the prefix as integers over `den` (residues
-    and 1 over F_p, p None over Q), and the rows (r, t) of the extended
-    Euclidean algorithm on (t^(N+1), ints) with deg t <= m_max; over Q
-    with a prime `q`, the residue rows of ints mod that prime."""
-    p = field_prime(s.field)
-    ints, den = poly1_ints(Poly1(s.field, s.coeffs))
-    q = q or p
-    u = ints if q == p else _strip([c % q for c in ints])
-    rows = list(eea_rows([0] * (s.n_max + 1) + [1], u, q, m_max))
-    return ints + [0] * (s.n_max + 1 - len(ints)), den, p, rows
+def _walk(ints: list, m_max: int, tops: list, q: int) -> list:
+    """For each m <= m_max, [the candidate row] of the walk mod q, or []:
+    the first row (r, t) of the extended Euclidean algorithm on
+    (t^(N+1), ints mod q) with deg r <= tops[m], if it has deg t <= m.  One
+    forward pass over the rows, which stop at deg t <= m_max: as m grows,
+    tops[m] falls."""
+    rows = eea_rows([0] * len(ints) + [1], _strip([c % q for c in ints]), q, m_max)
+    row, out = next(rows, None), []
+    for m, top in enumerate(tops):
+        while row is not None and len(row[0]) > top + 1:
+            row = next(rows, None)
+        out.append([] if row is None or len(row[1]) > m + 1 else [row])
+    return out
 
 
 def pade_reconstruct(s: SeriesPrefix, n_deg: int, m_deg: int) -> RatFun1:
@@ -178,9 +177,9 @@ def series_of_ratfun(f: RatFun1, n_terms: int) -> SeriesPrefix:
 
 def _solves(r: list, t: list, ints: list, den: int) -> bool:
     """Whether the integer row (r, t) solves t*s = r mod t^(N+1), s the
-    prefix ints/den over Q (`_walk`): (t*ints)_k = den*r_k for k <= N,
-    compared exactly.  With t(0) != 0 that holds exactly when the
-    re-expansion of r/t is the whole prefix."""
+    prefix ints/den over Q (`certify_rationality`): (t*ints)_k = den*r_k
+    for k <= N, compared exactly.  With t(0) != 0 that holds exactly when
+    the re-expansion of r/t is the whole prefix."""
     n_max = len(ints) - 1
     rev = ints[::-1]                    # rev[N - k + j] = ints[k - j]
     for k in range(n_max + 1):
@@ -197,47 +196,16 @@ def _kronecker_l(r: list, m: int) -> int:
     return max(len(r) - m, 0)
 
 
-def _certify(s: SeriesPrefix, l_max: int, m_max: int, q):
-    """The certificate of `certify_rationality` read off the walk mod q, a
-    modulus of `ratfun.moduli`, or None for the next modulus to answer.
-    One forward pass over the rows finds each m's candidate row; over Q
-    with a prime q that row is lifted to Q and checked exactly, and None
-    is returned when it has no lift or fails the check."""
-    ints, den, p, rows = _walk(s, m_max, q)
-    rows = iter(rows)
-    row = next(rows, None)
-    for m in range(m_max + 1):
-        top = min(l_max + m_max, s.n_max - m - 1)
-        while row is not None and len(row[0]) > top + 1:
-            row = next(rows, None)
-        if row is None or len(row[1]) > m + 1:
-            continue
-        (r, t), d = row, den
-        if q != p:
-            lifted = lift_row(r, t, q, 0 if t[0] else -1, den)
-            if lifted is None or not _solves(*lifted, ints, den):
-                return None
-            (r, t), d = lifted, 1
-        if not t[0]:
-            continue
-        l = _kronecker_l(r, m)
-        if l <= l_max and max(l + m - 1, 0) <= top:
-            return RationalityCertificate("RationalWitness", l, m,
-                                          ratfun1_from_row(s.field, r, t, d),
-                                          len(s.coeffs))
-    return RationalityCertificate("NoWitnessUpTo", l_max, m_max, None, len(s.coeffs))
-
-
 def certify_rationality(s: SeriesPrefix, l_max: int, m_max: int) -> RationalityCertificate:
     """The first witness by ascending m whose exact re-expansion matches the
     entire prefix, with l = l_min(m), or the refusal.
 
-    For each m the one candidate is the row of `_walk(s, m_max)` with
-    deg t <= m, deg r <= top = min(l_max + m_max, N - m - 1) and t(0) != 0,
+    For each m the one candidate is the row of the walk on (t^(N+1), s)
+    with deg t <= m, deg r <= top = min(l_max + m_max, N - m - 1) and t(0) != 0,
     the only Pade approximant of degrees at most (top, m) that can match.
     Its l_min(m) is max(deg r - m + 1, 0) (`_kronecker_l`), and the m is
     skipped when l_min(m) > l_max or l_min(m) + m - 1 > top.  A row of the
-    walk solves t*s = r mod t^(N+1), so with t(0) != 0 its r/(den*t)
+    walk solves t*s = r mod t^(N+1), so with t(0) != 0 its r/t
     re-expands to the prefix and needs no check.
 
     Kronecker's l_min(m) needs no determinant, on any field:
@@ -253,42 +221,50 @@ def certify_rationality(s: SeriesPrefix, l_max: int, m_max: int) -> RationalityC
       Q*r = R*t.  gcd(r, t) = 1 because t(0) != 0, so Q = c*t and
       R = c*r.  That forces deg R >= deg r, a contradiction: so
       det H(n, m) != 0.
-    - Which rows it covers.  The argument holds for the walk's rows over
-      F_p, for the rows of the walk over Q (scalar multiples of the row
-      over Q), and for a lifted row: the degree sandwich below makes a
-      lifted row coprime and of the row over Q's degrees.
+    - Which rows it covers.  The argument holds for the rows of the walk
+      over any field, so for the exact rows of `ratfun.lift_rows`.
 
-    The rows are those of the moduli of `ratfun.moduli`, tried in turn by
-    `_certify`.  Over Q the first are those of the integer prefix mod
-    p = `poly.WORD_PRIME`, walked once up to deg t <= m_max.  Each m is settled
-    from them:
+    Each m's row comes from `ratfun.lift_rows` on the walks `_walk`, one
+    per prime, walked once up to deg t <= m_max and read for every m.
+    Over Q, at p = `poly.WORD_PRIME` first:
 
-    - No image row has deg t <= m and deg r <= top: then no row over Q
-      has either, so the m has no candidate.  A row over Q, scaled to
-      jointly primitive integers, solves t*ints = r mod t^(N+1) on
-      integers, so its image is a nonzero solution mod p of degrees at
-      most (top, m), and a multiple of an image row of degrees at most
-      those (Thm 5.16).  The modulus is monic and the prefix integral, so
-      no reduction is bad here; a prefix with no candidate at any m is
-      refused with no walk over Q.
-    - The first such image row (r, t): scaled to t(0) = 1, or to a monic
-      t where t(0) = 0, the coefficients of r/den and t are lifted by
-      rational number reconstruction to P and Q, of the same degrees as
-      r and t, and Q*s = P mod t^(N+1) is checked exactly (`_solves`).
-      Then P/Q is the row over Q up to a constant, by a degree sandwich.
-      The row (R, T) over Q of degrees at most (top, m) exists, as
-      (den*P, Q) solves t*ints = r and so is a multiple c*(R, T); the
-      image of the primitive (R, T) is a multiple of (r, t).  So
-      deg T >= deg t = deg Q = deg c + deg T: c is a constant and
-      T(0) = Q(0)/c.  Where t(0) = 0 mod p, Q(0) = 0, so T(0) = 0 and the
-      m has no candidate over Q either; else T(0) != 0 and P/Q is the
-      canonical R/(den*T), and l_min(m) is read off its degrees.
+    - No image row has deg t <= m and deg r <= top, at a prime that
+      divides no denominator of the prefix: then no row over Q has
+      either, so the m has no candidate, and a prefix with no candidate
+      at any m is refused on the first image.
+    - An image row within them: the rows of the primes with the same
+      degrees are joined by CRT, and the lift (P, Q) is checked exactly,
+      Q*s = P mod t^(N+1) (`_solves`).  A checked lift is the row over
+      Q of the m (the proof is in `lift_rows`), so it is the candidate
+      when Q(0) != 0 and proves that the m has none when Q(0) = 0.
 
-    The walk over Q, the last modulus, answers the whole call instead when
-    p divides `den`, a coefficient has no lift within sqrt(p/2) or an
-    exact check fails; over F_p the walk mod p is the only one."""
+    The prime count.  With N + 1 prefix integers of at most e bits over a
+    denominator of e_d bits, a row of degrees (A, B) has a t in the
+    kernel of the Toeplitz rows A + 1..N in B + 1 <= m_max + 1 unknowns,
+    and r = t*s mod t^(A+1); the minors and the monic row's numerators and
+    denominators are below 2^beta, beta = (m_max + 2)*(e + e_d +
+    bitlen(m_max + 1)) (Cramer and Hadamard).  With the denominator as the
+    one bad reduction and one minor for each of the (N + 1)(m_max + 1)
+    degree pairs, bits = (N + 2)*(m_max + 2)*beta bounds log2(D*2H^2);
+    over F_p the walk mod p is the only one."""
     _check_bounds(s, l_max, m_max)
-    for q in moduli(field_prime(s.field)):
-        cert = _certify(s, l_max, m_max, q)
-        if cert is not None:
-            return cert
+    p = field_prime(s.field)
+    ints, den = poly1_ints(Poly1(s.field, s.coeffs))
+    ints += [0] * (s.n_max + 1 - len(ints))
+    tops = [min(l_max + m_max, s.n_max - m - 1) for m in range(m_max + 1)]
+    bits = (s.n_max + 2) * (m_max + 2) ** 2 * (
+        max(map(abs, ints)).bit_length() + den.bit_length() + (m_max + 1).bit_length())
+    walk = cache(lambda q: _walk(ints, m_max, tops, q) if den % q else None)
+    first = walk(next(moduli(p)))   # where it is good, an m without a row is settled
+    for m, top in enumerate(tops):
+        rows = (first is None or first[m]) and lift_rows(
+            lambda q: walk(q) and walk(q)[m], lambda r, t: _solves(r, t, ints, den),
+            p, lambda: bits, den)
+        if not rows or not rows[0][1][0]:
+            continue
+        l = _kronecker_l(rows[0][0], m)
+        if l <= l_max and max(l + m - 1, 0) <= top:
+            return RationalityCertificate("RationalWitness", l, m,
+                                          ratfun1_from_row(s.field, *rows[0]),
+                                          len(s.coeffs))
+    return RationalityCertificate("NoWitnessUpTo", l_max, m_max, None, len(s.coeffs))

@@ -2,28 +2,25 @@
 
 Every answer is read off the rows of one extended-Euclid walk
 (`ratfun.eea_rows`) on (prod(x - a_i), u), u the Newton interpolant of
-the samples, kept on integers: residues over F_p, integer numerators over
-one denominator over Q.  Candidates are checked by integer Horner, and a
-`RatFun1` is built only for the fit returned.  Every path runs on the
-moduli of `ratfun.moduli`: over F_p the field's prime; over Q first the
-image of the samples mod `poly.WORD_PRIME`, whose row is lifted to Q by
-rational number reconstruction (Wang 1981) and checked exactly on every
-sample (`_lift_checked`), last the pool over Q, which answers where a
-step on the image fails.  The fitted functions have coefficients of a
-few digits while the pool's integers grow with the samples' heights, so
-the image costs word-size arithmetic where the pool over Q costs
-thousand-bit products.
+the samples, kept on residues mod a prime (`_NewtonPool`).  Every path
+hands its selection of rows to `ratfun.lift_rows`: over F_p at the
+field's prime; over Q at the word primes of `ratfun.moduli`, whose rows
+are joined by CRT, lifted to Q by rational number reconstruction (Wang
+1981) and checked exactly on every sample by integer Horner (`_agrees`),
+a checked lift being the row over Q.  The fitted functions have
+coefficients of a few digits, which one prime lifts, and larger ones
+take a few more word primes, where a walk over Q would cost products of
+thousands of bits.  A `RatFun1` is built only for the fit returned.
 
 `fit_ratfun` and `interp_point` share one path (`_solve`): the
-`ratfun.first_row` of type (n, m) under the caller's test, coprime for a
-fit (else NoFit) or a one-dimensional kernel for a point (else BetaZero),
-whose value is r(a)/(den*t(a)), tried once per modulus (`_solve_mod`)
-until one answers.  Degree detection bounds the walk by the candidate's
-total degree, and walks only when a candidate can exist: a test in O(k)
-per drawn point that the Euclid remainder sequence of the pool at the
-first modulus is normal (`_GatedPool`) settles the other passes, and
-over Q a pass walks over Q only where the image cannot answer
-(`detect_profile_with_fit` has the proofs).
+`ratfun.first_row` of type (n, m), under the caller's test on the exact
+row: coprime for a fit (else NoFit) or a one-dimensional kernel for a
+point (else BetaZero), whose value is r(a)/t(a).  Degree detection
+bounds the walk by the candidate's total degree, and walks only when a
+candidate can exist: a test in O(k) per drawn point that the Euclid
+remainder sequence of the pool at the first prime is normal
+(`_GatedPool`) settles the other passes (`detect_profile_with_fit` has
+the proofs).
 
 The pointwise formula, the ratio of the two bordered determinants of
 `alpha_beta` under the frozen sign `interp_sign`, gives the same value or
@@ -32,8 +29,6 @@ as the reference of the tests and the acceptance suite.
 """
 
 from __future__ import annotations
-
-import math
 
 from .errors import (
     BetaZero,
@@ -48,13 +43,11 @@ from .matrix import bordered_dets, det_exact
 from .poly import Poly1, _strip, field_prime, int_pair, int_powers, over
 from .ratfun import (
     RatFun1,
-    _coprime,
     degree_and_ord,
     first_row,
-    lift_row,
+    lift_rows,
     moduli,
     ratfun1_from_row,
-    reconstruct_ints,
     rows_by_degree,
 )
 from .records import Frozen, Record
@@ -176,7 +169,7 @@ def alpha_beta(samples: SampleSet1, profile: DegreeProfile, a):
 
 def interp_point(samples: SampleSet1, profile: DegreeProfile, a):
     """Exact value at a of the function of type (n, m) through the l + 1
-    samples: r(a)/(den*t(a)) for the row of `_solve`, taken when the kernel
+    samples: r(a)/t(a) for the row of `_solve`, taken when the kernel
     of the data matrix of `alpha_beta` is one-dimensional, and equal to the
     sign-calibrated ratio of its two determinants.
 
@@ -188,10 +181,8 @@ def interp_point(samples: SampleSet1, profile: DegreeProfile, a):
     of (r, t): alpha/beta is r(a)/t(a) under the calibrated sign, and
     beta = 0 exactly when t(a) = 0, which raises BetaZero.  Otherwise the
     rank is at most l, both determinants vanish, and BetaZero is raised as
-    well.  Over Q a lifted row of `_solve_mod` solves the weak equations
-    exactly and the kernel mod p is one-dimensional; the matrix mod p is the image
-    of the one over Q, whose rank l + 1 mod p forces rank l + 1 over Q, so
-    that row is a multiple of the Cramer vector too."""
+    well.  Over Q the row of `_solve` is the row over Q (`ratfun.lift_rows`),
+    so the test reads its exact degrees."""
     if len(samples) != profile.l + 1:
         raise SizeMismatch(f"need {profile.l + 1} samples, got {len(samples)}")
     n, m = profile.n, profile.m
@@ -199,12 +190,12 @@ def interp_point(samples: SampleSet1, profile: DegreeProfile, a):
     p = field_prime(field)
     an, ad = int_pair(a, p)
     solved = _solve(samples, n, m,
-                    lambda r, t, _: len(r) == n + 1 or len(t) == m + 1)
+                    lambda r, t, *_: len(r) == n + 1 or len(t) == m + 1)
     if solved is None:
         raise BetaZero(_BETA_ZERO)
-    r, t, den = solved
+    r, t = solved
     (rn, rs), (tn, ts) = _horner_q(r, an, ad), _horner_q(t, an, ad)
-    d = tn * rs * den
+    d = tn * rs
     if (d if p is None else d % p) == 0:
         raise BetaZero(_BETA_ZERO)
     return over(field, d)(rn * ts)
@@ -220,22 +211,16 @@ def _field_of(samples: SampleSet1) -> Field:
 
 
 class _NewtonPool:
-    """The Newton interpolant of the points so far, on integers: the
-    modulus prod(x - a_i) and the interpolant u with u(a_i) = v_i.  Points
-    come as the integer pairs of `poly.int_pair`, a = (an, ad) and
-    v = (vn, vd).
-
-    With a prime `p` the pool is that of the points' image mod p (over F_p
-    the points themselves): both are residue lists.  With p None, over Q,
-    the modulus is prod(d_i*x - n_i) for a_i = n_i/d_i (a scalar multiple,
-    which leaves the Newton step c*M unchanged) and u is an integer list
-    over the common denominator `den`."""
+    """The Newton interpolant mod the prime `p` of the points so far, on
+    residues: the modulus prod(x - a_i) and the interpolant u with
+    u(a_i) = v_i.  Points come as the integer pairs of `poly.int_pair`,
+    a = (an, ad) and v = (vn, vd), and the pool is that of their image
+    mod p (over F_p the points themselves)."""
 
     steps = None        # a `_GatedPool`'s certificate; a plain pool keeps none
 
-    def __init__(self, p):
-        self.p = p
-        self.modulus, self.u, self.den = [1], [], 1
+    def __init__(self, p: int):
+        self.p, self.modulus, self.u = p, [1], []
 
     def add(self, a, v) -> bool:
         """Extend the interpolant by the fresh point (a, v); False, adding
@@ -244,38 +229,21 @@ class _NewtonPool:
         certificate first, from M(a) and u(a)."""
         p, mod, u = self.p, self.modulus, self.u
         (an, ad), (vn, vd) = a, v
-        if p is not None:
-            d = ad * vd % p
-            if not d:
-                return False
-            inv = pow(d, -1, p)
-            a, v = an * vd * inv % p, vn * ad * inv % p
-            ma = _horner(mod, a, p)
-            if not ma:
-                return False
-            ua = _horner(u, a, p)
-            if self.steps is not None:
-                self.steps = self._next_steps(a, v, ma, ua)
-            c = (v - ua) * pow(ma, -1, p) % p
-            u = u + [0] * (len(mod) - len(u))
-            self.u = _strip([(x + c * y) % p for x, y in zip(u, mod)])
-            self.modulus = [(x - a * y) % p for x, y in zip([0] + mod, mod + [0])]
-            return True
-        den = self.den
-        un, us = _horner_q(u, an, ad)       # u(a) = un/us
-        mn, ms = _horner_q(mod, an, ad)     # M(a) = mn/ms
-        # v - u(a)/den = w/(vd*us*den), so the step is
-        # u/den + (v - u(a)/den) * M/M(a) = (u*cd + w*ms*M) / (den*cd)
-        w = vn * den * us - un * vd
-        cd = vd * us * mn
+        d = ad * vd % p
+        if not d:
+            return False
+        inv = pow(d, -1, p)
+        a, v = an * vd * inv % p, vn * ad * inv % p
+        ma = _horner(mod, a, p)
+        if not ma:
+            return False
+        ua = _horner(u, a, p)
+        if self.steps is not None:
+            self.steps = self._next_steps(a, v, ma, ua)
+        c = (v - ua) * pow(ma, -1, p) % p
         u = u + [0] * (len(mod) - len(u))
-        new = [x * cd + w * ms * y for x, y in zip(u, mod)]
-        den *= cd
-        g = math.gcd(den, *new)
-        if den < 0:
-            g = -g
-        self.u, self.den = _strip([x // g for x in new]), den // g
-        self.modulus = [x * ad - an * y for x, y in zip([0] + mod, mod + [0])]
+        self.u = _strip([(x + c * y) % p for x, y in zip(u, mod)])
+        self.modulus = [(x - a * y) % p for x, y in zip([0] + mod, mod + [0])]
         return True
 
 
@@ -345,70 +313,60 @@ def _horner_q(cs: list, n: int, d: int):
     return acc * d, scale
 
 
-def _row_profile(r: list, t: list) -> DegreeProfile:
-    """DegreeProfile.of the function of an EEA row."""
-    if not r:
-        return DegreeProfile.from_de(0, 0)
-    dn, dd = len(r) - 1, len(t) - 1
-    return DegreeProfile.from_de(max(dn, dd), dn - dd)
-
-
-def _pool(pairs: list, q):
-    """The `_NewtonPool` of the points `pairs` mod q (over Q, q None), or
-    None when a point has no image mod q."""
+def _pool(pairs: list, q: int):
+    """The `_NewtonPool` of the points `pairs` mod q, or None when a point
+    has no image mod q."""
     pool = _NewtonPool(q)
     return pool if all(pool.add(a, v) for a, v in pairs) else None
 
 
-def _agrees(r: list, t: list, den: int, pairs: list, p) -> bool:
-    """Whether r(a) = v*den*t(a), mod p over F_p, at every point of the
-    integer pairs `pairs`: for a coprime row, whether its function r/(den*t)
-    is defined at each a with value v, as r and t have no common root."""
+def _agrees(r: list, t: list, pairs: list, p) -> bool:
+    """Whether r(a) = v*t(a), mod p over F_p, at every point of the integer
+    pairs `pairs`: for a coprime row, whether its function r/t is defined
+    at each a with value v, as r and t have no common root."""
     for (an, ad), (vn, vd) in pairs:
         rn, rs = _horner_q(r, an, ad)       # r(a) = rn/rs
         tn, ts = _horner_q(t, an, ad)
-        d = rn * ts * vd - vn * den * tn * rs
+        d = rn * ts * vd - vn * tn * rs
         if d if p is None else d % p:
             return False
     return True
 
 
-def _lift_checked(row, q: int, pairs: list):
-    """(r, t, 1): the image row mod q made monic and lifted to Q by
-    `ratfun.lift_row`, if r(a) = v*t(a) at every point of the integer
-    pairs `pairs` over Q, checked exactly; else None."""
-    row = lift_row(*row, q)
-    return None if row is None or not _agrees(*row, 1, pairs, None) else (*row, 1)
+def _coprime_row(r: list, t: list, pairs: list, p) -> bool:
+    """Whether the walk row (r, t) is coprime: its t vanishes at no
+    abscissa of `pairs`, as gcd(r, t) = gcd(t, prod(x - a_i))."""
+    return all(_horner(t, an, p) if p else _horner_q(t, an, ad)[0]
+               for (an, ad), _ in pairs)
 
 
-def _solve_mod(samples: SampleSet1, n: int, m: int, accept, q):
-    """(r, t, den): the `ratfun.first_row` (r, t) of the samples' Newton
-    pool mod q, whose function is r/(den*t), or None when there is none or
-    `accept(r, t, q)` fails.  q is a modulus of `ratfun.moduli`: the
-    field's prime, None for the field's own pool, or over Q `WORD_PRIME`,
-    whose pool is that of the samples' image; its row is returned as
-    `_lift_checked` returns it, checked on the integer pairs of the
-    samples.  None also when a point has no image mod q."""
-    p = field_prime(_field_of(samples))
-    pairs = [(int_pair(a, p), int_pair(v, p)) for a, v in samples.points]
-    pool = _pool(pairs, p if q is None else q)
-    if pool is None:
-        return None
-    row = first_row(pool.modulus, pool.u, pool.p, n, m)
-    if row is None or not accept(*row, pool.p):
-        return None
-    return (*row, pool.den) if pool.p == p else _lift_checked(row, q, pairs)
+def _lift(image, pairs: list, p):
+    """`ratfun.lift_rows` of the selection `image` from the walks on the k
+    points `pairs`, over Q checked exactly on every point, with the prime
+    count of `fit_ratfun` from the points' bit lengths."""
+    def bits():
+        k = len(pairs)
+        ea, ev = (max((abs(c) for pair in pairs for c in pair[i]), default=1).bit_length()
+                  for i in (0, 1))
+        return (k + 2) ** 2 * (k + 1) * (k * ea + ev + (k + 1).bit_length())
+    return lift_rows(image, lambda r, t: _agrees(r, t, pairs, None), p, bits)
 
 
 def _solve(samples: SampleSet1, n: int, m: int, accept):
-    """The answer of `_solve_mod` at the first modulus of `ratfun.moduli`
-    that gives one: over Q the samples' image mod `WORD_PRIME` first, the
-    pool over Q last."""
-    for q in moduli(field_prime(_field_of(samples))):
-        solved = _solve_mod(samples, n, m, accept, q)
-        if solved is not None:
-            return solved
-    return None
+    """The row (r, t) of the samples' walk selected by `ratfun.first_row`,
+    whose function is r/t, exact over Q (`ratfun.lift_rows`), or None when
+    there is none or `accept(r, t, pairs, p)` fails on it, `pairs` the
+    samples' integer pairs."""
+    p = field_prime(_field_of(samples))
+    pairs = [(int_pair(a, p), int_pair(v, p)) for a, v in samples.points]
+
+    def image(q):
+        pool = _pool(pairs, q)
+        row = pool and first_row(pool.modulus, pool.u, q, n, m)
+        return None if pool is None else [row] if row else []
+
+    rows = _lift(image, pairs, p)
+    return rows[0] if rows and accept(*rows[0], pairs, p) else None
 
 
 def fit_ratfun(samples: SampleSet1, n_deg: int, m_deg: int) -> RatFun1:
@@ -417,21 +375,30 @@ def fit_ratfun(samples: SampleSet1, n_deg: int, m_deg: int) -> RatFun1:
     every sample: the row of `_solve`, if coprime, else NoFit.  Requires at
     least one sample beyond n_deg + m_deg + 1, which makes the fit unique.
 
-    Over Q a lift (P, Q) of `_solve_mod`, from an image row that is coprime
-    mod p, is that fit.  Q is monic, deg P <= n_deg,
-    deg Q <= m_deg and P(a_i) = v_i*Q(a_i) at every sample; Q(a_i) != 0,
-    as a Euclid row has gcd(r, t) = gcd(t, modulus), so the image of Q has
-    no root among the abscissae mod p.  Then the pool over Q fits too, and
-    P/Q is its fit as a function: for any
-    fit P'/Q', P*Q' - P'*Q has degree <= n_deg + m_deg and at least
-    n_deg + m_deg + 2 roots.  P/Q is in lowest terms: a monic common factor
-    over Q would have p-integral coefficients, as Q has, and would survive
-    mod p as a factor of the coprime image row.  So it is the same
-    canonical RatFun1."""
+    The row is read off the exact rows of `ratfun.lift_rows`: over Q
+    the lift checked on every sample is the row over Q, so the
+    predicate is read off it, not off an image.  A walk row has
+    gcd(r, t) = gcd(t, prod(x - a_i)), so it is coprime exactly when t
+    vanishes at no sample (`_coprime_row`); then r/t is defined at every
+    sample with its value, and it is the fit: for any fit P'/Q',
+    r*Q' - P'*t has degree <= n_deg + m_deg and at least n_deg + m_deg + 2
+    roots.
+
+    The prime count (`_lift`).  For k points with numerators and
+    denominators of at most e_a bits (abscissae) and e_v bits (values),
+    the rows of degrees (A, B) solve the system r(a_i) = v_i*t(a_i),
+    whose row i, scaled to integers, has entries below 2^(k*e_a + e_v),
+    in at most k + 1 columns; so every minor is below 2^beta,
+    beta = (k + 1)*(k*e_a + e_v + bitlen(k + 1)) (Hadamard), and so is H.
+    The bad reductions divide prod(ad_i*vd_i) and the differences of the
+    abscissae, below 2^(k*(e_a + e_v) + k^2*(e_a + 1)); with one minor for
+    each of the (k + 1)(k + 2)/2 degree pairs, (k + 2)^2*beta bounds
+    log2(D*2H^2).
+    """
     if len(samples) < n_deg + m_deg + 2:
         raise SizeMismatch(
             f"need >= {n_deg + m_deg + 2} samples for degrees ({n_deg}, {m_deg})")
-    solved = _solve(samples, n_deg, m_deg, _coprime)
+    solved = _solve(samples, n_deg, m_deg, _coprime_row)
     if solved is None:
         raise NoFit("no rational function with these degree bounds fits the samples")
     return ratfun1_from_row(_field_of(samples), *solved)
@@ -468,30 +435,22 @@ def _draw_defined(oracle: "Callable[[object], object | None]", draw,
 
 
 def _candidate(gate, pairs: list, lim: int, p):
-    """The candidate (r, t, den) of a detection pass at bound `lim` on the
-    points `pairs`, whose function is r/(den*t), or None when the pass has
-    none: the row of `ratfun.reconstruct_ints` on the points' pool over the
-    field.  `gate` is the points' `_GatedPool` at the first modulus of
-    `ratfun.moduli`, None after a bad reduction; a normal one settles the
-    pass.  Over F_p it is the pool.  Over Q it is the points' image: no
-    image row within `lim` settles the pass, and a first one that is
-    coprime mod q is returned by `_lift_checked`; else the walk over Q
-    answers, on a pool built from `pairs`."""
-    if gate is not None:
-        if gate.steps is not None:
-            return None
-        if gate.p != p:
-            rows = rows_by_degree(gate.modulus, gate.u, gate.p, lim)
-            if not rows:
-                return None
-            if _coprime(*rows[0], gate.p):
-                lifted = _lift_checked(rows[0], gate.p, pairs)
-                if lifted is not None:
-                    return lifted
-            gate = None
-    pool = _pool(pairs, p) if gate is None else gate
-    row = reconstruct_ints(pool.modulus, pool.u, p, limit=lim)
-    return None if row is None else (*row, pool.den)
+    """The candidate (r, t) of a detection pass at bound `lim` on the
+    points `pairs`, whose function is r/t, or None when the pass has none:
+    the first coprime row (`_coprime_row`) of `ratfun.rows_by_degree`
+    within `lim`, exact over Q (`ratfun.lift_rows`).  `gate` is the
+    points' `_GatedPool` at the first prime of `ratfun.moduli`, None after
+    a bad reduction; a normal one settles the pass, and the others walk
+    it at that prime."""
+    if gate is not None and gate.steps is not None:
+        return None
+
+    def image(q):
+        pool = gate if gate is not None and gate.p == q else _pool(pairs, q)
+        return None if pool is None else rows_by_degree(pool.modulus, pool.u, q, lim)
+
+    rows = _lift(image, pairs, p)
+    return next((row for row in rows or () if _coprime_row(*row, pairs, p)), None)
 
 
 def detect_profile_with_fit(oracle: "Callable[[object], object | None]",
@@ -507,7 +466,7 @@ def detect_profile_with_fit(oracle: "Callable[[object], object | None]",
     A pass is settled with no walk (the gate below), or walks the
     extended-Euclid rows of one pool once, up to cofactor degree
     lim = min(k - 2, max_degree), so a pass below two points divides
-    nothing; over Q a pass whose image cannot answer walks over Q too.
+    nothing; over Q a pass walks the image mod each prime it needs.
 
     The gate.  A slice of total degree l has no candidate before k = l + 2,
     and such passes need no walk when the Euclid remainder sequence of
@@ -540,35 +499,30 @@ def detect_profile_with_fit(oracle: "Callable[[object], object | None]",
     new sequence is not normal either way, and the gate stays off for the
     slice (a candidate may now exist), so every later pass walks.
 
-    The gate runs on the pool at the first modulus of `ratfun.moduli`,
+    The gate runs on the pool at the first prime of `ratfun.moduli`,
     from the first point: over F_p the pool itself, over Q the points'
     image mod `poly.WORD_PRIME`.  The image is good when p divides no
     denominator of an a_i or v_i and the a_i stay distinct mod p, else it
-    is dropped (`_NewtonPool.add`) and every later pass walks over Q.  Then
-    a row (r, t) over Q of total degree <= lim, scaled to coprime integers,
+    is dropped (`_NewtonPool.add`) and every later pass walks.  Then a
+    row (r, t) over Q of total degree <= lim, scaled to coprime integers,
     reduces to a solution of the image problem of at most its degrees,
     with t nonzero (r would have k roots), so by Thm 5.16 the image has a
     row within lim: a normal image sequence, or an image walk with no row
-    within lim, settles the pass exactly as the walk over Q would.
+    within lim, settles the pass as the rows over Q would.
 
-    A lifted candidate is the row of the walk over Q.  Let the image's
-    first row in (total degree, deg r) order within lim be coprime mod p,
-    and let its lift L (`_lift_checked`) check exactly on the points.  L
-    is coprime over Q: its t is monic and p-integral, so a common factor
-    would survive mod p.  So L is a multiple of a row of the walk over Q,
-    with L's degrees (Thm 5.16).  Conversely the row R that the walk over
-    Q selects reduces to c*I for an image row I of at most R's degrees, so
-    I comes no later than R in that order.  The first image row therefore
-    comes no later than R, and R no later than L's row; L's row has the
-    first image row's degrees, so it is R.  The argument fails when the
-    first image row is not coprime mod p: then, as on a bad reduction or
-    a failed lift or check, the walk over Q answers (`_candidate`)."""
+    A pass with rows takes them all from `ratfun.lift_rows`: the rows
+    within lim, exact over Q, the lift of the images' rows checked on the
+    stored points (`lift_rows` has the proof that a checked lift is the
+    list over Q).  The candidate is the first coprime one, which the
+    exact rows decide (`_coprime_row`): a walk row has gcd(r, t) =
+    gcd(t, M), so it is coprime exactly when t vanishes at no stored
+    abscissa.  The prime count is that of `fit_ratfun`, on the stored
+    points (`_lift`)."""
     cap = cfg.max_degree
     draw = field._sampler(rng, cfg.height_bound)
     taken: set = set()
     p = field_prime(field)
-    q = moduli(p)[0]
-    gate = None if q is None else _GatedPool(q)
+    gate = _GatedPool(next(moduli(p)))
     pairs = []
     # a pass either draws one point, which happens only while the pool is
     # below cap + 2, or rejects a candidate at a strictly later degree pair
@@ -579,8 +533,8 @@ def detect_profile_with_fit(oracle: "Callable[[object], object | None]",
             fresh = [_draw_defined(oracle, draw, taken, p)
                      for _ in range(cfg.validation_extra)]
             if _agrees(*row, fresh, p):
-                r, t, den = row
-                return _row_profile(r, t), ratfun1_from_row(field, r, t, den)
+                fit = ratfun1_from_row(field, *row)
+                return DegreeProfile.of(fit), fit
         elif max(k - 1, 0) > cap:
             break
         else:

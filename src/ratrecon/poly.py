@@ -157,6 +157,8 @@ def gcd_poly1(a: Poly1, b: Poly1) -> Poly1:
 # Ascending powers, trailing zeros stripped, [] for zero.  `p` is the prime
 # of F_p, whose lists hold residues in [0, p), or None for Q, whose lists
 # stand for a rational polynomial up to a nonzero scalar (see poly1_ints).
+# Over Q only `gcd_poly1` and the exact checks of `ratfun` divide: every
+# Euclid walk of a univariate reconstruction runs mod a prime.
 
 
 def field_prime(field: Field):
@@ -164,10 +166,11 @@ def field_prime(field: Field):
     return field.p if isinstance(field, PrimeField) else None
 
 
-# The prime of the word-size images of Q computations: the first modulus of
-# `ratfun.moduli`, on which `interp` and `hankel` walk their Euclid rows.
-# Below 2^30 each residue is one digit of a CPython int, which keeps the
-# products of a Euclid step small.
+# The first of the word primes of `ratfun.moduli`, the images of every
+# univariate reconstruction over Q: `interp` and `hankel` walk their Euclid
+# rows mod it, then mod the primes below it where it cannot answer, and
+# lift the rows joined by CRT.  Below 2^30 each residue is one digit of a
+# CPython int, which keeps the products of a Euclid step small.
 WORD_PRIME = 2 ** 30 - 35
 
 

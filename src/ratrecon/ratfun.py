@@ -9,28 +9,33 @@ ends in it after cancelling the gcd on packed integer polynomials
 (`poly._Packed`), `RatFun1.to_ratfunn` and the engine's combine without one.
 
 Every univariate reconstruction reads rows of one extended-Euclid walk,
-`eea_rows`, on integer lists: residue rows over F_p, pseudo-remainder
-rows over Q.  `first_row` selects the row of an (n, m) fit, for
-`interp.fit_ratfun`, `interp.interp_point` and `rational_reconstruct` on
-bounds; `reconstruct_ints` selects the minimal row of degree detection
-from the rows in degree order, `rows_by_degree`;
-`rational_reconstruct` runs either on `Poly1` arguments for
-`hankel.pade_reconstruct` and the tests; the Hankel certificate walks
-the rows itself.  The walk alone stops the Euclid, at a bound on the cofactor
-degree that each caller derives from its own: m for an (n, m) fit, the
-total-degree `limit` of degree detection, m_max for the Hankel
+`eea_rows`, on residue lists mod a prime.  `first_row` selects the row
+of an (n, m) fit, for `interp.fit_ratfun`, `interp.interp_point` and
+`rational_reconstruct` on bounds; `rows_by_degree` lists the rows in
+(total degree, deg r) order, from which degree detection and the
+unbounded `rational_reconstruct` take the first coprime one;
+`rational_reconstruct` runs on `Poly1` arguments for
+`hankel.pade_reconstruct` and the tests; the Hankel certificate selects
+its rows itself.  The walk alone stops the Euclid, at a bound on the
+cofactor degree that each caller derives from its own: m for an (n, m)
+fit, the total-degree `limit` of degree detection, m_max for the Hankel
 certificate.
 
-`interp` (its fits, points and degree detection) and `hankel` answer on
-the moduli of `moduli`: the field's prime over F_p; over Q first
-`poly.WORD_PRIME`, whose rows `lift_row` lifts to Q by rational number
-reconstruction (`rat_lift`) for the caller's exact check, and last None,
-the walk over Q, which answers whatever the image left open.
+Every caller hands its selection to `lift_rows`, one residue path for
+both fields.  Over F_p it runs once, at the field's prime, and the rows
+are the answer.  Over Q it runs over the word primes of `moduli`,
+`poly.WORD_PRIME` first: rows of the same degrees are joined by CRT,
+lifted to Q by rational number reconstruction (`rat_lift`) and checked
+exactly by the caller, and a checked lift is the row over Q.  The number
+of primes is bounded by the caller's integer sizes (the proof is in
+`lift_rows`).
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
+from itertools import zip_longest
 
 from .errors import UndefinedAt, ZeroDenominator, ZeroFunction
 from .expr import Add, Div, IntLit, Mul, Pow, Var, _compile
@@ -42,6 +47,7 @@ from .poly import (  # gcd_polyn: bench/selftest.py looks it up here
     _packed_gcd,
     _ring_for,
     _same_field,
+    _strip,
     divmod_ints,
     field_prime,
     gcd_ints,
@@ -294,8 +300,21 @@ def rational_reconstruct(modulus: Poly1, u: Poly1, n: int | None = None,
 
     With modulus prod(x - a_i) and u the interpolant of values v_i this is
     rational interpolation through the points (a_i, v_i); with modulus t^N
-    and u a truncated series it is Pade approximation.  The work is done by
-    `reconstruct_ints` on the integer coefficient lists.
+    and u a truncated series it is Pade approximation.  The rows are read
+    by `lift_rows` off the walks of the integer coefficient lists mod each
+    prime (a bad reduction: the prime divides lc(modulus) or u's
+    denominator), over Q checked exactly, t*u = r mod modulus by
+    pseudo-division.  Without bounds the rows within each total degree
+    from 0 up are read in turn, and the first level with a coprime row
+    answers: `lift_rows` returns all rows over Q within the level, so rows
+    of high degree, whose coefficients are large, are lifted only when no
+    lower one answers.  Its prime count: with d = deg modulus and e the
+    largest bit length of the integers of modulus, u and its denominator,
+    every row solves the integer system den*r - t*u + s*modulus = 0 in at
+    most 3d unknowns with entries below 2^e, whose minors are below 2^beta,
+    beta = 3d*(e + bitlen(3d)) (Hadamard); so bits = (d + 3)^2*beta covers
+    the two bad-reduction integers, one nonzero maximal minor for each of
+    the (d + 1)^2 degree pairs, and 2H^2 with H = 2^beta.
     """
     _same_field(modulus, u)
     field = modulus.field
@@ -307,50 +326,54 @@ def rational_reconstruct(modulus: Poly1, u: Poly1, n: int | None = None,
     if len(ints) >= len(mod):
         s, _, ints = divmod_ints(ints, mod, p)
         den *= s
-    if n is None:
-        row = reconstruct_ints(mod, ints, p)
-    else:
-        row = first_row(mod, ints, p, n, m)
-        row = row if row is not None and _coprime(*row, p) else None
-    return None if row is None else ratfun1_from_row(field, *row, den)
+    d = len(mod) - 1
 
+    def image(q, lim):
+        if mod[-1] * den % q == 0:
+            return None
+        rmod, ru = [c % q for c in mod], _strip([c % q for c in ints])
+        if n is None:
+            return rows_by_degree(rmod, ru, q, lim)
+        row = first_row(rmod, ru, q, n, m)
+        return [row] if row else []
 
-def reconstruct_ints(modulus: list, u: list, p, limit=math.inf):
-    """The unbounded selection of `rational_reconstruct` on integer
-    coefficient lists (see poly.py), deg u < deg modulus: the coprime row
-    (r, t) of `eea_rows` of minimal total degree, ties going to the smaller
-    deg r, if that degree is within `limit`, else None.  The function the
-    row stands for is r/(den*t), where u/den is the interpolant (see
-    ratfun1_from_row)."""
-    for row in rows_by_degree(modulus, u, p, limit):
-        if _coprime(*row, p):
-            return row
+    def solves(r, t):
+        diff = zip_longest(mul_ints(t, ints, None), r, fillvalue=0)
+        return not divmod_ints(_strip([a - den * b for a, b in diff]), mod, None)[2]
+
+    e = max(abs(c).bit_length() for c in [*mod, *ints, den]) + (3 * d).bit_length()
+    for lim in range(d) if n is None else [d]:      # rows within a total degree
+        rows = lift_rows(partial(image, lim=lim), solves, p,
+                         lambda: (d + 3) ** 2 * 3 * d * e, den)
+        row = next((row for row in rows or () if _coprime(*row, p)), None)
+        if row is not None:
+            return ratfun1_from_row(field, *row)
     return None
 
 
-def rows_by_degree(modulus: list, u: list, p, limit=math.inf) -> list:
+def _degrees(r: list, t: list) -> tuple:
+    """The order key of a row: (total degree, deg r + 1), deg r read as 0
+    in the total for r = 0."""
+    return max(len(r) - 1, 0) + len(t) - 1, len(r)
+
+
+def rows_by_degree(modulus: list, u: list, p: int, limit=math.inf) -> list:
     """The rows (r, t) of `eea_rows` of total degree deg r + deg t within
     `limit` (deg r read as 0 for r = 0), in the order (total degree,
     deg r).  The walk stops at the cofactor degree `limit`."""
-    rows = sorted([((max(len(r) - 1, 0) + len(t) - 1, len(r)), r, t)
-                   for r, t in eea_rows(modulus, u, p, limit)])
+    rows = sorted((_degrees(r, t), r, t) for r, t in eea_rows(modulus, u, p, limit))
     return [(r, t) for (total, _), r, t in rows if total <= limit]
 
 
-def eea_rows(modulus: list, u: list, p, top=math.inf):
-    """The rows (r, t) of the extended Euclidean algorithm on (modulus, u),
-    u stripped and deg u < deg modulus, from (u, 1) down to the last row
-    with deg t <= top (the row whose r is the zero list [] at the latest;
-    none when top < 0).  Each has t nonzero and r = t*u mod modulus, deg r
-    falling and deg t rising from row to row: the row after (r1, t1), with
-    r0 the remainder before r1, has deg t = deg t1 + deg r0 - deg r1, so
-    the walk stops before it divides for a row past `top`.
-
-    Over F_p the rows are residue lists.  Over Q they come from the
-    pseudo-remainder sequence, s*r0 = q*r1 + r2 and t2 = s*t0 - q*t1, with
-    the joint integer content of (r2, t2) divided out; each row is then a
-    nonzero scalar multiple of the row over Q, so the degrees, the order by
-    (total degree, deg r), the bounds and the coprimality test all agree."""
+def eea_rows(modulus: list, u: list, p: int, top=math.inf):
+    """The rows (r, t) of the extended Euclidean algorithm on (modulus, u)
+    mod the prime p, residue lists, u stripped and deg u < deg modulus,
+    from (u, 1) down to the last row with deg t <= top (the row whose r is
+    the zero list [] at the latest; none when top < 0).  Each has t nonzero
+    and r = t*u mod modulus, deg r falling and deg t rising from row to
+    row: the row after (r1, t1), with r0 the remainder before r1, has
+    deg t = deg t1 + deg r0 - deg r1, so the walk stops before it divides
+    for a row past `top`."""
     r0, r1, t0, t1 = modulus, u, [], [1]
     if top < 0:
         return
@@ -358,26 +381,17 @@ def eea_rows(modulus: list, u: list, p, top=math.inf):
         yield r1, t1
         if not r1 or len(t1) + len(r0) - len(r1) - 1 > top:
             return
-        s, q, r2 = divmod_ints(r0, r1, p)
-        t2 = [-c for c in mul_ints(q, t1, p)]   # deg q*t1 > deg t0
-        for i, c in enumerate(t0):
-            t2[i] += s * c
-        if p is None:
-            g = math.gcd(*r2, *t2)
-            if g > 1:
-                r2, t2 = [c // g for c in r2], [c // g for c in t2]
-        else:
-            t2 = [c % p for c in t2]
+        _, q, r2 = divmod_ints(r0, r1, p)
+        t2 = [(a - b) % p for a, b in zip_longest(t0, mul_ints(q, t1, p), fillvalue=0)]
         r0, r1, t0, t1 = r1, r2, t1, t2
 
 
-def first_row(modulus: list, u: list, p, n: int, m: int):
+def first_row(modulus: list, u: list, p: int, n: int, m: int):
     """The first row (r, t) of `eea_rows` with deg r <= n among those with
     deg t <= m, or None.  With n + m < deg modulus every solution of
     P = Q*u mod `modulus` with deg P <= n and deg Q <= m is a polynomial
     multiple of it (see `rational_reconstruct`)."""
-    return next((row for row in eea_rows(modulus, u, p, m) if len(row[0]) <= n + 1),
-                None)
+    return next((row for row in eea_rows(modulus, u, p, m) if len(row[0]) <= n + 1), None)
 
 
 def rat_lift(residues: list, p: int):
@@ -387,7 +401,8 @@ def rat_lift(residues: list, p: int):
     the first remainder within bound = sqrt(p/2), the lift taken when
     0 < w <= bound and gcd(u, w) = 1.  As 2*bound^2 < p there is at most
     one such fraction per residue, and a residue lifts to 0 only if it is
-    0.  The callers of `lift_row` check the lifts exactly."""
+    0.  The modulus p need not be prime: `lift_rows` passes a product of
+    primes, and checks the lifts exactly."""
     bound, lifted = math.isqrt(p // 2), []
     for c in residues:
         r0, r1, t0, t1 = p, c, 0, 1
@@ -403,39 +418,128 @@ def rat_lift(residues: list, p: int):
     return [u * (den // w) for u, w in lifted]
 
 
-def moduli(p) -> tuple:
-    """The moduli of the univariate image path, in the order tried: over
-    F_p the field's prime p; over Q (p None) `WORD_PRIME`, then None, the
-    walk over Q, which always answers."""
-    return (p,) if p is not None else (WORD_PRIME, None)
+def moduli(p, bits=lambda: 0):
+    """The primes of the univariate image path, in the order tried: over
+    F_p the field's prime p; over Q (p None) `WORD_PRIME`, then each next
+    odd prime below it (`_is_prime`), until the product of those yielded
+    passes 2^bits() (each prime q counts bitlen(q) - 1 bits).  `bits` is
+    called only when a prime after the first is asked for, so a call the
+    first prime answers does not work out the bound."""
+    if p is not None:
+        yield p
+        return
+    q, got = WORD_PRIME, 0
+    while q > 1 and (not got or got <= bits()):
+        yield q
+        got += q.bit_length() - 1
+        q -= 2
+        while q > 1 and not _is_prime(q):
+            q -= 2
 
 
-def lift_row(r: list, t: list, q: int, k: int = -1, den: int = 1):
-    """The row (r, t) of a walk mod q, scaled to t[k] = 1 with r divided by
-    den, lifted to Q by `rat_lift`: integer lists (r, t) over one common
-    denominator, of the row's degrees, or None when den is 0 mod q or a
-    coefficient has no lift."""
-    if den % q == 0:
-        return None
-    inv = pow(t[k], -1, q)
-    r_inv = inv * pow(den, -1, q) % q
-    ints = rat_lift([c * r_inv % q for c in r] + [c * inv % q for c in t], q)
-    return None if ints is None else (ints[:len(r)], ints[len(r):])
+def _is_prime(n: int) -> bool:
+    """Whether the odd n >= 3 is prime: Miller-Rabin with the bases 2, 7
+    and 61, deterministic below 4759123141 (Jaeschke 1993), which covers
+    every word prime.  n - 1 = d*2^s with d odd, and n passes base a when
+    a^d is 0 (n divides a), 1 or -1, or a square a^(d*2^i), 0 < i < s,
+    is -1."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    for a in (2, 7, 61):
+        x = pow(a, (n - 1) >> s, n)
+        if x not in (0, 1, n - 1) and all((x := x * x % n) != n - 1 for _ in range(s - 1)):
+            return False
+    return True
+
+
+def lift_rows(image, check, p, bits=lambda: 0, den: int = 1):
+    """The rows (r, t) that a univariate reconstruction selects from the
+    extended-Euclid walk of its data over the field of prime p (None for
+    Q), read off the walks mod the primes q of `moduli(p, bits)`.
+
+    `image(q)` is the caller's selection mod q: a list of rows in
+    (total degree, deg r) order, empty when none lies within its bounds,
+    or None on a bad reduction (a denominator 0 mod q, a modulus whose
+    degree drops, abscissae congruent mod q).  Over F_p the rows at p are
+    the answer.  Over Q an empty list at a good prime is the answer (no
+    rows over Q).  Otherwise each row is scaled to a monic t with r
+    divided by `den`, the rows of primes whose lists have the same degrees
+    are joined by CRT, and the join is lifted by `rat_lift` modulo the
+    product of its primes (Wang 1981; Monagan, ISSAC 2004).  A prime whose
+    list comes earlier than the kept one is dropped, and one whose list
+    comes later replaces it: lists compare by their rows' (total degree,
+    deg r), a list before its own prefix.  The join is lifted when it
+    holds 1, 2, 4, 8, ... primes, so the lifts cost about twice the last
+    one.  The lifted rows, integer lists over one common denominator of
+    the rows' degrees, are returned once `check(r, t)` holds for each,
+    else None when the primes run out.
+
+    Why the checked lift is the answer over Q.  Every caller selects the
+    rows of a walk on (M, u) within degree bounds, deg r + deg t < deg M,
+    so by von zur Gathen & Gerhard (Modern Computer Algebra, Thm 5.16) a
+    solution within the bounds is a polynomial multiple of a selected row
+    of at most its degrees.  At a good prime, a row R over Q, scaled to
+    primitive integers, reduces to a nonzero solution of the image problem
+    within the bounds, so to a multiple of an image row of at most R's
+    degrees: no image row means no row over Q, and by induction over the
+    sorted lists the image list equals the list over Q or comes earlier
+    (where the lists first differ, the image row is the earlier).  A
+    checked lift L solves the problem over Q within the bounds, so it is
+    c*R for a row R over Q of at most L's degrees; R reduces to a multiple
+    of an image row of at most R's degrees, which must be L's own image
+    row, as the rows of a walk have strictly falling deg r and rising
+    deg t: so c is a constant, and every row over Q is reached this way.
+    The checked lift is the list over Q, and each caller reads its
+    predicate (coprime, a degree, t(0) != 0) off the exact rows.
+
+    Why the primes do not run out.  The degrees of a walk are fixed by the
+    ranks of the linear systems of its degree pairs.  Let D be the product
+    of the bad-reduction integers and of one nonzero maximal minor of each
+    pair's system, and H a bound on the numerators and denominators of
+    the monic rows over Q (Cramer).  A prime that divides no factor of D
+    keeps every rank, so its list is the list over Q with each row the
+    image of the row over Q, consistent residues for the CRT; and once the
+    product of such primes passes 2H^2, `rat_lift` returns the rows over
+    Q.  The caller's `bits()` bounds log2(D*2H^2) from its integer sizes
+    (Hadamard), and the primes yielded multiply past 2^bits(), of which the
+    primes dividing D take at most D."""
+    key = kept = None
+    for q in moduli(p, bits):
+        rows = image(q)
+        if rows is None:
+            continue
+        if not rows or q == p:
+            return rows
+        new = [_degrees(*row) for row in rows] + [(math.inf,)]
+        if key is not None and new < key:
+            continue
+        res, inv = [], pow(den, -1, q)
+        for r, t in rows:
+            lead = pow(t[-1], -1, q)
+            res += [c * lead * inv % q for c in r] + [c * lead % q for c in t]
+        joined = 1
+        if new == key:
+            acc, prod, joined = kept
+            k = pow(prod, -1, q)
+            res, q = [a + prod * ((x - a) * k % q) for a, x in zip(acc, res)], prod * q
+            joined += 1
+        key, kept = new, (res, q, joined)
+        ints = None if joined & (joined - 1) else rat_lift(res, q)
+        it = iter(ints or ())
+        lifted = ints and [([next(it) for _ in r], [next(it) for _ in t]) for r, t in rows]
+        if lifted and all(check(*row) for row in lifted):
+            return lifted
+    return None
 
 
 def _coprime(r: list, t: list, p) -> bool:
     """gcd(r, t) = 1; t is nonzero."""
-    if not r:
-        return len(t) == 1
-    return len(gcd_ints(r, t, p)) == 1
+    return len(gcd_ints(r, t, p) if r else t) == 1
 
 
-def ratfun1_from_row(field: Field, r: list, t: list, den=1) -> RatFun1:
-    """The canonical r/(den*t) of a coprime row (r, t): both parts divided by
-    den*lc(t) and lc(t) respectively."""
-    lead = t[-1]
-    return RatFun1(poly1_from_ints(field, r, den * lead),
-                   poly1_from_ints(field, t, lead))
+def ratfun1_from_row(field: Field, r: list, t: list) -> RatFun1:
+    """The canonical r/t of a coprime row (r, t): both parts divided by
+    lc(t)."""
+    return RatFun1(poly1_from_ints(field, r, t[-1]), poly1_from_ints(field, t, t[-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,22 @@ within `max_degree`: each must end in exit 7.  Their oracle values have
 thousands of digits, and while detection walked the Euclid rows of every
 pool over Q they took 1 to 66 s; detection now runs on the samples'
 image mod `WORD_PRIME` from the first point, which settles those passes.
+
+A fit of degrees (50, 50) over Q through 102 samples of a function with
+7-digit coefficients needs its row's coefficients lifted beyond one
+word prime; it took a minute while the walk over Q answered, and takes
+a few word primes joined by CRT now (about 0.3 s).
+
 A row runs under a small wrapper
 process that reports the row's peak RSS from
 `resource.getrusage(RUSAGE_CHILDREN)`, its only child.
 """
 
 import json
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -102,4 +110,26 @@ def test_q_refusal_ends_within_its_bounds(expr, arity, extra):
     code, rss = proc.stdout.split()
     assert int(code) == 7, proc.stderr
     assert proc.stderr.startswith("reconstruction budget failure: "), proc.stderr
+    assert float(rss) < BOUND_MIB
+
+
+def test_large_coefficient_fit_ends_within_its_bounds(tmp_path):
+    # `interp --fit` at (50, 50) over Q on the 102 samples x = 1..102 of a
+    # function with random 7-digit integer coefficients
+    rng = random.Random(5050)
+    num, den = ([rng.choice((-1, 1)) * rng.randint(10 ** 6, 10 ** 7 - 1) for _ in range(51)]
+                for _ in range(2))
+    path = tmp_path / "samples.csv"
+
+    def at(cs, x):
+        return sum(c * x ** k for k, c in enumerate(cs))
+    path.write_text("".join(f"{x},{Fraction(at(num, x), at(den, x))}\n"
+                            for x in range(1, 103)))
+    argv = ["interp", "--samples", str(path), "--field", "q", "--n", "50", "--m", "50",
+            "--fit"]
+    proc = subprocess.run([sys.executable, "-c", WRAPPER, str(BOUND_S), *argv],
+                          capture_output=True, text=True, timeout=2 * BOUND_S)
+    assert proc.returncode == 0, proc.stderr
+    code, rss = proc.stdout.split()
+    assert int(code) == 0, proc.stderr
     assert float(rss) < BOUND_MIB

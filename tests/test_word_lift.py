@@ -1,21 +1,25 @@
-"""The word-prime image of `fit_ratfun` and `interp_point` over Q, and
+"""The word-prime images of `fit_ratfun` and `interp_point` over Q, and
 `interp_point` against the determinants of `alpha_beta` on every field.
 
-Over Q both first solve their samples mod `poly.WORD_PRIME`, lift the row
-to Q and check the lift exactly on every sample (`interp._solve_mod` at
-that prime); the exact path, the Newton pool over Q and its extended-Euclid
-row (`_solve_mod` at None), answers wherever a step fails, and the pool
-mod p is the only path over F_p.  These tests hold
-the fit to the exact path and the value to the calibrated ratio of the
-two determinants, with the same results and exceptions on seeded random
-sample sets, force each kind of fallback, pin which path bench-shaped
-data takes, and check that `interp_point` computes no determinant.
+Over Q both solve their samples mod `poly.WORD_PRIME` and, where that
+prime cannot answer, mod the next primes below it, join the rows by CRT,
+lift them to Q and check the lift exactly on every sample
+(`ratfun.lift_rows`); the pool mod p is the only path over F_p.  These
+tests hold the fit to the walk over Q (`q_walk.fit`, the tests' copy of
+the path that the primes replaced) and the value to the calibrated ratio
+of the two determinants, with the same results and exceptions on seeded
+random sample sets, force each case that needs more than one prime and
+pin which primes answer, pin the primes bench-shaped data takes, and
+check that `interp_point` computes no determinant.
 """
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+import q_walk
 
 from ratrecon import interp, matrix
 from ratrecon.errors import BetaZero
@@ -28,11 +32,12 @@ from ratrecon.interp import (
     interp_point,
     interp_sign,
 )
-from ratrecon.poly import WORD_PRIME, Poly1
-from ratrecon.ratfun import normalize_ratfun1
+from ratrecon.poly import WORD_PRIME, Poly1, field_prime
+from ratrecon.ratfun import moduli, normalize_ratfun1
 
 FP = PrimeField(1000003)
 F101 = PrimeField(101)
+P1, P2, P3 = itertools.islice(moduli(None, lambda: 10 ** 6), 3)
 
 
 def outcome(fn, *args):
@@ -55,25 +60,26 @@ def exact_point(samples, profile, a):
 
 
 def exact_fit(samples, n, m):
-    """`fit_ratfun` on the exact path alone: its one modulus is None."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(interp, "moduli", lambda p: (None,))
-        return fit_ratfun(samples, n, m)
+    """`fit_ratfun` on the walk over Q (over F_p the pool mod p)."""
+    return q_walk.fit(samples, n, m)
 
 
 @pytest.fixture
 def lifts(monkeypatch):
-    """The results of every `_solve_mod` call mod `WORD_PRIME`, in order."""
+    """For every `ratfun.lift_rows` call of interp, in order, the primes
+    whose images it took: [WORD_PRIME] where the first prime answers."""
     seen = []
-    solve_mod = interp._solve_mod
+    lift_rows = interp.lift_rows
 
-    def spy(samples, n, m, accept, q):
-        solved = solve_mod(samples, n, m, accept, q)
-        if q == WORD_PRIME:
-            seen.append(solved)
-        return solved
+    def spy(image, check, p, bits, den=1):
+        seen.append([])
 
-    monkeypatch.setattr(interp, "_solve_mod", spy)
+        def spied(q):
+            seen[-1].append(q)
+            return image(q)
+        return lift_rows(spied, check, p, bits, den)
+
+    monkeypatch.setattr(interp, "lift_rows", spy)
     return seen
 
 
@@ -125,27 +131,34 @@ def draw_case(field, rng, trial):
 
 
 def test_lift_answers_as_the_exact_path(lifts):
-    """Over Q the fit against the exact path and the value against
-    `exact_point`; over F_101 and F_1000003, where no lift runs, the value
-    against `exact_point`."""
+    """Over Q the fit against the walk over Q and the value against
+    `exact_point`; over F_101 and F_1000003, where the one prime answers,
+    the value against `exact_point`."""
     rng = random.Random(4301)
-    fits = points = lifted_refusals = 0     # answers of the lift
+    fits, points = Counter(), Counter()     # calls by the primes they took
+    refusals = 0                            # BetaZero at the first prime
     for trial in range(2000):
         samples, n, m, target = draw_case(QQ, rng, trial)
         want = outcome(exact_fit, samples, n, m)
         del lifts[:]
         assert outcome(fit_ratfun, samples, n, m) == want, trial
-        fits += lifts[0] is not None
+        fits[len(lifts[0])] += 1
         head = SampleSet1(samples.points[:n + m + 1])
         profile = DegreeProfile.from_de(max(n, m), n - m)
         want = outcome(exact_point, head, profile, target)
         del lifts[:]
         assert outcome(interp_point, head, profile, target) == want, trial
-        points += lifts[0] is not None
-        lifted_refusals += lifts[0] is not None and want is BetaZero
-    # each path answers a sizeable share, and the lift refuses at poles
-    assert 600 < fits < 1400 and 400 < points < 1400, (fits, points)
-    assert lifted_refusals > 100, lifted_refusals
+        points[len(lifts[0])] += 1
+        refusals += lifts[0] == [P1] and want is BetaZero
+    # most fits take one prime, the coefficients of height 10^6 a few more;
+    # a point through random values of height 10^6 has a row of thousands
+    # of digits, which takes up to 128 primes (a join is lifted at 1, 2, 4,
+    # ... primes); the first prime refuses at poles (measured: fits 1728 of
+    # 2000 at one prime, at most 8; points 883, at most 128)
+    assert fits[1] > 1500 and points[1] > 700, (fits, points)
+    assert 2000 - fits[1] > 200 and 2000 - points[1] > 1000, (fits, points)
+    assert max(fits) <= 8 and max(points) <= 128, (fits, points)
+    assert refusals > 100, refusals
     del lifts[:]
     for field in (F101, FP):
         rng = random.Random(4303)
@@ -159,16 +172,16 @@ def test_lift_answers_as_the_exact_path(lifts):
             refusals += want is BetaZero
         # values and refusals both take a sizeable share
         assert 300 < refusals < 1700, (field, refusals)
-    assert lifts == []
+    assert all(primes in ([F101.p], [FP.p]) for primes in lifts)
 
 
-def fallback_case(samples, n, m, target, lifts):
-    """Both functions fall back on these samples and answer as the exact
-    path does."""
+def fallback_case(samples, n, m, target, lifts, primes):
+    """Both functions take the images mod `primes` on these samples, the
+    first prime failing, and answer as the walk over Q does."""
     head = SampleSet1(samples.points[:n + m + 1])
     profile = DegreeProfile.from_de(max(n, m), n - m)
     got = fit_ratfun(samples, n, m), interp_point(head, profile, target)
-    assert lifts == [None, None]
+    assert lifts == [primes, primes]
     assert got == (exact_fit(samples, n, m), exact_point(head, profile, target))
     return got
 
@@ -180,21 +193,22 @@ def sample(f, pts):
 def test_a_denominator_of_the_word_prime_falls_back(lifts):
     f = normalize_ratfun1(Poly1.from_ints(QQ, [1, 2]), Poly1.from_ints(QQ, [3, 0, 1]))
     pts = [Fraction(1, WORD_PRIME), 2, 3, 4, 5]
-    fit, value = fallback_case(sample(f, pts), 1, 2, Fraction(7), lifts)
+    fit, value = fallback_case(sample(f, pts), 1, 2, Fraction(7), lifts, [P1, P2])
     assert fit == f and value == Fraction(15, 52)
 
 
 def test_abscissae_congruent_mod_the_word_prime_fall_back(lifts):
     f = normalize_ratfun1(Poly1.from_ints(QQ, [1, 2]), Poly1.from_ints(QQ, [3, 0, 1]))
     pts = [1, 1 + WORD_PRIME, 2, 3, 4]
-    fit, value = fallback_case(sample(f, pts), 1, 2, Fraction(7), lifts)
+    fit, value = fallback_case(sample(f, pts), 1, 2, Fraction(7), lifts, [P1, P2])
     assert fit == f and value == Fraction(15, 52)
 
 
 def test_a_coefficient_beyond_the_lift_bound_falls_back(lifts):
     c = Fraction(10 ** 6, 7)
     f = normalize_ratfun1(Poly1(QQ, [QQ.one, c]), Poly1.from_ints(QQ, [2, 1]))
-    fit, value = fallback_case(sample(f, [1, 2, 3, 4]), 1, 1, Fraction(5), lifts)
+    fit, value = fallback_case(sample(f, [1, 2, 3, 4]), 1, 1, Fraction(5), lifts,
+                               [P1, P2])
     assert fit == f and value == (1 + 5 * c) / 7
 
 
@@ -223,8 +237,7 @@ def bench_shaped(field, rng, l):
 
 
 def spy_rows(monkeypatch):
-    """The prime of every `first_row` that interp calls: WORD_PRIME for the
-    lift's image, the field's own (None over Q) for the exact path."""
+    """The prime of every `first_row` that interp calls."""
     primes = []
     first_row = interp.first_row
 
@@ -237,7 +250,9 @@ def spy_rows(monkeypatch):
 
 
 @pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
-def test_bench_shaped_data_takes_the_lift_over_q_only(field, monkeypatch):
+def test_bench_shaped_data_takes_the_lift_over_q_only(field, monkeypatch, lifts):
+    # every point and fit of bench-shaped data takes one prime: over Q
+    # WORD_PRIME, whose lift answers (measured: at most 1 prime per call)
     primes = spy_rows(monkeypatch)
     rng = random.Random(4302)
     for trial in range(30):
@@ -248,8 +263,8 @@ def test_bench_shaped_data_takes_the_lift_over_q_only(field, monkeypatch):
         value = interp_point(head, DegreeProfile.from_de(max(n, m), n - m), a)
         assert value == samples.points[-1][1]
         assert fit_ratfun(samples, n, m) == f
-        exact = [p for p in primes if p != WORD_PRIME]
-        assert len(exact) == (0 if field is QQ else 2 * (trial + 1))
+        assert primes == [field_prime(field) or WORD_PRIME] * 2 * (trial + 1)
+    assert lifts == [[field_prime(field) or WORD_PRIME]] * 60
 
 
 def test_interp_point_computes_no_determinant(monkeypatch, lifts):
@@ -265,5 +280,6 @@ def test_interp_point_computes_no_determinant(monkeypatch, lifts):
             head = SampleSet1(samples.points[:n + m + 1])
             outcome(interp_point, head, DegreeProfile.from_de(max(n, m), n - m), target)
     assert calls == []
-    # the Q cases include fallbacks to the pool over Q
-    assert primes.count(None) > 30 and lifts.count(None) == primes.count(None)
+    # the Q cases include points that take more than one prime
+    assert sum(len(taken) > 1 for taken in lifts) > 30
+    assert primes.count(P2) == sum(P2 in taken for taken in lifts)
